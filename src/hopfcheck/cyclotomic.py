@@ -1,24 +1,28 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A scalar is a vector of rationals in the power basis 1, z, ..., z^(phi(n)-1)
-of Q(zeta_n), kept reduced modulo the n-th cyclotomic polynomial.  Field
-conjugation is z -> z^(n-1).  Everything is exact; the sign of a real scalar
-is decided by interval refinement of the standard complex embedding, with the
-exact zero test run first so the refinement always terminates.
+A scalar is a vector in the power basis 1, z, ..., z^(phi(n)-1) of
+Q(zeta_n), kept reduced modulo the n-th cyclotomic polynomial Phi_n.  It is
+stored as integer numerators over one positive common denominator, in
+canonical form: gcd(den, *num) == 1, and zero is (0, ..., 0)/1.  Equal
+scalars therefore have equal (num, den), and the zero test and equality are
+plain integer comparisons.  Phi_n is monic with integer coefficients, so
+reduction and field conjugation (z -> z^(n-1)) are integer row operations
+and every product or sum costs one gcd normalisation.  Everything is exact;
+the sign of a real scalar is decided by interval refinement of the standard
+complex embedding, with the exact zero test run first so the refinement
+always terminates.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
-from .errors import FieldOrderMismatch, SchemaError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .errors import FieldOrderMismatch, SchemaError, TheoremViolation
 
 
-def _poly_mul_int(a, b):
+def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -39,7 +43,8 @@ def _poly_div_monic_int(num, den):
             q[i] = c
             for j, y in enumerate(den):
                 num[i + j] -= c * y
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise TheoremViolation("non-exact polynomial division: remainder %r" % (num,))
     return q
 
 _CYCLO_CACHE = {}
@@ -51,12 +56,17 @@ def cyclotomic_polynomial(n):
         return _CYCLO_CACHE[n]
     if n < 1:
         raise SchemaError("cyclotomic order must be >= 1, got %r" % (n,))
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    divisor = [1]  # product of Phi_d over the proper divisors d of n
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_div_monic_int(poly, cyclotomic_polynomial(d))
+            divisor = _poly_mul(divisor, cyclotomic_polynomial(d))
+    poly = _poly_div_monic_int([-1] + [0] * (n - 1) + [1], divisor)  # x^n - 1
     _CYCLO_CACHE[n] = tuple(poly)
     return _CYCLO_CACHE[n]
+
+
+def _sparse(row):
+    return tuple((i, c) for i, c in enumerate(row) if c)
 
 
 _FIELDS = {}
@@ -78,32 +88,26 @@ class CycField:
         if n < 1:
             raise SchemaError("cyclotomic order must be >= 1, got %r" % (n,))
         self.n = n
-        cyclo = cyclotomic_polynomial(n)
-        self.phi = len(cyclo) - 1
-        self.cyclo = tuple(Fraction(c) for c in cyclo)
-        # representations of x^(phi + j) mod Phi_n, enough for products
+        self.cyclo = cyclotomic_polynomial(n)
+        phi = self.phi = len(self.cyclo) - 1
+        # integer rows of x^(phi + j) mod Phi_n, enough for products
         # (degree 2*phi - 2) and for all powers z^k, k < n
-        top = max(2 * self.phi - 2, n - 1)
+        top = max(2 * phi - 2, n - 1)
         pows = []
-        cur = [-c for c in self.cyclo[: self.phi]]  # x^phi
-        for _ in range(self.phi, top + 1):
+        cur = [-c for c in self.cyclo[:phi]]  # x^phi
+        for _ in range(phi, top + 1):
             pows.append(tuple(cur))
-            shifted = [_ZERO] + cur[: self.phi - 1]
-            lead = cur[self.phi - 1]
+            lead = cur[phi - 1]
+            cur = [0] + cur[: phi - 1]
             if lead:
-                shifted = [s + lead * p for s, p in zip(shifted, pows[0])]
-            cur = shifted
-        self._pows = pows
-        zpows = []
-        for k in range(n):
-            if k < self.phi:
-                zpows.append(tuple(_ONE if i == k else _ZERO for i in range(self.phi)))
-            else:
-                zpows.append(pows[k - self.phi])
-        self._zeta_pows = zpows
-        self._conj_rows = tuple(zpows[(n - k) % n] for k in range(self.phi))
-        self.zero = CycScalar(self, (_ZERO,) * self.phi)
-        self.one = CycScalar(self, (_ONE,) + (_ZERO,) * (self.phi - 1))
+                cur = [s + lead * p for s, p in zip(cur, pows[0])]
+        self._pows = tuple(_sparse(row) for row in pows)
+        zpows = [tuple(int(i == k) for i in range(phi)) for k in range(phi)]
+        zpows += pows[: n - phi]
+        self._zeta_pows = tuple(zpows)
+        self._conj_rows = tuple(_sparse(zpows[(n - k) % n]) for k in range(phi))
+        self.zero = CycScalar(self, (0,) * phi, 1)
+        self.one = CycScalar(self, (1,) + (0,) * (phi - 1), 1)
         self._embed_cache = None
 
     def __repr__(self):
@@ -118,36 +122,49 @@ class CycField:
             if value.field is self:
                 return value
             if value.is_rational():
-                return self.from_rational(value.coeffs[0])
+                return self.from_rational(value.as_fraction())
             raise FieldOrderMismatch(
                 "cannot coerce scalar of order %d into Q(zeta_%d)"
                 % (value.field.n, self.n)
             )
         if isinstance(value, (int, Fraction)):
-            return self.from_rational(Fraction(value))
+            return self.from_rational(value)
         coeffs = [Fraction(c) for c in value]
-        if len(coeffs) > self.phi:
-            coeffs = list(self._reduce(coeffs))
-        coeffs += [_ZERO] * (self.phi - len(coeffs))
-        return CycScalar(self, tuple(coeffs))
+        den = 1
+        for c in coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        return self.from_integers([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def from_integers(self, num, den=1):
+        """The scalar sum(num[k] * z^k) / den for integers num and den != 0."""
+        if not den:
+            raise ZeroDivisionError("cyclotomic scalar with denominator 0")
+        num = self._reduce(num)
+        if den < 0:
+            den, num = -den, [-a for a in num]
+        return _canonical(self, num, den)
 
     def from_rational(self, q):
-        return CycScalar(self, (Fraction(q),) + (_ZERO,) * (self.phi - 1))
+        if type(q) is not int:
+            q = Fraction(q)
+            return CycScalar(self, (q.numerator,) + (0,) * (self.phi - 1), q.denominator)
+        return CycScalar(self, (q,) + (0,) * (self.phi - 1), 1)
 
     def zeta(self, k=1):
         """The root of unity zeta_n^k as an exact scalar."""
-        return CycScalar(self, self._zeta_pows[k % self.n])
+        return CycScalar(self, self._zeta_pows[k % self.n], 1)
 
-    def _reduce(self, coeffs):
+    def _reduce(self, num):
+        """Integer coefficients mod Phi_n, as a list of length phi."""
         phi = self.phi
-        c = list(coeffs) + [_ZERO] * max(0, phi - len(coeffs))
-        for k in range(len(c) - 1, phi - 1, -1):
-            ck = c[k]
+        c = list(num[:phi])
+        c += [0] * (phi - len(c))
+        for k in range(phi, len(num)):
+            ck = num[k]
             if ck:
-                for i, r in enumerate(self._pows[k - phi]):
-                    if r:
-                        c[i] += ck * r
-        return tuple(c[:phi])
+                for i, r in self._pows[k - phi]:
+                    c[i] += ck * r
+        return c
 
     def lift(self, scalar):
         """Embed a scalar from Q(zeta_m) for m dividing n via z_m -> z_n^(n/m)."""
@@ -159,11 +176,12 @@ class CycField:
                 "order %d does not divide target order %d" % (m, self.n)
             )
         step = self.n // m
-        out = self.zero
-        for k, c in enumerate(scalar.coeffs):
-            if c:
-                out = out + CycScalar(self, self._zeta_pows[(k * step) % self.n]) * c
-        return out
+        out = [0] * self.phi
+        for k, a in enumerate(scalar.num):
+            if a:
+                for i, r in enumerate(self._zeta_pows[(k * step) % self.n]):
+                    out[i] += a * r
+        return _canonical(self, out, scalar.den)
 
     def _embeddings(self):
         if self._embed_cache is None:
@@ -172,33 +190,73 @@ class CycField:
         return self._embed_cache
 
 
+def _canonical(field, num, den):
+    """The scalar num/den, divided through by gcd(den, *num); den > 0."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            return CycScalar(field, tuple([a // g for a in num]), den)
+    return CycScalar(field, tuple(num), den)
+
+
+def _add(x, y, sign):
+    """x + sign * y for scalars of one field, sign 1 or -1."""
+    if not any(y.num):
+        return x
+    if not any(x.num):
+        return y if sign > 0 else -y
+    d1, d2 = x.den, y.den
+    if d1 == d2:
+        if sign > 0:
+            return _canonical(x.field, [a + b for a, b in zip(x.num, y.num)], d1)
+        return _canonical(x.field, [a - b for a, b in zip(x.num, y.num)], d1)
+    g = gcd(d1, d2)
+    s1, s2 = d2 // g, sign * (d1 // g)
+    num = [a * s1 + b * s2 for a, b in zip(x.num, y.num)]
+    if g == 1:  # coprime denominators: the result is already canonical
+        return CycScalar(x.field, tuple(num), d1 * d2)
+    return _canonical(x.field, num, d1 * s1)
+
+
 class CycScalar:
-    """An element of Q(zeta_n); immutable."""
+    """An element of Q(zeta_n); immutable.
 
-    __slots__ = ("field", "coeffs")
+    `num` is a tuple of phi(n) integer numerators and `den` their positive
+    common denominator, with gcd(den, *num) == 1.
+    """
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """Power-basis coefficients as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError("scalar %r is not rational" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_real(self):
         return self.conjugate() == self
@@ -213,22 +271,24 @@ class CycScalar:
                 "mixed field orders %d and %d" % (self.field.n, other.field.n)
             )
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(Fraction(other))
+            return self.field.from_rational(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+    def __add__(self, o):
+        if o.__class__ is not CycScalar or o.field is not self.field:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        return _add(self, o, 1)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+    def __sub__(self, o):
+        if o.__class__ is not CycScalar or o.field is not self.field:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        return _add(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -237,48 +297,66 @@ class CycScalar:
         return o - self
 
     def __neg__(self):
-        return CycScalar(self.field, tuple(-a for a in self.coeffs))
+        return CycScalar(self.field, tuple([-a for a in self.num]), self.den)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
+    def __mul__(self, o):
+        if o.__class__ is not CycScalar or o.field is not self.field:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        a, b = self.num, o.num
         if not any(a) or not any(b):
             return self.field.zero
+        den = self.den * o.den
         if not any(b[1:]):  # rational right factor
             q = b[0]
-            return CycScalar(self.field, tuple(c * q for c in a))
+            return _canonical(self.field, [c * q for c in a], den)
         if not any(a[1:]):
             q = a[0]
-            return CycScalar(self.field, tuple(c * q for c in b))
-        prod = [_ZERO] * (2 * len(a) - 1)
+            return _canonical(self.field, [c * q for c in b], den)
+        prod = [0] * (2 * len(a) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return CycScalar(self.field, self.field._reduce(prod))
+        return _canonical(self.field, self.field._reduce(prod), den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
+        field = self.field
         if self.is_rational():
-            return self.field.from_rational(1 / self.coeffs[0])
-        # extended Euclid: find s with s*self == 1 (mod Phi_n)
-        m = list(self.field.cyclo)
-        r0, s0 = m, [_ZERO]
-        r1, s1 = _trim(list(self.coeffs)), [_ONE]
-        while _degree(r1) > 0:
-            q, rem = _fpoly_divmod(r0, r1)
-            r0, r1 = r1, _trim(rem)
-            s0, s1 = s1, _trim(_fpoly_sub(s0, _poly_mul_frac(q, s1)))
-        assert r1 and r1 != [_ZERO], "Phi_n not coprime to nonzero element"
+            q = self.num[0]
+            if q < 0:
+                return CycScalar(field, (-self.den,) + self.num[1:], -q)
+            return CycScalar(field, (self.den,) + self.num[1:], q)
+        # extended Euclid over Z[x] by pseudo-division, with the invariant
+        # s_i * num == r_i (mod Phi_n); ends at a constant r1 = c, so that
+        # self^-1 = den * s1 / c
+        r0, s0 = list(field.cyclo), [0]
+        r1, s1 = _trim(list(self.num)), [1]
+        while len(r1) > 1:
+            f, q, rem = _pseudo_divmod(r0, r1)
+            qs = _poly_mul(q, s1)
+            s2 = [f * x for x in s0] + [0] * max(0, len(qs) - len(s0))
+            for i, y in enumerate(qs):
+                s2[i] -= y
+            r2, s2 = _trim(rem), _trim(s2)
+            g = gcd(*r2, *s2)
+            if g > 1:
+                r2 = [x // g for x in r2]
+                s2 = [x // g for x in s2]
+            r0, s0, r1, s1 = r1, s1, r2, s2
         c = r1[0]
-        inv = [x / c for x in s1]
-        return CycScalar(self.field, self.field._reduce(inv))
+        if not c:
+            raise TheoremViolation("Phi_%d not coprime to nonzero element %r" % (field.n, self))
+        num = [x * self.den for x in field._reduce(s1)]
+        if c < 0:
+            c, num = -c, [-x for x in num]
+        return _canonical(field, num, c)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -293,30 +371,43 @@ class CycScalar:
         return o * self.inverse()
 
     def conjugate(self):
-        out = [_ZERO] * self.field.phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, r in enumerate(self.field._conj_rows[k]):
-                    if r:
-                        out[i] += c * r
-        return CycScalar(self.field, tuple(out))
+        # an automorphism of Z[zeta_n]: the numerators keep their content
+        out = [0] * self.field.phi
+        for k, a in enumerate(self.num):
+            if a:
+                for i, r in self.field._conj_rows[k]:
+                    out[i] += a * r
+        return CycScalar(self.field, tuple(out), self.den)
 
     # -- comparisons and ordering helpers ----------------------------------
 
     def __eq__(self, other):
         if isinstance(other, CycScalar):
-            return self.field.n == other.field.n and self.coeffs == other.coeffs
+            return (
+                self.field.n == other.field.n
+                and self.den == other.den
+                and self.num == other.num
+            )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (
+                self.den == other.denominator
+                and self.num[0] == other.numerator
+                and self.is_rational()
+            )
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(self.num[0]) if self.den == 1 else hash(self.as_fraction())
         return hash((self.field.n, self.coeffs))
 
     def sort_key(self):
-        return tuple((c.numerator, c.denominator) for c in self.coeffs)
+        den = self.den
+        out = []
+        for a in self.num:
+            g = gcd(a, den)
+            out.append((a // g, den // g))
+        return tuple(out)
 
     def sign(self):
         """Certified sign (-1, 0, 1) of a real scalar."""
@@ -325,8 +416,7 @@ class CycScalar:
         if self.is_zero():
             return 0
         if self.is_rational():
-            q = self.coeffs[0]
-            return 1 if q > 0 else -1
+            return 1 if self.num[0] > 0 else -1
         from mpmath import iv
 
         n = self.field.n
@@ -335,12 +425,11 @@ class CycScalar:
             old = iv.prec
             try:
                 iv.prec = prec
+                # den > 0, so the numerators alone carry the sign
                 total = iv.mpf(0)
-                for k, c in enumerate(self.coeffs):
-                    if c:
-                        total += (iv.mpf(c.numerator) / c.denominator) * iv.cos(
-                            2 * iv.pi * k / n
-                        )
+                for k, a in enumerate(self.num):
+                    if a:
+                        total += iv.mpf(a) * iv.cos(2 * iv.pi * k / n)
                 if total.a > 0:
                     return 1
                 if total.b < 0:
@@ -356,7 +445,9 @@ class CycScalar:
     def embed(self):
         """Standard complex embedding z -> exp(2*pi*i/n), as a float."""
         basis = self.field._embeddings()
-        return sum(float(c) * b for c, b in zip(self.coeffs, basis) if c)
+        den = self.den
+        # int / int is correctly rounded, so this equals float(Fraction(a, den))
+        return sum((a / den) * b for a, b in zip(self.num, basis) if a)
 
     def __repr__(self):
         terms = []
@@ -371,44 +462,28 @@ class CycScalar:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def _degree(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
 def _trim(p):
-    d = _degree(p)
-    return p[: d + 1] if d >= 0 else [_ZERO]
+    d = len(p)
+    while d > 1 and not p[d - 1]:
+        d -= 1
+    return p[:d]
 
 
-def _fpoly_sub(a, b):
-    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _poly_mul_frac(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _fpoly_divmod(num, den):
-    num = list(num)
-    dd = _degree(den)
-    lead = den[dd]
-    q = [_ZERO] * max(0, len(num) - dd)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd] / lead
+def _pseudo_divmod(a, b):
+    """(f, q, r) with f * a == q * b + r, deg r < deg b, f a power of lc(b)."""
+    db = len(b) - 1
+    lead = b[db]
+    r = list(a)
+    q = [0] * max(1, len(a) - db)
+    f = 1
+    for i in range(len(a) - db - 1, -1, -1):
+        c = r[i + db]
         if c:
-            q[i] = c
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    return q, num[:dd] if dd > 0 else [_ZERO]
+            if lead != 1:
+                r = [lead * x for x in r]
+                q = [lead * x for x in q]
+                f *= lead
+            q[i] += c
+            for j, y in enumerate(b):
+                r[i + j] -= c * y
+    return f, q, r[:db] if db > 0 else [0]

@@ -69,16 +69,17 @@ class HopfStarAlgebra:
 
     def product(self, x, y):
         out = zero_vec(self.field, self.dim)
+        y_nz = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
             nz_i = self._mult_nz[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, m in nz_i[j]:
-                    out[k] = out[k] + c * m
+            for j, yj in y_nz:
+                terms = nz_i[j]
+                if terms:
+                    c = xi * yj
+                    for k, m in terms:
+                        out[k] = out[k] + c * m
         return out
 
     def product_many(self, vectors):

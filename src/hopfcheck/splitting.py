@@ -133,6 +133,7 @@ def _lll_candidates(field, z, max_den):
     """Integer-relation reconstruction for phi(n) > 2 via exact LLL."""
     from sympy import ZZ
     from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.exceptions import DMRankError, DMValueError
 
     phi = field.phi
     scale = 10 ** 12
@@ -148,7 +149,7 @@ def _lll_candidates(field, z, max_den):
     dm = DomainMatrix([[ZZ(x) for x in row] for row in rows], (phi + 1, phi + 3), ZZ)
     try:
         red = dm.lll()
-    except Exception:
+    except (DMRankError, DMValueError):
         return []
     weight = max(1, scale // (100 * max_den))
     cands = []
@@ -159,8 +160,7 @@ def _lll_candidates(field, z, max_den):
             continue
         if any(a % weight for a in ints[:phi]):
             continue
-        coeffs = [Fraction(a // weight, q) for a in ints[:phi]]
-        cands.append(field.scalar(coeffs))
+        cands.append(field.from_integers([a // weight for a in ints[:phi]], q))
     return cands
 
 
@@ -179,9 +179,9 @@ def exact_eigen_split(M, gauge=0):
         total = 0
         for z in approx:
             for cand in _reconstruct_candidates(field, z, max_den):
-                if cand.coeffs in seen:
+                if cand in seen:
                     continue
-                seen.add(cand.coeffs)
+                seen.add(cand)
                 shifted = Matrix.from_rows(
                     field,
                     [
@@ -336,9 +336,9 @@ def exact_poly_roots(field, coeffs):
         numeric = np.roots([c.embed() for c in reversed(_poly_trim(coeffs))])
         for z in _cluster([complex(v) for v in numeric], _NUMERIC_TOL):
             for cand in _reconstruct_candidates(field, z, max_den):
-                if cand.coeffs in seen:
+                if cand in seen:
                     continue
-                seen.add(cand.coeffs)
+                seen.add(cand)
                 if not _poly_eval_scalar(field, coeffs, cand):
                     roots.append(cand)
         if len(roots) == deg:

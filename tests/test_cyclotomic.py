@@ -1,13 +1,18 @@
 import cmath
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfcheck
 from hopfcheck.cyclotomic import CycField, cyclotomic_polynomial
-from hopfcheck.errors import FieldOrderMismatch
+from hopfcheck.errors import FieldOrderMismatch, TheoremViolation
 
 ORDERS = (1, 2, 3, 4, 6, 8, 12)
 
@@ -262,3 +267,178 @@ def test_repr_round_trip_examples():
     half = field.from_rational(Fraction(1, 2))
     assert repr(field.one + field.zeta()) == "1 + z6"
     assert repr(-half + half * field.zeta()) == "-1/2 + 1/2*z6"
+
+
+# --- differential check against a Fraction-per-coefficient reference ----
+
+DIFF_ORDERS = (1, 3, 4, 5, 8, 12)
+
+
+def ref_reduce(n, poly):
+    """Remainder of a Fraction polynomial modulo the monic Phi_n."""
+    cyclo = cyclotomic_polynomial(n)
+    phi = len(cyclo) - 1
+    p = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, phi - len(poly))
+    for k in range(len(p) - 1, phi - 1, -1):
+        c = p[k]
+        if c:
+            for j, m in enumerate(cyclo):
+                p[k - phi + j] -= c * m
+    return tuple(p[:phi])
+
+
+def ref_mul(n, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_reduce(n, prod)
+
+
+def ref_conjugate(n, a):
+    out = [Fraction(0)] * (2 * n)
+    for k, c in enumerate(a):
+        out[(n - k) % n] += c
+    return ref_reduce(n, out)
+
+
+def ref_inverse(n, a):
+    """Solve a * y == 1 by Gauss-Jordan elimination on the multiplication matrix."""
+    phi = len(a)
+    cols = [ref_mul(n, a, [Fraction(int(i == j)) for i in range(phi)]) for j in range(phi)]
+    rows = [[cols[j][i] for j in range(phi)] + [Fraction(int(i == 0))] for i in range(phi)]
+    for c in range(phi):
+        p = next(r for r in range(c, phi) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(phi):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return tuple(row[phi] for row in rows)
+
+
+def ref_hash(n, a):
+    if not any(a[1:]):
+        return hash(a[0])
+    return hash((n, a))
+
+
+def assert_canonical(x):
+    assert len(x.num) == x.field.phi
+    assert all(type(a) is int for a in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.num == (0,) * x.field.phi and x.den == 1
+
+
+def assert_matches(x, ref):
+    assert_canonical(x)
+    assert x.coeffs == ref
+    assert x.sort_key() == tuple((c.numerator, c.denominator) for c in ref)
+    assert hash(x) == ref_hash(x.field.n, ref)
+    assert bool(x) == any(ref)
+
+
+diff_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def diff_pairs(draw):
+    n = draw(st.sampled_from(DIFF_ORDERS))
+    phi = len(cyclotomic_polynomial(n)) - 1
+    coeffs = st.lists(diff_rationals, min_size=phi, max_size=phi)
+    return n, tuple(draw(coeffs)), tuple(draw(coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(diff_pairs())
+def test_differential_against_fraction_reference(case):
+    n, ra, rb = case
+    F = CycField(n)
+    a, b = F.scalar(ra), F.scalar(rb)
+    assert_matches(a, ra)
+    assert_matches(b, rb)
+    assert_matches(a + b, tuple(x + y for x, y in zip(ra, rb)))
+    assert_matches(a - b, tuple(x - y for x, y in zip(ra, rb)))
+    assert_matches(-a, tuple(-x for x in ra))
+    assert_matches(a * b, ref_mul(n, ra, rb))
+    assert_matches(a.conjugate(), ref_conjugate(n, ra))
+    if any(ra):
+        assert_matches(a.inverse(), ref_inverse(n, ra))
+        assert_matches(b / a, ref_mul(n, rb, ref_inverse(n, ra)))
+    assert (a == b) == (ra == rb)
+    assert (a.sort_key() == b.sort_key()) == (ra == rb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DIFF_ORDERS), diff_rationals, diff_rationals)
+def test_differential_rational_scalars(n, p, q):
+    F = CycField(n)
+    phi = F.phi
+    x = F.from_rational(p)
+    assert_matches(x, (p,) + (Fraction(0),) * (phi - 1))
+    assert hash(x) == hash(p)
+    assert x == p and x != p + 1
+    assert (x == p.numerator) == (p.denominator == 1)
+    assert_matches(x * q, (p * q,) + (Fraction(0),) * (phi - 1))
+    assert_matches(x + q, (p + q,) + (Fraction(0),) * (phi - 1))
+    assert_matches(q - x, (q - p,) + (Fraction(0),) * (phi - 1))
+    if p:
+        assert_matches(x.inverse(), (1 / p,) + (Fraction(0),) * (phi - 1))
+    if phi > 1:
+        # an irrational scalar never equals an int or a Fraction
+        y = x + F.zeta()
+        assert y != p + 1 and y != p.numerator
+
+
+def test_rational_hash_is_the_fraction_hash():
+    for n in DIFF_ORDERS:
+        F = CycField(n)
+        for q in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(10 ** 20, 3)):
+            assert hash(F.from_rational(q)) == hash(q)
+            assert F.from_rational(q) == q
+
+
+def test_zero_is_canonical_after_cancellation():
+    F = CycField(12)
+    x = F.scalar([Fraction(1, 6), Fraction(-5, 4), Fraction(2, 3), Fraction(7, 9)])
+    for z in (x - x, x + (-x), F.zeta(3) + F.zeta(9), F.zero * x, x * 0):
+        assert not z and z.is_zero()
+        assert (z.num, z.den) == ((0,) * 4, 1)
+        assert z == F.zero and z == 0 and hash(z) == hash(0)
+
+
+def test_from_integers_normalises_sign_and_content():
+    F = CycField(8)
+    x = F.from_integers([2, -4, 0, 6], -4)
+    assert (x.num, x.den) == ((-1, 2, 0, -3), 2)
+    # numerators past degree phi - 1 are reduced: z^4 == -1 in Q(zeta_8)
+    assert F.from_integers([0, 0, 0, 0, 3], 6) == F.from_rational(Fraction(-1, 2))
+
+
+# --- exactness checks survive python -O -------------------------------------
+
+
+def test_non_exact_division_raises_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "from hopfcheck.cyclotomic import _poly_div_monic_int\n"
+        "from hopfcheck.errors import TheoremViolation\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    _poly_div_monic_int((1, 0, 1), (-1, 1))\n"
+        "except TheoremViolation:\n"
+        "    print('TheoremViolation')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "TheoremViolation"
+    with pytest.raises(TheoremViolation):
+        from hopfcheck.cyclotomic import _poly_div_monic_int
+
+        _poly_div_monic_int((1, 0, 1), (-1, 1))

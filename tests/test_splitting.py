@@ -7,6 +7,7 @@ from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import SplittingFailed
 from hopfcheck.linalg import Matrix
 from hopfcheck.splitting import (
+    _lll_candidates,
     center_of_dual,
     dual_product,
     dual_unit,
@@ -160,3 +161,33 @@ def test_split_center_gauge_independent(algebras):
     base = sorted(idem_key(e) for e in split_center(H))
     for gauge in (1, 4, 9):
         assert sorted(idem_key(e) for e in split_center(H, gauge=gauge)) == base
+
+
+# --- integer-relation reconstruction ----------------------------------------
+
+
+def test_lll_reconstructs_an_element_with_a_denominator():
+    F = CycField(12)
+    x = F.scalar([Fraction(3, 7), Fraction(-1, 7), Fraction(2, 7), Fraction(5, 7)])
+    assert x in _lll_candidates(F, x.embed(), 10 ** 6)
+
+
+def test_lll_failures_are_narrowly_caught(monkeypatch):
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.exceptions import DMRankError
+
+    F = CycField(12)
+    z = F.zeta().embed()
+
+    def rank_error(self, *args, **kwargs):
+        raise DMRankError("dependent rows")
+
+    monkeypatch.setattr(DomainMatrix, "lll", rank_error)
+    assert _lll_candidates(F, z, 10 ** 6) == []
+
+    def bug(self, *args, **kwargs):
+        raise RuntimeError("not an LLL failure")
+
+    monkeypatch.setattr(DomainMatrix, "lll", bug)
+    with pytest.raises(RuntimeError):
+        _lll_candidates(F, z, 10 ** 6)
