@@ -10,7 +10,6 @@ environment variable overrides the default where no explicit order is given.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from math import lcm
 
 from .corep import Corepresentation
@@ -254,7 +253,6 @@ def group_algebra(G: FiniteGroup, field_order=None) -> HopfStarAlgebra:
     counit = [one] * n
     antipode = [[one if j == G.inverses[i] else zero for i in range(n)] for j in range(n)]
     H = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, antipode, labels=list(G.labels))
-    H._haar = [one if i == G.identity else zero for i in range(n)]
     H.meta = {"kind": "group_algebra", "group": G}
     H.attached_pw = [
         Corepresentation(H, [[basis_vec(field, n, i)]]) for i in range(n)
@@ -280,7 +278,6 @@ def function_algebra(G: FiniteGroup, field_order=None) -> HopfStarAlgebra:
     antipode = [[one if j == G.inverses[i] else zero for i in range(n)] for j in range(n)]
     star = [[one if j == i else zero for i in range(n)] for j in range(n)]
     H = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=list(G.labels))
-    H._haar = [field.from_rational(Fraction(1, n))] * n
     H.meta = {"kind": "function_algebra", "group": G}
     return H
 
@@ -350,13 +347,8 @@ def lift_algebra(H: HopfStarAlgebra, n: int) -> HopfStarAlgebra:
         [lv(r) for r in H.star.rows],
         labels=list(H.labels),
     )
-    if H._haar is not None:
-        out._haar = lv(H._haar)
     out.meta = dict(H.meta)
-    src = H.attached_pw
-    cached = getattr(H, "_pw_cache", None)
-    if cached is not None:
-        src = cached.coreps
+    src = H.attached_pw if H._pw_cache is None else H._pw_cache.coreps
     if src is not None:
         out.attached_pw = [
             Corepresentation(out, [[lv(v) for v in row] for row in c.entries]) for c in src
@@ -407,8 +399,6 @@ def tensor_product(H1: HopfStarAlgebra, H2: HopfStarAlgebra) -> HopfStarAlgebra:
         [list(r) for r in star.rows],
         labels=labels,
     )
-    if A._haar is not None and B._haar is not None:
-        X._haar = tensor_vec(A._haar, B._haar)
     X.meta = {"kind": "tensor_product", "factors": (A, B)}
     if A.attached_pw is not None and B.attached_pw is not None:
         pw = []
@@ -508,7 +498,7 @@ class GroupAction:
                         raise SchemaError("action map %d is not multiplicative" % t)
             for i in range(d):
                 lhs = A.comult_vec(cols[i])
-                rhs = _pair_apply(M, M, A.comult_vec(basis_vec(field, d, i)))
+                rhs = M.kron_apply(M, A.comult_vec(basis_vec(field, d, i)))
                 if lhs != rhs:
                     raise SchemaError("action map %d does not preserve the coproduct" % t)
                 if A.counit_of(cols[i]) != A.counit[i]:
@@ -527,24 +517,6 @@ class GroupAction:
 
     def __repr__(self):
         return "GroupAction(|G|=%d on dim %d)" % (self.group.order, self.target.dim)
-
-
-def _pair_apply(M, N, v):
-    n2 = N.ncols
-    out = zero_vec(M.field, M.nrows * N.nrows)
-    for idx, val in enumerate(v):
-        if not val:
-            continue
-        i, j = divmod(idx, n2)
-        for a in range(M.nrows):
-            c1 = M.rows[a][i]
-            if not c1:
-                continue
-            for b in range(N.nrows):
-                c2 = N.rows[b][j]
-                if c2:
-                    out[a * N.nrows + b] = out[a * N.nrows + b] + val * c1 * c2
-    return out
 
 
 def inversion_action(F: HopfStarAlgebra) -> GroupAction:
@@ -625,15 +597,8 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
     star = [[star_cols[i][j] for i in range(d)] for j in range(d)]
     labels = ["%s|%s" % (A.labels[i], G.labels[t]) for i in range(dA) for t in range(o)]
     X = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
-    if A._haar is not None:
-        X._haar = [
-            A._haar[i] if t == G.identity else zero for i in range(dA) for t in range(o)
-        ]
     X.meta = {"kind": "crossed_product", "inner": A, "group": G, "action": action}
-    src = A.attached_pw
-    cached = getattr(A, "_pw_cache", None)
-    if cached is not None:
-        src = cached.coreps
+    src = A.attached_pw if A._pw_cache is None else A._pw_cache.coreps
     if src is not None:
         pw = []
         for u in src:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import SplittingFailed, TheoremViolation
+from .errors import SchemaError, SplittingFailed, TheoremViolation
 from .hopf import HopfStarAlgebra
 from .linalg import Matrix, Subspace, solve_linear, tensor_vec, zero_vec
 from .splitting import dual_product, find_primitive_idempotent, split_center
@@ -24,7 +24,8 @@ class Corepresentation:
     __slots__ = ("algebra", "entries", "dim")
 
     def __init__(self, algebra: HopfStarAlgebra, entries):
-        assert entries and all(len(row) == len(entries) for row in entries)
+        if not entries or any(len(row) != len(entries) for row in entries):
+            raise SchemaError("corepresentation entries must form a nonempty square matrix")
         self.algebra = algebra
         self.entries = [[list(v) for v in row] for row in entries]
         self.dim = len(entries)
@@ -116,13 +117,19 @@ def _trivial_index(H, coreps):
     raise TheoremViolation("no trivial corepresentation found")
 
 
+def _verified(corep):
+    """corep itself once verify() passes; a failure is a TheoremViolation."""
+    err = corep.verify()
+    if err is not None:
+        raise TheoremViolation("corepresentation verification failed: " + err)
+    return corep
+
+
 def _verify_complete(H, coreps):
+    """The count and span checks; each corepresentation is verified already."""
     total = 0
     ech_vecs = []
     for c in coreps:
-        err = c.verify()
-        if err is not None:
-            raise TheoremViolation("corepresentation verification failed: " + err)
         total += c.dim * c.dim
         ech_vecs.extend(v for row in c.entries for v in row)
     if total != H.dim:
@@ -135,7 +142,7 @@ def _verify_complete(H, coreps):
 
 
 def _extract_block(H, p, gauge):
-    """One irreducible corepresentation from a minimal central idempotent."""
+    """One verified irreducible corepresentation from a minimal central idempotent."""
     field = H.field
     d = H.dim
 
@@ -158,14 +165,16 @@ def _extract_block(H, p, gauge):
             if pk:
                 P.rows[j][i] = P.rows[j][i] + c * pk
     C_block = P.image()
-    assert C_block.dim == block_D.dim, "coefficient space does not match the dual block"
+    if C_block.dim != block_D.dim:
+        raise TheoremViolation("coefficient space does not match the dual block")
 
     if dlam == 1:
         v = C_block.basis()[0]
         eps = H.counit_of(v)
-        assert eps, "a one-dimensional block with vanishing counit"
+        if not eps:
+            raise TheoremViolation("a one-dimensional block with vanishing counit")
         g = [eps.inverse() * c for c in v]
-        return Corepresentation(H, [[g]])
+        return _verified(Corepresentation(H, [[g]]))
 
     q = find_primitive_idempotent(H, block_D.basis(), p, gauge)
     Q = Matrix.zeros(field, d, d)
@@ -181,7 +190,8 @@ def _extract_block(H, p, gauge):
 
     R = Matrix.from_rows(field, [list(r) for r in V.basis()], ncols=d)
     Cmat = solve_linear(R, Matrix.identity(field, dlam))
-    assert Cmat is not None, "dual functionals for the column space do not exist"
+    if Cmat is None:
+        raise TheoremViolation("dual functionals for the column space do not exist")
 
     entries = [[None] * dlam for _ in range(dlam)]
     for i, r in enumerate(V.basis()):
@@ -210,28 +220,29 @@ def _extract_block(H, p, gauge):
 def peter_weyl(H: HopfStarAlgebra, force_recompute: bool = False, gauge: int = 0) -> PeterWeylData:
     """Complete the algebra's irreducible corepresentation list, exactly.
 
-    Attached data coming from a constructor is verified rather than
-    recomputed; pass force_recompute=True to run the splitting anyway.
+    The result is kept in the algebra's memo.  Attached data coming from a
+    constructor is verified rather than recomputed.  force_recompute=True
+    or a nonzero gauge runs the splitting anyway and leaves the memo as it is.
     """
-    if not force_recompute and gauge == 0:
-        cached = getattr(H, "_pw_cache", None)
-        if cached is not None:
-            return cached
-        if H.attached_pw is not None:
-            coreps = _canonical_order(
-                [Corepresentation(H, c.entries) for c in H.attached_pw]
-            )
-            _verify_complete(H, coreps)
-            data = PeterWeylData(H, coreps, _trivial_index(H, coreps))
-            H._pw_cache = data
-            return data
-    idems = split_center(H, gauge)
-    coreps = _canonical_order([_extract_block(H, p, gauge) for p in idems])
+    if force_recompute or gauge:
+        return _split(H, gauge)
+    if H.attached_pw is None:
+        return H.memo("peter_weyl", lambda: _split(H, 0))
+    return H.memo("peter_weyl", lambda: _from_attached(H))
+
+
+def _split(H, gauge):
+    return _complete(H, [_extract_block(H, p, gauge) for p in split_center(H, gauge)])
+
+
+def _from_attached(H):
+    return _complete(H, [_verified(Corepresentation(H, c.entries)) for c in H.attached_pw])
+
+
+def _complete(H, coreps):
+    coreps = _canonical_order(coreps)
     _verify_complete(H, coreps)
-    data = PeterWeylData(H, coreps, _trivial_index(H, coreps))
-    if gauge == 0:
-        H._pw_cache = data
-    return data
+    return PeterWeylData(H, coreps, _trivial_index(H, coreps))
 
 
 def fusion(P: PeterWeylData):

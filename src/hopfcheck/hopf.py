@@ -10,6 +10,11 @@ Conventions (all column-style):
 
 The Kac conditions (S^2 = id, tracial positive Haar) are part of the axiom
 report, so everything downstream may assume them once the report is clean.
+
+Algebras are immutable by convention, so data derived from one (the Haar
+state, the Peter-Weyl list, the dual, the subalgebra and subgroup lattices)
+is computed once and kept in the algebra's memo: `H.memo(key, compute)`
+returns the stored value for `key`, calling `compute()` only the first time.
 """
 
 from __future__ import annotations
@@ -58,9 +63,24 @@ class HopfStarAlgebra:
             )
             for i in range(d)
         ]
-        self._haar = None
+        self._memo = {}
         self.attached_pw = None  # optional corepresentation data from a constructor
         self.meta = {}
+
+    def memo(self, key, compute):
+        """The derived value stored under key, computed on first request.
+
+        Nothing is stored when compute() raises, so a failure is raised
+        again on the next request.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @property
+    def _pw_cache(self):
+        """The memoized Peter-Weyl data, or None before the first peter_weyl."""
+        return self._memo.get("peter_weyl")
 
     # -- basic maps ---------------------------------------------------------
 
@@ -81,12 +101,6 @@ class HopfStarAlgebra:
                     for k, m in terms:
                         out[k] = out[k] + c * m
         return out
-
-    def product_many(self, vectors):
-        acc = self.unit_vec()
-        for v in vectors:
-            acc = self.product(acc, v)
-        return acc
 
     def comult_vec(self, x):
         d = self.dim
@@ -132,9 +146,7 @@ class HopfStarAlgebra:
     @property
     def haar(self):
         """The unique normalized bi-invariant functional, as a covector."""
-        if self._haar is None:
-            self._haar = compute_haar(self)
-        return self._haar
+        return self.memo("haar", lambda: compute_haar(self))
 
     def haar_of(self, x):
         acc = self.field.zero
@@ -142,9 +154,6 @@ class HopfStarAlgebra:
             if c and h:
                 acc = acc + c * h
         return acc
-
-    def basis_product(self, i, j):
-        return list(self.mult[i][j])
 
     def __repr__(self):
         return "HopfStarAlgebra(dim %d over Q(zeta_%d))" % (self.dim, self.field.n)
@@ -547,11 +556,15 @@ def check_axioms(H):
 
 
 def dual(H):
-    """The dual Hopf *-algebra on the dual basis.
+    """The dual Hopf *-algebra on the dual basis, built once per algebra.
 
     Multiplication is the transpose of Delta, comultiplication the transpose
     of multiplication, S_D = S^T, and f*(x) = conj(f(S(x)*)).
     """
+    return H.memo("dual", lambda: _build_dual(H))
+
+
+def _build_dual(H):
     d = H.dim
     field = H.field
     mult = [[[H.comult[i][j][k] for i in range(d)] for k in range(d)] for j in range(d)]

@@ -23,26 +23,15 @@ def basis_vec(field, n, i):
     return v
 
 
-def add_vec(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def sub_vec(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def scale_vec(c, v):
-    return [c * a for a in v]
-
-
-def dot_vec(u, v):
-    total = None
-    for a, b in zip(u, v):
-        if a and b:
-            total = a * b if total is None else total + a * b
-    if total is None:
-        return u[0].field.zero if u else v[0].field.zero
-    return total
+def lincomb(field, n, coefs, rows):
+    """sum_i coefs[i] * rows[i] as a vector of length n, skipping zero terms."""
+    v = [field.zero] * n
+    for c, row in zip(coefs, rows):
+        if c:
+            for j, s in enumerate(row):
+                if s:
+                    v[j] = v[j] + c * s
+    return v
 
 
 def tensor_vec(u, v):
@@ -55,10 +44,6 @@ def tensor_vec(u, v):
             zero = a
             out.extend(zero for _ in v)
     return out
-
-
-def is_zero_vec(v):
-    return not any(v)
 
 
 class Echelon:
@@ -252,6 +237,25 @@ class Matrix:
                 out.append(row)
         return Matrix.from_rows(self.field, out, ncols=self.ncols * other.ncols)
 
+    def kron_apply(self, other, vec):
+        """Apply self (x) other to a flat tensor vector without forming the Kronecker product."""
+        n2 = other.ncols
+        m1, m2 = self.nrows, other.nrows
+        out = zero_vec(self.field, m1 * m2)
+        for idx, val in enumerate(vec):
+            if not val:
+                continue
+            i, j = divmod(idx, n2)
+            for a in range(m1):
+                c1 = self.rows[a][i]
+                if not c1:
+                    continue
+                for b in range(m2):
+                    c2 = other.rows[b][j]
+                    if c2:
+                        out[a * m2 + b] = out[a * m2 + b] + val * c1 * c2
+        return out
+
     def is_zero(self):
         return all(not c for r in self.rows for c in r)
 
@@ -403,16 +407,10 @@ class Subspace:
             ncols=self.ambient,
         )
         left_null = stacked.transpose().kernel()
-        r = self.dim
-        vecs = []
-        for coef in left_null.basis():
-            v = zero_vec(self.field, self.ambient)
-            for c, row in zip(coef[:r], self.rows):
-                if c:
-                    for j, s in enumerate(row):
-                        if s:
-                            v[j] = v[j] + c * s
-            vecs.append(v)
+        vecs = [
+            lincomb(self.field, self.ambient, coef[: self.dim], self.rows)
+            for coef in left_null.basis()
+        ]
         return Subspace.from_vectors(self.field, self.ambient, vecs)
 
     def map_by(self, matrix):

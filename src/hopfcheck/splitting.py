@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .errors import SplittingFailed
-from .linalg import Matrix, Subspace, solve_linear, zero_vec
+from .linalg import Matrix, Subspace, lincomb, solve_linear, zero_vec
 
 _NUMERIC_TOL = 1e-7
 
@@ -242,15 +242,7 @@ def split_center(H, gauge=0):
                 field, [[sub_rows[b][a] for b in range(V.dim)] for a in range(V.dim)], ncols=V.dim
             )
             for _val, ker in exact_eigen_split(Mv, gauge):
-                vecs = []
-                for kv in ker.basis():
-                    v = zero_vec(field, c)
-                    for coef, row in zip(kv, R):
-                        if coef:
-                            for j, s in enumerate(row):
-                                if s:
-                                    v[j] = v[j] + coef * s
-                    vecs.append(v)
+                vecs = [lincomb(field, c, kv, R) for kv in ker.basis()]
                 refined.append(Subspace.from_vectors(field, c, vecs))
         blocks = refined
     if any(b.dim != 1 for b in blocks):
@@ -258,13 +250,7 @@ def split_center(H, gauge=0):
 
     idems = []
     for b in blocks:
-        vc = b.basis()[0]
-        v = zero_vec(field, H.dim)
-        for coef, row in zip(vc, zbasis):
-            if coef:
-                for j, s in enumerate(row):
-                    if s:
-                        v[j] = v[j] + coef * s
+        v = lincomb(field, H.dim, b.basis()[0], zbasis)
         vv = dual_product(H, v, v)
         idx = next(i for i, x in enumerate(v) if x)
         a = vv[idx] * v[idx].inverse()
@@ -397,14 +383,8 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
         if gauge:
             rng.shuffle(candidates)
         for _extra in range(8):
-            mix = zero_vec(field, H.dim)
-            for b in corner_basis:
-                coef = field.from_rational(Fraction(rng.randrange(-3, 4)))
-                if coef:
-                    for j, s in enumerate(b):
-                        if s:
-                            mix[j] = mix[j] + coef * s
-            candidates.append(mix)
+            coefs = [field.from_rational(Fraction(rng.randrange(-3, 4))) for _b in corner_basis]
+            candidates.append(lincomb(field, H.dim, coefs, corner_basis))
         corner = _Corner(H, corner_basis, unit)
         progressed = False
         for x in candidates:

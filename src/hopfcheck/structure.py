@@ -6,6 +6,7 @@ coefficient blocks whose index set contains the trivial corepresentation and
 is closed under conjugation and fusion, so subset search over irreps is
 complete.  Quantum subgroups are enumerated through the dual: Hopf
 subalgebras of the dual correspond to Hopf *-ideals via annihilators.
+Both lattices are enumerated once per algebra and kept in its memo.
 """
 
 from __future__ import annotations
@@ -29,15 +30,18 @@ MAX_IRREPS = 20
 MAX_SUBSETS = 1 << 16
 
 
-def enumerate_hopf_subalgebras(H: HopfStarAlgebra, P=None):
+def enumerate_hopf_subalgebras(H: HopfStarAlgebra):
     """All Hopf *-subalgebras, as fusion-closed sums of coefficient blocks.
 
-    Returned in a canonical order: by dimension, then by the echelon key of
-    the subspace.  Complete for cosemisimple algebras; raises CapExceeded
-    rather than silently truncating.
+    Returned as a new list in a canonical order: by dimension, then by the
+    echelon key of the subspace.  Complete for cosemisimple algebras; raises
+    CapExceeded rather than silently truncating.
     """
-    if P is None:
-        P = peter_weyl(H)
+    return list(H.memo("hopf_subalgebras", lambda: _hopf_subalgebras(H)))
+
+
+def _hopf_subalgebras(H):
+    P = peter_weyl(H)
     r = len(P.coreps)
     if r > MAX_IRREPS:
         raise CapExceeded("%d irreducibles exceeds the cap %d" % (r, MAX_IRREPS))
@@ -71,22 +75,24 @@ def enumerate_hopf_subalgebras(H: HopfStarAlgebra, P=None):
             total = total.sum_with(blocks[i])
         out.append(total)
     out.sort(key=lambda B: (B.dim, B.sort_key()))
-    return out
+    return tuple(out)
 
 
 def enumerate_quantum_subgroups(H: HopfStarAlgebra):
-    """All quantum subgroups, via annihilators of dual Hopf subalgebras."""
-    D = getattr(H, "_dual_cache", None)
-    if D is None:
-        D = dual(H)
-        H._dual_cache = D
-    subs = enumerate_hopf_subalgebras(D)
+    """All quantum subgroups, via annihilators of dual Hopf subalgebras.
+
+    Returned as a new list; the subgroup objects are shared between calls.
+    """
+    return list(H.memo("quantum_subgroups", lambda: _quantum_subgroups(H)))
+
+
+def _quantum_subgroups(H):
     out = []
-    for B in subs:
+    for B in enumerate_hopf_subalgebras(dual(H)):
         ann = Matrix.from_rows(H.field, B.basis(), ncols=H.dim).kernel()
         out.append(make_subgroup(H, ann))
     out.sort(key=lambda Q: (Q.quotient.dim, Q.ideal.sort_key()))
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -111,7 +117,7 @@ class SubgroupLattice:
 
 def subgroup_lattice(H: HopfStarAlgebra) -> SubgroupLattice:
     P = peter_weyl(H)
-    subs = enumerate_hopf_subalgebras(H, P)
+    subs = enumerate_hopf_subalgebras(H)
     qsubs = enumerate_quantum_subgroups(H)
     flags = [is_normal_coset(Q) for Q in qsubs]
     blocks = P.blocks()

@@ -14,27 +14,7 @@ from __future__ import annotations
 from .corep import peter_weyl
 from .errors import NotHopfIdeal, SchemaError, TheoremViolation
 from .hopf import HopfStarAlgebra, LinearEndo, check_axioms, convolve, linear_quotient
-from .linalg import Matrix, Subspace, basis_vec, zero_vec
-
-
-def _apply_pair(M, N, v):
-    """Apply M (x) N to a flat tensor vector without forming the Kronecker product."""
-    n1, n2 = M.ncols, N.ncols
-    m1, m2 = M.nrows, N.nrows
-    out = zero_vec(M.field, m1 * m2)
-    for idx, val in enumerate(v):
-        if not val:
-            continue
-        i, j = divmod(idx, n2)
-        for a in range(m1):
-            c1 = M.rows[a][i]
-            if not c1:
-                continue
-            for b in range(m2):
-                c2 = N.rows[b][j]
-                if c2:
-                    out[a * m2 + b] = out[a * m2 + b] + val * c1 * c2
-    return out
+from .linalg import Matrix, Subspace, basis_vec, solve_linear, zero_vec
 
 
 class QuantumSubgroup:
@@ -100,7 +80,7 @@ def check_hopf_ideal(G: HopfStarAlgebra, I: Subspace):
             return False, {"condition": "star_closed", "witness": st}
     proj, _reps = linear_quotient(I)
     for b in basis:
-        w = _apply_pair(proj, proj, G.comult_vec(b))
+        w = proj.kron_apply(proj, G.comult_vec(b))
         if any(w):
             return False, {"condition": "comultiplication", "witness": w}
     for b in basis:
@@ -140,7 +120,7 @@ def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
     unit = proj.apply(G.unit_vec())
     comult = []
     for i in range(dn):
-        w = _apply_pair(proj, proj, G.comult_vec(rep_vec(i)))
+        w = proj.kron_apply(proj, G.comult_vec(rep_vec(i)))
         comult.append([[w[a * dn + b] for b in range(dn)] for a in range(dn)])
     counit = [G.counit_of(rep_vec(i)) for i in range(dn)]
     anti_cols = [proj.apply(G.antipode_vec(rep_vec(i))) for i in range(dn)]
@@ -210,13 +190,13 @@ def coset_algebras(Q: QuantumSubgroup):
 
     cols_r, cols_l = [], []
     for i in range(d):
-        w = _apply_pair(Matrix.identity(field, d), Q.proj, G.comult_vec(basis_vec(field, d, i)))
+        w = Matrix.identity(field, d).kron_apply(Q.proj, G.comult_vec(basis_vec(field, d, i)))
         for b in range(dn):
             u = unit_N[b]
             if u:
                 w[i * dn + b] = w[i * dn + b] - u
         cols_r.append(w)
-        v = _apply_pair(Q.proj, Matrix.identity(field, d), G.comult_vec(basis_vec(field, d, i)))
+        v = Q.proj.kron_apply(Matrix.identity(field, d), G.comult_vec(basis_vec(field, d, i)))
         for b in range(dn):
             u = unit_N[b]
             if u:
@@ -275,7 +255,7 @@ def _a_normal(Q, side):
     ident = Matrix.identity(G.field, G.dim)
     for b in Q.ideal.basis():
         ad = adjoint_coaction(G, b, side)
-        if any(_apply_pair(Q.proj, ident, ad)):
+        if any(Q.proj.kron_apply(ident, ad)):
             return False
     return True
 
@@ -447,20 +427,13 @@ def comodule_splitting(Q: QuantumSubgroup) -> Matrix:
                         row[i * dn + b] = row[i * dn + b] - c
                 rows.append(row)
                 rhs.append(field.zero)
-    sol = _solve_rows(field, rows, rhs, unknowns)
+    sol = solve_linear(Matrix.from_rows(field, rows, ncols=unknowns), rhs)
     assert sol is not None, "comodule splitting system is infeasible"
     s = Matrix.from_rows(
         field, [[sol[k * dn + a] for a in range(dn)] for k in range(d)], ncols=dn
     )
     assert Q.proj * s == Matrix.identity(field, dn)
     return s
-
-
-def _solve_rows(field, rows, rhs, unknowns):
-    from .linalg import solve_linear
-
-    A = Matrix.from_rows(field, rows, ncols=unknowns)
-    return solve_linear(A, rhs)
 
 
 def phi_map(Q: QuantumSubgroup, s: Matrix | None = None) -> LinearEndo:
@@ -515,7 +488,7 @@ def exact_sequence_check(Q: QuantumSubgroup) -> bool:
     ident = Matrix.identity(field, G.dim)
     for x in basis:
         w = G.comult_vec(x)
-        if any(_apply_pair(rho, ident, w)) or any(_apply_pair(ident, rho, w)):
+        if any(rho.kron_apply(ident, w)) or any(ident.kron_apply(rho, w)):
             return False
     aplus = augmentation_part(G, A_GN)
     if _product_span(G, [basis_vec(field, G.dim, i) for i in range(G.dim)], aplus.basis()) != Q.ideal:

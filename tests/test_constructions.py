@@ -125,6 +125,17 @@ def test_group_algebra_flags(algebras):
 
 
 def test_preset_haar_matches_solver(algebras):
+    """Closed-form Haar states equal the exact solve: uniform on F(G), the
+    point mass at the identity on CG, the product state on a tensor product."""
+    for name in ("f_s3", "f_d4"):
+        H = algebras[name]
+        assert compute_haar(H) == [H.field.from_rational(Fraction(1, H.dim))] * H.dim
+    C = algebras["c_s3"]
+    e = C.meta["group"].identity
+    assert compute_haar(C) == [C.field.one if i == e else C.field.zero for i in range(C.dim)]
+    T = algebras["f_z2_x_f_z3"]
+    A, B = T.meta["factors"]
+    assert compute_haar(T) == tensor_vec(compute_haar(A), compute_haar(B))
     for name in ("f_s3", "c_s3", "f_d4", "f_z3_rtimes_z2", "f_z2_x_f_z3"):
         H = algebras[name]
         assert H.haar == compute_haar(H)

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
+import hopfcheck
+import hopfcheck.corep
 from hopfcheck.catalog import CATALOG_NAMES
-from hopfcheck.corep import conjugate, fusion, peter_weyl
+from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra
+from hopfcheck.corep import Corepresentation, conjugate, fusion, peter_weyl
+from hopfcheck.errors import SchemaError, TheoremViolation
 from hopfcheck.linalg import Subspace, tensor_vec, zero_vec
 
 
@@ -234,3 +243,61 @@ def test_forced_recompute_agrees(algebras):
         assert P1.blocks() == P0.blocks()
     # the cache still holds the original
     assert peter_weyl(H) is P0
+
+
+def test_forced_recompute_leaves_the_memo():
+    H = function_algebra(FiniteGroup.symmetric(3))
+    peter_weyl(H, force_recompute=True)
+    assert H._pw_cache is None
+    P0 = peter_weyl(H)
+    assert peter_weyl(H, force_recompute=True) is not P0
+    assert peter_weyl(H) is P0
+
+
+def test_each_corepresentation_is_verified_once(monkeypatch):
+    calls = []
+    verify = Corepresentation.verify
+    monkeypatch.setattr(Corepresentation, "verify", lambda c: calls.append(c.dim) or verify(c))
+    S3 = FiniteGroup.symmetric(3)
+    # computed path: the split blocks of F(S3) have dimensions 1, 1, 2
+    peter_weyl(function_algebra(S3))
+    assert sorted(calls) == [1, 1, 2]
+    # attached path: the six group-likes of C(S3)
+    calls.clear()
+    peter_weyl(group_algebra(S3))
+    assert calls == [1] * 6
+
+
+def test_corepresentation_shape_is_checked():
+    H = function_algebra(FiniteGroup.cyclic(2))
+    with pytest.raises(SchemaError):
+        Corepresentation(H, [])
+    with pytest.raises(SchemaError):
+        Corepresentation(H, [[H.unit_vec(), H.unit_vec()]])
+
+
+# --- checks survive python -O -----------------------------------------------------
+
+
+def test_missing_dual_functionals_raise_under_optimize(monkeypatch):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import hopfcheck.corep as corep\n"
+        "from hopfcheck.constructions import FiniteGroup, function_algebra\n"
+        "from hopfcheck.errors import TheoremViolation\n"
+        "assert False, 'asserts are live'\n"
+        "corep.solve_linear = lambda A, b: None\n"
+        "try:\n"
+        "    corep.peter_weyl(function_algebra(FiniteGroup.symmetric(3)))\n"
+        "except TheoremViolation:\n"
+        "    print('TheoremViolation')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "TheoremViolation"
+    monkeypatch.setattr(hopfcheck.corep, "solve_linear", lambda A, b: None)
+    with pytest.raises(TheoremViolation):
+        peter_weyl(function_algebra(FiniteGroup.symmetric(3)))

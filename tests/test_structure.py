@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import hopfcheck.structure
 from hopfcheck.catalog import build_group
-from hopfcheck.constructions import FiniteGroup, group_algebra, subgroup_ideal
+from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra, subgroup_ideal
 from hopfcheck.errors import CapExceeded, ContainmentViolated, NotHopfIdeal
 from hopfcheck.linalg import Subspace, basis_vec
 from hopfcheck.structure import (
@@ -127,6 +128,25 @@ def test_enumeration_caps():
     with pytest.raises(CapExceeded) as exc:
         enumerate_hopf_subalgebras(group_algebra(FiniteGroup.cyclic(19)))
     assert "subset" in str(exc.value)
+
+
+def test_lattices_are_enumerated_once(monkeypatch):
+    calls = []
+    make = hopfcheck.structure.make_subgroup
+    monkeypatch.setattr(
+        hopfcheck.structure, "make_subgroup", lambda G, I: calls.append(G) or make(G, I)
+    )
+    H = function_algebra(FiniteGroup.symmetric(3))
+    first = enumerate_quantum_subgroups(H)
+    assert len(calls) == len(first) == 6
+    second = enumerate_quantum_subgroups(H)
+    assert len(calls) == 6
+    assert second == first and second is not first
+    second.clear()
+    assert enumerate_quantum_subgroups(H) == first
+    subs = enumerate_hopf_subalgebras(H)
+    subs.clear()
+    assert len(enumerate_hopf_subalgebras(H)) == 3
 
 
 # --- properties F and FD ----------------------------------------------------------
