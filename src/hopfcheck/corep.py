@@ -14,7 +14,7 @@ from math import isqrt
 
 from .errors import SchemaError, SplittingFailed, TheoremViolation
 from .hopf import HopfStarAlgebra
-from .linalg import Matrix, Subspace, solve_linear, tensor_vec, zero_vec
+from .linalg import Matrix, Subspace, basis_vec, solve_linear, tensor_vec, zero_vec
 from .splitting import dual_product, find_primitive_idempotent, split_center
 
 
@@ -246,29 +246,51 @@ def _complete(H, coreps):
 
 
 def fusion(P: PeterWeylData):
-    """Fusion multiplicities N[l][m][n] from characters and the Haar state."""
+    """Fusion multiplicities N[l][m][n] = h(chi_l chi_m chi_n^*).
+
+    The map x -> h(x chi_n^*) is linear, so it is computed once per n as the
+    covector w_n[a] = h(e_a chi_n^*), and each multiplicity is the sparse dot
+    product of chi_l chi_m with w_n.  Equal products share one row of dot
+    products.
+    """
     H = P.algebra
+    field = H.field
     chars = [c.character() for c in P.coreps]
-    star_chars = [H.star_vec(c) for c in chars]
     r = len(P.coreps)
-    N = [[[0] * r for _ in range(r)] for _ in range(r)]
+    covectors = []
+    for chi in chars:
+        star_chi = H.star_vec(chi)
+        covectors.append(
+            [H.haar_of(H.product(basis_vec(field, H.dim, a), star_chi)) for a in range(H.dim)]
+        )
+    rows = {}
+    N = [[None] * r for _ in range(r)]
     for l in range(r):
         for m in range(r):
-            prod = H.product(chars[l], chars[m])
-            for n in range(r):
-                val = H.haar_of(H.product(prod, star_chars[n]))
-                if not val.is_rational():
-                    raise TheoremViolation("fusion multiplicity is not rational")
-                q = val.as_fraction()
-                if q.denominator != 1 or q < 0:
-                    raise TheoremViolation(
-                        "fusion multiplicity %s is not a nonnegative integer" % q
-                    )
-                N[l][m][n] = int(q)
+            prod = tuple(H.product(chars[l], chars[m]))
+            if prod not in rows:
+                nz = [(a, x) for a, x in enumerate(prod) if x]
+                rows[prod] = [_multiplicity(field, nz, w) for w in covectors]
+            N[l][m] = list(rows[prod])
             counted = sum(N[l][m][n] * P.coreps[n].dim for n in range(r))
             if counted != P.coreps[l].dim * P.coreps[m].dim:
                 raise TheoremViolation("fusion multiplicities do not count dimensions")
     return N
+
+
+def _multiplicity(field, nz, w):
+    """The dot product of a sparse vector with a covector, checked to be a
+    nonnegative integer."""
+    val = field.zero
+    for a, x in nz:
+        if w[a]:
+            val = val + x * w[a]
+    if not val.is_rational():
+        raise TheoremViolation("fusion multiplicity is not rational")
+    q = val.as_fraction()
+    if q.denominator != 1 or q < 0:
+        raise TheoremViolation("fusion multiplicity %s is not a nonnegative integer" % q)
+    return int(q)
 
 
 def conjugate(P: PeterWeylData, index: int, N=None) -> int:

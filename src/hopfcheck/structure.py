@@ -3,9 +3,12 @@ and the third isomorphism theorem.
 
 Enumeration rests on cosemisimplicity: a Hopf *-subalgebra is a sum of
 coefficient blocks whose index set contains the trivial corepresentation and
-is closed under conjugation and fusion, so subset search over irreps is
-complete.  Quantum subgroups are enumerated through the dual: Hopf
-subalgebras of the dual correspond to Hopf *-ideals via annihilators.
+is closed under conjugation and fusion.  Those index sets are generated by
+closure: each is the join of the closures of its members, so joining closed
+sets with single-index closures until nothing new appears finds them all,
+at a cost that grows with the lattice rather than with 2^r.  Quantum
+subgroups are enumerated through the dual: Hopf subalgebras of the dual
+correspond to Hopf *-ideals via annihilators.
 Both lattices are enumerated once per algebra and kept in its memo.
 """
 
@@ -33,9 +36,15 @@ MAX_SUBSETS = 1 << 16
 def enumerate_hopf_subalgebras(H: HopfStarAlgebra):
     """All Hopf *-subalgebras, as fusion-closed sums of coefficient blocks.
 
-    Returned as a new list in a canonical order: by dimension, then by the
-    echelon key of the subspace.  Complete for cosemisimple algebras; raises
-    CapExceeded rather than silently truncating.
+    The index sets of irreducibles closed under conjugation and fusion are
+    enumerated by closure: start from the trivial index, close each single
+    index on top of it (the atoms), and keep joining every new closed set
+    with every atom and closing again until nothing new appears.  Every
+    closed set is the join of its members' atoms, so this is complete for
+    cosemisimple algebras.  Returned as a new list in a canonical order: by
+    dimension, then by the echelon key of the subspace.  Raises CapExceeded
+    before any work on inputs beyond MAX_IRREPS or MAX_SUBSETS, rather than
+    silently truncating.
     """
     return list(H.memo("hopf_subalgebras", lambda: _hopf_subalgebras(H)))
 
@@ -47,35 +56,58 @@ def _hopf_subalgebras(H):
         raise CapExceeded("%d irreducibles exceeds the cap %d" % (r, MAX_IRREPS))
     if 1 << max(r - 1, 0) > MAX_SUBSETS:
         raise CapExceeded("subset search space exceeds %d" % MAX_SUBSETS)
-    N = fusion(P)
-    conj = [conjugate(P, i, N) for i in range(r)]
-    triv = P.triv_index
     blocks = P.blocks()
     out = []
-    for mask in range(1 << r):
-        if not (mask >> triv) & 1:
-            continue
-        members = [i for i in range(r) if (mask >> i) & 1]
-        ok = all((mask >> conj[i]) & 1 for i in members)
-        if ok:
-            for l in members:
-                for m in members:
-                    for n in range(r):
-                        if N[l][m][n] and not (mask >> n) & 1:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if not ok:
-            continue
-        total = Subspace.zero(H.field, H.dim)
-        for i in members:
-            total = total.sum_with(blocks[i])
-        out.append(total)
+    for mask in _closed_index_sets(P):
+        rows = [row for i in range(r) if (mask >> i) & 1 for row in blocks[i].rows]
+        out.append(Subspace.from_vectors(H.field, H.dim, rows))
     out.sort(key=lambda B: (B.dim, B.sort_key()))
     return tuple(out)
+
+
+def _closed_index_sets(P):
+    """Every index set of irreducibles closed under conjugation and fusion,
+    as a set of bitmasks, by joining closed sets with atoms (see
+    enumerate_hopf_subalgebras)."""
+    r = len(P.coreps)
+    N = fusion(P)
+    step = [1 << conjugate(P, i, N) for i in range(r)]
+    pair = [
+        [sum(1 << n for n in range(r) if N[l][m][n]) for m in range(r)]
+        for l in range(r)
+    ]
+
+    def close(mask):
+        members = [i for i in range(r) if (mask >> i) & 1]
+        work = list(members)
+        while work:
+            i = work.pop()
+            grown = step[i]
+            for j in members:
+                grown |= pair[i][j] | pair[j][i]
+            new = grown & ~mask
+            if new:
+                mask |= new
+                added = [n for n in range(r) if (new >> n) & 1]
+                members.extend(added)
+                work.extend(added)
+        return mask
+
+    base = close(1 << P.triv_index)
+    atoms = sorted({close(base | 1 << i) for i in range(r)})
+    found = {base, *atoms}
+    frontier = atoms
+    while frontier:
+        fresh = []
+        for S in frontier:
+            for a in atoms:
+                if a & ~S:
+                    J = close(S | a)
+                    if J not in found:
+                        found.add(J)
+                        fresh.append(J)
+        frontier = fresh
+    return found
 
 
 def enumerate_quantum_subgroups(H: HopfStarAlgebra):
@@ -228,7 +260,8 @@ def third_isomorphism_check(G: HopfStarAlgebra, N: QuantumSubgroup, H: QuantumSu
 
     # pi1 on A_H defined by pi1(theta(a)) = pi(a); exactness verified
     pi1 = N.proj * H.section()
-    assert pi1 * H.proj == N.proj, "pi1 is not well-defined on the quotient"
+    if pi1 * H.proj != N.proj:
+        raise TheoremViolation("pi1 is not well-defined on the quotient")
 
     # (a) N is normal inside H, i.e. the ideal ker(pi1) is normal in A_H
     QN_in_H = make_subgroup(H.quotient, pi1.kernel())

@@ -177,7 +177,7 @@ def coset_algebras(Q: QuantumSubgroup):
 
     A_GN is the kernel of a |-> (id (x) pi) Delta(a) - a (x) 1_N and must
     equal the image of the right conditional expectation; likewise on the
-    left.  The agreement of the two computations is asserted.
+    left.  A disagreement of the two computations raises TheoremViolation.
     """
     cached = Q.meta.get("cosets")
     if cached is not None:
@@ -211,8 +211,10 @@ def coset_algebras(Q: QuantumSubgroup):
 
     img_r = conditional_expectation(Q, "right").image()
     img_l = conditional_expectation(Q, "left").image()
-    assert A_GN == img_r, "invariance kernel and expectation image disagree (right)"
-    assert A_NG == img_l, "invariance kernel and expectation image disagree (left)"
+    if A_GN != img_r:
+        raise TheoremViolation("invariance kernel and expectation image disagree (right)")
+    if A_NG != img_l:
+        raise TheoremViolation("invariance kernel and expectation image disagree (left)")
     Q.meta["cosets"] = (A_GN, A_NG)
     return A_GN, A_NG
 

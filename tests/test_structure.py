@@ -1,10 +1,18 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
 import hopfcheck.structure
-from hopfcheck.catalog import build_group
-from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra, subgroup_ideal
+from hopfcheck.catalog import CATALOG_NAMES, build_algebra, build_group
+from hopfcheck.constructions import (
+    FiniteGroup,
+    function_algebra,
+    group_algebra,
+    subgroup_ideal,
+    tensor_product,
+)
+from hopfcheck.corep import conjugate, fusion, peter_weyl
 from hopfcheck.errors import CapExceeded, ContainmentViolated, NotHopfIdeal
 from hopfcheck.linalg import Subspace, basis_vec
 from hopfcheck.structure import (
@@ -147,6 +155,109 @@ def test_lattices_are_enumerated_once(monkeypatch):
     subs = enumerate_hopf_subalgebras(H)
     subs.clear()
     assert len(enumerate_hopf_subalgebras(H)) == 3
+
+
+# --- closure enumeration and covector fusion against direct references ----------
+
+
+def _z2_cubed():
+    Z2 = FiniteGroup.cyclic(2)
+    return FiniteGroup.direct_product(FiniteGroup.direct_product(Z2, Z2), Z2)
+
+
+# the catalog includes the tensor product F(Z2) (x) F(Z3) and the crossed
+# product F(Z3) x| Z2
+LATTICE_INPUTS = {name: functools.partial(build_algebra, name) for name in CATALOG_NAMES}
+LATTICE_INPUTS.update(
+    {
+        "F(Z2^3)": lambda: function_algebra(_z2_cubed()),
+        "C(Z2^3)": lambda: group_algebra(_z2_cubed()),
+        "F(D4)": lambda: function_algebra(FiniteGroup.dihedral(4)),
+        "C(D4)": lambda: group_algebra(FiniteGroup.dihedral(4)),
+        "C(Z8)": lambda: group_algebra(FiniteGroup.cyclic(8)),
+        "F(D5)": lambda: function_algebra(FiniteGroup.dihedral(5)),
+        "F(Z2)xC(S3)": lambda: tensor_product(
+            function_algebra(FiniteGroup.cyclic(2)), group_algebra(FiniteGroup.symmetric(3))
+        ),
+    }
+)
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_input(name):
+    """A freshly built algebra, shared by the tests of this section only."""
+    return LATTICE_INPUTS[name]()
+
+
+def direct_fusion(P):
+    """N[l][m][n] = h(chi_l chi_m chi_n^*), one triple product per entry."""
+    H = P.algebra
+    chars = [c.character() for c in P.coreps]
+    r = len(chars)
+    N = [[[None] * r for _ in range(r)] for _ in range(r)]
+    for l in range(r):
+        for m in range(r):
+            prod = H.product(chars[l], chars[m])
+            for n in range(r):
+                val = H.haar_of(H.product(prod, H.star_vec(chars[n])))
+                assert val.is_rational()
+                N[l][m][n] = val.as_fraction()
+    return N
+
+
+def subset_scan(H):
+    """Hopf subalgebras by the 2^r scan over index sets containing the trivial
+    one, each tested for closure under conjugation and fusion."""
+    P = peter_weyl(H)
+    r = len(P.coreps)
+    N = direct_fusion(P)
+    conj = [conjugate(P, i, N) for i in range(r)]
+    blocks = P.blocks()
+    out = []
+    for mask in range(1 << r):
+        members = [i for i in range(r) if (mask >> i) & 1]
+        if P.triv_index not in members:
+            continue
+        if any(not (mask >> conj[i]) & 1 for i in members):
+            continue
+        if any(
+            N[l][m][n] and not (mask >> n) & 1
+            for l in members
+            for m in members
+            for n in range(r)
+        ):
+            continue
+        total = Subspace.zero(H.field, H.dim)
+        for i in members:
+            total = total.sum_with(blocks[i])
+        out.append(total)
+    out.sort(key=lambda B: (B.dim, B.sort_key()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_INPUTS))
+def test_closure_enumeration_matches_subset_scan(name):
+    H = lattice_input(name)
+    got = [B.sort_key() for B in enumerate_hopf_subalgebras(H)]
+    assert got == [B.sort_key() for B in subset_scan(H)]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_INPUTS))
+def test_covector_fusion_matches_triple_products(name):
+    P = peter_weyl(lattice_input(name))
+    N = fusion(P)
+    assert N == direct_fusion(P)
+    r, t, dims = len(P.coreps), P.triv_index, P.dims
+    for l in range(r):
+        for m in range(r):
+            assert N[t][m][l] == N[l][t][m] == int(l == m)
+            assert sum(N[l][m][n] * dims[n] for n in range(r)) == dims[l] * dims[m]
+            for p in range(r):
+                for q in range(r):
+                    # (l m) p and l (m p) decompose alike
+                    assert sum(N[l][m][k] * N[k][p][q] for k in range(r)) == sum(
+                        N[m][p][k] * N[l][k][q] for k in range(r)
+                    )
 
 
 # --- properties F and FD ----------------------------------------------------------

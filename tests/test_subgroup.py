@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hopfcheck
+import hopfcheck.subgroup
 from hopfcheck.catalog import build_group
-from hopfcheck.constructions import lift_algebra, function_algebra, subgroup_ideal
+from hopfcheck.constructions import FiniteGroup, lift_algebra, function_algebra, subgroup_ideal
 from hopfcheck.corep import peter_weyl
-from hopfcheck.errors import NotHopfIdeal
+from hopfcheck.errors import NotHopfIdeal, TheoremViolation
 from hopfcheck.hopf import LinearEndo
 from hopfcheck.linalg import Matrix, Subspace, basis_vec, tensor_vec, zero_vec
 from hopfcheck.subgroup import (
@@ -437,3 +442,41 @@ def test_augmentation_part(algebras):
         assert A_GN.contains(v)
     full = augmentation_part(H, Subspace.full(H.field, 6))
     assert full.dim == 5
+
+
+# --- checks survive python -O -----------------------------------------------------
+
+
+def test_coset_disagreement_raises_under_optimize(monkeypatch):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import hopfcheck.subgroup as subgroup\n"
+        "from hopfcheck.constructions import FiniteGroup, function_algebra, subgroup_ideal\n"
+        "from hopfcheck.errors import TheoremViolation\n"
+        "from hopfcheck.hopf import LinearEndo\n"
+        "from hopfcheck.linalg import Matrix\n"
+        "assert False, 'asserts are live'\n"
+        "H = function_algebra(FiniteGroup.symmetric(3))\n"
+        "Q = subgroup.make_subgroup(H, subgroup_ideal(H, ('e', '(123)', '(132)')))\n"
+        "subgroup.conditional_expectation = lambda Q, side='right': LinearEndo(\n"
+        "    H, Matrix.zeros(H.field, H.dim, H.dim))\n"
+        "try:\n"
+        "    subgroup.coset_algebras(Q)\n"
+        "except TheoremViolation:\n"
+        "    print('TheoremViolation')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "TheoremViolation"
+    H = function_algebra(FiniteGroup.symmetric(3))
+    Q = make_subgroup(H, subgroup_ideal(H, A3))
+    monkeypatch.setattr(
+        hopfcheck.subgroup,
+        "conditional_expectation",
+        lambda Q, side="right": LinearEndo(H, Matrix.zeros(H.field, H.dim, H.dim)),
+    )
+    with pytest.raises(TheoremViolation):
+        coset_algebras(Q)
