@@ -230,7 +230,7 @@ def _cmd_reconstruct(args):
     phi_ok = True
     try:
         phi_map(Q)
-    except AssertionError:
+    except TheoremViolation:
         phi_ok = False
     results = {
         "normal": normal,

@@ -15,6 +15,10 @@ Algebras are immutable by convention, so data derived from one (the Haar
 state, the Peter-Weyl list, the dual, the subalgebra and subgroup lattices)
 is computed once and kept in the algebra's memo: `H.memo(key, compute)`
 returns the stored value for `key`, calling `compute()` only the first time.
+The keys are "haar", "peter_weyl", "dual", "hopf_subalgebras",
+"quantum_subgroups" and "verified".  "verified" is set when the algebra
+passes check_axioms, or when make_subgroup certifies it as the quotient of a
+verified algebra; `H.verified` reads it and never runs a check.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class HopfStarAlgebra:
             )
             for i in range(d)
         ]
+        self._star_nz = self.star.sparse_columns()
+        self._anti_nz = self.antipode.sparse_columns()
         self._memo = {}
         self.attached_pw = None  # optional corepresentation data from a constructor
         self.meta = {}
@@ -76,6 +82,11 @@ class HopfStarAlgebra:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    @property
+    def verified(self):
+        """True once the algebra is known to satisfy every axiom (see the module doc)."""
+        return self._memo.get("verified", False)
 
     @property
     def _pw_cache(self):
@@ -314,7 +325,8 @@ def check_axioms(H):
     """Run every Hopf *-algebra axiom plus the Kac conditions.
 
     Each check reports a witness (basis indices) on failure.  An algebra is
-    only fit for downstream use when all checks pass.
+    only fit for downstream use when all checks pass; a passing run is
+    recorded in its memo under "verified".
     """
     d = H.dim
     field = H.field
@@ -552,7 +564,10 @@ def check_axioms(H):
 
         run("haar_positive", haar_positive_fails())
 
-    return AxiomReport(checks)
+    report = AxiomReport(checks)
+    if report.ok:
+        H.memo("verified", lambda: True)
+    return report
 
 
 def dual(H):

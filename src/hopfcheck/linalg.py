@@ -265,6 +265,15 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
+    def sparse_columns(self):
+        """Column j as a list of (row, entry) pairs over its nonzero entries."""
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j].append((i, x))
+        return cols
+
     def rref(self):
         ech = Echelon(self.field, self.ncols)
         for r in self.rows:

@@ -9,7 +9,9 @@ sets with single-index closures until nothing new appears finds them all,
 at a cost that grows with the lattice rather than with 2^r.  Quantum
 subgroups are enumerated through the dual: Hopf subalgebras of the dual
 correspond to Hopf *-ideals via annihilators.
-Both lattices are enumerated once per algebra and kept in its memo.
+Both lattices are enumerated once per algebra and kept in its memo.  The
+algebra is verified once before its quotients are built, so each quotient
+passes make_subgroup's morphism certificate without a full axiom run.
 """
 
 from __future__ import annotations
@@ -17,8 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .corep import conjugate, fusion, peter_weyl
-from .errors import CapExceeded, ContainmentViolated, NotHopfIdeal, TheoremViolation
-from .hopf import HopfStarAlgebra, dual, sub_hopf_algebra
+from .errors import (
+    CapExceeded,
+    ContainmentViolated,
+    NotHopfIdeal,
+    SchemaError,
+    TheoremViolation,
+)
+from .hopf import HopfStarAlgebra, check_axioms, dual, sub_hopf_algebra
 from .linalg import Matrix, Subspace, basis_vec
 from .subgroup import (
     QuantumSubgroup,
@@ -29,8 +37,7 @@ from .subgroup import (
     normality_report,
 )
 
-MAX_IRREPS = 20
-MAX_SUBSETS = 1 << 16
+MAX_CLOSED_SETS = 1024
 
 
 def enumerate_hopf_subalgebras(H: HopfStarAlgebra):
@@ -43,8 +50,8 @@ def enumerate_hopf_subalgebras(H: HopfStarAlgebra):
     closed set is the join of its members' atoms, so this is complete for
     cosemisimple algebras.  Returned as a new list in a canonical order: by
     dimension, then by the echelon key of the subspace.  Raises CapExceeded
-    before any work on inputs beyond MAX_IRREPS or MAX_SUBSETS, rather than
-    silently truncating.
+    as soon as more than MAX_CLOSED_SETS closed index sets are found, rather
+    than silently truncating.
     """
     return list(H.memo("hopf_subalgebras", lambda: _hopf_subalgebras(H)))
 
@@ -52,10 +59,6 @@ def enumerate_hopf_subalgebras(H: HopfStarAlgebra):
 def _hopf_subalgebras(H):
     P = peter_weyl(H)
     r = len(P.coreps)
-    if r > MAX_IRREPS:
-        raise CapExceeded("%d irreducibles exceeds the cap %d" % (r, MAX_IRREPS))
-    if 1 << max(r - 1, 0) > MAX_SUBSETS:
-        raise CapExceeded("subset search space exceeds %d" % MAX_SUBSETS)
     blocks = P.blocks()
     out = []
     for mask in _closed_index_sets(P):
@@ -95,8 +98,8 @@ def _closed_index_sets(P):
 
     base = close(1 << P.triv_index)
     atoms = sorted({close(base | 1 << i) for i in range(r)})
-    found = {base, *atoms}
-    frontier = atoms
+    found = {base}
+    frontier = [base]
     while frontier:
         fresh = []
         for S in frontier:
@@ -104,6 +107,10 @@ def _closed_index_sets(P):
                 if a & ~S:
                     J = close(S | a)
                     if J not in found:
+                        if len(found) == MAX_CLOSED_SETS:
+                            raise CapExceeded(
+                                "more than %d closed index sets" % MAX_CLOSED_SETS
+                            )
                         found.add(J)
                         fresh.append(J)
         frontier = fresh
@@ -113,14 +120,20 @@ def _closed_index_sets(P):
 def enumerate_quantum_subgroups(H: HopfStarAlgebra):
     """All quantum subgroups, via annihilators of dual Hopf subalgebras.
 
-    Returned as a new list; the subgroup objects are shared between calls.
+    H is verified once, before the first quotient, unless it already is;
+    every quotient of a verified H then needs only make_subgroup's
+    morphism certificate, not a full axiom run.  Returned as a new list; the subgroup objects are
+    shared between calls.
     """
     return list(H.memo("quantum_subgroups", lambda: _quantum_subgroups(H)))
 
 
 def _quantum_subgroups(H):
+    subalgebras = enumerate_hopf_subalgebras(dual(H))
+    if not H.verified:
+        check_axioms(H)
     out = []
-    for B in enumerate_hopf_subalgebras(dual(H)):
+    for B in subalgebras:
         ann = Matrix.from_rows(H.field, B.basis(), ncols=H.dim).kernel()
         out.append(make_subgroup(H, ann))
     out.sort(key=lambda Q: (Q.quotient.dim, Q.ideal.sort_key()))
@@ -215,7 +228,8 @@ def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "
     *-ideal of it; mode "hopf-ideal" requires A0 a Hopf *-subalgebra and I0 a
     Hopf *-ideal of it.
     """
-    assert mode in ("plain-ideal", "hopf-ideal")
+    if mode not in ("plain-ideal", "hopf-ideal"):
+        raise SchemaError("unknown pullback mode %r" % (mode,))
     if not _closed_under_products(A, A0):
         raise NotHopfIdeal("A0 is not a unital subalgebra")
     ech0 = A0.echelon()
@@ -249,11 +263,14 @@ def third_isomorphism_check(G: HopfStarAlgebra, N: QuantumSubgroup, H: QuantumSu
     """The third isomorphism theorem for a normal N inside a subgroup H.
 
     Requires ker(theta) inside ker(pi), i.e. H's ideal contained in N's.
-    Returns a report dict with the four claims; raises ContainmentViolated
+    Returns a report dict with the four claims; raises SchemaError when N or
+    H is not a subgroup of G or N is not normal, and ContainmentViolated
     when the chain precondition fails.
     """
-    assert N.parent is G and H.parent is G
-    assert is_normal_coset(N), "N must be a normal quantum subgroup"
+    if N.parent is not G or H.parent is not G:
+        raise SchemaError("N and H must be quantum subgroups of G")
+    if not is_normal_coset(N):
+        raise SchemaError("N must be a normal quantum subgroup")
     if not H.ideal <= N.ideal:
         raise ContainmentViolated("ker(theta) is not contained in ker(pi)")
     field = G.field

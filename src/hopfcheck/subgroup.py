@@ -94,7 +94,20 @@ def check_hopf_ideal(G: HopfStarAlgebra, I: Subspace):
 
 
 def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
-    """Quotient G by a Hopf *-ideal, on the echelon-canonical complement."""
+    """Quotient G by a Hopf *-ideal, on the echelon-canonical complement.
+
+    The quotient structure is induced through the projection G -> G/I, and a
+    morphism certificate checks that the projection intertwines product,
+    star, coproduct, counit and antipode on the basis of G with that
+    structure.  This holds exactly when I is a Hopf *-ideal; a failure
+    raises NotHopfIdeal naming the first failed condition, in
+    check_hopf_ideal's order and with its names.
+
+    If G is already verified (`G.verified`; this function never starts a
+    check of G), the quotient inherits every axiom and only its Haar state
+    is solved here.  Otherwise the quotient runs the full check_axioms.
+    Either way it is recorded as verified, so its own quotients skip that.
+    """
     if not isinstance(I, Subspace):
         I = Subspace.from_vectors(G.field, G.dim, [list(v) for v in I])
     if I.field.n != G.field.n:
@@ -102,39 +115,124 @@ def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
             "ideal lives in the order-%d field but the algebra uses order %d"
             % (I.field.n, G.field.n)
         )
-    ok, witness = check_hopf_ideal(G, I)
-    if not ok:
-        raise NotHopfIdeal("the %s condition fails" % witness["condition"])
-    d = G.dim
-    field = G.field
     proj, reps = linear_quotient(I)
+    P = proj.sparse_columns()
+    quotient = _quotient_algebra(G, P, reps)
+    failed = _certificate_failure(G, P, quotient)
+    if failed:
+        raise NotHopfIdeal("the %s condition fails" % failed)
+    if G.verified:
+        quotient.haar  # solved here, since every normality criterion reads it
+        quotient.memo("verified", lambda: True)
+    else:
+        report = check_axioms(quotient)
+        if not report.ok:
+            raise NotHopfIdeal(
+                "quotient fails the axioms: " + ", ".join(c.name for c in report.failures())
+            )
+    return QuantumSubgroup(G, I, quotient, proj, reps)
+
+
+def _quotient_algebra(G: HopfStarAlgebra, P, reps) -> HopfStarAlgebra:
+    """The structure induced on the complement coordinates reps, where P[a]
+    is the projection of e_a as sparse (index, entry) pairs."""
+    field = G.field
     dn = len(reps)
 
-    def rep_vec(i):
-        return basis_vec(field, d, reps[i])
+    def image(terms):
+        out = zero_vec(field, dn)
+        for k, c in terms:
+            for i, p in P[k]:
+                out[i] = out[i] + c * p
+        return out
 
-    mult = [
-        [proj.apply(G.product(rep_vec(i), rep_vec(j))) for j in range(dn)]
-        for i in range(dn)
-    ]
-    unit = proj.apply(G.unit_vec())
+    mult = [[image(G._mult_nz[r][s]) for s in reps] for r in reps]
+    unit = image((k, u) for k, u in enumerate(G.unit) if u)
     comult = []
-    for i in range(dn):
-        w = proj.kron_apply(proj, G.comult_vec(rep_vec(i)))
-        comult.append([[w[a * dn + b] for b in range(dn)] for a in range(dn)])
-    counit = [G.counit_of(rep_vec(i)) for i in range(dn)]
-    anti_cols = [proj.apply(G.antipode_vec(rep_vec(i))) for i in range(dn)]
-    star_cols = [proj.apply(G.star_vec(rep_vec(i))) for i in range(dn)]
+    for r in reps:
+        w = [[field.zero] * dn for _ in range(dn)]
+        for j, k, c in G._comult_nz[r]:
+            for x, p in P[j]:
+                cp = c * p
+                for y, q in P[k]:
+                    w[x][y] = w[x][y] + cp * q
+        comult.append(w)
+    counit = [G.counit[r] for r in reps]
+    anti_cols = [image(G._anti_nz[r]) for r in reps]
+    star_cols = [image(G._star_nz[r]) for r in reps]
     antipode = [[anti_cols[i][j] for i in range(dn)] for j in range(dn)]
     star = [[star_cols[i][j] for i in range(dn)] for j in range(dn)]
     labels = [G.labels[r] for r in reps]
-    quotient = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
-    report = check_axioms(quotient)
-    if not report.ok:
-        raise NotHopfIdeal(
-            "quotient fails the axioms: " + ", ".join(c.name for c in report.failures())
-        )
-    return QuantumSubgroup(G, I, quotient, proj, reps)
+    return HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
+
+
+def _certificate_failure(G: HopfStarAlgebra, P, N: HopfStarAlgebra):
+    """The first structure map that the projection G -> N fails to
+    intertwine, or None; P[a] is the projection of e_a as sparse pairs.
+
+    Each map is compared on every basis element (or pair) of G, as one
+    difference accumulated over sparse terms.  The projection is linear with
+    kernel I, so it intertwines a map exactly when I satisfies the matching
+    condition, whatever the axioms of G: product (I a two-sided ideal), star
+    (I *-closed), coproduct (Delta(I) in I (x) G + G (x) I), counit
+    (eps(I) = 0) and antipode (S(I) in I), checked and named as in
+    check_hopf_ideal.
+    """
+    d = G.dim
+    zero = G.field.zero
+
+    def nonzero(acc):
+        return any(acc.values())
+
+    def push(acc, terms):
+        """acc += the projection of sum c e_k over the (k, c) in terms."""
+        for k, c in terms:
+            for i, p in P[k]:
+                acc[i] = acc.get(i, zero) + c * p
+
+    for a in range(d):
+        for b in range(d):
+            acc = {}
+            push(acc, G._mult_nz[a][b])
+            for i, x in P[a]:
+                for j, y in P[b]:
+                    xy = x * y
+                    for k, m in N._mult_nz[i][j]:
+                        acc[k] = acc.get(k, zero) - xy * m
+            if nonzero(acc):
+                return "two_sided_ideal"
+    for a in range(d):
+        acc = {}
+        push(acc, G._star_nz[a])
+        for i, x in P[a]:
+            for k, m in N._star_nz[i]:
+                acc[k] = acc.get(k, zero) - x.conjugate() * m
+        if nonzero(acc):
+            return "star_closed"
+    for a in range(d):
+        acc = {}
+        for j, k, c in G._comult_nz[a]:
+            for x, p in P[j]:
+                cp = c * p
+                for y, q in P[k]:
+                    acc[x, y] = acc.get((x, y), zero) + cp * q
+        for i, x in P[a]:
+            for u, v, m in N._comult_nz[i]:
+                acc[u, v] = acc.get((u, v), zero) - x * m
+        if nonzero(acc):
+            return "comultiplication"
+    for a in range(d):
+        if sum((x * N.counit[i] for i, x in P[a]), zero) != G.counit[a]:
+            return "counit"
+    for a in range(d):
+        acc = {}
+        push(acc, G._anti_nz[a])
+        for i, x in P[a]:
+            for k, m in N._anti_nz[i]:
+                acc[k] = acc.get(k, zero) - x * m
+        if nonzero(acc):
+            return "antipode"
+    return None
 
 
 def trivial_subgroup(G: HopfStarAlgebra) -> QuantumSubgroup:
@@ -331,7 +429,7 @@ class NormalityReport:
 
 
 def normality_report(Q: QuantumSubgroup, P=None) -> NormalityReport:
-    """Run all four normality criteria and assert that they agree."""
+    """Run all four normality criteria; a disagreement raises TheoremViolation."""
     if P is None:
         P = peter_weyl(Q.parent)
     rep_ok, mats = is_normal_rep(Q, P)
@@ -430,19 +528,22 @@ def comodule_splitting(Q: QuantumSubgroup) -> Matrix:
                 rows.append(row)
                 rhs.append(field.zero)
     sol = solve_linear(Matrix.from_rows(field, rows, ncols=unknowns), rhs)
-    assert sol is not None, "comodule splitting system is infeasible"
+    if sol is None:
+        raise TheoremViolation("comodule splitting system is infeasible")
     s = Matrix.from_rows(
         field, [[sol[k * dn + a] for a in range(dn)] for k in range(d)], ncols=dn
     )
-    assert Q.proj * s == Matrix.identity(field, dn)
+    if Q.proj * s != Matrix.identity(field, dn):
+        raise TheoremViolation("the comodule splitting is not a section of pi")
     return s
 
 
 def phi_map(Q: QuantumSubgroup, s: Matrix | None = None) -> LinearEndo:
     """The convolution inverse construction phi = (s pi) * S.
 
-    Three identities are asserted exactly: the image of phi lies in the coset
-    algebra, eps phi = eps, and id - s pi = [(eps 1 - id) phi] * id.
+    Three identities are checked exactly: the image of phi lies in the coset
+    algebra, eps phi = eps, and id - s pi = [(eps 1 - id) phi] * id.  A
+    failure raises TheoremViolation, as does a failed comodule splitting.
     """
     G = Q.parent
     field = G.field
@@ -451,7 +552,8 @@ def phi_map(Q: QuantumSubgroup, s: Matrix | None = None) -> LinearEndo:
     SP = s * Q.proj
     phi = convolve(G, SP, G.antipode)
     A_GN, _ = coset_algebras(Q)
-    assert A_GN.contains_all(phi.columns()), "phi image leaves the coset algebra"
+    if not A_GN.contains_all(phi.columns()):
+        raise TheoremViolation("phi image leaves the coset algebra")
     eps = G.counit
     for i in range(G.dim):
         acc = field.zero
@@ -459,11 +561,13 @@ def phi_map(Q: QuantumSubgroup, s: Matrix | None = None) -> LinearEndo:
             p = phi.rows[t][i]
             if p:
                 acc = acc + eps[t] * p
-        assert acc == eps[i], "eps phi differs from eps"
+        if acc != eps[i]:
+            raise TheoremViolation("eps phi differs from eps")
     E1 = LinearEndo.counit_unit(G).matrix
     lhs = Matrix.identity(field, G.dim) - SP
     rhs = convolve(G, (E1 - Matrix.identity(field, G.dim)) * phi, Matrix.identity(field, G.dim))
-    assert lhs == rhs, "the convolution identity for id - s pi fails"
+    if lhs != rhs:
+        raise TheoremViolation("the convolution identity for id - s pi fails")
     return LinearEndo(G, phi)
 
 

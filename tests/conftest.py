@@ -1,12 +1,38 @@
 import pytest
 
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
+from hopfcheck.constructions import FiniteGroup, GroupAction, crossed_product, function_algebra
+from hopfcheck.linalg import Matrix
 
 
 @pytest.fixture(scope="session")
 def algebras():
     """All catalog algebras, built once; Peter-Weyl caches accumulate."""
     return {name: build_algebra(name) for name in CATALOG_NAMES}
+
+
+def build_s3_crossed():
+    """F(S3) x| Z2, Z2 acting by conjugation with the transposition (12).
+
+    The 12-dimensional result is neither commutative nor cocommutative; it
+    has 7 quantum subgroups, 4 of them normal.
+    """
+    S3 = FiniteGroup.symmetric(3)
+    F = function_algebra(S3)
+    field, n = F.field, S3.order
+    t = S3.index_of("(12)")
+    conj = [
+        [field.one if i == S3.mul(S3.mul(t, j), t) else field.zero for j in range(n)]
+        for i in range(n)
+    ]
+    action = GroupAction(FiniteGroup.cyclic(2), F, [Matrix.identity(field, n), Matrix(field, conj)])
+    return crossed_product(F, action)
+
+
+@pytest.fixture(scope="session")
+def s3_crossed():
+    """A builder of F(S3) x| Z2 by conjugation; each call is a fresh algebra."""
+    return build_s3_crossed
 
 
 def pytest_configure(config):

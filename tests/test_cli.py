@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +114,37 @@ def test_reconstruct_command():
     }
 
 
+def test_reconstruct_reports_phi_failure_under_optimize():
+    # a wrong convolution unit breaks only the identity id - s pi = [(eps 1 - id) phi] * id
+    import hopfcheck
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import json\n"
+        "from hopfcheck.cli import cli_dispatch\n"
+        "from hopfcheck.hopf import LinearEndo\n"
+        "from hopfcheck.linalg import Matrix\n"
+        "assert False, 'asserts are live'\n"
+        "LinearEndo.counit_unit = classmethod(\n"
+        "    lambda cls, H: cls(H, Matrix.zeros(H.field, H.dim, H.dim)))\n"
+        "code, rep = cli_dispatch(['reconstruct', %r, '--ideal', %r])\n"
+        "print(code, json.dumps(rep['results'], sort_keys=True))\n"
+    ) % (cat("f_s3.hopf.json"), cat("f_s3.a3.ideal.json"))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, results = proc.stdout.split(" ", 1)
+    assert exit_code == "1"
+    assert json.loads(results) == {
+        "normal": True,
+        "reconstruction": True,
+        "exact_sequence": True,
+        "phi_identities": False,
+    }
+
+
 def test_third_iso_command():
     code, rep = cli_dispatch(
         [
@@ -145,6 +177,24 @@ def test_third_iso_rejects_bad_chain():
     assert code == 1
     assert rep["results"]["error"] == "ContainmentViolated"
     assert "ker(theta)" in rep["results"]["detail"]
+
+
+def test_third_iso_rejects_non_normal_n():
+    code, rep = cli_dispatch(
+        [
+            "third-iso",
+            cat("f_s3.hopf.json"),
+            "--n",
+            cat("f_s3.t12.ideal.json"),
+            "--h",
+            cat("f_s3.t12.ideal.json"),
+        ]
+    )
+    assert code == 2
+    assert rep["results"] == {
+        "error": "SchemaError",
+        "detail": "N must be a normal quantum subgroup",
+    }
 
 
 def test_props_command():

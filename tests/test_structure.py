@@ -1,9 +1,15 @@
 import functools
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hopfcheck
 import hopfcheck.structure
+import hopfcheck.subgroup
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra, build_group
 from hopfcheck.constructions import (
     FiniteGroup,
@@ -13,7 +19,8 @@ from hopfcheck.constructions import (
     tensor_product,
 )
 from hopfcheck.corep import conjugate, fusion, peter_weyl
-from hopfcheck.errors import CapExceeded, ContainmentViolated, NotHopfIdeal
+from hopfcheck.errors import CapExceeded, ContainmentViolated, NotHopfIdeal, SchemaError
+from hopfcheck.hopf import HopfStarAlgebra
 from hopfcheck.linalg import Subspace, basis_vec
 from hopfcheck.structure import (
     enumerate_hopf_subalgebras,
@@ -26,7 +33,12 @@ from hopfcheck.structure import (
     subgroup_lattice,
     third_isomorphism_check,
 )
-from hopfcheck.subgroup import augmentation_part, coset_algebras, full_subgroup
+from hopfcheck.subgroup import (
+    augmentation_part,
+    coset_algebras,
+    full_subgroup,
+    is_normal_coset,
+)
 
 
 def classical_subgroups(G):
@@ -129,13 +141,15 @@ def test_z6_lattice_all_normal(algebras):
     assert all(lat["normal_flags"])
 
 
-def test_enumeration_caps():
+def test_enumeration_caps(monkeypatch):
+    # C(Z2^3) has 16 Hopf subalgebras, one per subgroup of Z2^3
+    monkeypatch.setattr(hopfcheck.structure, "MAX_CLOSED_SETS", 15)
+    H = group_algebra(_z2_cubed())
     with pytest.raises(CapExceeded) as exc:
-        enumerate_hopf_subalgebras(group_algebra(FiniteGroup.cyclic(25)))
-    assert "irreducibles" in str(exc.value)
-    with pytest.raises(CapExceeded) as exc:
-        enumerate_hopf_subalgebras(group_algebra(FiniteGroup.cyclic(19)))
-    assert "subset" in str(exc.value)
+        enumerate_hopf_subalgebras(H)
+    assert "more than 15 closed index sets" in str(exc.value)
+    monkeypatch.setattr(hopfcheck.structure, "MAX_CLOSED_SETS", 16)
+    assert len(enumerate_hopf_subalgebras(H)) == 16
 
 
 def test_lattices_are_enumerated_once(monkeypatch):
@@ -258,6 +272,95 @@ def test_covector_fusion_matches_triple_products(name):
                     assert sum(N[l][m][k] * N[k][p][q] for k in range(r)) == sum(
                         N[m][p][k] * N[l][k][q] for k in range(r)
                     )
+
+
+# --- each algebra verified once ---------------------------------------------------
+
+
+def test_lattice_verifies_the_parent_once(monkeypatch):
+    calls = {"check_axioms": 0, "check_hopf_ideal": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(hopfcheck.structure, "check_axioms")
+    count(hopfcheck.subgroup, "check_axioms")
+    count(hopfcheck.subgroup, "check_hopf_ideal")
+    qsubs = enumerate_quantum_subgroups(function_algebra(_z2_cubed()))
+    assert len(qsubs) == 16
+    assert calls == {"check_axioms": 1, "check_hopf_ideal": 0}
+    # quotients are recorded as verified, so nested lattices certify too
+    assert all(Q.quotient.verified for Q in qsubs)
+    nested = enumerate_quantum_subgroups(qsubs[-2].quotient)
+    assert len(nested) == 5 and all(Q.quotient.verified for Q in nested)
+    assert calls == {"check_axioms": 1, "check_hopf_ideal": 0}
+
+
+def lattice_summary(H):
+    """Everything the lattice of H decides, in comparable form."""
+    out = []
+    for Q in enumerate_quantum_subgroups(H):
+        N = Q.quotient
+        out.append(
+            (
+                Q.ideal.sort_key(),
+                Q.reps,
+                (N.mult, N.unit, N.comult, N.counit, N.antipode.rows, N.star.rows),
+                N.haar,
+                is_normal_coset(Q),
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_NAMES) + ["F(S3)xZ2"])
+def test_certified_lattice_matches_full_path(name, s3_crossed, monkeypatch):
+    build = s3_crossed if name == "F(S3)xZ2" else functools.partial(build_algebra, name)
+    certified = lattice_summary(build())
+    # with no algebra verified, every quotient also runs the full check_axioms
+    monkeypatch.setattr(HopfStarAlgebra, "verified", property(lambda self: False))
+    full = lattice_summary(build())
+    assert certified == full
+    if name == "F(S3)xZ2":
+        assert len(full) == 7 and sum(flag for *_, flag in full) == 4
+
+
+def generated_subgroups(G):
+    """Every subgroup generated by at most two elements, closed by brute force."""
+    out = set()
+    for a in range(G.order):
+        for b in range(a, G.order):
+            S = {G.identity, a, b}
+            while True:
+                grown = S | {G.mul(x, y) for x in S for y in S}
+                if grown == S:
+                    break
+                S = grown
+            out.add(frozenset(S))
+    return out
+
+
+def test_f_s4_lattice():
+    S4 = FiniteGroup.symmetric(4)
+    subs = generated_subgroups(S4)  # every subgroup of S4 is 2-generated
+    assert len(subs) == 30
+    normal = sorted(len(S) for S in subs if S4.is_normal_subgroup(S))
+    assert normal == [1, 4, 12, 24]
+    F = function_algebra(S4)
+    by_ideal = {subgroup_ideal(F, sorted(S)).sort_key(): S for S in subs}
+    qsubs = enumerate_quantum_subgroups(F)
+    assert len(qsubs) == 30
+    for Q in qsubs:
+        S = by_ideal.pop(Q.ideal.sort_key())
+        assert Q.quotient.dim == len(S)
+        assert is_normal_coset(Q) == S4.is_normal_subgroup(S)
+    assert not by_ideal
 
 
 # --- properties F and FD ----------------------------------------------------------
@@ -416,7 +519,7 @@ def test_third_iso_requires_containment(algebras):
 def test_third_iso_requires_normal_n(algebras):
     F = algebras["f_s3"]
     H = subgroup_of(F, ("e", "(12)"))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SchemaError):
         third_isomorphism_check(F, H, H)
 
 
@@ -472,3 +575,50 @@ def test_inheritance_suite_abelian(algebras):
     assert rep["subgroups_inherit_FD"] is True
     assert rep["pullback_on_coset_pairs"] is True
     assert rep["quotients_inherit_FD"] is True
+
+
+# --- typed preconditions, no asserts ------------------------------------------------
+
+
+def test_preconditions_raise_schema_error_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "from hopfcheck.constructions import FiniteGroup, function_algebra, subgroup_ideal\n"
+        "from hopfcheck.errors import SchemaError\n"
+        "from hopfcheck.linalg import Subspace\n"
+        "from hopfcheck.structure import pullback_check, third_isomorphism_check\n"
+        "from hopfcheck.subgroup import full_subgroup, make_subgroup\n"
+        "assert False, 'asserts are live'\n"
+        "F = function_algebra(FiniteGroup.symmetric(3))\n"
+        "T = make_subgroup(F, subgroup_ideal(F, ('e', '(12)')))\n"
+        "other = full_subgroup(function_algebra(FiniteGroup.symmetric(3)))\n"
+        "zero = Subspace.zero(F.field, F.dim)\n"
+        "for call in (\n"
+        "    lambda: pullback_check(F, Subspace.full(F.field, F.dim), zero, 'hopf'),\n"
+        "    lambda: third_isomorphism_check(F, other, T),\n"
+        "    lambda: third_isomorphism_check(F, T, T),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "        print('accepted')\n"
+        "    except SchemaError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "unknown pullback mode 'hopf'",
+        "N and H must be quantum subgroups of G",
+        "N must be a normal quantum subgroup",
+    ]
+
+
+@pytest.mark.parametrize("module", ["subgroup", "structure"])
+def test_no_asserts_in_checking_modules(module):
+    path = os.path.join(os.path.dirname(hopfcheck.__file__), module + ".py")
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if re.match(r"\s*assert ", line)]
+    assert lines == []

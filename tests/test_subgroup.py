@@ -1,4 +1,6 @@
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,12 +9,13 @@ import pytest
 
 import hopfcheck
 import hopfcheck.subgroup
-from hopfcheck.catalog import build_group
+from hopfcheck.catalog import CATALOG_NAMES, build_algebra, build_group
 from hopfcheck.constructions import FiniteGroup, lift_algebra, function_algebra, subgroup_ideal
 from hopfcheck.corep import peter_weyl
 from hopfcheck.errors import NotHopfIdeal, TheoremViolation
-from hopfcheck.hopf import LinearEndo
-from hopfcheck.linalg import Matrix, Subspace, basis_vec, tensor_vec, zero_vec
+from hopfcheck.hopf import HopfStarAlgebra, LinearEndo, check_axioms, dual
+from hopfcheck.linalg import Matrix, Subspace, basis_vec, solve_linear, tensor_vec, zero_vec
+from hopfcheck.structure import enumerate_quantum_subgroups, ideal_closure
 from hopfcheck.subgroup import (
     adjoint_coaction,
     augmentation_part,
@@ -480,3 +483,153 @@ def test_coset_disagreement_raises_under_optimize(monkeypatch):
     )
     with pytest.raises(TheoremViolation):
         coset_algebras(Q)
+
+
+# --- the morphism certificate of a verified parent ------------------------------
+
+
+def _random_vector(H, rng):
+    field = H.field
+    coeffs = [field.zero, field.zero, field.one, -field.one, field.scalar(2), field.zeta()]
+    return [rng.choice(coeffs) for _ in range(H.dim)]
+
+
+def _random_subspaces(H, rng, count):
+    """Zero, the whole algebra, the lattice ideals and their sums, random
+    spans and coordinate subspaces, one-sided and generated two-sided ideals,
+    and the two-sided ideals annihilating random sets of dual blocks."""
+    field, d = H.field, H.dim
+    ideals = [Q.ideal for Q in enumerate_quantum_subgroups(H)]
+    dual_blocks = peter_weyl(dual(H)).blocks()
+    out = [Subspace.zero(field, d), Subspace.full(field, d)] + ideals
+    while len(out) < count:
+        kind = rng.randrange(6)
+        if kind == 0:
+            idx = rng.sample(range(d), rng.randrange(1, d))
+            out.append(Subspace.from_vectors(field, d, [basis_vec(field, d, i) for i in idx]))
+        elif kind == 1:
+            vecs = [_random_vector(H, rng) for _ in range(rng.randrange(1, d))]
+            out.append(Subspace.from_vectors(field, d, vecs))
+        elif kind == 2:
+            out.append(rng.choice(ideals).sum_with(rng.choice(ideals)))
+        elif kind == 3:
+            seed = Subspace.from_vectors(field, d, [_random_vector(H, rng)])
+            out.append(ideal_closure(H, seed))
+        elif kind == 4:
+            v = _random_vector(H, rng)
+            e = [basis_vec(field, d, i) for i in range(d)]
+            side = [H.product(x, v) for x in e] if rng.random() < 0.5 else [H.product(v, x) for x in e]
+            out.append(Subspace.from_vectors(field, d, side))
+        else:
+            chosen = rng.sample(dual_blocks, rng.randrange(1, len(dual_blocks)))
+            rows = [row for B in chosen for row in B.rows]
+            out.append(Matrix.from_rows(field, rows, ncols=d).kernel())
+    return out
+
+
+def rebased(H, rng):
+    """H in the basis f_i = T e_i for a random sparse unitriangular integer T,
+    so that ideals and projections stop being coordinate-aligned."""
+    field, d = H.field, H.dim
+    below = [field.one, -field.one] + [field.zero] * 6
+
+    def entry(i, j):
+        return field.one if i == j else rng.choice(below) if i > j else field.zero
+
+    T = Matrix(field, [[entry(i, j) for j in range(d)] for i in range(d)])
+    Tinv = solve_linear(T, Matrix.identity(field, d))
+    cols = T.columns()
+    mult = [[Tinv.apply(H.product(cols[i], cols[j])) for j in range(d)] for i in range(d)]
+    comult = []
+    for i in range(d):
+        w = Tinv.kron_apply(Tinv, H.comult_vec(cols[i]))
+        comult.append([w[a * d:(a + 1) * d] for a in range(d)])
+    counit = [H.counit_of(c) for c in cols]
+    # T is rational, so conjugation commutes with it and * rebases like S
+    antipode = Tinv * H.antipode * T
+    star = Tinv * H.star * T
+    return HopfStarAlgebra(
+        field, mult, Tinv.apply(H.unit_vec()), comult, counit, antipode.rows, star.rows
+    )
+
+
+CERTIFICATE_INPUTS = sorted(CATALOG_NAMES) + ["F(S3)xZ2", "F(S3)xZ2 rebased", "c_s3 rebased"]
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_INPUTS)
+def test_certificate_matches_hopf_ideal_check(name, s3_crossed, monkeypatch):
+    rng = random.Random("certificate " + name)
+    base = name.split()[0]
+    H = s3_crossed() if base == "F(S3)xZ2" else build_algebra(base)
+    if name.endswith("rebased"):
+        H = rebased(H, rng)
+    assert check_axioms(H).ok and H.verified
+    subspaces = _random_subspaces(H, rng, 60)
+
+    def forbidden(*args):
+        raise AssertionError("a verified parent must not run the full checks")
+
+    monkeypatch.setattr(hopfcheck.subgroup, "check_hopf_ideal", forbidden)
+    monkeypatch.setattr(hopfcheck.subgroup, "check_axioms", forbidden)
+    seen = set()
+    for I in subspaces:
+        ok, witness = check_hopf_ideal(H, I)
+        want = None if ok else witness["condition"]
+        try:
+            Q = make_subgroup(H, I)
+            got = None
+        except NotHopfIdeal as exc:
+            got = re.fullmatch(r"the (\w+) condition fails", str(exc)).group(1)
+        assert got == want, I
+        if got is None:
+            assert Q.quotient.verified and Q.ideal == I
+        seen.add(want)
+    assert None in seen and len(seen) >= 3
+
+
+def test_certificate_rejects_a_corrupted_quotient_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import hopfcheck.subgroup as subgroup\n"
+        "from hopfcheck.constructions import FiniteGroup, function_algebra, subgroup_ideal\n"
+        "from hopfcheck.errors import NotHopfIdeal\n"
+        "from hopfcheck.hopf import check_axioms\n"
+        "assert False, 'asserts are live'\n"
+        "H = function_algebra(FiniteGroup.symmetric(3))\n"
+        "print(check_axioms(H).ok)\n"
+        "I = subgroup_ideal(H, ('e', '(123)', '(132)'))\n"
+        "def forbidden(*args):\n"
+        "    raise RuntimeError('full path taken')\n"
+        "subgroup.check_hopf_ideal = subgroup.check_axioms = forbidden\n"
+        "real = subgroup.HopfStarAlgebra\n"
+        "names = ('mult', 'unit', 'comult', 'counit', 'antipode', 'star')\n"
+        "for name in (None, 'mult', 'comult', 'counit', 'antipode', 'star'):\n"
+        "    def corrupt(field, *maps, labels, name=name):\n"
+        "        maps = list(maps)\n"
+        "        if name is not None:\n"
+        "            m = maps[names.index(name)]\n"
+        "            while isinstance(m[0], list):\n"
+        "                m = m[0]\n"
+        "            m[0] = m[0] + field.one\n"
+        "        return real(field, *maps, labels=labels)\n"
+        "    subgroup.HopfStarAlgebra = corrupt\n"
+        "    try:\n"
+        "        subgroup.make_subgroup(H, I)\n"
+        "        print(name, 'accepted')\n"
+        "    except NotHopfIdeal as exc:\n"
+        "        print(name, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "True",
+        "None accepted",
+        "mult the two_sided_ideal condition fails",
+        "comult the comultiplication condition fails",
+        "counit the counit condition fails",
+        "antipode the antipode condition fails",
+        "star the star_closed condition fails",
+    ]
