@@ -133,8 +133,8 @@ def _pw_with_seed(H, seed):
     P0 = peter_weyl(H)
     if seed:
         P1 = peter_weyl(H, force_recompute=True, gauge=seed)
-        assert P1.dims == P0.dims, "seeded splitting changed the result"
-        assert P1.blocks() == P0.blocks(), "seeded splitting changed the result"
+        if P1.dims != P0.dims or P1.blocks() != P0.blocks():
+            raise TheoremViolation("seeded splitting changed the result")
     return P0
 
 

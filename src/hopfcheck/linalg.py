@@ -62,7 +62,7 @@ class Echelon:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                for j, s in enumerate(row):
+                for j, s in enumerate(row[p:], p):  # zero before the pivot
                     if s:
                         v[j] = v[j] - c * s
         return v
@@ -75,7 +75,7 @@ class Echelon:
             c = v[p]
             coeffs.append(c)
             if c:
-                for j, s in enumerate(row):
+                for j, s in enumerate(row[p:], p):  # zero before the pivot
                     if s:
                         v[j] = v[j] - c * s
         if any(v):
@@ -92,11 +92,14 @@ class Echelon:
         if p is None:
             return None
         inv = v[p].inverse()
-        v = [c * inv for c in v]
-        for i, row in enumerate(self.rows):
+        support = [j for j in range(p, self.width) if v[j]]
+        for j in support:
+            v[j] = v[j] * inv
+        for row in self.rows:
             c = row[p]
             if c:
-                self.rows[i] = [a - c * b for a, b in zip(row, v)]
+                for j in support:
+                    row[j] = row[j] - c * v[j]
         at = bisect_left(self.pivots, p)
         self.rows.insert(at, v)
         self.pivots.insert(at, p)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import SplittingFailed
+from .errors import SplittingFailed, TheoremViolation
 from .linalg import Matrix, Subspace, lincomb, solve_linear, zero_vec
 
 _NUMERIC_TOL = 1e-7
@@ -214,7 +214,8 @@ def split_center(H, gauge=0):
 
     def coords(vec):
         co = ech.coefficients(vec)
-        assert co is not None, "center is not closed under products"
+        if co is None:
+            raise TheoremViolation("center is not closed under products")
         return co
 
     blocks = [Subspace.full(field, c)]
@@ -236,7 +237,8 @@ def split_center(H, gauge=0):
             sub_rows = []
             for img in imgs:
                 co = vech.coefficients(img)
-                assert co is not None, "refinement block is not invariant"
+                if co is None:
+                    raise TheoremViolation("refinement block is not invariant")
                 sub_rows.append(co)
             Mv = Matrix.from_rows(
                 field, [[sub_rows[b][a] for b in range(V.dim)] for a in range(V.dim)], ncols=V.dim
@@ -258,12 +260,14 @@ def split_center(H, gauge=0):
             raise SplittingFailed(field.n, "nilpotent line in the center")
         inv = a.inverse()
         p = [inv * x for x in v]
-        assert dual_product(H, p, p) == p, "central idempotent verification failed"
+        if dual_product(H, p, p) != p:
+            raise TheoremViolation("central idempotent verification failed")
         idems.append(p)
     total = [field.zero] * H.dim
     for p in idems:
         total = [a + b for a, b in zip(total, p)]
-    assert total == dual_unit(H), "central idempotents do not sum to the counit"
+    if total != dual_unit(H):
+        raise TheoremViolation("central idempotents do not sum to the counit")
     return idems
 
 
@@ -408,7 +412,8 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
                     (xc - nu * uc) * diff for xc, uc in zip(x, unit)
                 ]
                 q = corner.product(q, shifted)
-            assert corner.product(q, q) == q, "spectral idempotent verification failed"
+            if corner.product(q, q) != q:
+                raise TheoremViolation("spectral idempotent verification failed")
             if q == unit or not any(q):
                 continue
             new_basis = []

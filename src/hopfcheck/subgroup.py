@@ -7,6 +7,12 @@ decided four independent ways (restriction multiplicities, left and right
 adjoint stability of the ideal, equality of the two coset algebras); the
 four answers are provably equal and a disagreement is raised loudly rather
 than suppressed.
+
+Every criterion is computed from the sparse structure constants of the
+parent (`_comult_nz`, `_mult_nz`, `_anti_nz`) and the sparse projection
+columns, without forming a dense tensor of length d^2.  The coset algebras
+are still computed two ways, as invariance kernels and as conditional
+expectation images, and the two are cross-checked exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +24,12 @@ from .linalg import Matrix, Subspace, basis_vec, solve_linear, zero_vec
 
 
 class QuantumSubgroup:
-    """A quotient presentation G -> N with its ideal, projection and Haar state."""
+    """A quotient presentation G -> N with its ideal, projection and Haar state.
+
+    `meta` keeps data derived from the subgroup, each computed once:
+    "proj_columns", "haar_pi" and "cosets" (see `memo`); constructions also
+    record where a subgroup came from there.
+    """
 
     __slots__ = ("parent", "ideal", "quotient", "proj", "reps", "meta")
 
@@ -30,16 +41,42 @@ class QuantumSubgroup:
         self.reps = reps  # ambient indices of the canonical complement
         self.meta = {}
 
+    def memo(self, key, compute):
+        """The derived value stored in meta under key, computed on first request."""
+        if key not in self.meta:
+            self.meta[key] = compute()
+        return self.meta[key]
+
     def pi(self, vec):
         return self.proj.apply(vec)
+
+    @property
+    def proj_columns(self):
+        """pi(e_a) for each parent index a, as sparse (index, entry) pairs."""
+        return self.memo("proj_columns", self.proj.sparse_columns)
 
     @property
     def haar_N(self):
         return self.quotient.haar
 
+    @property
+    def haar_pi_covector(self):
+        """The functional h_N o pi on the parent basis, computed once."""
+
+        def compute():
+            h = self.quotient.haar
+            zero = self.parent.field.zero
+            return [sum((p * h[i] for i, p in col), zero) for col in self.proj_columns]
+
+        return self.memo("haar_pi", compute)
+
     def haar_pi(self, vec):
         """The composite functional h_N(pi(a)) on the parent."""
-        return self.quotient.haar_of(self.proj.apply(vec))
+        acc = self.parent.field.zero
+        for c, h in zip(vec, self.haar_pi_covector):
+            if c and h:
+                acc = acc + c * h
+        return acc
 
     def section(self) -> Matrix:
         """The coordinate section N -> G picking canonical representatives."""
@@ -251,13 +288,13 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right") -> LinearEn
 
     side "right" gives (id (x) h_N pi) Delta whose image is the right coset
     algebra A_GN; side "left" gives (h_N pi (x) id) Delta with image A_NG.
+    The matrix is summed over the sparse coproduct terms against the
+    covector h_N o pi, which Q computes once from its sparse projection.
     """
     G = Q.parent
-    d = G.dim
-    field = G.field
-    hpi = [Q.haar_pi(basis_vec(field, d, k)) for k in range(d)]
-    E = Matrix.zeros(field, d, d)
-    for i in range(d):
+    hpi = Q.haar_pi_covector
+    E = Matrix.zeros(G.field, G.dim, G.dim)
+    for i in range(G.dim):
         for j, k, c in G._comult_nz[i]:
             if side == "right":
                 w = hpi[k]
@@ -270,43 +307,60 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right") -> LinearEn
     return LinearEndo(G, E)
 
 
+def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
+    """The a with (id (x) pi) Delta(a) = a (x) 1_N (side "right"), or
+    (pi (x) id) Delta(a) = 1_N (x) a (side "left").
+
+    Each equation is the (j, b) coefficient of e_j (x) f_b (right; f_b (x)
+    e_j on the left), gathered as a sparse row over the sparse coproduct
+    terms and projection columns.  Zero rows and repeated rows (after
+    scaling to a leading 1) are dropped: the kernel is canonical, so they
+    cannot change it.
+    """
+    G = Q.parent
+    field, d = G.field, G.dim
+    zero = field.zero
+    P = Q.proj_columns
+    neg_unit = [(b, -u) for b, u in enumerate(Q.quotient.unit) if u]
+    rows = {}
+    for i in range(d):
+        for j, k, c in G._comult_nz[i]:
+            kept, projected = (j, k) if side == "right" else (k, j)
+            for b, p in P[projected]:
+                row = rows.setdefault((kept, b), {})
+                row[i] = row.get(i, zero) + c * p
+        for b, u in neg_unit:
+            row = rows.setdefault((i, b), {})
+            row[i] = row.get(i, zero) + u
+    unique = {}
+    for row in rows.values():
+        key = tuple((i, x) for i, x in row.items() if x)  # increasing i
+        if not key:
+            continue
+        if not key[0][1].is_one():
+            inv = key[0][1].inverse()
+            key = tuple((i, x * inv) for i, x in key)
+        if key not in unique:
+            vec = zero_vec(field, d)
+            for i, x in key:
+                vec[i] = x
+            unique[key] = vec
+    return Matrix.from_rows(field, list(unique.values()), ncols=d).kernel()
+
+
 def coset_algebras(Q: QuantumSubgroup):
     """The two coset algebras (A_GN, A_NG), each computed two ways.
 
     A_GN is the kernel of a |-> (id (x) pi) Delta(a) - a (x) 1_N and must
     equal the image of the right conditional expectation; likewise on the
-    left.  A disagreement of the two computations raises TheoremViolation.
+    left.  Both routes work from the sparse structure constants and the
+    sparse projection; a disagreement raises TheoremViolation.
     """
     cached = Q.meta.get("cosets")
     if cached is not None:
         return cached
-    G = Q.parent
-    d = G.dim
-    field = G.field
-    dn = Q.quotient.dim
-    unit_N = Q.quotient.unit_vec()
-
-    cols_r, cols_l = [], []
-    for i in range(d):
-        w = Matrix.identity(field, d).kron_apply(Q.proj, G.comult_vec(basis_vec(field, d, i)))
-        for b in range(dn):
-            u = unit_N[b]
-            if u:
-                w[i * dn + b] = w[i * dn + b] - u
-        cols_r.append(w)
-        v = Q.proj.kron_apply(Matrix.identity(field, d), G.comult_vec(basis_vec(field, d, i)))
-        for b in range(dn):
-            u = unit_N[b]
-            if u:
-                v[b * d + i] = v[b * d + i] - u
-        cols_l.append(v)
-    A_GN = Matrix.from_rows(
-        field, [[cols_r[i][t] for i in range(d)] for t in range(d * dn)], ncols=d
-    ).kernel()
-    A_NG = Matrix.from_rows(
-        field, [[cols_l[i][t] for i in range(d)] for t in range(dn * d)], ncols=d
-    ).kernel()
-
+    A_GN = _invariance_kernel(Q, "right")
+    A_NG = _invariance_kernel(Q, "left")
     img_r = conditional_expectation(Q, "right").image()
     img_l = conditional_expectation(Q, "left").image()
     if A_GN != img_r:
@@ -317,27 +371,60 @@ def coset_algebras(Q: QuantumSubgroup):
     return A_GN, A_NG
 
 
+def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
+    """(f (x) id) ad(a) as a dict {(u, t): coefficient}.
+
+    ad is ad_l(a) = sum a_(2) (x) a_(1) S(a_(3)) or ad_r(a) = sum a_(2) (x)
+    S(a_(1)) a_(3); f sends e_y to the sparse pairs first_leg[y].  Delta^(2)
+    is expanded through the sparse coproduct twice, and products caches
+    e_x S(e_z) (left) or S(e_x) e_z (right) per pair (x, z) as sparse pairs.
+    """
+    zero = G.field.zero
+    da = {}
+    for i, ai in enumerate(a):
+        if ai:
+            for x, r, c in G._comult_nz[i]:
+                da[x, r] = da.get((x, r), zero) + ai * c
+    out = {}
+    for (x, r), c in da.items():
+        if not c:
+            continue
+        for y, z, c2 in G._comult_nz[r]:
+            prod = products.get((x, z))
+            if prod is None:
+                prod = products[x, z] = _adjoint_product(G, x, z, side)
+            if not prod:
+                continue
+            coef = c * c2
+            for u, q in first_leg[y]:
+                cq = coef * q
+                for t, p in prod:
+                    out[u, t] = out.get((u, t), zero) + cq * p
+    return out
+
+
+def _adjoint_product(G, x, z, side):
+    """e_x S(e_z) (side "left") or S(e_x) e_z (side "right") as sparse pairs."""
+    zero = G.field.zero
+    acc = {}
+    if side == "left":
+        for w, s in G._anti_nz[z]:
+            for k, m in G._mult_nz[x][w]:
+                acc[k] = acc.get(k, zero) + s * m
+    else:
+        for w, s in G._anti_nz[x]:
+            for k, m in G._mult_nz[w][z]:
+                acc[k] = acc.get(k, zero) + s * m
+    return [(k, v) for k, v in acc.items() if v]
+
+
 def adjoint_coaction(G: HopfStarAlgebra, a, side: str = "left"):
     """ad_l(a) = sum a_(2) (x) a_(1) S(a_(3)), or ad_r(a) = sum a_(2) (x) S(a_(1)) a_(3)."""
     d = G.dim
-    field = G.field
-    out = zero_vec(field, d * d)
-    s_cols = [G.antipode.column(z) for z in range(d)]
-    da = G.comult_vec(a)
-    for idx, c in enumerate(da):
-        if not c:
-            continue
-        x, rest = divmod(idx, d)
-        ex = basis_vec(field, d, x)
-        for y, z, c2 in G._comult_nz[rest]:
-            coef = c * c2
-            if side == "left":
-                prod = G.product(ex, s_cols[z])
-            else:
-                prod = G.product(s_cols[x], basis_vec(field, d, z))
-            for t, p in enumerate(prod):
-                if p:
-                    out[y * d + t] = out[y * d + t] + coef * p
+    identity = [[(y, G.field.one)] for y in range(d)]
+    out = zero_vec(G.field, d * d)
+    for (u, t), c in _adjoint_terms(G, a, side, identity, {}).items():
+        out[u * d + t] = c
     return out
 
 
@@ -351,11 +438,10 @@ def is_right_a_normal(Q: QuantumSubgroup) -> bool:
 
 
 def _a_normal(Q, side):
-    G = Q.parent
-    ident = Matrix.identity(G.field, G.dim)
-    for b in Q.ideal.basis():
-        ad = adjoint_coaction(G, b, side)
-        if any(Q.proj.kron_apply(ident, ad)):
+    """(pi (x) id) ad(b) = 0 for every b in the ideal basis."""
+    products = {}
+    for b in Q.ideal.rows:
+        if any(_adjoint_terms(Q.parent, b, side, Q.proj_columns, products).values()):
             return False
     return True
 
@@ -447,9 +533,10 @@ def normality_report(Q: QuantumSubgroup, P=None) -> NormalityReport:
         )
     if report.normal:
         A_GN, _ = coset_algebras(Q)
-        total = Subspace.zero(field, Q.parent.dim)
-        for idx in report.trivial_set:
-            total = total.sum_with(P.blocks()[idx])
+        blocks = P.blocks()
+        total = Subspace.from_vectors(
+            field, Q.parent.dim, [row for idx in report.trivial_set for row in blocks[idx].rows]
+        )
         if total != A_GN:
             raise TheoremViolation(
                 "coset algebra is not the block sum over the trivial set"

@@ -145,6 +145,37 @@ def test_reconstruct_reports_phi_failure_under_optimize():
     }
 
 
+def test_seeded_splitting_mismatch_exits_3_under_optimize():
+    # a seeded rerun of the splitting that finds different blocks is a theorem failure
+    import hopfcheck
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import json\n"
+        "import hopfcheck.cli as cli\n"
+        "assert False, 'asserts are live'\n"
+        "real = cli.peter_weyl\n"
+        "def reseeded(H, force_recompute=False, gauge=0):\n"
+        "    P = real(H, force_recompute=force_recompute, gauge=gauge)\n"
+        "    if force_recompute:\n"
+        "        P._blocks = list(reversed(P.blocks()))\n"
+        "    return P\n"
+        "cli.peter_weyl = reseeded\n"
+        "for seed in ('0', '3'):\n"
+        "    code, rep = cli.cli_dispatch(['irreps', %r, '--seed', seed])\n"
+        "    print(code, rep['results'].get('error'), rep['results'].get('detail'))\n"
+    ) % cat("f_s3.hopf.json")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0 None None",
+        "3 TheoremViolation seeded splitting changed the result",
+    ]
+
+
 def test_third_iso_command():
     code, rep = cli_dispatch(
         [

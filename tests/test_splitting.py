@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hopfcheck
 from hopfcheck.constructions import FiniteGroup, function_algebra
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import SplittingFailed
@@ -191,3 +195,57 @@ def test_lll_failures_are_narrowly_caught(monkeypatch):
     monkeypatch.setattr(DomainMatrix, "lll", bug)
     with pytest.raises(RuntimeError):
         _lll_candidates(F, z, 10 ** 6)
+
+
+# --- exact verifications survive python -O ---------------------------------------
+
+
+def test_failed_verifications_raise_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import hopfcheck.splitting as splitting\n"
+        "from hopfcheck.constructions import FiniteGroup, function_algebra\n"
+        "from hopfcheck.corep import peter_weyl\n"
+        "from hopfcheck.errors import TheoremViolation\n"
+        "from hopfcheck.linalg import Subspace, basis_vec, zero_vec\n"
+        "assert False, 'asserts are live'\n"
+        "def fresh():\n"
+        "    return function_algebra(FiniteGroup.symmetric(3))\n"
+        "def run(name, call):\n"
+        "    try:\n"
+        "        call()\n"
+        "        print(name, 'accepted')\n"
+        "    except TheoremViolation as exc:\n"
+        "        print(name, exc)\n"
+        "H = fresh()\n"
+        "run('clean', lambda: peter_weyl(H))\n"
+        "real_center, real_unit = splitting.center_of_dual, splitting.dual_unit\n"
+        "def not_closed(H):\n"
+        "    idx = [H.labels.index(g) for g in ('(12)', '(13)')]\n"
+        "    return Subspace.from_vectors(H.field, H.dim, [basis_vec(H.field, H.dim, i) for i in idx])\n"
+        "splitting.center_of_dual = not_closed\n"
+        "run('center', lambda: splitting.split_center(fresh()))\n"
+        "splitting.center_of_dual = real_center\n"
+        "splitting.dual_unit = lambda H: zero_vec(H.field, H.dim)\n"
+        "run('unit', lambda: splitting.split_center(fresh()))\n"
+        "splitting.dual_unit = real_unit\n"
+        "real_product = splitting._Corner.product\n"
+        "def squared_wrong(self, x, y):\n"
+        "    out = real_product(self, x, y)\n"
+        "    if x is y:\n"
+        "        out[0] = out[0] + self.H.field.one\n"
+        "    return out\n"
+        "splitting._Corner.product = squared_wrong\n"
+        "run('corner', lambda: peter_weyl(fresh()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "clean accepted",
+        "center center is not closed under products",
+        "unit central idempotents do not sum to the counit",
+        "corner spectral idempotent verification failed",
+    ]

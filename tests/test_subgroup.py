@@ -553,16 +553,20 @@ def rebased(H, rng):
     )
 
 
+def certificate_input(name, s3_crossed, rng):
+    """A catalog algebra, or F(S3)x|Z2, optionally rebased by rng."""
+    base = name.split()[0]
+    H = s3_crossed() if base == "F(S3)xZ2" else build_algebra(base)
+    return rebased(H, rng) if name.endswith("rebased") else H
+
+
 CERTIFICATE_INPUTS = sorted(CATALOG_NAMES) + ["F(S3)xZ2", "F(S3)xZ2 rebased", "c_s3 rebased"]
 
 
 @pytest.mark.parametrize("name", CERTIFICATE_INPUTS)
 def test_certificate_matches_hopf_ideal_check(name, s3_crossed, monkeypatch):
     rng = random.Random("certificate " + name)
-    base = name.split()[0]
-    H = s3_crossed() if base == "F(S3)xZ2" else build_algebra(base)
-    if name.endswith("rebased"):
-        H = rebased(H, rng)
+    H = certificate_input(name, s3_crossed, rng)
     assert check_axioms(H).ok and H.verified
     subspaces = _random_subspaces(H, rng, 60)
 
@@ -633,3 +637,120 @@ def test_certificate_rejects_a_corrupted_quotient_under_optimize():
         "antipode the antipode condition fails",
         "star the star_closed condition fails",
     ]
+
+
+# --- sparse normality criteria against a dense reference -------------------------
+
+
+def dense_coset_algebras(Q):
+    """(A_GN, A_NG) as invariance kernels of dense d*dn tensors."""
+    G, field, d, dn = Q.parent, Q.parent.field, Q.parent.dim, Q.quotient.dim
+    ident = Matrix.identity(field, d)
+    unit_N = Q.quotient.unit_vec()
+    cols_r, cols_l = [], []
+    for i in range(d):
+        delta = G.comult_vec(basis_vec(field, d, i))
+        w = ident.kron_apply(Q.proj, delta)
+        v = Q.proj.kron_apply(ident, delta)
+        for b in range(dn):
+            w[i * dn + b] = w[i * dn + b] - unit_N[b]
+            v[b * d + i] = v[b * d + i] - unit_N[b]
+        cols_r.append(w)
+        cols_l.append(v)
+    return tuple(
+        Matrix.from_rows(field, [[cols[i][t] for i in range(d)] for t in range(d * dn)], ncols=d).kernel()
+        for cols in (cols_r, cols_l)
+    )
+
+
+def dense_expectation(Q, side):
+    """The conditional expectation from the dense coproduct tensor and dense pi."""
+    G, field, d = Q.parent, Q.parent.field, Q.parent.dim
+    hpi = [Q.quotient.haar_of(Q.proj.apply(basis_vec(field, d, k))) for k in range(d)]
+    E = Matrix.zeros(field, d, d)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                c = G.comult[i][j][k]
+                if side == "right":
+                    E.rows[j][i] = E.rows[j][i] + c * hpi[k]
+                else:
+                    E.rows[k][i] = E.rows[k][i] + c * hpi[j]
+    return E
+
+
+def dense_adjoint(G, a, side, products=None):
+    """ad(a) through the dense Delta(a), the dense coproduct tensor and dense
+    products with S; products caches them per pair (x, z)."""
+    field, d = G.field, G.dim
+    if products is None:
+        products = {}
+    out = zero_vec(field, d * d)
+    da = G.comult_vec(a)
+    for idx, c in enumerate(da):
+        if not c:
+            continue
+        x, rest = divmod(idx, d)
+        for y in range(d):
+            for z in range(d):
+                c2 = G.comult[rest][y][z]
+                if not c2:
+                    continue
+                if (x, z) not in products:
+                    if side == "left":
+                        products[x, z] = G.product(basis_vec(field, d, x), G.antipode.column(z))
+                    else:
+                        products[x, z] = G.product(G.antipode.column(x), basis_vec(field, d, z))
+                for t, p in enumerate(products[x, z]):
+                    out[y * d + t] = out[y * d + t] + c * c2 * p
+    return out
+
+
+def dense_a_normal(Q, side):
+    ident = Matrix.identity(Q.parent.field, Q.parent.dim)
+    products = {}
+    return not any(
+        any(Q.proj.kron_apply(ident, dense_adjoint(Q.parent, b, side, products)))
+        for b in Q.ideal.basis()
+    )
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_INPUTS)
+def test_sparse_criteria_match_dense_reference(name, s3_crossed):
+    # the same rebased inputs as the certificate test
+    rng = random.Random("certificate " + name)
+    H = certificate_input(name, s3_crossed, rng)
+    d = H.dim
+    for Q in enumerate_quantum_subgroups(H):
+        assert coset_algebras(Q) == dense_coset_algebras(Q)
+        for side in ("right", "left"):
+            E = dense_expectation(Q, side)
+            assert conditional_expectation(Q, side).matrix == E
+            assert conditional_expectation(Q, side).image() == E.image()
+        assert is_left_a_normal(Q) == dense_a_normal(Q, "left")
+        assert is_right_a_normal(Q) == dense_a_normal(Q, "right")
+        for k in range(d):
+            assert Q.haar_pi(basis_vec(H.field, d, k)) == Q.quotient.haar_of(Q.pi(basis_vec(H.field, d, k)))
+    for _ in range(3):
+        a = _random_vector(H, rng)
+        for side in ("left", "right"):
+            assert adjoint_coaction(H, a, side) == dense_adjoint(H, a, side)
+
+
+def test_normality_report_needs_no_dense_tensor(monkeypatch):
+    Z2 = FiniteGroup.cyclic(2)
+    H = function_algebra(FiniteGroup.direct_product(FiniteGroup.direct_product(Z2, Z2), Z2))
+    subs = enumerate_quantum_subgroups(H)
+    P = peter_weyl(H)
+    P.blocks()
+
+    def forbidden(*args):
+        raise AssertionError("a dense tensor was formed")
+
+    monkeypatch.setattr(Matrix, "kron_apply", forbidden)
+    monkeypatch.setattr(HopfStarAlgebra, "comult_vec", forbidden)
+    assert len(subs) == 16
+    for Q in subs:
+        report = normality_report(Q, P)
+        assert report.agree
+        assert report.normal == is_normal_coset(Q)
