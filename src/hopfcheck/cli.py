@@ -418,7 +418,7 @@ def cli_dispatch(argv) -> tuple:
         code, results = EXIT_USAGE, {"error": type(exc).__name__, "detail": str(exc)}
     except TheoremViolation as exc:
         code, results = EXIT_THEOREM, {"error": "TheoremViolation", "detail": str(exc)}
-    except (HopfcheckError, AssertionError) as exc:
+    except HopfcheckError as exc:
         code, results = EXIT_FAIL, {"error": type(exc).__name__, "detail": str(exc)}
     report["results"] = results
     report["exit_code"] = code

@@ -41,30 +41,35 @@ class FiniteGroup:
         self.order = len(table)
         self.table = [list(row) for row in table]
         n = self.order
-        assert n >= 1
+        if n < 1:
+            raise SchemaError("a group table needs at least one row")
         if labels is None:
             labels = ["g%d" % i for i in range(n)]
-        assert len(labels) == n and len(set(labels)) == n
+        if len(labels) != n or len(set(labels)) != n:
+            raise SchemaError("a group of order %d needs %d distinct labels" % (n, n))
         self.labels = list(labels)
         if validate:
             for row in self.table:
-                assert len(row) == n and all(0 <= x < n for x in row)
-                assert sorted(row) == list(range(n)), "row is not a permutation"
+                if sorted(row) != list(range(n)):
+                    raise SchemaError("invalid group table: row is not a permutation")
             for j in range(n):
                 col = [self.table[i][j] for i in range(n)]
-                assert sorted(col) == list(range(n)), "column is not a permutation"
+                if sorted(col) != list(range(n)):
+                    raise SchemaError("invalid group table: column is not a permutation")
             for a in range(n):
                 for b in range(n):
                     for c in range(n):
                         if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                             raise SchemaError("multiplication table is not associative")
         idn = [e for e in range(n) if all(self.table[e][j] == j == self.table[j][e] for j in range(n))]
-        assert len(idn) == 1, "table has no two-sided identity"
+        if len(idn) != 1:
+            raise SchemaError("invalid group table: no two-sided identity")
         self.identity = idn[0]
         self.inverses = [0] * n
         for a in range(n):
             inv = [b for b in range(n) if self.table[a][b] == self.identity]
-            assert len(inv) == 1
+            if len(inv) != 1:
+                raise SchemaError("invalid group table: %s has no unique inverse" % self.labels[a])
             self.inverses[a] = inv[0]
 
     def mul(self, a, b):
@@ -130,7 +135,8 @@ class FiniteGroup:
     @classmethod
     def dihedral(cls, n):
         """The dihedral group of order 2n: rotations r^k and reflections s r^k."""
-        assert n >= 1
+        if n < 1:
+            raise SchemaError("the dihedral group needs n >= 1")
         size = 2 * n
         table = [[0] * size for _ in range(size)]
         for a in range(n):
@@ -241,15 +247,9 @@ def group_algebra(G: FiniteGroup, field_order=None) -> HopfStarAlgebra:
     n = G.order
     field = CycField(_resolve_field_order(G.exponent(), field_order))
     one, zero = field.one, field.zero
-    mult = [
-        [[one if k == G.table[i][j] else zero for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    mult = [(i, j, G.table[i][j], one) for i in range(n) for j in range(n)]
     unit = [one if i == G.identity else zero for i in range(n)]
-    comult = [
-        [[one if (j == i and k == i) else zero for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    comult = [(i, i, i, one) for i in range(n)]
     counit = [one] * n
     antipode = [[one if j == G.inverses[i] else zero for i in range(n)] for j in range(n)]
     H = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, antipode, labels=list(G.labels))
@@ -265,15 +265,9 @@ def function_algebra(G: FiniteGroup, field_order=None) -> HopfStarAlgebra:
     n = G.order
     field = CycField(_resolve_field_order(G.exponent(), field_order))
     one, zero = field.one, field.zero
-    mult = [
-        [[one if (i == j and k == i) else zero for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    mult = [(i, i, i, one) for i in range(n)]
     unit = [one] * n
-    comult = [
-        [[one if G.table[j][k] == i else zero for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    comult = [(G.table[j][k], j, k, one) for j in range(n) for k in range(n)]
     counit = [one if i == G.identity else zero for i in range(n)]
     antipode = [[one if j == G.inverses[i] else zero for i in range(n)] for j in range(n)]
     star = [[one if j == i else zero for i in range(n)] for j in range(n)]
@@ -292,18 +286,14 @@ def group_of_function_algebra(F: HopfStarAlgebra) -> FiniteGroup:
         return F.meta["group"]
     n = F.dim
     field = F.field
-    one, zero = field.one, field.zero
-    for i in range(n):
-        for j in range(n):
-            want = one if i == j else zero
-            for k in range(n):
-                if F.mult[i][j][k] != (want if k == i else zero):
-                    raise SchemaError("not a function algebra: product is not pointwise")
+    one = field.one
+    if F.mult_entries() != [(i, i, i, one) for i in range(n)]:
+        raise SchemaError("not a function algebra: product is not pointwise")
     if F.unit != [one] * n:
         raise SchemaError("not a function algebra: unit is not the constant one")
     table = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j, k, c in F._comult_nz[i]:
+        for j, k, c in F.comult[i]:
             if c != one or table[j][k] is not None:
                 raise SchemaError("not a function algebra: comultiplication is not a group law")
             table[j][k] = i
@@ -335,13 +325,11 @@ def lift_algebra(H: HopfStarAlgebra, n: int) -> HopfStarAlgebra:
     def lv(vec):
         return [lift(x) for x in vec]
 
-    mult = [[lv(H.mult[i][j]) for j in range(H.dim)] for i in range(H.dim)]
-    comult = [[lv(row) for row in H.comult[i]] for i in range(H.dim)]
     out = HopfStarAlgebra(
         field,
-        mult,
+        [(i, j, k, lift(c)) for i, j, k, c in H.mult_entries()],
         lv(H.unit),
-        comult,
+        [(i, j, k, lift(c)) for i, j, k, c in H.comult_entries()],
         lv(H.counit),
         [lv(r) for r in H.antipode.rows],
         [lv(r) for r in H.star.rows],
@@ -361,28 +349,18 @@ def tensor_product(H1: HopfStarAlgebra, H2: HopfStarAlgebra) -> HopfStarAlgebra:
     n = lcm(H1.field.n, H2.field.n)
     A, B = lift_algebra(H1, n), lift_algebra(H2, n)
     field = A.field
-    d1, d2 = A.dim, B.dim
-    d = d1 * d2
-    zero = field.zero
-
-    mult = [[None] * d for _ in range(d)]
-    for i1 in range(d1):
-        for i2 in range(d2):
-            for j1 in range(d1):
-                for j2 in range(d2):
-                    mult[i1 * d2 + i2][j1 * d2 + j2] = tensor_vec(
-                        A.mult[i1][j1], B.mult[i2][j2]
-                    )
+    d2 = B.dim
+    mult = [
+        (i1 * d2 + i2, j1 * d2 + j2, k1 * d2 + k2, c1 * c2)
+        for i1, j1, k1, c1 in A.mult_entries()
+        for i2, j2, k2, c2 in B.mult_entries()
+    ]
     unit = tensor_vec(A.unit, B.unit)
-    comult = []
-    for i1 in range(d1):
-        ca = A._comult_nz[i1]
-        for i2 in range(d2):
-            rows = [[zero] * d for _ in range(d)]
-            for j1, k1, c1 in ca:
-                for j2, k2, c2 in B._comult_nz[i2]:
-                    rows[j1 * d2 + j2][k1 * d2 + k2] = c1 * c2
-            comult.append(rows)
+    comult = [
+        (i1 * d2 + i2, j1 * d2 + j2, k1 * d2 + k2, c1 * c2)
+        for i1, j1, k1, c1 in A.comult_entries()
+        for i2, j2, k2, c2 in B.comult_entries()
+    ]
     counit = tensor_vec(A.counit, B.counit)
     antipode = A.antipode.kron(B.antipode)
     star = A.star.kron(B.star)
@@ -422,7 +400,7 @@ def tensor_subgroup(Q1: QuantumSubgroup, Q2: QuantumSubgroup) -> QuantumSubgroup
     """The product subgroup N1 x N2 of G1 x G2, with its coset identity.
 
     The projection is pi1 (x) pi2; the coset algebra of the result must equal
-    the tensor product of the two coset algebras, and this is asserted.
+    the tensor product of the two coset algebras, and this is checked.
     """
     T = tensor_product(Q1.parent, Q2.parent)
     field = T.field
@@ -435,7 +413,8 @@ def tensor_subgroup(Q1: QuantumSubgroup, Q2: QuantumSubgroup) -> QuantumSubgroup
     big = p1.kron(p2)
     ideal = big.kernel()
     Q = make_subgroup(T, ideal)
-    assert Q.quotient.dim == Q1.quotient.dim * Q2.quotient.dim
+    if Q.quotient.dim != Q1.quotient.dim * Q2.quotient.dim:
+        raise TheoremViolation("quotient dimension does not match N1 x N2")
 
     A1, _ = coset_algebras(Q1)
     A2, _ = coset_algebras(Q2)
@@ -463,7 +442,8 @@ class GroupAction:
     __slots__ = ("group", "target", "maps")
 
     def __init__(self, group: FiniteGroup, target: HopfStarAlgebra, maps, validate=True):
-        assert len(maps) == group.order
+        if len(maps) != group.order:
+            raise SchemaError("an action needs one map per group element")
         self.group = group
         self.target = target
         self.maps = [
@@ -494,7 +474,10 @@ class GroupAction:
             cols = M.columns()
             for i in range(d):
                 for j in range(d):
-                    if M.apply(A.mult[i][j]) != A.product(cols[i], cols[j]):
+                    lhs = zero_vec(field, d)
+                    for k, c in A.mult[i][j]:
+                        lhs = [x + c * y for x, y in zip(lhs, cols[k])]
+                    if lhs != A.product(cols[i], cols[j]):
                         raise SchemaError("action map %d is not multiplicative" % t)
             for i in range(d):
                 lhs = A.comult_vec(cols[i])
@@ -557,7 +540,6 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
     field = A.field
     dA, o = A.dim, G.order
     d = dA * o
-    zero = field.zero
 
     def mixed(vec, t):
         out = zero_vec(field, d)
@@ -566,23 +548,24 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
                 out[k * o + t] = c
         return out
 
-    mult = [[None] * d for _ in range(d)]
+    mult = []
     acols = [m.columns() for m in action.maps]
     for i in range(dA):
         for s in range(o):
             for j in range(dA):
-                for t in range(o):
-                    w = A.product(basis_vec(field, dA, i), acols[s][j])
-                    mult[i * o + s][j * o + t] = mixed(w, G.table[s][t])
+                w = A.product(basis_vec(field, dA, i), acols[s][j])
+                mult += [
+                    (i * o + s, j * o + t, k * o + G.table[s][t], c)
+                    for t in range(o)
+                    for k, c in enumerate(w)
+                    if c
+                ]
     unit = mixed(A.unit, G.identity)
-    comult = []
-    for i in range(dA):
-        nz = A._comult_nz[i]
-        for t in range(o):
-            rows = [[zero] * d for _ in range(d)]
-            for j, k, c in nz:
-                rows[j * o + t][k * o + t] = c
-            comult.append(rows)
+    comult = [
+        (i * o + t, j * o + t, k * o + t, c)
+        for i, j, k, c in A.comult_entries()
+        for t in range(o)
+    ]
     counit = [A.counit[i] for i in range(dA) for _t in range(o)]
     anti_cols = []
     star_cols = []
@@ -617,7 +600,7 @@ def crossed_canonical_subgroup(X: HopfStarAlgebra) -> QuantumSubgroup:
 
     pi(a gamma) = eps(a) gamma maps onto the group algebra of Gamma; the
     resulting subgroup is normal (all four criteria) and its coset algebra
-    is the embedded copy of A, both of which are asserted.
+    is the embedded copy of A, both of which are checked.
     """
     info = _crossed_info(X)
     A, G = info["inner"], info["group"]
@@ -656,7 +639,7 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I, K) -> QuantumSubgroup:
     """The subgroup (A/I) x| (Gamma/K) of A x| Gamma.
 
     I must be an action-invariant Hopf *-ideal with A/I normal in A, and K a
-    normal subgroup of Gamma acting trivially.  The coset algebra is asserted
+    normal subgroup of Gamma acting trivially.  The coset algebra is checked
     to be the span of B x| K for B the coset algebra of the inner pair, and
     the trivial-set size must factor accordingly.
     """
@@ -706,7 +689,8 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I, K) -> QuantumSubgroup:
                 if pv:
                     P.rows[b * GQ.order + c][i * o + t] = pv
     Q = make_subgroup(X, P.kernel())
-    assert Q.quotient.dim == Y.dim, "quotient dimension does not match (A/I) x| (Gamma/K)"
+    if Q.quotient.dim != Y.dim:
+        raise TheoremViolation("quotient dimension does not match (A/I) x| (Gamma/K)")
 
     report = normality_report(Q)
     if not report.normal:

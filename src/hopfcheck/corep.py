@@ -160,7 +160,7 @@ def _extract_block(H, p, gauge):
     # the coefficient space inside the algebra: image of (id (x) p) Delta
     P = Matrix.zeros(field, d, d)
     for i in range(d):
-        for j, k, c in H._comult_nz[i]:
+        for j, k, c in H.comult[i]:
             pk = p[k]
             if pk:
                 P.rows[j][i] = P.rows[j][i] + c * pk
@@ -179,7 +179,7 @@ def _extract_block(H, p, gauge):
     q = find_primitive_idempotent(H, block_D.basis(), p, gauge)
     Q = Matrix.zeros(field, d, d)
     for i in range(d):
-        for j, k, c in H._comult_nz[i]:
+        for j, k, c in H.comult[i]:
             qk = q[k]
             if qk:
                 Q.rows[j][i] = Q.rows[j][i] + c * qk
@@ -232,7 +232,7 @@ def peter_weyl(H: HopfStarAlgebra, force_recompute: bool = False, gauge: int = 0
 
 
 def _split(H, gauge):
-    return _complete(H, [_extract_block(H, p, gauge) for p in split_center(H, gauge)])
+    return _complete(H, [_extract_block(H, p, gauge) for p in split_center(H)])
 
 
 def _from_attached(H):

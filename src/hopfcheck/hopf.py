@@ -1,12 +1,22 @@
 """Finite-dimensional Hopf *-algebras given by exact structure constants.
 
 Conventions (all column-style):
-  mult[i][j][k]    coefficient of e_k in e_i * e_j
-  unit[i]          1 = sum_i unit[i] e_i
-  comult[i][j][k]  coefficient of e_j (x) e_k in Delta(e_i)
-  counit[i]        eps(e_i)
-  antipode[j][i]   coefficient of e_j in S(e_i)
-  star[j][i]       (e_i)* = sum_j star[j][i] e_j, extended antilinearly
+  mult entry (i, j, k, c)    e_i * e_j has coefficient c on e_k
+  unit[i]                    1 = sum_i unit[i] e_i
+  comult entry (i, j, k, c)  Delta(e_i) has coefficient c on e_j (x) e_k
+  counit[i]                  eps(e_i)
+  antipode[j][i]             coefficient of e_j in S(e_i)
+  star[j][i]                 (e_i)* = sum_j star[j][i] e_j, extended antilinearly
+
+The product and coproduct are given and stored sparsely, never as d^3
+tensors.  The constructor takes any iterable of (i, j, k, c) entries (the
+shape of the sparse entries of a .hopf.json file): it coerces each scalar,
+raises SchemaError on an index out of range or a repeated (i, j, k), and
+drops the zero entries.  It stores
+  H.mult[i][j]   a tuple of the (k, c) with c != 0, sorted by k
+  H.comult[i]    a tuple of the (j, k, c) with c != 0, sorted by (j, k)
+and H.mult_entries() / H.comult_entries() list the entries back in index
+order.  The antipode and star are Matrix objects.
 
 The Kac conditions (S^2 = id, tracial positive Haar) are part of the axiom
 report, so everything downstream may assume them once the report is clean.
@@ -41,9 +51,7 @@ class HopfStarAlgebra:
         self.dim = d
         sc = field.scalar
         try:
-            self.mult = [[[sc(mult[i][j][k]) for k in range(d)] for j in range(d)] for i in range(d)]
             self.unit = [sc(unit[i]) for i in range(d)]
-            self.comult = [[[sc(comult[i][j][k]) for k in range(d)] for j in range(d)] for i in range(d)]
             self.counit = [sc(counit[i]) for i in range(d)]
             self.antipode = Matrix(field, [[antipode[i][j] for j in range(d)] for i in range(d)])
             self.star = Matrix(field, [[star[i][j] for j in range(d)] for i in range(d)])
@@ -54,19 +62,14 @@ class HopfStarAlgebra:
         if len(labels) != d:
             raise SchemaError("expected %d basis labels, got %d" % (d, len(labels)))
         self.labels = list(labels)
-        self._mult_nz = [
-            [tuple((k, c) for k, c in enumerate(self.mult[i][j]) if c) for j in range(d)]
-            for i in range(d)
-        ]
-        self._comult_nz = [
-            tuple(
-                (j, k, self.comult[i][j][k])
-                for j in range(d)
-                for k in range(d)
-                if self.comult[i][j][k]
-            )
-            for i in range(d)
-        ]
+        mult_terms = [[[] for _ in range(d)] for _ in range(d)]
+        for (i, j, k), c in _sparse_entries(sc, d, mult, "mult"):
+            mult_terms[i][j].append((k, c))
+        self.mult = [[tuple(terms) for terms in row] for row in mult_terms]
+        comult_terms = [[] for _ in range(d)]
+        for (i, j, k), c in _sparse_entries(sc, d, comult, "comult"):
+            comult_terms[i].append((j, k, c))
+        self.comult = [tuple(terms) for terms in comult_terms]
         self._star_nz = self.star.sparse_columns()
         self._anti_nz = self.antipode.sparse_columns()
         self._memo = {}
@@ -93,6 +96,19 @@ class HopfStarAlgebra:
         """The memoized Peter-Weyl data, or None before the first peter_weyl."""
         return self._memo.get("peter_weyl")
 
+    def mult_entries(self):
+        """The nonzero product entries (i, j, k, c), in index order."""
+        return [
+            (i, j, k, c)
+            for i, row in enumerate(self.mult)
+            for j, terms in enumerate(row)
+            for k, c in terms
+        ]
+
+    def comult_entries(self):
+        """The nonzero coproduct entries (i, j, k, c), in index order."""
+        return [(i, j, k, c) for i, terms in enumerate(self.comult) for j, k, c in terms]
+
     # -- basic maps ---------------------------------------------------------
 
     def unit_vec(self):
@@ -104,7 +120,7 @@ class HopfStarAlgebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            nz_i = self._mult_nz[i]
+            nz_i = self.mult[i]
             for j, yj in y_nz:
                 terms = nz_i[j]
                 if terms:
@@ -118,7 +134,7 @@ class HopfStarAlgebra:
         out = zero_vec(self.field, d * d)
         for i, xi in enumerate(x):
             if xi:
-                for j, k, c in self._comult_nz[i]:
+                for j, k, c in self.comult[i]:
                     out[j * d + k] = out[j * d + k] + xi * c
         return out
 
@@ -136,21 +152,13 @@ class HopfStarAlgebra:
         return self.star.apply([c.conjugate() for c in x])
 
     def is_commutative(self):
-        for i in range(self.dim):
-            for j in range(i):
-                if self.product(basis_vec(self.field, self.dim, i), basis_vec(self.field, self.dim, j)) != self.product(
-                    basis_vec(self.field, self.dim, j), basis_vec(self.field, self.dim, i)
-                ):
-                    return False
-        return True
+        return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
 
     def is_cocommutative(self):
-        d = self.dim
-        for i in range(d):
-            for j, k, c in self._comult_nz[i]:
-                if self.comult[i][k][j] != c:
-                    return False
-        return True
+        return all(
+            {(j, k): c for j, k, c in terms} == {(k, j): c for j, k, c in terms}
+            for terms in self.comult
+        )
 
     # -- Haar ---------------------------------------------------------------
 
@@ -168,6 +176,36 @@ class HopfStarAlgebra:
 
     def __repr__(self):
         return "HopfStarAlgebra(dim %d over Q(zeta_%d))" % (self.dim, self.field.n)
+
+
+def _sparse_entries(sc, d, entries, name):
+    """The nonzero ((i, j, k), c) of a structure tensor given by entries, in
+    index order; SchemaError on a malformed, out-of-range or repeated entry."""
+    out = {}
+    for entry in entries:
+        try:
+            i, j, k, c = entry
+            c = sc(c)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError("%s entries are (i, j, k, scalar), got %r" % (name, entry)) from exc
+        key = (i, j, k)
+        if not all(type(x) is int and 0 <= x < d for x in key):
+            raise SchemaError("%s index out of range in %r" % (name, key))
+        if key in out:
+            raise SchemaError("repeated %s entry %r" % (name, key))
+        out[key] = c
+    return [(key, out[key]) for key in sorted(out) if out[key]]
+
+
+def add_terms(acc, scale, terms):
+    """acc[k] += scale * c over the (k, c) in terms."""
+    for k, c in terms:
+        v = scale * c
+        acc[k] = acc[k] + v if k in acc else v
+
+
+def _nonzero(acc):
+    return {k: v for k, v in acc.items() if v}
 
 
 class LinearEndo:
@@ -232,7 +270,7 @@ def convolve(H, f, g):
     gcols = G.columns()
     for i in range(d):
         acc = zero_vec(H.field, d)
-        for j, k, c in H._comult_nz[i]:
+        for j, k, c in H.comult[i]:
             prod = H.product(fcols[j], gcols[k])
             for t, p in enumerate(prod):
                 if p:
@@ -256,7 +294,7 @@ def compute_haar(H):
     for i in range(d):
         right = [[field.zero] * d for _ in range(d)]  # (id (x) h) Delta(e_i) = h(e_i) 1
         left = [[field.zero] * d for _ in range(d)]  # (h (x) id) Delta(e_i) = h(e_i) 1
-        for j, k, c in H._comult_nz[i]:
+        for j, k, c in H.comult[i]:
             right[j][k] = right[j][k] + c
             left[k][j] = left[k][j] + c
         for sys in (right, left):
@@ -346,14 +384,16 @@ def check_axioms(H):
     run("unit", unit_fails())
 
     def assoc_fails():
-        prods = [[H.mult[i][j] for j in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(d):
-                pij = prods[i][j]
                 for k in range(d):
-                    lhs = H.product(pij, ebasis[k])
-                    rhs = H.product(ebasis[i], prods[j][k])
-                    if lhs != rhs:
+                    lhs = {}
+                    rhs = {}
+                    for m, c in H.mult[i][j]:
+                        add_terms(lhs, c, H.mult[m][k])
+                    for m, c in H.mult[j][k]:
+                        add_terms(rhs, c, H.mult[i][m])
+                    if _nonzero(lhs) != _nonzero(rhs):
                         yield (i, j, k)
 
     run("associativity", assoc_fails())
@@ -362,7 +402,7 @@ def check_axioms(H):
         for i in range(d):
             lhs = zero_vec(field, d)
             rhs = zero_vec(field, d)
-            for j, k, c in H._comult_nz[i]:
+            for j, k, c in H.comult[i]:
                 if H.counit[k]:
                     lhs[j] = lhs[j] + c * H.counit[k]
                 if H.counit[j]:
@@ -376,16 +416,14 @@ def check_axioms(H):
         for i in range(d):
             lhs = {}
             rhs = {}
-            for j, k, c in H._comult_nz[i]:
-                for a, b, c2 in H._comult_nz[j]:
+            for j, k, c in H.comult[i]:
+                for a, b, c2 in H.comult[j]:
                     key = (a, b, k)
                     lhs[key] = lhs.get(key, field.zero) + c * c2
-                for a, b, c2 in H._comult_nz[k]:
+                for a, b, c2 in H.comult[k]:
                     key = (j, a, b)
                     rhs[key] = rhs.get(key, field.zero) + c * c2
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
+            if _nonzero(lhs) != _nonzero(rhs):
                 yield (i,)
 
     run("coassociativity", coassoc_fails())
@@ -406,21 +444,19 @@ def check_axioms(H):
         for i in range(d):
             for j in range(d):
                 lhs = {}
-                for k, c in H._mult_nz[i][j]:
-                    for a, b, c2 in H._comult_nz[k]:
+                for k, c in H.mult[i][j]:
+                    for a, b, c2 in H.comult[k]:
                         key = (a, b)
                         lhs[key] = lhs.get(key, field.zero) + c * c2
                 rhs = {}
-                for a, b, c1 in H._comult_nz[i]:
-                    for p, q, c2 in H._comult_nz[j]:
+                for a, b, c1 in H.comult[i]:
+                    for p, q, c2 in H.comult[j]:
                         c12 = c1 * c2
-                        for r, m1 in H._mult_nz[a][p]:
-                            for s, m2 in H._mult_nz[b][q]:
+                        for r, m1 in H.mult[a][p]:
+                            for s, m2 in H.mult[b][q]:
                                 key = (r, s)
                                 rhs[key] = rhs.get(key, field.zero) + c12 * m1 * m2
-                lhs = {k: v for k, v in lhs.items() if v}
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
+                if _nonzero(lhs) != _nonzero(rhs):
                     yield (i, j)
 
     run("comult_multiplicative", comult_mult_fails())
@@ -429,7 +465,7 @@ def check_axioms(H):
         for i in range(d):
             for j in range(d):
                 lhs = field.zero
-                for k, c in H._mult_nz[i][j]:
+                for k, c in H.mult[i][j]:
                     if H.counit[k]:
                         lhs = lhs + c * H.counit[k]
                 if lhs != H.counit[i] * H.counit[j]:
@@ -440,7 +476,7 @@ def check_axioms(H):
     def antipode_fails(side):
         for i in range(d):
             acc = zero_vec(field, d)
-            for j, k, c in H._comult_nz[i]:
+            for j, k, c in H.comult[i]:
                 if side == "left":
                     prod = H.product(H.antipode.column(j), ebasis[k])
                 else:
@@ -465,9 +501,11 @@ def check_axioms(H):
         scols = H.star.columns()
         for i in range(d):
             for j in range(d):
-                lhs = H.star_vec(H.mult[i][j])
+                lhs = {}
+                for k, c in H.mult[i][j]:
+                    add_terms(lhs, c.conjugate(), H._star_nz[k])
                 rhs = H.product(scols[j], scols[i])
-                if lhs != rhs:
+                if _nonzero(lhs) != _nonzero(dict(enumerate(rhs))):
                     yield (i, j)
 
     run("star_antimultiplicative", star_antimult_fails())
@@ -477,7 +515,7 @@ def check_axioms(H):
         for i in range(d):
             lhs = H.comult_vec(scols[i])
             rhs = zero_vec(field, d * d)
-            for j, k, c in H._comult_nz[i]:
+            for j, k, c in H.comult[i]:
                 cc = c.conjugate()
                 for a, sa in enumerate(scols[j]):
                     if sa:
@@ -522,9 +560,12 @@ def check_axioms(H):
     if haar is not None:
 
         def tracial_fails():
+            def h(terms):
+                return sum((c * haar[k] for k, c in terms), field.zero)
+
             for i in range(d):
                 for j in range(i + 1, d):
-                    if H.haar_of(H.mult[i][j]) != H.haar_of(H.mult[j][i]):
+                    if h(H.mult[i][j]) != h(H.mult[j][i]):
                         yield (i, j)
 
         run("haar_tracial", tracial_fails())
@@ -580,21 +621,15 @@ def dual(H):
 
 
 def _build_dual(H):
-    d = H.dim
-    field = H.field
-    mult = [[[H.comult[i][j][k] for i in range(d)] for k in range(d)] for j in range(d)]
-    unit = list(H.counit)
-    comult = [[[H.mult[a][b][k] for b in range(d)] for a in range(d)] for k in range(d)]
-    counit = list(H.unit)
     antipode = H.antipode.transpose()
     star = (H.star.conjugate() * H.antipode).transpose()
     labels = [lbl + "^" for lbl in H.labels]
     return HopfStarAlgebra(
-        field,
-        mult,
-        unit,
-        comult,
-        counit,
+        H.field,
+        [(j, k, i, c) for i, j, k, c in H.comult_entries()],
+        list(H.counit),
+        [(k, a, b, c) for a, b, k, c in H.mult_entries()],
+        list(H.unit),
         [list(r) for r in antipode.rows],
         [list(r) for r in star.rows],
         labels=labels,
@@ -625,7 +660,13 @@ def sub_hopf_algebra(H, B):
             raise SchemaError("subspace is not closed under the Hopf *-operations")
         return c
 
-    mult = [[coords(H.product(basis[i], basis[j])) for j in range(r)] for i in range(r)]
+    mult = [
+        (i, j, k, c)
+        for i in range(r)
+        for j in range(r)
+        for k, c in enumerate(coords(H.product(basis[i], basis[j])))
+        if c
+    ]
     unit = coords(H.unit_vec())
     comult = []
     tens = Subspace.from_vectors(
@@ -635,8 +676,11 @@ def sub_hopf_algebra(H, B):
         w = H.comult_vec(basis[i])
         if not tens.contains(w):
             raise SchemaError("comultiplication does not stay inside B (x) B")
-        rows = [[w[pivots[a] * d + pivots[b]] for b in range(r)] for a in range(r)]
-        comult.append(rows)
+        for a in range(r):
+            for b in range(r):
+                c = w[pivots[a] * d + pivots[b]]
+                if c:
+                    comult.append((i, a, b, c))
     counit = [H.counit_of(basis[i]) for i in range(r)]
     anti = [coords(H.antipode_vec(basis[i])) for i in range(r)]
     star = [coords(H.star_vec(basis[i])) for i in range(r)]

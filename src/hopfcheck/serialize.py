@@ -4,7 +4,8 @@ Scalars serialize as "p/q" strings when rational and as
 {"order": n, "coeffs": ["p/q", ...]} otherwise; loading accepts either form
 (plus plain integers) in any scalar position.  Structure tensors are written
 sparsely with entries ordered lexicographically by index, so saved files are
-byte-deterministic; dense tensors are accepted on input.
+byte-deterministic; dense tensors are accepted on input.  A sparse tensor
+that lists the same [i, j, k] twice is rejected.
 """
 
 from __future__ import annotations
@@ -68,68 +69,36 @@ def _parse_matrix(field, obj, d, what):
     return [_parse_vector(field, row, d, what + " row") for row in obj]
 
 
-def _parse_mult(field, obj, d):
+def _parse_tensor(field, obj, d, name):
+    """The (i, j, k, scalar) entries of a dense or sparse mult/comult; the
+    algebra constructor checks their indices and rejects repeats."""
     if not isinstance(obj, list):
-        raise SchemaError("mult must be a list")
+        raise SchemaError("%s must be a list" % name)
     dense = bool(obj) and isinstance(obj[0], list) and obj[0] and isinstance(obj[0][0], list)
     if dense or not obj:
         if len(obj) != d:
-            raise SchemaError("dense mult must have %d layers" % d)
+            raise SchemaError("dense %s must have %d layers" % (name, d))
         return [
-            [_parse_vector(field, obj[i][j], d, "mult[%d][%d]" % (i, j)) for j in range(d)]
+            (i, j, k, c)
             for i in range(d)
+            for j, row in enumerate(_parse_matrix(field, obj[i], d, "%s[%d]" % (name, i)))
+            for k, c in enumerate(row)
+            if c
         ]
-    out = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
     for entry in obj:
         if not isinstance(entry, list) or len(entry) != 4:
-            raise SchemaError("sparse mult entries are [i, j, k, scalar]")
-        i, j, k = entry[0], entry[1], entry[2]
-        if not all(isinstance(x, int) and 0 <= x < d for x in (i, j, k)):
-            raise SchemaError("mult index out of range in %r" % entry)
-        out[i][j][k] = scalar_from_json(field, entry[3])
-    return out
-
-
-def _parse_comult(field, obj, d):
-    if not isinstance(obj, list):
-        raise SchemaError("comult must be a list")
-    dense = bool(obj) and isinstance(obj[0], list) and obj[0] and isinstance(obj[0][0], list)
-    if dense or not obj:
-        if len(obj) != d:
-            raise SchemaError("dense comult must have %d layers" % d)
-        return [_parse_matrix(field, obj[i], d, "comult[%d]" % i) for i in range(d)]
-    out = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
-    for entry in obj:
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise SchemaError("sparse comult entries are [i, j, k, scalar]")
-        i, j, k = entry[0], entry[1], entry[2]
-        if not all(isinstance(x, int) and 0 <= x < d for x in (i, j, k)):
-            raise SchemaError("comult index out of range in %r" % entry)
-        out[i][j][k] = scalar_from_json(field, entry[3])
-    return out
+            raise SchemaError("sparse %s entries are [i, j, k, scalar]" % name)
+    return [(i, j, k, scalar_from_json(field, c)) for i, j, k, c in obj]
 
 
 def algebra_to_dict(H: HopfStarAlgebra) -> dict:
-    d = H.dim
-    mult = []
-    for i in range(d):
-        for j in range(d):
-            for k, c in enumerate(H.mult[i][j]):
-                if c:
-                    mult.append([i, j, k, scalar_to_json(c)])
-    comult = []
-    for i in range(d):
-        for j in range(d):
-            for k, c in enumerate(H.comult[i][j]):
-                if c:
-                    comult.append([i, j, k, scalar_to_json(c)])
     return {
-        "dim": d,
+        "dim": H.dim,
         "field_order": H.field.n,
         "basis_labels": list(H.labels),
-        "mult": mult,
+        "mult": [[i, j, k, scalar_to_json(c)] for i, j, k, c in H.mult_entries()],
         "unit": [scalar_to_json(x) for x in H.unit],
-        "comult": comult,
+        "comult": [[i, j, k, scalar_to_json(c)] for i, j, k, c in H.comult_entries()],
         "counit": [scalar_to_json(x) for x in H.counit],
         "antipode": [[scalar_to_json(x) for x in row] for row in H.antipode.rows],
         "star": [[scalar_to_json(x) for x in row] for row in H.star.rows],
@@ -149,9 +118,9 @@ def algebra_from_dict(data: dict) -> HopfStarAlgebra:
     labels = _require(data, "basis_labels")
     if not isinstance(labels, list) or len(labels) != d:
         raise SchemaError("basis_labels must list %d strings" % d)
-    mult = _parse_mult(field, _require(data, "mult"), d)
+    mult = _parse_tensor(field, _require(data, "mult"), d, "mult")
     unit = _parse_vector(field, _require(data, "unit"), d, "unit")
-    comult = _parse_comult(field, _require(data, "comult"), d)
+    comult = _parse_tensor(field, _require(data, "comult"), d, "comult")
     counit = _parse_vector(field, _require(data, "counit"), d, "counit")
     antipode = _parse_matrix(field, _require(data, "antipode"), d, "antipode")
     star = _parse_matrix(field, _require(data, "star"), d, "star")
@@ -193,10 +162,7 @@ def group_from_dict(data) -> FiniteGroup:
     order = _require(data, "order")
     if not isinstance(table, list) or len(table) != order:
         raise SchemaError("table must be an order x order index matrix")
-    try:
-        return FiniteGroup(table, labels)
-    except AssertionError as exc:
-        raise SchemaError("invalid group table: %s" % exc) from exc
+    return FiniteGroup(table, labels)
 
 
 def save_group(G: FiniteGroup, path):

@@ -26,7 +26,7 @@ def dual_product(H, f, g):
     out = zero_vec(H.field, H.dim)
     for i in range(H.dim):
         acc = H.field.zero
-        for j, k, c in H._comult_nz[i]:
+        for j, k, c in H.comult[i]:
             fj = f[j]
             if fj:
                 gk = g[k]
@@ -48,7 +48,7 @@ def center_of_dual(H):
     for t in range(d):
         for i in range(d):
             row = zero_vec(field, d)
-            for j, k, c in H._comult_nz[i]:
+            for j, k, c in H.comult[i]:
                 if k == t:
                     row[j] = row[j] + c
                 if j == t:
@@ -164,7 +164,7 @@ def _lll_candidates(field, z, max_den):
     return cands
 
 
-def exact_eigen_split(M, gauge=0):
+def exact_eigen_split(M):
     """All eigenpairs of M over its own field, exactly verified.
 
     Returns a list of (eigenvalue, eigenspace) covering the whole space;
@@ -204,7 +204,7 @@ def exact_eigen_split(M, gauge=0):
     raise SplittingFailed(field.n, "eigenvalues of a multiplication operator not found in the field")
 
 
-def split_center(H, gauge=0):
+def split_center(H):
     """Minimal central idempotents of the dual algebra, exactly verified."""
     field = H.field
     center = center_of_dual(H)
@@ -243,7 +243,7 @@ def split_center(H, gauge=0):
             Mv = Matrix.from_rows(
                 field, [[sub_rows[b][a] for b in range(V.dim)] for a in range(V.dim)], ncols=V.dim
             )
-            for _val, ker in exact_eigen_split(Mv, gauge):
+            for _val, ker in exact_eigen_split(Mv):
                 vecs = [lincomb(field, c, kv, R) for kv in ker.basis()]
                 refined.append(Subspace.from_vectors(field, c, vecs))
         blocks = refined

@@ -9,7 +9,7 @@ four answers are provably equal and a disagreement is raised loudly rather
 than suppressed.
 
 Every criterion is computed from the sparse structure constants of the
-parent (`_comult_nz`, `_mult_nz`, `_anti_nz`) and the sparse projection
+parent (`comult`, `mult`, `_anti_nz`) and the sparse projection
 columns, without forming a dense tensor of length d^2.  The coset algebras
 are still computed two ways, as invariance kernels and as conditional
 expectation images, and the two are cross-checked exactly.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .corep import peter_weyl
 from .errors import NotHopfIdeal, SchemaError, TheoremViolation
-from .hopf import HopfStarAlgebra, LinearEndo, check_axioms, convolve, linear_quotient
+from .hopf import HopfStarAlgebra, LinearEndo, add_terms, check_axioms, convolve, linear_quotient
 from .linalg import Matrix, Subspace, basis_vec, solve_linear, zero_vec
 
 
@@ -183,17 +183,23 @@ def _quotient_algebra(G: HopfStarAlgebra, P, reps) -> HopfStarAlgebra:
                 out[i] = out[i] + c * p
         return out
 
-    mult = [[image(G._mult_nz[r][s]) for s in reps] for r in reps]
+    mult = [
+        (a, b, k, c)
+        for a, r in enumerate(reps)
+        for b, s in enumerate(reps)
+        for k, c in enumerate(image(G.mult[r][s]))
+        if c
+    ]
     unit = image((k, u) for k, u in enumerate(G.unit) if u)
     comult = []
-    for r in reps:
-        w = [[field.zero] * dn for _ in range(dn)]
-        for j, k, c in G._comult_nz[r]:
+    for a, r in enumerate(reps):
+        w = {}
+        for j, k, c in G.comult[r]:
             for x, p in P[j]:
                 cp = c * p
                 for y, q in P[k]:
-                    w[x][y] = w[x][y] + cp * q
-        comult.append(w)
+                    w[x, y] = w[x, y] + cp * q if (x, y) in w else cp * q
+        comult += [(a, x, y, c) for (x, y), c in w.items()]
     counit = [G.counit[r] for r in reps]
     anti_cols = [image(G._anti_nz[r]) for r in reps]
     star_cols = [image(G._star_nz[r]) for r in reps]
@@ -224,17 +230,16 @@ def _certificate_failure(G: HopfStarAlgebra, P, N: HopfStarAlgebra):
     def push(acc, terms):
         """acc += the projection of sum c e_k over the (k, c) in terms."""
         for k, c in terms:
-            for i, p in P[k]:
-                acc[i] = acc.get(i, zero) + c * p
+            add_terms(acc, c, P[k])
 
     for a in range(d):
         for b in range(d):
             acc = {}
-            push(acc, G._mult_nz[a][b])
+            push(acc, G.mult[a][b])
             for i, x in P[a]:
                 for j, y in P[b]:
                     xy = x * y
-                    for k, m in N._mult_nz[i][j]:
+                    for k, m in N.mult[i][j]:
                         acc[k] = acc.get(k, zero) - xy * m
             if nonzero(acc):
                 return "two_sided_ideal"
@@ -248,13 +253,13 @@ def _certificate_failure(G: HopfStarAlgebra, P, N: HopfStarAlgebra):
             return "star_closed"
     for a in range(d):
         acc = {}
-        for j, k, c in G._comult_nz[a]:
+        for j, k, c in G.comult[a]:
             for x, p in P[j]:
                 cp = c * p
                 for y, q in P[k]:
                     acc[x, y] = acc.get((x, y), zero) + cp * q
         for i, x in P[a]:
-            for u, v, m in N._comult_nz[i]:
+            for u, v, m in N.comult[i]:
                 acc[u, v] = acc.get((u, v), zero) - x * m
         if nonzero(acc):
             return "comultiplication"
@@ -295,7 +300,7 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right") -> LinearEn
     hpi = Q.haar_pi_covector
     E = Matrix.zeros(G.field, G.dim, G.dim)
     for i in range(G.dim):
-        for j, k, c in G._comult_nz[i]:
+        for j, k, c in G.comult[i]:
             if side == "right":
                 w = hpi[k]
                 if w:
@@ -324,7 +329,7 @@ def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
     neg_unit = [(b, -u) for b, u in enumerate(Q.quotient.unit) if u]
     rows = {}
     for i in range(d):
-        for j, k, c in G._comult_nz[i]:
+        for j, k, c in G.comult[i]:
             kept, projected = (j, k) if side == "right" else (k, j)
             for b, p in P[projected]:
                 row = rows.setdefault((kept, b), {})
@@ -383,13 +388,13 @@ def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
     da = {}
     for i, ai in enumerate(a):
         if ai:
-            for x, r, c in G._comult_nz[i]:
+            for x, r, c in G.comult[i]:
                 da[x, r] = da.get((x, r), zero) + ai * c
     out = {}
     for (x, r), c in da.items():
         if not c:
             continue
-        for y, z, c2 in G._comult_nz[r]:
+        for y, z, c2 in G.comult[r]:
             prod = products.get((x, z))
             if prod is None:
                 prod = products[x, z] = _adjoint_product(G, x, z, side)
@@ -405,16 +410,13 @@ def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
 
 def _adjoint_product(G, x, z, side):
     """e_x S(e_z) (side "left") or S(e_x) e_z (side "right") as sparse pairs."""
-    zero = G.field.zero
     acc = {}
     if side == "left":
         for w, s in G._anti_nz[z]:
-            for k, m in G._mult_nz[x][w]:
-                acc[k] = acc.get(k, zero) + s * m
+            add_terms(acc, s, G.mult[x][w])
     else:
         for w, s in G._anti_nz[x]:
-            for k, m in G._mult_nz[w][z]:
-                acc[k] = acc.get(k, zero) + s * m
+            add_terms(acc, s, G.mult[w][z])
     return [(k, v) for k, v in acc.items() if v]
 
 
@@ -596,7 +598,7 @@ def comodule_splitting(Q: QuantumSubgroup) -> Matrix:
     # T1[(i, j)][k]: the (i, j) component of (id (x) pi) Delta(e_k)
     T1 = [[field.zero] * d for _ in range(d * dn)]
     for k in range(d):
-        for p, q, c in G._comult_nz[k]:
+        for p, q, c in G.comult[k]:
             for j in range(dn):
                 pj = Q.proj.rows[j][q]
                 if pj:
@@ -609,7 +611,7 @@ def comodule_splitting(Q: QuantumSubgroup) -> Matrix:
                     t = T1[i * dn + j][k]
                     if t:
                         row[k * dn + a] = row[k * dn + a] + t
-                for b, jj, c in N._comult_nz[a]:
+                for b, jj, c in N.comult[a]:
                     if jj == j:
                         row[i * dn + b] = row[i * dn + b] - c
                 rows.append(row)

@@ -315,6 +315,21 @@ def test_usage_errors(tmp_path):
     assert cli_dispatch(["axioms", str(junk)])[0] == 2
 
 
+def test_repeated_sparse_entry_exits_2(tmp_path):
+    with open(cat("f_s3.hopf.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    i, j, k, _ = data["mult"][0]
+    data["mult"].append([i, j, k, "2"])
+    path = tmp_path / "repeated.hopf.json"
+    path.write_text(dump_json(data))
+    code, rep = cli_dispatch(["axioms", str(path)])
+    assert code == 2 and rep["exit_code"] == 2
+    assert rep["results"] == {
+        "error": "SchemaError",
+        "detail": "repeated mult entry (%d, %d, %d)" % (i, j, k),
+    }
+
+
 def test_demo_pullback():
     code, rep = cli_dispatch(["demo", "s3-pullback"])
     assert code == 0

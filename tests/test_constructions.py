@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import hopfcheck
 
 from hopfcheck.constructions import (
     FiniteGroup,
@@ -70,7 +75,7 @@ def test_group_inverses_and_identity():
 
 
 def test_invalid_table_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(SchemaError):
         FiniteGroup([[0, 1], [1, 1]])
     with pytest.raises(SchemaError):
         # left translations are bijections but associativity fails
@@ -83,6 +88,66 @@ def test_invalid_table_rejected():
                 [4, 3, 1, 2, 0],
             ]
         )
+
+
+def test_malformed_groups_raise_typed_errors_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import hopfcheck.constructions as cons\n"
+        "from hopfcheck.catalog import build_algebra\n"
+        "from hopfcheck.errors import SchemaError, TheoremViolation\n"
+        "from hopfcheck.linalg import Subspace\n"
+        "from hopfcheck.serialize import group_from_dict\n"
+        "from hopfcheck.subgroup import full_subgroup, trivial_subgroup\n"
+        "assert False, 'asserts are live'\n"
+        "Z2 = cons.FiniteGroup.cyclic(2)\n"
+        "F = cons.function_algebra(Z2)\n"
+        "X = build_algebra('f_z3_rtimes_z2')\n"
+        "A = X.meta['inner']\n"
+        "Q = full_subgroup(F)\n"
+        "def shrunk(call):\n"
+        "    # every subgroup the constructions make comes out trivial\n"
+        "    real = cons.make_subgroup\n"
+        "    cons.make_subgroup = lambda G, I: trivial_subgroup(G)\n"
+        "    try:\n"
+        "        return call()\n"
+        "    finally:\n"
+        "        cons.make_subgroup = real\n"
+        "for call in (\n"
+        "    lambda: group_from_dict({'order': 2, 'table': [[0, 1], [1, 1]]}),\n"
+        "    lambda: cons.FiniteGroup([[0, 1], [0, 1]]),\n"
+        "    lambda: cons.FiniteGroup([]),\n"
+        "    lambda: cons.FiniteGroup([[0, 1], [1, 0]], ['a', 'a']),\n"
+        "    lambda: cons.FiniteGroup([[0, 0], [0, 0]], validate=False),\n"
+        "    lambda: cons.FiniteGroup([[0, 1], [1, 1]], validate=False),\n"
+        "    lambda: cons.FiniteGroup.dihedral(0),\n"
+        "    lambda: cons.GroupAction(Z2, F, [[[1, 0], [0, 1]]]),\n"
+        "    lambda: shrunk(lambda: cons.tensor_subgroup(Q, Q)),\n"
+        "    lambda: shrunk(lambda: cons.crossed_general_subgroup(X, Subspace.zero(A.field, A.dim), ['e'])),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "        print('accepted')\n"
+        "    except (SchemaError, TheoremViolation) as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "SchemaError invalid group table: row is not a permutation",
+        "SchemaError invalid group table: column is not a permutation",
+        "SchemaError a group table needs at least one row",
+        "SchemaError a group of order 2 needs 2 distinct labels",
+        "SchemaError invalid group table: no two-sided identity",
+        "SchemaError invalid group table: g1 has no unique inverse",
+        "SchemaError the dihedral group needs n >= 1",
+        "SchemaError an action needs one map per group element",
+        "TheoremViolation quotient dimension does not match N1 x N2",
+        "TheoremViolation quotient dimension does not match (A/I) x| (Gamma/K)",
+    ]
 
 
 def test_subgroup_detection():
@@ -187,10 +252,13 @@ def test_tensor_of_z2_and_z3_is_z6(algebras):
     for i in range(6):
         assert T.unit[i] == F6.unit[perm[i]]
         assert T.counit[i] == F6.counit[perm[i]]
-        for j in range(6):
-            for k in range(6):
-                assert T.mult[i][j][k] == F6.mult[perm[i]][perm[j]][perm[k]]
-                assert T.comult[i][j][k] == F6.comult[perm[i]][perm[j]][perm[k]]
+
+    def relabeled(entries):
+        return {(perm[i], perm[j], perm[k]): c for i, j, k, c in entries}
+
+    # every entry is nonzero, so equal dicts mean equal tensors
+    assert relabeled(T.mult_entries()) == {(i, j, k): c for i, j, k, c in F6.mult_entries()}
+    assert relabeled(T.comult_entries()) == {(i, j, k): c for i, j, k, c in F6.comult_entries()}
 
 
 def test_tensor_subgroup_quotient_identity(algebras):

@@ -21,11 +21,8 @@ def comult_apply(H, u):
     for i in range(d):
         if u[i].is_zero():
             continue
-        for j in range(d):
-            for k in range(d):
-                c = H.comult[i][j][k]
-                if not c.is_zero():
-                    out[j * d + k] = out[j * d + k] + u[i] * c
+        for j, k, c in H.comult[i]:
+            out[j * d + k] = out[j * d + k] + u[i] * c
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from hopfcheck.catalog import build_algebra
 from hopfcheck.cyclotomic import CycField
-from hopfcheck.errors import NotCosemisimple
+from hopfcheck.errors import NotCosemisimple, SchemaError
 from hopfcheck.hopf import (
     HopfStarAlgebra,
     LinearEndo,
@@ -51,27 +51,9 @@ def sweedler_four_dim():
     field = CycField(1)
     one, zero = field.one, field.zero
     d = 4
-    mult = [[[zero] * d for _ in range(d)] for _ in range(d)]
-
-    def setm(i, j, k, v):
-        mult[i][j][k] = field.from_rational(Fraction(v))
-
-    for j in range(d):
-        setm(0, j, j, 1)
-        setm(j, 0, j, 1)
-    setm(1, 1, 0, 1)
-    setm(1, 2, 3, 1)
-    setm(1, 3, 2, 1)
-    setm(2, 1, 3, -1)
-    setm(3, 1, 2, -1)
-
-    comult = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    comult[0][0][0] = one
-    comult[1][1][1] = one
-    comult[2][2][0] = one
-    comult[2][1][2] = one
-    comult[3][3][1] = one
-    comult[3][0][3] = one
+    mult = [(0, j, j, 1) for j in range(d)] + [(j, 0, j, 1) for j in range(1, d)]
+    mult += [(1, 1, 0, 1), (1, 2, 3, 1), (1, 3, 2, 1), (2, 1, 3, -1), (3, 1, 2, -1)]
+    comult = [(0, 0, 0, 1), (1, 1, 1, 1), (2, 2, 0, 1), (2, 1, 2, 1), (3, 3, 1, 1), (3, 0, 3, 1)]
 
     unit = [one, zero, zero, zero]
     counit = [one, one, zero, zero]
@@ -84,6 +66,60 @@ def sweedler_four_dim():
     return HopfStarAlgebra(
         field, mult, unit, comult, counit, anti, star, labels=["1", "g", "x", "gx"]
     )
+
+
+# --- sparse structure constants --------------------------------------------
+
+
+def rebuilt(H, mult, comult):
+    """H with its product and coproduct replaced by the given entries."""
+    return HopfStarAlgebra(
+        H.field, mult, H.unit, comult, H.counit, H.antipode.rows, H.star.rows, labels=H.labels
+    )
+
+
+def test_constructor_sorts_entries_and_drops_zeros():
+    F = build_algebra("f_s3")
+    zero = F.field.zero
+    mult = list(reversed(F.mult_entries())) + [(0, 1, 2, zero), (5, 5, 0, 0)]
+    comult = [(i, j, k, c.as_fraction()) for i, j, k, c in reversed(F.comult_entries())]
+    H = rebuilt(F, mult, comult)
+    assert H.mult == F.mult and H.comult == F.comult
+    assert H.mult[0][1] == () and H.mult[2][2] == ((2, F.field.one),)
+    for terms in H.comult:
+        assert [(j, k) for j, k, _ in terms] == sorted((j, k) for j, k, _ in terms)
+        assert all(c for _, _, c in terms)
+    assert H.mult_entries() == F.mult_entries() and H.comult_entries() == F.comult_entries()
+
+
+@pytest.mark.parametrize(
+    "tensor, entry, message",
+    [
+        ("mult", (0, 0, 6, 1), "mult index out of range in (0, 0, 6)"),
+        ("mult", (-1, 0, 0, 1), "mult index out of range in (-1, 0, 0)"),
+        ("comult", (0, 6, 0, 1), "comult index out of range in (0, 6, 0)"),
+        ("comult", (0, 0.0, 0, 1), "comult index out of range in (0, 0.0, 0)"),
+        ("mult", (True, 1, 1, 1), "mult index out of range in (True, 1, 1)"),
+        ("mult", (1, 1, 1, 0), "repeated mult entry (1, 1, 1)"),
+        ("comult", (0, 0, 0, 1), "repeated comult entry (0, 0, 0)"),
+        ("mult", (1, 1, 1), "mult entries are (i, j, k, scalar)"),
+    ],
+)
+def test_constructor_rejects_bad_entries(tensor, entry, message):
+    F = build_algebra("f_s3")
+    tensors = {"mult": F.mult_entries(), "comult": F.comult_entries()}
+    tensors[tensor] = tensors[tensor] + [entry]
+    with pytest.raises(SchemaError) as exc:
+        rebuilt(F, tensors["mult"], tensors["comult"])
+    assert message in str(exc.value)
+
+
+def test_cocommutativity_from_the_sparse_coproduct(algebras, s3_crossed):
+    assert not algebras["f_s3"].is_cocommutative()
+    assert algebras["c_s3"].is_cocommutative()
+    X = s3_crossed()
+    assert not X.is_cocommutative() and not X.is_commutative()
+    assert dual(X).is_cocommutative() == X.is_commutative()
 
 
 # --- axiom report ---------------------------------------------------------
@@ -103,7 +139,14 @@ def test_broken_antipode_is_named():
         [F.field.one if i == j else F.field.zero for i in range(3)] for j in range(3)
     ]
     broken = HopfStarAlgebra(
-        F.field, F.mult, F.unit, F.comult, F.counit, ident, F.star.rows, labels=F.labels
+        F.field,
+        F.mult_entries(),
+        F.unit,
+        F.comult_entries(),
+        F.counit,
+        ident,
+        F.star.rows,
+        labels=F.labels,
     )
     rep = check_axioms(broken)
     assert not rep.ok
@@ -115,13 +158,14 @@ def test_broken_antipode_is_named():
 
 def test_broken_multiplication_is_named(algebras):
     F = algebras["f_z2"]
-    mult = [[list(row) for row in plane] for plane in F.mult]
-    mult[1][1][1] = F.field.zero  # second indicator no longer idempotent
+    # second indicator no longer idempotent
+    mult = [(i, j, k, c) for i, j, k, c in F.mult_entries() if (i, j, k) != (1, 1, 1)]
+    assert len(mult) == len(F.mult_entries()) - 1
     broken = HopfStarAlgebra(
         F.field,
         mult,
         F.unit,
-        F.comult,
+        F.comult_entries(),
         F.counit,
         F.antipode.rows,
         F.star.rows,
@@ -157,13 +201,9 @@ def test_haar_invariance_directly(algebras):
         for i in range(H.dim):
             left = zero_vec(H.field, H.dim)
             right = zero_vec(H.field, H.dim)
-            for j in range(H.dim):
-                for k in range(H.dim):
-                    c = H.comult[i][j][k]
-                    if c.is_zero():
-                        continue
-                    left[j] = left[j] + c * h[k]
-                    right[k] = right[k] + c * h[j]
+            for j, k, c in H.comult[i]:
+                left[j] = left[j] + c * h[k]
+                right[k] = right[k] + c * h[j]
             expect = [h[i] * u for u in H.unit_vec()]
             assert left == expect and right == expect
 

@@ -103,21 +103,44 @@ def test_dump_json_sorts_keys():
     assert json.loads(s) == {"a": [2, 3], "b": 1}
 
 
-def test_dense_tensors_accepted(tmp_path, algebras):
+def densified(data):
+    """Algebra file data with mult and comult rewritten in the dense form."""
+    d = data["dim"]
+    out = dict(data)
+    for key in ("mult", "comult"):
+        dense = [[["0"] * d for _ in range(d)] for _ in range(d)]
+        for i, j, k, c in data[key]:
+            dense[i][j][k] = c
+        out[key] = dense
+    return out
+
+
+def test_dense_tensors_accepted(algebras):
     H = algebras["f_z2"]
-    data = algebra_to_dict(H)
-    dense_mult = [
-        [[scalar_to_json(H.mult[i][j][k]) for k in range(2)] for j in range(2)]
-        for i in range(2)
-    ]
-    dense_comult = [
-        [[scalar_to_json(H.comult[i][j][k]) for k in range(2)] for j in range(2)]
-        for i in range(2)
-    ]
-    data["mult"] = dense_mult
-    data["comult"] = dense_comult
-    H2 = algebra_from_dict(data)
+    H2 = algebra_from_dict(densified(algebra_to_dict(H)))
     assert H2.mult == H.mult and H2.comult == H.comult
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_NAMES))
+def test_dense_and_sparse_files_load_equal(name):
+    with open(os.path.join(repo_catalog_dir(), name + ".hopf.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    sparse = algebra_from_dict(data)
+    dense = algebra_from_dict(densified(data))
+    assert dense.mult == sparse.mult and dense.comult == sparse.comult
+    assert len(sparse.mult_entries()) == len(data["mult"])
+    assert len(sparse.comult_entries()) == len(data["comult"])
+    assert algebra_to_dict(dense) == data
+
+
+def test_repeated_sparse_entry_rejected(algebras):
+    data = algebra_to_dict(algebras["f_z2"])
+    for key in ("mult", "comult"):
+        bad = dict(data)
+        bad[key] = data[key] + [data[key][-1][:3] + ["1/2"]]
+        with pytest.raises(SchemaError) as exc:
+            algebra_from_dict(bad)
+        assert "repeated %s entry" % key in str(exc.value)
 
 
 def test_schema_errors_name_the_field(algebras):

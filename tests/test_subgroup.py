@@ -378,23 +378,15 @@ def test_comodule_splitting_is_comodule_map(algebras):
         for i in range(d):
             if v[i].is_zero():
                 continue
-            for j in range(d):
-                for k in range(d):
-                    c = H.comult[i][j][k]
-                    if c.is_zero():
-                        continue
-                    img = Q.pi(basis_vec(H.field, d, k))
-                    for t in range(q):
-                        lhs[j * q + t] = lhs[j * q + t] + v[i] * c * img[t]
+            for j, k, c in H.comult[i]:
+                img = Q.pi(basis_vec(H.field, d, k))
+                for t in range(q):
+                    lhs[j * q + t] = lhs[j * q + t] + v[i] * c * img[t]
         rhs = zero_vec(H.field, d * q)
-        for j in range(q):
-            for k in range(q):
-                c = N.comult[col][j][k]
-                if c.is_zero():
-                    continue
-                sj = s.column(j)
-                for a in range(d):
-                    rhs[a * q + k] = rhs[a * q + k] + c * sj[a]
+        for j, k, c in N.comult[col]:
+            sj = s.column(j)
+            for a in range(d):
+                rhs[a * q + k] = rhs[a * q + k] + c * sj[a]
         assert lhs == rhs
 
 
@@ -539,11 +531,16 @@ def rebased(H, rng):
     T = Matrix(field, [[entry(i, j) for j in range(d)] for i in range(d)])
     Tinv = solve_linear(T, Matrix.identity(field, d))
     cols = T.columns()
-    mult = [[Tinv.apply(H.product(cols[i], cols[j])) for j in range(d)] for i in range(d)]
+    mult = [
+        (i, j, k, c)
+        for i in range(d)
+        for j in range(d)
+        for k, c in enumerate(Tinv.apply(H.product(cols[i], cols[j])))
+    ]
     comult = []
     for i in range(d):
         w = Tinv.kron_apply(Tinv, H.comult_vec(cols[i]))
-        comult.append([w[a * d:(a + 1) * d] for a in range(d)])
+        comult += [(i, jk // d, jk % d, c) for jk, c in enumerate(w)]
     counit = [H.counit_of(c) for c in cols]
     # T is rational, so conjugation commutes with it and * rebases like S
     antipode = Tinv * H.antipode * T
@@ -610,7 +607,11 @@ def test_certificate_rejects_a_corrupted_quotient_under_optimize():
         "for name in (None, 'mult', 'comult', 'counit', 'antipode', 'star'):\n"
         "    def corrupt(field, *maps, labels, name=name):\n"
         "        maps = list(maps)\n"
-        "        if name is not None:\n"
+        "        if name in ('mult', 'comult'):\n"
+        "            t = {e[:3]: e[3] for e in maps[names.index(name)]}\n"
+        "            t[0, 0, 0] = t.get((0, 0, 0), field.zero) + field.one\n"
+        "            maps[names.index(name)] = [k + (c,) for k, c in t.items()]\n"
+        "        elif name is not None:\n"
         "            m = maps[names.index(name)]\n"
         "            while isinstance(m[0], list):\n"
         "                m = m[0]\n"
@@ -664,23 +665,21 @@ def dense_coset_algebras(Q):
 
 
 def dense_expectation(Q, side):
-    """The conditional expectation from the dense coproduct tensor and dense pi."""
+    """The conditional expectation from the coproduct entries and dense pi."""
     G, field, d = Q.parent, Q.parent.field, Q.parent.dim
     hpi = [Q.quotient.haar_of(Q.proj.apply(basis_vec(field, d, k))) for k in range(d)]
     E = Matrix.zeros(field, d, d)
     for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                c = G.comult[i][j][k]
-                if side == "right":
-                    E.rows[j][i] = E.rows[j][i] + c * hpi[k]
-                else:
-                    E.rows[k][i] = E.rows[k][i] + c * hpi[j]
+        for j, k, c in G.comult[i]:
+            if side == "right":
+                E.rows[j][i] = E.rows[j][i] + c * hpi[k]
+            else:
+                E.rows[k][i] = E.rows[k][i] + c * hpi[j]
     return E
 
 
 def dense_adjoint(G, a, side, products=None):
-    """ad(a) through the dense Delta(a), the dense coproduct tensor and dense
+    """ad(a) through the dense Delta(a), the coproduct entries and dense
     products with S; products caches them per pair (x, z)."""
     field, d = G.field, G.dim
     if products is None:
@@ -691,18 +690,14 @@ def dense_adjoint(G, a, side, products=None):
         if not c:
             continue
         x, rest = divmod(idx, d)
-        for y in range(d):
-            for z in range(d):
-                c2 = G.comult[rest][y][z]
-                if not c2:
-                    continue
-                if (x, z) not in products:
-                    if side == "left":
-                        products[x, z] = G.product(basis_vec(field, d, x), G.antipode.column(z))
-                    else:
-                        products[x, z] = G.product(G.antipode.column(x), basis_vec(field, d, z))
-                for t, p in enumerate(products[x, z]):
-                    out[y * d + t] = out[y * d + t] + c * c2 * p
+        for y, z, c2 in G.comult[rest]:
+            if (x, z) not in products:
+                if side == "left":
+                    products[x, z] = G.product(basis_vec(field, d, x), G.antipode.column(z))
+                else:
+                    products[x, z] = G.product(G.antipode.column(x), basis_vec(field, d, z))
+            for t, p in enumerate(products[x, z]):
+                out[y * d + t] = out[y * d + t] + c * c2 * p
     return out
 
 
