@@ -14,8 +14,8 @@ from math import isqrt
 
 from .errors import SchemaError, SplittingFailed, TheoremViolation
 from .hopf import HopfStarAlgebra
-from .linalg import Matrix, Subspace, basis_vec, solve_linear, tensor_vec, zero_vec
-from .splitting import dual_product, find_primitive_idempotent, split_center
+from .linalg import Matrix, Subspace, basis_vec, solve_linear, zero_vec
+from .splitting import find_primitive_idempotent, split_center
 
 
 class Corepresentation:
@@ -46,35 +46,62 @@ class Corepresentation:
         return Subspace.from_vectors(self.algebra.field, self.algebra.dim, vecs)
 
     def verify(self):
-        """Exact check of the comultiplication, counit and antipode laws."""
+        """Exact check of the comultiplication, counit and antipode laws.
+
+        For each entry u_ij in row order, Delta(u_ij) - sum_k u_ik (x) u_kj is
+        formed as one sparse difference over the coproduct terms of u_ij and
+        the supports of the u_ik and u_kj, then eps(u_ij) is compared with
+        delta_ij; after that S(u) is checked as a two-sided inverse of u.
+        Returns the first failure as a message, or None when every law holds.
+        """
         H = self.algebra
         d = self.dim
+        supports = [[_support(v) for v in row] for row in self.entries]
         for i in range(d):
             for j in range(d):
-                lhs = H.comult_vec(self.entries[i][j])
-                rhs = zero_vec(H.field, H.dim * H.dim)
+                diff = _coproduct(H, supports[i][j])
                 for k in range(d):
-                    t = tensor_vec(self.entries[i][k], self.entries[k][j])
-                    rhs = [a + b for a, b in zip(rhs, t)]
-                if lhs != rhs:
+                    right = supports[k][j]
+                    for a, x in supports[i][k]:
+                        for b, y in right:
+                            v = x * y
+                            diff[a, b] = diff[a, b] - v if (a, b) in diff else -v
+                if any(diff.values()):
                     return "comultiplication law fails at entry (%d, %d)" % (i, j)
                 eps = H.counit_of(self.entries[i][j])
                 want = H.field.one if i == j else H.field.zero
                 if eps != want:
                     return "counit law fails at entry (%d, %d)" % (i, j)
+        anti = [[H.antipode_vec(v) for v in row] for row in self.entries]
         for i in range(d):
             for j in range(d):
                 acc = zero_vec(H.field, H.dim)
                 acc2 = zero_vec(H.field, H.dim)
                 for k in range(d):
-                    p = H.product(H.antipode_vec(self.entries[i][k]), self.entries[k][j])
-                    p2 = H.product(self.entries[i][k], H.antipode_vec(self.entries[k][j]))
+                    p = H.product(anti[i][k], self.entries[k][j])
+                    p2 = H.product(self.entries[i][k], anti[k][j])
                     acc = [a + b for a, b in zip(acc, p)]
                     acc2 = [a + b for a, b in zip(acc2, p2)]
                 want = H.unit_vec() if i == j else zero_vec(H.field, H.dim)
                 if acc != want or acc2 != want:
                     return "antipode is not a matrix inverse at entry (%d, %d)" % (i, j)
         return None
+
+
+def _support(v):
+    """The nonzero (index, coefficient) pairs of a vector."""
+    return [(a, x) for a, x in enumerate(v) if x]
+
+
+def _coproduct(H, support):
+    """Delta of the vector with this support, as a dict (a, b) -> the
+    coefficient of e_a (x) e_b; terms that cancel stay as zeros."""
+    out = {}
+    for x, vx in support:
+        for a, b, c in H.comult[x]:
+            v = vx * c
+            out[a, b] = out[a, b] + v if (a, b) in out else v
+    return out
 
 
 class PeterWeylData:
@@ -146,12 +173,14 @@ def _extract_block(H, p, gauge):
     field = H.field
     d = H.dim
 
-    # the matrix block p * dual, as a subspace of the dual
-    imgs = []
-    for t in range(d):
-        f = zero_vec(field, d)
-        f[t] = field.one
-        imgs.append(dual_product(H, p, f))
+    # the matrix block p * dual, as a subspace of the dual, spanned by the
+    # p * e_t with (p * e_t)(e_i) = sum of p_j c over the terms (j, t, c) of Delta e_i
+    imgs = [zero_vec(field, d) for _ in range(d)]
+    for i in range(d):
+        for j, t, c in H.comult[i]:
+            pj = p[j]
+            if pj:
+                imgs[t][i] = imgs[t][i] + pj * c
     block_D = Subspace.from_vectors(field, d, imgs)
     dlam = isqrt(block_D.dim)
     if dlam * dlam != block_D.dim:
@@ -173,7 +202,8 @@ def _extract_block(H, p, gauge):
         eps = H.counit_of(v)
         if not eps:
             raise TheoremViolation("a one-dimensional block with vanishing counit")
-        g = [eps.inverse() * c for c in v]
+        inv = eps.inverse()
+        g = [inv * c for c in v]
         return _verified(Corepresentation(H, [[g]]))
 
     q = find_primitive_idempotent(H, block_D.basis(), p, gauge)
@@ -193,21 +223,16 @@ def _extract_block(H, p, gauge):
     if Cmat is None:
         raise TheoremViolation("dual functionals for the column space do not exist")
 
-    entries = [[None] * dlam for _ in range(dlam)]
-    for i, r in enumerate(V.basis()):
-        w = H.comult_vec(list(r))
-        for l in range(dlam):
-            col = zero_vec(field, d)
-            for a in range(d):
-                acc = field.zero
-                for b in range(d):
-                    wa = w[a * d + b]
-                    if wa:
-                        cb = Cmat.rows[b][l]
-                        if cb:
-                            acc = acc + wa * cb
-                col[a] = acc
-            entries[i][l] = col
+    # entry (i, l) is (id (x) C_l) Delta(r_i), with C_l the l-th column of Cmat
+    cmat_rows = [_support(row) for row in Cmat.rows]
+    entries = []
+    for r in V.basis():
+        row = [zero_vec(field, d) for _ in range(dlam)]
+        for (a, b), w in _coproduct(H, _support(r)).items():
+            if w:
+                for l, cb in cmat_rows[b]:
+                    row[l][a] = row[l][a] + w * cb
+        entries.append(row)
     corep = Corepresentation(H, entries)
     err = corep.verify()
     if err is not None:

@@ -7,10 +7,10 @@ canonical form: gcd(den, *num) == 1, and zero is (0, ..., 0)/1.  Equal
 scalars therefore have equal (num, den), and the zero test and equality are
 plain integer comparisons.  Phi_n is monic with integer coefficients, so
 reduction and field conjugation (z -> z^(n-1)) are integer row operations
-and every product or sum costs one gcd normalisation.  Everything is exact;
-the sign of a real scalar is decided by interval refinement of the standard
-complex embedding, with the exact zero test run first so the refinement
-always terminates.
+and every product or sum costs at most one gcd normalisation (a product by
+exactly 1 or -1 costs none).  Everything is exact; the sign of a real scalar
+is decided by interval refinement of the standard complex embedding, with
+the exact zero test run first so the refinement always terminates.
 """
 
 from __future__ import annotations
@@ -307,13 +307,19 @@ class CycScalar:
         a, b = self.num, o.num
         if not any(a) or not any(b):
             return self.field.zero
-        den = self.den * o.den
+        # a factor of exactly 1 or -1 gives the other factor or its negation,
+        # both canonical already
         if not any(b[1:]):  # rational right factor
             q = b[0]
-            return _canonical(self.field, [c * q for c in a], den)
+            if o.den == 1 and (q == 1 or q == -1):
+                return self if q == 1 else -self
+            return _canonical(self.field, [c * q for c in a], self.den * o.den)
         if not any(a[1:]):
             q = a[0]
-            return _canonical(self.field, [c * q for c in b], den)
+            if self.den == 1 and (q == 1 or q == -1):
+                return o if q == 1 else -o
+            return _canonical(self.field, [c * q for c in b], self.den * o.den)
+        den = self.den * o.den
         prod = [0] * (2 * len(a) - 1)
         for i, x in enumerate(a):
             if x:

@@ -3,11 +3,15 @@
 The dual of a finite quantum group is split by computing its center with
 exact linear algebra and refining it under multiplication operators into
 common eigenlines.  Eigenvalues are LOCATED numerically in the standard
-complex embedding, RECONSTRUCTED as exact field elements (a 2x2 rational
-system when phi(n) <= 2, an integer-relation lattice otherwise), and then
-VERIFIED exactly; the numeric step is a heuristic and never a source of
-truth.  When verification cannot account for the whole space the field is
-too small and SplittingFailed names the order to raise.
+complex embedding, RECONSTRUCTED as exact field elements, and then VERIFIED
+exactly; the numeric step is a heuristic and never a source of truth.
+Reconstruction proposes candidates lazily, cheapest first: the nearest
+rational when the value is real, then the 2x2 rational system when
+phi(n) = 2, and only when phi(n) > 2 and those guesses failed the exact
+check, an integer-relation lattice reduced by LLL.  Each numeric cluster
+stops at its first exactly verified candidate.  When verification cannot
+account for the whole space the field is too small and SplittingFailed
+names the order to raise.
 """
 
 from __future__ import annotations
@@ -103,30 +107,28 @@ def _cluster(values, tol):
 
 
 def _reconstruct_candidates(field, z, max_den):
-    """Exact field elements plausibly equal to the complex number z."""
+    """Exact field elements plausibly equal to the complex number z, cheapest
+    guess first; the LLL tier runs only when a caller asks past the rational
+    and quadratic guesses."""
     phi = field.phi
-    out = []
     if abs(z.imag) < _NUMERIC_TOL:
-        out.append(field.from_rational(Fraction(z.real).limit_denominator(max_den)))
+        yield field.from_rational(Fraction(z.real).limit_denominator(max_den))
     if phi == 1:
-        return out
-    zeta = field.zeta().embed()
+        return
     if phi == 2:
         # z = c0 + c1 * zeta with real c0, c1: a square 2x2 real system
+        zeta = field.zeta().embed()
         if abs(zeta.imag) > 1e-12:
             c1 = z.imag / zeta.imag
             c0 = z.real - c1 * zeta.real
-            out.append(
-                field.scalar(
-                    [
-                        Fraction(c0).limit_denominator(max_den),
-                        Fraction(c1).limit_denominator(max_den),
-                    ]
-                )
+            yield field.scalar(
+                [
+                    Fraction(c0).limit_denominator(max_den),
+                    Fraction(c1).limit_denominator(max_den),
+                ]
             )
-        return out
-    out.extend(_lll_candidates(field, z, max_den))
-    return out
+        return
+    yield from _lll_candidates(field, z, max_den)
 
 
 def _lll_candidates(field, z, max_den):
@@ -331,6 +333,7 @@ def exact_poly_roots(field, coeffs):
                 seen.add(cand)
                 if not _poly_eval_scalar(field, coeffs, cand):
                     roots.append(cand)
+                    break
         if len(roots) == deg:
             break
     roots.sort(key=lambda s: s.sort_key())

@@ -8,7 +8,6 @@ All arithmetic is exact; nothing here carries a tolerance.
 import random
 from fractions import Fraction
 
-from hopfcheck.catalog import build_group
 from hopfcheck.constructions import (
     FiniteGroup,
     GroupAction,

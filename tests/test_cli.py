@@ -5,8 +5,6 @@ import shutil
 import subprocess
 import sys
 
-import pytest
-
 from hopfcheck.catalog import repo_catalog_dir
 from hopfcheck.cli import cli_dispatch, main
 from hopfcheck.serialize import dump_json, load_algebra

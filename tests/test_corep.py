@@ -273,6 +273,26 @@ def test_corepresentation_shape_is_checked():
         Corepresentation(H, [[H.unit_vec(), H.unit_vec()]])
 
 
+def test_corrupted_entry_fails_the_comultiplication_law(algebras):
+    H = algebras["f_s3"]
+    c = next(c for c in peter_weyl(H).coreps if c.dim == 2)
+    entries = [[list(v) for v in row] for row in c.entries]
+    # u_11 first enters the law at entry (0, 1): Delta(u_01) = u_00 (x) u_01 + u_01 (x) u_11
+    entries[1][1] = [a + b for a, b in zip(entries[1][1], H.unit_vec())]
+    bad = Corepresentation(H, entries)
+    assert bad.verify() == "comultiplication law fails at entry (0, 1)"
+    with pytest.raises(TheoremViolation, match=r"comultiplication law fails at entry \(0, 1\)"):
+        hopfcheck.corep._verified(bad)
+
+
+def test_zero_matrix_fails_the_counit_law(algebras):
+    H = algebras["f_s3"]
+    bad = Corepresentation(H, [[zero_vec(H.field, H.dim)]])
+    assert bad.verify() == "counit law fails at entry (0, 0)"
+    with pytest.raises(TheoremViolation, match=r"counit law fails at entry \(0, 0\)"):
+        hopfcheck.corep._verified(bad)
+
+
 # --- checks survive python -O -----------------------------------------------------
 
 

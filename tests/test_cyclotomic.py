@@ -364,6 +364,18 @@ def test_differential_against_fraction_reference(case):
     assert_matches(a - b, tuple(x - y for x, y in zip(ra, rb)))
     assert_matches(-a, tuple(-x for x in ra))
     assert_matches(a * b, ref_mul(n, ra, rb))
+    # the unit-factor shortcut of __mul__, on both sides
+    one = (Fraction(1),) + (Fraction(0),) * (F.phi - 1)
+    minus_one = tuple(-x for x in one)
+    units = (
+        (F.one, one),
+        (-F.one, minus_one),
+        (F.scalar(1), one),
+        (F.from_rational(-1), minus_one),
+    )
+    for u, ru in units:
+        assert_matches(a * u, ref_mul(n, ra, ru))
+        assert_matches(u * a, ref_mul(n, ru, ra))
     assert_matches(a.conjugate(), ref_conjugate(n, ra))
     if any(ra):
         assert_matches(a.inverse(), ref_inverse(n, ra))

@@ -15,7 +15,7 @@ from hopfcheck.constructions import FiniteGroup, inversion_action
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import SchemaError
 from hopfcheck.hopf import check_axioms
-from hopfcheck.linalg import Subspace, basis_vec
+from hopfcheck.linalg import Subspace
 from hopfcheck.serialize import (
     algebra_from_dict,
     algebra_to_dict,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import hopfcheck
+import hopfcheck.splitting as splitting
 from hopfcheck.constructions import FiniteGroup, function_algebra
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import SplittingFailed
@@ -184,6 +185,39 @@ def test_lll_failures_are_narrowly_caught(monkeypatch):
     monkeypatch.setattr(DomainMatrix, "lll", bug)
     with pytest.raises(RuntimeError):
         _lll_candidates(F, z, 10 ** 6)
+
+
+def test_lll_runs_only_after_the_cheap_guesses_fail(monkeypatch):
+    # over Q(zeta_12) (phi = 4) rational eigenvalues and roots are found by the
+    # rational guess, so the LLL tier is never entered
+    def no_lll(field, z, max_den):
+        raise AssertionError("LLL tier entered for a rational value")
+
+    monkeypatch.setattr(splitting, "_lll_candidates", no_lll)
+    F = CycField(12)
+    M = Matrix.from_rows(
+        F,
+        [
+            [F.zero, F.one, F.zero],
+            [F.one, F.zero, F.zero],
+            [F.zero, F.zero, F.one],
+        ],
+    )
+    out = exact_eigen_split(M)
+    assert sorted((val.as_fraction(), space.dim) for val, space in out) == [(-1, 1), (1, 2)]
+    roots = exact_poly_roots(F, [-F.one, F.zero, F.one])
+    assert [r.as_fraction() for r in roots] == [-1, 1]
+
+    # sqrt(2) over Q(zeta_8) is real but irrational: the rational guess fails
+    # its exact check and the LLL tier is still reached
+    calls = []
+    monkeypatch.setattr(
+        splitting, "_lll_candidates", lambda *args: calls.append(args) or _lll_candidates(*args)
+    )
+    F8 = CycField(8)
+    roots = exact_poly_roots(F8, [F8.from_rational(-2), F8.zero, F8.one])
+    assert [(r * r).as_fraction() for r in roots] == [2, 2]
+    assert calls
 
 
 # --- exact verifications survive python -O ---------------------------------------
