@@ -152,15 +152,11 @@ def _cmd_haar(args):
     left_ok = True
     right_ok = True
     for i in range(d):
-        w = H.comult_vec(basis_vec(H.field, d, i))
         left = zero_vec(H.field, d)
         right = zero_vec(H.field, d)
-        for j in range(d):
-            for k in range(d):
-                c = w[j * d + k]
-                if c:
-                    left[j] = left[j] + c * h[k]
-                    right[k] = right[k] + c * h[j]
+        for j, k, c in H.comult[i]:
+            left[j] = left[j] + c * h[k]
+            right[k] = right[k] + c * h[j]
         want = [h[i] * x for x in H.unit_vec()]
         left_ok = left_ok and left == want
         right_ok = right_ok and right == want

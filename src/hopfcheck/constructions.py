@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     TheoremViolation,
 )
-from .hopf import HopfStarAlgebra
+from .hopf import HopfStarAlgebra, morphism_failure
 from .linalg import Matrix, Subspace, basis_vec, tensor_vec, zero_vec
 from .subgroup import (
     QuantumSubgroup,
@@ -436,6 +436,16 @@ def tensor_subgroup(Q1: QuantumSubgroup, Q2: QuantumSubgroup) -> QuantumSubgroup
     return Q
 
 
+# how an action map fails, for each structure map it does not intertwine
+_ACTION_FAILURE = {
+    "product": "is not multiplicative",
+    "star": "does not commute with *",
+    "coproduct": "does not preserve the coproduct",
+    "counit": "does not preserve the counit",
+    "antipode": "does not commute with the antipode",
+}
+
+
 class GroupAction:
     """An action of a finite group on a Hopf *-algebra by Hopf *-automorphisms."""
 
@@ -457,10 +467,7 @@ class GroupAction:
 
     def _validate(self):
         G, A = self.group, self.target
-        d = A.dim
-        field = A.field
-        ident = Matrix.identity(field, d)
-        if self.maps[G.identity] != ident:
+        if self.maps[G.identity] != Matrix.identity(A.field, A.dim):
             raise SchemaError("the identity of the group must act as the identity")
         for s in range(G.order):
             for t in range(G.order):
@@ -469,25 +476,9 @@ class GroupAction:
         for t, M in enumerate(self.maps):
             if M.apply(A.unit_vec()) != A.unit_vec():
                 raise SchemaError("action map %d does not fix the unit" % t)
-            if M * A.antipode != A.antipode * M:
-                raise SchemaError("action map %d does not commute with the antipode" % t)
-            cols = M.columns()
-            for i in range(d):
-                for j in range(d):
-                    lhs = zero_vec(field, d)
-                    for k, c in A.mult[i][j]:
-                        lhs = [x + c * y for x, y in zip(lhs, cols[k])]
-                    if lhs != A.product(cols[i], cols[j]):
-                        raise SchemaError("action map %d is not multiplicative" % t)
-            for i in range(d):
-                lhs = A.comult_vec(cols[i])
-                rhs = M.kron_apply(M, A.comult_vec(basis_vec(field, d, i)))
-                if lhs != rhs:
-                    raise SchemaError("action map %d does not preserve the coproduct" % t)
-                if A.counit_of(cols[i]) != A.counit[i]:
-                    raise SchemaError("action map %d does not preserve the counit" % t)
-                if A.star_vec(cols[i]) != M.apply(A.star_vec(basis_vec(field, d, i))):
-                    raise SchemaError("action map %d does not commute with *" % t)
+            failed = morphism_failure(A, M.sparse_columns(), A)
+            if failed:
+                raise SchemaError("action map %d %s" % (t, _ACTION_FAILURE[failed]))
 
     @classmethod
     def trivial(cls, group, target):

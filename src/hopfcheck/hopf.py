@@ -27,8 +27,13 @@ is computed once and kept in the algebra's memo: `H.memo(key, compute)`
 returns the stored value for `key`, calling `compute()` only the first time.
 The keys are "haar", "peter_weyl", "dual", "hopf_subalgebras",
 "quantum_subgroups" and "verified".  "verified" is set when the algebra
-passes check_axioms, or when make_subgroup certifies it as the quotient of a
-verified algebra; `H.verified` reads it and never runs a check.
+passes check_axioms, or when make_subgroup or sub_hopf_algebra certifies it
+as a quotient or a subalgebra of a verified algebra; `H.verified` reads it
+and never runs a check.
+
+morphism_failure is the one test of whether a linear map between two
+algebras preserves product, star, coproduct, counit and antipode; quotient
+maps, subalgebra inclusions and group actions are all checked by it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .cyclotomic import CycField
 from .errors import NotCosemisimple, SchemaError
-from .linalg import Matrix, Subspace, basis_vec, tensor_vec, zero_vec
+from .linalg import Matrix, basis_vec, tensor_vec, zero_vec
 
 
 class HopfStarAlgebra:
@@ -636,59 +641,131 @@ def _build_dual(H):
     )
 
 
+def morphism_failure(G, P, N):
+    """The first structure map that the linear map G -> N fails to
+    intertwine, or None; P[a] is the image of e_a as sparse (index, entry)
+    pairs.
+
+    Each map is compared on every basis element (or pair) of G, as one
+    difference accumulated over sparse terms, in the order "product",
+    "star" (antilinear), "coproduct", "counit", "antipode".  Units are left
+    to the caller.  Nothing is assumed of either algebra, so the answer
+    decides a property of the map alone: a projection onto the structure it
+    induces passes exactly when its kernel is a Hopf *-ideal, and an
+    endomorphism exactly when it is a Hopf *-algebra map.
+    """
+    d = G.dim
+    zero = G.field.zero
+
+    def push(acc, terms):
+        """acc += the image of sum c e_k over the (k, c) in terms."""
+        for k, c in terms:
+            add_terms(acc, c, P[k])
+
+    for a in range(d):
+        for b in range(d):
+            acc = {}
+            push(acc, G.mult[a][b])
+            for i, x in P[a]:
+                for j, y in P[b]:
+                    add_terms(acc, -(x * y), N.mult[i][j])
+            if any(acc.values()):
+                return "product"
+    for a in range(d):
+        acc = {}
+        push(acc, G._star_nz[a])
+        for i, x in P[a]:
+            add_terms(acc, -x.conjugate(), N._star_nz[i])
+        if any(acc.values()):
+            return "star"
+    for a in range(d):
+        acc = {}
+        for j, k, c in G.comult[a]:
+            for x, p in P[j]:
+                cp = c * p
+                for y, q in P[k]:
+                    acc[x, y] = acc.get((x, y), zero) + cp * q
+        for i, x in P[a]:
+            for u, v, m in N.comult[i]:
+                acc[u, v] = acc.get((u, v), zero) - x * m
+        if any(acc.values()):
+            return "coproduct"
+    for a in range(d):
+        if sum((x * N.counit[i] for i, x in P[a]), zero) != G.counit[a]:
+            return "counit"
+    for a in range(d):
+        acc = {}
+        push(acc, G._anti_nz[a])
+        for i, x in P[a]:
+            add_terms(acc, -x, N._anti_nz[i])
+        if any(acc.values()):
+            return "antipode"
+    return None
+
+
 def sub_hopf_algebra(H, B):
     """Restrict the structure of H to a Hopf *-subalgebra given as a Subspace.
 
     Returns (algebra, inclusion) where inclusion maps sub-coordinates into
-    ambient coordinates.  Raises SchemaError when B is not closed under the
-    operations or does not contain the unit.
+    ambient coordinates.  The echelon basis b_a of B has a 1 at its own
+    pivot and 0 at the other pivots, so a vector of B is sum v[p_a] b_a:
+    every structure constant of the subalgebra is read at the pivots (the
+    coproduct at pivot pairs).  Read that way, the inclusion intertwines a
+    structure map exactly when B is closed under it, which
+    morphism_failure decides; the unit is compared through the inclusion
+    too.  Raises SchemaError when B is not closed under the operations or
+    does not contain the unit.
+
+    A subalgebra of a verified H is recorded as verified: the inclusion is
+    an injective Hopf *-morphism, so every axiom, the Kac conditions and
+    the Haar properties restrict to the subalgebra.
     """
     d = H.dim
     field = H.field
     if B.ambient != d:
         raise SchemaError("subspace ambient %d != algebra dim %d" % (B.ambient, d))
-    ech = B.echelon()
-    if not ech.contains(H.unit_vec()):
-        raise SchemaError("subalgebra does not contain the unit")
     basis = B.basis()
     r = B.dim
     pivots = B.pivots
+    at = {p: a for a, p in enumerate(pivots)}
+    inclusion = Matrix.from_rows(field, [[basis[j][i] for j in range(r)] for i in range(d)], ncols=r)
+    P = inclusion.sparse_columns()
 
-    def coords(vec):
-        c = ech.coefficients(vec)
-        if c is None:
-            raise SchemaError("subspace is not closed under the Hopf *-operations")
-        return c
+    def read(vec):
+        return [vec[p] for p in pivots]
 
     mult = [
         (i, j, k, c)
         for i in range(r)
         for j in range(r)
-        for k, c in enumerate(coords(H.product(basis[i], basis[j])))
+        for k, c in enumerate(read(H.product(basis[i], basis[j])))
         if c
     ]
-    unit = coords(H.unit_vec())
     comult = []
-    tens = Subspace.from_vectors(
-        field, d * d, [tensor_vec(basis[i], basis[j]) for i in range(r) for j in range(r)]
-    )
-    for i in range(r):
-        w = H.comult_vec(basis[i])
-        if not tens.contains(w):
-            raise SchemaError("comultiplication does not stay inside B (x) B")
-        for a in range(r):
-            for b in range(r):
-                c = w[pivots[a] * d + pivots[b]]
-                if c:
-                    comult.append((i, a, b, c))
-    counit = [H.counit_of(basis[i]) for i in range(r)]
-    anti = [coords(H.antipode_vec(basis[i])) for i in range(r)]
-    star = [coords(H.star_vec(basis[i])) for i in range(r)]
+    for a in range(r):
+        w = {}
+        for k, x in P[a]:
+            for j, l, c in H.comult[k]:
+                if j in at and l in at:
+                    key = (at[j], at[l])
+                    w[key] = w[key] + x * c if key in w else x * c
+        comult += [(a, u, v, c) for (u, v), c in w.items()]
+    counit = [H.counit_of(b) for b in basis]
+    anti = [read(H.antipode_vec(b)) for b in basis]
+    star = [read(H.star_vec(b)) for b in basis]
     antipode = [[anti[i][j] for i in range(r)] for j in range(r)]
     starm = [[star[i][j] for i in range(r)] for j in range(r)]
     labels = ["b%d" % i for i in range(r)]
-    sub = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, starm, labels=labels)
-    inclusion = Matrix.from_rows(field, [[basis[j][i] for j in range(r)] for i in range(d)], ncols=r)
+    sub = HopfStarAlgebra(field, mult, read(H.unit), comult, counit, antipode, starm, labels=labels)
+    if inclusion.apply(sub.unit) != H.unit:
+        raise SchemaError("subalgebra does not contain the unit")
+    failed = morphism_failure(sub, P, H)
+    if failed == "coproduct":
+        raise SchemaError("comultiplication does not stay inside B (x) B")
+    if failed:
+        raise SchemaError("subspace is not closed under the Hopf *-operations")
+    if H.verified:
+        sub.memo("verified", lambda: True)
     return sub, inclusion
 
 

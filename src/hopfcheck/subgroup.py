@@ -2,7 +2,9 @@
 
 A quantum subgroup of a finite quantum group is presented by a *-ideal I
 that is also a coideal and antipode-stable; the quotient carries an induced
-Hopf *-structure on the echelon-canonical complement of I.  Normality can be
+Hopf *-structure on the echelon-canonical complement of I.  Whether I
+qualifies is decided once, by morphism_failure on the projection G -> G/I
+(make_subgroup; check_hopf_ideal reports the same decision).  Normality can be
 decided four independent ways (restriction multiplicities, left and right
 adjoint stability of the ideal, equality of the two coset algebras); the
 four answers are provably equal and a disagreement is raised loudly rather
@@ -19,7 +21,16 @@ from __future__ import annotations
 
 from .corep import peter_weyl
 from .errors import NotHopfIdeal, SchemaError, TheoremViolation
-from .hopf import HopfStarAlgebra, LinearEndo, add_terms, check_axioms, convolve, linear_quotient
+from .hopf import (
+    HopfStarAlgebra,
+    LinearEndo,
+    add_terms,
+    check_axioms,
+    convolve,
+    linear_quotient,
+    morphism_failure,
+    sub_hopf_algebra,
+)
 from .linalg import Matrix, Subspace, basis_vec, solve_linear, zero_vec
 
 
@@ -92,53 +103,38 @@ class QuantumSubgroup:
         return "QuantumSubgroup(dim %d -> %d)" % (self.parent.dim, self.quotient.dim)
 
 
-def check_hopf_ideal(G: HopfStarAlgebra, I: Subspace):
-    """Verify the Hopf *-ideal conditions; returns (ok, witness).
+# the Hopf *-ideal condition on I matching each structure map that the
+# projection G -> G/I must intertwine (see morphism_failure)
+_IDEAL_CONDITION = {
+    "product": "two_sided_ideal",
+    "star": "star_closed",
+    "coproduct": "comultiplication",
+    "counit": "counit",
+    "antipode": "antipode",
+}
 
-    The witness names the first violated condition together with an offending
-    vector (in ambient coordinates, or flat tensor coordinates for the
-    comultiplication condition).
+
+def check_hopf_ideal(G: HopfStarAlgebra, I: Subspace):
+    """Decide whether I is a Hopf *-ideal of G; returns (ok, witness).
+
+    The witness {"condition": name} names the first failed condition, as
+    decided by make_subgroup's morphism certificate.
     """
-    d = G.dim
-    basis = I.basis()
-    ech = I.echelon()
-    for b in basis:
-        for i in range(d):
-            e = basis_vec(G.field, d, i)
-            left = G.product(e, b)
-            if not ech.contains(left):
-                return False, {"condition": "two_sided_ideal", "witness": left}
-            right = G.product(b, e)
-            if not ech.contains(right):
-                return False, {"condition": "two_sided_ideal", "witness": right}
-    for b in basis:
-        st = G.star_vec(b)
-        if not ech.contains(st):
-            return False, {"condition": "star_closed", "witness": st}
-    proj, _reps = linear_quotient(I)
-    for b in basis:
-        w = proj.kron_apply(proj, G.comult_vec(b))
-        if any(w):
-            return False, {"condition": "comultiplication", "witness": w}
-    for b in basis:
-        if G.counit_of(b):
-            return False, {"condition": "counit", "witness": b}
-    for b in basis:
-        sb = G.antipode_vec(b)
-        if not ech.contains(sb):
-            return False, {"condition": "antipode", "witness": sb}
-    return True, None
+    *_, failed = _certified_quotient(G, I)
+    return (True, None) if failed is None else (False, {"condition": failed})
 
 
 def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
     """Quotient G by a Hopf *-ideal, on the echelon-canonical complement.
 
-    The quotient structure is induced through the projection G -> G/I, and a
-    morphism certificate checks that the projection intertwines product,
-    star, coproduct, counit and antipode on the basis of G with that
-    structure.  This holds exactly when I is a Hopf *-ideal; a failure
-    raises NotHopfIdeal naming the first failed condition, in
-    check_hopf_ideal's order and with its names.
+    The quotient structure is induced through the projection G -> G/I, and
+    morphism_failure checks that the projection intertwines product, star,
+    coproduct, counit and antipode on the basis of G with that structure.
+    The projection is linear with kernel I, so this holds exactly when I is
+    a two-sided ideal, *-closed, a coideal (Delta(I) in I (x) G + G (x) I,
+    eps(I) = 0) and antipode-stable, whatever the axioms of G.  A failure
+    raises NotHopfIdeal naming the first failed condition: two_sided_ideal,
+    star_closed, comultiplication, counit or antipode.
 
     If G is already verified (`G.verified`; this function never starts a
     check of G), the quotient inherits every axiom and only its Haar state
@@ -152,10 +148,7 @@ def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
             "ideal lives in the order-%d field but the algebra uses order %d"
             % (I.field.n, G.field.n)
         )
-    proj, reps = linear_quotient(I)
-    P = proj.sparse_columns()
-    quotient = _quotient_algebra(G, P, reps)
-    failed = _certificate_failure(G, P, quotient)
+    proj, reps, quotient, failed = _certified_quotient(G, I)
     if failed:
         raise NotHopfIdeal("the %s condition fails" % failed)
     if G.verified:
@@ -168,6 +161,16 @@ def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
                 "quotient fails the axioms: " + ", ".join(c.name for c in report.failures())
             )
     return QuantumSubgroup(G, I, quotient, proj, reps)
+
+
+def _certified_quotient(G: HopfStarAlgebra, I: Subspace):
+    """(proj, reps, quotient, failed): the structure induced through the
+    projection G -> G/I, and the Hopf *-ideal condition that I fails, or
+    None."""
+    proj, reps = linear_quotient(I)
+    P = proj.sparse_columns()
+    quotient = _quotient_algebra(G, P, reps)
+    return proj, reps, quotient, _IDEAL_CONDITION.get(morphism_failure(G, P, quotient))
 
 
 def _quotient_algebra(G: HopfStarAlgebra, P, reps) -> HopfStarAlgebra:
@@ -207,74 +210,6 @@ def _quotient_algebra(G: HopfStarAlgebra, P, reps) -> HopfStarAlgebra:
     star = [[star_cols[i][j] for i in range(dn)] for j in range(dn)]
     labels = [G.labels[r] for r in reps]
     return HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
-
-
-def _certificate_failure(G: HopfStarAlgebra, P, N: HopfStarAlgebra):
-    """The first structure map that the projection G -> N fails to
-    intertwine, or None; P[a] is the projection of e_a as sparse pairs.
-
-    Each map is compared on every basis element (or pair) of G, as one
-    difference accumulated over sparse terms.  The projection is linear with
-    kernel I, so it intertwines a map exactly when I satisfies the matching
-    condition, whatever the axioms of G: product (I a two-sided ideal), star
-    (I *-closed), coproduct (Delta(I) in I (x) G + G (x) I), counit
-    (eps(I) = 0) and antipode (S(I) in I), checked and named as in
-    check_hopf_ideal.
-    """
-    d = G.dim
-    zero = G.field.zero
-
-    def nonzero(acc):
-        return any(acc.values())
-
-    def push(acc, terms):
-        """acc += the projection of sum c e_k over the (k, c) in terms."""
-        for k, c in terms:
-            add_terms(acc, c, P[k])
-
-    for a in range(d):
-        for b in range(d):
-            acc = {}
-            push(acc, G.mult[a][b])
-            for i, x in P[a]:
-                for j, y in P[b]:
-                    xy = x * y
-                    for k, m in N.mult[i][j]:
-                        acc[k] = acc.get(k, zero) - xy * m
-            if nonzero(acc):
-                return "two_sided_ideal"
-    for a in range(d):
-        acc = {}
-        push(acc, G._star_nz[a])
-        for i, x in P[a]:
-            for k, m in N._star_nz[i]:
-                acc[k] = acc.get(k, zero) - x.conjugate() * m
-        if nonzero(acc):
-            return "star_closed"
-    for a in range(d):
-        acc = {}
-        for j, k, c in G.comult[a]:
-            for x, p in P[j]:
-                cp = c * p
-                for y, q in P[k]:
-                    acc[x, y] = acc.get((x, y), zero) + cp * q
-        for i, x in P[a]:
-            for u, v, m in N.comult[i]:
-                acc[u, v] = acc.get((u, v), zero) - x * m
-        if nonzero(acc):
-            return "comultiplication"
-    for a in range(d):
-        if sum((x * N.counit[i] for i, x in P[a]), zero) != G.counit[a]:
-            return "counit"
-    for a in range(d):
-        acc = {}
-        push(acc, G._anti_nz[a])
-        for i, x in P[a]:
-            for k, m in N._anti_nz[i]:
-                acc[k] = acc.get(k, zero) - x * m
-        if nonzero(acc):
-            return "antipode"
-    return None
 
 
 def trivial_subgroup(G: HopfStarAlgebra) -> QuantumSubgroup:
@@ -663,29 +598,17 @@ def phi_map(Q: QuantumSubgroup, s: Matrix | None = None) -> LinearEndo:
 def exact_sequence_check(Q: QuantumSubgroup) -> bool:
     """C -> A_GN -> G -> N -> C is exact, checked at finite dimension.
 
-    (a) A_GN is a Hopf *-subalgebra; (b) ker pi = A . A+ where A+ is the
-    augmentation part of A_GN; (c) dim G = dim A_GN * dim N.
+    (a) A_GN is a Hopf *-subalgebra (sub_hopf_algebra accepts it); (b)
+    ker pi = A . A+ where A+ is the augmentation part of A_GN; (c) dim G =
+    dim A_GN * dim N.
     """
     G = Q.parent
-    field = G.field
     A_GN, _ = coset_algebras(Q)
-    basis = A_GN.basis()
-    ech = A_GN.echelon()
-    if not ech.contains(G.unit_vec()):
+    try:
+        sub_hopf_algebra(G, A_GN)
+    except SchemaError:
         return False
-    for x in basis:
-        for y in basis:
-            if not ech.contains(G.product(x, y)):
-                return False
-        if not ech.contains(G.antipode_vec(x)) or not ech.contains(G.star_vec(x)):
-            return False
-    rho, _ = linear_quotient(A_GN)
-    ident = Matrix.identity(field, G.dim)
-    for x in basis:
-        w = G.comult_vec(x)
-        if any(rho.kron_apply(ident, w)) or any(ident.kron_apply(rho, w)):
-            return False
     aplus = augmentation_part(G, A_GN)
-    if _product_span(G, [basis_vec(field, G.dim, i) for i in range(G.dim)], aplus.basis()) != Q.ideal:
+    if _product_span(G, [basis_vec(G.field, G.dim, i) for i in range(G.dim)], aplus.basis()) != Q.ideal:
         return False
     return G.dim == A_GN.dim * Q.quotient.dim

@@ -322,6 +322,16 @@ def test_action_must_be_homomorphism():
         GroupAction(FiniteGroup.cyclic(2), F, [ident, bad])
 
 
+def test_action_must_preserve_the_coproduct():
+    # swapping 1 <-> 2 and 3 <-> 4 is a *-algebra map of F(Z5) that commutes
+    # with S and fixes eps, but it is not an automorphism of Z5
+    F = function_algebra(FiniteGroup.cyclic(5))
+    perm = [0, 2, 1, 4, 3]
+    swap = [[int(i == perm[j]) for j in range(5)] for i in range(5)]
+    with pytest.raises(SchemaError, match="^action map 1 does not preserve the coproduct$"):
+        GroupAction(FiniteGroup.cyclic(2), F, [Matrix.identity(F.field, 5), swap])
+
+
 def test_inversion_action_needs_abelian(algebras):
     with pytest.raises(SchemaError):
         inversion_action(algebras["f_s3"])

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hopfcheck
 from hopfcheck.catalog import build_algebra
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import NotCosemisimple, SchemaError
@@ -355,6 +359,81 @@ def test_trivial_sub_hopf_algebra(algebras):
     assert sub.dim == 1
     assert check_axioms(sub).ok
     assert incl.apply([sub.field.one]) == H.unit_vec()
+
+
+def test_sub_hopf_algebra_rejections_name_the_failure():
+    H = build_algebra("f_s3")
+    delta_e = basis_vec(H.field, H.dim, H.labels.index("e"))
+    # closed under product, * and S, but Delta(delta_e) leaves B (x) B
+    B = Subspace.from_vectors(H.field, H.dim, [H.unit_vec(), delta_e])
+    with pytest.raises(SchemaError, match=r"^comultiplication does not stay inside B \(x\) B$"):
+        sub_hopf_algebra(H, B)
+    with pytest.raises(SchemaError, match="^subalgebra does not contain the unit$"):
+        sub_hopf_algebra(H, Subspace.from_vectors(H.field, H.dim, [delta_e]))
+
+
+def test_subalgebra_of_a_verified_algebra_is_verified():
+    H = build_algebra("f_s3")
+    A3 = [H.labels.index(l) for l in ("e", "(123)", "(132)")]
+    cosets = [[H.field.one if (i in A3) == inside else H.field.zero for i in range(6)] for inside in (True, False)]
+    B = Subspace.from_vectors(H.field, H.dim, cosets)
+    sub, _incl = sub_hopf_algebra(H, B)
+    assert not sub.verified
+    assert check_axioms(H).ok
+    sub, _incl = sub_hopf_algebra(H, B)
+    assert sub.verified and check_axioms(sub).ok
+
+
+def test_sub_hopf_algebra_rejects_a_corrupted_restriction_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import hopfcheck.hopf as hopf\n"
+        "from hopfcheck.constructions import FiniteGroup, function_algebra\n"
+        "from hopfcheck.errors import SchemaError\n"
+        "from hopfcheck.linalg import Subspace\n"
+        "assert False, 'asserts are live'\n"
+        "H = function_algebra(FiniteGroup.symmetric(3))\n"
+        "print(hopf.check_axioms(H).ok)\n"
+        "A3 = [H.labels.index(l) for l in ('e', '(123)', '(132)')]\n"
+        "B = Subspace.from_vectors(H.field, 6, [[int((i in A3) == inside) for i in range(6)] for inside in (True, False)])\n"
+        "real = hopf.HopfStarAlgebra\n"
+        "names = ('mult', 'unit', 'comult', 'counit', 'antipode', 'star')\n"
+        "for name in (None,) + names:\n"
+        "    def corrupt(field, *maps, labels, name=name):\n"
+        "        maps = list(maps)\n"
+        "        if name in ('mult', 'comult'):\n"
+        "            t = {e[:3]: e[3] for e in maps[names.index(name)]}\n"
+        "            t[0, 0, 0] = t.get((0, 0, 0), field.zero) + field.one\n"
+        "            maps[names.index(name)] = [k + (c,) for k, c in t.items()]\n"
+        "        elif name is not None:\n"
+        "            m = maps[names.index(name)]\n"
+        "            while isinstance(m[0], list):\n"
+        "                m = m[0]\n"
+        "            m[0] = m[0] + field.one\n"
+        "        return real(field, *maps, labels=labels)\n"
+        "    hopf.HopfStarAlgebra = corrupt\n"
+        "    try:\n"
+        "        sub, _incl = hopf.sub_hopf_algebra(H, B)\n"
+        "        print(name, 'accepted', sub.verified)\n"
+        "    except SchemaError as exc:\n"
+        "        print(name, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    not_closed = "subspace is not closed under the Hopf *-operations"
+    assert proc.stdout.splitlines() == [
+        "True",
+        "None accepted True",
+        "mult " + not_closed,
+        "unit subalgebra does not contain the unit",
+        "comult comultiplication does not stay inside B (x) B",
+        "counit " + not_closed,
+        "antipode " + not_closed,
+        "star " + not_closed,
+    ]
 
 
 def test_linear_quotient_identities():

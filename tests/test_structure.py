@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 import hopfcheck
+import hopfcheck.hopf
 import hopfcheck.structure
 import hopfcheck.subgroup
-from hopfcheck.catalog import CATALOG_NAMES, build_algebra, build_group
+from hopfcheck.catalog import CATALOG_NAMES, SUBGROUP_IDEALS, build_algebra, build_group
 from hopfcheck.constructions import (
     FiniteGroup,
     function_algebra,
@@ -19,8 +20,8 @@ from hopfcheck.constructions import (
 )
 from hopfcheck.corep import conjugate, fusion, peter_weyl
 from hopfcheck.errors import CapExceeded, ContainmentViolated, NotHopfIdeal, SchemaError
-from hopfcheck.hopf import HopfStarAlgebra
-from hopfcheck.linalg import Subspace, basis_vec
+from hopfcheck.hopf import HopfStarAlgebra, check_axioms
+from hopfcheck.linalg import Matrix, Subspace, basis_vec
 from hopfcheck.structure import (
     enumerate_hopf_subalgebras,
     enumerate_quantum_subgroups,
@@ -35,8 +36,10 @@ from hopfcheck.structure import (
 from hopfcheck.subgroup import (
     augmentation_part,
     coset_algebras,
+    exact_sequence_check,
     full_subgroup,
     is_normal_coset,
+    make_subgroup,
 )
 
 
@@ -299,6 +302,36 @@ def test_lattice_verifies_the_parent_once(monkeypatch):
     nested = enumerate_quantum_subgroups(qsubs[-2].quotient)
     assert len(nested) == 5 and all(Q.quotient.verified for Q in nested)
     assert calls == {"check_axioms": 1, "check_hopf_ideal": 0}
+
+
+def test_verified_algebra_is_never_checked_again(monkeypatch):
+    # F(D4) is verified once; its subalgebras and their quotients are then
+    # certified by morphisms, without an axiom run or a dense tensor
+    H = build_algebra("f_d4")
+    assert check_axioms(H).ok
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_axioms(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a dense tensor was formed")
+
+    for module in (hopfcheck.hopf, hopfcheck.structure, hopfcheck.subgroup):
+        monkeypatch.setattr(module, "check_axioms", counted)
+    monkeypatch.setattr(Matrix, "kron_apply", forbidden)
+    monkeypatch.setattr(HopfStarAlgebra, "comult_vec", forbidden)
+    report = property_inheritance_suite(H)
+    assert report["n_quantum_subgroups"] == 10 and report["quotients_inherit_F"]
+    for Q in enumerate_quantum_subgroups(H):
+        assert exact_sequence_check(Q) == is_normal_coset(Q)
+    N, K = (
+        make_subgroup(H, subgroup_ideal(H, SUBGROUP_IDEALS[key][1]))
+        for key in ("f_d4.center", "f_d4.z4")
+    )
+    assert third_isomorphism_check(H, N, K)["claim_d_H_over_N_normal"]
+    assert calls == []
 
 
 def lattice_summary(H):
