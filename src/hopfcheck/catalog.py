@@ -86,10 +86,6 @@ def build_algebra(name: str) -> HopfStarAlgebra:
     raise KeyError(name)
 
 
-def catalog_algebras() -> dict:
-    return {name: build_algebra(name) for name in CATALOG_NAMES}
-
-
 def repo_catalog_dir() -> str:
     here = os.path.dirname(os.path.abspath(__file__))
     return os.path.join(os.path.dirname(os.path.dirname(here)), "catalog")

@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     TheoremViolation,
 )
-from .hopf import HopfStarAlgebra, morphism_failure
+from .hopf import HopfStarAlgebra, add_terms, morphism_failure
 from .linalg import Matrix, Subspace, basis_vec, tensor_vec, zero_vec
 from .subgroup import (
     QuantumSubgroup,
@@ -251,7 +251,7 @@ def group_algebra(G: FiniteGroup, field_order=None) -> HopfStarAlgebra:
     unit = [one if i == G.identity else zero for i in range(n)]
     comult = [(i, i, i, one) for i in range(n)]
     counit = [one] * n
-    antipode = [[one if j == G.inverses[i] else zero for i in range(n)] for j in range(n)]
+    antipode = [(i, G.inverses[i], one) for i in range(n)]
     H = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, antipode, labels=list(G.labels))
     H.meta = {"kind": "group_algebra", "group": G}
     H.attached_pw = [
@@ -269,8 +269,8 @@ def function_algebra(G: FiniteGroup, field_order=None) -> HopfStarAlgebra:
     unit = [one] * n
     comult = [(G.table[j][k], j, k, one) for j in range(n) for k in range(n)]
     counit = [one if i == G.identity else zero for i in range(n)]
-    antipode = [[one if j == G.inverses[i] else zero for i in range(n)] for j in range(n)]
-    star = [[one if j == i else zero for i in range(n)] for j in range(n)]
+    antipode = [(i, G.inverses[i], one) for i in range(n)]
+    star = [(i, i, one) for i in range(n)]
     H = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=list(G.labels))
     H.meta = {"kind": "function_algebra", "group": G}
     return H
@@ -331,8 +331,8 @@ def lift_algebra(H: HopfStarAlgebra, n: int) -> HopfStarAlgebra:
         lv(H.unit),
         [(i, j, k, lift(c)) for i, j, k, c in H.comult_entries()],
         lv(H.counit),
-        [lv(r) for r in H.antipode.rows],
-        [lv(r) for r in H.star.rows],
+        [(i, j, lift(c)) for i, j, c in H.antipode_entries()],
+        [(i, j, lift(c)) for i, j, c in H.star_entries()],
         labels=list(H.labels),
     )
     out.meta = dict(H.meta)
@@ -362,21 +362,20 @@ def tensor_product(H1: HopfStarAlgebra, H2: HopfStarAlgebra) -> HopfStarAlgebra:
         for i2, j2, k2, c2 in B.comult_entries()
     ]
     counit = tensor_vec(A.counit, B.counit)
-    antipode = A.antipode.kron(B.antipode)
-    star = A.star.kron(B.star)
+
+    def kron(entries1, entries2):
+        return [
+            (i1 * d2 + i2, j1 * d2 + j2, c1 * c2)
+            for i1, j1, c1 in entries1
+            for i2, j2, c2 in entries2
+        ]
+
+    antipode = kron(A.antipode_entries(), B.antipode_entries())
+    star = kron(A.star_entries(), B.star_entries())
     labels = [
         "(%s,%s)" % (la, lb) for la in A.labels for lb in B.labels
     ]
-    X = HopfStarAlgebra(
-        field,
-        mult,
-        unit,
-        comult,
-        counit,
-        [list(r) for r in antipode.rows],
-        [list(r) for r in star.rows],
-        labels=labels,
-    )
+    X = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
     X.meta = {"kind": "tensor_product", "factors": (A, B)}
     if A.attached_pw is not None and B.attached_pw is not None:
         pw = []
@@ -539,17 +538,20 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
                 out[k * o + t] = c
         return out
 
+    # (a gamma_s)(b gamma_t) = a alpha_s(b) gamma_st, while S(a gamma_t) and
+    # (a gamma_t)* are alpha_t^-1(S(a)) gamma_t^-1 and alpha_t^-1(a*) gamma_t^-1
+    acols = [m.sparse_columns() for m in action.maps]
     mult = []
-    acols = [m.columns() for m in action.maps]
     for i in range(dA):
         for s in range(o):
             for j in range(dA):
-                w = A.product(basis_vec(field, dA, i), acols[s][j])
+                w = {}
+                for k, x in acols[s][j]:
+                    add_terms(w, x, A.mult[i][k])
                 mult += [
                     (i * o + s, j * o + t, k * o + G.table[s][t], c)
                     for t in range(o)
-                    for k, c in enumerate(w)
-                    if c
+                    for k, c in w.items()
                 ]
     unit = mixed(A.unit, G.identity)
     comult = [
@@ -558,17 +560,15 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
         for t in range(o)
     ]
     counit = [A.counit[i] for i in range(dA) for _t in range(o)]
-    anti_cols = []
-    star_cols = []
-    s_of = A.antipode.columns()
-    st_of = A.star.columns()
+    antipode, star = [], []
     for i in range(dA):
         for t in range(o):
             ti = G.inverses[t]
-            anti_cols.append(mixed(action.maps[ti].apply(s_of[i]), ti))
-            star_cols.append(mixed(action.maps[ti].apply(st_of[i]), ti))
-    antipode = [[anti_cols[i][j] for i in range(d)] for j in range(d)]
-    star = [[star_cols[i][j] for i in range(d)] for j in range(d)]
+            for cols, out in ((A.antipode, antipode), (A.star, star)):
+                w = {}
+                for j, c in cols[i]:
+                    add_terms(w, c, acols[ti][j])
+                out += [(i * o + t, k * o + ti, c) for k, c in w.items()]
     labels = ["%s|%s" % (A.labels[i], G.labels[t]) for i in range(dA) for t in range(o)]
     X = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
     X.meta = {"kind": "crossed_product", "inner": A, "group": G, "action": action}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import SchemaError, SplittingFailed, TheoremViolation
-from .hopf import HopfStarAlgebra
+from .hopf import HopfStarAlgebra, coproduct_slice
 from .linalg import Matrix, Subspace, basis_vec, solve_linear, zero_vec
 from .splitting import find_primitive_idempotent, split_center
 
@@ -174,26 +174,14 @@ def _extract_block(H, p, gauge):
     d = H.dim
 
     # the matrix block p * dual, as a subspace of the dual, spanned by the
-    # p * e_t with (p * e_t)(e_i) = sum of p_j c over the terms (j, t, c) of Delta e_i
-    imgs = [zero_vec(field, d) for _ in range(d)]
-    for i in range(d):
-        for j, t, c in H.comult[i]:
-            pj = p[j]
-            if pj:
-                imgs[t][i] = imgs[t][i] + pj * c
-    block_D = Subspace.from_vectors(field, d, imgs)
+    # p * e_t: row t of the matrix of (p (x) id) Delta
+    block_D = Subspace.from_vectors(field, d, coproduct_slice(H, p, "left").rows)
     dlam = isqrt(block_D.dim)
     if dlam * dlam != block_D.dim:
         raise SplittingFailed(field.n, "a dual block is not of square dimension")
 
     # the coefficient space inside the algebra: image of (id (x) p) Delta
-    P = Matrix.zeros(field, d, d)
-    for i in range(d):
-        for j, k, c in H.comult[i]:
-            pk = p[k]
-            if pk:
-                P.rows[j][i] = P.rows[j][i] + c * pk
-    C_block = P.image()
+    C_block = coproduct_slice(H, p, "right").image()
     if C_block.dim != block_D.dim:
         raise TheoremViolation("coefficient space does not match the dual block")
 
@@ -207,12 +195,7 @@ def _extract_block(H, p, gauge):
         return _verified(Corepresentation(H, [[g]]))
 
     q = find_primitive_idempotent(H, block_D.basis(), p, gauge)
-    Q = Matrix.zeros(field, d, d)
-    for i in range(d):
-        for j, k, c in H.comult[i]:
-            qk = q[k]
-            if qk:
-                Q.rows[j][i] = Q.rows[j][i] + c * qk
+    Q = coproduct_slice(H, q, "right")
     rows = [Q.apply(b) for b in C_block.basis()]
     V = Subspace.from_vectors(field, d, rows)
     if V.dim != dlam:

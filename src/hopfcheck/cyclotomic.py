@@ -445,9 +445,6 @@ class CycScalar:
             prec *= 2
         raise ArithmeticError("sign certification did not converge for %r" % (self,))
 
-    def is_positive(self):
-        return self.sign() > 0
-
     def embed(self):
         """Standard complex embedding z -> exp(2*pi*i/n), as a float."""
         basis = self.field._embeddings()

@@ -5,18 +5,21 @@ Conventions (all column-style):
   unit[i]                    1 = sum_i unit[i] e_i
   comult entry (i, j, k, c)  Delta(e_i) has coefficient c on e_j (x) e_k
   counit[i]                  eps(e_i)
-  antipode[j][i]             coefficient of e_j in S(e_i)
-  star[j][i]                 (e_i)* = sum_j star[j][i] e_j, extended antilinearly
+  antipode entry (i, j, c)   S(e_i) has coefficient c on e_j
+  star entry (i, j, c)       (e_i)* has coefficient c on e_j; * is antilinear
 
-The product and coproduct are given and stored sparsely, never as d^3
-tensors.  The constructor takes any iterable of (i, j, k, c) entries (the
-shape of the sparse entries of a .hopf.json file): it coerces each scalar,
-raises SchemaError on an index out of range or a repeated (i, j, k), and
-drops the zero entries.  It stores
+The structure maps are given and stored sparsely, never as d^3 tensors or
+d x d matrices.  The constructor takes any iterable of (i, j, k, c) entries
+for the product and coproduct (the shape of the sparse entries of a
+.hopf.json file) and of (i, j, c) entries for the antipode and star: it
+coerces each scalar, raises SchemaError on a malformed entry, an index out
+of range or a repeated index, and drops the zero entries.  It stores
   H.mult[i][j]   a tuple of the (k, c) with c != 0, sorted by k
   H.comult[i]    a tuple of the (j, k, c) with c != 0, sorted by (j, k)
-and H.mult_entries() / H.comult_entries() list the entries back in index
-order.  The antipode and star are Matrix objects.
+  H.antipode[i]  a tuple of the (j, c) with c != 0, sorted by j
+  H.star[i]      likewise for (e_i)*
+and H.mult_entries() / H.comult_entries() / H.antipode_entries() /
+H.star_entries() list the entries back in index order.
 
 The Kac conditions (S^2 = id, tracial positive Haar) are part of the axiom
 report, so everything downstream may assume them once the report is clean.
@@ -34,6 +37,7 @@ and never runs a check.
 morphism_failure is the one test of whether a linear map between two
 algebras preserves product, star, coproduct, counit and antipode; quotient
 maps, subalgebra inclusions and group actions are all checked by it.
+induced_algebra is the one builder of quotient and subalgebra structure.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ class HopfStarAlgebra:
         try:
             self.unit = [sc(unit[i]) for i in range(d)]
             self.counit = [sc(counit[i]) for i in range(d)]
-            self.antipode = Matrix(field, [[antipode[i][j] for j in range(d)] for i in range(d)])
-            self.star = Matrix(field, [[star[i][j] for j in range(d)] for i in range(d)])
         except (IndexError, TypeError) as exc:
             raise SchemaError("structure tensor shape mismatch: %s" % exc) from exc
         if labels is None:
@@ -68,15 +70,12 @@ class HopfStarAlgebra:
             raise SchemaError("expected %d basis labels, got %d" % (d, len(labels)))
         self.labels = list(labels)
         mult_terms = [[[] for _ in range(d)] for _ in range(d)]
-        for (i, j, k), c in _sparse_entries(sc, d, mult, "mult"):
+        for (i, j, k), c in _sparse_entries(sc, d, mult, "mult", 3):
             mult_terms[i][j].append((k, c))
         self.mult = [[tuple(terms) for terms in row] for row in mult_terms]
-        comult_terms = [[] for _ in range(d)]
-        for (i, j, k), c in _sparse_entries(sc, d, comult, "comult"):
-            comult_terms[i].append((j, k, c))
-        self.comult = [tuple(terms) for terms in comult_terms]
-        self._star_nz = self.star.sparse_columns()
-        self._anti_nz = self.antipode.sparse_columns()
+        self.comult = _sparse_columns(sc, d, comult, "comult", 3)
+        self.antipode = _sparse_columns(sc, d, antipode, "antipode", 2)
+        self.star = _sparse_columns(sc, d, star, "star", 2)
         self._memo = {}
         self.attached_pw = None  # optional corepresentation data from a constructor
         self.meta = {}
@@ -113,6 +112,14 @@ class HopfStarAlgebra:
     def comult_entries(self):
         """The nonzero coproduct entries (i, j, k, c), in index order."""
         return [(i, j, k, c) for i, terms in enumerate(self.comult) for j, k, c in terms]
+
+    def antipode_entries(self):
+        """The nonzero antipode entries (i, j, c), in index order."""
+        return [(i, j, c) for i, terms in enumerate(self.antipode) for j, c in terms]
+
+    def star_entries(self):
+        """The nonzero star entries (i, j, c), in index order."""
+        return [(i, j, c) for i, terms in enumerate(self.star) for j, c in terms]
 
     # -- basic maps ---------------------------------------------------------
 
@@ -151,10 +158,19 @@ class HopfStarAlgebra:
         return acc
 
     def antipode_vec(self, x):
-        return self.antipode.apply(x)
+        return self._apply(self.antipode, x)
 
     def star_vec(self, x):
-        return self.star.apply([c.conjugate() for c in x])
+        return self._apply(self.star, [c.conjugate() for c in x])
+
+    def _apply(self, cols, x):
+        """The linear map with sparse columns cols applied to x."""
+        out = zero_vec(self.field, self.dim)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, c in cols[i]:
+                    out[j] = out[j] + xi * c
+        return out
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
@@ -183,23 +199,37 @@ class HopfStarAlgebra:
         return "HopfStarAlgebra(dim %d over Q(zeta_%d))" % (self.dim, self.field.n)
 
 
-def _sparse_entries(sc, d, entries, name):
-    """The nonzero ((i, j, k), c) of a structure tensor given by entries, in
-    index order; SchemaError on a malformed, out-of-range or repeated entry."""
+def _sparse_entries(sc, d, entries, name, arity):
+    """The nonzero (index, c) of a structure map given by entries of arity
+    indices and a scalar, in index order; SchemaError on a malformed,
+    out-of-range or repeated entry."""
     out = {}
     for entry in entries:
         try:
-            i, j, k, c = entry
+            *key, c = entry
+            if len(key) != arity:
+                raise ValueError(entry)
             c = sc(c)
         except (TypeError, ValueError) as exc:
-            raise SchemaError("%s entries are (i, j, k, scalar), got %r" % (name, entry)) from exc
-        key = (i, j, k)
+            raise SchemaError(
+                "%s entries are (%s, scalar), got %r" % (name, ", ".join("ijk"[:arity]), entry)
+            ) from exc
+        key = tuple(key)
         if not all(type(x) is int and 0 <= x < d for x in key):
             raise SchemaError("%s index out of range in %r" % (name, key))
         if key in out:
             raise SchemaError("repeated %s entry %r" % (name, key))
         out[key] = c
     return [(key, out[key]) for key in sorted(out) if out[key]]
+
+
+def _sparse_columns(sc, d, entries, name, arity):
+    """Column i of a map given by (i, ..., c) entries: the sorted (..., c)
+    with c != 0."""
+    cols = [[] for _ in range(d)]
+    for (i, *rest), c in _sparse_entries(sc, d, entries, name, arity):
+        cols[i].append((*rest, c))
+    return [tuple(col) for col in cols]
 
 
 def add_terms(acc, scale, terms):
@@ -239,13 +269,13 @@ class LinearEndo:
 
     @classmethod
     def antipode(cls, algebra):
-        return cls(algebra, algebra.antipode)
+        S = Matrix.zeros(algebra.field, algebra.dim, algebra.dim)
+        for i, j, c in algebra.antipode_entries():
+            S.rows[j][i] = c
+        return cls(algebra, S)
 
     def apply(self, vec):
         return self.matrix.apply(vec)
-
-    def compose(self, other):
-        return LinearEndo(self.algebra, self.matrix * other.matrix)
 
     def convolve(self, other):
         return convolve(self.algebra, self, other)
@@ -480,63 +510,66 @@ def check_axioms(H):
 
     def antipode_fails(side):
         for i in range(d):
-            acc = zero_vec(field, d)
+            acc = {}
             for j, k, c in H.comult[i]:
                 if side == "left":
-                    prod = H.product(H.antipode.column(j), ebasis[k])
+                    for w, s in H.antipode[j]:
+                        add_terms(acc, c * s, H.mult[w][k])
                 else:
-                    prod = H.product(ebasis[j], H.antipode.column(k))
-                for t, p in enumerate(prod):
-                    if p:
-                        acc[t] = acc[t] + c * p
-            target = [H.counit[i] * u for u in one]
-            if acc != target:
+                    for w, s in H.antipode[k]:
+                        add_terms(acc, c * s, H.mult[j][w])
+            target = {t: H.counit[i] * u for t, u in enumerate(one) if u and H.counit[i]}
+            if _nonzero(acc) != target:
                 yield (i,)
 
     run("antipode_left", antipode_fails("left"))
     run("antipode_right", antipode_fails("right"))
 
-    def star_involution_fails():
-        if H.star * H.star.conjugate() != Matrix.identity(field, d):
-            yield ()
+    def twice_fails(cols, antilinear):
+        """The map with sparse columns cols is not an involution."""
+        for i in range(d):
+            acc = {}
+            for j, c in cols[i]:
+                add_terms(acc, c.conjugate() if antilinear else c, cols[j])
+            if _nonzero(acc) != {i: field.one}:
+                yield ()
 
-    run("star_involution", star_involution_fails())
+    run("star_involution", twice_fails(H.star, True))
 
     def star_antimult_fails():
-        scols = H.star.columns()
         for i in range(d):
             for j in range(d):
-                lhs = {}
+                acc = {}
                 for k, c in H.mult[i][j]:
-                    add_terms(lhs, c.conjugate(), H._star_nz[k])
-                rhs = H.product(scols[j], scols[i])
-                if _nonzero(lhs) != _nonzero(dict(enumerate(rhs))):
+                    add_terms(acc, c.conjugate(), H.star[k])
+                for a, x in H.star[j]:
+                    for b, y in H.star[i]:
+                        add_terms(acc, -(x * y), H.mult[a][b])
+                if any(acc.values()):
                     yield (i, j)
 
     run("star_antimultiplicative", star_antimult_fails())
 
     def star_comult_fails():
-        scols = H.star.columns()
         for i in range(d):
-            lhs = H.comult_vec(scols[i])
-            rhs = zero_vec(field, d * d)
+            acc = {}
+            for a, x in H.star[i]:
+                for u, v, m in H.comult[a]:
+                    acc[u, v] = acc.get((u, v), field.zero) + x * m
             for j, k, c in H.comult[i]:
                 cc = c.conjugate()
-                for a, sa in enumerate(scols[j]):
-                    if sa:
-                        coeff = cc * sa
-                        for b, sb in enumerate(scols[k]):
-                            if sb:
-                                rhs[a * d + b] = rhs[a * d + b] + coeff * sb
-            if lhs != rhs:
+                for a, sa in H.star[j]:
+                    coeff = cc * sa
+                    for b, sb in H.star[k]:
+                        acc[a, b] = acc.get((a, b), field.zero) - coeff * sb
+            if any(acc.values()):
                 yield (i,)
 
     run("star_comultiplicative", star_comult_fails())
 
     def star_counit_fails():
-        scols = H.star.columns()
         for i in range(d):
-            if H.counit_of(scols[i]) != H.counit[i].conjugate():
+            if sum((x * H.counit[a] for a, x in H.star[i]), field.zero) != H.counit[i].conjugate():
                 yield (i,)
 
     run("star_counit", star_counit_fails())
@@ -549,11 +582,7 @@ def check_axioms(H):
 
     run("antipode_star_involution", antipode_star_fails())
 
-    def s_squared_fails():
-        if H.antipode * H.antipode != Matrix.identity(field, d):
-            yield ()
-
-    run("antipode_involutive", s_squared_fails())
+    run("antipode_involutive", twice_fails(H.antipode, False))
 
     haar = None
     try:
@@ -564,10 +593,10 @@ def check_axioms(H):
 
     if haar is not None:
 
-        def tracial_fails():
-            def h(terms):
-                return sum((c * haar[k] for k, c in terms), field.zero)
+        def h(terms):
+            return sum((c * haar[k] for k, c in terms), field.zero)
 
+        def tracial_fails():
             for i in range(d):
                 for j in range(i + 1, d):
                     if h(H.mult[i][j]) != h(H.mult[j][i]):
@@ -576,17 +605,17 @@ def check_axioms(H):
         run("haar_tracial", tracial_fails())
 
         def haar_star_fails():
-            scols = H.star.columns()
             for i in range(d):
-                if H.haar_of(scols[i]) != haar[i].conjugate():
+                if h(H.star[i]) != haar[i].conjugate():
                     yield (i,)
 
         run("haar_star", haar_star_fails())
 
         def haar_positive_fails():
-            scols = H.star.columns()
+            # gram[i][j] = h(e_i* e_j)
+            h_mult = [[h(terms) for terms in row] for row in H.mult]
             gram = [
-                [H.haar_of(H.product(scols[i], ebasis[j])) for j in range(d)]
+                [sum((x * h_mult[a][j] for a, x in H.star[i]), field.zero) for j in range(d)]
                 for i in range(d)
             ]
             for i in range(d):
@@ -626,18 +655,21 @@ def dual(H):
 
 
 def _build_dual(H):
-    antipode = H.antipode.transpose()
-    star = (H.star.conjugate() * H.antipode).transpose()
-    labels = [lbl + "^" for lbl in H.labels]
+    # (e^i)* has coefficient sum_k conj(t) s on e^j over the terms (k, s)
+    # of S(e_j) and (i, t) of (e_k)*
+    star = {}
+    for j, k, s in H.antipode_entries():
+        for i, t in H.star[k]:
+            star[i, j] = star.get((i, j), H.field.zero) + t.conjugate() * s
     return HopfStarAlgebra(
         H.field,
         [(j, k, i, c) for i, j, k, c in H.comult_entries()],
         list(H.counit),
         [(k, a, b, c) for a, b, k, c in H.mult_entries()],
         list(H.unit),
-        [list(r) for r in antipode.rows],
-        [list(r) for r in star.rows],
-        labels=labels,
+        [(j, i, c) for i, j, c in H.antipode_entries()],
+        [(i, j, c) for (i, j), c in star.items()],
+        labels=[lbl + "^" for lbl in H.labels],
     )
 
 
@@ -673,9 +705,9 @@ def morphism_failure(G, P, N):
                 return "product"
     for a in range(d):
         acc = {}
-        push(acc, G._star_nz[a])
+        push(acc, G.star[a])
         for i, x in P[a]:
-            add_terms(acc, -x.conjugate(), N._star_nz[i])
+            add_terms(acc, -x.conjugate(), N.star[i])
         if any(acc.values()):
             return "star"
     for a in range(d):
@@ -695,12 +727,93 @@ def morphism_failure(G, P, N):
             return "counit"
     for a in range(d):
         acc = {}
-        push(acc, G._anti_nz[a])
+        push(acc, G.antipode[a])
         for i, x in P[a]:
-            add_terms(acc, -x, N._anti_nz[i])
+            add_terms(acc, -x, N.antipode[i])
         if any(acc.values()):
             return "antipode"
     return None
+
+
+def induced_algebra(G, section, retraction, labels):
+    """The structure induced on span{f_a} through a section f_a -> section[a]
+    into G and a retraction e_k -> retraction[k] out of G, both given as
+    sparse (index, entry) columns.
+
+    The product is rho m (sigma (x) sigma), the unit rho(1), the coproduct
+    (rho (x) rho) Delta sigma, the counit eps sigma, the antipode rho S sigma
+    and the star rho * sigma.  A quotient G -> G/I takes sigma = the
+    canonical representatives and rho = the projection; a subalgebra takes
+    sigma = its echelon basis and rho = reading at the pivots.  Nothing is
+    checked here: morphism_failure on rho or sigma decides whether the
+    result is a quotient or a subalgebra.
+    """
+    zero = G.field.zero
+
+    def image(terms):
+        """rho of sum c e_k over the (k, c) in terms, as {index: entry}."""
+        acc = {}
+        for k, c in terms:
+            add_terms(acc, c, retraction[k])
+        return acc
+
+    def mapped(cols, antilinear):
+        return [
+            (a, j, c)
+            for a, col in enumerate(section)
+            for j, c in image(
+                (k, (x.conjugate() if antilinear else x) * s) for i, x in col for k, s in cols[i]
+            ).items()
+        ]
+
+    mult = [
+        (a, b, k, c)
+        for a, sa in enumerate(section)
+        for b, sb in enumerate(section)
+        for k, c in image(
+            (m, x * y * z) for i, x in sa for j, y in sb for m, z in G.mult[i][j]
+        ).items()
+    ]
+    unit = [zero] * len(section)
+    for a, c in image((k, u) for k, u in enumerate(G.unit) if u).items():
+        unit[a] = c
+    comult = []
+    for a, col in enumerate(section):
+        w = {}
+        for i, x in col:
+            for j, k, c in G.comult[i]:
+                xc = x * c
+                for u, p in retraction[j]:
+                    xcp = xc * p
+                    for v, q in retraction[k]:
+                        w[u, v] = w.get((u, v), zero) + xcp * q
+        comult += [(a, u, v, c) for (u, v), c in w.items()]
+    counit = [sum((x * G.counit[i] for i, x in col), zero) for col in section]
+    return HopfStarAlgebra(
+        G.field, mult, unit, comult, counit,
+        mapped(G.antipode, False), mapped(G.star, True), labels=labels,
+    )
+
+
+def certified_subalgebra(H, B):
+    """(algebra, inclusion, failed): the structure of H read on a subspace B
+    (see sub_hopf_algebra), and the first closure condition that B fails,
+    "unit" or one named by morphism_failure, or None."""
+    d = H.dim
+    if B.ambient != d:
+        raise SchemaError("subspace ambient %d != algebra dim %d" % (B.ambient, d))
+    one = H.field.one
+    basis = B.basis()
+    at = {p: a for a, p in enumerate(B.pivots)}
+    section = [[(k, x) for k, x in enumerate(b) if x] for b in basis]
+    retraction = [[(at[k], one)] if k in at else [] for k in range(d)]
+    sub = induced_algebra(H, section, retraction, ["b%d" % a for a in range(B.dim)])
+    inclusion = Matrix.from_rows(
+        H.field, [[b[i] for b in basis] for i in range(d)], ncols=B.dim
+    )
+    if inclusion.apply(sub.unit) != H.unit:
+        return sub, inclusion, "unit"
+    return sub, inclusion, morphism_failure(sub, section, H)
 
 
 def sub_hopf_algebra(H, B):
@@ -709,9 +822,9 @@ def sub_hopf_algebra(H, B):
     Returns (algebra, inclusion) where inclusion maps sub-coordinates into
     ambient coordinates.  The echelon basis b_a of B has a 1 at its own
     pivot and 0 at the other pivots, so a vector of B is sum v[p_a] b_a:
-    every structure constant of the subalgebra is read at the pivots (the
-    coproduct at pivot pairs).  Read that way, the inclusion intertwines a
-    structure map exactly when B is closed under it, which
+    induced_algebra reads every structure constant of the subalgebra at the
+    pivots (the coproduct at pivot pairs).  Read that way, the inclusion
+    intertwines a structure map exactly when B is closed under it, which
     morphism_failure decides; the unit is compared through the inclusion
     too.  Raises SchemaError when B is not closed under the operations or
     does not contain the unit.
@@ -720,46 +833,9 @@ def sub_hopf_algebra(H, B):
     an injective Hopf *-morphism, so every axiom, the Kac conditions and
     the Haar properties restrict to the subalgebra.
     """
-    d = H.dim
-    field = H.field
-    if B.ambient != d:
-        raise SchemaError("subspace ambient %d != algebra dim %d" % (B.ambient, d))
-    basis = B.basis()
-    r = B.dim
-    pivots = B.pivots
-    at = {p: a for a, p in enumerate(pivots)}
-    inclusion = Matrix.from_rows(field, [[basis[j][i] for j in range(r)] for i in range(d)], ncols=r)
-    P = inclusion.sparse_columns()
-
-    def read(vec):
-        return [vec[p] for p in pivots]
-
-    mult = [
-        (i, j, k, c)
-        for i in range(r)
-        for j in range(r)
-        for k, c in enumerate(read(H.product(basis[i], basis[j])))
-        if c
-    ]
-    comult = []
-    for a in range(r):
-        w = {}
-        for k, x in P[a]:
-            for j, l, c in H.comult[k]:
-                if j in at and l in at:
-                    key = (at[j], at[l])
-                    w[key] = w[key] + x * c if key in w else x * c
-        comult += [(a, u, v, c) for (u, v), c in w.items()]
-    counit = [H.counit_of(b) for b in basis]
-    anti = [read(H.antipode_vec(b)) for b in basis]
-    star = [read(H.star_vec(b)) for b in basis]
-    antipode = [[anti[i][j] for i in range(r)] for j in range(r)]
-    starm = [[star[i][j] for i in range(r)] for j in range(r)]
-    labels = ["b%d" % i for i in range(r)]
-    sub = HopfStarAlgebra(field, mult, read(H.unit), comult, counit, antipode, starm, labels=labels)
-    if inclusion.apply(sub.unit) != H.unit:
+    sub, inclusion, failed = certified_subalgebra(H, B)
+    if failed == "unit":
         raise SchemaError("subalgebra does not contain the unit")
-    failed = morphism_failure(sub, P, H)
     if failed == "coproduct":
         raise SchemaError("comultiplication does not stay inside B (x) B")
     if failed:
@@ -769,6 +845,21 @@ def sub_hopf_algebra(H, B):
     return sub, inclusion
 
 
+def coproduct_slice(H, f, side):
+    """The matrix of a -> (id (x) f) Delta(a) (side "right") or
+    (f (x) id) Delta(a) (side "left") for a covector f, summed over the
+    sparse coproduct terms."""
+    M = Matrix.zeros(H.field, H.dim, H.dim)
+    rows = M.rows
+    for i, terms in enumerate(H.comult):
+        for j, k, c in terms:
+            kept, sliced = (j, k) if side == "right" else (k, j)
+            w = f[sliced]
+            if w:
+                rows[kept][i] = rows[kept][i] + c * w
+    return M
+
+
 def linear_quotient(B):
     """Linear projection along a subspace onto its canonical complement.
 
@@ -776,15 +867,9 @@ def linear_quotient(B):
     the quotient map in the complement coordinates and reps[i] is the ambient
     index represented by output coordinate i.
     """
-    field = B.field
     amb = B.ambient
     reps = B.complement_indices()
     ech = B.echelon()
-    cols = []
-    for j in range(amb):
-        red = ech.reduce(basis_vec(field, amb, j))
-        cols.append([red[t] for t in reps])
-    proj = Matrix.from_rows(
-        field, [[cols[j][i] for j in range(amb)] for i in range(len(reps))], ncols=amb
-    )
+    reduced = [ech.reduce(basis_vec(B.field, amb, j)) for j in range(amb)]
+    proj = Matrix.from_rows(B.field, [[red[t] for red in reduced] for t in reps], ncols=amb)
     return proj, reps

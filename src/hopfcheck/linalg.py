@@ -182,10 +182,6 @@ class Matrix:
     def __neg__(self):
         return Matrix.from_rows(self.field, [[-a for a in r] for r in self.rows], ncols=self.ncols)
 
-    def scale(self, c):
-        c = self.field.scalar(c)
-        return Matrix.from_rows(self.field, [[c * a for a in r] for r in self.rows], ncols=self.ncols)
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -225,11 +221,6 @@ class Matrix:
             ncols=self.nrows,
         )
 
-    def conjugate(self):
-        return Matrix.from_rows(
-            self.field, [[a.conjugate() for a in r] for r in self.rows], ncols=self.ncols
-        )
-
     def kron(self, other):
         out = []
         for r in self.rows:
@@ -239,25 +230,6 @@ class Matrix:
                     row.extend(a * b if (a and b) else self.field.zero for b in s)
                 out.append(row)
         return Matrix.from_rows(self.field, out, ncols=self.ncols * other.ncols)
-
-    def kron_apply(self, other, vec):
-        """Apply self (x) other to a flat tensor vector without forming the Kronecker product."""
-        n2 = other.ncols
-        m1, m2 = self.nrows, other.nrows
-        out = zero_vec(self.field, m1 * m2)
-        for idx, val in enumerate(vec):
-            if not val:
-                continue
-            i, j = divmod(idx, n2)
-            for a in range(m1):
-                c1 = self.rows[a][i]
-                if not c1:
-                    continue
-                for b in range(m2):
-                    c2 = other.rows[b][j]
-                    if c2:
-                        out[a * m2 + b] = out[a * m2 + b] + val * c1 * c2
-        return out
 
     def is_zero(self):
         return all(not c for r in self.rows for c in r)

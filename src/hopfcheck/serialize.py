@@ -5,7 +5,10 @@ Scalars serialize as "p/q" strings when rational and as
 (plus plain integers) in any scalar position.  Structure tensors are written
 sparsely with entries ordered lexicographically by index, so saved files are
 byte-deterministic; dense tensors are accepted on input.  A sparse tensor
-that lists the same [i, j, k] twice is rejected.
+that lists the same [i, j, k] twice is rejected.  The antipode and star are
+written and read as dense d x d matrices, row j and column i holding the
+coefficient of e_j in S(e_i) (resp. (e_i)*); this is the one place where
+they are dense.
 """
 
 from __future__ import annotations
@@ -91,6 +94,20 @@ def _parse_tensor(field, obj, d, name):
     return [(i, j, k, scalar_from_json(field, c)) for i, j, k, c in obj]
 
 
+def _dense_rows(cols, d):
+    """The JSON matrix of a map with sparse columns cols."""
+    rows = [["0"] * d for _ in range(d)]
+    for i, col in enumerate(cols):
+        for j, c in col:
+            rows[j][i] = scalar_to_json(c)
+    return rows
+
+
+def _column_entries(matrix):
+    """The (i, j, c) entries of a dense matrix, c at row j and column i."""
+    return [(i, j, c) for j, row in enumerate(matrix) for i, c in enumerate(row)]
+
+
 def algebra_to_dict(H: HopfStarAlgebra) -> dict:
     return {
         "dim": H.dim,
@@ -100,8 +117,8 @@ def algebra_to_dict(H: HopfStarAlgebra) -> dict:
         "unit": [scalar_to_json(x) for x in H.unit],
         "comult": [[i, j, k, scalar_to_json(c)] for i, j, k, c in H.comult_entries()],
         "counit": [scalar_to_json(x) for x in H.counit],
-        "antipode": [[scalar_to_json(x) for x in row] for row in H.antipode.rows],
-        "star": [[scalar_to_json(x) for x in row] for row in H.star.rows],
+        "antipode": _dense_rows(H.antipode, H.dim),
+        "star": _dense_rows(H.star, H.dim),
     }
 
 
@@ -122,8 +139,8 @@ def algebra_from_dict(data: dict) -> HopfStarAlgebra:
     unit = _parse_vector(field, _require(data, "unit"), d, "unit")
     comult = _parse_tensor(field, _require(data, "comult"), d, "comult")
     counit = _parse_vector(field, _require(data, "counit"), d, "counit")
-    antipode = _parse_matrix(field, _require(data, "antipode"), d, "antipode")
-    star = _parse_matrix(field, _require(data, "star"), d, "star")
+    antipode = _column_entries(_parse_matrix(field, _require(data, "antipode"), d, "antipode"))
+    star = _column_entries(_parse_matrix(field, _require(data, "star"), d, "star"))
     return HopfStarAlgebra(
         field, mult, unit, comult, counit, antipode, star, labels=[str(x) for x in labels]
     )

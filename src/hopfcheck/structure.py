@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     TheoremViolation,
 )
-from .hopf import HopfStarAlgebra, check_axioms, dual, sub_hopf_algebra
+from .hopf import HopfStarAlgebra, certified_subalgebra, check_axioms, dual, sub_hopf_algebra
 from .linalg import Matrix, Subspace, basis_vec
 from .subgroup import (
     QuantumSubgroup,
@@ -195,14 +195,6 @@ def property_FD_check(H: HopfStarAlgebra):
     return True, None
 
 
-def _closed_under_products(H, B: Subspace):
-    ech = B.echelon()
-    basis = B.basis()
-    if not ech.contains(H.unit_vec()):
-        return False
-    return all(ech.contains(H.product(x, y)) for x in basis for y in basis)
-
-
 def ideal_closure(H: HopfStarAlgebra, seed: Subspace) -> Subspace:
     """The two-sided ideal generated by a subspace, by span growth."""
     full = [basis_vec(H.field, H.dim, i) for i in range(H.dim)]
@@ -226,26 +218,23 @@ def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "
     Computes I = A.I0.A by span growth and returns (I and A0 == I0, I and A0).
     mode "plain-ideal" requires A0 a unital *-subalgebra with I0 a two-sided
     *-ideal of it; mode "hopf-ideal" requires A0 a Hopf *-subalgebra and I0 a
-    Hopf *-ideal of it.
+    Hopf *-ideal of it.  A0 is decided by the subalgebra certificate in both
+    modes, and I0 in mode "hopf-ideal" by the quotient certificate of the
+    subalgebra; a failed condition raises NotHopfIdeal naming it.
     """
     if mode not in ("plain-ideal", "hopf-ideal"):
         raise SchemaError("unknown pullback mode %r" % (mode,))
-    if not _closed_under_products(A, A0):
+    sub, _incl, failed = certified_subalgebra(A, A0)
+    if failed in ("unit", "product"):
         raise NotHopfIdeal("A0 is not a unital subalgebra")
-    ech0 = A0.echelon()
-    if not all(ech0.contains(A.star_vec(x)) for x in A0.basis()):
+    if failed == "star":
         raise NotHopfIdeal("A0 is not *-closed")
+    if failed and mode == "hopf-ideal":
+        raise NotHopfIdeal("A0 is not a Hopf *-subalgebra (%s)" % failed)
+    ech0 = A0.echelon()
     if not all(ech0.contains(v) for v in I0.basis()):
         raise NotHopfIdeal("I0 does not lie inside A0")
-    iech = I0.echelon()
-    for b in I0.basis():
-        for x in A0.basis():
-            if not iech.contains(A.product(x, b)) or not iech.contains(A.product(b, x)):
-                raise NotHopfIdeal("I0 is not a two-sided ideal of A0")
-        if not iech.contains(A.star_vec(b)):
-            raise NotHopfIdeal("I0 is not *-closed")
     if mode == "hopf-ideal":
-        sub, _incl = sub_hopf_algebra(A, A0)
         inner = Subspace.from_vectors(
             A.field, A0.dim, [A0.coordinates(b) for b in I0.basis()]
         )
@@ -254,6 +243,14 @@ def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "
             raise NotHopfIdeal(
                 "I0 is not a Hopf *-ideal of A0 (%s)" % witness["condition"]
             )
+    else:
+        iech = I0.echelon()
+        for b in I0.basis():
+            for x in A0.basis():
+                if not iech.contains(A.product(x, b)) or not iech.contains(A.product(b, x)):
+                    raise NotHopfIdeal("I0 is not a two-sided ideal of A0")
+            if not iech.contains(A.star_vec(b)):
+                raise NotHopfIdeal("I0 is not *-closed")
     closure = ideal_closure(A, I0)
     inter = closure.intersect(A0)
     return inter == I0, inter

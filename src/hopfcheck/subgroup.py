@@ -11,7 +11,7 @@ four answers are provably equal and a disagreement is raised loudly rather
 than suppressed.
 
 Every criterion is computed from the sparse structure constants of the
-parent (`comult`, `mult`, `_anti_nz`) and the sparse projection
+parent (`comult`, `mult`, `antipode`) and the sparse projection
 columns, without forming a dense tensor of length d^2.  The coset algebras
 are still computed two ways, as invariance kernels and as conditional
 expectation images, and the two are cross-checked exactly.
@@ -27,6 +27,8 @@ from .hopf import (
     add_terms,
     check_axioms,
     convolve,
+    coproduct_slice,
+    induced_algebra,
     linear_quotient,
     morphism_failure,
     sub_hopf_algebra,
@@ -91,13 +93,9 @@ class QuantumSubgroup:
 
     def section(self) -> Matrix:
         """The coordinate section N -> G picking canonical representatives."""
-        G = self.parent
-        cols = [basis_vec(G.field, G.dim, r) for r in self.reps]
-        return Matrix.from_rows(
-            G.field,
-            [[cols[j][i] for j in range(len(self.reps))] for i in range(G.dim)],
-            ncols=len(self.reps),
-        )
+        field, d = self.parent.field, self.parent.dim
+        rows = [[field.one if i == r else field.zero for r in self.reps] for i in range(d)]
+        return Matrix.from_rows(field, rows, ncols=len(self.reps))
 
     def __repr__(self):
         return "QuantumSubgroup(dim %d -> %d)" % (self.parent.dim, self.quotient.dim)
@@ -169,47 +167,9 @@ def _certified_quotient(G: HopfStarAlgebra, I: Subspace):
     None."""
     proj, reps = linear_quotient(I)
     P = proj.sparse_columns()
-    quotient = _quotient_algebra(G, P, reps)
+    section = [[(r, G.field.one)] for r in reps]
+    quotient = induced_algebra(G, section, P, [G.labels[r] for r in reps])
     return proj, reps, quotient, _IDEAL_CONDITION.get(morphism_failure(G, P, quotient))
-
-
-def _quotient_algebra(G: HopfStarAlgebra, P, reps) -> HopfStarAlgebra:
-    """The structure induced on the complement coordinates reps, where P[a]
-    is the projection of e_a as sparse (index, entry) pairs."""
-    field = G.field
-    dn = len(reps)
-
-    def image(terms):
-        out = zero_vec(field, dn)
-        for k, c in terms:
-            for i, p in P[k]:
-                out[i] = out[i] + c * p
-        return out
-
-    mult = [
-        (a, b, k, c)
-        for a, r in enumerate(reps)
-        for b, s in enumerate(reps)
-        for k, c in enumerate(image(G.mult[r][s]))
-        if c
-    ]
-    unit = image((k, u) for k, u in enumerate(G.unit) if u)
-    comult = []
-    for a, r in enumerate(reps):
-        w = {}
-        for j, k, c in G.comult[r]:
-            for x, p in P[j]:
-                cp = c * p
-                for y, q in P[k]:
-                    w[x, y] = w[x, y] + cp * q if (x, y) in w else cp * q
-        comult += [(a, x, y, c) for (x, y), c in w.items()]
-    counit = [G.counit[r] for r in reps]
-    anti_cols = [image(G._anti_nz[r]) for r in reps]
-    star_cols = [image(G._star_nz[r]) for r in reps]
-    antipode = [[anti_cols[i][j] for i in range(dn)] for j in range(dn)]
-    star = [[star_cols[i][j] for i in range(dn)] for j in range(dn)]
-    labels = [G.labels[r] for r in reps]
-    return HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
 
 
 def trivial_subgroup(G: HopfStarAlgebra) -> QuantumSubgroup:
@@ -231,20 +191,7 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right") -> LinearEn
     The matrix is summed over the sparse coproduct terms against the
     covector h_N o pi, which Q computes once from its sparse projection.
     """
-    G = Q.parent
-    hpi = Q.haar_pi_covector
-    E = Matrix.zeros(G.field, G.dim, G.dim)
-    for i in range(G.dim):
-        for j, k, c in G.comult[i]:
-            if side == "right":
-                w = hpi[k]
-                if w:
-                    E.rows[j][i] = E.rows[j][i] + c * w
-            else:
-                w = hpi[j]
-                if w:
-                    E.rows[k][i] = E.rows[k][i] + c * w
-    return LinearEndo(G, E)
+    return LinearEndo(Q.parent, coproduct_slice(Q.parent, Q.haar_pi_covector, side))
 
 
 def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
@@ -347,10 +294,10 @@ def _adjoint_product(G, x, z, side):
     """e_x S(e_z) (side "left") or S(e_x) e_z (side "right") as sparse pairs."""
     acc = {}
     if side == "left":
-        for w, s in G._anti_nz[z]:
+        for w, s in G.antipode[z]:
             add_terms(acc, s, G.mult[x][w])
     else:
-        for w, s in G._anti_nz[x]:
+        for w, s in G.antipode[x]:
             add_terms(acc, s, G.mult[w][z])
     return [(k, v) for k, v in acc.items() if v]
 
@@ -574,7 +521,7 @@ def phi_map(Q: QuantumSubgroup, s: Matrix | None = None) -> LinearEndo:
     if s is None:
         s = comodule_splitting(Q)
     SP = s * Q.proj
-    phi = convolve(G, SP, G.antipode)
+    phi = convolve(G, SP, LinearEndo.antipode(G).matrix)
     A_GN, _ = coset_algebras(Q)
     if not A_GN.contains_all(phi.columns()):
         raise TheoremViolation("phi image leaves the coset algebra")

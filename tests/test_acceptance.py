@@ -360,8 +360,8 @@ def test_acceptance_8_property_suites(request, algebras):
             list(H.unit),
             [key + (x,) for key, x in comult.items()],
             list(H.counit),
-            H.antipode.rows,
-            H.star.rows,
+            H.antipode_entries(),
+            H.star_entries(),
         )
         if check_axioms(broken).ok:
             failures.append("a perturbed structure tensor passed every axiom")

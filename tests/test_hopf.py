@@ -8,6 +8,7 @@ import pytest
 
 import hopfcheck
 from hopfcheck.catalog import build_algebra
+from hopfcheck.constructions import lift_algebra, tensor_product
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import NotCosemisimple, SchemaError
 from hopfcheck.hopf import (
@@ -20,7 +21,7 @@ from hopfcheck.hopf import (
     linear_quotient,
     sub_hopf_algebra,
 )
-from hopfcheck.linalg import Subspace, basis_vec, zero_vec
+from hopfcheck.linalg import Matrix, Subspace, basis_vec, zero_vec
 
 AXIOM_NAMES = {
     "antipode_involutive",
@@ -61,12 +62,9 @@ def sweedler_four_dim():
 
     unit = [one, zero, zero, zero]
     counit = [one, one, zero, zero]
-    anti = [[zero] * d for _ in range(d)]
-    anti[0][0] = one
-    anti[1][1] = one
-    anti[3][2] = -one
-    anti[2][3] = one
-    star = [[one if i == j else zero for i in range(d)] for j in range(d)]
+    # S(1) = 1, S(g) = g, S(x) = -gx, S(gx) = x
+    anti = [(0, 0, one), (1, 1, one), (2, 3, -one), (3, 2, one)]
+    star = [(i, i, one) for i in range(d)]
     return HopfStarAlgebra(
         field, mult, unit, comult, counit, anti, star, labels=["1", "g", "x", "gx"]
     )
@@ -78,7 +76,7 @@ def sweedler_four_dim():
 def rebuilt(H, mult, comult):
     """H with its product and coproduct replaced by the given entries."""
     return HopfStarAlgebra(
-        H.field, mult, H.unit, comult, H.counit, H.antipode.rows, H.star.rows, labels=H.labels
+        H.field, mult, H.unit, comult, H.counit, H.antipode_entries(), H.star_entries(), labels=H.labels
     )
 
 
@@ -118,6 +116,64 @@ def test_constructor_rejects_bad_entries(tensor, entry, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "name, entry, message",
+    [
+        ("antipode", (0, 6, 1), "antipode index out of range in (0, 6)"),
+        ("star", (-1, 0, 1), "star index out of range in (-1, 0)"),
+        ("star", (0, 1.0, 1), "star index out of range in (0, 1.0)"),
+        ("antipode", (0, 0, 0), "repeated antipode entry (0, 0)"),
+        ("star", (5, 5, 1), "repeated star entry (5, 5)"),
+        ("antipode", (1, 1), "antipode entries are (i, j, scalar), got (1, 1)"),
+        ("star", (1, 1, 1, 1), "star entries are (i, j, scalar), got (1, 1, 1, 1)"),
+        ("antipode", 7, "antipode entries are (i, j, scalar), got 7"),
+    ],
+)
+def test_constructor_rejects_bad_map_entries(name, entry, message):
+    F = build_algebra("f_s3")
+    maps = {"antipode": F.antipode_entries(), "star": F.star_entries()}
+    maps[name] = maps[name] + [entry]
+    with pytest.raises(SchemaError) as exc:
+        HopfStarAlgebra(
+            F.field, F.mult_entries(), F.unit, F.comult_entries(), F.counit,
+            maps["antipode"], maps["star"],
+        )
+    assert message in str(exc.value)
+
+
+def test_constructor_stores_maps_as_sorted_sparse_columns():
+    F = build_algebra("f_s3")
+    one = F.field.one
+    antipode = list(reversed(F.antipode_entries())) + [(1, 2, 0)]
+    star = [(i, i, 1) for i in reversed(range(F.dim))]
+    H = HopfStarAlgebra(F.field, F.mult_entries(), F.unit, F.comult_entries(), F.counit, antipode, star)
+    assert H.antipode == F.antipode and H.star == F.star
+    assert H.star == [((i, one),) for i in range(F.dim)]
+    assert H.antipode_entries() == F.antipode_entries()
+
+
+def test_builders_form_no_matrix(monkeypatch):
+    F, C = build_algebra("f_s3"), build_algebra("c_z3")
+    A, B = build_algebra("f_z2"), build_algebra("f_z3")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense Matrix was formed")
+
+    for name in ("__init__", "from_rows", "zeros", "identity"):
+        monkeypatch.setattr(Matrix, name, forbidden)
+    H = HopfStarAlgebra(
+        F.field, F.mult_entries(), F.unit, F.comult_entries(), F.counit,
+        F.antipode_entries(), F.star_entries(), labels=F.labels,
+    )
+    D = dual(C)
+    L = lift_algebra(F, 12)
+    T = tensor_product(A, B)
+    monkeypatch.undo()
+    assert H.antipode == F.antipode and check_axioms(D).ok
+    assert check_axioms(L).ok and check_axioms(T).ok
+    assert D.antipode == B.antipode and D.star == B.star  # the dual of C(Z3) is F(Z3)
+
+
 def test_cocommutativity_from_the_sparse_coproduct(algebras, s3_crossed):
     assert not algebras["f_s3"].is_cocommutative()
     assert algebras["c_s3"].is_cocommutative()
@@ -139,9 +195,7 @@ def test_axiom_report_names_and_pass(algebras):
 
 def test_broken_antipode_is_named():
     F = build_algebra("f_z3")
-    ident = [
-        [F.field.one if i == j else F.field.zero for i in range(3)] for j in range(3)
-    ]
+    ident = [(i, i, F.field.one) for i in range(3)]
     broken = HopfStarAlgebra(
         F.field,
         F.mult_entries(),
@@ -149,7 +203,7 @@ def test_broken_antipode_is_named():
         F.comult_entries(),
         F.counit,
         ident,
-        F.star.rows,
+        F.star_entries(),
         labels=F.labels,
     )
     rep = check_axioms(broken)
@@ -171,8 +225,8 @@ def test_broken_multiplication_is_named(algebras):
         F.unit,
         F.comult_entries(),
         F.counit,
-        F.antipode.rows,
-        F.star.rows,
+        F.antipode_entries(),
+        F.star_entries(),
         labels=F.labels,
     )
     rep = check_axioms(broken)
@@ -401,9 +455,10 @@ def test_sub_hopf_algebra_rejects_a_corrupted_restriction_under_optimize():
         "for name in (None,) + names:\n"
         "    def corrupt(field, *maps, labels, name=name):\n"
         "        maps = list(maps)\n"
-        "        if name in ('mult', 'comult'):\n"
-        "            t = {e[:3]: e[3] for e in maps[names.index(name)]}\n"
-        "            t[0, 0, 0] = t.get((0, 0, 0), field.zero) + field.one\n"
+        "        if name not in (None, 'unit', 'counit'):\n"
+        "            t = {e[:-1]: e[-1] for e in maps[names.index(name)]}\n"
+        "            k0 = (0, 0) if name in ('antipode', 'star') else (0, 0, 0)\n"
+        "            t[k0] = t.get(k0, field.zero) + field.one\n"
         "            maps[names.index(name)] = [k + (c,) for k, c in t.items()]\n"
         "        elif name is not None:\n"
         "            m = maps[names.index(name)]\n"

@@ -144,13 +144,6 @@ def test_zeros_and_is_zero():
     assert not Matrix.identity(Q, 2).is_zero()
 
 
-def test_conjugate_matrix():
-    field = CycField(4)
-    i = field.zeta()
-    A = Matrix.from_rows(field, [[i, field.one]])
-    assert A.conjugate() == Matrix.from_rows(field, [[-i, field.one]])
-
-
 def test_kron_shapes_and_values():
     A = rational_matrix(Q, [[1, 2], [3, 4]])
     B = rational_matrix(Q, [[0, 5], [6, 7]])

@@ -21,7 +21,7 @@ from hopfcheck.constructions import (
 from hopfcheck.corep import conjugate, fusion, peter_weyl
 from hopfcheck.errors import CapExceeded, ContainmentViolated, NotHopfIdeal, SchemaError
 from hopfcheck.hopf import HopfStarAlgebra, check_axioms
-from hopfcheck.linalg import Matrix, Subspace, basis_vec
+from hopfcheck.linalg import Subspace, basis_vec
 from hopfcheck.structure import (
     enumerate_hopf_subalgebras,
     enumerate_quantum_subgroups,
@@ -320,7 +320,6 @@ def test_verified_algebra_is_never_checked_again(monkeypatch):
 
     for module in (hopfcheck.hopf, hopfcheck.structure, hopfcheck.subgroup):
         monkeypatch.setattr(module, "check_axioms", counted)
-    monkeypatch.setattr(Matrix, "kron_apply", forbidden)
     monkeypatch.setattr(HopfStarAlgebra, "comult_vec", forbidden)
     report = property_inheritance_suite(H)
     assert report["n_quantum_subgroups"] == 10 and report["quotients_inherit_F"]
@@ -343,7 +342,7 @@ def lattice_summary(H):
             (
                 Q.ideal.sort_key(),
                 Q.reps,
-                (N.mult, N.unit, N.comult, N.counit, N.antipode.rows, N.star.rows),
+                (N.mult, N.unit, N.comult, N.counit, N.antipode, N.star),
                 N.haar,
                 is_normal_coset(Q),
             )
@@ -505,6 +504,19 @@ def test_pullback_validates_inputs(algebras):
     not_ideal = Subspace.from_vectors(field, 6, [C.unit_vec()])
     with pytest.raises(NotHopfIdeal):
         pullback_check(C, A0, not_ideal)
+
+
+def test_pullback_names_a_failed_hopf_subalgebra_condition():
+    # span{1, delta_e} is a unital *-subalgebra of F(S3) but Delta(delta_e)
+    # leaves it: a typed NotHopfIdeal, not a schema (usage) error
+    F = build_algebra("f_s3")
+    delta_e = basis_vec(F.field, 6, F.labels.index("e"))
+    A0 = Subspace.from_vectors(F.field, 6, [F.unit_vec(), delta_e])
+    zero = Subspace.zero(F.field, 6)
+    with pytest.raises(NotHopfIdeal, match=r"^A0 is not a Hopf \*-subalgebra \(coproduct\)$"):
+        pullback_check(F, A0, zero, "hopf-ideal")
+    holds, inter = pullback_check(F, A0, zero, "plain-ideal")
+    assert holds and inter.dim == 0
 
 
 # --- third isomorphism ----------------------------------------------------------------

@@ -13,7 +13,14 @@ from hopfcheck.catalog import CATALOG_NAMES, build_algebra, build_group
 from hopfcheck.constructions import FiniteGroup, lift_algebra, function_algebra, subgroup_ideal
 from hopfcheck.corep import peter_weyl
 from hopfcheck.errors import NotHopfIdeal, TheoremViolation
-from hopfcheck.hopf import HopfStarAlgebra, LinearEndo, check_axioms, dual, linear_quotient
+from hopfcheck.hopf import (
+    HopfStarAlgebra,
+    LinearEndo,
+    certified_subalgebra,
+    check_axioms,
+    dual,
+    linear_quotient,
+)
 from hopfcheck.linalg import Matrix, Subspace, basis_vec, solve_linear, tensor_vec, zero_vec
 from hopfcheck.structure import enumerate_quantum_subgroups, ideal_closure
 from hopfcheck.subgroup import (
@@ -35,6 +42,7 @@ from hopfcheck.subgroup import (
     reconstruction_check,
     trivial_subgroup,
 )
+from hopfcheck.subgroup import _certified_quotient
 
 A3 = ("e", "(123)", "(132)")
 T12 = ("e", "(12)")
@@ -204,8 +212,9 @@ def test_antipode_swaps_coset_sides(algebras):
     H = algebras["f_s3"]
     for Q in (a3_subgroup(algebras), t12_subgroup(algebras)):
         A_GN, A_NG = coset_algebras(Q)
-        assert A_GN.map_by(H.antipode) == A_NG
-        assert A_NG.map_by(H.antipode) == A_GN
+        S = LinearEndo.antipode(H).matrix
+        assert A_GN.map_by(S) == A_NG
+        assert A_NG.map_by(S) == A_GN
 
 
 def test_conditional_expectation_properties(algebras):
@@ -519,6 +528,34 @@ def _random_subspaces(H, rng, count):
     return out
 
 
+def kron_apply(A, B, vec):
+    """(A (x) B) applied to a flat tensor vector, without forming A (x) B."""
+    n2, m2 = B.ncols, B.nrows
+    out = zero_vec(A.field, A.nrows * m2)
+    for idx, val in enumerate(vec):
+        if not val:
+            continue
+        i, j = divmod(idx, n2)
+        for a in range(A.nrows):
+            c1 = A.rows[a][i]
+            if not c1:
+                continue
+            for b in range(m2):
+                c2 = B.rows[b][j]
+                if c2:
+                    out[a * m2 + b] = out[a * m2 + b] + val * c1 * c2
+    return out
+
+
+def dense(H, cols):
+    """The d x d Matrix of a map of H given by sparse columns."""
+    M = Matrix.zeros(H.field, H.dim, H.dim)
+    for i, col in enumerate(cols):
+        for j, c in col:
+            M.rows[j][i] = c
+    return M
+
+
 def rebased(H, rng):
     """H in the basis f_i = T e_i for a random sparse unitriangular integer T,
     so that ideals and projections stop being coordinate-aligned."""
@@ -539,14 +576,17 @@ def rebased(H, rng):
     ]
     comult = []
     for i in range(d):
-        w = Tinv.kron_apply(Tinv, H.comult_vec(cols[i]))
+        w = kron_apply(Tinv, Tinv, H.comult_vec(cols[i]))
         comult += [(i, jk // d, jk % d, c) for jk, c in enumerate(w)]
     counit = [H.counit_of(c) for c in cols]
     # T is rational, so conjugation commutes with it and * rebases like S
-    antipode = Tinv * H.antipode * T
-    star = Tinv * H.star * T
+
+    def rebase(cols):
+        M = Tinv * dense(H, cols) * T
+        return [(i, j, M.rows[j][i]) for i in range(d) for j in range(d)]
+
     return HopfStarAlgebra(
-        field, mult, Tinv.apply(H.unit_vec()), comult, counit, antipode.rows, star.rows
+        field, mult, Tinv.apply(H.unit_vec()), comult, counit, rebase(H.antipode), rebase(H.star)
     )
 
 
@@ -575,7 +615,7 @@ def dense_hopf_ideal_condition(G, I):
     if not all(ech.contains(G.star_vec(b)) for b in basis):
         return "star_closed"
     proj, _reps = linear_quotient(I)
-    if any(any(proj.kron_apply(proj, G.comult_vec(b))) for b in basis):
+    if any(any(kron_apply(proj, proj, G.comult_vec(b))) for b in basis):
         return "comultiplication"
     if any(G.counit_of(b) for b in basis):
         return "counit"
@@ -614,6 +654,7 @@ def test_certificate_matches_hopf_ideal_check(name, s3_crossed, monkeypatch):
 def test_certificate_rejects_a_corrupted_quotient_under_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
     code = (
+        "import hopfcheck.hopf as hopf\n"
         "import hopfcheck.subgroup as subgroup\n"
         "from hopfcheck.constructions import FiniteGroup, function_algebra, subgroup_ideal\n"
         "from hopfcheck.errors import NotHopfIdeal\n"
@@ -625,14 +666,15 @@ def test_certificate_rejects_a_corrupted_quotient_under_optimize():
         "def forbidden(*args):\n"
         "    raise RuntimeError('full path taken')\n"
         "subgroup.check_hopf_ideal = subgroup.check_axioms = forbidden\n"
-        "real = subgroup.HopfStarAlgebra\n"
+        "real = hopf.HopfStarAlgebra\n"
         "names = ('mult', 'unit', 'comult', 'counit', 'antipode', 'star')\n"
         "for name in (None, 'mult', 'comult', 'counit', 'antipode', 'star'):\n"
         "    def corrupt(field, *maps, labels, name=name):\n"
         "        maps = list(maps)\n"
-        "        if name in ('mult', 'comult'):\n"
-        "            t = {e[:3]: e[3] for e in maps[names.index(name)]}\n"
-        "            t[0, 0, 0] = t.get((0, 0, 0), field.zero) + field.one\n"
+        "        if name not in (None, 'unit', 'counit'):\n"
+        "            t = {e[:-1]: e[-1] for e in maps[names.index(name)]}\n"
+        "            k0 = (0, 0) if name in ('antipode', 'star') else (0, 0, 0)\n"
+        "            t[k0] = t.get(k0, field.zero) + field.one\n"
         "            maps[names.index(name)] = [k + (c,) for k, c in t.items()]\n"
         "        elif name is not None:\n"
         "            m = maps[names.index(name)]\n"
@@ -640,7 +682,7 @@ def test_certificate_rejects_a_corrupted_quotient_under_optimize():
         "                m = m[0]\n"
         "            m[0] = m[0] + field.one\n"
         "        return real(field, *maps, labels=labels)\n"
-        "    subgroup.HopfStarAlgebra = corrupt\n"
+        "    hopf.HopfStarAlgebra = corrupt\n"
         "    try:\n"
         "        subgroup.make_subgroup(H, I)\n"
         "        print(name, 'accepted')\n"
@@ -663,6 +705,61 @@ def test_certificate_rejects_a_corrupted_quotient_under_optimize():
     ]
 
 
+# --- induced structure against a dense reference ---------------------------------
+
+
+def dense_induced(G, section, retract, labels):
+    """The structure induced through the dense section vectors and the
+    dense retraction retract, computed on dense vectors."""
+    d = G.dim
+
+    def pair(w):
+        """(retract (x) retract) of a flat d*d tensor, as a dict."""
+        rows = [retract(w[j * d:(j + 1) * d]) for j in range(d)]
+        cols = [retract([row[v] for row in rows]) for v in range(len(section))]
+        return {(u, v): col[u] for v, col in enumerate(cols) for u in range(len(section))}
+
+    def entries(vec_of):
+        return [(a, j, c) for a, x in enumerate(section) for j, c in enumerate(retract(vec_of(x)))]
+
+    mult = [
+        (a, b, k, c)
+        for a, x in enumerate(section)
+        for b, y in enumerate(section)
+        for k, c in enumerate(retract(G.product(x, y)))
+    ]
+    comult = [(a, u, v, c) for a, x in enumerate(section) for (u, v), c in pair(G.comult_vec(x)).items()]
+    return HopfStarAlgebra(
+        G.field, mult, retract(G.unit_vec()), comult, [G.counit_of(x) for x in section],
+        entries(G.antipode_vec), entries(G.star_vec), labels=labels,
+    )
+
+
+def same_structure(A, B):
+    return all(
+        getattr(A, name) == getattr(B, name)
+        for name in ("mult", "unit", "comult", "counit", "antipode", "star", "labels")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_NAMES) + ["F(S3)xZ2", "c_s3 rebased"])
+def test_induced_algebra_matches_dense_reference(name, s3_crossed):
+    rng = random.Random("certificate " + name)
+    H = certificate_input(name, s3_crossed, rng)
+    field, d = H.field, H.dim
+    subspaces = _random_subspaces(H, rng, 12)
+    for Q in enumerate_quantum_subgroups(H):
+        subspaces += coset_algebras(Q)
+    for V in subspaces:
+        proj, reps, quotient, _failed = _certified_quotient(H, V)
+        units = [basis_vec(field, d, r) for r in reps]
+        assert same_structure(quotient, dense_induced(H, units, proj.apply, [H.labels[r] for r in reps]))
+        sub, _incl, _failed = certified_subalgebra(H, V)
+        labels = ["b%d" % a for a in range(V.dim)]
+        reference = dense_induced(H, V.basis(), lambda v: [v[p] for p in V.pivots], labels)
+        assert same_structure(sub, reference)
+
+
 # --- sparse normality criteria against a dense reference -------------------------
 
 
@@ -674,8 +771,8 @@ def dense_coset_algebras(Q):
     cols_r, cols_l = [], []
     for i in range(d):
         delta = G.comult_vec(basis_vec(field, d, i))
-        w = ident.kron_apply(Q.proj, delta)
-        v = Q.proj.kron_apply(ident, delta)
+        w = kron_apply(ident, Q.proj, delta)
+        v = kron_apply(Q.proj, ident, delta)
         for b in range(dn):
             w[i * dn + b] = w[i * dn + b] - unit_N[b]
             v[b * d + i] = v[b * d + i] - unit_N[b]
@@ -716,9 +813,9 @@ def dense_adjoint(G, a, side, products=None):
         for y, z, c2 in G.comult[rest]:
             if (x, z) not in products:
                 if side == "left":
-                    products[x, z] = G.product(basis_vec(field, d, x), G.antipode.column(z))
+                    products[x, z] = G.product(basis_vec(field, d, x), G.antipode_vec(basis_vec(field, d, z)))
                 else:
-                    products[x, z] = G.product(G.antipode.column(x), basis_vec(field, d, z))
+                    products[x, z] = G.product(G.antipode_vec(basis_vec(field, d, x)), basis_vec(field, d, z))
             for t, p in enumerate(products[x, z]):
                 out[y * d + t] = out[y * d + t] + c * c2 * p
     return out
@@ -728,7 +825,7 @@ def dense_a_normal(Q, side):
     ident = Matrix.identity(Q.parent.field, Q.parent.dim)
     products = {}
     return not any(
-        any(Q.proj.kron_apply(ident, dense_adjoint(Q.parent, b, side, products)))
+        any(kron_apply(Q.proj, ident, dense_adjoint(Q.parent, b, side, products)))
         for b in Q.ideal.basis()
     )
 
@@ -765,7 +862,6 @@ def test_normality_report_needs_no_dense_tensor(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a dense tensor was formed")
 
-    monkeypatch.setattr(Matrix, "kron_apply", forbidden)
     monkeypatch.setattr(HopfStarAlgebra, "comult_vec", forbidden)
     assert len(subs) == 16
     for Q in subs:
