@@ -22,8 +22,18 @@ from .errors import (
     SchemaError,
     TheoremViolation,
 )
-from .hopf import HopfStarAlgebra, add_terms, morphism_failure
-from .linalg import Matrix, Subspace, basis_vec, tensor_vec, zero_vec
+from .hopf import HopfStarAlgebra, _sparse_columns, morphism_failure
+from .linalg import (
+    Subspace,
+    add_terms,
+    basis_vec,
+    sparse_apply,
+    sparse_compose,
+    sparse_identity,
+    sparse_kernel,
+    tensor_vec,
+    zero_vec,
+)
 from .subgroup import (
     QuantumSubgroup,
     coset_algebras,
@@ -403,15 +413,17 @@ def tensor_subgroup(Q1: QuantumSubgroup, Q2: QuantumSubgroup) -> QuantumSubgroup
     """
     T = tensor_product(Q1.parent, Q2.parent)
     field = T.field
-    p1 = Matrix.from_rows(
-        field, [[field.lift(x) for x in row] for row in Q1.proj.rows], ncols=Q1.parent.dim
-    ) if Q1.parent.field.n != field.n else Q1.proj
-    p2 = Matrix.from_rows(
-        field, [[field.lift(x) for x in row] for row in Q2.proj.rows], ncols=Q2.parent.dim
-    ) if Q2.parent.field.n != field.n else Q2.proj
-    big = p1.kron(p2)
-    ideal = big.kernel()
-    Q = make_subgroup(T, ideal)
+    n2 = Q2.quotient.dim
+    big = [
+        tuple(
+            (b1 * n2 + b2, field.lift(x) * field.lift(y))
+            for b1, x in col1
+            for b2, y in col2
+        )
+        for col1 in Q1.proj_columns
+        for col2 in Q2.proj_columns
+    ]
+    Q = make_subgroup(T, sparse_kernel(field, Q1.quotient.dim * n2, big))
     if Q.quotient.dim != Q1.quotient.dim * Q2.quotient.dim:
         raise TheoremViolation("quotient dimension does not match N1 x N2")
 
@@ -446,7 +458,12 @@ _ACTION_FAILURE = {
 
 
 class GroupAction:
-    """An action of a finite group on a Hopf *-algebra by Hopf *-automorphisms."""
+    """An action of a finite group on a Hopf *-algebra by Hopf *-automorphisms.
+
+    Each map is given as (i, j, c) entries, alpha_t(e_i) having coefficient
+    c on e_j, checked by the rules of the algebra's antipode entries, and
+    kept as sparse columns: maps[t][i] is alpha_t(e_i).
+    """
 
     __slots__ = ("group", "target", "maps")
 
@@ -456,36 +473,34 @@ class GroupAction:
         self.group = group
         self.target = target
         self.maps = [
-            m if isinstance(m, Matrix) else Matrix(target.field, m) for m in maps
+            _sparse_columns(target.field.scalar, target.dim, m, "action map %d" % t, 2)
+            for t, m in enumerate(maps)
         ]
-        for m in self.maps:
-            if m.nrows != target.dim or m.ncols != target.dim:
-                raise SchemaError("action matrices must be %d x %d" % (target.dim, target.dim))
         if validate:
             self._validate()
 
     def _validate(self):
         G, A = self.group, self.target
-        if self.maps[G.identity] != Matrix.identity(A.field, A.dim):
+        if self.maps[G.identity] != sparse_identity(A.field, A.dim):
             raise SchemaError("the identity of the group must act as the identity")
         for s in range(G.order):
             for t in range(G.order):
-                if self.maps[s] * self.maps[t] != self.maps[G.table[s][t]]:
+                if sparse_compose(self.maps[s], self.maps[t]) != self.maps[G.table[s][t]]:
                     raise SchemaError("action is not a group homomorphism")
         for t, M in enumerate(self.maps):
-            if M.apply(A.unit_vec()) != A.unit_vec():
+            if sparse_apply(A.field, A.dim, M, A.unit) != A.unit:
                 raise SchemaError("action map %d does not fix the unit" % t)
-            failed = morphism_failure(A, M.sparse_columns(), A)
+            failed = morphism_failure(A, M, A)
             if failed:
                 raise SchemaError("action map %d %s" % (t, _ACTION_FAILURE[failed]))
 
     @classmethod
     def trivial(cls, group, target):
-        ident = Matrix.identity(target.field, target.dim)
+        ident = [(i, i, target.field.one) for i in range(target.dim)]
         return cls(group, target, [ident] * group.order, validate=False)
 
     def kernel_indices(self):
-        ident = Matrix.identity(self.target.field, self.target.dim)
+        ident = sparse_identity(self.target.field, self.target.dim)
         return [t for t in range(self.group.order) if self.maps[t] == ident]
 
     def __repr__(self):
@@ -497,18 +512,10 @@ def inversion_action(F: HopfStarAlgebra) -> GroupAction:
     G = F.meta.get("group")
     if F.meta.get("kind") != "function_algebra" or G is None:
         raise SchemaError("inversion_action needs an algebra built by function_algebra")
-    field = F.field
-    n = F.dim
-    perm = Matrix.from_rows(
-        field,
-        [
-            [field.one if j == G.inverses[i] else field.zero for i in range(n)]
-            for j in range(n)
-        ],
-        ncols=n,
-    )
-    Z2 = FiniteGroup.cyclic(2)
-    return GroupAction(Z2, F, [Matrix.identity(field, n), perm])
+    one = F.field.one
+    ident = [(i, i, one) for i in range(F.dim)]
+    inverse = [(i, G.inverses[i], one) for i in range(F.dim)]
+    return GroupAction(FiniteGroup.cyclic(2), F, [ident, inverse])
 
 
 def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
@@ -520,9 +527,7 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
     if n != A.field.n:
         A2 = lift_algebra(A, n)
         maps = [
-            Matrix.from_rows(
-                A2.field, [[A2.field.lift(x) for x in row] for row in m.rows], ncols=A.dim
-            )
+            [(i, j, A2.field.lift(c)) for i, col in enumerate(m) for j, c in col]
             for m in action.maps
         ]
         action = GroupAction(G, A2, maps, validate=False)
@@ -540,13 +545,12 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
 
     # (a gamma_s)(b gamma_t) = a alpha_s(b) gamma_st, while S(a gamma_t) and
     # (a gamma_t)* are alpha_t^-1(S(a)) gamma_t^-1 and alpha_t^-1(a*) gamma_t^-1
-    acols = [m.sparse_columns() for m in action.maps]
     mult = []
     for i in range(dA):
         for s in range(o):
             for j in range(dA):
                 w = {}
-                for k, x in acols[s][j]:
+                for k, x in action.maps[s][j]:
                     add_terms(w, x, A.mult[i][k])
                 mult += [
                     (i * o + s, j * o + t, k * o + G.table[s][t], c)
@@ -567,7 +571,7 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
             for cols, out in ((A.antipode, antipode), (A.star, star)):
                 w = {}
                 for j, c in cols[i]:
-                    add_terms(w, c, acols[ti][j])
+                    add_terms(w, c, action.maps[ti][j])
                 out += [(i * o + t, k * o + ti, c) for k, c in w.items()]
     labels = ["%s|%s" % (A.labels[i], G.labels[t]) for i in range(dA) for t in range(o)]
     X = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
@@ -597,13 +601,9 @@ def crossed_canonical_subgroup(X: HopfStarAlgebra) -> QuantumSubgroup:
     A, G = info["inner"], info["group"]
     field = X.field
     dA, o = A.dim, G.order
-    P = Matrix.zeros(field, o, X.dim)
-    for i in range(dA):
-        e = A.counit[i]
-        if e:
-            for t in range(o):
-                P.rows[t][i * o + t] = e
-    Q = make_subgroup(X, P.kernel())
+    # pi(e_i gamma_t) = eps(e_i) gamma_t
+    P = [((t, A.counit[i]),) if A.counit[i] else () for i in range(dA) for t in range(o)]
+    Q = make_subgroup(X, sparse_kernel(field, o, P))
     report = normality_report(Q)
     if not report.normal:
         raise TheoremViolation("the canonical crossed-product subgroup is not normal")
@@ -616,7 +616,6 @@ def crossed_canonical_subgroup(X: HopfStarAlgebra) -> QuantumSubgroup:
     if A_GN != copy_a:
         raise TheoremViolation("coset algebra differs from the embedded copy of A")
     Q.meta["group"] = G
-    Q.meta["pi_to_group"] = P
     return Q
 
 
@@ -652,7 +651,7 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I, K) -> QuantumSubgroup:
         field, dA, [[field.lift(x) for x in v] for v in vecs]
     )
     for t in range(o):
-        if I.map_by(action.maps[t]) != I:
+        if I.map_by(action.maps[t], dA) != I:
             raise InvarianceViolated(
                 "the ideal is not invariant under %s" % G.labels[t]
             )
@@ -665,21 +664,21 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I, K) -> QuantumSubgroup:
     rep_of = {}
     for t in range(o):
         rep_of.setdefault(coset_of[t], t)
-    sec = Q_A.section()
-    induced = [Q_A.proj * action.maps[rep_of[c]] * sec for c in range(GQ.order)]
+    # the coset c acts on A/I by pi alpha_t on the representatives, t in c
+    induced = []
+    for c in range(GQ.order):
+        cols = sparse_compose(Q_A.proj_columns, action.maps[rep_of[c]])
+        induced.append([(b, j, x) for b, r in enumerate(Q_A.reps) for j, x in cols[r]])
     act_q = GroupAction(GQ, Q_A.quotient, induced)
     Y = crossed_product(Q_A.quotient, act_q)
 
-    dq = Q_A.quotient.dim
-    P = Matrix.zeros(field, Y.dim, X.dim)
-    for i in range(dA):
-        for t in range(o):
-            c = coset_of[t]
-            for b in range(dq):
-                pv = Q_A.proj.rows[b][i]
-                if pv:
-                    P.rows[b * GQ.order + c][i * o + t] = pv
-    Q = make_subgroup(X, P.kernel())
+    # pi(e_i gamma_t) = pi_A(e_i) gamma_(tK)
+    P = [
+        tuple((b * GQ.order + coset_of[t], x) for b, x in Q_A.proj_columns[i])
+        for i in range(dA)
+        for t in range(o)
+    ]
+    Q = make_subgroup(X, sparse_kernel(field, Y.dim, P))
     if Q.quotient.dim != Y.dim:
         raise TheoremViolation("quotient dimension does not match (A/I) x| (Gamma/K)")
 
@@ -704,5 +703,4 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I, K) -> QuantumSubgroup:
         raise TheoremViolation("trivial set size does not factor as |S(N)| * |K|")
     Q.meta["inner"] = Q_A
     Q.meta["quotient_algebra"] = Y
-    Q.meta["projection_to_quotient"] = P
     return Q

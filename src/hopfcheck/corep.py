@@ -14,7 +14,7 @@ from math import isqrt
 
 from .errors import SchemaError, SplittingFailed, TheoremViolation
 from .hopf import HopfStarAlgebra, coproduct_slice
-from .linalg import Matrix, Subspace, basis_vec, solve_linear, zero_vec
+from .linalg import Matrix, Subspace, basis_vec, solve_linear, sparse_image, zero_vec
 from .splitting import find_primitive_idempotent, split_center
 
 
@@ -175,13 +175,17 @@ def _extract_block(H, p, gauge):
 
     # the matrix block p * dual, as a subspace of the dual, spanned by the
     # p * e_t: row t of the matrix of (p (x) id) Delta
-    block_D = Subspace.from_vectors(field, d, coproduct_slice(H, p, "left").rows)
+    rows = [zero_vec(field, d) for _ in range(d)]
+    for i, col in enumerate(coproduct_slice(H, p, "left")):
+        for t, c in col:
+            rows[t][i] = c
+    block_D = Subspace.from_vectors(field, d, rows)
     dlam = isqrt(block_D.dim)
     if dlam * dlam != block_D.dim:
         raise SplittingFailed(field.n, "a dual block is not of square dimension")
 
     # the coefficient space inside the algebra: image of (id (x) p) Delta
-    C_block = coproduct_slice(H, p, "right").image()
+    C_block = sparse_image(field, d, coproduct_slice(H, p, "right"))
     if C_block.dim != block_D.dim:
         raise TheoremViolation("coefficient space does not match the dual block")
 
@@ -195,9 +199,7 @@ def _extract_block(H, p, gauge):
         return _verified(Corepresentation(H, [[g]]))
 
     q = find_primitive_idempotent(H, block_D.basis(), p, gauge)
-    Q = coproduct_slice(H, q, "right")
-    rows = [Q.apply(b) for b in C_block.basis()]
-    V = Subspace.from_vectors(field, d, rows)
+    V = C_block.map_by(coproduct_slice(H, q, "right"), d)
     if V.dim != dlam:
         raise SplittingFailed(field.n, "primitive idempotent produced a wrong column dimension")
 

@@ -34,10 +34,13 @@ passes check_axioms, or when make_subgroup or sub_hopf_algebra certifies it
 as a quotient or a subalgebra of a verified algebra; `H.verified` reads it
 and never runs a check.
 
-morphism_failure is the one test of whether a linear map between two
-algebras preserves product, star, coproduct, counit and antipode; quotient
-maps, subalgebra inclusions and group actions are all checked by it.
-induced_algebra is the one builder of quotient and subalgebra structure.
+Every linear map between algebras (a quotient projection, a subalgebra
+inclusion, a coproduct slice, a convolution) is a list of sparse columns,
+the form of H.antipode (see linalg).  morphism_failure is the one test of
+whether such a map preserves product, star, coproduct, counit and
+antipode; quotient maps, subalgebra inclusions and group actions are all
+checked by it.  induced_algebra is the one builder of quotient and
+subalgebra structure.
 """
 
 from __future__ import annotations
@@ -46,7 +49,15 @@ from dataclasses import dataclass, field as dc_field
 
 from .cyclotomic import CycField
 from .errors import NotCosemisimple, SchemaError
-from .linalg import Matrix, basis_vec, tensor_vec, zero_vec
+from .linalg import (
+    Matrix,
+    add_terms,
+    basis_vec,
+    sparse_apply,
+    sparse_column,
+    tensor_vec,
+    zero_vec,
+)
 
 
 class HopfStarAlgebra:
@@ -158,19 +169,10 @@ class HopfStarAlgebra:
         return acc
 
     def antipode_vec(self, x):
-        return self._apply(self.antipode, x)
+        return sparse_apply(self.field, self.dim, self.antipode, x)
 
     def star_vec(self, x):
-        return self._apply(self.star, [c.conjugate() for c in x])
-
-    def _apply(self, cols, x):
-        """The linear map with sparse columns cols applied to x."""
-        out = zero_vec(self.field, self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, c in cols[i]:
-                    out[j] = out[j] + xi * c
-        return out
+        return sparse_apply(self.field, self.dim, self.star, [c.conjugate() for c in x])
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
@@ -232,89 +234,29 @@ def _sparse_columns(sc, d, entries, name, arity):
     return [tuple(col) for col in cols]
 
 
-def add_terms(acc, scale, terms):
-    """acc[k] += scale * c over the (k, c) in terms."""
-    for k, c in terms:
-        v = scale * c
-        acc[k] = acc[k] + v if k in acc else v
-
-
 def _nonzero(acc):
     return {k: v for k, v in acc.items() if v}
 
 
-class LinearEndo:
-    """A linear endomorphism of an algebra, stored as a matrix on coordinates."""
-
-    __slots__ = ("algebra", "matrix")
-
-    def __init__(self, algebra, matrix):
-        if matrix.nrows != algebra.dim or matrix.ncols != algebra.dim:
-            raise SchemaError("endomorphism matrix must be %d x %d" % (algebra.dim, algebra.dim))
-        self.algebra = algebra
-        self.matrix = matrix
-
-    @classmethod
-    def identity(cls, algebra):
-        return cls(algebra, Matrix.identity(algebra.field, algebra.dim))
-
-    @classmethod
-    def counit_unit(cls, algebra):
-        """The convolution unit a -> eps(a) 1."""
-        rows = [
-            [u * e if (u and e) else algebra.field.zero for e in algebra.counit]
-            for u in algebra.unit
-        ]
-        return cls(algebra, Matrix.from_rows(algebra.field, rows, ncols=algebra.dim))
-
-    @classmethod
-    def antipode(cls, algebra):
-        S = Matrix.zeros(algebra.field, algebra.dim, algebra.dim)
-        for i, j, c in algebra.antipode_entries():
-            S.rows[j][i] = c
-        return cls(algebra, S)
-
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
-    def convolve(self, other):
-        return convolve(self.algebra, self, other)
-
-    def image(self):
-        return self.matrix.image()
-
-    def is_idempotent(self):
-        return self.matrix * self.matrix == self.matrix
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearEndo):
-            return NotImplemented
-        return self.algebra is other.algebra and self.matrix == other.matrix
-
-    def __repr__(self):
-        return "LinearEndo(dim %d)" % self.algebra.dim
-
-
 def convolve(H, f, g):
-    """Convolution product f * g = m (f (x) g) Delta of two endomorphisms."""
-    F = f.matrix if isinstance(f, LinearEndo) else f
-    G = g.matrix if isinstance(g, LinearEndo) else g
-    d = H.dim
-    cols = []
-    fcols = F.columns()
-    gcols = G.columns()
-    for i in range(d):
-        acc = zero_vec(H.field, d)
-        for j, k, c in H.comult[i]:
-            prod = H.product(fcols[j], gcols[k])
-            for t, p in enumerate(prod):
-                if p:
-                    acc[t] = acc[t] + c * p
-        cols.append(acc)
-    mat = Matrix.from_rows(H.field, [[cols[j][i] for j in range(d)] for i in range(d)], ncols=d)
-    if isinstance(f, LinearEndo) or isinstance(g, LinearEndo):
-        return LinearEndo(H, mat)
-    return mat
+    """Convolution f * g = m (f (x) g) Delta of two maps of H given by sparse
+    columns, as sparse columns."""
+    out = []
+    for terms in H.comult:
+        acc = {}
+        for j, k, c in terms:
+            for a, x in f[j]:
+                cx = c * x
+                for b, y in g[k]:
+                    add_terms(acc, cx * y, H.mult[a][b])
+        out.append(sparse_column(acc))
+    return out
+
+
+def counit_unit(H):
+    """The sparse columns of the convolution unit a -> eps(a) 1."""
+    unit = [(t, u) for t, u in enumerate(H.unit) if u]
+    return [tuple((t, e * u) for t, u in unit) if e else () for e in H.counit]
 
 
 def compute_haar(H):
@@ -797,37 +739,34 @@ def induced_algebra(G, section, retraction, labels):
 
 def certified_subalgebra(H, B):
     """(algebra, inclusion, failed): the structure of H read on a subspace B
-    (see sub_hopf_algebra), and the first closure condition that B fails,
-    "unit" or one named by morphism_failure, or None."""
+    (see sub_hopf_algebra), the sparse columns of its inclusion, and the
+    first closure condition that B fails, "unit" or one named by
+    morphism_failure, or None."""
     d = H.dim
     if B.ambient != d:
         raise SchemaError("subspace ambient %d != algebra dim %d" % (B.ambient, d))
     one = H.field.one
-    basis = B.basis()
     at = {p: a for a, p in enumerate(B.pivots)}
-    section = [[(k, x) for k, x in enumerate(b) if x] for b in basis]
-    retraction = [[(at[k], one)] if k in at else [] for k in range(d)]
-    sub = induced_algebra(H, section, retraction, ["b%d" % a for a in range(B.dim)])
-    inclusion = Matrix.from_rows(
-        H.field, [[b[i] for b in basis] for i in range(d)], ncols=B.dim
-    )
-    if inclusion.apply(sub.unit) != H.unit:
+    inclusion = [tuple((k, x) for k, x in enumerate(b) if x) for b in B.rows]
+    retraction = [((at[k], one),) if k in at else () for k in range(d)]
+    sub = induced_algebra(H, inclusion, retraction, ["b%d" % a for a in range(B.dim)])
+    if sparse_apply(H.field, d, inclusion, sub.unit) != H.unit:
         return sub, inclusion, "unit"
-    return sub, inclusion, morphism_failure(sub, section, H)
+    return sub, inclusion, morphism_failure(sub, inclusion, H)
 
 
 def sub_hopf_algebra(H, B):
     """Restrict the structure of H to a Hopf *-subalgebra given as a Subspace.
 
-    Returns (algebra, inclusion) where inclusion maps sub-coordinates into
-    ambient coordinates.  The echelon basis b_a of B has a 1 at its own
-    pivot and 0 at the other pivots, so a vector of B is sum v[p_a] b_a:
-    induced_algebra reads every structure constant of the subalgebra at the
-    pivots (the coproduct at pivot pairs).  Read that way, the inclusion
-    intertwines a structure map exactly when B is closed under it, which
-    morphism_failure decides; the unit is compared through the inclusion
-    too.  Raises SchemaError when B is not closed under the operations or
-    does not contain the unit.
+    Returns (algebra, inclusion) where inclusion, the sparse columns of the
+    echelon basis of B, maps sub-coordinates into ambient coordinates.  The
+    echelon basis b_a of B has a 1 at its own pivot and 0 at the other
+    pivots, so a vector of B is sum v[p_a] b_a: induced_algebra reads every
+    structure constant of the subalgebra at the pivots (the coproduct at
+    pivot pairs).  Read that way, the inclusion intertwines a structure map
+    exactly when B is closed under it, which morphism_failure decides; the
+    unit is compared through the inclusion too.  Raises SchemaError when B
+    is not closed under the operations or does not contain the unit.
 
     A subalgebra of a verified H is recorded as verified: the inclusion is
     an injective Hopf *-morphism, so every axiom, the Kac conditions and
@@ -846,30 +785,33 @@ def sub_hopf_algebra(H, B):
 
 
 def coproduct_slice(H, f, side):
-    """The matrix of a -> (id (x) f) Delta(a) (side "right") or
+    """The sparse columns of a -> (id (x) f) Delta(a) (side "right") or
     (f (x) id) Delta(a) (side "left") for a covector f, summed over the
     sparse coproduct terms."""
-    M = Matrix.zeros(H.field, H.dim, H.dim)
-    rows = M.rows
-    for i, terms in enumerate(H.comult):
+    out = []
+    for terms in H.comult:
+        acc = {}
         for j, k, c in terms:
             kept, sliced = (j, k) if side == "right" else (k, j)
             w = f[sliced]
             if w:
-                rows[kept][i] = rows[kept][i] + c * w
-    return M
+                v = c * w
+                acc[kept] = acc[kept] + v if kept in acc else v
+        out.append(sparse_column(acc))
+    return out
 
 
 def linear_quotient(B):
     """Linear projection along a subspace onto its canonical complement.
 
-    Returns (proj, reps) where proj is the (ambient - dim) x ambient matrix of
-    the quotient map in the complement coordinates and reps[i] is the ambient
-    index represented by output coordinate i.
+    Returns (proj, reps): reps[t] is the ambient index represented by output
+    coordinate t, and proj the sparse columns of the quotient map in those
+    coordinates, read off the echelon rows.  A non-pivot j is reps[t] and
+    maps to f_t; pivot p_a maps to -sum_t row_a[reps[t]] f_t, since e_(p_a)
+    - row_a lies in the complement.
     """
-    amb = B.ambient
     reps = B.complement_indices()
-    ech = B.echelon()
-    reduced = [ech.reduce(basis_vec(B.field, amb, j)) for j in range(amb)]
-    proj = Matrix.from_rows(B.field, [[red[t] for red in reduced] for t in reps], ncols=amb)
+    proj = [((t, B.field.one),) for t in range(len(reps))]
+    for row, p in zip(B.rows, B.pivots):
+        proj.insert(p, tuple((t, -row[r]) for t, r in enumerate(reps) if row[r]))
     return proj, reps

@@ -1,9 +1,18 @@
-"""Dense exact linear algebra over a cyclotomic field.
+"""Exact linear algebra over a cyclotomic field.
 
 Vectors are plain lists of CycScalar.  Subspaces are kept in reduced row
 echelon form, so equality of subspaces is entrywise equality of their
 canonical bases, and every solver returns the echelon-canonical answer
 (free variables pinned to zero).
+
+A linear map field^m -> field^n is a list of m sparse columns: column i is
+the image of e_i, a tuple of the (index, entry) pairs with entry != 0,
+sorted by index.  sparse_apply, sparse_compose, sparse_image and
+sparse_kernel apply, compose, span and take kernels of such maps;
+sparse_identity and sparse_column build them.  Two maps are equal exactly
+when their column lists are.  A Matrix is a dense system handed to rref,
+kernel or solve_linear, or a small matrix that is reported or split into
+eigenspaces.
 """
 
 from __future__ import annotations
@@ -44,6 +53,65 @@ def tensor_vec(u, v):
             zero = a
             out.extend(zero for _ in v)
     return out
+
+
+def add_terms(acc, scale, terms):
+    """acc[k] += scale * c over the (k, c) in terms."""
+    for k, c in terms:
+        v = scale * c
+        acc[k] = acc[k] + v if k in acc else v
+
+
+def sparse_column(acc):
+    """The sparse column of the nonzero entries of a dict {index: entry}."""
+    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+
+
+def sparse_identity(field, n):
+    """The sparse columns of the identity map of field^n."""
+    return [((i, field.one),) for i in range(n)]
+
+
+def sparse_apply(field, n, cols, x):
+    """The map with sparse columns cols applied to x, a vector of length n."""
+    out = [field.zero] * n
+    for xi, col in zip(x, cols):
+        if xi:
+            for j, c in col:
+                out[j] = out[j] + xi * c
+    return out
+
+
+def sparse_compose(f, g):
+    """The sparse columns of f o g: (f o g)(e_i) = sum c f(e_k) over (k, c) in g[i]."""
+    out = []
+    for col in g:
+        acc = {}
+        for k, c in col:
+            add_terms(acc, c, f[k])
+        out.append(sparse_column(acc))
+    return out
+
+
+def sparse_image(field, n, cols):
+    """The span of the columns, a Subspace of field^n."""
+    vecs = []
+    for col in cols:
+        v = [field.zero] * n
+        for j, c in col:
+            v[j] = c
+        vecs.append(v)
+    return Subspace.from_vectors(field, n, vecs)
+
+
+def sparse_kernel(field, n, cols):
+    """{x : sum x_i cols[i] = 0} for columns of length n, a Subspace of
+    field^len(cols)."""
+    rows = [[field.zero] * len(cols) for _ in range(n)]
+    for i, col in enumerate(cols):
+        for j, c in col:
+            rows[j][i] = c
+    return Matrix.from_rows(field, rows, ncols=len(cols)).kernel()
 
 
 class Echelon:
@@ -111,7 +179,7 @@ class Echelon:
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix over one cyclotomic field."""
+    """A dense system of equations over one cyclotomic field (see the module doc)."""
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
@@ -162,58 +230,6 @@ class Matrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
-    def __add__(self, other):
-        return Matrix.from_rows(
-            self.field,
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
-
-    def __sub__(self, other):
-        return Matrix.from_rows(
-            self.field,
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
-
-    def __neg__(self):
-        return Matrix.from_rows(self.field, [[-a for a in r] for r in self.rows], ncols=self.ncols)
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise SchemaError(
-                "shape mismatch %dx%d * %dx%d"
-                % (self.nrows, self.ncols, other.nrows, other.ncols)
-            )
-        zero = self.field.zero
-        orows = other.rows
-        out = []
-        for r in self.rows:
-            acc = [zero] * other.ncols
-            for j, c in enumerate(r):
-                if c:
-                    for k, s in enumerate(orows[j]):
-                        if s:
-                            acc[k] = acc[k] + c * s
-            out.append(acc)
-        return Matrix.from_rows(self.field, out, ncols=other.ncols)
-
-    def apply(self, vec):
-        zero = self.field.zero
-        out = []
-        for r in self.rows:
-            acc = zero
-            for c, x in zip(r, vec):
-                if c and x:
-                    acc = acc + c * x
-            out.append(acc)
-        return out
-
     def transpose(self):
         return Matrix.from_rows(
             self.field,
@@ -221,33 +237,8 @@ class Matrix:
             ncols=self.nrows,
         )
 
-    def kron(self, other):
-        out = []
-        for r in self.rows:
-            for s in other.rows:
-                row = []
-                for a in r:
-                    row.extend(a * b if (a and b) else self.field.zero for b in s)
-                out.append(row)
-        return Matrix.from_rows(self.field, out, ncols=self.ncols * other.ncols)
-
     def is_zero(self):
         return all(not c for r in self.rows for c in r)
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def sparse_columns(self):
-        """Column j as a list of (row, entry) pairs over its nonzero entries."""
-        cols = [[] for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j].append((i, x))
-        return cols
 
     def rref(self):
         ech = Echelon(self.field, self.ncols)
@@ -308,7 +299,7 @@ def solve_linear(A, b):
             return None  # pivot in the rhs block: inconsistent
         for j in range(k):
             X.rows[p][j] = row[n + j]
-    return X.column(0) if vector_rhs else X
+    return [row[0] for row in X.rows] if vector_rhs else X
 
 
 class Subspace:
@@ -397,10 +388,11 @@ class Subspace:
         ]
         return Subspace.from_vectors(self.field, self.ambient, vecs)
 
-    def map_by(self, matrix):
-        """Image of this subspace under a linear map (matrix acts on columns)."""
+    def map_by(self, cols, n):
+        """Image of this subspace under the map field^ambient -> field^n with
+        sparse columns cols."""
         return Subspace.from_vectors(
-            matrix.field, matrix.nrows, [matrix.apply(list(r)) for r in self.rows]
+            self.field, n, [sparse_apply(self.field, n, cols, r) for r in self.rows]
         )
 
     def complement_indices(self):

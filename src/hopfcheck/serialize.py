@@ -5,10 +5,10 @@ Scalars serialize as "p/q" strings when rational and as
 (plus plain integers) in any scalar position.  Structure tensors are written
 sparsely with entries ordered lexicographically by index, so saved files are
 byte-deterministic; dense tensors are accepted on input.  A sparse tensor
-that lists the same [i, j, k] twice is rejected.  The antipode and star are
-written and read as dense d x d matrices, row j and column i holding the
-coefficient of e_j in S(e_i) (resp. (e_i)*); this is the one place where
-they are dense.
+that lists the same [i, j, k] twice is rejected.  The antipode and star,
+and the maps of a group action, are written and read as dense d x d
+matrices, row j and column i holding the coefficient of e_j in S(e_i)
+(resp. (e_i)*, alpha_t(e_i)); this is the one place where they are dense.
 """
 
 from __future__ import annotations
@@ -194,9 +194,7 @@ def load_group(path) -> FiniteGroup:
 def action_to_dict(act: GroupAction) -> dict:
     return {
         "group": group_to_dict(act.group),
-        "maps": [
-            [[scalar_to_json(x) for x in row] for row in m.rows] for m in act.maps
-        ],
+        "maps": [_dense_rows(m, act.target.dim) for m in act.maps],
     }
 
 
@@ -208,7 +206,7 @@ def action_from_dict(data, target: HopfStarAlgebra) -> GroupAction:
     if not isinstance(maps_raw, list) or len(maps_raw) != group.order:
         raise SchemaError("maps must list one matrix per group element")
     maps = [
-        _parse_matrix(target.field, m, target.dim, "action map %d" % t)
+        _column_entries(_parse_matrix(target.field, m, target.dim, "action map %d" % t))
         for t, m in enumerate(maps_raw)
     ]
     return GroupAction(group, target, maps)

@@ -224,17 +224,17 @@ def split_center(H):
     for t in range(c):
         if all(b.dim == 1 for b in blocks):
             break
+        # cols[b]: the coordinates of z_t z_b, column b of multiplication by z_t
         cols = []
         for b in range(c):
             cols.append(coords(dual_product(H, zbasis[t], zbasis[b])))
-        Mt = Matrix.from_rows(field, [[cols[b][a] for b in range(c)] for a in range(c)], ncols=c)
         refined = []
         for V in blocks:
             if V.dim == 1:
                 refined.append(V)
                 continue
             R = V.basis()
-            imgs = [Mt.apply(r) for r in R]
+            imgs = [lincomb(field, c, r, cols) for r in R]
             vech = V.echelon()
             sub_rows = []
             for img in imgs:

@@ -27,7 +27,7 @@ from .errors import (
     TheoremViolation,
 )
 from .hopf import HopfStarAlgebra, certified_subalgebra, check_axioms, dual, sub_hopf_algebra
-from .linalg import Matrix, Subspace, basis_vec
+from .linalg import Matrix, Subspace, basis_vec, sparse_compose, sparse_kernel
 from .subgroup import (
     QuantumSubgroup,
     check_hopf_ideal,
@@ -272,32 +272,29 @@ def third_isomorphism_check(G: HopfStarAlgebra, N: QuantumSubgroup, H: QuantumSu
         raise ContainmentViolated("ker(theta) is not contained in ker(pi)")
     field = G.field
 
-    # pi1 on A_H defined by pi1(theta(a)) = pi(a); exactness verified
-    pi1 = N.proj * H.section()
-    if pi1 * H.proj != N.proj:
+    # pi1 on A_H defined by pi1(theta(a)) = pi(a), so pi1(f_t) is the image
+    # of H's representative e_(reps[t]); exactness verified
+    pi1 = [N.proj_columns[r] for r in H.reps]
+    if sparse_compose(pi1, H.proj_columns) != N.proj_columns:
         raise TheoremViolation("pi1 is not well-defined on the quotient")
 
     # (a) N is normal inside H, i.e. the ideal ker(pi1) is normal in A_H
-    QN_in_H = make_subgroup(H.quotient, pi1.kernel())
+    QN_in_H = make_subgroup(H.quotient, sparse_kernel(field, N.quotient.dim, pi1))
     claim_a = normality_report(QN_in_H).normal
 
     # (b) theta maps the coset algebra A_GN onto A_{H/N}
     A_GN, _ = coset_algebras(N)
-    theta_image = Subspace.from_vectors(
-        field, H.quotient.dim, [H.proj.apply(b) for b in A_GN.basis()]
-    )
+    theta_image = A_GN.map_by(H.proj_columns, H.quotient.dim)
     A_HN, _ = coset_algebras(QN_in_H)
     claim_b = theta_image == A_HN
 
     # (c) the double quotient: realize G/N as the Hopf subalgebra A_GN,
     # restrict theta to it, and compare cosets inside A_G
     sub, incl = sub_hopf_algebra(G, A_GN)
-    theta_incl = H.proj * incl
-    Q2 = make_subgroup(sub, theta_incl.kernel())
+    theta_incl = sparse_compose(H.proj_columns, incl)
+    Q2 = make_subgroup(sub, sparse_kernel(field, H.quotient.dim, theta_incl))
     inner_coset, _ = coset_algebras(Q2)
-    pushed = Subspace.from_vectors(
-        field, G.dim, [incl.apply(b) for b in inner_coset.basis()]
-    )
+    pushed = inner_coset.map_by(incl, G.dim)
     A_GH, _ = coset_algebras(H)
     claim_c = pushed == A_GH
 
@@ -364,9 +361,7 @@ def property_inheritance_suite(G: HopfStarAlgebra):
         pull_all = True
         for _Q, A_GN, sub, incl in quotient_algebras:
             for SQ in enumerate_quantum_subgroups(sub):
-                ambient_I0 = Subspace.from_vectors(
-                    G.field, G.dim, [incl.apply(b) for b in SQ.ideal.basis()]
-                )
+                ambient_I0 = SQ.ideal.map_by(incl, G.dim)
                 ok, _inter = pullback_check(G, A_GN, ambient_I0, "hopf-ideal")
                 pull_all = pull_all and ok
         report["pullback_on_coset_pairs"] = pull_all

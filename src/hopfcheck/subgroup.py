@@ -11,10 +11,12 @@ four answers are provably equal and a disagreement is raised loudly rather
 than suppressed.
 
 Every criterion is computed from the sparse structure constants of the
-parent (`comult`, `mult`, `antipode`) and the sparse projection
-columns, without forming a dense tensor of length d^2.  The coset algebras
-are still computed two ways, as invariance kernels and as conditional
-expectation images, and the two are cross-checked exactly.
+parent (`comult`, `mult`, `antipode`) and the sparse projection columns,
+without forming a dense tensor of length d^2.  The projection, the
+conditional expectations, the comodule splitting and phi are all maps in
+sparse columns (see linalg).  The coset algebras are still computed two
+ways, as invariance kernels and as conditional expectation images, and the
+two are cross-checked exactly.
 """
 
 from __future__ import annotations
@@ -23,34 +25,48 @@ from .corep import peter_weyl
 from .errors import NotHopfIdeal, SchemaError, TheoremViolation
 from .hopf import (
     HopfStarAlgebra,
-    LinearEndo,
-    add_terms,
     check_axioms,
     convolve,
     coproduct_slice,
+    counit_unit,
     induced_algebra,
     linear_quotient,
     morphism_failure,
     sub_hopf_algebra,
 )
-from .linalg import Matrix, Subspace, basis_vec, solve_linear, zero_vec
+from .linalg import (
+    Matrix,
+    Subspace,
+    add_terms,
+    basis_vec,
+    solve_linear,
+    sparse_apply,
+    sparse_column,
+    sparse_compose,
+    sparse_identity,
+    sparse_image,
+    zero_vec,
+)
 
 
 class QuantumSubgroup:
     """A quotient presentation G -> N with its ideal, projection and Haar state.
 
-    `meta` keeps data derived from the subgroup, each computed once:
-    "proj_columns", "haar_pi" and "cosets" (see `memo`); constructions also
-    record where a subgroup came from there.
+    The projection pi: G -> N is kept only as sparse columns:
+    proj_columns[a] is pi(e_a), read off the echelon rows of the ideal by
+    linear_quotient, and the quotient basis vector f_t is the class of the
+    parent basis vector e_(reps[t]).  `meta` keeps data derived from the
+    subgroup, each computed once: "haar_pi" and "cosets" (see `memo`);
+    constructions also record where a subgroup came from there.
     """
 
-    __slots__ = ("parent", "ideal", "quotient", "proj", "reps", "meta")
+    __slots__ = ("parent", "ideal", "quotient", "proj_columns", "reps", "meta")
 
-    def __init__(self, parent, ideal, quotient, proj, reps):
+    def __init__(self, parent, ideal, quotient, proj_columns, reps):
         self.parent = parent
         self.ideal = ideal
         self.quotient = quotient
-        self.proj = proj
+        self.proj_columns = proj_columns
         self.reps = reps  # ambient indices of the canonical complement
         self.meta = {}
 
@@ -61,12 +77,7 @@ class QuantumSubgroup:
         return self.meta[key]
 
     def pi(self, vec):
-        return self.proj.apply(vec)
-
-    @property
-    def proj_columns(self):
-        """pi(e_a) for each parent index a, as sparse (index, entry) pairs."""
-        return self.memo("proj_columns", self.proj.sparse_columns)
+        return sparse_apply(self.parent.field, self.quotient.dim, self.proj_columns, vec)
 
     @property
     def haar_N(self):
@@ -91,12 +102,6 @@ class QuantumSubgroup:
                 acc = acc + c * h
         return acc
 
-    def section(self) -> Matrix:
-        """The coordinate section N -> G picking canonical representatives."""
-        field, d = self.parent.field, self.parent.dim
-        rows = [[field.one if i == r else field.zero for r in self.reps] for i in range(d)]
-        return Matrix.from_rows(field, rows, ncols=len(self.reps))
-
     def __repr__(self):
         return "QuantumSubgroup(dim %d -> %d)" % (self.parent.dim, self.quotient.dim)
 
@@ -116,7 +121,8 @@ def check_hopf_ideal(G: HopfStarAlgebra, I: Subspace):
     """Decide whether I is a Hopf *-ideal of G; returns (ok, witness).
 
     The witness {"condition": name} names the first failed condition, as
-    decided by make_subgroup's morphism certificate.
+    decided by make_subgroup's morphism certificate.  Raises SchemaError,
+    as make_subgroup does, when I is not a subspace of G.
     """
     *_, failed = _certified_quotient(G, I)
     return (True, None) if failed is None else (False, {"condition": failed})
@@ -141,11 +147,6 @@ def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
     """
     if not isinstance(I, Subspace):
         I = Subspace.from_vectors(G.field, G.dim, [list(v) for v in I])
-    if I.field.n != G.field.n:
-        raise SchemaError(
-            "ideal lives in the order-%d field but the algebra uses order %d"
-            % (I.field.n, G.field.n)
-        )
     proj, reps, quotient, failed = _certified_quotient(G, I)
     if failed:
         raise NotHopfIdeal("the %s condition fails" % failed)
@@ -162,14 +163,21 @@ def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
 
 
 def _certified_quotient(G: HopfStarAlgebra, I: Subspace):
-    """(proj, reps, quotient, failed): the structure induced through the
-    projection G -> G/I, and the Hopf *-ideal condition that I fails, or
-    None."""
+    """(proj, reps, quotient, failed): the sparse columns of the projection
+    G -> G/I (see linear_quotient), the structure induced through it, and
+    the Hopf *-ideal condition that I fails, or None.  SchemaError when I
+    is not a subspace of G."""
+    if I.field.n != G.field.n:
+        raise SchemaError(
+            "ideal lives in the order-%d field but the algebra uses order %d"
+            % (I.field.n, G.field.n)
+        )
+    if I.ambient != G.dim:
+        raise SchemaError("ideal ambient %d != algebra dim %d" % (I.ambient, G.dim))
     proj, reps = linear_quotient(I)
-    P = proj.sparse_columns()
-    section = [[(r, G.field.one)] for r in reps]
-    quotient = induced_algebra(G, section, P, [G.labels[r] for r in reps])
-    return proj, reps, quotient, _IDEAL_CONDITION.get(morphism_failure(G, P, quotient))
+    section = [((r, G.field.one),) for r in reps]
+    quotient = induced_algebra(G, section, proj, [G.labels[r] for r in reps])
+    return proj, reps, quotient, _IDEAL_CONDITION.get(morphism_failure(G, proj, quotient))
 
 
 def trivial_subgroup(G: HopfStarAlgebra) -> QuantumSubgroup:
@@ -183,15 +191,15 @@ def full_subgroup(G: HopfStarAlgebra) -> QuantumSubgroup:
     return make_subgroup(G, Subspace.zero(G.field, G.dim))
 
 
-def conditional_expectation(Q: QuantumSubgroup, side: str = "right") -> LinearEndo:
-    """The projection of norm one onto a coset algebra.
+def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
+    """The projection of norm one onto a coset algebra, as sparse columns.
 
     side "right" gives (id (x) h_N pi) Delta whose image is the right coset
     algebra A_GN; side "left" gives (h_N pi (x) id) Delta with image A_NG.
-    The matrix is summed over the sparse coproduct terms against the
+    The columns are summed over the sparse coproduct terms against the
     covector h_N o pi, which Q computes once from its sparse projection.
     """
-    return LinearEndo(Q.parent, coproduct_slice(Q.parent, Q.haar_pi_covector, side))
+    return coproduct_slice(Q.parent, Q.haar_pi_covector, side)
 
 
 def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
@@ -246,10 +254,11 @@ def coset_algebras(Q: QuantumSubgroup):
     cached = Q.meta.get("cosets")
     if cached is not None:
         return cached
+    field, d = Q.parent.field, Q.parent.dim
     A_GN = _invariance_kernel(Q, "right")
     A_NG = _invariance_kernel(Q, "left")
-    img_r = conditional_expectation(Q, "right").image()
-    img_l = conditional_expectation(Q, "left").image()
+    img_r = sparse_image(field, d, conditional_expectation(Q, "right"))
+    img_l = sparse_image(field, d, conditional_expectation(Q, "left"))
     if A_GN != img_r:
         raise TheoremViolation("invariance kernel and expectation image disagree (right)")
     if A_NG != img_l:
@@ -460,31 +469,26 @@ def reconstruction_check(Q: QuantumSubgroup) -> bool:
     return s1 == Q.ideal and s2 == Q.ideal and s3 == Q.ideal
 
 
-def comodule_splitting(Q: QuantumSubgroup) -> Matrix:
-    """An exactly verified comodule section s of pi: pi s = id and
-    (id (x) pi) Delta_G s = (s (x) id) Delta_N."""
+def comodule_splitting(Q: QuantumSubgroup):
+    """An exactly verified comodule section s of pi, as sparse columns:
+    pi s = id and (id (x) pi) Delta_G s = (s (x) id) Delta_N."""
     G, N = Q.parent, Q.quotient
     d, dn = G.dim, N.dim
     field = G.field
+    P = Q.proj_columns
     unknowns = d * dn  # x[k * dn + a] = s[k][a]
-    rows, rhs = [], []
-    for b in range(dn):
-        for a in range(dn):
-            row = zero_vec(field, unknowns)
-            for k in range(d):
-                c = Q.proj.rows[b][k]
-                if c:
-                    row[k * dn + a] = row[k * dn + a] + c
-            rows.append(row)
-            rhs.append(field.one if a == b else field.zero)
+    rows = [zero_vec(field, unknowns) for _ in range(dn * dn)]  # (pi s)[b][a]
+    rhs = [field.one if a == b else field.zero for b in range(dn) for a in range(dn)]
+    for k, col in enumerate(P):
+        for b, c in col:
+            for a in range(dn):
+                rows[b * dn + a][k * dn + a] = c
     # T1[(i, j)][k]: the (i, j) component of (id (x) pi) Delta(e_k)
     T1 = [[field.zero] * d for _ in range(d * dn)]
     for k in range(d):
         for p, q, c in G.comult[k]:
-            for j in range(dn):
-                pj = Q.proj.rows[j][q]
-                if pj:
-                    T1[p * dn + j][k] = T1[p * dn + j][k] + c * pj
+            for j, pj in P[q]:
+                T1[p * dn + j][k] = T1[p * dn + j][k] + c * pj
     for a in range(dn):
         for i in range(d):
             for j in range(dn):
@@ -501,45 +505,47 @@ def comodule_splitting(Q: QuantumSubgroup) -> Matrix:
     sol = solve_linear(Matrix.from_rows(field, rows, ncols=unknowns), rhs)
     if sol is None:
         raise TheoremViolation("comodule splitting system is infeasible")
-    s = Matrix.from_rows(
-        field, [[sol[k * dn + a] for a in range(dn)] for k in range(d)], ncols=dn
-    )
-    if Q.proj * s != Matrix.identity(field, dn):
+    s = [sparse_column({k: sol[k * dn + a] for k in range(d)}) for a in range(dn)]
+    if sparse_compose(P, s) != sparse_identity(field, dn):
         raise TheoremViolation("the comodule splitting is not a section of pi")
     return s
 
 
-def phi_map(Q: QuantumSubgroup, s: Matrix | None = None) -> LinearEndo:
-    """The convolution inverse construction phi = (s pi) * S.
+def _difference(field, f, g):
+    """The sparse columns of f - g."""
+    out = []
+    for fcol, gcol in zip(f, g):
+        acc = dict(fcol)
+        add_terms(acc, -field.one, gcol)
+        out.append(sparse_column(acc))
+    return out
+
+
+def phi_map(Q: QuantumSubgroup, s=None):
+    """The convolution inverse construction phi = (s pi) * S, as sparse columns.
 
     Three identities are checked exactly: the image of phi lies in the coset
     algebra, eps phi = eps, and id - s pi = [(eps 1 - id) phi] * id.  A
     failure raises TheoremViolation, as does a failed comodule splitting.
     """
     G = Q.parent
-    field = G.field
+    field, d = G.field, G.dim
     if s is None:
         s = comodule_splitting(Q)
-    SP = s * Q.proj
-    phi = convolve(G, SP, LinearEndo.antipode(G).matrix)
+    SP = sparse_compose(s, Q.proj_columns)
+    phi = convolve(G, SP, G.antipode)
     A_GN, _ = coset_algebras(Q)
-    if not A_GN.contains_all(phi.columns()):
+    if not sparse_image(field, d, phi) <= A_GN:
         raise TheoremViolation("phi image leaves the coset algebra")
-    eps = G.counit
-    for i in range(G.dim):
-        acc = field.zero
-        for t in range(G.dim):
-            p = phi.rows[t][i]
-            if p:
-                acc = acc + eps[t] * p
-        if acc != eps[i]:
+    for i, col in enumerate(phi):
+        if sum((G.counit[t] * p for t, p in col), field.zero) != G.counit[i]:
             raise TheoremViolation("eps phi differs from eps")
-    E1 = LinearEndo.counit_unit(G).matrix
-    lhs = Matrix.identity(field, G.dim) - SP
-    rhs = convolve(G, (E1 - Matrix.identity(field, G.dim)) * phi, Matrix.identity(field, G.dim))
+    ident = sparse_identity(field, d)
+    lhs = _difference(field, ident, SP)
+    rhs = convolve(G, sparse_compose(_difference(field, counit_unit(G), ident), phi), ident)
     if lhs != rhs:
         raise TheoremViolation("the convolution identity for id - s pi fails")
-    return LinearEndo(G, phi)
+    return phi
 
 
 def exact_sequence_check(Q: QuantumSubgroup) -> bool:

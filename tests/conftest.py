@@ -2,7 +2,6 @@ import pytest
 
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, GroupAction, crossed_product, function_algebra
-from hopfcheck.linalg import Matrix
 
 
 @pytest.fixture(scope="session")
@@ -21,11 +20,9 @@ def build_s3_crossed():
     F = function_algebra(S3)
     field, n = F.field, S3.order
     t = S3.index_of("(12)")
-    conj = [
-        [field.one if i == S3.mul(S3.mul(t, j), t) else field.zero for j in range(n)]
-        for i in range(n)
-    ]
-    action = GroupAction(FiniteGroup.cyclic(2), F, [Matrix.identity(field, n), Matrix(field, conj)])
+    ident = [(j, j, field.one) for j in range(n)]
+    conj = [(j, S3.mul(S3.mul(t, j), t), field.one) for j in range(n)]
+    action = GroupAction(FiniteGroup.cyclic(2), F, [ident, conj])
     return crossed_product(F, action)
 
 

@@ -1,0 +1,112 @@
+"""Dense references for the maps that hopfcheck keeps as sparse columns.
+
+hopfcheck stores every linear map between algebras as sparse columns (see
+`hopfcheck.linalg`).  The helpers here compute the same maps the dense way,
+as a Matrix whose column i is the image of e_i, so the tests can compare
+the two: dense products and application, the projection onto the canonical
+complement obtained by reducing each e_j, and the convolution of two
+matrices summed over dense columns.
+"""
+
+from hopfcheck.linalg import Matrix, basis_vec, zero_vec
+
+
+def dense_matrix(field, n, cols):
+    """The n x len(cols) Matrix of a map given by sparse columns."""
+    M = Matrix.zeros(field, n, len(cols))
+    for i, col in enumerate(cols):
+        for j, c in col:
+            M.rows[j][i] = c
+    return M
+
+
+def sparse_of(M):
+    """The sparse columns of a Matrix."""
+    return [
+        tuple((j, M.rows[j][i]) for j in range(M.nrows) if M.rows[j][i])
+        for i in range(M.ncols)
+    ]
+
+
+def columns(M):
+    return [[row[i] for row in M.rows] for i in range(M.ncols)]
+
+
+def mat_apply(M, vec):
+    out = zero_vec(M.field, M.nrows)
+    for j, row in enumerate(M.rows):
+        for c, x in zip(row, vec):
+            if c and x:
+                out[j] = out[j] + c * x
+    return out
+
+
+def matmul(A, B):
+    """The product A B, column by column."""
+    cols = [mat_apply(A, col) for col in columns(B)]
+    return Matrix.from_rows(
+        A.field, [[col[j] for col in cols] for j in range(A.nrows)], ncols=B.ncols
+    )
+
+
+def kron_apply(A, B, vec):
+    """(A (x) B) applied to a flat tensor vector, without forming A (x) B."""
+    n2, m2 = B.ncols, B.nrows
+    out = zero_vec(A.field, A.nrows * m2)
+    for idx, val in enumerate(vec):
+        if not val:
+            continue
+        i, j = divmod(idx, n2)
+        for a in range(A.nrows):
+            c1 = A.rows[a][i]
+            if not c1:
+                continue
+            for b in range(m2):
+                c2 = B.rows[b][j]
+                if c2:
+                    out[a * m2 + b] = out[a * m2 + b] + val * c1 * c2
+    return out
+
+
+def reference_linear_quotient(B):
+    """(proj, reps): the projection onto the canonical complement of B as a
+    Matrix, with column j the reduction of e_j by the echelon rows of B."""
+    amb = B.ambient
+    reps = B.complement_indices()
+    ech = B.echelon()
+    reduced = [ech.reduce(basis_vec(B.field, amb, j)) for j in range(amb)]
+    proj = Matrix.from_rows(B.field, [[red[t] for red in reduced] for t in reps], ncols=amb)
+    return proj, reps
+
+
+def reference_convolve(H, F, G):
+    """The convolution F * G = m (F (x) G) Delta of two d x d matrices."""
+    d = H.dim
+    fcols, gcols = columns(F), columns(G)
+    cols = []
+    for i in range(d):
+        acc = zero_vec(H.field, d)
+        for j, k, c in H.comult[i]:
+            for t, p in enumerate(H.product(fcols[j], gcols[k])):
+                if p:
+                    acc[t] = acc[t] + c * p
+        cols.append(acc)
+    return Matrix.from_rows(H.field, [[cols[j][i] for j in range(d)] for i in range(d)], ncols=d)
+
+
+def reference_counit_unit(H):
+    """The matrix of a -> eps(a) 1."""
+    field = H.field
+    rows = [[u * e if (u and e) else field.zero for e in H.counit] for u in H.unit]
+    return Matrix.from_rows(field, rows, ncols=H.dim)
+
+
+def dense_entries(rows):
+    """The (i, j, c) entries of a dense matrix given by its rows, c at row j
+    and column i, as GroupAction takes them."""
+    return [(i, j, c) for j, row in enumerate(rows) for i, c in enumerate(row)]
+
+
+def map_entries(cols):
+    """The (i, j, c) entries of a map given by sparse columns."""
+    return [(i, j, c) for i, col in enumerate(cols) for j, c in col]

@@ -35,6 +35,8 @@ from hopfcheck.hopf import check_axioms, compute_haar
 from hopfcheck.linalg import Matrix, Subspace, basis_vec, tensor_vec
 from hopfcheck.subgroup import coset_algebras, make_subgroup, normality_report
 
+from dense_maps import dense_entries, map_entries
+
 
 def klein_four():
     return FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
@@ -316,8 +318,8 @@ def test_trivial_action_gives_tensor_structure():
 
 def test_action_must_be_homomorphism():
     F = function_algebra(klein_four())
-    ident = Matrix.identity(F.field, 4).rows
-    bad = [[F.field.one] * 4 for _ in range(4)]
+    ident = dense_entries(Matrix.identity(F.field, 4).rows)
+    bad = dense_entries([[F.field.one] * 4 for _ in range(4)])
     with pytest.raises(SchemaError):
         GroupAction(FiniteGroup.cyclic(2), F, [ident, bad])
 
@@ -329,7 +331,9 @@ def test_action_must_preserve_the_coproduct():
     perm = [0, 2, 1, 4, 3]
     swap = [[int(i == perm[j]) for j in range(5)] for i in range(5)]
     with pytest.raises(SchemaError, match="^action map 1 does not preserve the coproduct$"):
-        GroupAction(FiniteGroup.cyclic(2), F, [Matrix.identity(F.field, 5), swap])
+        GroupAction(
+            FiniteGroup.cyclic(2), F, [dense_entries(Matrix.identity(F.field, 5).rows), dense_entries(swap)]
+        )
 
 
 def test_inversion_action_needs_abelian(algebras):
@@ -418,7 +422,7 @@ def klein_action_on_z3():
     inv = inversion_action(F)
     v4 = klein_four()
     maps = [
-        inv.maps[1] if pair_label(v4.labels[t])[0] == "g" else inv.maps[0]
+        map_entries(inv.maps[1] if pair_label(v4.labels[t])[0] == "g" else inv.maps[0])
         for t in range(4)
     ]
     return F, v4, GroupAction(v4, F, maps)
@@ -454,7 +458,9 @@ def test_ideal_must_be_action_invariant():
     rows = [
         [field.one if swap[j] == i else field.zero for j in range(4)] for i in range(4)
     ]
-    act = GroupAction(FiniteGroup.cyclic(2), F, [Matrix.identity(field, 4).rows, rows])
+    act = GroupAction(
+        FiniteGroup.cyclic(2), F, [dense_entries(Matrix.identity(field, 4).rows), dense_entries(rows)]
+    )
     X = crossed_product(F, act)
     not_invariant = subgroup_ideal(F, ("(e,e)", "(g,e)"))
     with pytest.raises(InvarianceViolated):

@@ -1,5 +1,6 @@
 """The CLI reports are pinned: the sha256 of each report's results and exit
-code, and of each file that `quotient` writes, over the shipped catalog.
+code, and of each file that `quotient` or `build` writes, over the shipped
+catalog.
 
 A refactor that keeps the reports byte for byte keeps these digests.  After
 a change that is meant to alter a report, print the new table with
@@ -22,12 +23,14 @@ from hopfcheck.serialize import dump_json
 
 ALGEBRA_COMMANDS = ("axioms", "haar", "irreps", "subgroups", "props")
 IDEAL_COMMANDS = ("normal", "reconstruct", "quotient")
+# (N, H) ideal pairs of third-iso chains N inside H, N normal
+THIRD_ISO_CHAINS = (("f_d4.center", "f_d4.z4"), ("f_s3.triv", "f_s3.t12"))
 
 
 def cases():
-    """(case id, argv) for every pinned report.  The `quotient` output path
-    is relative, so it is written in (and echoed from) the current
-    directory."""
+    """(case id, argv) for every pinned report.  The `--out` path of
+    `quotient` and `build` is relative and comes last, so the file is
+    written in (and echoed from) the current directory."""
     def cat(fname):
         return os.path.join(repo_catalog_dir(), fname)
 
@@ -41,6 +44,23 @@ def cases():
             if cmd == "quotient":
                 argv += ["--out", key + ".quotient.hopf.json"]
             out.append(("%s %s" % (cmd, key), argv))
+    for n_key, h_key in THIRD_ISO_CHAINS:
+        algebra = SUBGROUP_IDEALS[n_key][0]
+        argv = ["third-iso", cat(algebra + ".hopf.json"),
+                "--n", cat(n_key + ".ideal.json"), "--h", cat(h_key + ".ideal.json")]
+        out.append(("third-iso %s/%s" % (n_key, h_key), argv))
+    builds = (
+        ("group-algebra s3", ["group-algebra", "--group", cat("s3.group.json")]),
+        ("function-algebra s3", ["function-algebra", "--group", cat("s3.group.json")]),
+        ("tensor f_z2 f_z3", ["tensor", "--left", cat("f_z2.hopf.json"),
+                              "--right", cat("f_z3.hopf.json")]),
+        ("crossed f_z3 inversion", ["crossed", "--inner", cat("f_z3.hopf.json"),
+                                    "--action", cat("f_z3.inversion.action.json")]),
+    )
+    for case, args in builds:
+        out.append(("build " + case, ["build"] + args + ["--out", "built.hopf.json"]))
+    for name in ("s3-pullback", "equivalence-suite"):
+        out.append(("demo " + name, ["demo", name]))
     return out
 
 
@@ -55,7 +75,7 @@ def digest(argv, workdir):
     try:
         code, rep = cli_dispatch(argv)
         pinned = _sha(dump_json({"exit_code": code, "results": rep["results"]}).encode())
-        if argv[0] != "quotient":
+        if "--out" not in argv:
             return pinned
         with open(argv[-1], "rb") as fh:
             return pinned, _sha(fh.read())
@@ -124,6 +144,14 @@ DIGESTS = {
     'quotient f_s3.a3': ('fc40d9b5e1748cd45d0874b2316a1870c9850235b02536eecba8263a2ac1b414', '067fa80e27cd7f05c9221e82f2a1d52c6baf3ef34afe76f3685b3707b89d86ce'),
     'quotient f_s3.t12': ('f081b19ffc89bdb47b14bd7aa34c321a7760d8c0149e8032ba6cb6dba263e6db', '61ee7fb2219d0451f37d5ae5a33add17459548561ba7bb067311102d2ab6a9aa'),
     'quotient f_s3.triv': ('9662c9e84d396d7c6400453627186ffc963d8cc205a278f583e956f731387389', '9d2e5881e2954cfcb7e06d06f898fd8896f66fc2651a6d99b93d8ce3ed14f221'),
+    'third-iso f_d4.center/f_d4.z4': 'acdd0449620299ffeec7bb4ed1e4135a193f86ca3f3668746aabd164160cbee3',
+    'third-iso f_s3.triv/f_s3.t12': 'da1e0fa048c88d64be49da541cc332937e2a0b6cf9b83e975972b3a65d1d38dc',
+    'build group-algebra s3': ('594666fe9f356cfe2978137c97cb9ae4a79c4c6ba540f8caf272de1ae08b6847', 'c4bc458189196997073103f7e28f46f9037a4748900a3e445313e499c2a32525'),
+    'build function-algebra s3': ('594666fe9f356cfe2978137c97cb9ae4a79c4c6ba540f8caf272de1ae08b6847', 'e46ef1d7461256346b018d129534614113b7fb3fc4ef43eea0afda3c069b0262'),
+    'build tensor f_z2 f_z3': ('594666fe9f356cfe2978137c97cb9ae4a79c4c6ba540f8caf272de1ae08b6847', '8d73a7fcb341408896388281f73786443e584b9a6fb871bdba07b4e6583bbb8b'),
+    'build crossed f_z3 inversion': ('594666fe9f356cfe2978137c97cb9ae4a79c4c6ba540f8caf272de1ae08b6847', 'f38b261c0a8baa6ab7055a0080e331a54318ad5290e35185f511f3df7dd70d3c'),
+    'demo s3-pullback': '6dc640f12070812cb31ee29e71383872f70f765ffff159547f237a3ae67b3bd2',
+    'demo equivalence-suite': '8ac7303017130c018d87b5b3f03d4e2e8458205fcc03f1711003512fca884ceb',
 }
 
 

@@ -239,7 +239,7 @@ def test_action_round_trip(tmp_path):
     save_action(act, path)
     act2 = load_action(path, F)
     assert act2.group.table == act.group.table
-    assert [m.rows for m in act2.maps] == [m.rows for m in act.maps]
+    assert act2.maps == act.maps
 
 
 def test_action_target_dim_checked(tmp_path):

@@ -21,6 +21,8 @@ from hopfcheck.splitting import (
     split_center,
 )
 
+from dense_maps import mat_apply
+
 
 # --- polynomial roots ------------------------------------------------------
 
@@ -74,7 +76,7 @@ def test_eigen_split_of_swap():
     for val, space in out:
         assert space.dim == 1
         (v,) = space.basis()
-        assert M.apply(v) == [val * c for c in v]
+        assert mat_apply(M, v) == [val * c for c in v]
 
 
 def test_eigen_split_requires_splitting_field():
@@ -116,7 +118,7 @@ def test_eigen_split_exact_spectrum():
     assert sorted((val.as_fraction(), space.dim) for val, space in out) == [(-1, 1), (1, 2)]
     for val, space in out:
         for v in space.basis():
-            assert M.apply(v) == [val * x for x in v]
+            assert mat_apply(M, v) == [val * x for x in v]
 
 
 # --- center splitting --------------------------------------------------------

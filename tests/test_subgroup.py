@@ -8,21 +8,34 @@ from fractions import Fraction
 import pytest
 
 import hopfcheck
+import hopfcheck.structure
 import hopfcheck.subgroup
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra, build_group
 from hopfcheck.constructions import FiniteGroup, lift_algebra, function_algebra, subgroup_ideal
 from hopfcheck.corep import peter_weyl
-from hopfcheck.errors import NotHopfIdeal, TheoremViolation
+from hopfcheck.errors import NotHopfIdeal, SchemaError, TheoremViolation
 from hopfcheck.hopf import (
     HopfStarAlgebra,
-    LinearEndo,
     certified_subalgebra,
     check_axioms,
+    convolve,
+    counit_unit,
     dual,
-    linear_quotient,
 )
-from hopfcheck.linalg import Matrix, Subspace, basis_vec, solve_linear, tensor_vec, zero_vec
-from hopfcheck.structure import enumerate_quantum_subgroups, ideal_closure
+from hopfcheck.linalg import (
+    Matrix,
+    Subspace,
+    basis_vec,
+    solve_linear,
+    sparse_apply,
+    sparse_compose,
+    sparse_identity,
+    sparse_image,
+    sparse_kernel,
+    tensor_vec,
+    zero_vec,
+)
+from hopfcheck.structure import enumerate_quantum_subgroups, ideal_closure, third_isomorphism_check
 from hopfcheck.subgroup import (
     adjoint_coaction,
     augmentation_part,
@@ -43,6 +56,17 @@ from hopfcheck.subgroup import (
     trivial_subgroup,
 )
 from hopfcheck.subgroup import _certified_quotient
+
+from dense_maps import (
+    columns,
+    dense_matrix,
+    kron_apply,
+    mat_apply,
+    matmul,
+    reference_convolve,
+    reference_counit_unit,
+    reference_linear_quotient,
+)
 
 A3 = ("e", "(123)", "(132)")
 T12 = ("e", "(12)")
@@ -74,7 +98,7 @@ def test_full_subgroup_is_identity_projection(algebras):
     Q = full_subgroup(H)
     assert Q.ideal.dim == 0
     assert Q.quotient.dim == 6
-    assert Q.proj == Matrix.identity(H.field, 6)
+    assert Q.proj_columns == sparse_identity(H.field, 6)
 
 
 def test_trivial_subgroup_is_counit(algebras):
@@ -112,9 +136,17 @@ def test_projection_restricts_functions(algebras):
             assert img == zero_vec(H.field, 3)
 
 
+def test_ideal_of_another_dimension_is_a_schema_error(algebras):
+    H = algebras["f_s3"]
+    for I in (Subspace.zero(H.field, 3), Subspace.full(H.field, 8)):
+        for decide in (make_subgroup, check_hopf_ideal):
+            with pytest.raises(SchemaError, match="^ideal ambient %d != algebra dim 6$" % I.ambient):
+                decide(H, I)
+
+
 def test_ideal_is_kernel_of_projection(algebras):
     for Q in (a3_subgroup(algebras), t12_subgroup(algebras)):
-        assert Q.ideal == Q.proj.kernel()
+        assert Q.ideal == sparse_kernel(Q.parent.field, Q.quotient.dim, Q.proj_columns)
 
 
 def test_quotient_haar_cross_check(algebras):
@@ -212,9 +244,8 @@ def test_antipode_swaps_coset_sides(algebras):
     H = algebras["f_s3"]
     for Q in (a3_subgroup(algebras), t12_subgroup(algebras)):
         A_GN, A_NG = coset_algebras(Q)
-        S = LinearEndo.antipode(H).matrix
-        assert A_GN.map_by(S) == A_NG
-        assert A_NG.map_by(S) == A_GN
+        assert A_GN.map_by(H.antipode, H.dim) == A_NG
+        assert A_NG.map_by(H.antipode, H.dim) == A_GN
 
 
 def test_conditional_expectation_properties(algebras):
@@ -222,18 +253,18 @@ def test_conditional_expectation_properties(algebras):
     for Q in (a3_subgroup(algebras), t12_subgroup(algebras)):
         for side in ("right", "left"):
             E = conditional_expectation(Q, side)
-            assert E.is_idempotent()
-            assert E.apply(H.unit_vec()) == H.unit_vec()
+            assert sparse_compose(E, E) == E
+            assert sparse_apply(H.field, 6, E, H.unit_vec()) == H.unit_vec()
             # Haar-compatible: h(E(a)) = h(a)
             for i in range(6):
-                assert H.haar_of(E.apply(basis_vec(H.field, 6, i))) == H.haar[i]
+                assert H.haar_of(sparse_apply(H.field, 6, E, basis_vec(H.field, 6, i))) == H.haar[i]
 
 
 def test_expectation_image_is_coset_algebra(algebras):
     Q = t12_subgroup(algebras)
     A_GN, A_NG = coset_algebras(Q)
-    assert conditional_expectation(Q, "right").image() == A_GN
-    assert conditional_expectation(Q, "left").image() == A_NG
+    assert sparse_image(Q.parent.field, 6, conditional_expectation(Q, "right")) == A_GN
+    assert sparse_image(Q.parent.field, 6, conditional_expectation(Q, "left")) == A_NG
 
 
 def test_expectation_is_group_averaging(algebras):
@@ -249,7 +280,7 @@ def test_expectation_is_group_averaging(algebras):
         expected = [
             half if i in coset else H.field.zero for i in range(6)
         ]
-        assert E.apply(basis_vec(H.field, 6, g)) == expected
+        assert sparse_apply(H.field, 6, E, basis_vec(H.field, 6, g)) == expected
 
 
 def test_expectation_bimodule_property(algebras):
@@ -260,7 +291,9 @@ def test_expectation_bimodule_property(algebras):
     for x in A_GN.basis():
         for i in range(6):
             a = basis_vec(H.field, 6, i)
-            assert E.apply(H.product(x, a)) == H.product(x, E.apply(a))
+            assert sparse_apply(H.field, 6, E, H.product(x, a)) == H.product(
+                x, sparse_apply(H.field, 6, E, a)
+            )
 
 
 # --- adjoint coactions ----------------------------------------------------------
@@ -328,7 +361,7 @@ def test_t12_fails_every_way(algebras):
     assert not rep.coset_equality
     # the two dimensional block averages to a rank one idempotent
     M = rep.rep_matrices[2]
-    assert M * M == M
+    assert matmul(M, M) == M
     assert not M.is_zero()
     assert M != Matrix.identity(Q.parent.field, 2)
 
@@ -371,17 +404,17 @@ def test_comodule_splitting_sections_projection(algebras):
     H = algebras["f_s3"]
     for Q in (a3_subgroup(algebras), t12_subgroup(algebras), trivial_subgroup(H)):
         s = comodule_splitting(Q)
-        assert Q.proj * s == Matrix.identity(H.field, Q.quotient.dim)
+        assert sparse_compose(Q.proj_columns, s) == sparse_identity(H.field, Q.quotient.dim)
 
 
 def test_comodule_splitting_is_comodule_map(algebras):
     H = algebras["f_s3"]
     Q = a3_subgroup(algebras)
-    s = comodule_splitting(Q)
     d, q = H.dim, Q.quotient.dim
+    s = columns(dense_matrix(H.field, d, comodule_splitting(Q)))
     N = Q.quotient
     for col in range(q):
-        v = s.column(col)
+        v = s[col]
         # (id x pi) Delta_G s  against  (s x id) Delta_N
         lhs = zero_vec(H.field, d * q)
         for i in range(d):
@@ -393,7 +426,7 @@ def test_comodule_splitting_is_comodule_map(algebras):
                     lhs[j * q + t] = lhs[j * q + t] + v[i] * c * img[t]
         rhs = zero_vec(H.field, d * q)
         for j, k, c in N.comult[col]:
-            sj = s.column(j)
+            sj = s[j]
             for a in range(d):
                 rhs[a * q + k] = rhs[a * q + k] + c * sj[a]
         assert lhs == rhs
@@ -411,12 +444,13 @@ def test_phi_map_runs_for_all_subgroup_kinds(algebras):
         phi = phi_map(Q)
         A_GN, _ = coset_algebras(Q)
         for i in range(H.dim):
-            assert A_GN.contains(phi.apply(basis_vec(H.field, H.dim, i)))
+            assert A_GN.contains(sparse_apply(H.field, H.dim, phi, basis_vec(H.field, H.dim, i)))
 
 
 def test_phi_of_full_subgroup_is_counit_unit(algebras):
     H = algebras["f_s3"]
-    assert phi_map(full_subgroup(H)).matrix == LinearEndo.counit_unit(H).matrix
+    assert phi_map(full_subgroup(H)) == counit_unit(H)
+    assert dense_matrix(H.field, H.dim, counit_unit(H)) == reference_counit_unit(H)
 
 
 def test_exact_sequence(algebras):
@@ -457,13 +491,10 @@ def test_coset_disagreement_raises_under_optimize(monkeypatch):
         "import hopfcheck.subgroup as subgroup\n"
         "from hopfcheck.constructions import FiniteGroup, function_algebra, subgroup_ideal\n"
         "from hopfcheck.errors import TheoremViolation\n"
-        "from hopfcheck.hopf import LinearEndo\n"
-        "from hopfcheck.linalg import Matrix\n"
         "assert False, 'asserts are live'\n"
         "H = function_algebra(FiniteGroup.symmetric(3))\n"
         "Q = subgroup.make_subgroup(H, subgroup_ideal(H, ('e', '(123)', '(132)')))\n"
-        "subgroup.conditional_expectation = lambda Q, side='right': LinearEndo(\n"
-        "    H, Matrix.zeros(H.field, H.dim, H.dim))\n"
+        "subgroup.conditional_expectation = lambda Q, side='right': [()] * H.dim\n"
         "try:\n"
         "    subgroup.coset_algebras(Q)\n"
         "except TheoremViolation:\n"
@@ -480,7 +511,7 @@ def test_coset_disagreement_raises_under_optimize(monkeypatch):
     monkeypatch.setattr(
         hopfcheck.subgroup,
         "conditional_expectation",
-        lambda Q, side="right": LinearEndo(H, Matrix.zeros(H.field, H.dim, H.dim)),
+        lambda Q, side="right": [()] * H.dim,
     )
     with pytest.raises(TheoremViolation):
         coset_algebras(Q)
@@ -528,34 +559,6 @@ def _random_subspaces(H, rng, count):
     return out
 
 
-def kron_apply(A, B, vec):
-    """(A (x) B) applied to a flat tensor vector, without forming A (x) B."""
-    n2, m2 = B.ncols, B.nrows
-    out = zero_vec(A.field, A.nrows * m2)
-    for idx, val in enumerate(vec):
-        if not val:
-            continue
-        i, j = divmod(idx, n2)
-        for a in range(A.nrows):
-            c1 = A.rows[a][i]
-            if not c1:
-                continue
-            for b in range(m2):
-                c2 = B.rows[b][j]
-                if c2:
-                    out[a * m2 + b] = out[a * m2 + b] + val * c1 * c2
-    return out
-
-
-def dense(H, cols):
-    """The d x d Matrix of a map of H given by sparse columns."""
-    M = Matrix.zeros(H.field, H.dim, H.dim)
-    for i, col in enumerate(cols):
-        for j, c in col:
-            M.rows[j][i] = c
-    return M
-
-
 def rebased(H, rng):
     """H in the basis f_i = T e_i for a random sparse unitriangular integer T,
     so that ideals and projections stop being coordinate-aligned."""
@@ -567,12 +570,12 @@ def rebased(H, rng):
 
     T = Matrix(field, [[entry(i, j) for j in range(d)] for i in range(d)])
     Tinv = solve_linear(T, Matrix.identity(field, d))
-    cols = T.columns()
+    cols = columns(T)
     mult = [
         (i, j, k, c)
         for i in range(d)
         for j in range(d)
-        for k, c in enumerate(Tinv.apply(H.product(cols[i], cols[j])))
+        for k, c in enumerate(mat_apply(Tinv, H.product(cols[i], cols[j])))
     ]
     comult = []
     for i in range(d):
@@ -582,11 +585,11 @@ def rebased(H, rng):
     # T is rational, so conjugation commutes with it and * rebases like S
 
     def rebase(cols):
-        M = Tinv * dense(H, cols) * T
+        M = matmul(matmul(Tinv, dense_matrix(field, d, cols)), T)
         return [(i, j, M.rows[j][i]) for i in range(d) for j in range(d)]
 
     return HopfStarAlgebra(
-        field, mult, Tinv.apply(H.unit_vec()), comult, counit, rebase(H.antipode), rebase(H.star)
+        field, mult, mat_apply(Tinv, H.unit_vec()), comult, counit, rebase(H.antipode), rebase(H.star)
     )
 
 
@@ -614,7 +617,7 @@ def dense_hopf_ideal_condition(G, I):
                 return "two_sided_ideal"
     if not all(ech.contains(G.star_vec(b)) for b in basis):
         return "star_closed"
-    proj, _reps = linear_quotient(I)
+    proj, _reps = reference_linear_quotient(I)
     if any(any(kron_apply(proj, proj, G.comult_vec(b))) for b in basis):
         return "comultiplication"
     if any(G.counit_of(b) for b in basis):
@@ -751,9 +754,11 @@ def test_induced_algebra_matches_dense_reference(name, s3_crossed):
     for Q in enumerate_quantum_subgroups(H):
         subspaces += coset_algebras(Q)
     for V in subspaces:
-        proj, reps, quotient, _failed = _certified_quotient(H, V)
+        _proj, reps, quotient, _failed = _certified_quotient(H, V)
+        proj, _reps = reference_linear_quotient(V)
         units = [basis_vec(field, d, r) for r in reps]
-        assert same_structure(quotient, dense_induced(H, units, proj.apply, [H.labels[r] for r in reps]))
+        reference = dense_induced(H, units, lambda v: mat_apply(proj, v), [H.labels[r] for r in reps])
+        assert same_structure(quotient, reference)
         sub, _incl, _failed = certified_subalgebra(H, V)
         labels = ["b%d" % a for a in range(V.dim)]
         reference = dense_induced(H, V.basis(), lambda v: [v[p] for p in V.pivots], labels)
@@ -767,12 +772,13 @@ def dense_coset_algebras(Q):
     """(A_GN, A_NG) as invariance kernels of dense d*dn tensors."""
     G, field, d, dn = Q.parent, Q.parent.field, Q.parent.dim, Q.quotient.dim
     ident = Matrix.identity(field, d)
+    proj, _reps = reference_linear_quotient(Q.ideal)
     unit_N = Q.quotient.unit_vec()
     cols_r, cols_l = [], []
     for i in range(d):
         delta = G.comult_vec(basis_vec(field, d, i))
-        w = kron_apply(ident, Q.proj, delta)
-        v = kron_apply(Q.proj, ident, delta)
+        w = kron_apply(ident, proj, delta)
+        v = kron_apply(proj, ident, delta)
         for b in range(dn):
             w[i * dn + b] = w[i * dn + b] - unit_N[b]
             v[b * d + i] = v[b * d + i] - unit_N[b]
@@ -787,7 +793,8 @@ def dense_coset_algebras(Q):
 def dense_expectation(Q, side):
     """The conditional expectation from the coproduct entries and dense pi."""
     G, field, d = Q.parent, Q.parent.field, Q.parent.dim
-    hpi = [Q.quotient.haar_of(Q.proj.apply(basis_vec(field, d, k))) for k in range(d)]
+    proj, _reps = reference_linear_quotient(Q.ideal)
+    hpi = [Q.quotient.haar_of(mat_apply(proj, basis_vec(field, d, k))) for k in range(d)]
     E = Matrix.zeros(field, d, d)
     for i in range(d):
         for j, k, c in G.comult[i]:
@@ -823,9 +830,10 @@ def dense_adjoint(G, a, side, products=None):
 
 def dense_a_normal(Q, side):
     ident = Matrix.identity(Q.parent.field, Q.parent.dim)
+    proj, _reps = reference_linear_quotient(Q.ideal)
     products = {}
     return not any(
-        any(kron_apply(Q.proj, ident, dense_adjoint(Q.parent, b, side, products)))
+        any(kron_apply(proj, ident, dense_adjoint(Q.parent, b, side, products)))
         for b in Q.ideal.basis()
     )
 
@@ -840,8 +848,8 @@ def test_sparse_criteria_match_dense_reference(name, s3_crossed):
         assert coset_algebras(Q) == dense_coset_algebras(Q)
         for side in ("right", "left"):
             E = dense_expectation(Q, side)
-            assert conditional_expectation(Q, side).matrix == E
-            assert conditional_expectation(Q, side).image() == E.image()
+            assert dense_matrix(H.field, d, conditional_expectation(Q, side)) == E
+            assert sparse_image(H.field, d, conditional_expectation(Q, side)) == E.image()
         assert is_left_a_normal(Q) == dense_a_normal(Q, "left")
         assert is_right_a_normal(Q) == dense_a_normal(Q, "right")
         for k in range(d):
@@ -850,6 +858,57 @@ def test_sparse_criteria_match_dense_reference(name, s3_crossed):
         a = _random_vector(H, rng)
         for side in ("left", "right"):
             assert adjoint_coaction(H, a, side) == dense_adjoint(H, a, side)
+
+
+# --- sparse maps against their dense recipes ------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_NAMES) + ["F(S3)xZ2", "c_s3 rebased"])
+def test_sparse_maps_match_dense_recipes(name, s3_crossed, monkeypatch):
+    rng = random.Random("certificate " + name)
+    H = certificate_input(name, s3_crossed, rng)
+    field, d = H.field, H.dim
+    subs = enumerate_quantum_subgroups(H)
+    S = dense_matrix(field, d, H.antipode)
+    for Q in subs:
+        # the projection read off the echelon rows, against reducing each e_j
+        proj, reps = reference_linear_quotient(Q.ideal)
+        assert Q.reps == reps
+        assert dense_matrix(field, Q.quotient.dim, Q.proj_columns) == proj
+        # phi = (s pi) * S, against the dense convolution
+        s = comodule_splitting(Q)
+        SP = matmul(dense_matrix(field, d, s), proj)
+        phi = reference_convolve(H, SP, S)
+        assert dense_matrix(field, d, convolve(H, sparse_compose(s, Q.proj_columns), H.antipode)) == phi
+        assert dense_matrix(field, d, phi_map(Q, s)) == phi
+
+    # pi1 of third-iso, the first kernel it takes, against N.proj * H.section
+    kernels = []
+    real = hopfcheck.structure.sparse_kernel
+
+    def recording(field, n, cols):
+        kernels.append(dense_matrix(field, n, cols))
+        return real(field, n, cols)
+
+    monkeypatch.setattr(hopfcheck.structure, "sparse_kernel", recording)
+    chains = 0
+    for N in subs:
+        if not is_normal_coset(N):
+            continue
+        PN, _reps = reference_linear_quotient(N.ideal)
+        for K in subs:
+            if not K.ideal <= N.ideal:
+                continue
+            kernels.clear()
+            third_isomorphism_check(H, N, K)
+            section = Matrix.from_rows(
+                field, [[field.one if i == r else field.zero for r in K.reps] for i in range(d)]
+            )
+            pi1 = matmul(PN, section)
+            assert matmul(pi1, reference_linear_quotient(K.ideal)[0]) == PN
+            assert kernels[0] == pi1
+            chains += 1
+    assert chains >= 2
 
 
 def test_normality_report_needs_no_dense_tensor(monkeypatch):
