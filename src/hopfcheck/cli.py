@@ -9,6 +9,7 @@ splitting heuristics and never changes results.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -25,8 +26,8 @@ from .errors import (
     SchemaError,
     TheoremViolation,
 )
-from .hopf import check_axioms, compute_haar
-from .linalg import Subspace, basis_vec, zero_vec
+from .hopf import check_axioms, compute_haar, coproduct_slice
+from .linalg import Subspace, basis_vec, sparse_column, zero_vec
 from .serialize import (
     dump_json,
     load_action,
@@ -67,7 +68,8 @@ def _sha256(path: str) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _build_parser():
+@functools.cache
+def _build_parser():  # built on first use, then kept for the process
     parser = argparse.ArgumentParser(
         prog="hopfcheck",
         description="exact checks for finite quantum groups given by structure constants",
@@ -148,19 +150,11 @@ def _cmd_axioms(args):
 def _cmd_haar(args):
     H = load_algebra(args.file)
     h = compute_haar(H)
-    d = H.dim
-    left_ok = True
-    right_ok = True
-    for i in range(d):
-        left = zero_vec(H.field, d)
-        right = zero_vec(H.field, d)
-        for j, k, c in H.comult[i]:
-            left[j] = left[j] + c * h[k]
-            right[k] = right[k] + c * h[j]
-        want = [h[i] * x for x in H.unit_vec()]
-        left_ok = left_ok and left == want
-        right_ok = right_ok and right == want
-    unit_val = sum((h[t] * H.unit[t] for t in range(d)), H.field.zero)
+    # (id (x) h) Delta(e_i) = h(e_i) 1 (left) and (h (x) id) Delta(e_i) = h(e_i) 1
+    want = [sparse_column({t: hi * u for t, u in enumerate(H.unit)}) for hi in h]
+    left_ok = coproduct_slice(H, h, "right") == want
+    right_ok = coproduct_slice(H, h, "left") == want
+    unit_val = sum((h[t] * H.unit[t] for t in range(H.dim)), H.field.zero)
     ok = left_ok and right_ok and unit_val == H.field.scalar(1)
     results = {
         "haar": [repr(x) for x in h],

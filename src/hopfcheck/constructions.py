@@ -30,6 +30,7 @@ from .linalg import (
     sparse_apply,
     sparse_compose,
     sparse_identity,
+    sparse_image,
     sparse_kernel,
     tensor_vec,
     zero_vec,
@@ -687,15 +688,7 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I, K) -> QuantumSubgroup:
         raise TheoremViolation("the general crossed-product subgroup is not normal")
 
     B, _ = coset_algebras(Q_A)
-    emb = []
-    for b in B.basis():
-        for t in K:
-            v = zero_vec(field, X.dim)
-            for k, c in enumerate(b):
-                if c:
-                    v[k * o + t] = c
-            emb.append(v)
-    bk = Subspace.from_vectors(field, X.dim, emb)
+    bk = sparse_image(field, X.dim, [[(k * o + t, c) for k, c in b] for b in B.rows for t in K])
     A_GN, _ = coset_algebras(Q)
     if A_GN != bk:
         raise TheoremViolation("coset algebra is not the span of B x| K")

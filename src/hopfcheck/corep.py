@@ -14,7 +14,16 @@ from math import isqrt
 
 from .errors import SchemaError, SplittingFailed, TheoremViolation
 from .hopf import HopfStarAlgebra, coproduct_slice
-from .linalg import Matrix, Subspace, basis_vec, solve_linear, sparse_image, zero_vec
+from .linalg import (
+    Matrix,
+    Subspace,
+    basis_vec,
+    solve_linear,
+    sparse_image,
+    sparse_transpose,
+    sparse_vector,
+    zero_vec,
+)
 from .splitting import find_primitive_idempotent, split_center
 
 
@@ -56,7 +65,7 @@ class Corepresentation:
         """
         H = self.algebra
         d = self.dim
-        supports = [[_support(v) for v in row] for row in self.entries]
+        supports = [[sparse_vector(v) for v in row] for row in self.entries]
         for i in range(d):
             for j in range(d):
                 diff = _coproduct(H, supports[i][j])
@@ -86,11 +95,6 @@ class Corepresentation:
                 if acc != want or acc2 != want:
                     return "antipode is not a matrix inverse at entry (%d, %d)" % (i, j)
         return None
-
-
-def _support(v):
-    """The nonzero (index, coefficient) pairs of a vector."""
-    return [(a, x) for a, x in enumerate(v) if x]
 
 
 def _coproduct(H, support):
@@ -175,11 +179,7 @@ def _extract_block(H, p, gauge):
 
     # the matrix block p * dual, as a subspace of the dual, spanned by the
     # p * e_t: row t of the matrix of (p (x) id) Delta
-    rows = [zero_vec(field, d) for _ in range(d)]
-    for i, col in enumerate(coproduct_slice(H, p, "left")):
-        for t, c in col:
-            rows[t][i] = c
-    block_D = Subspace.from_vectors(field, d, rows)
+    block_D = sparse_image(field, d, sparse_transpose(d, coproduct_slice(H, p, "left")))
     dlam = isqrt(block_D.dim)
     if dlam * dlam != block_D.dim:
         raise SplittingFailed(field.n, "a dual block is not of square dimension")
@@ -203,17 +203,17 @@ def _extract_block(H, p, gauge):
     if V.dim != dlam:
         raise SplittingFailed(field.n, "primitive idempotent produced a wrong column dimension")
 
-    R = Matrix.from_rows(field, [list(r) for r in V.basis()], ncols=d)
+    R = Matrix.from_rows(field, V.basis(), ncols=d)
     Cmat = solve_linear(R, Matrix.identity(field, dlam))
     if Cmat is None:
         raise TheoremViolation("dual functionals for the column space do not exist")
 
     # entry (i, l) is (id (x) C_l) Delta(r_i), with C_l the l-th column of Cmat
-    cmat_rows = [_support(row) for row in Cmat.rows]
+    cmat_rows = [sparse_vector(row) for row in Cmat.rows]
     entries = []
-    for r in V.basis():
+    for r in V.rows:
         row = [zero_vec(field, d) for _ in range(dlam)]
-        for (a, b), w in _coproduct(H, _support(r)).items():
+        for (a, b), w in _coproduct(H, r).items():
             if w:
                 for l, cb in cmat_rows[b]:
                     row[l][a] = row[l][a] + w * cb
@@ -279,8 +279,7 @@ def fusion(P: PeterWeylData):
         for m in range(r):
             prod = tuple(H.product(chars[l], chars[m]))
             if prod not in rows:
-                nz = [(a, x) for a, x in enumerate(prod) if x]
-                rows[prod] = [_multiplicity(field, nz, w) for w in covectors]
+                rows[prod] = [_multiplicity(field, sparse_vector(prod), w) for w in covectors]
             N[l][m] = list(rows[prod])
             counted = sum(N[l][m][n] * P.coreps[n].dim for n in range(r))
             if counted != P.coreps[l].dim * P.coreps[m].dim:

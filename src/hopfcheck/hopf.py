@@ -50,11 +50,11 @@ from dataclasses import dataclass, field as dc_field
 from .cyclotomic import CycField
 from .errors import NotCosemisimple, SchemaError
 from .linalg import (
-    Matrix,
     add_terms,
     basis_vec,
     sparse_apply,
     sparse_column,
+    sparse_null_space,
     tensor_vec,
     zero_vec,
 )
@@ -267,26 +267,30 @@ def compute_haar(H):
     """
     d = H.dim
     field = H.field
-    rows = []
+    zero = field.zero
+    # (id (x) h) Delta(e_i) = h(e_i) 1 and (h (x) id) Delta(e_i) = h(e_i) 1 at
+    # each component e_comp: one sparse equation {k: coefficient of h_k}
+    eqs = {}
+
+    def add(key, k, c):
+        row = eqs.setdefault(key, {})
+        row[k] = row.get(k, zero) + c
+
     for i in range(d):
-        right = [[field.zero] * d for _ in range(d)]  # (id (x) h) Delta(e_i) = h(e_i) 1
-        left = [[field.zero] * d for _ in range(d)]  # (h (x) id) Delta(e_i) = h(e_i) 1
         for j, k, c in H.comult[i]:
-            right[j][k] = right[j][k] + c
-            left[k][j] = left[k][j] + c
-        for sys in (right, left):
-            for comp in range(d):
-                row = list(sys[comp])
-                row[i] = row[i] - H.unit[comp]
-                rows.append(row)
-    sol = Matrix.from_rows(field, rows, ncols=d).kernel()
+            add(("right", j, i), k, c)
+            add(("left", k, i), j, c)
+        for comp, u in enumerate(H.unit):
+            add(("right", comp, i), i, -u)
+            add(("left", comp, i), i, -u)
+    sol = sparse_null_space(field, d, map(sparse_column, eqs.values()))
     if sol.dim == 0:
         raise NotCosemisimple("no bi-invariant functional exists")
     if sol.dim > 1:
         raise NotCosemisimple(
             "bi-invariance system has a %d-dimensional solution space" % sol.dim
         )
-    h = list(sol.rows[0])
+    h = sol.basis()[0]
     h_one = field.zero
     for u, hv in zip(H.unit, h):
         if u and hv:
@@ -747,7 +751,7 @@ def certified_subalgebra(H, B):
         raise SchemaError("subspace ambient %d != algebra dim %d" % (B.ambient, d))
     one = H.field.one
     at = {p: a for a, p in enumerate(B.pivots)}
-    inclusion = [tuple((k, x) for k, x in enumerate(b) if x) for b in B.rows]
+    inclusion = list(B.rows)
     retraction = [((at[k], one),) if k in at else () for k in range(d)]
     sub = induced_algebra(H, inclusion, retraction, ["b%d" % a for a in range(B.dim)])
     if sparse_apply(H.field, d, inclusion, sub.unit) != H.unit:
@@ -808,10 +812,12 @@ def linear_quotient(B):
     coordinate t, and proj the sparse columns of the quotient map in those
     coordinates, read off the echelon rows.  A non-pivot j is reps[t] and
     maps to f_t; pivot p_a maps to -sum_t row_a[reps[t]] f_t, since e_(p_a)
-    - row_a lies in the complement.
+    - row_a lies in the complement.  Past its pivot, row_a has entries only
+    at non-pivots.
     """
     reps = B.complement_indices()
+    t_of = {r: t for t, r in enumerate(reps)}
     proj = [((t, B.field.one),) for t in range(len(reps))]
     for row, p in zip(B.rows, B.pivots):
-        proj.insert(p, tuple((t, -row[r]) for t, r in enumerate(reps) if row[r]))
+        proj.insert(p, tuple((t_of[j], -c) for j, c in row[1:]))
     return proj, reps

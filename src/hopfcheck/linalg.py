@@ -1,23 +1,24 @@
 """Exact linear algebra over a cyclotomic field.
 
-Vectors are plain lists of CycScalar.  Subspaces are kept in reduced row
-echelon form, so equality of subspaces is entrywise equality of their
-canonical bases, and every solver returns the echelon-canonical answer
-(free variables pinned to zero).
+A vector is sparse: the (index, entry) pairs with entry != 0, sorted by
+index.  Echelon and Subspace.rows keep such rows in reduced row echelon
+form, so equal subspaces have equal rows, and every solver returns the
+echelon-canonical answer (free variables pinned to zero).  Dense vectors
+(lists of CycScalar) are the public boundary: Subspace.from_vectors,
+contains and coordinates take them, and Subspace.basis() is the dense view.
 
 A linear map field^m -> field^n is a list of m sparse columns: column i is
-the image of e_i, a tuple of the (index, entry) pairs with entry != 0,
-sorted by index.  sparse_apply, sparse_compose, sparse_image and
-sparse_kernel apply, compose, span and take kernels of such maps;
-sparse_identity and sparse_column build them.  Two maps are equal exactly
-when their column lists are.  A Matrix is a dense system handed to rref,
-kernel or solve_linear, or a small matrix that is reported or split into
-eigenspaces.
+the image of e_i.  sparse_apply, sparse_compose, sparse_image and
+sparse_kernel apply, compose, span and take kernels of such maps, and
+sparse_null_space solves sparse equation rows.  A Matrix is a dense system
+handed to rref, kernel or solve_linear, or a small matrix that is reported
+or split into eigenspaces.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 
 from .errors import SchemaError
 
@@ -33,7 +34,7 @@ def basis_vec(field, n, i):
 
 
 def lincomb(field, n, coefs, rows):
-    """sum_i coefs[i] * rows[i] as a vector of length n, skipping zero terms."""
+    """sum_i coefs[i] * rows[i] as a dense vector of length n, skipping zero terms."""
     v = [field.zero] * n
     for c, row in zip(coefs, rows):
         if c:
@@ -63,8 +64,13 @@ def add_terms(acc, scale, terms):
 
 
 def sparse_column(acc):
-    """The sparse column of the nonzero entries of a dict {index: entry}."""
+    """The sparse vector of the nonzero entries of a dict {index: entry}."""
     return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+
+
+def sparse_vector(vec):
+    """The sparse vector of a dense one."""
+    return tuple((j, x) for j, x in enumerate(vec) if x)
 
 
 def sparse_identity(field, n):
@@ -72,8 +78,17 @@ def sparse_identity(field, n):
     return [((i, field.one),) for i in range(n)]
 
 
+def sparse_transpose(n, cols):
+    """The n sparse rows of the map with sparse columns cols."""
+    rows = [[] for _ in range(n)]
+    for i, col in enumerate(cols):
+        for j, c in col:
+            rows[j].append((i, c))
+    return rows
+
+
 def sparse_apply(field, n, cols, x):
-    """The map with sparse columns cols applied to x, a vector of length n."""
+    """The map with sparse columns cols applied to the dense vector x, as a dense vector."""
     out = [field.zero] * n
     for xi, col in zip(x, cols):
         if xi:
@@ -94,88 +109,109 @@ def sparse_compose(f, g):
 
 
 def sparse_image(field, n, cols):
-    """The span of the columns, a Subspace of field^n."""
-    vecs = []
+    """The span of sparse vectors of length n (the columns of a map), a Subspace."""
+    ech = Echelon(field)
     for col in cols:
-        v = [field.zero] * n
-        for j, c in col:
-            v[j] = c
-        vecs.append(v)
-    return Subspace.from_vectors(field, n, vecs)
+        ech.add(col)
+    return Subspace(field, n, tuple(ech.rows), tuple(ech.pivots))
+
+
+def sparse_null_space(field, width, rows):
+    """{x in field^width : sum_j r_j x_j = 0 for each sparse row r}, a Subspace.
+
+    Once the rows are in reduced echelon form, each free column f gives the
+    solution e_f - sum_a row_a[f] e_(p_a); only rows whose pivot p_a is
+    below f have an entry at f, so its pairs come out sorted.
+    """
+    ech = Echelon(field)
+    for row in rows:
+        ech.add(row)
+    free = {f: [] for f in range(width) if f not in ech.row_at}
+    for p, row in zip(ech.pivots, ech.rows):
+        for f, c in row[1:]:
+            free[f].append((p, -c))
+    return sparse_image(field, width, [v + [(f, field.one)] for f, v in free.items()])
 
 
 def sparse_kernel(field, n, cols):
     """{x : sum x_i cols[i] = 0} for columns of length n, a Subspace of
     field^len(cols)."""
-    rows = [[field.zero] * len(cols) for _ in range(n)]
-    for i, col in enumerate(cols):
-        for j, c in col:
-            rows[j][i] = c
-    return Matrix.from_rows(field, rows, ncols=len(cols)).kernel()
+    return sparse_null_space(field, len(cols), sparse_transpose(n, cols))
+
+
+_index = itemgetter(0)
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon basis."""
+    """Incrementally maintained reduced row echelon basis of sparse vectors.
 
-    __slots__ = ("field", "width", "rows", "pivots")
+    row_at[p] is the row with pivot p: a sparse vector that starts with
+    (p, 1) and has no entry at any other pivot.  Every method takes sparse
+    vectors.
+    """
 
-    def __init__(self, field, width):
+    __slots__ = ("field", "row_at")
+
+    def __init__(self, field, rows=()):
         self.field = field
-        self.width = width
-        self.rows = []
-        self.pivots = []
+        self.row_at = {row[0][0]: row for row in rows}
+
+    @property
+    def pivots(self):
+        return sorted(self.row_at)
+
+    @property
+    def rows(self):
+        return [self.row_at[p] for p in self.pivots]
+
+    def _split(self, vec):
+        """({pivot: coordinate}, rest): the coordinates of vec on the rows
+        and vec minus their combination, a dict {index: entry} that may hold
+        zeros.  A row has no entry at another pivot, so the coordinate on it
+        is the entry of vec at its pivot."""
+        rest = dict(vec)
+        coords = {}
+        for p, c in vec:
+            row = self.row_at.get(p)
+            if row is not None:
+                coords[p] = c
+                del rest[p]
+                add_terms(rest, -c, row[1:])
+        return coords, rest
 
     def reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j, s in enumerate(row[p:], p):  # zero before the pivot
-                    if s:
-                        v[j] = v[j] - c * s
-        return v
+        """vec minus its combination of the rows, a sparse vector."""
+        return sparse_column(self._split(vec)[1])
 
     def coefficients(self, vec):
         """Coordinates of vec in the stored basis, or None if outside."""
-        v = list(vec)
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c:
-                for j, s in enumerate(row[p:], p):  # zero before the pivot
-                    if s:
-                        v[j] = v[j] - c * s
-        if any(v):
+        coords, rest = self._split(vec)
+        if any(rest.values()):
             return None
-        return coeffs
+        zero = self.field.zero
+        return [coords.get(p, zero) for p in self.pivots]
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not any(self._split(vec)[1].values())
 
     def add(self, vec):
-        """Insert a vector; returns the new pivot column or None."""
-        v = self.reduce(vec)
-        p = next((j for j, c in enumerate(v) if c), None)
-        if p is None:
-            return None
-        inv = v[p].inverse()
-        support = [j for j in range(p, self.width) if v[j]]
-        for j in support:
-            v[j] = v[j] * inv
-        for row in self.rows:
-            c = row[p]
-            if c:
-                for j in support:
-                    row[j] = row[j] - c * v[j]
-        at = bisect_left(self.pivots, p)
-        self.rows.insert(at, v)
-        self.pivots.insert(at, p)
-        return p
+        """Insert a vector; returns the new pivot column or None.
 
-    @property
-    def rank(self):
-        return len(self.rows)
+        Only the rows with an entry at the new pivot are changed."""
+        rest = self.reduce(vec)
+        if not rest:
+            return None
+        p, lead = rest[0]
+        inv = lead.inverse()
+        tail = tuple((j, c * inv) for j, c in rest[1:])
+        for q, row in self.row_at.items():
+            at = bisect_left(row, p, key=_index)
+            if at < len(row) and row[at][0] == p:
+                acc = dict(row)
+                add_terms(acc, -acc.pop(p), tail)
+                self.row_at[q] = sparse_column(acc)
+        self.row_at[p] = ((p, self.field.one),) + tail
+        return p
 
 
 class Matrix:
@@ -241,29 +277,15 @@ class Matrix:
         return all(not c for r in self.rows for c in r)
 
     def rref(self):
-        ech = Echelon(self.field, self.ncols)
-        for r in self.rows:
-            ech.add(r)
-        return Matrix.from_rows(self.field, [list(r) for r in ech.rows], ncols=self.ncols), tuple(ech.pivots)
+        S = sparse_image(self.field, self.ncols, map(sparse_vector, self.rows))
+        return Matrix.from_rows(self.field, S.basis(), ncols=self.ncols), S.pivots
 
     def rank(self):
         return self.rref()[0].nrows
 
     def kernel(self):
         """Null space {x : A x = 0} as a canonical Subspace of field^ncols."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        field = self.field
-        vecs = []
-        for f in range(self.ncols):
-            if f in pivset:
-                continue
-            v = zero_vec(field, self.ncols)
-            v[f] = field.one
-            for r, p in enumerate(pivots):
-                v[p] = -red.rows[r][f]
-            vecs.append(v)
-        return Subspace.from_vectors(field, self.ncols, vecs)
+        return sparse_null_space(self.field, self.ncols, map(sparse_vector, self.rows))
 
     def image(self):
         """Column space {A x} as a canonical Subspace of field^nrows."""
@@ -290,20 +312,23 @@ def solve_linear(A, b):
     if B.nrows != A.nrows:
         raise SchemaError("rhs has %d rows, expected %d" % (B.nrows, A.nrows))
     n, k = A.ncols, B.ncols
-    ech = Echelon(A.field, n + k)
+    ech = Echelon(A.field)
     for ra, rb in zip(A.rows, B.rows):
-        ech.add(list(ra) + list(rb))
+        ech.add(sparse_vector(ra + rb))
     X = Matrix.zeros(A.field, n, k)
-    for row, p in zip(ech.rows, ech.pivots):
+    for p, row in ech.row_at.items():
         if p >= n:
             return None  # pivot in the rhs block: inconsistent
-        for j in range(k):
-            X.rows[p][j] = row[n + j]
+        for j, c in row:
+            if j >= n:
+                X.rows[p][j - n] = c
     return [row[0] for row in X.rows] if vector_rhs else X
 
 
 class Subspace:
-    """A subspace of field^ambient with a canonical RREF basis."""
+    """A subspace of field^ambient with a canonical RREF basis: rows is a
+    tuple of sparse vectors kept as Echelon keeps them, pivots their
+    pivot columns."""
 
     __slots__ = ("field", "ambient", "rows", "pivots")
 
@@ -315,12 +340,13 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        ech = Echelon(field, ambient)
+        """The span of dense vectors, each entry coerced by field.scalar."""
+        vecs = []
         for v in vectors:
             if len(v) != ambient:
                 raise SchemaError("vector length %d != ambient %d" % (len(v), ambient))
-            ech.add([field.scalar(x) for x in v])
-        return cls(field, ambient, tuple(tuple(r) for r in ech.rows), tuple(ech.pivots))
+            vecs.append(sparse_vector(map(field.scalar, v)))
+        return sparse_image(field, ambient, vecs)
 
     @classmethod
     def zero(cls, field, ambient):
@@ -328,31 +354,32 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient):
-        rows = tuple(tuple(basis_vec(field, ambient, i)) for i in range(ambient))
-        return cls(field, ambient, rows, tuple(range(ambient)))
+        return cls(field, ambient, tuple(sparse_identity(field, ambient)), tuple(range(ambient)))
 
     @property
     def dim(self):
         return len(self.rows)
 
     def basis(self):
-        return [list(r) for r in self.rows]
+        """The rows as dense vectors."""
+        out = []
+        for row in self.rows:
+            v = [self.field.zero] * self.ambient
+            for j, c in row:
+                v[j] = c
+            out.append(v)
+        return out
 
     def echelon(self):
-        ech = Echelon(self.field, self.ambient)
-        ech.rows = [list(r) for r in self.rows]
-        ech.pivots = list(self.pivots)
-        return ech
+        return Echelon(self.field, self.rows)
 
     def contains(self, vec):
-        return self.echelon().contains(vec)
+        """Whether the dense vector vec lies in the subspace."""
+        return self.echelon().contains(sparse_vector(vec))
 
     def coordinates(self, vec):
-        return self.echelon().coefficients(vec)
-
-    def contains_all(self, vectors):
-        ech = self.echelon()
-        return all(ech.contains(v) for v in vectors)
+        """The coordinates of the dense vector vec on the rows, or None."""
+        return self.echelon().coefficients(sparse_vector(vec))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -363,37 +390,30 @@ class Subspace:
         return hash((self.ambient, self.rows))
 
     def __le__(self, other):
-        return other.contains_all(self.basis())
+        ech = other.echelon()
+        return all(ech.contains(row) for row in self.rows)
 
     def sum_with(self, other):
         if self.ambient != other.ambient:
             raise SchemaError("ambient mismatch in subspace sum")
-        return Subspace.from_vectors(
-            self.field, self.ambient, list(self.rows) + list(other.rows)
-        )
+        return sparse_image(self.field, self.ambient, self.rows + other.rows)
 
     def intersect(self, other):
+        """The x = sum_a c_a rows[a] that lie in other: the kernel of
+        (c, c') -> sum c_a rows[a] + sum c'_b other.rows[b], mapped back."""
         if self.ambient != other.ambient:
             raise SchemaError("ambient mismatch in subspace intersection")
         if not self.rows or not other.rows:
             return Subspace.zero(self.field, self.ambient)
-        stacked = Matrix.from_rows(
-            self.field, [list(r) for r in self.rows] + [list(r) for r in other.rows],
-            ncols=self.ambient,
-        )
-        left_null = stacked.transpose().kernel()
-        vecs = [
-            lincomb(self.field, self.ambient, coef[: self.dim], self.rows)
-            for coef in left_null.basis()
-        ]
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
+        null = sparse_kernel(self.field, self.ambient, self.rows + other.rows)
+        k = self.dim
+        coefs = [[(a, c) for a, c in x if a < k] for x in null.rows]
+        return sparse_image(self.field, self.ambient, sparse_compose(self.rows, coefs))
 
     def map_by(self, cols, n):
         """Image of this subspace under the map field^ambient -> field^n with
         sparse columns cols."""
-        return Subspace.from_vectors(
-            self.field, n, [sparse_apply(self.field, n, cols, r) for r in self.rows]
-        )
+        return sparse_image(self.field, n, sparse_compose(cols, self.rows))
 
     def complement_indices(self):
         """Coordinates not used as pivots: the canonical complement."""
@@ -403,8 +423,8 @@ class Subspace:
     def sort_key(self):
         return (
             self.dim,
-            tuple(p for p in self.pivots),
-            tuple(c.sort_key() for r in self.rows for c in r),
+            self.pivots,
+            tuple(c.sort_key() for r in self.basis() for c in r),
         )
 
     def __repr__(self):

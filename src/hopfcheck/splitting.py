@@ -20,7 +20,18 @@ import random
 from fractions import Fraction
 
 from .errors import SplittingFailed, TheoremViolation
-from .linalg import Matrix, Subspace, lincomb, solve_linear, zero_vec
+from .linalg import (
+    Matrix,
+    Subspace,
+    lincomb,
+    solve_linear,
+    sparse_column,
+    sparse_compose,
+    sparse_image,
+    sparse_null_space,
+    sparse_vector,
+    zero_vec,
+)
 
 _NUMERIC_TOL = 1e-7
 
@@ -45,20 +56,18 @@ def dual_unit(H):
 
 
 def center_of_dual(H):
-    """Canonical basis of the center of the dual algebra."""
-    d = H.dim
-    field = H.field
-    rows = []
-    for t in range(d):
-        for i in range(d):
-            row = zero_vec(field, d)
-            for j, k, c in H.comult[i]:
-                if k == t:
-                    row[j] = row[j] + c
-                if j == t:
-                    row[k] = row[k] - c
-            rows.append(row)
-    return Matrix.from_rows(field, rows, ncols=d).kernel()
+    """Canonical basis of the center of the dual algebra: the f with
+    (f e_t - e_t f)(e_i) = 0, one sparse equation {j: coefficient of f_j}
+    per pair (t, i)."""
+    zero = H.field.zero
+    eqs = {}
+    for i in range(H.dim):
+        for j, k, c in H.comult[i]:
+            row = eqs.setdefault((k, i), {})
+            row[j] = row.get(j, zero) + c
+            row = eqs.setdefault((j, i), {})
+            row[k] = row.get(k, zero) - c
+    return sparse_null_space(H.field, H.dim, map(sparse_column, eqs.values()))
 
 
 def _embed_matrix_complex(M):
@@ -215,39 +224,30 @@ def split_center(H):
     ech = center.echelon()
 
     def coords(vec):
-        co = ech.coefficients(vec)
+        co = ech.coefficients(sparse_vector(vec))
         if co is None:
             raise TheoremViolation("center is not closed under products")
-        return co
+        return sparse_vector(co)
 
     blocks = [Subspace.full(field, c)]
     for t in range(c):
         if all(b.dim == 1 for b in blocks):
             break
         # cols[b]: the coordinates of z_t z_b, column b of multiplication by z_t
-        cols = []
-        for b in range(c):
-            cols.append(coords(dual_product(H, zbasis[t], zbasis[b])))
+        cols = [coords(dual_product(H, zbasis[t], zb)) for zb in zbasis]
         refined = []
         for V in blocks:
             if V.dim == 1:
                 refined.append(V)
                 continue
-            R = V.basis()
-            imgs = [lincomb(field, c, r, cols) for r in R]
+            # the matrix of z_t on V, in the coordinates of V's rows
             vech = V.echelon()
-            sub_rows = []
-            for img in imgs:
-                co = vech.coefficients(img)
-                if co is None:
-                    raise TheoremViolation("refinement block is not invariant")
-                sub_rows.append(co)
-            Mv = Matrix.from_rows(
-                field, [[sub_rows[b][a] for b in range(V.dim)] for a in range(V.dim)], ncols=V.dim
-            )
+            sub_rows = [vech.coefficients(img) for img in sparse_compose(cols, V.rows)]
+            if any(co is None for co in sub_rows):
+                raise TheoremViolation("refinement block is not invariant")
+            Mv = Matrix.from_rows(field, sub_rows, ncols=V.dim).transpose()
             for _val, ker in exact_eigen_split(Mv):
-                vecs = [lincomb(field, c, kv, R) for kv in ker.basis()]
-                refined.append(Subspace.from_vectors(field, c, vecs))
+                refined.append(sparse_image(field, c, sparse_compose(V.rows, ker.rows)))
         blocks = refined
     if any(b.dim != 1 for b in blocks):
         raise SplittingFailed(field.n, "center did not refine into lines")
@@ -343,15 +343,9 @@ def exact_poly_roots(field, coeffs):
 class _Corner:
     """A unital corner subalgebra of the dual, in ambient dual coordinates."""
 
-    def __init__(self, H, basis, unit):
+    def __init__(self, H, unit):
         self.H = H
-        self.basis = basis
         self.unit = unit
-        self.space = Subspace.from_vectors(H.field, H.dim, basis)
-
-    @property
-    def dim(self):
-        return self.space.dim
 
     def product(self, x, y):
         return dual_product(self.H, x, y)
@@ -362,7 +356,7 @@ class _Corner:
         powers = [list(self.unit)]
         cur = list(x)
         while True:
-            stacked = Matrix.from_rows(field, [list(r) for r in powers], ncols=self.H.dim)
+            stacked = Matrix.from_rows(field, powers, ncols=self.H.dim)
             sol = solve_linear(stacked.transpose(), cur)
             if sol is not None:
                 return [-c for c in sol] + [field.one]
@@ -371,7 +365,12 @@ class _Corner:
 
 
 def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
-    """A primitive idempotent of the matrix block p*D, exactly verified."""
+    """A primitive idempotent of the matrix block p*D, exactly verified.
+
+    block_basis must be an echelon basis (Subspace.basis()), so that its
+    length is the dimension of the block; each smaller corner q D q is
+    spanned the same way.
+    """
     field = H.field
     corner_basis = block_basis
     unit = list(block_unit)
@@ -381,9 +380,7 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
         guard += 1
         if guard > 64:
             raise SplittingFailed(field.n, "primitive idempotent search exhausted")
-        space = Subspace.from_vectors(field, H.dim, corner_basis)
-        dim = space.dim
-        if dim == 1:
+        if len(corner_basis) == 1:
             return unit
         line = Subspace.from_vectors(field, H.dim, [unit])
         candidates = [list(b) for b in corner_basis]
@@ -392,7 +389,7 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
         for _extra in range(8):
             coefs = [field.from_rational(Fraction(rng.randrange(-3, 4))) for _b in corner_basis]
             candidates.append(lincomb(field, H.dim, coefs, corner_basis))
-        corner = _Corner(H, corner_basis, unit)
+        corner = _Corner(H, unit)
         progressed = False
         for x in candidates:
             if not any(x) or line.contains(x):

@@ -27,11 +27,12 @@ from .errors import (
     TheoremViolation,
 )
 from .hopf import HopfStarAlgebra, certified_subalgebra, check_axioms, dual, sub_hopf_algebra
-from .linalg import Matrix, Subspace, basis_vec, sparse_compose, sparse_kernel
+from .linalg import Subspace, sparse_compose, sparse_image, sparse_kernel, sparse_null_space
 from .subgroup import (
     QuantumSubgroup,
     check_hopf_ideal,
     coset_algebras,
+    ideal_closure,
     is_normal_coset,
     make_subgroup,
     normality_report,
@@ -63,7 +64,7 @@ def _hopf_subalgebras(H):
     out = []
     for mask in _closed_index_sets(P):
         rows = [row for i in range(r) if (mask >> i) & 1 for row in blocks[i].rows]
-        out.append(Subspace.from_vectors(H.field, H.dim, rows))
+        out.append(sparse_image(H.field, H.dim, rows))
     out.sort(key=lambda B: (B.dim, B.sort_key()))
     return tuple(out)
 
@@ -134,8 +135,7 @@ def _quantum_subgroups(H):
         check_axioms(H)
     out = []
     for B in subalgebras:
-        ann = Matrix.from_rows(H.field, B.basis(), ncols=H.dim).kernel()
-        out.append(make_subgroup(H, ann))
+        out.append(make_subgroup(H, sparse_null_space(H.field, H.dim, B.rows)))
     out.sort(key=lambda Q: (Q.quotient.dim, Q.ideal.sort_key()))
     return tuple(out)
 
@@ -195,23 +195,6 @@ def property_FD_check(H: HopfStarAlgebra):
     return True, None
 
 
-def ideal_closure(H: HopfStarAlgebra, seed: Subspace) -> Subspace:
-    """The two-sided ideal generated by a subspace, by span growth."""
-    full = [basis_vec(H.field, H.dim, i) for i in range(H.dim)]
-    cur = seed
-    while True:
-        vecs = cur.basis()
-        grown = list(vecs)
-        for v in vecs:
-            for e in full:
-                grown.append(H.product(e, v))
-                grown.append(H.product(v, e))
-        nxt = Subspace.from_vectors(H.field, H.dim, grown)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "hopf-ideal"):
     """Does the ideal of A generated by I0 pull back to I0 inside A0?
 
@@ -231,25 +214,22 @@ def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "
         raise NotHopfIdeal("A0 is not *-closed")
     if failed and mode == "hopf-ideal":
         raise NotHopfIdeal("A0 is not a Hopf *-subalgebra (%s)" % failed)
-    ech0 = A0.echelon()
-    if not all(ech0.contains(v) for v in I0.basis()):
+    if not I0 <= A0:
         raise NotHopfIdeal("I0 does not lie inside A0")
     if mode == "hopf-ideal":
-        inner = Subspace.from_vectors(
-            A.field, A0.dim, [A0.coordinates(b) for b in I0.basis()]
-        )
+        ech0 = A0.echelon()
+        inner = Subspace.from_vectors(A.field, A0.dim, [ech0.coefficients(b) for b in I0.rows])
         ok, witness = check_hopf_ideal(sub, inner)
         if not ok:
             raise NotHopfIdeal(
                 "I0 is not a Hopf *-ideal of A0 (%s)" % witness["condition"]
             )
     else:
-        iech = I0.echelon()
         for b in I0.basis():
             for x in A0.basis():
-                if not iech.contains(A.product(x, b)) or not iech.contains(A.product(b, x)):
+                if not I0.contains(A.product(x, b)) or not I0.contains(A.product(b, x)):
                     raise NotHopfIdeal("I0 is not a two-sided ideal of A0")
-            if not iech.contains(A.star_vec(b)):
+            if not I0.contains(A.star_vec(b)):
                 raise NotHopfIdeal("I0 is not *-closed")
     closure = ideal_closure(A, I0)
     inter = closure.intersect(A0)

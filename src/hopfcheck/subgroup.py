@@ -45,6 +45,8 @@ from .linalg import (
     sparse_compose,
     sparse_identity,
     sparse_image,
+    sparse_null_space,
+    sparse_vector,
     zero_vec,
 )
 
@@ -208,9 +210,8 @@ def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
 
     Each equation is the (j, b) coefficient of e_j (x) f_b (right; f_b (x)
     e_j on the left), gathered as a sparse row over the sparse coproduct
-    terms and projection columns.  Zero rows and repeated rows (after
-    scaling to a leading 1) are dropped: the kernel is canonical, so they
-    cannot change it.
+    terms and projection columns.  Repeated rows (after scaling to a leading
+    1) are dropped: the kernel is canonical, so they cannot change it.
     """
     G = Q.parent
     field, d = G.field, G.dim
@@ -229,18 +230,12 @@ def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
             row[i] = row.get(i, zero) + u
     unique = {}
     for row in rows.values():
-        key = tuple((i, x) for i, x in row.items() if x)  # increasing i
-        if not key:
-            continue
-        if not key[0][1].is_one():
+        key = sparse_column(row)
+        if key and not key[0][1].is_one():
             inv = key[0][1].inverse()
             key = tuple((i, x * inv) for i, x in key)
-        if key not in unique:
-            vec = zero_vec(field, d)
-            for i, x in key:
-                vec[i] = x
-            unique[key] = vec
-    return Matrix.from_rows(field, list(unique.values()), ncols=d).kernel()
+        unique[key] = None
+    return sparse_null_space(field, d, unique)
 
 
 def coset_algebras(Q: QuantumSubgroup):
@@ -268,7 +263,7 @@ def coset_algebras(Q: QuantumSubgroup):
 
 
 def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
-    """(f (x) id) ad(a) as a dict {(u, t): coefficient}.
+    """(f (x) id) ad(a) as a dict {(u, t): coefficient}, for a sparse vector a.
 
     ad is ad_l(a) = sum a_(2) (x) a_(1) S(a_(3)) or ad_r(a) = sum a_(2) (x)
     S(a_(1)) a_(3); f sends e_y to the sparse pairs first_leg[y].  Delta^(2)
@@ -277,10 +272,9 @@ def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
     """
     zero = G.field.zero
     da = {}
-    for i, ai in enumerate(a):
-        if ai:
-            for x, r, c in G.comult[i]:
-                da[x, r] = da.get((x, r), zero) + ai * c
+    for i, ai in a:
+        for x, r, c in G.comult[i]:
+            da[x, r] = da.get((x, r), zero) + ai * c
     out = {}
     for (x, r), c in da.items():
         if not c:
@@ -316,7 +310,7 @@ def adjoint_coaction(G: HopfStarAlgebra, a, side: str = "left"):
     d = G.dim
     identity = [[(y, G.field.one)] for y in range(d)]
     out = zero_vec(G.field, d * d)
-    for (u, t), c in _adjoint_terms(G, a, side, identity, {}).items():
+    for (u, t), c in _adjoint_terms(G, sparse_vector(a), side, identity, {}).items():
         out[u * d + t] = c
     return out
 
@@ -427,7 +421,7 @@ def normality_report(Q: QuantumSubgroup, P=None) -> NormalityReport:
     if report.normal:
         A_GN, _ = coset_algebras(Q)
         blocks = P.blocks()
-        total = Subspace.from_vectors(
+        total = sparse_image(
             field, Q.parent.dim, [row for idx in report.trivial_set for row in blocks[idx].rows]
         )
         if total != A_GN:
@@ -448,12 +442,29 @@ def augmentation_part(G, B: Subspace) -> Subspace:
     return B.intersect(ker)
 
 
+def ideal_closure(H: HopfStarAlgebra, seed: Subspace) -> Subspace:
+    """The two-sided ideal generated by a subspace, by span growth."""
+    full = [basis_vec(H.field, H.dim, i) for i in range(H.dim)]
+    cur = seed
+    while True:
+        vecs = cur.basis()
+        grown = list(vecs)
+        for v in vecs:
+            for e in full:
+                grown.append(H.product(e, v))
+                grown.append(H.product(v, e))
+        nxt = Subspace.from_vectors(H.field, H.dim, grown)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def reconstruction_check(Q: QuantumSubgroup) -> bool:
     """ker(pi) equals all three product spans built from the coset algebra.
 
-    The spans are A+ . A, A . A+ and A . A+ . A where A+ is the augmentation
-    part of the coset algebra A_GN; equality with the ideal reconstructs N
-    from the pair (G, A_GN).
+    The spans are A+ . A, A . A+ and the two-sided ideal A . A+ . A where
+    A+ is the augmentation part of the coset algebra A_GN; equality with
+    the ideal reconstructs N from the pair (G, A_GN).
     """
     G = Q.parent
     A_GN, _ = coset_algebras(Q)
@@ -462,11 +473,7 @@ def reconstruction_check(Q: QuantumSubgroup) -> bool:
     pa = aplus.basis()
     s1 = _product_span(G, pa, full)
     s2 = _product_span(G, full, pa)
-    mids = [G.product(x, y) for x in full for y in pa]
-    s3 = Subspace.from_vectors(
-        G.field, G.dim, [G.product(m, z) for m in mids for z in full]
-    )
-    return s1 == Q.ideal and s2 == Q.ideal and s3 == Q.ideal
+    return s1 == Q.ideal and s2 == Q.ideal and ideal_closure(G, aplus) == Q.ideal
 
 
 def comodule_splitting(Q: QuantumSubgroup):

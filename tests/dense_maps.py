@@ -5,10 +5,114 @@ hopfcheck stores every linear map between algebras as sparse columns (see
 as a Matrix whose column i is the image of e_i, so the tests can compare
 the two: dense products and application, the projection onto the canonical
 complement obtained by reducing each e_j, and the convolution of two
-matrices summed over dense columns.
+matrices summed over dense columns.  DenseEchelon is the row echelon form
+kept as dense rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
 """
 
+from bisect import bisect_left
+
 from hopfcheck.linalg import Matrix, basis_vec, zero_vec
+
+
+class DenseEchelon:
+    """Incrementally maintained reduced row echelon basis of dense rows."""
+
+    __slots__ = ("field", "width", "rows", "pivots")
+
+    def __init__(self, field, width):
+        self.field = field
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                for j, s in enumerate(row[p:], p):  # zero before the pivot
+                    if s:
+                        v[j] = v[j] - c * s
+        return v
+
+    def coefficients(self, vec):
+        """Coordinates of vec in the stored basis, or None if outside."""
+        v = list(vec)
+        coeffs = []
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            coeffs.append(c)
+            if c:
+                for j, s in enumerate(row[p:], p):
+                    if s:
+                        v[j] = v[j] - c * s
+        if any(v):
+            return None
+        return coeffs
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def add(self, vec):
+        """Insert a vector; returns the new pivot column or None."""
+        v = self.reduce(vec)
+        p = next((j for j, c in enumerate(v) if c), None)
+        if p is None:
+            return None
+        inv = v[p].inverse()
+        support = [j for j in range(p, self.width) if v[j]]
+        for j in support:
+            v[j] = v[j] * inv
+        for row in self.rows:
+            c = row[p]
+            if c:
+                for j in support:
+                    row[j] = row[j] - c * v[j]
+        at = bisect_left(self.pivots, p)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, p)
+        return p
+
+
+def dense_echelon(field, width, vectors):
+    """The DenseEchelon of dense vectors."""
+    ech = DenseEchelon(field, width)
+    for v in vectors:
+        ech.add(v)
+    return ech
+
+
+def dense_kernel(field, width, rows):
+    """The DenseEchelon of {x : row . x = 0 for each dense row}: one null
+    vector per free column, read off the reduced rows, then reduced."""
+    red = dense_echelon(field, width, rows)
+    vecs = []
+    for f in range(width):
+        if f in red.pivots:
+            continue
+        v = zero_vec(field, width)
+        v[f] = field.one
+        for row, p in zip(red.rows, red.pivots):
+            v[p] = -row[f]
+        vecs.append(v)
+    return dense_echelon(field, width, vecs)
+
+
+def dense_intersection(field, width, us, vs):
+    """The DenseEchelon of span(us) and span(vs), from the left null space
+    of the stacked bases of the two spans."""
+    U, V = dense_echelon(field, width, us), dense_echelon(field, width, vs)
+    stacked = U.rows + V.rows
+    null = dense_kernel(
+        field, len(stacked), [[r[j] for r in stacked] for j in range(width)]
+    )
+    vecs = []
+    for coef in null.rows:
+        v = zero_vec(field, width)
+        for c, row in zip(coef, U.rows):
+            v = [a + c * b for a, b in zip(v, row)]
+        vecs.append(v)
+    return dense_echelon(field, width, vecs)
 
 
 def dense_matrix(field, n, cols):
@@ -73,7 +177,7 @@ def reference_linear_quotient(B):
     Matrix, with column j the reduction of e_j by the echelon rows of B."""
     amb = B.ambient
     reps = B.complement_indices()
-    ech = B.echelon()
+    ech = dense_echelon(B.field, amb, B.basis())
     reduced = [ech.reduce(basis_vec(B.field, amb, j)) for j in range(amb)]
     proj = Matrix.from_rows(B.field, [[red[t] for red in reduced] for t in reps], ncols=amb)
     return proj, reps

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from hopfcheck.cyclotomic import CycField
@@ -14,11 +15,21 @@ from hopfcheck.linalg import (
     sparse_identity,
     sparse_image,
     sparse_kernel,
+    sparse_vector,
     tensor_vec,
     zero_vec,
 )
 
-from dense_maps import columns, dense_matrix, mat_apply, matmul, sparse_of
+from dense_maps import (
+    columns,
+    dense_echelon,
+    dense_intersection,
+    dense_kernel,
+    dense_matrix,
+    mat_apply,
+    matmul,
+    sparse_of,
+)
 
 Q = CycField(1)
 
@@ -278,8 +289,8 @@ def test_echelon_reduce_and_contains():
     )
     ech = U.echelon()
     inside = rational_vec(Q, [2, 4, 9])
-    assert ech.contains(inside)
-    assert not ech.contains(rational_vec(Q, [1, 0, 0]))
+    assert ech.contains(sparse_vector(inside))
+    assert not ech.contains(sparse_vector(rational_vec(Q, [1, 0, 0])))
 
 
 def test_subspace_over_cyclotomic_field():
@@ -298,3 +309,74 @@ def test_rref_preserves_row_space():
     assert A.row_space() == R.row_space()
     assert R.rref() == (R, pivots)
     assert len(pivots) == A.rank()
+
+
+# --- sparse rows against the dense reference -------------------------------
+
+
+def random_scalar(field, rng):
+    return field.from_integers([rng.randint(-3, 3) for _ in range(field.phi)], rng.randint(1, 3))
+
+
+def random_vectors(field, rng, n, count):
+    """count dense vectors of length n: sparse ones, full ones, and linear
+    combinations of earlier ones, so that most spans are rank-deficient."""
+    vecs = []
+    for _ in range(count):
+        kind = rng.random()
+        if vecs and kind < 0.3:
+            v = zero_vec(field, n)
+            for u in rng.sample(vecs, min(len(vecs), 2)):
+                c = random_scalar(field, rng)
+                v = [a + c * b for a, b in zip(v, u)]
+        else:
+            density = 0.3 if kind < 0.65 else 1.0
+            v = [random_scalar(field, rng) if rng.random() < density else field.zero for _ in range(n)]
+        vecs.append(v)
+    return vecs
+
+
+def dense_sort_key(ech):
+    return (len(ech.rows), tuple(ech.pivots), tuple(c.sort_key() for r in ech.rows for c in r))
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_sparse_echelon_matches_dense_reference(order):
+    field = CycField(order)
+    rng = random.Random(order)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        us = random_vectors(field, rng, n, rng.randint(0, 6))
+        vs = random_vectors(field, rng, n, rng.randint(0, 4))
+        U, V = Subspace.from_vectors(field, n, us), Subspace.from_vectors(field, n, vs)
+        ref = dense_echelon(field, n, us)
+        assert U.basis() == ref.rows
+        assert list(U.pivots) == ref.pivots
+        assert U.sort_key() == dense_sort_key(ref)
+        ech = U.echelon()
+        assert ech.rows == [sparse_vector(r) for r in ref.rows] == list(U.rows)
+        for w in us + vs + [zero_vec(field, n)]:
+            sw = sparse_vector(w)
+            assert U.contains(w) == ref.contains(w) == ech.contains(sw)
+            assert U.coordinates(w) == ref.coefficients(w) == ech.coefficients(sw)
+            assert ech.reduce(sw) == sparse_vector(ref.reduce(w))
+        assert U.sum_with(V).basis() == dense_echelon(field, n, us + vs).rows
+        assert U.intersect(V).basis() == dense_intersection(field, n, us, vs).rows
+        # a map field^n -> field^m, its image of U and its kernel both ways
+        m = rng.randint(1, 5)
+        cols = [sparse_vector(v) for v in random_vectors(field, rng, m, n)]
+        M = dense_matrix(field, m, cols)
+        images = [mat_apply(M, u) for u in us]
+        assert U.map_by(cols, m).basis() == dense_echelon(field, m, images).rows
+        ker = dense_kernel(field, n, M.rows)
+        assert M.kernel().basis() == ker.rows
+        assert sparse_kernel(field, m, cols).basis() == ker.rows
+
+
+def test_from_vectors_coerces_int_and_fraction_entries():
+    field = CycField(4)
+    quarter = field.from_rational(Fraction(1, 4))
+    S = Subspace.from_vectors(field, 3, [[2, Fraction(1, 2), 0], [0, 0, Fraction(-3, 4)]])
+    assert S.rows == (((0, field.one), (1, quarter)), ((2, field.one),))
+    assert S.basis() == [[field.one, quarter, field.zero], [field.zero, field.zero, field.one]]
+    assert S == Subspace.from_vectors(field, 3, [[4, 1, 0], [0, 0, field.one]])

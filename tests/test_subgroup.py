@@ -59,6 +59,7 @@ from hopfcheck.subgroup import _certified_quotient
 
 from dense_maps import (
     columns,
+    dense_echelon,
     dense_matrix,
     kron_apply,
     mat_apply,
@@ -554,7 +555,7 @@ def _random_subspaces(H, rng, count):
             out.append(Subspace.from_vectors(field, d, side))
         else:
             chosen = rng.sample(dual_blocks, rng.randrange(1, len(dual_blocks)))
-            rows = [row for B in chosen for row in B.rows]
+            rows = [row for B in chosen for row in B.basis()]
             out.append(Matrix.from_rows(field, rows, ncols=d).kernel())
     return out
 
@@ -609,7 +610,7 @@ def dense_hopf_ideal_condition(G, I):
     (pi (x) pi) Delta, eps and S of each basis vector of I."""
     d = G.dim
     basis = I.basis()
-    ech = I.echelon()
+    ech = dense_echelon(G.field, d, basis)
     for b in basis:
         for i in range(d):
             e = basis_vec(G.field, d, i)
