@@ -27,7 +27,7 @@ from .errors import (
     TheoremViolation,
 )
 from .hopf import check_axioms, compute_haar, coproduct_slice
-from .linalg import Subspace, basis_vec, sparse_column, zero_vec
+from .linalg import Subspace, basis_vec, sparse_column, sparse_vector, zero_vec
 from .serialize import (
     dump_json,
     load_action,
@@ -152,8 +152,8 @@ def _cmd_haar(args):
     h = compute_haar(H)
     # (id (x) h) Delta(e_i) = h(e_i) 1 (left) and (h (x) id) Delta(e_i) = h(e_i) 1
     want = [sparse_column({t: hi * u for t, u in enumerate(H.unit)}) for hi in h]
-    left_ok = coproduct_slice(H, h, "right") == want
-    right_ok = coproduct_slice(H, h, "left") == want
+    left_ok = coproduct_slice(H, sparse_vector(h), "right") == want
+    right_ok = coproduct_slice(H, sparse_vector(h), "left") == want
     unit_val = sum((h[t] * H.unit[t] for t in range(H.dim)), H.field.zero)
     ok = left_ok and right_ok and unit_val == H.field.scalar(1)
     results = {

@@ -33,7 +33,6 @@ from .linalg import (
     sparse_image,
     sparse_kernel,
     tensor_vec,
-    zero_vec,
 )
 from .subgroup import (
     QuantumSubgroup,
@@ -265,9 +264,7 @@ def group_algebra(G: FiniteGroup, field_order=None) -> HopfStarAlgebra:
     antipode = [(i, G.inverses[i], one) for i in range(n)]
     H = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, antipode, labels=list(G.labels))
     H.meta = {"kind": "group_algebra", "group": G}
-    H.attached_pw = [
-        Corepresentation(H, [[basis_vec(field, n, i)]]) for i in range(n)
-    ]
+    H.attached_pw = [Corepresentation(H, [[((i, one),)]]) for i in range(n)]
     return H
 
 
@@ -350,7 +347,8 @@ def lift_algebra(H: HopfStarAlgebra, n: int) -> HopfStarAlgebra:
     src = H.attached_pw if H._pw_cache is None else H._pw_cache.coreps
     if src is not None:
         out.attached_pw = [
-            Corepresentation(out, [[lv(v) for v in row] for row in c.entries]) for c in src
+            Corepresentation(out, [[[(j, lift(x)) for j, x in v] for v in row] for row in u.entries])
+            for u in src
         ]
     return out
 
@@ -394,7 +392,11 @@ def tensor_product(H1: HopfStarAlgebra, H2: HopfStarAlgebra) -> HopfStarAlgebra:
             for v in B.attached_pw:
                 entries = [
                     [
-                        tensor_vec(u.entries[i1][j1], v.entries[i2][j2])
+                        [
+                            (a * d2 + b, x * y)
+                            for a, x in u.entries[i1][j1]
+                            for b, y in v.entries[i2][j2]
+                        ]
                         for j1 in range(u.dim)
                         for j2 in range(v.dim)
                     ]
@@ -535,14 +537,6 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
         A = A2
     field = A.field
     dA, o = A.dim, G.order
-    d = dA * o
-
-    def mixed(vec, t):
-        out = zero_vec(field, d)
-        for k, c in enumerate(vec):
-            if c:
-                out[k * o + t] = c
-        return out
 
     # (a gamma_s)(b gamma_t) = a alpha_s(b) gamma_st, while S(a gamma_t) and
     # (a gamma_t)* are alpha_t^-1(S(a)) gamma_t^-1 and alpha_t^-1(a*) gamma_t^-1
@@ -558,7 +552,7 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
                     for t in range(o)
                     for k, c in w.items()
                 ]
-    unit = mixed(A.unit, G.identity)
+    unit = [A.unit[i] if t == G.identity else field.zero for i in range(dA) for t in range(o)]
     comult = [
         (i * o + t, j * o + t, k * o + t, c)
         for i, j, k, c in A.comult_entries()
@@ -583,7 +577,7 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
         for u in src:
             for t in range(o):
                 entries = [
-                    [mixed(u.entries[i][j], t) for j in range(u.dim)]
+                    [[(k * o + t, c) for k, c in u.entries[i][j]] for j in range(u.dim)]
                     for i in range(u.dim)
                 ]
                 pw.append(Corepresentation(X, entries))

@@ -6,6 +6,11 @@ S(u_ij) giving a two-sided matrix inverse.  The complete list of irreducible
 ones is recovered from the block decomposition of the dual algebra; every
 identity is verified exactly before anything is returned, so the numeric
 heuristics inside the splitting step can never leak a wrong answer.
+
+Every entry u_ij, character and idempotent is a sparse vector (see linalg).
+The coefficient block of each corepresentation (the span of its entries)
+is found once, while it is extracted or verified, and kept in the
+PeterWeylData next to it.
 """
 
 from __future__ import annotations
@@ -15,20 +20,19 @@ from math import isqrt
 from .errors import SchemaError, SplittingFailed, TheoremViolation
 from .hopf import HopfStarAlgebra, coproduct_slice
 from .linalg import (
-    Matrix,
     Subspace,
-    basis_vec,
-    solve_linear,
+    add_terms,
+    sparse_column,
     sparse_image,
     sparse_transpose,
     sparse_vector,
-    zero_vec,
 )
 from .splitting import find_primitive_idempotent, split_center
 
 
 class Corepresentation:
-    """A matrix corepresentation with exactly verified structure."""
+    """A matrix corepresentation with exactly verified structure; entries[i][j]
+    is the sparse vector of u_ij."""
 
     __slots__ = ("algebra", "entries", "dim")
 
@@ -36,23 +40,22 @@ class Corepresentation:
         if not entries or any(len(row) != len(entries) for row in entries):
             raise SchemaError("corepresentation entries must form a nonempty square matrix")
         self.algebra = algebra
-        self.entries = [[list(v) for v in row] for row in entries]
+        self.entries = [[tuple(v) for v in row] for row in entries]
         self.dim = len(entries)
 
     def character(self):
-        chi = zero_vec(self.algebra.field, self.algebra.dim)
+        chi = {}
         for i in range(self.dim):
-            for j, c in enumerate(self.entries[i][i]):
-                chi[j] = chi[j] + c
-        return chi
+            add_terms(chi, self.algebra.field.one, self.entries[i][i])
+        return sparse_column(chi)
 
     def block(self) -> Subspace:
-        vecs = [v for row in self.entries for v in row]
-        return Subspace.from_vectors(self.algebra.field, self.algebra.dim, vecs)
+        H = self.algebra
+        return sparse_image(H.field, H.dim, [v for row in self.entries for v in row])
 
     def star_block(self) -> Subspace:
-        vecs = [self.algebra.star_vec(v) for row in self.entries for v in row]
-        return Subspace.from_vectors(self.algebra.field, self.algebra.dim, vecs)
+        H = self.algebra
+        return sparse_image(H.field, H.dim, [H.star_vec(v) for row in self.entries for v in row])
 
     def verify(self):
         """Exact check of the comultiplication, counit and antipode laws.
@@ -65,34 +68,33 @@ class Corepresentation:
         """
         H = self.algebra
         d = self.dim
-        supports = [[sparse_vector(v) for v in row] for row in self.entries]
+        u = self.entries
         for i in range(d):
             for j in range(d):
-                diff = _coproduct(H, supports[i][j])
+                diff = _coproduct(H, u[i][j])
                 for k in range(d):
-                    right = supports[k][j]
-                    for a, x in supports[i][k]:
+                    right = u[k][j]
+                    for a, x in u[i][k]:
                         for b, y in right:
                             v = x * y
                             diff[a, b] = diff[a, b] - v if (a, b) in diff else -v
                 if any(diff.values()):
                     return "comultiplication law fails at entry (%d, %d)" % (i, j)
-                eps = H.counit_of(self.entries[i][j])
+                eps = H.counit_of(u[i][j])
                 want = H.field.one if i == j else H.field.zero
                 if eps != want:
                     return "counit law fails at entry (%d, %d)" % (i, j)
-        anti = [[H.antipode_vec(v) for v in row] for row in self.entries]
+        anti = [[H.antipode_vec(v) for v in row] for row in u]
+        one = sparse_vector(H.unit)
         for i in range(d):
             for j in range(d):
-                acc = zero_vec(H.field, H.dim)
-                acc2 = zero_vec(H.field, H.dim)
+                acc = {}
+                acc2 = {}
                 for k in range(d):
-                    p = H.product(anti[i][k], self.entries[k][j])
-                    p2 = H.product(self.entries[i][k], anti[k][j])
-                    acc = [a + b for a, b in zip(acc, p)]
-                    acc2 = [a + b for a, b in zip(acc2, p2)]
-                want = H.unit_vec() if i == j else zero_vec(H.field, H.dim)
-                if acc != want or acc2 != want:
+                    add_terms(acc, H.field.one, H.product(anti[i][k], u[k][j]))
+                    add_terms(acc2, H.field.one, H.product(u[i][k], anti[k][j]))
+                want = one if i == j else ()
+                if sparse_column(acc) != want or sparse_column(acc2) != want:
                     return "antipode is not a matrix inverse at entry (%d, %d)" % (i, j)
         return None
 
@@ -109,19 +111,18 @@ def _coproduct(H, support):
 
 
 class PeterWeylData:
-    """The full list of irreducible corepresentations of one algebra."""
+    """The full list of irreducible corepresentations of one algebra, with
+    the coefficient block (the span of the entries) of each."""
 
     __slots__ = ("algebra", "coreps", "triv_index", "_blocks")
 
-    def __init__(self, algebra, coreps, triv_index):
+    def __init__(self, algebra, coreps, blocks, triv_index):
         self.algebra = algebra
         self.coreps = list(coreps)
         self.triv_index = triv_index
-        self._blocks = None
+        self._blocks = list(blocks)
 
     def blocks(self):
-        if self._blocks is None:
-            self._blocks = [c.block() for c in self.coreps]
         return self._blocks
 
     @property
@@ -135,13 +136,8 @@ class PeterWeylData:
         return {"dims": self.dims, "trivial": self.triv_index}
 
 
-def _canonical_order(coreps):
-    keyed = sorted(coreps, key=lambda c: (c.dim, c.block().sort_key()))
-    return keyed
-
-
 def _trivial_index(H, coreps):
-    one = H.unit_vec()
+    one = sparse_vector(H.unit)
     for idx, c in enumerate(coreps):
         if c.dim == 1 and c.entries[0][0] == one:
             return idx
@@ -156,24 +152,22 @@ def _verified(corep):
     return corep
 
 
-def _verify_complete(H, coreps):
-    """The count and span checks; each corepresentation is verified already."""
-    total = 0
-    ech_vecs = []
-    for c in coreps:
-        total += c.dim * c.dim
-        ech_vecs.extend(v for row in c.entries for v in row)
+def _verify_complete(H, coreps, blocks):
+    """The count and span checks; each corepresentation is verified already
+    and blocks[i] is the span of the entries of coreps[i]."""
+    total = sum(c.dim * c.dim for c in coreps)
     if total != H.dim:
         raise TheoremViolation(
             "matrix entries count %d does not match the dimension %d" % (total, H.dim)
         )
-    span = Subspace.from_vectors(H.field, H.dim, ech_vecs)
+    span = sparse_image(H.field, H.dim, [row for b in blocks for row in b.rows])
     if span.dim != H.dim:
         raise TheoremViolation("matrix entries do not span the whole algebra")
 
 
 def _extract_block(H, p, gauge):
-    """One verified irreducible corepresentation from a minimal central idempotent."""
+    """One verified irreducible corepresentation from a minimal central
+    idempotent p (a sparse vector of the dual), with its coefficient block."""
     field = H.field
     d = H.dim
 
@@ -190,41 +184,35 @@ def _extract_block(H, p, gauge):
         raise TheoremViolation("coefficient space does not match the dual block")
 
     if dlam == 1:
-        v = C_block.basis()[0]
+        # the one entry spans C_block, so C_block is its block
+        v = C_block.rows[0]
         eps = H.counit_of(v)
         if not eps:
             raise TheoremViolation("a one-dimensional block with vanishing counit")
         inv = eps.inverse()
-        g = [inv * c for c in v]
-        return _verified(Corepresentation(H, [[g]]))
+        return _verified(Corepresentation(H, [[tuple((j, inv * c) for j, c in v)]])), C_block
 
-    q = find_primitive_idempotent(H, block_D.basis(), p, gauge)
+    q = find_primitive_idempotent(H, block_D.rows, p, gauge)
     V = C_block.map_by(coproduct_slice(H, q, "right"), d)
     if V.dim != dlam:
         raise SplittingFailed(field.n, "primitive idempotent produced a wrong column dimension")
 
-    R = Matrix.from_rows(field, V.basis(), ncols=d)
-    Cmat = solve_linear(R, Matrix.identity(field, dlam))
-    if Cmat is None:
-        raise TheoremViolation("dual functionals for the column space do not exist")
-
-    # entry (i, l) is (id (x) C_l) Delta(r_i), with C_l the l-th column of Cmat
-    cmat_rows = [sparse_vector(row) for row in Cmat.rows]
+    # the dual functionals of V's echelon rows r_l read the pivots p_l, so
+    # entry (i, l) = (id (x) e^(p_l)) Delta(r_i) is the slice of Delta(r_i)
+    # at second leg p_l
     entries = []
     for r in V.rows:
-        row = [zero_vec(field, d) for _ in range(dlam)]
+        slices = {}
         for (a, b), w in _coproduct(H, r).items():
-            if w:
-                for l, cb in cmat_rows[b]:
-                    row[l][a] = row[l][a] + w * cb
-        entries.append(row)
+            slices.setdefault(b, {})[a] = w
+        entries.append([sparse_column(slices.get(pl, {})) for pl in V.pivots])
     corep = Corepresentation(H, entries)
     err = corep.verify()
     if err is not None:
         raise SplittingFailed(field.n, "extracted matrix fails verification: " + err)
     if corep.block() != C_block:
         raise SplittingFailed(field.n, "matrix entries do not span their block")
-    return corep
+    return corep, C_block
 
 
 def peter_weyl(H: HopfStarAlgebra, force_recompute: bool = False, gauge: int = 0) -> PeterWeylData:
@@ -246,13 +234,18 @@ def _split(H, gauge):
 
 
 def _from_attached(H):
-    return _complete(H, [_verified(Corepresentation(H, c.entries)) for c in H.attached_pw])
+    coreps = [_verified(Corepresentation(H, c.entries)) for c in H.attached_pw]
+    return _complete(H, [(c, c.block()) for c in coreps])
 
 
-def _complete(H, coreps):
-    coreps = _canonical_order(coreps)
-    _verify_complete(H, coreps)
-    return PeterWeylData(H, coreps, _trivial_index(H, coreps))
+def _complete(H, pairs):
+    """PeterWeylData from (corepresentation, block) pairs, in the canonical
+    order: by dimension, then by the echelon key of the block."""
+    pairs = sorted(pairs, key=lambda cb: (cb[0].dim, cb[1].sort_key()))
+    coreps = [c for c, _ in pairs]
+    blocks = [b for _, b in pairs]
+    _verify_complete(H, coreps, blocks)
+    return PeterWeylData(H, coreps, blocks, _trivial_index(H, coreps))
 
 
 def fusion(P: PeterWeylData):
@@ -270,16 +263,14 @@ def fusion(P: PeterWeylData):
     covectors = []
     for chi in chars:
         star_chi = H.star_vec(chi)
-        covectors.append(
-            [H.haar_of(H.product(basis_vec(field, H.dim, a), star_chi)) for a in range(H.dim)]
-        )
+        covectors.append([H.haar_of(H.product(((a, field.one),), star_chi)) for a in range(H.dim)])
     rows = {}
     N = [[None] * r for _ in range(r)]
     for l in range(r):
         for m in range(r):
-            prod = tuple(H.product(chars[l], chars[m]))
+            prod = H.product(chars[l], chars[m])
             if prod not in rows:
-                rows[prod] = [_multiplicity(field, sparse_vector(prod), w) for w in covectors]
+                rows[prod] = [_multiplicity(field, prod, w) for w in covectors]
             N[l][m] = list(rows[prod])
             counted = sum(N[l][m][n] * P.coreps[n].dim for n in range(r))
             if counted != P.coreps[l].dim * P.coreps[m].dim:

@@ -34,9 +34,13 @@ passes check_axioms, or when make_subgroup or sub_hopf_algebra certifies it
 as a quotient or a subalgebra of a verified algebra; `H.verified` reads it
 and never runs a check.
 
+Vectors are sparse, the form of a column of H.antipode: H.product,
+H.antipode_vec and H.star_vec take and return sorted (index, scalar) tuples,
+and H.counit_of and H.haar_of evaluate the dense covectors H.counit and
+H.haar on them.  H.unit and H.counit stay dense lists, as in the file.
 Every linear map between algebras (a quotient projection, a subalgebra
-inclusion, a coproduct slice, a convolution) is a list of sparse columns,
-the form of H.antipode (see linalg).  morphism_failure is the one test of
+inclusion, a coproduct slice, a convolution) is a list of sparse columns
+(see linalg).  morphism_failure is the one test of
 whether such a map preserves product, star, coproduct, counit and
 antipode; quotient maps, subalgebra inclusions and group actions are all
 checked by it.  induced_algebra is the one builder of quotient and
@@ -51,12 +55,12 @@ from .cyclotomic import CycField
 from .errors import NotCosemisimple, SchemaError
 from .linalg import (
     add_terms,
-    basis_vec,
     sparse_apply,
     sparse_column,
+    sparse_compose,
+    sparse_identity,
     sparse_null_space,
-    tensor_vec,
-    zero_vec,
+    sparse_vector,
 )
 
 
@@ -138,41 +142,24 @@ class HopfStarAlgebra:
         return list(self.unit)
 
     def product(self, x, y):
-        out = zero_vec(self.field, self.dim)
-        y_nz = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            nz_i = self.mult[i]
-            for j, yj in y_nz:
-                terms = nz_i[j]
+        """The product of two sparse vectors, a sparse vector."""
+        acc = {}
+        for i, xi in x:
+            row = self.mult[i]
+            for j, yj in y:
+                terms = row[j]
                 if terms:
-                    c = xi * yj
-                    for k, m in terms:
-                        out[k] = out[k] + c * m
-        return out
-
-    def comult_vec(self, x):
-        d = self.dim
-        out = zero_vec(self.field, d * d)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, k, c in self.comult[i]:
-                    out[j * d + k] = out[j * d + k] + xi * c
-        return out
+                    add_terms(acc, xi * yj, terms)
+        return sparse_column(acc)
 
     def counit_of(self, x):
-        acc = self.field.zero
-        for c, e in zip(x, self.counit):
-            if c and e:
-                acc = acc + c * e
-        return acc
+        return _pair(x, self.counit, self.field.zero)
 
     def antipode_vec(self, x):
-        return sparse_apply(self.field, self.dim, self.antipode, x)
+        return sparse_compose(self.antipode, [x])[0]
 
     def star_vec(self, x):
-        return sparse_apply(self.field, self.dim, self.star, [c.conjugate() for c in x])
+        return sparse_compose(self.star, [tuple((i, c.conjugate()) for i, c in x)])[0]
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
@@ -191,11 +178,7 @@ class HopfStarAlgebra:
         return self.memo("haar", lambda: compute_haar(self))
 
     def haar_of(self, x):
-        acc = self.field.zero
-        for c, h in zip(x, self.haar):
-            if c and h:
-                acc = acc + c * h
-        return acc
+        return _pair(x, self.haar, self.field.zero)
 
     def __repr__(self):
         return "HopfStarAlgebra(dim %d over Q(zeta_%d))" % (self.dim, self.field.n)
@@ -232,6 +215,16 @@ def _sparse_columns(sc, d, entries, name, arity):
     for (i, *rest), c in _sparse_entries(sc, d, entries, name, arity):
         cols[i].append((*rest, c))
     return [tuple(col) for col in cols]
+
+
+def _pair(x, covector, zero):
+    """The value of a dense covector on a sparse vector."""
+    acc = zero
+    for i, c in x:
+        f = covector[i]
+        if f:
+            acc = acc + c * f
+    return acc
 
 
 def _nonzero(acc):
@@ -350,8 +343,8 @@ def check_axioms(H):
     d = H.dim
     field = H.field
     checks = []
-    ebasis = [basis_vec(field, d, i) for i in range(d)]
-    one = H.unit_vec()
+    ebasis = sparse_identity(field, d)
+    one = sparse_vector(H.unit)
 
     def run(name, witness_iter):
         w = next(witness_iter, None)
@@ -381,14 +374,14 @@ def check_axioms(H):
 
     def counit_fails():
         for i in range(d):
-            lhs = zero_vec(field, d)
-            rhs = zero_vec(field, d)
+            lhs = {}
+            rhs = {}
             for j, k, c in H.comult[i]:
                 if H.counit[k]:
-                    lhs[j] = lhs[j] + c * H.counit[k]
+                    lhs[j] = lhs.get(j, field.zero) + c * H.counit[k]
                 if H.counit[j]:
-                    rhs[k] = rhs[k] + c * H.counit[j]
-            if lhs != ebasis[i] or rhs != ebasis[i]:
+                    rhs[k] = rhs.get(k, field.zero) + c * H.counit[j]
+            if sparse_column(lhs) != ebasis[i] or sparse_column(rhs) != ebasis[i]:
                 yield (i,)
 
     run("counit", counit_fails())
@@ -410,7 +403,11 @@ def check_axioms(H):
     run("coassociativity", coassoc_fails())
 
     def comult_unital_fails():
-        if H.comult_vec(one) != tensor_vec(one, one):
+        acc = {(a, b): -(x * y) for a, x in one for b, y in one}
+        for i, u in one:
+            for j, k, c in H.comult[i]:
+                acc[j, k] = acc[j, k] + u * c if (j, k) in acc else u * c
+        if any(acc.values()):
             yield ()
 
     run("comult_unital", comult_unital_fails())
@@ -464,7 +461,7 @@ def check_axioms(H):
                 else:
                     for w, s in H.antipode[k]:
                         add_terms(acc, c * s, H.mult[j][w])
-            target = {t: H.counit[i] * u for t, u in enumerate(one) if u and H.counit[i]}
+            target = {t: H.counit[i] * u for t, u in one if H.counit[i]}
             if _nonzero(acc) != target:
                 yield (i,)
 
@@ -790,15 +787,17 @@ def sub_hopf_algebra(H, B):
 
 def coproduct_slice(H, f, side):
     """The sparse columns of a -> (id (x) f) Delta(a) (side "right") or
-    (f (x) id) Delta(a) (side "left") for a covector f, summed over the
-    sparse coproduct terms."""
+    (f (x) id) Delta(a) (side "left") for a functional f given as the sparse
+    vector of its values on the basis, summed over the sparse coproduct
+    terms."""
+    f = dict(f)
     out = []
     for terms in H.comult:
         acc = {}
         for j, k, c in terms:
             kept, sliced = (j, k) if side == "right" else (k, j)
-            w = f[sliced]
-            if w:
+            w = f.get(sliced)
+            if w is not None:
                 v = c * w
                 acc[kept] = acc[kept] + v if kept in acc else v
         out.append(sparse_column(acc))

@@ -4,15 +4,18 @@ A vector is sparse: the (index, entry) pairs with entry != 0, sorted by
 index.  Echelon and Subspace.rows keep such rows in reduced row echelon
 form, so equal subspaces have equal rows, and every solver returns the
 echelon-canonical answer (free variables pinned to zero).  Dense vectors
-(lists of CycScalar) are the public boundary: Subspace.from_vectors,
-contains and coordinates take them, and Subspace.basis() is the dense view.
+(lists of CycScalar) are only the boundary: Subspace.from_vectors, contains
+and coordinates take them, Subspace.basis() is the dense view, and
+zero_vec, basis_vec and tensor_vec build them for input files, reports and
+tests.
 
 A linear map field^m -> field^n is a list of m sparse columns: column i is
 the image of e_i.  sparse_apply, sparse_compose, sparse_image and
 sparse_kernel apply, compose, span and take kernels of such maps, and
 sparse_null_space solves sparse equation rows.  A Matrix is a dense system
 handed to rref, kernel or solve_linear, or a small matrix that is reported
-or split into eigenspaces.
+or split into eigenspaces; sparse_solve is the echelon core of solve_linear
+and takes sparse augmented rows.
 """
 
 from __future__ import annotations
@@ -30,17 +33,6 @@ def zero_vec(field, n):
 def basis_vec(field, n, i):
     v = [field.zero] * n
     v[i] = field.one
-    return v
-
-
-def lincomb(field, n, coefs, rows):
-    """sum_i coefs[i] * rows[i] as a dense vector of length n, skipping zero terms."""
-    v = [field.zero] * n
-    for c, row in zip(coefs, rows):
-        if c:
-            for j, s in enumerate(row):
-                if s:
-                    v[j] = v[j] + c * s
     return v
 
 
@@ -311,18 +303,34 @@ def solve_linear(A, b):
         B = b
     if B.nrows != A.nrows:
         raise SchemaError("rhs has %d rows, expected %d" % (B.nrows, A.nrows))
-    n, k = A.ncols, B.ncols
-    ech = Echelon(A.field)
-    for ra, rb in zip(A.rows, B.rows):
-        ech.add(sparse_vector(ra + rb))
-    X = Matrix.zeros(A.field, n, k)
+    n = A.ncols
+    sol = sparse_solve(A.field, n, [sparse_vector(ra + rb) for ra, rb in zip(A.rows, B.rows)])
+    if sol is None:
+        return None
+    X = Matrix.zeros(A.field, n, B.ncols)
+    for p, row in enumerate(sol):
+        for r, c in row:
+            X.rows[p][r] = c
+    return [row[0] for row in X.rows] if vector_rhs else X
+
+
+def sparse_solve(field, n, rows):
+    """Echelon-canonical solution of a system given by sparse augmented rows
+    [a | b] of n unknowns, with entry n + r on right-hand side r.
+
+    Returns n sparse rows, row p the (r, x_p) with x_p != 0 in the solution
+    for right-hand side r (free variables zero), or None when the system is
+    inconsistent.
+    """
+    ech = Echelon(field)
+    for row in rows:
+        ech.add(row)
+    sol = [()] * n
     for p, row in ech.row_at.items():
         if p >= n:
             return None  # pivot in the rhs block: inconsistent
-        for j, c in row:
-            if j >= n:
-                X.rows[p][j - n] = c
-    return [row[0] for row in X.rows] if vector_rhs else X
+        sol[p] = tuple((j - n, c) for j, c in row if j >= n)
+    return sol
 
 
 class Subspace:

@@ -12,6 +12,10 @@ check, an integer-relation lattice reduced by LLL.  Each numeric cluster
 stops at its first exactly verified candidate.  When verification cannot
 account for the whole space the field is too small and SplittingFailed
 names the order to raise.
+
+Elements of the dual are sparse vectors in the dual basis and are multiplied
+by dual(H).product.  Only the small matrices handed to exact_eigen_split
+are dense.
 """
 
 from __future__ import annotations
@@ -20,39 +24,21 @@ import random
 from fractions import Fraction
 
 from .errors import SplittingFailed, TheoremViolation
+from .hopf import dual
 from .linalg import (
+    Echelon,
     Matrix,
     Subspace,
-    lincomb,
-    solve_linear,
+    add_terms,
     sparse_column,
     sparse_compose,
     sparse_image,
+    sparse_kernel,
     sparse_null_space,
     sparse_vector,
-    zero_vec,
 )
 
 _NUMERIC_TOL = 1e-7
-
-
-def dual_product(H, f, g):
-    """Product in the dual algebra: (f g)(e_i) = (f (x) g)(Delta e_i)."""
-    out = zero_vec(H.field, H.dim)
-    for i in range(H.dim):
-        acc = H.field.zero
-        for j, k, c in H.comult[i]:
-            fj = f[j]
-            if fj:
-                gk = g[k]
-                if gk:
-                    acc = acc + fj * gk * c
-        out[i] = acc
-    return out
-
-
-def dual_unit(H):
-    return list(H.counit)
 
 
 def center_of_dual(H):
@@ -216,15 +202,17 @@ def exact_eigen_split(M):
 
 
 def split_center(H):
-    """Minimal central idempotents of the dual algebra, exactly verified."""
+    """Minimal central idempotents of the dual algebra, exactly verified, as
+    sparse vectors in the dual basis."""
     field = H.field
+    D = dual(H)
     center = center_of_dual(H)
     c = center.dim
-    zbasis = center.basis()
+    zrows = center.rows
     ech = center.echelon()
 
     def coords(vec):
-        co = ech.coefficients(sparse_vector(vec))
+        co = ech.coefficients(vec)
         if co is None:
             raise TheoremViolation("center is not closed under products")
         return sparse_vector(co)
@@ -234,7 +222,7 @@ def split_center(H):
         if all(b.dim == 1 for b in blocks):
             break
         # cols[b]: the coordinates of z_t z_b, column b of multiplication by z_t
-        cols = [coords(dual_product(H, zbasis[t], zb)) for zb in zbasis]
+        cols = [coords(D.product(zrows[t], zb)) for zb in zrows]
         refined = []
         for V in blocks:
             if V.dim == 1:
@@ -253,22 +241,20 @@ def split_center(H):
         raise SplittingFailed(field.n, "center did not refine into lines")
 
     idems = []
+    total = {}
     for b in blocks:
-        v = lincomb(field, H.dim, b.basis()[0], zbasis)
-        vv = dual_product(H, v, v)
-        idx = next(i for i, x in enumerate(v) if x)
-        a = vv[idx] * v[idx].inverse()
+        v = sparse_compose(zrows, b.rows)[0]
+        idx, lead = v[0]
+        a = dict(D.product(v, v)).get(idx, field.zero) * lead.inverse()
         if not a:
             raise SplittingFailed(field.n, "nilpotent line in the center")
         inv = a.inverse()
-        p = [inv * x for x in v]
-        if dual_product(H, p, p) != p:
+        p = tuple((j, inv * x) for j, x in v)
+        if D.product(p, p) != p:
             raise TheoremViolation("central idempotent verification failed")
         idems.append(p)
-    total = [field.zero] * H.dim
-    for p in idems:
-        total = [a + b for a, b in zip(total, p)]
-    if total != dual_unit(H):
+        add_terms(total, field.one, p)
+    if sparse_column(total) != sparse_vector(D.unit):
         raise TheoremViolation("central idempotents do not sum to the counit")
     return idems
 
@@ -340,40 +326,39 @@ def exact_poly_roots(field, coeffs):
     return roots
 
 
-class _Corner:
-    """A unital corner subalgebra of the dual, in ambient dual coordinates."""
+def _min_poly(D, unit, x):
+    """Monic minimal polynomial of x in the corner of D with unit `unit`,
+    lowest degree first.
 
-    def __init__(self, H, unit):
-        self.H = H
-        self.unit = unit
-
-    def product(self, x, y):
-        return dual_product(self.H, x, y)
-
-    def min_poly(self, x):
-        """Monic minimal polynomial of x inside the corner."""
-        field = self.H.field
-        powers = [list(self.unit)]
-        cur = list(x)
-        while True:
-            stacked = Matrix.from_rows(field, powers, ncols=self.H.dim)
-            sol = solve_linear(stacked.transpose(), cur)
-            if sol is not None:
-                return [-c for c in sol] + [field.one]
-            powers.append(list(cur))
-            cur = self.product(cur, x)
+    The powers unit, x, x^2, ... enter an Echelon until one depends on those
+    before it; the kernel of the powers up to that one is then a line, and
+    its vector, scaled to a 1 at that last power, holds the coefficients.
+    """
+    ech = Echelon(D.field)
+    powers = []
+    cur = unit
+    while ech.add(cur) is not None:
+        powers.append(cur)
+        cur = D.product(cur, x)
+    powers.append(cur)
+    (row,) = sparse_kernel(D.field, D.dim, powers).rows
+    inv = row[-1][1].inverse()
+    coefs = dict(row)
+    return [coefs.get(k, D.field.zero) * inv for k in range(len(powers))]
 
 
 def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
     """A primitive idempotent of the matrix block p*D, exactly verified.
 
-    block_basis must be an echelon basis (Subspace.basis()), so that its
-    length is the dimension of the block; each smaller corner q D q is
-    spanned the same way.
+    Vectors are sparse, in the dual basis, and are multiplied in dual(H).
+    block_basis must be an echelon basis (Subspace.rows), so that its length
+    is the dimension of the block; each smaller corner q D q is spanned the
+    same way.
     """
     field = H.field
+    D = dual(H)
     corner_basis = block_basis
-    unit = list(block_unit)
+    unit = block_unit
     guard = 0
     rng = random.Random(gauge * 7919 + 17)
     while True:
@@ -382,19 +367,19 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
             raise SplittingFailed(field.n, "primitive idempotent search exhausted")
         if len(corner_basis) == 1:
             return unit
-        line = Subspace.from_vectors(field, H.dim, [unit])
-        candidates = [list(b) for b in corner_basis]
+        line = Echelon(field)
+        line.add(unit)
+        candidates = list(corner_basis)
         if gauge:
             rng.shuffle(candidates)
         for _extra in range(8):
             coefs = [field.from_rational(Fraction(rng.randrange(-3, 4))) for _b in corner_basis]
-            candidates.append(lincomb(field, H.dim, coefs, corner_basis))
-        corner = _Corner(H, unit)
+            candidates.append(sparse_compose(corner_basis, [sparse_vector(coefs)])[0])
         progressed = False
         for x in candidates:
-            if not any(x) or line.contains(x):
+            if not x or line.contains(x):
                 continue
-            p = corner.min_poly(x)
+            p = _min_poly(D, unit, x)
             if len(p) - 1 < 2:
                 continue
             dp = _poly_deriv(field, p)
@@ -405,22 +390,18 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
                 continue  # does not split over the field
             mu = roots[0]
             others = roots[1:]
-            q = list(unit)
+            q = unit
             for nu in others:
                 diff = (mu - nu).inverse()
-                shifted = [
-                    (xc - nu * uc) * diff for xc, uc in zip(x, unit)
-                ]
-                q = corner.product(q, shifted)
-            if corner.product(q, q) != q:
+                shifted = dict(x)
+                add_terms(shifted, -nu, unit)
+                q = D.product(q, tuple((j, c * diff) for j, c in sparse_column(shifted)))
+            if D.product(q, q) != q:
                 raise TheoremViolation("spectral idempotent verification failed")
-            if q == unit or not any(q):
+            if q == unit or not q:
                 continue
-            new_basis = []
-            for b in corner_basis:
-                new_basis.append(corner.product(corner.product(q, b), q))
-            sub = Subspace.from_vectors(field, H.dim, new_basis)
-            corner_basis = sub.basis()
+            new_basis = [D.product(D.product(q, b), q) for b in corner_basis]
+            corner_basis = sparse_image(field, H.dim, new_basis).rows
             unit = q
             progressed = True
             break

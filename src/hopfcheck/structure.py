@@ -30,6 +30,7 @@ from .hopf import HopfStarAlgebra, certified_subalgebra, check_axioms, dual, sub
 from .linalg import Subspace, sparse_compose, sparse_image, sparse_kernel, sparse_null_space
 from .subgroup import (
     QuantumSubgroup,
+    _product_span,
     check_hopf_ideal,
     coset_algebras,
     ideal_closure,
@@ -225,12 +226,11 @@ def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "
                 "I0 is not a Hopf *-ideal of A0 (%s)" % witness["condition"]
             )
     else:
-        for b in I0.basis():
-            for x in A0.basis():
-                if not I0.contains(A.product(x, b)) or not I0.contains(A.product(b, x)):
-                    raise NotHopfIdeal("I0 is not a two-sided ideal of A0")
-            if not I0.contains(A.star_vec(b)):
-                raise NotHopfIdeal("I0 is not *-closed")
+        products = _product_span(A, A0.rows, I0.rows).sum_with(_product_span(A, I0.rows, A0.rows))
+        if not products <= I0:
+            raise NotHopfIdeal("I0 is not a two-sided ideal of A0")
+        if not sparse_image(A.field, A.dim, [A.star_vec(b) for b in I0.rows]) <= I0:
+            raise NotHopfIdeal("I0 is not *-closed")
     closure = ideal_closure(A, I0)
     inter = closure.intersect(A0)
     return inter == I0, inter

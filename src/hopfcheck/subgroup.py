@@ -25,6 +25,7 @@ from .corep import peter_weyl
 from .errors import NotHopfIdeal, SchemaError, TheoremViolation
 from .hopf import (
     HopfStarAlgebra,
+    _pair,
     check_axioms,
     convolve,
     coproduct_slice,
@@ -38,14 +39,13 @@ from .linalg import (
     Matrix,
     Subspace,
     add_terms,
-    basis_vec,
-    solve_linear,
     sparse_apply,
     sparse_column,
     sparse_compose,
     sparse_identity,
     sparse_image,
     sparse_null_space,
+    sparse_solve,
     sparse_vector,
     zero_vec,
 )
@@ -97,12 +97,8 @@ class QuantumSubgroup:
         return self.memo("haar_pi", compute)
 
     def haar_pi(self, vec):
-        """The composite functional h_N(pi(a)) on the parent."""
-        acc = self.parent.field.zero
-        for c, h in zip(vec, self.haar_pi_covector):
-            if c and h:
-                acc = acc + c * h
-        return acc
+        """The composite functional h_N(pi(a)) on a sparse vector of the parent."""
+        return _pair(vec, self.haar_pi_covector, self.parent.field.zero)
 
     def __repr__(self):
         return "QuantumSubgroup(dim %d -> %d)" % (self.parent.dim, self.quotient.dim)
@@ -184,8 +180,7 @@ def _certified_quotient(G: HopfStarAlgebra, I: Subspace):
 
 def trivial_subgroup(G: HopfStarAlgebra) -> QuantumSubgroup:
     """The quotient by the augmentation ideal ker(eps); N = C."""
-    ker = Matrix.from_rows(G.field, [list(G.counit)], ncols=G.dim).kernel()
-    return make_subgroup(G, ker)
+    return make_subgroup(G, _augmentation_ideal(G))
 
 
 def full_subgroup(G: HopfStarAlgebra) -> QuantumSubgroup:
@@ -201,7 +196,7 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
     The columns are summed over the sparse coproduct terms against the
     covector h_N o pi, which Q computes once from its sparse projection.
     """
-    return coproduct_slice(Q.parent, Q.haar_pi_covector, side)
+    return coproduct_slice(Q.parent, sparse_vector(Q.haar_pi_covector), side)
 
 
 def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
@@ -432,28 +427,29 @@ def normality_report(Q: QuantumSubgroup, P=None) -> NormalityReport:
 
 
 def _product_span(G, lefts, rights):
-    vecs = [G.product(x, y) for x in lefts for y in rights]
-    return Subspace.from_vectors(G.field, G.dim, vecs)
+    """The span of the products x y, x in lefts and y in rights (sparse
+    vectors; the basis e_i is sparse_identity)."""
+    return sparse_image(G.field, G.dim, [G.product(x, y) for x in lefts for y in rights])
+
+
+def _augmentation_ideal(G):
+    """ker(eps), the augmentation ideal."""
+    return sparse_null_space(G.field, G.dim, [sparse_vector(G.counit)])
 
 
 def augmentation_part(G, B: Subspace) -> Subspace:
     """B intersected with ker(eps)."""
-    ker = Matrix.from_rows(G.field, [list(G.counit)], ncols=G.dim).kernel()
-    return B.intersect(ker)
+    return B.intersect(_augmentation_ideal(G))
 
 
 def ideal_closure(H: HopfStarAlgebra, seed: Subspace) -> Subspace:
     """The two-sided ideal generated by a subspace, by span growth."""
-    full = [basis_vec(H.field, H.dim, i) for i in range(H.dim)]
+    basis = sparse_identity(H.field, H.dim)
     cur = seed
     while True:
-        vecs = cur.basis()
-        grown = list(vecs)
-        for v in vecs:
-            for e in full:
-                grown.append(H.product(e, v))
-                grown.append(H.product(v, e))
-        nxt = Subspace.from_vectors(H.field, H.dim, grown)
+        nxt = cur.sum_with(_product_span(H, basis, cur.rows)).sum_with(
+            _product_span(H, cur.rows, basis)
+        )
         if nxt == cur:
             return cur
         cur = nxt
@@ -469,50 +465,52 @@ def reconstruction_check(Q: QuantumSubgroup) -> bool:
     G = Q.parent
     A_GN, _ = coset_algebras(Q)
     aplus = augmentation_part(G, A_GN)
-    full = [basis_vec(G.field, G.dim, i) for i in range(G.dim)]
-    pa = aplus.basis()
-    s1 = _product_span(G, pa, full)
-    s2 = _product_span(G, full, pa)
+    basis = sparse_identity(G.field, G.dim)
+    s1 = _product_span(G, aplus.rows, basis)
+    s2 = _product_span(G, basis, aplus.rows)
     return s1 == Q.ideal and s2 == Q.ideal and ideal_closure(G, aplus) == Q.ideal
 
 
 def comodule_splitting(Q: QuantumSubgroup):
     """An exactly verified comodule section s of pi, as sparse columns:
-    pi s = id and (id (x) pi) Delta_G s = (s (x) id) Delta_N."""
+    pi s = id and (id (x) pi) Delta_G s = (s (x) id) Delta_N.
+
+    The unknowns are x[k * dn + a] = s[k][a]; each equation is a sparse
+    augmented row with its right-hand side at index d * dn, and sparse_solve
+    returns the echelon-canonical solution.
+    """
     G, N = Q.parent, Q.quotient
     d, dn = G.dim, N.dim
     field = G.field
+    zero = field.zero
     P = Q.proj_columns
-    unknowns = d * dn  # x[k * dn + a] = s[k][a]
-    rows = [zero_vec(field, unknowns) for _ in range(dn * dn)]  # (pi s)[b][a]
-    rhs = [field.one if a == b else field.zero for b in range(dn) for a in range(dn)]
+    unknowns = d * dn
+    eqs = [{} for _ in range(dn * dn)]  # (pi s)[b][a] = delta_ab
     for k, col in enumerate(P):
         for b, c in col:
             for a in range(dn):
-                rows[b * dn + a][k * dn + a] = c
-    # T1[(i, j)][k]: the (i, j) component of (id (x) pi) Delta(e_k)
-    T1 = [[field.zero] * d for _ in range(d * dn)]
+                eqs[b * dn + a][k * dn + a] = c
+    for b in range(dn):
+        eqs[b * dn + b][unknowns] = field.one
+    # t1[i, j]: {k: the (i, j) component of (id (x) pi) Delta(e_k)}
+    t1 = {}
     for k in range(d):
         for p, q, c in G.comult[k]:
             for j, pj in P[q]:
-                T1[p * dn + j][k] = T1[p * dn + j][k] + c * pj
+                row = t1.setdefault((p, j), {})
+                row[k] = row.get(k, zero) + c * pj
     for a in range(dn):
         for i in range(d):
             for j in range(dn):
-                row = zero_vec(field, unknowns)
-                for k in range(d):
-                    t = T1[i * dn + j][k]
-                    if t:
-                        row[k * dn + a] = row[k * dn + a] + t
+                row = {k * dn + a: t for k, t in t1.get((i, j), {}).items()}
                 for b, jj, c in N.comult[a]:
                     if jj == j:
-                        row[i * dn + b] = row[i * dn + b] - c
-                rows.append(row)
-                rhs.append(field.zero)
-    sol = solve_linear(Matrix.from_rows(field, rows, ncols=unknowns), rhs)
+                        row[i * dn + b] = row.get(i * dn + b, zero) - c
+                eqs.append(row)
+    sol = sparse_solve(field, unknowns, map(sparse_column, eqs))
     if sol is None:
         raise TheoremViolation("comodule splitting system is infeasible")
-    s = [sparse_column({k: sol[k * dn + a] for k in range(d)}) for a in range(dn)]
+    s = [tuple((k, sol[k * dn + a][0][1]) for k in range(d) if sol[k * dn + a]) for a in range(dn)]
     if sparse_compose(P, s) != sparse_identity(field, dn):
         raise TheoremViolation("the comodule splitting is not a section of pi")
     return s
@@ -569,6 +567,6 @@ def exact_sequence_check(Q: QuantumSubgroup) -> bool:
     except SchemaError:
         return False
     aplus = augmentation_part(G, A_GN)
-    if _product_span(G, [basis_vec(G.field, G.dim, i) for i in range(G.dim)], aplus.basis()) != Q.ideal:
+    if _product_span(G, sparse_identity(G.field, G.dim), aplus.rows) != Q.ideal:
         return False
     return G.dim == A_GN.dim * Q.quotient.dim

@@ -1,17 +1,97 @@
-"""Dense references for the maps that hopfcheck keeps as sparse columns.
+"""Dense references for the vectors and maps that hopfcheck keeps sparse.
 
-hopfcheck stores every linear map between algebras as sparse columns (see
-`hopfcheck.linalg`).  The helpers here compute the same maps the dense way,
-as a Matrix whose column i is the image of e_i, so the tests can compare
-the two: dense products and application, the projection onto the canonical
-complement obtained by reducing each e_j, and the convolution of two
-matrices summed over dense columns.  DenseEchelon is the row echelon form
-kept as dense rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
+hopfcheck stores every vector as a sorted sparse (index, scalar) tuple and
+every linear map between algebras as sparse columns (see
+`hopfcheck.linalg`).  The helpers here compute the same things the dense
+way, so the tests can compare the two: the product, coproduct, star,
+antipode and functionals of an algebra on dense vectors, the product of the
+dual algebra and the minimal polynomial of a corner element solved from
+stacked powers, maps as a Matrix whose column i is the image of e_i, dense
+products and application, the projection onto the canonical complement
+obtained by reducing each e_j, and the convolution of two matrices summed
+over dense columns.  DenseEchelon is the row echelon form kept as dense
+rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
 """
 
 from bisect import bisect_left
 
-from hopfcheck.linalg import Matrix, basis_vec, zero_vec
+from hopfcheck.hopf import HopfStarAlgebra
+from hopfcheck.linalg import Matrix, basis_vec, solve_linear, sparse_apply, zero_vec
+
+
+def dense_of(H, vec):
+    """The dense vector of a sparse vector of H."""
+    out = zero_vec(H.field, H.dim)
+    for j, c in vec:
+        out[j] = c
+    return out
+
+
+def dense_product(H, x, y):
+    """The product of two dense vectors of H."""
+    out = zero_vec(H.field, H.dim)
+    y_nz = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in y_nz:
+            for k, m in H.mult[i][j]:
+                out[k] = out[k] + xi * yj * m
+    return out
+
+
+def dense_comult(H, x):
+    """Delta(x) of a dense vector, flattened with index (j, k) -> j * d + k."""
+    d = H.dim
+    out = zero_vec(H.field, d * d)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, k, c in H.comult[i]:
+                out[j * d + k] = out[j * d + k] + xi * c
+    return out
+
+
+def dense_antipode(H, x):
+    return sparse_apply(H.field, H.dim, H.antipode, x)
+
+
+def dense_star(H, x):
+    return sparse_apply(H.field, H.dim, H.star, [c.conjugate() for c in x])
+
+
+def dense_value(field, covector, x):
+    """The value of a covector (H.counit, H.haar) on a dense vector."""
+    acc = field.zero
+    for c, f in zip(x, covector):
+        acc = acc + c * f
+    return acc
+
+
+def dual_product(H, f, g):
+    """Product in the dual algebra of dense functionals:
+    (f g)(e_i) = (f (x) g)(Delta e_i)."""
+    out = zero_vec(H.field, H.dim)
+    for i in range(H.dim):
+        acc = H.field.zero
+        for j, k, c in H.comult[i]:
+            acc = acc + f[j] * g[k] * c
+        out[i] = acc
+    return out
+
+
+def reference_min_poly(H, unit, x):
+    """Monic minimal polynomial, lowest degree first, of a dense element x
+    of the corner of the dual with unit `unit`: each new power is solved
+    against the stacked powers before it."""
+    powers = [list(unit)]
+    cur = list(x)
+    while True:
+        stacked = Matrix.from_rows(H.field, powers, ncols=H.dim)
+        sol = solve_linear(stacked.transpose(), cur)
+        if sol is not None:
+            return [-c for c in sol] + [H.field.one]
+        powers.append(cur)
+        cur = dual_product(H, cur, x)
 
 
 class DenseEchelon:
@@ -191,7 +271,7 @@ def reference_convolve(H, F, G):
     for i in range(d):
         acc = zero_vec(H.field, d)
         for j, k, c in H.comult[i]:
-            for t, p in enumerate(H.product(fcols[j], gcols[k])):
+            for t, p in enumerate(dense_product(H, fcols[j], gcols[k])):
                 if p:
                     acc[t] = acc[t] + c * p
         cols.append(acc)
@@ -214,3 +294,37 @@ def dense_entries(rows):
 def map_entries(cols):
     """The (i, j, c) entries of a map given by sparse columns."""
     return [(i, j, c) for i, col in enumerate(cols) for j, c in col]
+
+
+def rebased(H, rng):
+    """H in the basis f_i = T e_i for a random sparse unitriangular integer T,
+    so that ideals and projections stop being coordinate-aligned."""
+    field, d = H.field, H.dim
+    below = [field.one, -field.one] + [field.zero] * 6
+
+    def entry(i, j):
+        return field.one if i == j else rng.choice(below) if i > j else field.zero
+
+    T = Matrix(field, [[entry(i, j) for j in range(d)] for i in range(d)])
+    Tinv = solve_linear(T, Matrix.identity(field, d))
+    cols = columns(T)
+    mult = [
+        (i, j, k, c)
+        for i in range(d)
+        for j in range(d)
+        for k, c in enumerate(mat_apply(Tinv, dense_product(H, cols[i], cols[j])))
+    ]
+    comult = []
+    for i in range(d):
+        w = kron_apply(Tinv, Tinv, dense_comult(H, cols[i]))
+        comult += [(i, jk // d, jk % d, c) for jk, c in enumerate(w)]
+    counit = [dense_value(field, H.counit, c) for c in cols]
+    # T is rational, so conjugation commutes with it and * rebases like S
+
+    def rebase(cols):
+        M = matmul(matmul(Tinv, dense_matrix(field, d, cols)), T)
+        return [(i, j, M.rows[j][i]) for i in range(d) for j in range(d)]
+
+    return HopfStarAlgebra(
+        field, mult, mat_apply(Tinv, H.unit_vec()), comult, counit, rebase(H.antipode), rebase(H.star)
+    )

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -7,23 +9,19 @@ import pytest
 
 import hopfcheck
 import hopfcheck.corep
-from hopfcheck.catalog import CATALOG_NAMES
+from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra
 from hopfcheck.corep import Corepresentation, conjugate, fusion, peter_weyl
 from hopfcheck.errors import SchemaError, TheoremViolation
-from hopfcheck.linalg import Subspace, tensor_vec, zero_vec
+from hopfcheck.linalg import Subspace, sparse_vector, tensor_vec, zero_vec
+
+from dense_maps import dense_comult, dense_of
 
 
 def comult_apply(H, u):
-    """Image of a vector under the comultiplication, flattened to length d*d."""
-    d = H.dim
-    out = zero_vec(H.field, d * d)
-    for i in range(d):
-        if u[i].is_zero():
-            continue
-        for j, k, c in H.comult[i]:
-            out[j * d + k] = out[j * d + k] + u[i] * c
-    return out
+    """Image of a sparse vector under the comultiplication, flattened to a
+    dense vector of length d*d."""
+    return dense_comult(H, dense_of(H, u))
 
 
 # --- block decompositions ----------------------------------------------------
@@ -61,7 +59,7 @@ def test_trivial_corep_is_the_unit(algebras):
         P = peter_weyl(H)
         triv = P.coreps[P.triv_index]
         assert triv.dim == 1
-        assert triv.entries[0][0] == H.unit_vec()
+        assert dense_of(H, triv.entries[0][0]) == H.unit_vec()
 
 
 def test_every_corep_verifies(algebras):
@@ -83,7 +81,7 @@ def test_corep_counit_and_comult_identities(algebras):
             lhs = comult_apply(H, c.entries[i][j])
             rhs = zero_vec(H.field, H.dim * H.dim)
             for k in range(2):
-                t = tensor_vec(c.entries[i][k], c.entries[k][j])
+                t = tensor_vec(dense_of(H, c.entries[i][k]), dense_of(H, c.entries[k][j]))
                 rhs = [a + b for a, b in zip(rhs, t)]
             assert lhs == rhs
 
@@ -93,8 +91,8 @@ def test_group_algebra_coreps_are_group_likes(algebras):
     P = peter_weyl(H)
     seen = set()
     for c in P.coreps:
-        u = c.entries[0][0]
-        assert comult_apply(H, u) == tensor_vec(u, u)
+        u = dense_of(H, c.entries[0][0])
+        assert comult_apply(H, c.entries[0][0]) == tensor_vec(u, u)
         nonzero = [i for i, x in enumerate(u) if not x.is_zero()]
         assert len(nonzero) == 1 and u[nonzero[0]].is_one()
         seen.add(nonzero[0])
@@ -150,7 +148,7 @@ def test_character_orthonormality(algebras):
 def test_standard_character_values(algebras):
     H = algebras["f_s3"]
     c = peter_weyl(H).coreps[2]
-    by_label = dict(zip(H.labels, c.character()))
+    by_label = dict(zip(H.labels, dense_of(H, c.character())))
     assert by_label["e"].as_fraction() == 2
     for t in ("(12)", "(13)", "(23)"):
         assert by_label[t].is_zero()
@@ -200,7 +198,7 @@ def test_fusion_of_group_algebra_is_group_law(algebras):
     P = peter_weyl(H)
     N = fusion(P)
     # identify each corep with its supporting group element
-    elem = [next(i for i, x in enumerate(c.entries[0][0]) if not x.is_zero()) for c in P.coreps]
+    elem = [c.entries[0][0][0][0] for c in P.coreps]
     from hopfcheck.catalog import build_group
 
     G = build_group("s3")
@@ -214,7 +212,7 @@ def test_conjugates_pair_inverse_group_likes(algebras):
     H = algebras["c_s3"]
     P = peter_weyl(H)
     N = fusion(P)
-    elem = [next(i for i, x in enumerate(c.entries[0][0]) if not x.is_zero()) for c in P.coreps]
+    elem = [c.entries[0][0][0][0] for c in P.coreps]
     from hopfcheck.catalog import build_group
 
     G = build_group("s3")
@@ -270,15 +268,15 @@ def test_corepresentation_shape_is_checked():
     with pytest.raises(SchemaError):
         Corepresentation(H, [])
     with pytest.raises(SchemaError):
-        Corepresentation(H, [[H.unit_vec(), H.unit_vec()]])
+        Corepresentation(H, [[sparse_vector(H.unit), sparse_vector(H.unit)]])
 
 
 def test_corrupted_entry_fails_the_comultiplication_law(algebras):
     H = algebras["f_s3"]
     c = next(c for c in peter_weyl(H).coreps if c.dim == 2)
-    entries = [[list(v) for v in row] for row in c.entries]
+    entries = [list(row) for row in c.entries]
     # u_11 first enters the law at entry (0, 1): Delta(u_01) = u_00 (x) u_01 + u_01 (x) u_11
-    entries[1][1] = [a + b for a, b in zip(entries[1][1], H.unit_vec())]
+    entries[1][1] = sparse_vector([a + b for a, b in zip(dense_of(H, entries[1][1]), H.unit_vec())])
     bad = Corepresentation(H, entries)
     assert bad.verify() == "comultiplication law fails at entry (0, 1)"
     with pytest.raises(TheoremViolation, match=r"comultiplication law fails at entry \(0, 1\)"):
@@ -287,34 +285,89 @@ def test_corrupted_entry_fails_the_comultiplication_law(algebras):
 
 def test_zero_matrix_fails_the_counit_law(algebras):
     H = algebras["f_s3"]
-    bad = Corepresentation(H, [[zero_vec(H.field, H.dim)]])
+    bad = Corepresentation(H, [[()]])
     assert bad.verify() == "counit law fails at entry (0, 0)"
     with pytest.raises(TheoremViolation, match=r"counit law fails at entry \(0, 0\)"):
         hopfcheck.corep._verified(bad)
 
 
+# --- pinned output ----------------------------------------------------------------
+
+# sha256 prefixes of pw_digest for every catalog algebra at gauges 0 and 3,
+# taken when corepresentation entries were still dense vectors
+PW_DIGESTS = {
+    "c_s3/0": "7a195f41ac8f753a",
+    "c_s3/3": "7a195f41ac8f753a",
+    "c_z3/0": "224f995a4ae25013",
+    "c_z3/3": "224f995a4ae25013",
+    "f_d4/0": "4f3fec72e724bf7e",
+    "f_d4/3": "48316e52792c6040",
+    "f_s3/0": "fc66026fa64c8f3d",
+    "f_s3/3": "fc66026fa64c8f3d",
+    "f_z2/0": "748f76b19337a706",
+    "f_z2/3": "748f76b19337a706",
+    "f_z2_x_f_z3/0": "f0b8ada2304f9c50",
+    "f_z2_x_f_z3/3": "f0b8ada2304f9c50",
+    "f_z3/0": "e0d7a59f2a30e610",
+    "f_z3/3": "e0d7a59f2a30e610",
+    "f_z3_rtimes_z2/0": "6f14960bb76116ec",
+    "f_z3_rtimes_z2/3": "6f14960bb76116ec",
+    "f_z6/0": "5afa14d3bc14f0ad",
+    "f_z6/3": "5afa14d3bc14f0ad",
+}
+
+
+def pw_digest(P):
+    """The sha256 prefix of the dims, trivial index, block rows and entries."""
+
+    def vec(v):
+        return [[j, repr(c)] for j, c in v]
+
+    data = {
+        "dims": P.dims,
+        "trivial": P.triv_index,
+        "blocks": [[vec(row) for row in b.rows] for b in P.blocks()],
+        "entries": [[[vec(v) for v in row] for row in c.entries] for c in P.coreps],
+    }
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(PW_DIGESTS))
+def test_peter_weyl_output_is_pinned(case):
+    name, gauge = case.split("/")
+    assert pw_digest(peter_weyl(build_algebra(name), gauge=int(gauge))) == PW_DIGESTS[case]
+
+
 # --- checks survive python -O -----------------------------------------------------
 
 
-def test_missing_dual_functionals_raise_under_optimize(monkeypatch):
+def test_mismatched_coefficient_space_raises_under_optimize(monkeypatch):
+    # a coefficient space (image of (id (x) p) Delta) that is empty cannot
+    # match the dual block of p
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
     code = (
         "import hopfcheck.corep as corep\n"
         "from hopfcheck.constructions import FiniteGroup, function_algebra\n"
         "from hopfcheck.errors import TheoremViolation\n"
         "assert False, 'asserts are live'\n"
-        "corep.solve_linear = lambda A, b: None\n"
+        "real = corep.coproduct_slice\n"
+        "corep.coproduct_slice = lambda H, f, side: real(H, f, side) if side == 'left' else [()] * H.dim\n"
         "try:\n"
         "    corep.peter_weyl(function_algebra(FiniteGroup.symmetric(3)))\n"
-        "except TheoremViolation:\n"
-        "    print('TheoremViolation')\n"
+        "except TheoremViolation as exc:\n"
+        "    print(exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "TheoremViolation"
-    monkeypatch.setattr(hopfcheck.corep, "solve_linear", lambda A, b: None)
-    with pytest.raises(TheoremViolation):
+    assert proc.stdout.strip() == "coefficient space does not match the dual block"
+    real = hopfcheck.corep.coproduct_slice
+    monkeypatch.setattr(
+        hopfcheck.corep,
+        "coproduct_slice",
+        lambda H, f, side: real(H, f, side) if side == "left" else [()] * H.dim,
+    )
+    with pytest.raises(TheoremViolation, match="coefficient space does not match the dual block"):
         peter_weyl(function_algebra(FiniteGroup.symmetric(3)))

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,21 +8,29 @@ import pytest
 
 import hopfcheck
 import hopfcheck.splitting as splitting
+from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, function_algebra
+from hopfcheck.corep import peter_weyl
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import SplittingFailed
-from hopfcheck.linalg import Matrix
+from hopfcheck.hopf import dual
+from hopfcheck.linalg import Matrix, sparse_vector
 from hopfcheck.splitting import (
     _lll_candidates,
     center_of_dual,
-    dual_product,
-    dual_unit,
     exact_eigen_split,
     exact_poly_roots,
     split_center,
 )
 
-from dense_maps import mat_apply
+from dense_maps import (
+    dense_of,
+    dense_product,
+    dual_product,
+    mat_apply,
+    rebased,
+    reference_min_poly,
+)
 
 
 # --- polynomial roots ------------------------------------------------------
@@ -135,17 +144,18 @@ def test_center_dimensions(algebras):
 def test_split_center_gives_orthogonal_idempotents(algebras):
     for name in ("f_s3", "c_s3", "f_d4"):
         H = algebras[name]
+        D = dual(H)
         idems = split_center(H)
         assert len(idems) == center_of_dual(H).dim
         total = [H.field.zero] * H.dim
         for e in idems:
-            assert dual_product(H, e, e) == e
-            total = [a + b for a, b in zip(total, e)]
-        assert total == dual_unit(H)
+            assert D.product(e, e) == e
+            total = [a + b for a, b in zip(total, dense_of(D, e))]
+        assert total == D.unit
         for i, ei in enumerate(idems):
             for j, ej in enumerate(idems):
                 if i != j:
-                    assert all(c.is_zero() for c in dual_product(H, ei, ej))
+                    assert D.product(ei, ej) == ()
 
 
 def test_split_center_degree_four_fields():
@@ -156,7 +166,57 @@ def test_split_center_degree_four_fields():
         idems = split_center(F)
         assert len(idems) == n
         for e in idems:
-            assert dual_product(F, e, e) == e
+            assert dual(F).product(e, e) == e
+
+
+# --- sparse products and minimal polynomials against dense references -------
+
+
+SPLIT_INPUTS = sorted(CATALOG_NAMES) + ["F(S3)xZ2", "c_s3 rebased"]
+
+
+def split_input(name, s3_crossed):
+    """A catalog algebra, F(S3)x|Z2, or C(S3) in a non-coordinate basis."""
+    if name == "F(S3)xZ2":
+        return s3_crossed()
+    if name == "c_s3 rebased":
+        return rebased(build_algebra("c_s3"), random.Random("certificate " + name))
+    return build_algebra(name)
+
+
+@pytest.mark.parametrize("name", SPLIT_INPUTS)
+def test_sparse_products_and_min_polys_match_dense_references(name, s3_crossed, monkeypatch):
+    calls = []
+    real = splitting._min_poly
+
+    def recording(D, unit, x):
+        poly = real(D, unit, x)
+        calls.append((unit, x, poly))
+        return poly
+
+    monkeypatch.setattr(splitting, "_min_poly", recording)
+    H = split_input(name, s3_crossed)
+    rng = random.Random("sparse products " + name)
+    for A in (H, dual(H)):
+        field, d = A.field, A.dim
+        coeffs = [field.zero, field.zero, field.one, -field.one, field.scalar(2), field.zeta()]
+        vecs = [sparse_vector([rng.choice(coeffs) for _ in range(d)]) for _ in range(4)]
+        for x in vecs:
+            for y in vecs:
+                want = dense_product(A, dense_of(A, x), dense_of(A, y))
+                assert dense_of(A, A.product(x, y)) == want
+        # the dual product on the central idempotents and random functionals
+        D = dual(A)
+        vecs += split_center(A)
+        for f in vecs:
+            for g in vecs:
+                assert dense_of(D, D.product(f, g)) == dual_product(A, dense_of(D, f), dense_of(D, g))
+        # every minimal polynomial found while splitting A
+        calls.clear()
+        P = peter_weyl(A, force_recompute=True)
+        assert calls or all(dim == 1 for dim in P.dims)
+        for unit, x, poly in calls:
+            assert poly == reference_min_poly(A, dense_of(D, unit), dense_of(D, x))
 
 
 # --- integer-relation reconstruction ----------------------------------------
@@ -228,9 +288,11 @@ def test_lll_runs_only_after_the_cheap_guesses_fail(monkeypatch):
 def test_failed_verifications_raise_under_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
     code = (
+        "import hopfcheck.corep as corep\n"
         "import hopfcheck.splitting as splitting\n"
         "from hopfcheck.constructions import FiniteGroup, function_algebra\n"
         "from hopfcheck.corep import peter_weyl\n"
+        "from hopfcheck.hopf import dual\n"
         "from hopfcheck.errors import TheoremViolation\n"
         "from hopfcheck.linalg import Subspace, basis_vec, zero_vec\n"
         "assert False, 'asserts are live'\n"
@@ -244,23 +306,29 @@ def test_failed_verifications_raise_under_optimize():
         "        print(name, exc)\n"
         "H = fresh()\n"
         "run('clean', lambda: peter_weyl(H))\n"
-        "real_center, real_unit = splitting.center_of_dual, splitting.dual_unit\n"
+        "real_center = splitting.center_of_dual\n"
         "def not_closed(H):\n"
         "    idx = [H.labels.index(g) for g in ('(12)', '(13)')]\n"
         "    return Subspace.from_vectors(H.field, H.dim, [basis_vec(H.field, H.dim, i) for i in idx])\n"
         "splitting.center_of_dual = not_closed\n"
         "run('center', lambda: splitting.split_center(fresh()))\n"
         "splitting.center_of_dual = real_center\n"
-        "splitting.dual_unit = lambda H: zero_vec(H.field, H.dim)\n"
-        "run('unit', lambda: splitting.split_center(fresh()))\n"
-        "splitting.dual_unit = real_unit\n"
-        "real_product = splitting._Corner.product\n"
-        "def squared_wrong(self, x, y):\n"
-        "    out = real_product(self, x, y)\n"
-        "    if x is y:\n"
-        "        out[0] = out[0] + self.H.field.one\n"
-        "    return out\n"
-        "splitting._Corner.product = squared_wrong\n"
+        "H = fresh()\n"
+        "dual(H).unit = zero_vec(H.field, H.dim)\n"
+        "run('unit', lambda: splitting.split_center(H))\n"
+        "real_find = corep.find_primitive_idempotent\n"
+        "def squared_wrong(H, *args):\n"
+        "    D = dual(H)\n"
+        "    real_product = D.product\n"
+        "    def product(x, y):\n"
+        "        out = real_product(x, y)\n"
+        "        return tuple((j, c + c) for j, c in out) if x is y else out\n"
+        "    D.product = product\n"
+        "    try:\n"
+        "        return real_find(H, *args)\n"
+        "    finally:\n"
+        "        del D.product\n"
+        "corep.find_primitive_idempotent = squared_wrong\n"
         "run('corner', lambda: peter_weyl(fresh()))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
