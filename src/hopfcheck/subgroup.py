@@ -199,27 +199,37 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
     return coproduct_slice(Q.parent, sparse_vector(Q.haar_pi_covector), side)
 
 
+def _coaction_table(Q: QuantumSubgroup, side: str):
+    """{(j, b): {i: the coefficient of e_j (x) f_b in (id (x) pi) Delta(e_i)}}
+    for side "right", or of f_b (x) e_j in (pi (x) id) Delta(e_i) for side
+    "left", summed over the sparse coproduct terms and projection columns."""
+    G = Q.parent
+    zero = G.field.zero
+    P = Q.proj_columns
+    table = {}
+    for i in range(G.dim):
+        for j, k, c in G.comult[i]:
+            kept, projected = (j, k) if side == "right" else (k, j)
+            for b, p in P[projected]:
+                row = table.setdefault((kept, b), {})
+                row[i] = row.get(i, zero) + c * p
+    return table
+
+
 def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
     """The a with (id (x) pi) Delta(a) = a (x) 1_N (side "right"), or
     (pi (x) id) Delta(a) = 1_N (x) a (side "left").
 
     Each equation is the (j, b) coefficient of e_j (x) f_b (right; f_b (x)
-    e_j on the left), gathered as a sparse row over the sparse coproduct
-    terms and projection columns.  Repeated rows (after scaling to a leading
-    1) are dropped: the kernel is canonical, so they cannot change it.
+    e_j on the left): a row of _coaction_table, minus the a (x) 1_N term.
+    Repeated rows (after scaling to a leading 1) are dropped: the kernel is
+    canonical, so they cannot change it.
     """
-    G = Q.parent
-    field, d = G.field, G.dim
+    field, d = Q.parent.field, Q.parent.dim
     zero = field.zero
-    P = Q.proj_columns
     neg_unit = [(b, -u) for b, u in enumerate(Q.quotient.unit) if u]
-    rows = {}
+    rows = _coaction_table(Q, side)
     for i in range(d):
-        for j, k, c in G.comult[i]:
-            kept, projected = (j, k) if side == "right" else (k, j)
-            for b, p in P[projected]:
-                row = rows.setdefault((kept, b), {})
-                row[i] = row.get(i, zero) + c * p
         for b, u in neg_unit:
             row = rows.setdefault((i, b), {})
             row[i] = row.get(i, zero) + u
@@ -241,20 +251,20 @@ def coset_algebras(Q: QuantumSubgroup):
     left.  Both routes work from the sparse structure constants and the
     sparse projection; a disagreement raises TheoremViolation.
     """
-    cached = Q.meta.get("cosets")
-    if cached is not None:
-        return cached
-    field, d = Q.parent.field, Q.parent.dim
-    A_GN = _invariance_kernel(Q, "right")
-    A_NG = _invariance_kernel(Q, "left")
-    img_r = sparse_image(field, d, conditional_expectation(Q, "right"))
-    img_l = sparse_image(field, d, conditional_expectation(Q, "left"))
-    if A_GN != img_r:
-        raise TheoremViolation("invariance kernel and expectation image disagree (right)")
-    if A_NG != img_l:
-        raise TheoremViolation("invariance kernel and expectation image disagree (left)")
-    Q.meta["cosets"] = (A_GN, A_NG)
-    return A_GN, A_NG
+
+    def compute():
+        field, d = Q.parent.field, Q.parent.dim
+        A_GN = _invariance_kernel(Q, "right")
+        A_NG = _invariance_kernel(Q, "left")
+        img_r = sparse_image(field, d, conditional_expectation(Q, "right"))
+        img_l = sparse_image(field, d, conditional_expectation(Q, "left"))
+        if A_GN != img_r:
+            raise TheoremViolation("invariance kernel and expectation image disagree (right)")
+        if A_NG != img_l:
+            raise TheoremViolation("invariance kernel and expectation image disagree (left)")
+        return A_GN, A_NG
+
+    return Q.memo("cosets", compute)
 
 
 def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
@@ -493,12 +503,7 @@ def comodule_splitting(Q: QuantumSubgroup):
     for b in range(dn):
         eqs[b * dn + b][unknowns] = field.one
     # t1[i, j]: {k: the (i, j) component of (id (x) pi) Delta(e_k)}
-    t1 = {}
-    for k in range(d):
-        for p, q, c in G.comult[k]:
-            for j, pj in P[q]:
-                row = t1.setdefault((p, j), {})
-                row[k] = row.get(k, zero) + c * pj
+    t1 = _coaction_table(Q, "right")
     for a in range(dn):
         for i in range(d):
             for j in range(dn):

@@ -151,9 +151,9 @@ def test_seeded_splitting_mismatch_exits_3_under_optimize():
         "import hopfcheck.cli as cli\n"
         "assert False, 'asserts are live'\n"
         "real = cli.peter_weyl\n"
-        "def reseeded(H, force_recompute=False, gauge=0):\n"
-        "    P = real(H, force_recompute=force_recompute, gauge=gauge)\n"
-        "    if force_recompute:\n"
+        "def reseeded(H, gauge=0):\n"
+        "    P = real(H, gauge=gauge)\n"
+        "    if gauge:\n"
         "        P._blocks = list(reversed(P.blocks()))\n"
         "    return P\n"
         "cli.peter_weyl = reseeded\n"
@@ -293,6 +293,17 @@ def test_json_report_is_seed_independent(tmp_path, capsys):
     rep = json.loads(b1)
     # the destination and gauge flags are not part of the logical command
     assert rep["command"] == ["irreps", cat("f_s3.hopf.json")]
+
+
+def test_json_flag_writes_the_same_report_in_both_forms(tmp_path, capsys):
+    j1 = str(tmp_path / "r1.json")
+    j2 = str(tmp_path / "r2.json")
+    rc1 = main(["axioms", cat("f_z2.hopf.json"), "--json", j1])
+    rc2 = main(["axioms", cat("f_z2.hopf.json"), "--json=" + j2])
+    capsys.readouterr()
+    assert rc1 == rc2 == 0
+    assert os.path.isfile(j2)
+    assert open(j1, "rb").read() == open(j2, "rb").read()
 
 
 def test_dispatch_is_deterministic():

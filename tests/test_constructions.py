@@ -36,6 +36,7 @@ from hopfcheck.linalg import Matrix, Subspace, basis_vec, tensor_vec
 from hopfcheck.subgroup import coset_algebras, make_subgroup, normality_report
 
 from dense_maps import dense_entries, map_entries
+from product_coreps import crossed_coreps, group_likes, tensor_coreps
 
 
 def klein_four():
@@ -380,6 +381,43 @@ def test_crossed_irrep_count(algebras):
     A = X.meta["inner"]
     n_inner = len(peter_weyl(A).coreps)
     assert len(peter_weyl(X).coreps) == n_inner * X.meta["group"].order
+
+
+def assert_peter_weyl_spanned_by(X, refs):
+    """Every reference corepresentation verifies, and peter_weyl(X) has
+    their dimensions and their blocks."""
+    for c in refs:
+        assert c.verify() is None
+    P = peter_weyl(X)
+    assert P.dims == sorted(c.dim for c in refs)
+    key = Subspace.sort_key
+    assert sorted(P.blocks(), key=key) == sorted((c.block() for c in refs), key=key)
+
+
+def test_tensor_corepresentations_are_products_of_group_likes():
+    X = tensor_product(group_algebra(FiniteGroup.symmetric(3)), group_algebra(FiniteGroup.cyclic(3)))
+    A, B = X.meta["factors"]
+    assert_peter_weyl_spanned_by(A, group_likes(A))
+    assert_peter_weyl_spanned_by(B, group_likes(B))
+    assert_peter_weyl_spanned_by(X, tensor_coreps(X, peter_weyl(A).coreps, peter_weyl(B).coreps))
+
+
+def drinfeld_double_s3():
+    """D(S3) = F(S3) x| S3, S3 acting by conjugation."""
+    S3 = FiniteGroup.symmetric(3)
+    F = function_algebra(S3)
+    one = F.field.one
+    conj = [
+        [(j, S3.mul(S3.mul(t, j), S3.inv(t)), one) for j in range(S3.order)]
+        for t in range(S3.order)
+    ]
+    return crossed_product(F, GroupAction(S3, F, conj))
+
+
+@pytest.mark.parametrize("name", ["F(S3)xZ2", "D(S3)"])
+def test_crossed_corepresentations_are_inner_ones_times_group_likes(name, s3_crossed):
+    X = s3_crossed() if name == "F(S3)xZ2" else drinfeld_double_s3()
+    assert_peter_weyl_spanned_by(X, crossed_coreps(X, peter_weyl(X.meta["inner"]).coreps))
 
 
 def test_crossed_canonical_subgroup(algebras):

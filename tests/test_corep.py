@@ -232,7 +232,7 @@ def test_forced_recompute_agrees(algebras):
     H = algebras["f_s3"]
     P0 = peter_weyl(H)
     for gauge in (1, 3):
-        P1 = peter_weyl(H, force_recompute=True, gauge=gauge)
+        P1 = peter_weyl(H, gauge=gauge)
         assert P1 is not P0
         assert P1.dims == P0.dims
         assert P1.blocks() == P0.blocks()
@@ -242,10 +242,10 @@ def test_forced_recompute_agrees(algebras):
 
 def test_forced_recompute_leaves_the_memo():
     H = function_algebra(FiniteGroup.symmetric(3))
-    peter_weyl(H, force_recompute=True)
+    peter_weyl(H, gauge=1)
     assert H._pw_cache is None
     P0 = peter_weyl(H)
-    assert peter_weyl(H, force_recompute=True) is not P0
+    assert peter_weyl(H, gauge=1) is not P0
     assert peter_weyl(H) is P0
 
 
@@ -254,10 +254,10 @@ def test_each_corepresentation_is_verified_once(monkeypatch):
     verify = Corepresentation.verify
     monkeypatch.setattr(Corepresentation, "verify", lambda c: calls.append(c.dim) or verify(c))
     S3 = FiniteGroup.symmetric(3)
-    # computed path: the split blocks of F(S3) have dimensions 1, 1, 2
+    # the split blocks of F(S3) have dimensions 1, 1, 2
     peter_weyl(function_algebra(S3))
     assert sorted(calls) == [1, 1, 2]
-    # attached path: the six group-likes of C(S3)
+    # the six group-likes of C(S3) are split too, one block of dimension 1 each
     calls.clear()
     peter_weyl(group_algebra(S3))
     assert calls == [1] * 6

@@ -213,7 +213,7 @@ def test_sparse_products_and_min_polys_match_dense_references(name, s3_crossed, 
                 assert dense_of(D, D.product(f, g)) == dual_product(A, dense_of(D, f), dense_of(D, g))
         # every minimal polynomial found while splitting A
         calls.clear()
-        P = peter_weyl(A, force_recompute=True)
+        P = peter_weyl(A)
         assert calls or all(dim == 1 for dim in P.dims)
         for unit, x, poly in calls:
             assert poly == reference_min_poly(A, dense_of(D, unit), dense_of(D, x))

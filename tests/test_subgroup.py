@@ -382,7 +382,7 @@ def test_extreme_subgroups_are_normal(algebras):
 
 def test_normality_gauge_independent(algebras):
     H = algebras["f_s3"]
-    P2 = peter_weyl(H, force_recompute=True, gauge=2)
+    P2 = peter_weyl(H, gauge=2)
     for Q in (a3_subgroup(algebras), t12_subgroup(algebras)):
         base = normality_report(Q)
         again = normality_report(Q, P2)
