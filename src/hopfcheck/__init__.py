@@ -26,7 +26,7 @@ from .errors import (
     SplittingFailed,
     TheoremViolation,
 )
-from .linalg import Echelon, Matrix, Subspace, solve_linear
+from .linalg import Echelon, Matrix, Subspace
 
 __all__ = [
     "CycField",
@@ -36,7 +36,6 @@ __all__ = [
     "Echelon",
     "Matrix",
     "Subspace",
-    "solve_linear",
     "HopfcheckError",
     "SchemaError",
     "FieldOrderMismatch",

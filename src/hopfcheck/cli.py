@@ -70,9 +70,12 @@ def _sha256(path: str) -> str:
 
 @functools.cache
 def _build_parser():  # built on first use, then kept for the process
+    # no abbreviated options: main and _echo_command find --json and --seed
+    # in argv by their full names
     parser = argparse.ArgumentParser(
         prog="hopfcheck",
         description="exact checks for finite quantum groups given by structure constants",
+        allow_abbrev=False,
     )
     parser.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     parser.add_argument(
@@ -82,13 +85,13 @@ def _build_parser():  # built on first use, then kept for the process
         help="gauge for randomized splitting heuristics; results never depend on it",
     )
     # accept the global flags after the subcommand too, without clobbering
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--json", metavar="PATH", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     def sp(name, help_text, with_file=True):
-        p = subs.add_parser(name, help=help_text, parents=[common])
+        p = subs.add_parser(name, help=help_text, parents=[common], allow_abbrev=False)
         if with_file:
             p.add_argument("file", help="algebra file (.hopf.json)")
         return p

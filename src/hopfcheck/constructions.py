@@ -572,13 +572,15 @@ def _crossed_info(X):
     return X.meta
 
 
-def crossed_general_subgroup(X: HopfStarAlgebra, I, K) -> QuantumSubgroup:
+def crossed_general_subgroup(X: HopfStarAlgebra, I: Subspace, K) -> QuantumSubgroup:
     """The subgroup (A/I) x| (Gamma/K) of A x| Gamma.
 
-    I must be an action-invariant Hopf *-ideal with A/I normal in A, and K a
-    normal subgroup of Gamma acting trivially.  The coset algebra is checked
-    to be the span of B x| K for B the coset algebra of the inner pair, and
-    the trivial-set size must factor accordingly.
+    I must be an action-invariant Hopf *-ideal with A/I normal in A, given
+    as a Subspace of A over A's field or a subfield (its rows are lifted
+    into A's field), and K a normal subgroup of Gamma acting trivially.  The
+    coset algebra is checked to be the span of B x| K for B the coset
+    algebra of the inner pair, and the trivial-set size must factor
+    accordingly.
     """
     info = _crossed_info(X)
     A, G, action = info["inner"], info["group"], info["action"]
@@ -593,10 +595,9 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I, K) -> QuantumSubgroup:
         if t not in kernel:
             raise KNotInKernel("group element %s acts nontrivially" % G.labels[t])
 
-    vecs = I.basis() if isinstance(I, Subspace) else [list(v) for v in I]
-    I = Subspace.from_vectors(
-        field, dA, [[field.lift(x) for x in v] for v in vecs]
-    )
+    if not isinstance(I, Subspace) or I.ambient != dA:
+        raise SchemaError("the inner ideal must be a Subspace of field^%d" % dA)
+    I = sparse_image(field, dA, [tuple((j, field.lift(c)) for j, c in row) for row in I.rows])
     for t in range(o):
         if I.map_by(action.maps[t], dA) != I:
             raise InvarianceViolated(

@@ -73,7 +73,7 @@ class Corepresentation:
         u = self.entries
         for i in range(d):
             for j in range(d):
-                diff = _coproduct(H, u[i][j])
+                diff = H.coproduct(u[i][j])
                 for k in range(d):
                     right = u[k][j]
                     for a, x in u[i][k]:
@@ -101,17 +101,6 @@ class Corepresentation:
         return None
 
 
-def _coproduct(H, support):
-    """Delta of the vector with this support, as a dict (a, b) -> the
-    coefficient of e_a (x) e_b; terms that cancel stay as zeros."""
-    out = {}
-    for x, vx in support:
-        for a, b, c in H.comult[x]:
-            v = vx * c
-            out[a, b] = out[a, b] + v if (a, b) in out else v
-    return out
-
-
 class PeterWeylData:
     """The full list of irreducible corepresentations of one algebra, with
     the coefficient block (the span of the entries) of each."""
@@ -133,9 +122,6 @@ class PeterWeylData:
 
     def __len__(self):
         return len(self.coreps)
-
-    def summary(self):
-        return {"dims": self.dims, "trivial": self.triv_index}
 
 
 def _trivial_index(H, coreps):
@@ -205,7 +191,7 @@ def _extract_block(H, p, gauge):
     entries = []
     for r in V.rows:
         slices = {}
-        for (a, b), w in _coproduct(H, r).items():
+        for (a, b), w in H.coproduct(r).items():
             slices.setdefault(b, {})[a] = w
         entries.append([sparse_column(slices.get(pl, {})) for pl in V.pivots])
     corep = Corepresentation(H, entries)

@@ -39,8 +39,9 @@ its dual (see corep).
 
 Vectors are sparse, the form of a column of H.antipode: H.product,
 H.antipode_vec and H.star_vec take and return sorted (index, scalar) tuples,
-and H.counit_of and H.haar_of evaluate the dense covectors H.counit and
-H.haar on them.  H.unit and H.counit stay dense lists, as in the file.
+H.coproduct takes one and returns a dict over index pairs, and H.counit_of
+and H.haar_of evaluate the dense covectors H.counit and H.haar on them.
+H.unit and H.counit stay dense lists, as in the file.
 Every linear map between algebras (a quotient projection, a subalgebra
 inclusion, a coproduct slice, a convolution) is a list of sparse columns
 (see linalg).  morphism_failure is the one test of
@@ -140,9 +141,6 @@ class HopfStarAlgebra:
 
     # -- basic maps ---------------------------------------------------------
 
-    def unit_vec(self):
-        return list(self.unit)
-
     def product(self, x, y):
         """The product of two sparse vectors, a sparse vector."""
         acc = {}
@@ -153,6 +151,16 @@ class HopfStarAlgebra:
                 if terms:
                     add_terms(acc, xi * yj, terms)
         return sparse_column(acc)
+
+    def coproduct(self, x):
+        """Delta of a sparse vector, as a dict {(a, b): the coefficient of
+        e_a (x) e_b}; terms that cancel stay as zeros."""
+        out = {}
+        for i, xi in x:
+            for a, b, c in self.comult[i]:
+                v = xi * c
+                out[a, b] = out[a, b] + v if (a, b) in out else v
+        return out
 
     def counit_of(self, x):
         return _pair(x, self.counit, self.field.zero)

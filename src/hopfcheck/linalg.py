@@ -4,10 +4,9 @@ A vector is sparse: the (index, entry) pairs with entry != 0, sorted by
 index.  Echelon and Subspace.rows keep such rows in reduced row echelon
 form, so equal subspaces have equal rows, and every solver returns the
 echelon-canonical answer (free variables pinned to zero).  Dense vectors
-(lists of CycScalar) are only the boundary: Subspace.from_vectors, contains
-and coordinates take them, Subspace.basis() is the dense view, and
-zero_vec, basis_vec and tensor_vec build them for input files, reports and
-tests.
+(lists of CycScalar) are only the boundary: Subspace.from_vectors takes
+them, Subspace.basis() is the dense view, and zero_vec, basis_vec and
+tensor_vec build them for input files, reports and tests.
 
 A linear map field^m -> field^n is a list of m sparse columns: column i is
 the image of e_i.  sparse_apply, sparse_compose, sparse_image and
@@ -380,14 +379,6 @@ class Subspace:
 
     def echelon(self):
         return Echelon(self.field, self.rows)
-
-    def contains(self, vec):
-        """Whether the dense vector vec lies in the subspace."""
-        return self.echelon().contains(sparse_vector(vec))
-
-    def coordinates(self, vec):
-        """The coordinates of the dense vector vec on the rows, or None."""
-        return self.echelon().coefficients(sparse_vector(vec))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -39,7 +39,6 @@ from .linalg import (
     Matrix,
     Subspace,
     add_terms,
-    sparse_apply,
     sparse_column,
     sparse_compose,
     sparse_identity,
@@ -47,7 +46,6 @@ from .linalg import (
     sparse_null_space,
     sparse_solve,
     sparse_vector,
-    zero_vec,
 )
 
 
@@ -77,13 +75,6 @@ class QuantumSubgroup:
         if key not in self.meta:
             self.meta[key] = compute()
         return self.meta[key]
-
-    def pi(self, vec):
-        return sparse_apply(self.parent.field, self.quotient.dim, self.proj_columns, vec)
-
-    @property
-    def haar_N(self):
-        return self.quotient.haar
 
     @property
     def haar_pi_covector(self):
@@ -126,7 +117,7 @@ def check_hopf_ideal(G: HopfStarAlgebra, I: Subspace):
     return (True, None) if failed is None else (False, {"condition": failed})
 
 
-def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
+def make_subgroup(G: HopfStarAlgebra, I: Subspace) -> QuantumSubgroup:
     """Quotient G by a Hopf *-ideal, on the echelon-canonical complement.
 
     The quotient structure is induced through the projection G -> G/I, and
@@ -143,8 +134,6 @@ def make_subgroup(G: HopfStarAlgebra, I) -> QuantumSubgroup:
     is solved here.  Otherwise the quotient runs the full check_axioms.
     Either way it is recorded as verified, so its own quotients skip that.
     """
-    if not isinstance(I, Subspace):
-        I = Subspace.from_vectors(G.field, G.dim, [list(v) for v in I])
     proj, reps, quotient, failed = _certified_quotient(G, I)
     if failed:
         raise NotHopfIdeal("the %s condition fails" % failed)
@@ -165,6 +154,8 @@ def _certified_quotient(G: HopfStarAlgebra, I: Subspace):
     G -> G/I (see linear_quotient), the structure induced through it, and
     the Hopf *-ideal condition that I fails, or None.  SchemaError when I
     is not a subspace of G."""
+    if not isinstance(I, Subspace):
+        raise SchemaError("an ideal is a Subspace, not %s" % type(I).__name__)
     if I.field.n != G.field.n:
         raise SchemaError(
             "ideal lives in the order-%d field but the algebra uses order %d"
@@ -276,12 +267,8 @@ def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
     e_x S(e_z) (left) or S(e_x) e_z (right) per pair (x, z) as sparse pairs.
     """
     zero = G.field.zero
-    da = {}
-    for i, ai in a:
-        for x, r, c in G.comult[i]:
-            da[x, r] = da.get((x, r), zero) + ai * c
     out = {}
-    for (x, r), c in da.items():
+    for (x, r), c in G.coproduct(a).items():
         if not c:
             continue
         for y, z, c2 in G.comult[r]:
@@ -308,16 +295,6 @@ def _adjoint_product(G, x, z, side):
         for w, s in G.antipode[x]:
             add_terms(acc, s, G.mult[w][z])
     return [(k, v) for k, v in acc.items() if v]
-
-
-def adjoint_coaction(G: HopfStarAlgebra, a, side: str = "left"):
-    """ad_l(a) = sum a_(2) (x) a_(1) S(a_(3)), or ad_r(a) = sum a_(2) (x) S(a_(1)) a_(3)."""
-    d = G.dim
-    identity = [[(y, G.field.one)] for y in range(d)]
-    out = zero_vec(G.field, d * d)
-    for (u, t), c in _adjoint_terms(G, sparse_vector(a), side, identity, {}).items():
-        out[u * d + t] = c
-    return out
 
 
 def is_left_a_normal(Q: QuantumSubgroup) -> bool:

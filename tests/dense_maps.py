@@ -326,5 +326,5 @@ def rebased(H, rng):
         return [(i, j, M.rows[j][i]) for i in range(d) for j in range(d)]
 
     return HopfStarAlgebra(
-        field, mult, mat_apply(Tinv, H.unit_vec()), comult, counit, rebase(H.antipode), rebase(H.star)
+        field, mult, mat_apply(Tinv, list(H.unit)), comult, counit, rebase(H.antipode), rebase(H.star)
     )

@@ -296,7 +296,7 @@ def test_acceptance_8_property_suites(request, algebras):
         if not check_axioms(H).ok:
             failures.append("%s: axiom check failed" % name)
         h = H.haar
-        one = H.unit_vec()
+        one = list(H.unit)
         for i in range(H.dim):
             left = zero_vec(H.field, H.dim)
             right = zero_vec(H.field, H.dim)

@@ -306,6 +306,20 @@ def test_json_flag_writes_the_same_report_in_both_forms(tmp_path, capsys):
     assert open(j1, "rb").read() == open(j2, "rb").read()
 
 
+def test_abbreviated_options_are_usage_errors(tmp_path, capsys):
+    f = cat("f_z2.hopf.json")
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["axioms", f, "--jso", out],
+        ["--jso", out, "axioms", f],
+        ["axioms", f, "--se", "5"],
+        ["--se", "5", "axioms", f],
+    ):
+        assert main(argv) == 2, argv
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == []
+
+
 def test_dispatch_is_deterministic():
     _, a = cli_dispatch(["subgroups", cat("c_s3.hopf.json")])
     _, b = cli_dispatch(["subgroups", cat("c_s3.hopf.json")])

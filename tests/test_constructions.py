@@ -7,6 +7,7 @@ import pytest
 
 import hopfcheck
 
+from hopfcheck.catalog import build_algebra
 from hopfcheck.constructions import (
     FiniteGroup,
     GroupAction,
@@ -32,7 +33,7 @@ from hopfcheck.errors import (
     SchemaError,
 )
 from hopfcheck.hopf import check_axioms, compute_haar
-from hopfcheck.linalg import Matrix, Subspace, basis_vec, tensor_vec
+from hopfcheck.linalg import Matrix, Subspace, basis_vec, sparse_identity, tensor_vec
 from hopfcheck.subgroup import coset_algebras, make_subgroup, normality_report
 
 from dense_maps import dense_entries, map_entries
@@ -453,6 +454,28 @@ def test_general_with_zero_ideal_is_everything(algebras):
     Q = crossed_general_subgroup(X, Subspace.zero(A.field, A.dim), ["e"])
     assert Q.quotient.dim == X.dim
     assert Q.ideal.dim == 0
+
+
+def test_general_subgroup_lifts_the_inner_ideal():
+    # C(Z3) is over Q(zeta_3); crossed by Z2 acting as g -> g^-1 it is lifted
+    # to Q(zeta_6).  Its augmentation ideal has the rows e_e - e_g2 and
+    # e_g - e_g2, so the lift shows in entries besides the leading ones.
+    C = build_algebra("c_z3")
+    one = C.field.one
+    swap = [((0, one),), ((2, one),), ((1, one),)]
+    maps = [map_entries(sparse_identity(C.field, 3)), map_entries(swap)]
+    X = crossed_product(C, GroupAction(FiniteGroup.cyclic(2), C, maps))
+    A = X.meta["inner"]
+    assert (C.field.n, A.field.n) == (3, 6)
+    Q = crossed_general_subgroup(X, augmentation_ideal(C), ["e"])
+    Q_lifted = crossed_general_subgroup(X, augmentation_ideal(A), ["e"])
+    assert Q.ideal.dim > 0 and Q.ideal == Q_lifted.ideal
+    inner = Q.meta["inner"].ideal
+    assert inner == Q_lifted.meta["inner"].ideal
+    assert {c.field.n for row in inner.rows for _j, c in row} == {6}
+    for I in (Subspace.zero(A.field, 4), augmentation_ideal(A).basis()):
+        with pytest.raises(SchemaError, match="^the inner ideal must be a Subspace of field\\^3$"):
+            crossed_general_subgroup(X, I, ["e"])
 
 
 def klein_action_on_z3():

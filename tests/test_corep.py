@@ -59,7 +59,7 @@ def test_trivial_corep_is_the_unit(algebras):
         P = peter_weyl(H)
         triv = P.coreps[P.triv_index]
         assert triv.dim == 1
-        assert dense_of(H, triv.entries[0][0]) == H.unit_vec()
+        assert dense_of(H, triv.entries[0][0]) == list(H.unit)
 
 
 def test_every_corep_verifies(algebras):
@@ -276,7 +276,7 @@ def test_corrupted_entry_fails_the_comultiplication_law(algebras):
     c = next(c for c in peter_weyl(H).coreps if c.dim == 2)
     entries = [list(row) for row in c.entries]
     # u_11 first enters the law at entry (0, 1): Delta(u_01) = u_00 (x) u_01 + u_01 (x) u_11
-    entries[1][1] = sparse_vector([a + b for a, b in zip(dense_of(H, entries[1][1]), H.unit_vec())])
+    entries[1][1] = sparse_vector([a + b for a, b in zip(dense_of(H, entries[1][1]), H.unit)])
     bad = Corepresentation(H, entries)
     assert bad.verify() == "comultiplication law fails at entry (0, 1)"
     with pytest.raises(TheoremViolation, match=r"comultiplication law fails at entry \(0, 1\)"):

@@ -280,16 +280,16 @@ def test_haar_invariance_directly(algebras):
             for j, k, c in H.comult[i]:
                 left[j] = left[j] + c * h[k]
                 right[k] = right[k] + c * h[j]
-            expect = [h[i] * u for u in H.unit_vec()]
+            expect = [h[i] * u for u in H.unit]
             assert left == expect and right == expect
 
 
 def test_haar_normalized_and_star_invariant(algebras):
     for H in algebras.values():
         h = H.haar
-        assert H.counit_of(sparse_vector(H.unit_vec())).is_one()
+        assert H.counit_of(sparse_vector(H.unit)).is_one()
         one_val = sum(
-            (h[i] * c for i, c in enumerate(H.unit_vec())), H.field.zero
+            (h[i] * c for i, c in enumerate(H.unit)), H.field.zero
         )
         assert one_val.is_one()
         # h(S(x)) = h(x) on basis vectors
@@ -371,7 +371,7 @@ def test_identity_convolved_with_itself():
     H = build_algebra("f_z2")
     ident = sparse_identity(H.field, 2)
     sq = columns(dense_matrix(H.field, 2, convolve(H, ident, ident)))
-    assert sq[0] == H.unit_vec()
+    assert sq[0] == list(H.unit)
     assert sq[1] == zero_vec(H.field, 2)
 
 
@@ -429,18 +429,18 @@ def test_sub_hopf_algebra_of_group_algebra(algebras):
 
 def test_trivial_sub_hopf_algebra(algebras):
     H = algebras["f_s3"]
-    B = Subspace.from_vectors(H.field, H.dim, [H.unit_vec()])
+    B = Subspace.from_vectors(H.field, H.dim, [list(H.unit)])
     sub, incl = sub_hopf_algebra(H, B)
     assert sub.dim == 1
     assert check_axioms(sub).ok
-    assert sparse_apply(H.field, H.dim, incl, [sub.field.one]) == H.unit_vec()
+    assert sparse_apply(H.field, H.dim, incl, [sub.field.one]) == list(H.unit)
 
 
 def test_sub_hopf_algebra_rejections_name_the_failure():
     H = build_algebra("f_s3")
     delta_e = basis_vec(H.field, H.dim, H.labels.index("e"))
     # closed under product, * and S, but Delta(delta_e) leaves B (x) B
-    B = Subspace.from_vectors(H.field, H.dim, [H.unit_vec(), delta_e])
+    B = Subspace.from_vectors(H.field, H.dim, [list(H.unit), delta_e])
     with pytest.raises(SchemaError, match=r"^comultiplication does not stay inside B \(x\) B$"):
         sub_hopf_algebra(H, B)
     with pytest.raises(SchemaError, match="^subalgebra does not contain the unit$"):

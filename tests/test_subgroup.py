@@ -32,12 +32,10 @@ from hopfcheck.linalg import (
     sparse_image,
     sparse_kernel,
     sparse_vector,
-    tensor_vec,
     zero_vec,
 )
 from hopfcheck.structure import enumerate_quantum_subgroups, ideal_closure, third_isomorphism_check
 from hopfcheck.subgroup import (
-    adjoint_coaction,
     augmentation_part,
     check_hopf_ideal,
     comodule_splitting,
@@ -55,7 +53,7 @@ from hopfcheck.subgroup import (
     reconstruction_check,
     trivial_subgroup,
 )
-from hopfcheck.subgroup import _certified_quotient
+from hopfcheck.subgroup import _adjoint_terms, _certified_quotient
 
 from dense_maps import (
     columns,
@@ -114,7 +112,7 @@ def test_trivial_subgroup_is_counit(algebras):
     assert Q.quotient.dim == 1
     assert Q.ideal.dim == 5
     for i in range(6):
-        assert Q.pi(basis_vec(H.field, 6, i)) == [H.counit[i]]
+        assert Q.proj_columns[i] == sparse_vector([H.counit[i]])
 
 
 def test_quotient_by_a3_is_function_algebra_of_a3(algebras):
@@ -136,11 +134,11 @@ def test_projection_restricts_functions(algebras):
     H = algebras["f_s3"]
     Q = a3_subgroup(algebras)
     for i, lbl in enumerate(H.labels):
-        img = Q.pi(basis_vec(H.field, 6, i))
+        img = Q.proj_columns[i]
         if lbl in A3:
-            assert img == basis_vec(H.field, 3, A3.index(lbl))
+            assert img == ((A3.index(lbl), H.field.one),)
         else:
-            assert img == zero_vec(H.field, 3)
+            assert img == ()
 
 
 def test_ideal_of_another_dimension_is_a_schema_error(algebras):
@@ -151,6 +149,14 @@ def test_ideal_of_another_dimension_is_a_schema_error(algebras):
                 decide(H, I)
 
 
+def test_ideal_that_is_not_a_subspace_is_a_schema_error(algebras):
+    H = algebras["f_s3"]
+    vectors = subgroup_ideal(H, A3).basis()
+    for decide in (make_subgroup, check_hopf_ideal):
+        with pytest.raises(SchemaError, match="^an ideal is a Subspace, not list$"):
+            decide(H, vectors)
+
+
 def test_ideal_is_kernel_of_projection(algebras):
     for Q in (a3_subgroup(algebras), t12_subgroup(algebras)):
         assert Q.ideal == sparse_kernel(Q.parent.field, Q.quotient.dim, Q.proj_columns)
@@ -159,7 +165,7 @@ def test_ideal_is_kernel_of_projection(algebras):
 def test_quotient_haar_cross_check(algebras):
     Q = a3_subgroup(algebras)
     third = Q.parent.field.from_rational(Fraction(1, 3))
-    assert Q.haar_N == [third] * 3
+    assert Q.quotient.haar == [third] * 3
     # h_N(pi(a)) equals averaging over the subgroup
     H = Q.parent
     for i, lbl in enumerate(H.labels):
@@ -202,7 +208,7 @@ def test_plain_star_ideal_is_not_hopf_ideal(algebras):
 def test_coset_algebra_extremes(algebras):
     H = algebras["f_s3"]
     A_full, _ = coset_algebras(full_subgroup(H))
-    assert A_full == Subspace.from_vectors(H.field, 6, [H.unit_vec()])
+    assert A_full == Subspace.from_vectors(H.field, 6, [list(H.unit)])
     A_triv, _ = coset_algebras(trivial_subgroup(H))
     assert A_triv.dim == 6
 
@@ -262,7 +268,7 @@ def test_conditional_expectation_properties(algebras):
         for side in ("right", "left"):
             E = conditional_expectation(Q, side)
             assert sparse_compose(E, E) == E
-            assert sparse_apply(H.field, 6, E, H.unit_vec()) == H.unit_vec()
+            assert sparse_apply(H.field, 6, E, list(H.unit)) == list(H.unit)
             # Haar-compatible: h(E(a)) = h(a)
             for i in range(6):
                 assert H.haar_of(E[i]) == H.haar[i]
@@ -305,10 +311,20 @@ def test_expectation_bimodule_property(algebras):
 # --- adjoint coactions ----------------------------------------------------------
 
 
+def adjoint(H, a, side):
+    """The nonzero terms {(u, t): c} of _adjoint_terms for the dense vector a
+    (the first leg kept), checked against dense_adjoint at index u * d + t."""
+    d = H.dim
+    terms = _adjoint_terms(H, sparse_vector(a), side, sparse_identity(H.field, d), {})
+    ad = {k: c for k, c in terms.items() if c}
+    assert {u * d + t: c for (u, t), c in ad.items()} == dict(sparse_vector(dense_adjoint(H, a, side)))
+    return ad
+
+
 def test_adjoint_coaction_of_group_like(algebras):
     C = algebras["c_s3"]
     g = basis_vec(C.field, 6, 3)
-    assert adjoint_coaction(C, g, "left") == tensor_vec(g, C.unit_vec())
+    assert adjoint(C, g, "left") == {(3, t): u for t, u in enumerate(C.unit) if u}
 
 
 def test_adjoint_coaction_is_conjugation(algebras):
@@ -316,11 +332,11 @@ def test_adjoint_coaction_is_conjugation(algebras):
     G = build_group("s3")
     d = 6
     for x in range(d):
-        expected = zero_vec(H.field, d * d)
+        expected = {}
         for c in range(d):
-            tgt = G.mul(G.mul(c, x), G.inv(c))
-            expected[tgt * d + G.inv(c)] = expected[tgt * d + G.inv(c)] + H.field.one
-        assert adjoint_coaction(H, basis_vec(H.field, d, x), "left") == expected
+            key = (G.mul(G.mul(c, x), G.inv(c)), G.inv(c))
+            expected[key] = expected.get(key, H.field.zero) + H.field.one
+        assert adjoint(H, basis_vec(H.field, d, x), "left") == expected
 
 
 def test_adjoint_coaction_counit_collapse(algebras):
@@ -328,11 +344,9 @@ def test_adjoint_coaction_counit_collapse(algebras):
     d = H.dim
     for side in ("left", "right"):
         for i in range(d):
-            ad = adjoint_coaction(H, basis_vec(H.field, d, i), side)
             collapsed = zero_vec(H.field, d)
-            for j in range(d):
-                for k in range(d):
-                    collapsed[j] = collapsed[j] + ad[j * d + k] * H.counit[k]
+            for (j, k), c in adjoint(H, basis_vec(H.field, d, i), side).items():
+                collapsed[j] = collapsed[j] + c * H.counit[k]
             assert collapsed == basis_vec(H.field, d, i)
 
 
@@ -427,9 +441,8 @@ def test_comodule_splitting_is_comodule_map(algebras):
             if v[i].is_zero():
                 continue
             for j, k, c in H.comult[i]:
-                img = Q.pi(basis_vec(H.field, d, k))
-                for t in range(q):
-                    lhs[j * q + t] = lhs[j * q + t] + v[i] * c * img[t]
+                for t, p in Q.proj_columns[k]:
+                    lhs[j * q + t] = lhs[j * q + t] + v[i] * c * p
         rhs = zero_vec(H.field, d * q)
         for j, k, c in N.comult[col]:
             sj = s[j]
@@ -450,7 +463,7 @@ def test_phi_map_runs_for_all_subgroup_kinds(algebras):
         phi = phi_map(Q)
         A_GN, _ = coset_algebras(Q)
         for i in range(H.dim):
-            assert A_GN.contains(sparse_apply(H.field, H.dim, phi, basis_vec(H.field, H.dim, i)))
+            assert A_GN.echelon().contains(phi[i])
 
 
 def test_phi_of_full_subgroup_is_counit_unit(algebras):
@@ -705,7 +718,7 @@ def dense_induced(G, section, retract, labels):
     ]
     comult = [(a, u, v, c) for a, x in enumerate(section) for (u, v), c in pair(dense_comult(G, x)).items()]
     return HopfStarAlgebra(
-        G.field, mult, retract(G.unit_vec()), comult, [dense_value(G.field, G.counit, x) for x in section],
+        G.field, mult, retract(list(G.unit)), comult, [dense_value(G.field, G.counit, x) for x in section],
         entries(dense_antipode), entries(dense_star), labels=labels,
     )
 
@@ -745,7 +758,7 @@ def dense_coset_algebras(Q):
     G, field, d, dn = Q.parent, Q.parent.field, Q.parent.dim, Q.quotient.dim
     ident = Matrix.identity(field, d)
     proj, _reps = reference_linear_quotient(Q.ideal)
-    unit_N = Q.quotient.unit_vec()
+    unit_N = list(Q.quotient.unit)
     cols_r, cols_l = [], []
     for i in range(d):
         delta = dense_comult(G, basis_vec(field, d, i))
@@ -825,11 +838,11 @@ def test_sparse_criteria_match_dense_reference(name, s3_crossed):
         assert is_left_a_normal(Q) == dense_a_normal(Q, "left")
         assert is_right_a_normal(Q) == dense_a_normal(Q, "right")
         for k in range(d):
-            assert Q.haar_pi(((k, H.field.one),)) == Q.quotient.haar_of(sparse_vector(Q.pi(basis_vec(H.field, d, k))))
+            assert Q.haar_pi(((k, H.field.one),)) == Q.quotient.haar_of(Q.proj_columns[k])
     for _ in range(3):
         a = _random_vector(H, rng)
         for side in ("left", "right"):
-            assert adjoint_coaction(H, a, side) == dense_adjoint(H, a, side)
+            adjoint(H, a, side)  # asserts the match with dense_adjoint
 
 
 # --- sparse maps against their dense recipes ------------------------------------
@@ -883,17 +896,14 @@ def test_sparse_maps_match_dense_recipes(name, s3_crossed, monkeypatch):
     assert chains >= 2
 
 
-def test_normality_report_needs_no_dense_tensor(monkeypatch):
+def test_normality_report_needs_no_dense_tensor():
     Z2 = FiniteGroup.cyclic(2)
     H = function_algebra(FiniteGroup.direct_product(FiniteGroup.direct_product(Z2, Z2), Z2))
     subs = enumerate_quantum_subgroups(H)
     P = peter_weyl(H)
     P.blocks()
-
-    def forbidden(*args):
-        raise AssertionError("a dense tensor was formed")
-
-    monkeypatch.setattr(hopfcheck.subgroup, "zero_vec", forbidden)
+    # subgroup binds no dense vector builder, so none can run below
+    assert not {"zero_vec", "basis_vec", "tensor_vec"} & set(vars(hopfcheck.subgroup))
     assert len(subs) == 16
     for Q in subs:
         report = normality_report(Q, P)
