@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .cyclotomic import CycField, CycScalar, Fraction, cyclotomic_polynomial
 from .errors import (
+    AxiomsFailed,
     CapExceeded,
     ContainmentViolated,
     FieldOrderMismatch,
@@ -39,6 +40,7 @@ __all__ = [
     "HopfcheckError",
     "SchemaError",
     "FieldOrderMismatch",
+    "AxiomsFailed",
     "NotCosemisimple",
     "SplittingFailed",
     "NotHopfIdeal",

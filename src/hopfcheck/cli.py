@@ -184,8 +184,8 @@ def _cmd_irreps(args):
 
 def _cmd_subgroups(args):
     H = load_algebra(args.file)
-    _pw_with_seed(H, args.seed)
     lat = subgroup_lattice(H)
+    _pw_with_seed(H, args.seed)
     return EXIT_OK, lat.as_dict()
 
 
@@ -245,9 +245,9 @@ def _cmd_third_iso(args):
 
 def _cmd_props(args):
     H = load_algebra(args.file)
+    fd_ok, fd_wit = property_FD_check(H)
     _pw_with_seed(H, args.seed)
     f_ok, f_wit = property_F_check(H)
-    fd_ok, fd_wit = property_FD_check(H)
     suite = property_inheritance_suite(H)
     results = {
         "property_F": f_ok,

@@ -13,6 +13,10 @@ class FieldOrderMismatch(SchemaError):
     """Scalars from cyclotomic fields of different orders were combined."""
 
 
+class AxiomsFailed(HopfcheckError):
+    """The structure constants fail the Hopf *-algebra axioms named in the message."""
+
+
 class NotCosemisimple(HopfcheckError):
     """The bi-invariance system has no normalizable solution."""
 

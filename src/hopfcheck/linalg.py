@@ -389,8 +389,7 @@ class Subspace:
         return hash((self.ambient, self.rows))
 
     def __le__(self, other):
-        ech = other.echelon()
-        return all(ech.contains(row) for row in self.rows)
+        return self.dim <= other.dim and all(map(other.echelon().contains, self.rows))
 
     def sum_with(self, other):
         if self.ambient != other.ambient:

@@ -10,8 +10,20 @@ at a cost that grows with the lattice rather than with 2^r.  Quantum
 subgroups are enumerated through the dual: Hopf subalgebras of the dual
 correspond to Hopf *-ideals via annihilators.
 Both lattices are enumerated once per algebra and kept in its memo.  The
-algebra is verified once before its quotients are built, so each quotient
+algebra is verified once, before its dual is split, so each quotient
 passes make_subgroup's morphism certificate without a full axiom run.
+
+The inheritance suite and the hopf-ideal pullback read G's lattices:
+1. If I0 is a Hopf *-ideal of a Hopf *-subalgebra, A.I0.A is one of A:
+   Delta(axb) = Delta(a)Delta(x)Delta(b), eps(axb) = 0, and S, * reverse
+   products.  As the least ideal over I0, it is the least enumerated one.
+2. pi: G -> G/I is an onto Hopf *-map, so J -> pi(J) maps the Hopf *-ideals
+   J >= I of G one to one onto those of G/I, inverse K -> pi^-1(K): the up-set.
+3. A_GN includes into G by a Hopf *-morphism, so its Hopf *-subalgebras
+   are the down-set {C <= A_GN}, read at A_GN's pivots.
+4. A_GN and each I0 are certified once; the pullback pairs reuse that.
+5. A trivial N gives A_GN = G, and I = 0 gives G/I = G, with G's constants:
+   they inherit F and FD from G, and (G, I0) pulls back trivially.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .corep import conjugate, fusion, peter_weyl
 from .errors import (
+    AxiomsFailed,
     CapExceeded,
     ContainmentViolated,
     NotHopfIdeal,
@@ -122,20 +135,20 @@ def _closed_index_sets(P):
 def enumerate_quantum_subgroups(H: HopfStarAlgebra):
     """All quantum subgroups, via annihilators of dual Hopf subalgebras.
 
-    H is verified once, before the first quotient, unless it already is;
-    every quotient of a verified H then needs only make_subgroup's
-    morphism certificate, not a full axiom run.  Returned as a new list; the subgroup objects are
-    shared between calls.
+    H is verified once, before its dual is split, unless it already is; a
+    failed axiom raises AxiomsFailed naming it.  Every quotient of a verified
+    H then needs only make_subgroup's morphism certificate, not a full axiom
+    run.  Returned as a new list; the subgroup objects are shared between calls.
     """
     return list(H.memo("quantum_subgroups", lambda: _quantum_subgroups(H)))
 
 
 def _quantum_subgroups(H):
-    subalgebras = enumerate_hopf_subalgebras(dual(H))
-    if not H.verified:
-        check_axioms(H)
+    failed = [] if H.verified else check_axioms(H).failures()
+    if failed:
+        raise AxiomsFailed("not a Hopf *-algebra: " + ", ".join(c.name for c in failed))
     out = []
-    for B in subalgebras:
+    for B in enumerate_hopf_subalgebras(dual(H)):
         out.append(make_subgroup(H, sparse_null_space(H.field, H.dim, B.rows)))
     out.sort(key=lambda Q: (Q.quotient.dim, Q.ideal.sort_key()))
     return tuple(out)
@@ -162,9 +175,9 @@ class SubgroupLattice:
 
 
 def subgroup_lattice(H: HopfStarAlgebra) -> SubgroupLattice:
+    qsubs = enumerate_quantum_subgroups(H)
     P = peter_weyl(H)
     subs = enumerate_hopf_subalgebras(H)
-    qsubs = enumerate_quantum_subgroups(H)
     flags = [is_normal_coset(Q) for Q in qsubs]
     blocks = P.blocks()
     sets = [tuple(i for i, blk in enumerate(blocks) if blk <= B) for B in subs]
@@ -176,35 +189,58 @@ def property_F_check(H: HopfStarAlgebra):
 
     Returns (ok, witness) with the first unmatched subalgebra as witness.
     """
-    subs = enumerate_hopf_subalgebras(H)
-    qsubs = enumerate_quantum_subgroups(H)
+    return _f_witness(enumerate_hopf_subalgebras(H), enumerate_quantum_subgroups(H))
+
+
+def _f_witness(subalgebras, qsubs):
+    """Property F read on explicit lists of subalgebras and quantum subgroups."""
     normal_cosets = [coset_algebras(Q)[0] for Q in qsubs if is_normal_coset(Q)]
-    for B in subs:
-        if not any(B == C for C in normal_cosets):
-            return False, B
-    return True, None
+    return next(((False, B) for B in subalgebras if B not in normal_cosets), (True, None))
 
 
 def property_FD_check(H: HopfStarAlgebra):
     """Every quantum subgroup is normal; witness is the first non-normal one."""
-    qsubs = enumerate_quantum_subgroups(H)
-    P = peter_weyl(H)
-    for Q in qsubs:
-        report = normality_report(Q, P)
-        if not report.normal:
-            return False, Q
-    return True, None
+    qsubs, P = enumerate_quantum_subgroups(H), peter_weyl(H)
+    return next(((False, Q) for Q in qsubs if not normality_report(Q, P).normal), (True, None))
+
+
+def _at_pivots(B: Subspace, S: Subspace):
+    """S inside B, in the coordinates of sub_hopf_algebra(H, B): B's pivots."""
+    at = {p: a for a, p in enumerate(B.pivots)}
+    return sparse_image(S.field, B.dim, [[(at[j], c) for j, c in v if j in at] for v in S.rows])
+
+
+def _down_set(G, B):
+    """The Hopf *-subalgebras of sub_hopf_algebra(G, B) (fact 3)."""
+    return [_at_pivots(B, C) for C in enumerate_hopf_subalgebras(G) if C <= B]
+
+
+def _up_set(Q):
+    """The quantum subgroups of Q.quotient (fact 2)."""
+    N, lattice = Q.quotient, enumerate_quantum_subgroups(Q.parent)
+    ideals = [J.ideal.map_by(Q.proj_columns, N.dim) for J in lattice if Q.ideal <= J.ideal]
+    return [make_subgroup(N, K) for K in ideals]
+
+
+def _generated_ideal(G, I0):
+    """A.I0.A for a Hopf *-ideal I0 of a Hopf *-subalgebra (fact 1)."""
+    over = [Q.ideal for Q in enumerate_quantum_subgroups(G) if I0 <= Q.ideal]
+    least = min(over, key=lambda J: J.dim, default=None)
+    if least is None or not all(least <= J for J in over):
+        raise TheoremViolation("no least enumerated Hopf *-ideal contains I0")
+    return least
 
 
 def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "hopf-ideal"):
     """Does the ideal of A generated by I0 pull back to I0 inside A0?
 
-    Computes I = A.I0.A by span growth and returns (I and A0 == I0, I and A0).
-    mode "plain-ideal" requires A0 a unital *-subalgebra with I0 a two-sided
-    *-ideal of it; mode "hopf-ideal" requires A0 a Hopf *-subalgebra and I0 a
-    Hopf *-ideal of it.  A0 is decided by the subalgebra certificate in both
-    modes, and I0 in mode "hopf-ideal" by the quotient certificate of the
-    subalgebra; a failed condition raises NotHopfIdeal naming it.
+    Returns (I and A0 == I0, I and A0) for I = A.I0.A.  mode "plain-ideal"
+    requires A0 a unital *-subalgebra with I0 a two-sided *-ideal of it, and
+    grows I by span growth; mode "hopf-ideal" requires A0 a Hopf *-subalgebra
+    and I0 a Hopf *-ideal of it, and reads I off A's lattice (fact 1).  A0
+    is decided by the subalgebra certificate in both modes, and I0 in mode
+    "hopf-ideal" by the quotient certificate of the subalgebra; a failed
+    condition raises NotHopfIdeal naming it.
     """
     if mode not in ("plain-ideal", "hopf-ideal"):
         raise SchemaError("unknown pullback mode %r" % (mode,))
@@ -218,22 +254,17 @@ def pullback_check(A: HopfStarAlgebra, A0: Subspace, I0: Subspace, mode: str = "
     if not I0 <= A0:
         raise NotHopfIdeal("I0 does not lie inside A0")
     if mode == "hopf-ideal":
-        # the rows of A0 read its pivots, so b in A0 has coordinates b[p_a]
-        at = {p: a for a, p in enumerate(A0.pivots)}
-        rows = [[(at[j], c) for j, c in b if j in at] for b in I0.rows]
-        inner = sparse_image(A.field, A0.dim, rows)
-        ok, witness = check_hopf_ideal(sub, inner)
+        ok, witness = check_hopf_ideal(sub, _at_pivots(A0, I0))
         if not ok:
-            raise NotHopfIdeal(
-                "I0 is not a Hopf *-ideal of A0 (%s)" % witness["condition"]
-            )
+            raise NotHopfIdeal("I0 is not a Hopf *-ideal of A0 (%s)" % witness["condition"])
+        closure = _generated_ideal(A, I0)
     else:
         products = _product_span(A, A0.rows, I0.rows).sum_with(_product_span(A, I0.rows, A0.rows))
         if not products <= I0:
             raise NotHopfIdeal("I0 is not a two-sided ideal of A0")
         if not sparse_image(A.field, A.dim, [A.star_vec(b) for b in I0.rows]) <= I0:
             raise NotHopfIdeal("I0 is not *-closed")
-    closure = ideal_closure(A, I0)
+        closure = ideal_closure(A, I0)
     inter = closure.intersect(A0)
     return inter == I0, inter
 
@@ -306,8 +337,10 @@ def third_isomorphism_check(G: HopfStarAlgebra, N: QuantumSubgroup, H: QuantumSu
 def property_inheritance_suite(G: HopfStarAlgebra):
     """Inheritance of F and FD along subgroups and quotients, checked live.
 
-    Violations of the inheritance theorems raise TheoremViolation; the
-    report records which hypotheses held and which conclusions were checked.
+    The lattices of quotients and coset subalgebras are read off G's (see
+    the module doc).  Violations of the inheritance theorems raise
+    TheoremViolation; the report records which hypotheses held and which
+    conclusions were checked.
     """
     f_ok, _f_wit = property_F_check(G)
     fd_ok, _fd_wit = property_FD_check(G)
@@ -323,36 +356,28 @@ def property_inheritance_suite(G: HopfStarAlgebra):
         "pullback_on_coset_pairs": None,
         "quotients_inherit_FD": None,
     }
-    quotient_algebras = []
-    for Q in normals:
-        A_GN, _ = coset_algebras(Q)
-        sub, incl = sub_hopf_algebra(G, A_GN)
-        quotient_algebras.append((Q, A_GN, sub, incl))
+    # the coset subalgebras A_GN other than G, each certified once (facts 4, 5)
+    cosets = [coset_algebras(Q)[0] for Q in normals]
+    cosets = [(B, *sub_hopf_algebra(G, B)) for B in cosets if B.dim < G.dim]
     if f_ok:
-        for _Q, _B, sub, _incl in quotient_algebras:
-            ok, _ = property_F_check(sub)
-            if not ok:
+        for A_GN, sub, _incl in cosets:
+            if not _f_witness(_down_set(G, A_GN), enumerate_quantum_subgroups(sub))[0]:
                 raise TheoremViolation("a quotient of a property-F group lacks property F")
         report["quotients_inherit_F"] = True
     if fd_ok:
         for Q in qsubs:
-            ok, _ = property_FD_check(Q.quotient)
-            if not ok:
+            if Q.ideal.dim and not all(map(is_normal_coset, _up_set(Q))):  # fact 5
                 raise TheoremViolation("a subgroup of a property-FD group lacks property FD")
         report["subgroups_inherit_FD"] = True
-        pull_all = True
-        for _Q, A_GN, sub, incl in quotient_algebras:
-            for SQ in enumerate_quantum_subgroups(sub):
-                ambient_I0 = SQ.ideal.map_by(incl, G.dim)
-                ok, _inter = pullback_check(G, A_GN, ambient_I0, "hopf-ideal")
-                pull_all = pull_all and ok
+        pull_all = all(
+            _generated_ideal(G, I0).intersect(A_GN) == I0
+            for A_GN, sub, incl in cosets
+            for I0 in (SQ.ideal.map_by(incl, G.dim) for SQ in enumerate_quantum_subgroups(sub))
+        )
         report["pullback_on_coset_pairs"] = pull_all
         if pull_all:
-            for _Q, _B, sub, _incl in quotient_algebras:
-                ok, _ = property_FD_check(sub)
-                if not ok:
-                    raise TheoremViolation(
-                        "a quotient of a property-FD group with pullback lacks FD"
-                    )
+            inner = [S for _A_GN, sub, _incl in cosets for S in enumerate_quantum_subgroups(sub)]
+            if not all(map(is_normal_coset, inner)):
+                raise TheoremViolation("a quotient of a property-FD group with pullback lacks FD")
             report["quotients_inherit_FD"] = True
     return report

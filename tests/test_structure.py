@@ -8,6 +8,7 @@ import pytest
 
 import hopfcheck
 import hopfcheck.hopf
+import hopfcheck.splitting
 import hopfcheck.structure
 import hopfcheck.subgroup
 from hopfcheck.catalog import CATALOG_NAMES, SUBGROUP_IDEALS, build_algebra, build_group
@@ -19,10 +20,21 @@ from hopfcheck.constructions import (
     tensor_product,
 )
 from hopfcheck.corep import conjugate, fusion, peter_weyl
-from hopfcheck.errors import CapExceeded, ContainmentViolated, NotHopfIdeal, SchemaError
-from hopfcheck.hopf import HopfStarAlgebra, check_axioms
+from hopfcheck.cli import cli_dispatch
+from hopfcheck.errors import (
+    AxiomsFailed,
+    CapExceeded,
+    ContainmentViolated,
+    NotHopfIdeal,
+    SchemaError,
+)
+from hopfcheck.hopf import HopfStarAlgebra, check_axioms, sub_hopf_algebra
 from hopfcheck.linalg import Subspace, basis_vec, sparse_vector
+from hopfcheck.serialize import save_algebra
 from hopfcheck.structure import (
+    _down_set,
+    _generated_ideal,
+    _up_set,
     enumerate_hopf_subalgebras,
     enumerate_quantum_subgroups,
     ideal_closure,
@@ -618,6 +630,155 @@ def test_inheritance_suite_abelian(algebras):
     assert rep["subgroups_inherit_FD"] is True
     assert rep["pullback_on_coset_pairs"] is True
     assert rep["quotients_inherit_FD"] is True
+
+
+def _dims_and_rows(subgroups):
+    ordered = sorted(subgroups, key=lambda S: (S.quotient.dim, S.ideal.sort_key()))
+    return [(S.quotient.dim, S.ideal.rows) for S in ordered]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_NAMES) + ["F(S3)xZ2"])
+def test_lattice_reads_match_recomputation(name, s3_crossed):
+    # the suite's three lattice reads against the recomputations they replace
+    G = s3_crossed() if name == "F(S3)xZ2" else build_algebra(name)
+    pairs = 0
+    for Q in enumerate_quantum_subgroups(G):
+        # the up-set over I is the lattice of G/I
+        own = enumerate_quantum_subgroups(Q.quotient)
+        assert _dims_and_rows(_up_set(Q)) == _dims_and_rows(own)
+        if not is_normal_coset(Q):
+            continue
+        A_GN, _ = coset_algebras(Q)
+        sub, incl = sub_hopf_algebra(G, A_GN)
+        # the down-set under A_GN is the Hopf *-subalgebra lattice of A_GN
+        down = sorted(_down_set(G, A_GN), key=lambda B: (B.dim, B.sort_key()))
+        assert down == enumerate_hopf_subalgebras(sub)
+        # the least Hopf *-ideal over I0 is the ideal I0 generates
+        for SQ in enumerate_quantum_subgroups(sub):
+            I0 = SQ.ideal.map_by(incl, G.dim)
+            assert _generated_ideal(G, I0) == ideal_closure(G, I0)
+            pairs += 1
+    assert pairs
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_NAMES))
+def test_improper_copies_carry_the_structure_constants(name):
+    G = build_algebra(name)
+
+    def constants(H):
+        return (H.mult, H.comult, H.unit, H.counit, H.antipode, H.star)
+
+    sub, _ = sub_hopf_algebra(G, Subspace.full(G.field, G.dim))
+    assert constants(sub) == constants(G)
+    assert constants(full_subgroup(G).quotient) == constants(G)
+
+
+@pytest.mark.parametrize("name", ["f_z6", "c_s3"])
+def test_suite_reads_the_parents_lattice(name, monkeypatch):
+    closures, certified, dualized, enumerated, quotients = [], [], [], [], []
+
+    def record(module, fname, log, result=False):
+        real = getattr(module, fname)
+
+        def recorded(*args):
+            out = real(*args)
+            log.append(out if result else args[0])
+            return out
+
+        monkeypatch.setattr(module, fname, recorded)
+
+    for module in (hopfcheck.subgroup, hopfcheck.structure):
+        record(module, "ideal_closure", closures)
+    for module in (hopfcheck.hopf, hopfcheck.structure):
+        record(module, "certified_subalgebra", certified)
+    for module in (hopfcheck.splitting, hopfcheck.structure):
+        record(module, "dual", dualized)
+    record(hopfcheck.structure, "enumerate_quantum_subgroups", enumerated)
+    record(hopfcheck.structure, "enumerate_hopf_subalgebras", enumerated)
+    record(hopfcheck.structure, "make_subgroup", quotients, result=True)
+    G = build_algebra(name)
+    report = property_inheritance_suite(G)
+    assert report["subgroups_inherit_FD"] and report["quotients_inherit_FD"]
+    assert closures == []
+    assert quotients
+    for Q in quotients:
+        assert not any(H is Q.quotient for H in dualized)
+        assert not any(H is Q.quotient for H in enumerated)
+    proper = [Q for Q in enumerate_quantum_subgroups(G) if coset_algebras(Q)[0].dim < G.dim]
+    assert 0 < len(certified) <= sum(is_normal_coset(Q) for Q in proper)
+
+
+def test_suite_report_is_the_same_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import json\n"
+        "from hopfcheck.catalog import build_algebra\n"
+        "from hopfcheck.structure import property_inheritance_suite\n"
+        "for name in ('f_d4', 'c_s3'):\n"
+        "    print(json.dumps(property_inheritance_suite(build_algebra(name)), sort_keys=True))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
+        )
+        for flags in ([], ["-O"])
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout.splitlines()) == 2
+
+
+# a Latin square with identity 0 that is no group: (2*2)*4 = 3 but 2*(2*4) = 2
+LOOP6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0],
+    [4, 5, 0, 1, 3, 2],
+    [5, 4, 1, 0, 2, 3],
+]
+
+
+def loop_algebra(kind):
+    """F(T) or C(T) for the loop T = LOOP6, by the group formulas over Q."""
+    T, n = LOOP6, len(LOOP6)
+    inv = [row.index(0) for row in T]
+    one = Fraction(1)
+    antipode = [(i, inv[i], one) for i in range(n)]
+    if kind == "F":
+        mult = [(i, i, i, one) for i in range(n)]
+        comult = [(T[x][y], x, y, one) for x in range(n) for y in range(n)]
+        return HopfStarAlgebra(
+            1, mult, [one] * n, comult, [int(i == 0) for i in range(n)], antipode,
+            [(i, i, one) for i in range(n)],
+        )
+    mult = [(x, y, T[x][y], one) for x in range(n) for y in range(n)]
+    comult = [(i, i, i, one) for i in range(n)]
+    return HopfStarAlgebra(
+        1, mult, [int(i == 0) for i in range(n)], comult, [one] * n, antipode, antipode
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, detail",
+    [("F", "coassociativity"), ("C", "associativity, star_antimultiplicative")],
+)
+def test_loop_algebra_lattice_names_the_failed_axioms(kind, detail, tmp_path):
+    # the axioms are checked before the dual is split, so a loop is reported
+    # as what it is, not as a splitting failure
+    with pytest.raises(AxiomsFailed, match=r"^not a Hopf \*-algebra: %s$" % detail):
+        enumerate_quantum_subgroups(loop_algebra(kind))
+    path = tmp_path / "loop.hopf.json"
+    save_algebra(loop_algebra(kind), path)
+    for cmd in ("subgroups", "props"):
+        code, report = cli_dispatch([cmd, str(path)])
+        assert code == 1
+        assert report["results"] == {
+            "error": "AxiomsFailed",
+            "detail": "not a Hopf *-algebra: " + detail,
+        }
 
 
 # --- typed preconditions, no asserts ------------------------------------------------
