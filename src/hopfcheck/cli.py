@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     TheoremViolation,
 )
-from .hopf import check_axioms, compute_haar, coproduct_slice
+from .hopf import check_axioms, compute_haar, coproduct_slice, ensure_verified
 from .linalg import Subspace, basis_vec, sparse_column, sparse_vector, zero_vec
 from .serialize import (
     dump_json,
@@ -170,6 +170,7 @@ def _cmd_haar(args):
 
 def _cmd_irreps(args):
     H = load_algebra(args.file)
+    ensure_verified(H)
     P = _pw_with_seed(H, args.seed)
     N = fusion(P)
     results = {

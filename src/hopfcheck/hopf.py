@@ -29,13 +29,14 @@ state, the Peter-Weyl list, the dual, the subalgebra and subgroup lattices)
 is computed once and kept in the algebra's memo: `H.memo(key, compute)`
 returns the stored value for `key`, calling `compute()` only the first time.
 The keys are "haar", "peter_weyl", "dual", "hopf_subalgebras",
-"quantum_subgroups" and "verified".  "verified" is set when the algebra
-passes check_axioms, or when make_subgroup or sub_hopf_algebra certifies it
-as a quotient or a subalgebra of a verified algebra; `H.verified` reads it
-and never runs a check.  The memo is the only store of derived data: a
-constructor sets `meta`, the record of how the algebra was built, and
-nothing else, so the Peter-Weyl list of every algebra comes from splitting
-its dual (see corep).
+"quantum_subgroups", "property_F", "property_FD" and "verified".
+"verified" is set when the algebra passes check_axioms, or when
+make_subgroup or sub_hopf_algebra certifies it as a quotient or a
+subalgebra of a verified algebra; `H.verified` reads it and never runs a
+check, and ensure_verified runs check_axioms only when it is unset.  The
+memo is the only store of derived data: a constructor sets `meta`, the
+record of how the algebra was built, and nothing else, so the Peter-Weyl
+list of every algebra comes from splitting its dual (see corep).
 
 Vectors are sparse, the form of a column of H.antipode: H.product,
 H.antipode_vec and H.star_vec take and return sorted (index, scalar) tuples,
@@ -56,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cyclotomic import CycField
-from .errors import NotCosemisimple, SchemaError
+from .errors import AxiomsFailed, NotCosemisimple, SchemaError
 from .linalg import (
     add_terms,
     sparse_apply,
@@ -596,6 +597,14 @@ def check_axioms(H):
     if report.ok:
         H.memo("verified", lambda: True)
     return report
+
+
+def ensure_verified(H):
+    """Run check_axioms once unless H is verified already; AxiomsFailed
+    names the failed axioms."""
+    failed = [] if H.verified else check_axioms(H).failures()
+    if failed:
+        raise AxiomsFailed("not a Hopf *-algebra: " + ", ".join(c.name for c in failed))
 
 
 def dual(H):

@@ -1,21 +1,29 @@
 """Exact splitting of the dual algebra into matrix blocks.
 
-The dual of a finite quantum group is split by computing its center with
-exact linear algebra and refining it under multiplication operators into
-common eigenlines.  Eigenvalues are LOCATED numerically in the standard
-complex embedding, RECONSTRUCTED as exact field elements, and then VERIFIED
-exactly; the numeric step is a heuristic and never a source of truth.
-Reconstruction proposes candidates lazily, cheapest first: the nearest
-rational when the value is real, then the 2x2 rational system when
+The dual D of a finite quantum group is split in two stages by one spectral
+step, _spectral_idempotents: an element x of a corner of D with unit u has
+an exact minimal polynomial P there (the first power u x^k that depends on
+the ones before it, found by an Echelon), and when P has deg P distinct
+roots in the field, the Lagrange idempotents u L_mu(x) split u.
+split_center starts from the unit and refines each central idempotent p by
+each element z of the centre's basis in turn: p is kept when p z is a
+multiple of p, and replaced by its spectral idempotents otherwise.
+find_primitive_idempotent splits the unit of one matrix block the same way,
+by candidate elements of the block, until its corner is a line.
+
+Only the roots are numeric.  exact_poly_roots LOCATES them in the standard
+complex embedding, RECONSTRUCTS them as exact field elements, and VERIFIES
+each exactly, so the numeric step is a heuristic and never a source of
+truth.  Reconstruction proposes candidates lazily, cheapest first: the
+nearest rational when the value is real, then the 2x2 rational system when
 phi(n) = 2, and only when phi(n) > 2 and those guesses failed the exact
-check, an integer-relation lattice reduced by LLL.  Each numeric cluster
-stops at its first exactly verified candidate.  When verification cannot
-account for the whole space the field is too small and SplittingFailed
-names the order to raise.
+check, an integer-relation lattice reduced by LLL.  A minimal polynomial of
+a central element whose roots are not all found means the field is too
+small, and SplittingFailed names the order to raise.
 
 Elements of the dual are sparse vectors in the dual basis and are multiplied
-by dual(H).product.  Only the small matrices handed to exact_eigen_split
-are dense.
+by dual(H).product.  exact_eigen_split splits a small dense Matrix by the
+same roots and exact kernels; the splitting of the dual does not use it.
 """
 
 from __future__ import annotations
@@ -27,8 +35,6 @@ from .errors import SplittingFailed, TheoremViolation
 from .hopf import dual
 from .linalg import (
     Echelon,
-    Matrix,
-    Subspace,
     add_terms,
     sparse_column,
     sparse_compose,
@@ -54,43 +60,6 @@ def center_of_dual(H):
             row = eqs.setdefault((j, i), {})
             row[k] = row.get(k, zero) - c
     return sparse_null_space(H.field, H.dim, map(sparse_column, eqs.values()))
-
-
-def _embed_matrix_complex(M):
-    import numpy as np
-
-    return np.array([[c.embed() for c in row] for row in M.rows], dtype=complex)
-
-
-def _numeric_eigenvalues(M, precision):
-    if precision is None:
-        import numpy as np
-
-        vals = np.linalg.eigvals(_embed_matrix_complex(M))
-        return [complex(v) for v in vals]
-    from mpmath import mp
-
-    old = mp.prec
-    try:
-        mp.prec = precision
-        rows = []
-        for row in M.rows:
-            out = []
-            for c in row:
-                n = c.field.n
-                acc = mp.mpc(0)
-                for k, co in enumerate(c.coeffs):
-                    if co:
-                        ang = 2 * mp.pi * k / n
-                        acc += (mp.mpf(co.numerator) / co.denominator) * mp.mpc(
-                            mp.cos(ang), mp.sin(ang)
-                        )
-                out.append(acc)
-            rows.append(out)
-        vals = mp.eig(mp.matrix(rows), left=False, right=False)
-        return [complex(v) for v in vals]
-    finally:
-        mp.prec = old
 
 
 def _cluster(values, tol):
@@ -161,139 +130,10 @@ def _lll_candidates(field, z, max_den):
     return cands
 
 
-def exact_eigen_split(M):
-    """All eigenpairs of M over its own field, exactly verified.
-
-    Returns a list of (eigenvalue, eigenspace) covering the whole space;
-    raises SplittingFailed when the spectrum does not lie in the field.
-    """
-    field = M.field
-    n = M.nrows
-    for precision, max_den in ((None, 10 ** 6), (None, 10 ** 10), (240, 10 ** 12)):
-        approx = _cluster(_numeric_eigenvalues(M, precision), _NUMERIC_TOL)
-        found = []
-        seen = set()
-        total = 0
-        for z in approx:
-            for cand in _reconstruct_candidates(field, z, max_den):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                shifted = Matrix.from_rows(
-                    field,
-                    [
-                        [
-                            M.rows[i][j] - cand if i == j else M.rows[i][j]
-                            for j in range(n)
-                        ]
-                        for i in range(n)
-                    ],
-                    ncols=n,
-                )
-                ker = shifted.kernel()
-                if ker.dim:
-                    found.append((cand, ker))
-                    total += ker.dim
-                    break
-        if total == n:
-            found.sort(key=lambda p: p[0].sort_key())
-            return found
-    raise SplittingFailed(field.n, "eigenvalues of a multiplication operator not found in the field")
-
-
-def split_center(H):
-    """Minimal central idempotents of the dual algebra, exactly verified, as
-    sparse vectors in the dual basis."""
-    field = H.field
-    D = dual(H)
-    center = center_of_dual(H)
-    c = center.dim
-    zrows = center.rows
-    ech = center.echelon()
-
-    def coords(vec):
-        co = ech.coefficients(vec)
-        if co is None:
-            raise TheoremViolation("center is not closed under products")
-        return sparse_vector(co)
-
-    blocks = [Subspace.full(field, c)]
-    for t in range(c):
-        if all(b.dim == 1 for b in blocks):
-            break
-        # cols[b]: the coordinates of z_t z_b, column b of multiplication by z_t
-        cols = [coords(D.product(zrows[t], zb)) for zb in zrows]
-        refined = []
-        for V in blocks:
-            if V.dim == 1:
-                refined.append(V)
-                continue
-            # the matrix of z_t on V, in the coordinates of V's rows
-            vech = V.echelon()
-            sub_rows = [vech.coefficients(img) for img in sparse_compose(cols, V.rows)]
-            if any(co is None for co in sub_rows):
-                raise TheoremViolation("refinement block is not invariant")
-            Mv = Matrix.from_rows(field, sub_rows, ncols=V.dim).transpose()
-            for _val, ker in exact_eigen_split(Mv):
-                refined.append(sparse_image(field, c, sparse_compose(V.rows, ker.rows)))
-        blocks = refined
-    if any(b.dim != 1 for b in blocks):
-        raise SplittingFailed(field.n, "center did not refine into lines")
-
-    idems = []
-    total = {}
-    for b in blocks:
-        v = sparse_compose(zrows, b.rows)[0]
-        idx, lead = v[0]
-        a = dict(D.product(v, v)).get(idx, field.zero) * lead.inverse()
-        if not a:
-            raise SplittingFailed(field.n, "nilpotent line in the center")
-        inv = a.inverse()
-        p = tuple((j, inv * x) for j, x in v)
-        if D.product(p, p) != p:
-            raise TheoremViolation("central idempotent verification failed")
-        idems.append(p)
-        add_terms(total, field.one, p)
-    if sparse_column(total) != sparse_vector(D.unit):
-        raise TheoremViolation("central idempotents do not sum to the counit")
-    return idems
-
-
-# -- polynomial helpers over one field -------------------------------------
-
-
 def _poly_trim(p):
     while len(p) > 1 and not p[-1]:
         p = p[:-1]
     return p
-
-
-def _poly_deriv(field, p):
-    out = [p[k] * k for k in range(1, len(p))]
-    return out or [field.zero]
-
-
-def _poly_mod(field, a, b):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    db = len(b) - 1
-    if db == 0:
-        return [field.zero]
-    inv = b[-1].inverse()
-    while any(a) and len(a) - 1 >= db:
-        c = a[-1] * inv
-        shift = len(a) - 1 - db
-        for j in range(db + 1):
-            a[shift + j] = a[shift + j] - c * b[j]
-        a = _poly_trim(a)
-    return a
-
-
-def _poly_gcd_degree(field, a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while any(b):
-        a, b = b, _poly_mod(field, a, b)
-    return len(_poly_trim(a)) - 1
 
 
 def _poly_eval_scalar(field, p, x):
@@ -304,7 +144,8 @@ def _poly_eval_scalar(field, p, x):
 
 
 def exact_poly_roots(field, coeffs):
-    """Verified roots in the field of an exactly known polynomial."""
+    """The distinct roots in the field of an exactly known polynomial, each
+    verified, ordered by sort_key."""
     import numpy as np
 
     deg = len(_poly_trim(coeffs)) - 1
@@ -326,25 +167,149 @@ def exact_poly_roots(field, coeffs):
     return roots
 
 
-def _min_poly(D, unit, x):
-    """Monic minimal polynomial of x in the corner of D with unit `unit`,
-    lowest degree first.
+def _krylov(field, width, start, step):
+    """(P, powers): the monic polynomial P of least degree, lowest degree
+    first, with sum_j P[j] step^j(start) = 0, and the independent powers
+    step^j(start), j < deg P.
 
-    The powers unit, x, x^2, ... enter an Echelon until one depends on those
-    before it; the kernel of the powers up to that one is then a line, and
-    its vector, scaled to a 1 at that last power, holds the coefficients.
+    The powers enter an Echelon until one depends on those before it; the
+    kernel of the powers up to that one is then a line, and its vector,
+    scaled to a 1 at that last power, holds the coefficients.
     """
-    ech = Echelon(D.field)
+    ech = Echelon(field)
     powers = []
-    cur = unit
+    cur = start
     while ech.add(cur) is not None:
         powers.append(cur)
-        cur = D.product(cur, x)
-    powers.append(cur)
-    (row,) = sparse_kernel(D.field, D.dim, powers).rows
+        cur = step(cur)
+    (row,) = sparse_kernel(field, width, powers + [cur]).rows
     inv = row[-1][1].inverse()
     coefs = dict(row)
-    return [coefs.get(k, D.field.zero) * inv for k in range(len(powers))]
+    return [coefs.get(k, field.zero) * inv for k in range(len(powers) + 1)], powers
+
+
+def _min_poly(D, unit, x):
+    """(P, powers): the monic minimal polynomial of unit x in the corner of D
+    with unit `unit`, lowest degree first, and the powers unit x^j, j < deg P.
+    x is central or lies in the corner, so (unit x)^j = unit x^j."""
+    return _krylov(D.field, D.dim, unit, lambda v: D.product(v, x))
+
+
+def _spectral_idempotents(D, unit, x):
+    """The spectral idempotents of x in the corner of D with unit `unit`,
+    each exactly verified, in the order of their eigenvalues; None when the
+    minimal polynomial P of x there has a repeated root or a root outside
+    the field.
+
+    The idempotent of the root mu is unit L_mu(x) for the Lagrange
+    polynomial L_mu(t) = P(t) / ((t - mu) P'(mu)), a combination of the
+    powers unit x^j that gave P.
+    """
+    field = D.field
+    poly, powers = _min_poly(D, unit, x)
+    roots = exact_poly_roots(field, poly)
+    if len(roots) != len(powers):
+        return None
+    out = []
+    for mu in roots:
+        # P(t) / (t - mu) by synthetic division, built from the top degree down
+        quot = [field.one]
+        for c in reversed(poly[1:-1]):
+            quot.append(c + mu * quot[-1])
+        quot.reverse()
+        scale = _poly_eval_scalar(field, quot, mu).inverse()
+        acc = {}
+        for c, v in zip(quot, powers):
+            add_terms(acc, c * scale, v)
+        q = sparse_column(acc)
+        if D.product(q, q) != q:
+            raise TheoremViolation("spectral idempotent verification failed")
+        out.append(q)
+    return out
+
+
+def exact_eigen_split(M):
+    """All eigenpairs of the square Matrix M over its own field, exactly
+    verified.
+
+    The eigenvalues are the roots of M's minimal polynomial, the lcm of the
+    Krylov polynomials of the e_j; each eigenspace is an exact kernel.
+    Returns a list of (eigenvalue, eigenspace) covering the whole space,
+    by eigenvalue; raises SplittingFailed when the spectrum does not lie in
+    the field.
+    """
+    field, n = M.field, M.nrows
+    cols = [sparse_vector(col) for col in M.transpose().rows]
+
+    def times_m(v):
+        return sparse_compose(cols, [v])[0]
+
+    values = set()
+    for j in range(n):
+        poly, _powers = _krylov(field, n, ((j, field.one),), times_m)
+        values.update(exact_poly_roots(field, poly))
+    found = []
+    for val in sorted(values, key=lambda s: s.sort_key()):
+        shifted = [sparse_vector([c - val if i == j else c for j, c in enumerate(row)])
+                   for i, row in enumerate(M.rows)]
+        found.append((val, sparse_null_space(field, n, shifted)))
+    if sum(ker.dim for _val, ker in found) != n:
+        raise SplittingFailed(field.n, "eigenvalues of a matrix not found in the field")
+    return found
+
+
+def _is_multiple(v, p):
+    """Whether the sparse vector v is a multiple of the nonzero sparse vector p."""
+    idx, lead = p[0]
+    lam = dict(v).get(idx)
+    if lam is None:
+        return not v
+    lam = lam * lead.inverse()
+    return v == tuple((j, lam * c) for j, c in p)
+
+
+def split_center(H):
+    """Minimal central idempotents of the dual algebra, exactly verified, as
+    sparse vectors in the dual basis.
+
+    The unit is refined by each element z of the centre's basis in turn (see
+    the module doc).  Every product p z and every new idempotent must lie in
+    the centre, and the idempotents must sum to the unit, the counit of H.
+    """
+    field = H.field
+    D = dual(H)
+    center = center_of_dual(H)
+    ech = center.echelon()
+    unit = sparse_vector(D.unit)
+    if any(D.product(unit, z) != z for z in center.rows):
+        raise TheoremViolation("central idempotents do not sum to the counit")
+    idems = [unit]
+    for z in center.rows:
+        if len(idems) == center.dim:
+            break
+        refined = []
+        for p in idems:
+            pz = D.product(p, z)
+            if not ech.contains(pz):
+                raise TheoremViolation("center is not closed under products")
+            if _is_multiple(pz, p):
+                refined.append(p)
+                continue
+            parts = _spectral_idempotents(D, p, z)
+            if parts is None:
+                raise SplittingFailed(field.n, "a central element does not split")
+            if not all(map(ech.contains, parts)):
+                raise TheoremViolation("center is not closed under products")
+            refined += parts
+        idems = refined
+    if len(idems) != center.dim:
+        raise SplittingFailed(field.n, "center did not refine into lines")
+    total = {}
+    for p in idems:
+        add_terms(total, field.one, p)
+    if sparse_column(total) != unit:
+        raise TheoremViolation("central idempotents do not sum to the counit")
+    return idems
 
 
 def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
@@ -353,18 +318,15 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
     Vectors are sparse, in the dual basis, and are multiplied in dual(H).
     block_basis must be an echelon basis (Subspace.rows), so that its length
     is the dimension of the block; each smaller corner q D q is spanned the
-    same way.
+    same way.  Each round takes the first spectral idempotent of the first
+    candidate whose spectrum splits, and stops when the corner is a line.
     """
     field = H.field
     D = dual(H)
     corner_basis = block_basis
     unit = block_unit
-    guard = 0
     rng = random.Random(gauge * 7919 + 17)
-    while True:
-        guard += 1
-        if guard > 64:
-            raise SplittingFailed(field.n, "primitive idempotent search exhausted")
+    for _round in range(64):
         if len(corner_basis) == 1:
             return unit
         line = Echelon(field)
@@ -375,35 +337,15 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
         for _extra in range(8):
             coefs = [field.from_rational(Fraction(rng.randrange(-3, 4))) for _b in corner_basis]
             candidates.append(sparse_compose(corner_basis, [sparse_vector(coefs)])[0])
-        progressed = False
         for x in candidates:
-            if not x or line.contains(x):
+            if line.contains(x):
                 continue
-            p = _min_poly(D, unit, x)
-            if len(p) - 1 < 2:
-                continue
-            dp = _poly_deriv(field, p)
-            if _poly_gcd_degree(field, p, dp) != 0:
-                continue  # not squarefree: skip this candidate
-            roots = exact_poly_roots(field, p)
-            if len(roots) != len(p) - 1:
-                continue  # does not split over the field
-            mu = roots[0]
-            others = roots[1:]
-            q = unit
-            for nu in others:
-                diff = (mu - nu).inverse()
-                shifted = dict(x)
-                add_terms(shifted, -nu, unit)
-                q = D.product(q, tuple((j, c * diff) for j, c in sparse_column(shifted)))
-            if D.product(q, q) != q:
-                raise TheoremViolation("spectral idempotent verification failed")
-            if q == unit or not q:
-                continue
-            new_basis = [D.product(D.product(q, b), q) for b in corner_basis]
-            corner_basis = sparse_image(field, H.dim, new_basis).rows
-            unit = q
-            progressed = True
-            break
-        if not progressed:
+            parts = _spectral_idempotents(D, unit, x)
+            if parts is not None:
+                break
+        else:
             raise SplittingFailed(field.n, "no splitting element found in a matrix block")
+        unit = parts[0]
+        new_basis = [D.product(D.product(unit, b), unit) for b in corner_basis]
+        corner_basis = sparse_image(field, H.dim, new_basis).rows
+    raise SplittingFailed(field.n, "primitive idempotent search exhausted")

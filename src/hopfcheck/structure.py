@@ -32,14 +32,13 @@ from dataclasses import dataclass, field as dc_field
 
 from .corep import conjugate, fusion, peter_weyl
 from .errors import (
-    AxiomsFailed,
     CapExceeded,
     ContainmentViolated,
     NotHopfIdeal,
     SchemaError,
     TheoremViolation,
 )
-from .hopf import HopfStarAlgebra, certified_subalgebra, check_axioms, dual, sub_hopf_algebra
+from .hopf import HopfStarAlgebra, certified_subalgebra, dual, ensure_verified, sub_hopf_algebra
 from .linalg import Subspace, sparse_compose, sparse_image, sparse_kernel, sparse_null_space
 from .subgroup import (
     QuantumSubgroup,
@@ -144,9 +143,7 @@ def enumerate_quantum_subgroups(H: HopfStarAlgebra):
 
 
 def _quantum_subgroups(H):
-    failed = [] if H.verified else check_axioms(H).failures()
-    if failed:
-        raise AxiomsFailed("not a Hopf *-algebra: " + ", ".join(c.name for c in failed))
+    ensure_verified(H)
     out = []
     for B in enumerate_hopf_subalgebras(dual(H)):
         out.append(make_subgroup(H, sparse_null_space(H.field, H.dim, B.rows)))
@@ -187,9 +184,17 @@ def subgroup_lattice(H: HopfStarAlgebra) -> SubgroupLattice:
 def property_F_check(H: HopfStarAlgebra):
     """Every Hopf *-subalgebra is a coset algebra of a normal quantum subgroup.
 
-    Returns (ok, witness) with the first unmatched subalgebra as witness.
+    Returns (ok, witness) with the first unmatched subalgebra as witness,
+    decided once per algebra and kept in its memo.  The quantum subgroups
+    come first, so an algebra that fails an axiom raises AxiomsFailed
+    before its dual is split.
     """
-    return _f_witness(enumerate_hopf_subalgebras(H), enumerate_quantum_subgroups(H))
+
+    def decide():
+        qsubs = enumerate_quantum_subgroups(H)
+        return _f_witness(enumerate_hopf_subalgebras(H), qsubs)
+
+    return H.memo("property_F", decide)
 
 
 def _f_witness(subalgebras, qsubs):
@@ -199,9 +204,14 @@ def _f_witness(subalgebras, qsubs):
 
 
 def property_FD_check(H: HopfStarAlgebra):
-    """Every quantum subgroup is normal; witness is the first non-normal one."""
-    qsubs, P = enumerate_quantum_subgroups(H), peter_weyl(H)
-    return next(((False, Q) for Q in qsubs if not normality_report(Q, P).normal), (True, None))
+    """Every quantum subgroup is normal; witness is the first non-normal one.
+    Decided once per algebra and kept in its memo."""
+
+    def decide():
+        qsubs, P = enumerate_quantum_subgroups(H), peter_weyl(H)
+        return next(((False, Q) for Q in qsubs if not normality_report(Q, P).normal), (True, None))
+
+    return H.memo("property_FD", decide)
 
 
 def _at_pivots(B: Subspace, S: Subspace):

@@ -305,7 +305,12 @@ def rebased(H, rng):
     def entry(i, j):
         return field.one if i == j else rng.choice(below) if i > j else field.zero
 
-    T = Matrix(field, [[entry(i, j) for j in range(d)] for i in range(d)])
+    return rebase_by(H, Matrix(field, [[entry(i, j) for j in range(d)] for i in range(d)]))
+
+
+def rebase_by(H, T):
+    """H in the basis f_i = T e_i, for an invertible rational Matrix T."""
+    field, d = H.field, H.dim
     Tinv = solve_linear(T, Matrix.identity(field, d))
     cols = columns(T)
     mult = [

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 
+import hopfcheck.structure
 from hopfcheck.catalog import repo_catalog_dir
 from hopfcheck.cli import cli_dispatch, main
 from hopfcheck.serialize import dump_json, load_algebra
@@ -231,6 +232,25 @@ def test_props_command():
     assert res["property_F"] is False and res["F_witness_dim"] == 2
     assert res["property_FD"] is True and res["FD_witness_quotient_dim"] is None
     assert res["inheritance"]["subgroups_inherit_FD"] is True
+
+
+def test_props_decides_each_subgroup_once(monkeypatch):
+    # property_FD_check is memoised, so the inheritance suite reuses the
+    # answer props already has instead of deciding every subgroup again
+    seen = []
+    real = hopfcheck.structure.normality_report
+
+    def counting(Q, *args):
+        seen.append(Q)
+        return real(Q, *args)
+
+    monkeypatch.setattr(hopfcheck.structure, "normality_report", counting)
+    code, rep = cli_dispatch(["props", cat("f_d4.hopf.json")])
+    assert code == 0
+    assert rep["results"]["property_FD"] is False
+    # FD stops at the first non-normal subgroup; each one before it is decided once
+    assert seen and len({id(Q) for Q in seen}) == len(seen)
+    assert seen[-1].quotient.dim == rep["results"]["FD_witness_quotient_dim"]
 
 
 def test_build_commands(tmp_path):

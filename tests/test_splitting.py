@@ -9,7 +9,7 @@ import pytest
 import hopfcheck
 import hopfcheck.splitting as splitting
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
-from hopfcheck.constructions import FiniteGroup, function_algebra
+from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra
 from hopfcheck.corep import peter_weyl
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import SplittingFailed
@@ -28,6 +28,8 @@ from dense_maps import (
     dense_product,
     dual_product,
     mat_apply,
+    matmul,
+    rebase_by,
     rebased,
     reference_min_poly,
 )
@@ -190,9 +192,9 @@ def test_sparse_products_and_min_polys_match_dense_references(name, s3_crossed, 
     real = splitting._min_poly
 
     def recording(D, unit, x):
-        poly = real(D, unit, x)
+        poly, powers = real(D, unit, x)
         calls.append((unit, x, poly))
-        return poly
+        return poly, powers
 
     monkeypatch.setattr(splitting, "_min_poly", recording)
     H = split_input(name, s3_crossed)
@@ -215,8 +217,57 @@ def test_sparse_products_and_min_polys_match_dense_references(name, s3_crossed, 
         calls.clear()
         P = peter_weyl(A)
         assert calls or all(dim == 1 for dim in P.dims)
+        # the centre is split by central x, so the reference is handed unit x
         for unit, x, poly in calls:
-            assert poly == reference_min_poly(A, dense_of(D, unit), dense_of(D, x))
+            assert poly == reference_min_poly(A, dense_of(D, unit), dense_of(D, D.product(unit, x)))
+
+
+# --- a centre split that does not depend on the basis ------------------------
+
+
+def rebased_centre_matches(seeds):
+    """For each seed, whether split_center of C(D6) rebased by T = L L^T
+    gives, through T, the central idempotents of C(D6) itself.  L is
+    unitriangular with entries below the diagonal from {-1, 0, 0, 1, 2}.
+
+    A functional f of H has the coordinates f(T e_i) = (T^T f)_i in the dual
+    basis of the rebased algebra.
+    """
+    H = group_algebra(FiniteGroup.dihedral(6))
+    field, d = H.field, H.dim
+    idems = [dense_of(dual(H), e) for e in split_center(H)]
+    out = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        below = (-1, 0, 0, 1, 2)
+        L = Matrix(
+            field, [[1 if i == j else rng.choice(below) if i > j else 0 for j in range(d)] for i in range(d)]
+        )
+        T = matmul(L, L.transpose())
+        want = {sparse_vector(mat_apply(T.transpose(), e)) for e in idems}
+        got = split_center(rebase_by(H, T))
+        out.append(len(got) == d and set(got) == want)
+    return out
+
+
+def test_rebased_centre_splits_alike_with_and_without_optimize():
+    # in the large-coefficient basis of L L^T a numeric search for the
+    # eigenvalues of a multiplication operator needs high precision; the
+    # roots of exact minimal polynomials do not
+    assert rebased_centre_matches([0, 1, 2]) == [True] * 3
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "assert False, 'asserts are live'\n"
+        "from test_splitting import rebased_centre_matches\n"
+        "print(rebased_centre_matches([0, 1, 2]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[True, True, True]"]
 
 
 # --- integer-relation reconstruction ----------------------------------------

@@ -303,7 +303,8 @@ def test_lattice_verifies_the_parent_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(hopfcheck.structure, "check_axioms")
+    # structure verifies through hopf.ensure_verified, which calls hopf.check_axioms
+    count(hopfcheck.hopf, "check_axioms")
     count(hopfcheck.subgroup, "check_axioms")
     count(hopfcheck.subgroup, "check_hopf_ideal")
     qsubs = enumerate_quantum_subgroups(function_algebra(_z2_cubed()))
@@ -327,8 +328,11 @@ def test_verified_algebra_is_never_checked_again(monkeypatch):
         calls.append(args)
         return check_axioms(*args)
 
-    for module in (hopfcheck.hopf, hopfcheck.structure, hopfcheck.subgroup):
+    # structure binds no check_axioms: it verifies through hopf.ensure_verified
+    assert not hasattr(hopfcheck.structure, "check_axioms")
+    for module in (hopfcheck.hopf, hopfcheck.subgroup):
         monkeypatch.setattr(module, "check_axioms", counted)
+    for module in (hopfcheck.hopf, hopfcheck.structure, hopfcheck.subgroup):
         # no dense vector builder is bound, so none can run below
         assert not {"zero_vec", "basis_vec", "tensor_vec"} & set(vars(module))
     report = property_inheritance_suite(H)
@@ -768,11 +772,12 @@ def loop_algebra(kind):
 def test_loop_algebra_lattice_names_the_failed_axioms(kind, detail, tmp_path):
     # the axioms are checked before the dual is split, so a loop is reported
     # as what it is, not as a splitting failure
-    with pytest.raises(AxiomsFailed, match=r"^not a Hopf \*-algebra: %s$" % detail):
-        enumerate_quantum_subgroups(loop_algebra(kind))
+    for decide in (enumerate_quantum_subgroups, property_F_check):
+        with pytest.raises(AxiomsFailed, match=r"^not a Hopf \*-algebra: %s$" % detail):
+            decide(loop_algebra(kind))
     path = tmp_path / "loop.hopf.json"
     save_algebra(loop_algebra(kind), path)
-    for cmd in ("subgroups", "props"):
+    for cmd in ("subgroups", "props", "irreps"):
         code, report = cli_dispatch([cmd, str(path)])
         assert code == 1
         assert report["results"] == {
