@@ -4,8 +4,8 @@ A corepresentation here is a square matrix u with entries in the algebra
 satisfying Delta(u_ij) = sum_k u_ik (x) u_kj and eps(u_ij) = delta_ij, with
 S(u_ij) giving a two-sided matrix inverse.  The complete list of irreducible
 ones is recovered from the block decomposition of the dual algebra; every
-identity is verified exactly before anything is returned, so the numeric
-heuristics inside the splitting step can never leak a wrong answer.
+identity is verified exactly before anything is returned, so a wrong
+candidate inside the splitting step can never leak into an answer.
 peter_weyl is the one source of that list, however the algebra was built:
 it splits the dual once and keeps the result in the algebra's memo.
 

@@ -108,7 +108,6 @@ class CycField:
         self._conj_rows = tuple(_sparse(zpows[(n - k) % n]) for k in range(phi))
         self.zero = CycScalar(self, (0,) * phi, 1)
         self.one = CycScalar(self, (1,) + (0,) * (phi - 1), 1)
-        self._embed_cache = None
 
     def __repr__(self):
         return "CycField(%d)" % self.n
@@ -182,12 +181,6 @@ class CycField:
                 for i, r in enumerate(self._zeta_pows[(k * step) % self.n]):
                     out[i] += a * r
         return _canonical(self, out, scalar.den)
-
-    def _embeddings(self):
-        if self._embed_cache is None:
-            z = cmath.exp(2j * cmath.pi / self.n)
-            self._embed_cache = tuple(z ** k for k in range(self.phi))
-        return self._embed_cache
 
 
 def _canonical(field, num, den):
@@ -447,10 +440,9 @@ class CycScalar:
 
     def embed(self):
         """Standard complex embedding z -> exp(2*pi*i/n), as a float."""
-        basis = self.field._embeddings()
-        den = self.den
+        z = cmath.exp(2j * cmath.pi / self.field.n)
         # int / int is correctly rounded, so this equals float(Fraction(a, den))
-        return sum((a / den) * b for a, b in zip(self.num, basis) if a)
+        return sum((a / self.den) * z ** k for k, a in enumerate(self.num) if a)
 
     def __repr__(self):
         terms = []

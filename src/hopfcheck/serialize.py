@@ -45,12 +45,11 @@ def scalar_from_json(field: CycField, obj):
             coeffs = [Fraction(c) for c in obj["coeffs"]]
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError("bad scalar object %r" % obj) from exc
-        src = CycField(order).scalar(coeffs)
-        if field.n % order:
+        if order > 0 and field.n % order:
             raise SchemaError(
                 "scalar of order %d cannot live in the order-%d field" % (order, field.n)
             )
-        return field.lift(src)
+        return field.lift(CycField(order).scalar(coeffs))
     raise SchemaError("unsupported scalar %r" % obj)
 
 

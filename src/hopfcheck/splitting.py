@@ -11,15 +11,11 @@ multiple of p, and replaced by its spectral idempotents otherwise.
 find_primitive_idempotent splits the unit of one matrix block the same way,
 by candidate elements of the block, until its corner is a line.
 
-Only the roots are numeric.  exact_poly_roots LOCATES them in the standard
-complex embedding, RECONSTRUCTS them as exact field elements, and VERIFIES
-each exactly, so the numeric step is a heuristic and never a source of
-truth.  Reconstruction proposes candidates lazily, cheapest first: the
-nearest rational when the value is real, then the 2x2 rational system when
-phi(n) = 2, and only when phi(n) > 2 and those guesses failed the exact
-check, an integer-relation lattice reduced by LLL.  A minimal polynomial of
-a central element whose roots are not all found means the field is too
-small, and SplittingFailed names the order to raise.
+The roots come from exact_poly_roots, in integers alone (Cohen, GTM 138,
+2.6 and 3.5): roots mod a prime p = 1 (mod n) are Newton-lifted, recognised
+by Babai's nearest plane on an LLL-reduced lattice, and verified exactly.  A
+central element that does not split means the field is too small, and
+SplittingFailed names the order to raise.
 
 Elements of the dual are sparse vectors in the dual basis and are multiplied
 by dual(H).product.  exact_eigen_split splits a small dense Matrix by the
@@ -30,7 +26,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import count, takewhile
+from math import comb, gcd, isqrt, lcm
 
+from .cyclotomic import _trim
 from .errors import SplittingFailed, TheoremViolation
 from .hopf import dual
 from .linalg import (
@@ -43,8 +43,6 @@ from .linalg import (
     sparse_null_space,
     sparse_vector,
 )
-
-_NUMERIC_TOL = 1e-7
 
 
 def center_of_dual(H):
@@ -62,109 +60,173 @@ def center_of_dual(H):
     return sparse_null_space(H.field, H.dim, map(sparse_column, eqs.values()))
 
 
-def _cluster(values, tol):
-    reps = []
-    for v in values:
-        if all(abs(v - r) > tol for r in reps):
-            reps.append(v)
-    return reps
+def _deflate(poly, a, reduce=None):
+    """(poly / (x - a), poly(a)); reduce, if given, maps each coefficient."""
+    quot = [poly[-1]]
+    for c in reversed(poly[:-1]):
+        c = c + a * quot[-1]
+        quot.append(reduce(c) if reduce else c)
+    rem = quot.pop()
+    return quot[::-1], rem
 
 
-def _reconstruct_candidates(field, z, max_den):
-    """Exact field elements plausibly equal to the complex number z, cheapest
-    guess first; the LLL tier runs only when a caller asks past the rational
-    and quadratic guesses."""
-    phi = field.phi
-    if abs(z.imag) < _NUMERIC_TOL:
-        yield field.from_rational(Fraction(z.real).limit_denominator(max_den))
-    if phi == 1:
-        return
-    if phi == 2:
-        # z = c0 + c1 * zeta with real c0, c1: a square 2x2 real system
-        zeta = field.zeta().embed()
-        if abs(zeta.imag) > 1e-12:
-            c1 = z.imag / zeta.imag
-            c0 = z.real - c1 * zeta.real
-            yield field.scalar(
-                [
-                    Fraction(c0).limit_denominator(max_den),
-                    Fraction(c1).limit_denominator(max_den),
-                ]
-            )
-        return
-    yield from _lll_candidates(field, z, max_den)
+def _multiplicity(poly, a, reduce=None):
+    """How many times x - a divides the nonzero poly (see _deflate)."""
+    quot, rem = _deflate(poly, a, reduce)
+    return 0 if rem else 1 + _multiplicity(quot, a, reduce)
 
 
-def _lll_candidates(field, z, max_den):
-    """Integer-relation reconstruction for phi(n) > 2 via exact LLL."""
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.matrices.exceptions import DMRankError, DMValueError
+def _gram_schmidt(v, b, d, lam, gram):
+    """u[j] = d[j] <v, b_j*> for the rows b_j of b under the form gram, in
+    exact integer steps (Cohen, Algorithm 2.6.7, step 2)."""
+    gv = [sum(g * x for g, x in zip(row, v)) for row in gram]
+    u = []
+    for j, bj in enumerate(b):
+        s = sum(x * y for x, y in zip(bj, gv))
+        lj = lam[j] if j < len(lam) else u  # v is b_j itself
+        for i in range(j):
+            s = (d[i + 1] * s - u[i] * lj[i]) // d[i]
+        u.append(s)
+    return u
 
-    phi = field.phi
-    scale = 10 ** 12
-    basis_embeds = [field.zeta(k).embed() for k in range(phi)]
-    rows = []
-    for k in range(phi):
-        row = [0] * (phi + 1)
-        row[k] = max(1, scale // (100 * max_den))
-        rows.append(row + [round(scale * basis_embeds[k].real), round(scale * basis_embeds[k].imag)])
-    last = [0] * (phi + 1)
-    last[phi] = max(1, scale // (100 * max_den))
-    rows.append(last + [round(-scale * z.real), round(-scale * z.imag)])
-    dm = DomainMatrix([[ZZ(x) for x in row] for row in rows], (phi + 1, phi + 3), ZZ)
-    try:
-        red = dm.lll()
-    except (DMRankError, DMValueError):
-        return []
-    weight = max(1, scale // (100 * max_den))
-    cands = []
-    for row in red.to_list():
-        ints = [int(x) for x in row]
-        q = ints[phi] // weight if ints[phi] % weight == 0 else None
-        if not q:
+
+def _lll(b, gram):
+    """(b, d, lam): the integer rows b LLL-reduced (delta = 3/4) under the
+    integral positive definite form gram, with d[i] the Gram determinant of
+    b[:i] and lam[k][i] = d[i] <b_k, b_i*> (Cohen, Algorithm 2.6.7)."""
+    d, lam, n = [1], [], len(b)
+    for k in range(n):
+        *row, dk = _gram_schmidt(b[k], b[: k + 1], d, lam, gram)
+        lam.append(row)
+        d.append(dk)
+
+    def reduce(k, l):
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        if q:
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lk * lk:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
             continue
-        if any(a % weight for a in ints[:phi]):
-            continue
-        cands.append(field.from_integers([a // weight for a in ints[:phi]], q))
-    return cands
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lam[k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1]
+        big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = big
+        k = max(1, k - 1)
+    return b, d, lam
 
 
-def _poly_trim(p):
-    while len(p) > 1 and not p[-1]:
-        p = p[:-1]
-    return p
+@cache
+def _level(field, p, j):
+    """(P, w, gram, b, d, lam) for P = p^(2^j): an element w of order n mod p,
+    Newton-lifted to a root of x^n - 1 mod P when j > 0, the trace form
+    gram[i][k] = Tr(z^(i-k)), and _lll of {c : sum_k c_k w^k = 0 (mod P)}."""
+    n, phi, P = field.n, field.phi, p ** (1 << j)
+    if j:
+        w = _level(field, p, j - 1)[1]
+        w = (w - (pow(w, n, P) - 1) * pow(n * pow(w, n - 1, P), -1, P)) % P
+    else:
+        powers = (pow(x, (p - 1) // n, p) for x in range(1, p))
+        w = next(w for w in powers if all(pow(w, k, p) != 1 for k in range(1, n)))
+    tr = [sum((field.zeta(a * m) for a in range(n) if gcd(a, n) == 1), field.zero).num[0]
+          for m in range(phi)]
+    gram = [[tr[abs(i - k)] for k in range(phi)] for i in range(phi)]
+    rows = [[-pow(w, k, P) if k else P] + [int(i == k) for i in range(1, phi)] for k in range(phi)]
+    return (P, w, gram) + _lll(rows, gram)
 
 
-def _poly_eval_scalar(field, p, x):
-    acc = field.zero
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def _nearest(level, t):
+    """t minus the lattice vector that Babai's nearest plane picks on the
+    level's basis: the c in t's coset with |<c, b_j*>| <= |b_j*|^2 / 2."""
+    _P, _w, gram, b, d, lam = level
+    u = _gram_schmidt(t, b, d, lam, gram)
+    for j in reversed(range(len(b))):
+        q = (2 * u[j] + d[j + 1]) // (2 * d[j + 1])
+        if q:
+            t = [x - q * y for x, y in zip(t, b[j])]
+            for i in range(j):
+                u[i] -= q * lam[j][i]
+    return t
+
+
+def _image(f, w, P):
+    """The coefficients of f mod P, with z mapped to w."""
+    pows = [pow(w, k, P) for k in range(len(f[0].num))]
+    return [sum(a * x for a, x in zip(c.num, pows)) * pow(c.den, -1, P) % P for c in f]
+
+
+def _lifted_root(field, f, D, p, a, m, bound):
+    """The root of f of multiplicity m in the field above a, a simple root of
+    f^(m-1) mod p, or None when there is none (see exact_poly_roots)."""
+    for j in count(1):
+        P, w, _gram, _b, d, _lam = level = _level(field, p, j)
+        val = der = 0  # f^(m-1) / (m-1)! and its derivative at a, mod P
+        for c in reversed([comb(i, m - 1) * c for i, c in enumerate(_image(f, w, P))][m - 1:]):
+            der, val = (der * a + val) % P, (val * a + c) % P
+        a = (a - val * pow(der, -1, P)) % P
+        root = field.from_integers(_nearest(level, [D * a % P] + [0] * (field.phi - 1)), D)
+        if _multiplicity(f, root) >= m:
+            return root
+        if all(bound * d[i] < d[i + 1] for i in range(field.phi)):
+            return None
 
 
 def exact_poly_roots(field, coeffs):
-    """The distinct roots in the field of an exactly known polynomial, each
-    verified, ordered by sort_key."""
-    import numpy as np
+    """The distinct roots in the field of the polynomial coeffs (lowest
+    degree first), ordered by sort_key, when it splits into linear factors
+    there; [] when it does not.
 
-    deg = len(_poly_trim(coeffs)) - 1
-    roots = []
-    seen = set()
-    for max_den in (10 ** 6, 10 ** 12):
-        numeric = np.roots([c.embed() for c in reversed(_poly_trim(coeffs))])
-        for z in _cluster([complex(v) for v in numeric], _NUMERIC_TOL):
-            for cand in _reconstruct_candidates(field, z, max_den):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if not _poly_eval_scalar(field, coeffs, cand):
-                    roots.append(cand)
-                    break
-        if len(roots) == deg:
-            break
-    roots.sort(key=lambda s: s.sort_key())
-    return roots
+    f is coeffs made monic, D the common denominator of its coefficients, and
+    primes p = 1 (mod n) above 2 deg^2 not dividing D are tried in turn.  A
+    root of f of multiplicity m maps to one of multiplicity at least m mod p,
+    so f cannot split when the multiplicities mod p sum to less than deg f.
+    If the field holds the root alpha above a root a mod p, the coordinates
+    c of beta = D alpha are integers, which _nearest finds once
+    4 T2(c) < |b_j*|^2 for each j, where T2(c) = Tr(beta conj(beta)) is the
+    sum of |beta|^2 over the places.  beta is a root of the monic
+    D^deg f(x / D), whose coefficient b_i = D^(deg-i) f_i is at most |b_i|_1
+    (the sum of its absolute coordinates) at every place, so by Fujiwara's
+    bound T2(c) <= phi R^2 with R = max_i 2 |b_i|_1^(1/(deg-i)).  A root mod
+    p still unrecognised past that bound has no root above it in the field:
+    p merged two roots, or f splits mod p but not over the field, and the
+    next prime decides.  When (x - alpha)^m divides f for every root mod p,
+    f is their product.
+    """
+    f = _trim(coeffs)
+    deg = len(f) - 1
+    if deg < 1:
+        return []
+    inv = f[-1].inverse()
+    f = [c * inv for c in f]
+    D = lcm(*(c.den for c in f))
+    # 4 phi R^2, with each |b_i|_1^(1/(deg-i)) rounded up to a power of two
+    bound = field.phi << 4 + 2 * max(
+        -(-(sum(map(abs, c.num)) * (D // c.den) * D ** (deg - i - 1)).bit_length() // (deg - i))
+        for i, c in enumerate(f[:-1]))
+    for p in count(2 * deg * deg + 1):
+        if (p - 1) % field.n or D % p == 0 or not all(p % q for q in range(2, isqrt(p) + 1)):
+            continue
+        fp = _image(f, _level(field, p, 0)[1], p)
+        mults = [(a, m) for a in range(p) for m in [_multiplicity(fp, a, lambda c: c % p)] if m]
+        if sum(m for _a, m in mults) < deg:
+            return []
+        lifted = (_lifted_root(field, f, D, p, a, m, bound) for a, m in mults)
+        roots = list(takewhile(lambda r: r is not None, lifted))
+        if len(roots) == len(mults):
+            return sorted(roots, key=lambda s: s.sort_key())
 
 
 def _krylov(field, width, start, step):
@@ -212,12 +274,8 @@ def _spectral_idempotents(D, unit, x):
         return None
     out = []
     for mu in roots:
-        # P(t) / (t - mu) by synthetic division, built from the top degree down
-        quot = [field.one]
-        for c in reversed(poly[1:-1]):
-            quot.append(c + mu * quot[-1])
-        quot.reverse()
-        scale = _poly_eval_scalar(field, quot, mu).inverse()
+        quot, _zero = _deflate(poly, mu)  # P(t) / (t - mu)
+        scale = _deflate(quot, mu)[1].inverse()
         acc = {}
         for c, v in zip(quot, powers):
             add_terms(acc, c * scale, v)

@@ -1,17 +1,17 @@
-"""The numeric libraries are imported lazily, each in the one function that
-proposes candidates with it, so no other code path can come to depend on
-them: numpy finds polynomial roots, sympy reduces integer-relation
-lattices, and mpmath bounds the sign of a real cyclotomic number."""
+"""The package needs no numeric library but mpmath, and imports it lazily,
+in the one function that bounds the sign of a real cyclotomic number, so no
+other code path can come to depend on it.  Roots of polynomials are found
+with integers alone, so numpy and sympy are not imported at all."""
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import hopfcheck
 
 ALLOWED = {
-    ("splitting", "exact_poly_roots", "numpy"),
-    ("splitting", "_lll_candidates", "sympy"),
     ("cyclotomic", "CycScalar.sign", "mpmath"),
 }
 
@@ -53,3 +53,22 @@ def test_numeric_libraries_are_imported_only_where_allowed():
     assert found - ALLOWED == set()
     # the walker sees an import inside a method
     assert ("cyclotomic", "CycScalar.sign", "mpmath") in found
+
+
+def test_the_package_splits_without_numpy_or_sympy():
+    # a None entry in sys.modules makes every import of the name fail
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['sympy'] = None\n"
+        "from hopfcheck.catalog import build_algebra\n"
+        "from hopfcheck.constructions import FiniteGroup, function_algebra\n"
+        "from hopfcheck.corep import peter_weyl\n"
+        "F = function_algebra(FiniteGroup.cyclic(5))\n"
+        "print(peter_weyl(build_algebra('f_s3')).dims)\n"
+        "print(F.field.phi, peter_weyl(F).dims)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[1, 1, 2]", "4 [1, 1, 1, 1, 1]"]

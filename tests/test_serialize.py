@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import hopfcheck.cyclotomic as cyclotomic
 from hopfcheck.catalog import (
     CATALOG_NAMES,
     build_algebra,
@@ -61,6 +62,10 @@ def test_scalar_rejects_garbage():
         scalar_from_json(field, {"order": 6})
     with pytest.raises(SchemaError):
         scalar_from_json(field, [1, 2])
+    # the order is checked before its field is built
+    with pytest.raises(SchemaError):
+        scalar_from_json(field, {"order": 1601, "coeffs": ["1"]})
+    assert 1601 not in cyclotomic._FIELDS
 
 
 # --- algebra round trips -----------------------------------------------------

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfcheck
 import hopfcheck.splitting as splitting
@@ -16,7 +18,6 @@ from hopfcheck.errors import SplittingFailed
 from hopfcheck.hopf import dual
 from hopfcheck.linalg import Matrix, sparse_vector
 from hopfcheck.splitting import (
-    _lll_candidates,
     center_of_dual,
     exact_eigen_split,
     exact_poly_roots,
@@ -270,67 +271,94 @@ def test_rebased_centre_splits_alike_with_and_without_optimize():
     assert proc.stdout.splitlines() == ["[True, True, True]"]
 
 
-# --- integer-relation reconstruction ----------------------------------------
+# --- exact root finding by p-adic lifting --------------------------------------
 
 
-def test_lll_reconstructs_an_element_with_a_denominator():
+def poly_with_roots(field, roots):
+    """The monic polynomial with the given roots, repeats kept, lowest degree
+    first."""
+    poly = [field.one]
+    for r in roots:
+        poly = [field.zero] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= r * poly[i + 1]
+    return poly
+
+
+def primes_lifted(monkeypatch):
+    """The primes exact_poly_roots lifts roots at, in the order it does."""
+    seen = []
+    real = splitting._level
+
+    def level(field, p, j):
+        if j and p not in seen:
+            seen.append(p)
+        return real(field, p, j)
+
+    monkeypatch.setattr(splitting, "_level", level)
+    return seen
+
+
+def test_root_with_a_denominator():
     F = CycField(12)
     x = F.scalar([Fraction(3, 7), Fraction(-1, 7), Fraction(2, 7), Fraction(5, 7)])
-    assert x in _lll_candidates(F, x.embed(), 10 ** 6)
+    roots = exact_poly_roots(F, poly_with_roots(F, [x, F.zeta(), -x]))
+    assert roots == sorted([x, F.zeta(), -x], key=lambda s: s.sort_key())
 
 
-def test_lll_failures_are_narrowly_caught(monkeypatch):
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.matrices.exceptions import DMRankError
+def test_repeated_roots_are_kept():
+    Q = CycField(1)
+    for roots, want in (([3, 9, 9], [3, 9]), ([2, -8, -8], [-8, 2])):
+        got = exact_poly_roots(Q, poly_with_roots(Q, [Q.scalar(r) for r in roots]))
+        assert [r.as_fraction() for r in got] == want
 
+
+def test_too_few_roots_mod_p_need_no_lift(monkeypatch):
+    # t^3 - 2 over Q(zeta_12): mod 37, the first prime tried, 2 is no cube
+    def no_lift(*args):
+        raise AssertionError("lifted a root of a polynomial that cannot split")
+
+    monkeypatch.setattr(splitting, "_lifted_root", no_lift)
     F = CycField(12)
-    z = F.zeta().embed()
-
-    def rank_error(self, *args, **kwargs):
-        raise DMRankError("dependent rows")
-
-    monkeypatch.setattr(DomainMatrix, "lll", rank_error)
-    assert _lll_candidates(F, z, 10 ** 6) == []
-
-    def bug(self, *args, **kwargs):
-        raise RuntimeError("not an LLL failure")
-
-    monkeypatch.setattr(DomainMatrix, "lll", bug)
-    with pytest.raises(RuntimeError):
-        _lll_candidates(F, z, 10 ** 6)
+    assert exact_poly_roots(F, [F.from_rational(-2), F.zero, F.zero, F.one]) == []
 
 
-def test_lll_runs_only_after_the_cheap_guesses_fail(monkeypatch):
-    # over Q(zeta_12) (phi = 4) rational eigenvalues and roots are found by the
-    # rational guess, so the LLL tier is never entered
-    def no_lll(field, z, max_den):
-        raise AssertionError("LLL tier entered for a rational value")
+def test_split_mod_p_but_not_over_the_field(monkeypatch):
+    # 3 is a square mod 11 and mod 13 but not mod 17, and not in Q
+    primes = primes_lifted(monkeypatch)
+    Q = CycField(1)
+    assert exact_poly_roots(Q, [Q.from_rational(-3), Q.zero, Q.one]) == []
+    assert primes == [11, 13]
 
-    monkeypatch.setattr(splitting, "_lll_candidates", no_lll)
-    F = CycField(12)
-    M = Matrix.from_rows(
-        F,
-        [
-            [F.zero, F.one, F.zero],
-            [F.one, F.zero, F.zero],
-            [F.zero, F.zero, F.one],
-        ],
-    )
-    out = exact_eigen_split(M)
-    assert sorted((val.as_fraction(), space.dim) for val, space in out) == [(-1, 1), (1, 2)]
-    roots = exact_poly_roots(F, [-F.one, F.zero, F.one])
-    assert [r.as_fraction() for r in roots] == [-1, 1]
 
-    # sqrt(2) over Q(zeta_8) is real but irrational: the rational guess fails
-    # its exact check and the LLL tier is still reached
-    calls = []
-    monkeypatch.setattr(
-        splitting, "_lll_candidates", lambda *args: calls.append(args) or _lll_candidates(*args)
-    )
-    F8 = CycField(8)
-    roots = exact_poly_roots(F8, [F8.from_rational(-2), F8.zero, F8.one])
-    assert [(r * r).as_fraction() for r in roots] == [2, 2]
-    assert calls
+def test_roots_that_meet_mod_the_first_prime(monkeypatch):
+    # 1 = 12 mod 11, and i = i + 13 mod 13: the next prime separates them
+    primes = primes_lifted(monkeypatch)
+    Q = CycField(1)
+    roots = exact_poly_roots(Q, poly_with_roots(Q, [Q.one, Q.scalar(12)]))
+    assert [r.as_fraction() for r in roots] == [1, 12]
+    assert primes[:2] == [11, 13]
+    del primes[:]
+    F = CycField(4)
+    i = F.zeta()
+    assert exact_poly_roots(F, poly_with_roots(F, [i, i + 13])) == [i, i + 13]
+    assert primes[:2] == [13, 17]
+
+
+def small_roots(n):
+    field = CycField(n)
+    coords = st.lists(st.integers(-6, 6), min_size=field.phi, max_size=field.phi)
+    return st.builds(field.from_integers, coords, st.integers(1, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 3, 4, 5, 8, 12)).flatmap(
+    lambda n: st.lists(small_roots(n), min_size=1, max_size=4)))
+def test_every_root_found_with_repeats_and_denominators(roots):
+    F = roots[0].field
+    roots = roots + roots[:1]  # one repeat, so a root of multiplicity two or more
+    want = sorted(set(roots), key=lambda s: s.sort_key())
+    assert exact_poly_roots(F, poly_with_roots(F, roots)) == want
 
 
 # --- exact verifications survive python -O ---------------------------------------
