@@ -9,6 +9,13 @@ candidate inside the splitting step can never leak into an answer.
 peter_weyl is the one source of that list, however the algebra was built:
 it splits the dual once and keeps the result in the algebra's memo.
 
+The comultiplication law is checked in the dual: it says that
+f -> (f(u_ij)) is multiplicative on dual(H), which is checked for f in the
+dual's certified generators (hopf._dual_generators, kept in the algebra's
+memo under "dual_generators" and certified even for an algebra that has
+not been verified), against the basis functionals where either side can
+be nonzero; see Corepresentation.verify.
+
 Every entry u_ij, character and idempotent is a sparse vector (see linalg).
 The coefficient block of each corepresentation (the span of its entries)
 is found once, while it is extracted, and kept in the PeterWeylData next
@@ -20,7 +27,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import SchemaError, SplittingFailed, TheoremViolation
-from .hopf import HopfStarAlgebra, coproduct_slice
+from .hopf import HopfStarAlgebra, _dual_generators, coproduct_slice, dual
 from .linalg import (
     Subspace,
     add_terms,
@@ -62,30 +69,66 @@ class Corepresentation:
     def verify(self):
         """Exact check of the comultiplication, counit and antipode laws.
 
-        For each entry u_ij in row order, Delta(u_ij) - sum_k u_ik (x) u_kj is
-        formed as one sparse difference over the coproduct terms of u_ij and
-        the supports of the u_ik and u_kj, then eps(u_ij) is compared with
-        delta_ij; after that S(u) is checked as a two-sided inverse of u.
-        Returns the first failure as a message, or None when every law holds.
+        Write rho(f) = (f(u_ij)), a matrix for each functional f in the
+        dual D.  The comultiplication law Delta(u_ij) = sum_k u_ik (x) u_kj
+        holds exactly when rho(e^s e^t) = rho(e^s) rho(e^t) for all s, t:
+        the two sides of that equation at entry (i, j) are the coefficients
+        of e_s (x) e_t in the two sides of the law at (i, j).  For t outside
+        the supports of the u_ij with e^s e^t = 0, both sides are 0.  When
+        D is unital and associative and the counit law rho(eps) = I holds,
+        s may range over the generators of D alone (hopf._dual_generators):
+        M = {f : rho(f g) = rho(f) rho(g) for all g} contains eps, and for
+        a, b in M, rho((ab)g) = rho(a) rho(b) rho(g) = rho(ab) rho(g), so M
+        is a subalgebra holding the generators' products, which span D.
+        Otherwise s ranges over every index.
+
+        The first failure of the comultiplication law is reported, at the
+        least entry (i, j) of the first (s, t) that shows it; then the
+        counit law eps(u_ij) = delta_ij at the first entry in row order;
+        then S(u) is checked as a two-sided inverse of u.  Returns the
+        failure as a message, or None when every law holds.
         """
         H = self.algebra
         d = self.dim
         u = self.entries
+        field = H.field
+        counit_bad = next(
+            ((i, j) for i in range(d) for j in range(d)
+             if H.counit_of(u[i][j]) != (field.one if i == j else field.zero)),
+            None,
+        )
+        # rho[k] = {(i, j): coefficient of e_k in u_ij}, by_row[k][i] its row i
+        rho = {}
         for i in range(d):
             for j in range(d):
-                diff = H.coproduct(u[i][j])
-                for k in range(d):
-                    right = u[k][j]
-                    for a, x in u[i][k]:
-                        for b, y in right:
-                            v = x * y
-                            diff[a, b] = diff[a, b] - v if (a, b) in diff else -v
-                if any(diff.values()):
-                    return "comultiplication law fails at entry (%d, %d)" % (i, j)
-                eps = H.counit_of(u[i][j])
-                want = H.field.one if i == j else H.field.zero
-                if eps != want:
-                    return "counit law fails at entry (%d, %d)" % (i, j)
+                for k, c in u[i][j]:
+                    rho.setdefault(k, {})[i, j] = c
+        by_row = {}
+        for k, entries in rho.items():
+            rows = by_row[k] = {}
+            for (i, j), c in entries.items():
+                rows.setdefault(i, []).append((j, c))
+        D = dual(H)
+        gens = _dual_generators(H) if counit_bad is None else range(H.dim)
+        for s in gens:
+            row = D.mult[s]
+            left = rho.get(s, {})
+            for t in sorted(rho.keys() | {t for t, terms in enumerate(row) if terms}):
+                acc = {}
+                for k, c in row[t]:
+                    for key, x in rho.get(k, {}).items():
+                        v = c * x
+                        acc[key] = acc[key] + v if key in acc else v
+                right = by_row.get(t, {})
+                for (i, k), x in left.items():
+                    for j, y in right.get(k, ()):
+                        v = x * y
+                        acc[i, j] = acc[i, j] - v if (i, j) in acc else -v
+                bad = [key for key, v in acc.items() if v]
+                if bad:
+                    return "comultiplication law fails at entry (%d, %d)" % min(bad)
+        if counit_bad is not None:
+            return "counit law fails at entry (%d, %d)" % counit_bad
         anti = [[H.antipode_vec(v) for v in row] for row in u]
         one = sparse_vector(H.unit)
         for i in range(d):

@@ -29,7 +29,8 @@ state, the Peter-Weyl list, the dual, the subalgebra and subgroup lattices)
 is computed once and kept in the algebra's memo: `H.memo(key, compute)`
 returns the stored value for `key`, calling `compute()` only the first time.
 The keys are "haar", "peter_weyl", "dual", "hopf_subalgebras",
-"quantum_subgroups", "property_F", "property_FD" and "verified".
+"quantum_subgroups", "property_F", "property_FD", "generators",
+"dual_generators" and "verified".
 "verified" is set when the algebra passes check_axioms, or when
 make_subgroup or sub_hopf_algebra certifies it as a quotient or a
 subalgebra of a verified algebra; `H.verified` reads it and never runs a
@@ -37,6 +38,29 @@ check, and ensure_verified runs check_axioms only when it is unset.  The
 memo is the only store of derived data: a constructor sets `meta`, the
 record of how the algebra was built, and nothing else, so the Peter-Weyl
 list of every algebra comes from splitting its dual (see corep).
+
+Identities that are multiplicative in one argument are checked on a
+certified generating set.  "generators" holds basis indices S such that the
+unit and its repeated left products e_s1 (e_s2 (... (e_sk 1))) span the
+algebra, certified by an Echelon of full rank (_generators).  The x for
+which such an identity holds (for every y) form a subspace.  When that
+subspace contains 1 and is closed under products, it holds every product
+of generators (induction on word length), and these span, so checking x in
+S suffices.  That needs prerequisites:
+  associativity        the unit law: the left nucleus {x : (xy)z = x(yz)}
+                       is closed under products in any algebra;
+  Delta(xy) = Delta(x) Delta(y)
+                       associativity, the unit law and Delta(1) = 1 (x) 1.
+The proofs are in the docstrings of _assoc_failures and
+_comult_mult_failures.  Coassociativity is the associativity of the dual,
+whose unit law is the counit law.  Delta(xy) = Delta(x) Delta(y) is the
+same identity of structure constants in the dual, with prerequisites
+coassociativity, the counit law and eps(xy) = eps(x) eps(y); check_axioms
+runs it on the side with fewer generators.  A reduction runs only when its prerequisites have passed;
+otherwise S is every index, the full scan, so each ok flag is what the full
+scans give and only a failure's witness may name other indices.
+"dual_generators" holds the dual's generators when the dual is unital and
+associative, and every index otherwise, for Corepresentation.verify.
 
 Vectors are sparse, the form of a column of H.antipode: H.product,
 H.antipode_vec and H.star_vec take and return sorted (index, scalar) tuples,
@@ -59,6 +83,7 @@ from dataclasses import dataclass, field as dc_field
 from .cyclotomic import CycField
 from .errors import AxiomsFailed, NotCosemisimple, SchemaError
 from .linalg import (
+    Echelon,
     add_terms,
     sparse_apply,
     sparse_column,
@@ -349,7 +374,10 @@ def check_axioms(H):
 
     Each check reports a witness (basis indices) on failure.  An algebra is
     only fit for downstream use when all checks pass; a passing run is
-    recorded in its memo under "verified".
+    recorded in its memo under "verified".  Associativity,
+    coassociativity and Delta(xy) = Delta(x) Delta(y) run on generators
+    (see the module doc); a failure of the last two names the basis
+    element or pair of H at which the identity fails.
     """
     d = H.dim
     field = H.field
@@ -360,28 +388,11 @@ def check_axioms(H):
     def run(name, witness_iter):
         w = next(witness_iter, None)
         checks.append(AxiomCheck(name, w is None, w))
+        return w is None
 
-    def unit_fails():
-        for i in range(d):
-            if H.product(one, ebasis[i]) != ebasis[i] or H.product(ebasis[i], one) != ebasis[i]:
-                yield (i,)
-
-    run("unit", unit_fails())
-
-    def assoc_fails():
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = {}
-                    rhs = {}
-                    for m, c in H.mult[i][j]:
-                        add_terms(lhs, c, H.mult[m][k])
-                    for m, c in H.mult[j][k]:
-                        add_terms(rhs, c, H.mult[i][m])
-                    if _nonzero(lhs) != _nonzero(rhs):
-                        yield (i, j, k)
-
-    run("associativity", assoc_fails())
+    unit_ok = run("unit", _unit_failures(H))
+    gens = _generators(H) if unit_ok else range(d)
+    assoc_ok = run("associativity", (w[:3] for w in _assoc_failures(H, gens)))
 
     def counit_fails():
         for i in range(d):
@@ -395,23 +406,12 @@ def check_axioms(H):
             if sparse_column(lhs) != ebasis[i] or sparse_column(rhs) != ebasis[i]:
                 yield (i,)
 
-    run("counit", counit_fails())
-
-    def coassoc_fails():
-        for i in range(d):
-            lhs = {}
-            rhs = {}
-            for j, k, c in H.comult[i]:
-                for a, b, c2 in H.comult[j]:
-                    key = (a, b, k)
-                    lhs[key] = lhs.get(key, field.zero) + c * c2
-                for a, b, c2 in H.comult[k]:
-                    key = (j, a, b)
-                    rhs[key] = rhs.get(key, field.zero) + c * c2
-            if _nonzero(lhs) != _nonzero(rhs):
-                yield (i,)
-
-    run("coassociativity", coassoc_fails())
+    counit_ok = run("counit", counit_fails())
+    # coassociativity of H is associativity of its dual, whose unit law is
+    # the counit law of H; a failure at e^t of the dual is one at e_t of H
+    D = dual(H)
+    dual_gens = _generators(D) if counit_ok else range(d)
+    coassoc_ok = run("coassociativity", (w[3:] for w in _assoc_failures(D, dual_gens)))
 
     def comult_unital_fails():
         acc = {(a, b): -(x * y) for a, x in one for b, y in one}
@@ -421,34 +421,13 @@ def check_axioms(H):
         if any(acc.values()):
             yield ()
 
-    run("comult_unital", comult_unital_fails())
+    comult_unital_ok = run("comult_unital", comult_unital_fails())
 
     def eps_one_fails():
         if H.counit_of(one) != field.one:
             yield ()
 
     run("counit_unital", eps_one_fails())
-
-    def comult_mult_fails():
-        for i in range(d):
-            for j in range(d):
-                lhs = {}
-                for k, c in H.mult[i][j]:
-                    for a, b, c2 in H.comult[k]:
-                        key = (a, b)
-                        lhs[key] = lhs.get(key, field.zero) + c * c2
-                rhs = {}
-                for a, b, c1 in H.comult[i]:
-                    for p, q, c2 in H.comult[j]:
-                        c12 = c1 * c2
-                        for r, m1 in H.mult[a][p]:
-                            for s, m2 in H.mult[b][q]:
-                                key = (r, s)
-                                rhs[key] = rhs.get(key, field.zero) + c12 * m1 * m2
-                if _nonzero(lhs) != _nonzero(rhs):
-                    yield (i, j)
-
-    run("comult_multiplicative", comult_mult_fails())
 
     def counit_mult_fails():
         for i in range(d):
@@ -460,7 +439,20 @@ def check_axioms(H):
                 if lhs != H.counit[i] * H.counit[j]:
                     yield (i, j)
 
-    run("counit_multiplicative", counit_mult_fails())
+    # Delta(xy) = Delta(x) Delta(y) runs on the side with fewer generators
+    # among those whose prerequisites hold, else on every index of H.  The
+    # dual side needs eps(xy) = eps(x) eps(y), so that check runs first; the
+    # report keeps its order.
+    counit_mult_w = next(counit_mult_fails(), None)
+    h_side = unit_ok and assoc_ok and comult_unital_ok
+    dual_side = counit_ok and coassoc_ok and counit_mult_w is None
+    on_dual = dual_side and not (h_side and len(gens) <= len(dual_gens))
+    A, A_gens = (D, dual_gens) if on_dual else (H, gens if h_side else range(d))
+    # the identity at (i, j), component (a, b) of the dual is the one at
+    # (a, b), component (i, j) of H
+    run("comult_multiplicative",
+        (w[2:] if on_dual else w[:2] for w in _comult_mult_failures(A, A_gens)))
+    checks.append(AxiomCheck("counit_multiplicative", counit_mult_w is None, counit_mult_w))
 
     def antipode_fails(side):
         for i in range(d):
@@ -605,6 +597,164 @@ def ensure_verified(H):
     failed = [] if H.verified else check_axioms(H).failures()
     if failed:
         raise AxiomsFailed("not a Hopf *-algebra: " + ", ".join(c.name for c in failed))
+
+
+def _generators(A):
+    """Basis indices S such that the unit and its repeated left products
+    e_s1 (e_s2 (... (e_sk 1))), all s_i in S, span A; range(d) when no such
+    S exists.  Memoised under "generators".
+
+    Each index is scored by the dimension that its own products with the
+    unit reach, and the indices are tried from the highest score down (ties
+    by index): one is kept when the span of the products grows with it.
+    The products are added to an Echelon, so S is certified exactly: it is
+    returned only when the Echelon reaches full rank.
+    """
+    return A.memo("generators", lambda: _find_generators(A))
+
+
+def _find_generators(A):
+    d = A.dim
+    basis = sparse_identity(A.field, d)
+    one = sparse_vector(A.unit)
+
+    def closure(gens, new, ech, words):
+        """Add to ech and words the products of the words by e_new, then
+        every left product of a new word by e_s, s in gens or new."""
+        todo = [(w, (new,)) for w in words]
+        while todo:
+            w, by = todo.pop()
+            for s in by:
+                v = A.product(basis[s], w)
+                if ech.add(v) is not None:
+                    words.append(v)
+                    todo.append((v, gens + (new,)))
+        return len(words)
+
+    def start():
+        ech = Echelon(A.field)
+        return ech, [one] if ech.add(one) is not None else []
+
+    score = [closure((), s, *start()) for s in range(d)]
+    ech, words = start()
+    gens = ()
+    for s in sorted(range(d), key=lambda s: -score[s]):
+        if len(words) == d:
+            return gens
+        before = len(words)
+        if closure(gens, s, ech, words) > before:
+            gens += (s,)
+    return gens if len(words) == d else range(d)
+
+
+def _unit_failures(A):
+    """(i,) for each e_i with 1 e_i != e_i or e_i 1 != e_i."""
+    one = sparse_vector(A.unit)
+    for i, e in enumerate(sparse_identity(A.field, A.dim)):
+        if A.product(one, e) != e or A.product(e, one) != e:
+            yield (i,)
+
+
+def _assoc_failures(A, gens):
+    """(i, j, k, t) for each i in gens and each j at which some
+    (e_i e_j) e_k - e_i (e_j e_k) is nonzero, with (k, t) the least k and
+    coefficient index t where it is.
+
+    Over all i this is associativity.  When A satisfies the unit law, it
+    suffices that none is found for i in _generators(A): the left nucleus
+    N = {x : (xy)z = x(yz) for all y, z} is a subspace, contains 1 by the
+    unit law, and is closed under products, since for a, b in N
+    ((ab)y)z = (a(by))z = a((by)z) = a(b(yz)) = (ab)(yz).  So N holds every
+    product e_s1 (... (e_sk 1)) of the generators, which span A.
+    """
+    nonzero = [[(k, terms) for k, terms in enumerate(row) if terms] for row in A.mult]
+    for i in gens:
+        row = A.mult[i]
+        for j in range(A.dim):
+            acc = {}
+            for m, c in row[j]:
+                for k, terms in nonzero[m]:
+                    for t, c2 in terms:
+                        v = c * c2
+                        acc[k, t] = acc[k, t] + v if (k, t) in acc else v
+            for k, terms in nonzero[j]:
+                for m, c in terms:
+                    for t, c2 in row[m]:
+                        v = c * c2
+                        acc[k, t] = acc[k, t] - v if (k, t) in acc else -v
+            bad = [key for key, v in acc.items() if v]
+            if bad:
+                yield (i, j) + min(bad)
+
+
+def _comult_mult_failures(A, gens):
+    """(i, j, a, b) for each i in gens and each j at which
+    Delta(e_i e_j) - Delta(e_i) Delta(e_j) is nonzero, with (a, b) the
+    least index pair of e_a (x) e_b where it is.
+
+    Over all i this is the bialgebra compatibility.  When A is associative,
+    satisfies the unit law and Delta(1) = 1 (x) 1, it suffices that none is
+    found for i in _generators(A): M = {x : Delta(xy) = Delta(x) Delta(y)
+    for all y} is a subspace, contains 1, and for a, b in M
+    Delta((ab)y) = Delta(a) Delta(b) Delta(y) = Delta(ab) Delta(y), so M is
+    a subalgebra and holds the generators' products, which span A.
+
+    The compatibility is self-dual: written in structure constants, the
+    identity of A at (i, j), component (a, b), is the identity of dual(A)
+    at (a, b), component (i, j).  So it may be checked on the dual instead,
+    when A is coassociative, satisfies the counit law and
+    eps(xy) = eps(x) eps(y), which is Delta(1) = 1 (x) 1 in the dual.
+    """
+    # Delta(e_i) = sum_a e_a (x) x_a over the (a, x_a) in legs[i], so
+    # Delta(e_i) Delta(e_j) = sum_(a, p) e_a e_p (x) x_a y_p
+    legs = []
+    for terms in A.comult:
+        by_first = {}
+        for a, b, c in terms:
+            by_first.setdefault(a, []).append((b, c))
+        legs.append(list(by_first.items()))
+    for i in gens:
+        for j in range(A.dim):
+            acc = {}
+            for k, c in A.mult[i][j]:
+                for a, b, c2 in A.comult[k]:
+                    v = c * c2
+                    acc[a, b] = acc[a, b] + v if (a, b) in acc else v
+            for a, x in legs[i]:
+                row = A.mult[a]
+                for p, y in legs[j]:
+                    terms = row[p]
+                    if terms:
+                        xy = A.product(x, y)
+                        for r, m in terms:
+                            for s, c in xy:
+                                v = m * c
+                                acc[r, s] = acc[r, s] - v if (r, s) in acc else -v
+            bad = [key for key, v in acc.items() if v]
+            if bad:
+                yield (i, j) + min(bad)
+
+
+def _dual_generators(H):
+    """_generators(dual(H)) when dual(H) is unital and associative, else
+    range(d); memoised under "dual_generators".
+
+    The dual's unit law is the counit law of H and its associativity the
+    coassociativity of H, so a verified H needs no check; otherwise both
+    are checked here, the associativity on the dual's generators as in
+    _assoc_failures.
+    """
+
+    def compute():
+        D = dual(H)
+        if not H.verified and next(_unit_failures(D), None) is not None:
+            return range(D.dim)
+        gens = _generators(D)
+        if H.verified or next(_assoc_failures(D, gens), None) is None:
+            return gens
+        return range(D.dim)
+
+    return H.memo("dual_generators", compute)
 
 
 def dual(H):

@@ -376,11 +376,24 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
     Vectors are sparse, in the dual basis, and are multiplied in dual(H).
     block_basis must be an echelon basis (Subspace.rows), so that its length
     is the dimension of the block; each smaller corner q D q is spanned the
-    same way.  Each round takes the first spectral idempotent of the first
-    candidate whose spectrum splits, and stops when the corner is a line.
+    same way.  Each round takes the first spectral idempotent q of the first
+    candidate whose spectrum splits, and stops when the corner q D q is a
+    line, that is when q has rank 1 in the block M_n(K).  That rank is read
+    off a trace instead of a rebuilt corner: D acts on itself by left
+    multiplication, and the block p D is n copies of the column space K^n,
+    so the trace of left multiplication by q is n times its rank.
     """
     field = H.field
     D = dual(H)
+    n = isqrt(len(block_basis))
+    # trace[k] = the trace of left multiplication by e_k on D
+    trace = [field.zero] * H.dim
+    for k, row in enumerate(D.mult):
+        for t, terms in enumerate(row):
+            for m, c in terms:
+                if m == t:
+                    trace[k] = trace[k] + c
+    rank_one = field.from_rational(Fraction(n))
     corner_basis = block_basis
     unit = block_unit
     rng = random.Random(gauge * 7919 + 17)
@@ -404,6 +417,8 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
         else:
             raise SplittingFailed(field.n, "no splitting element found in a matrix block")
         unit = parts[0]
+        if sum((c * trace[k] for k, c in unit), field.zero) == rank_one:
+            return unit
         new_basis = [D.product(D.product(unit, b), unit) for b in corner_basis]
         corner_basis = sparse_image(field, H.dim, new_basis).rows
     raise SplittingFailed(field.n, "primitive idempotent search exhausted")

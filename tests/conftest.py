@@ -32,6 +32,27 @@ def s3_crossed():
     return build_s3_crossed
 
 
+def build_drinfeld_double_s3():
+    """D(S3) = F(S3) x| S3, S3 acting by conjugation.
+
+    The 36-dimensional result is neither commutative nor cocommutative.
+    """
+    S3 = FiniteGroup.symmetric(3)
+    F = function_algebra(S3)
+    one = F.field.one
+    conj = [
+        [(j, S3.mul(S3.mul(t, j), S3.inv(t)), one) for j in range(S3.order)]
+        for t in range(S3.order)
+    ]
+    return crossed_product(F, GroupAction(S3, F, conj))
+
+
+@pytest.fixture(scope="session")
+def drinfeld_s3():
+    """A builder of D(S3); each call is a fresh algebra."""
+    return build_drinfeld_double_s3
+
+
 def pytest_configure(config):
     config.acceptance_lines = []
 

@@ -11,6 +11,11 @@ products and application, the projection onto the canonical complement
 obtained by reducing each e_j, and the convolution of two matrices summed
 over dense columns.  DenseEchelon is the row echelon form kept as dense
 rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
+
+The reference_* scans at the end check associativity, coassociativity,
+Delta(xy) = Delta(x) Delta(y) and the laws of a corepresentation on every
+basis element, pair or triple, where hopfcheck checks the identities that
+are multiplicative in one argument on a certified generating set only.
 """
 
 from bisect import bisect_left
@@ -333,3 +338,104 @@ def rebase_by(H, T):
     return HopfStarAlgebra(
         field, mult, mat_apply(Tinv, list(H.unit)), comult, counit, rebase(H.antipode), rebase(H.star)
     )
+
+
+# -- full scans of the multiplicative identities ---------------------------------
+
+
+def _nonzero(acc):
+    return {k: v for k, v in acc.items() if v}
+
+
+def _add(acc, key, v):
+    acc[key] = acc[key] + v if key in acc else v
+
+
+def reference_associativity(H):
+    """The first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None,
+    over every triple."""
+    d = H.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs = {}
+                rhs = {}
+                for m, c in H.mult[i][j]:
+                    for t, c2 in H.mult[m][k]:
+                        _add(lhs, t, c * c2)
+                for m, c in H.mult[j][k]:
+                    for t, c2 in H.mult[i][m]:
+                        _add(rhs, t, c * c2)
+                if _nonzero(lhs) != _nonzero(rhs):
+                    return (i, j, k)
+    return None
+
+
+def reference_coassociativity(H):
+    """The first (i,) with (Delta (x) id) Delta(e_i) != (id (x) Delta) Delta(e_i),
+    or None."""
+    for i in range(H.dim):
+        lhs = {}
+        rhs = {}
+        for j, k, c in H.comult[i]:
+            for a, b, c2 in H.comult[j]:
+                _add(lhs, (a, b, k), c * c2)
+            for a, b, c2 in H.comult[k]:
+                _add(rhs, (j, a, b), c * c2)
+        if _nonzero(lhs) != _nonzero(rhs):
+            return (i,)
+    return None
+
+
+def reference_comult_multiplicative(H):
+    """The first (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j), or None,
+    over every pair."""
+    d = H.dim
+    for i in range(d):
+        for j in range(d):
+            lhs = {}
+            for k, c in H.mult[i][j]:
+                for a, b, c2 in H.comult[k]:
+                    _add(lhs, (a, b), c * c2)
+            rhs = {}
+            for a, b, c1 in H.comult[i]:
+                for p, q, c2 in H.comult[j]:
+                    for r, m1 in H.mult[a][p]:
+                        for s, m2 in H.mult[b][q]:
+                            _add(rhs, (r, s), c1 * c2 * m1 * m2)
+            if _nonzero(lhs) != _nonzero(rhs):
+                return (i, j)
+    return None
+
+
+def reference_corep_failure(c):
+    """The first law a Corepresentation fails, or None, entry by entry:
+    for each (i, j) in row order, Delta(u_ij) against sum_k u_ik (x) u_kj on
+    dense tensors and then eps(u_ij) against delta_ij; after that S(u) as a
+    two-sided inverse of u on dense vectors."""
+    H, n = c.algebra, c.dim
+    field, d = H.field, H.dim
+    u = [[dense_of(H, v) for v in row] for row in c.entries]
+    for i in range(n):
+        for j in range(n):
+            rhs = zero_vec(field, d * d)
+            for k in range(n):
+                for a, x in enumerate(u[i][k]):
+                    if x:
+                        for b, y in enumerate(u[k][j]):
+                            rhs[a * d + b] = rhs[a * d + b] + x * y
+            if dense_comult(H, u[i][j]) != rhs:
+                return "comultiplication law fails at entry (%d, %d)" % (i, j)
+            if dense_value(field, H.counit, u[i][j]) != (field.one if i == j else field.zero):
+                return "counit law fails at entry (%d, %d)" % (i, j)
+    anti = [[dense_antipode(H, v) for v in row] for row in u]
+    for i in range(n):
+        for j in range(n):
+            want = list(H.unit) if i == j else zero_vec(field, d)
+            for left, right in ((anti, u), (u, anti)):
+                acc = zero_vec(field, d)
+                for k in range(n):
+                    acc = [x + y for x, y in zip(acc, dense_product(H, left[i][k], right[k][j]))]
+                if acc != want:
+                    return "antipode is not a matrix inverse at entry (%d, %d)" % (i, j)
+    return None

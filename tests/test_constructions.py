@@ -403,21 +403,9 @@ def test_tensor_corepresentations_are_products_of_group_likes():
     assert_peter_weyl_spanned_by(X, tensor_coreps(X, peter_weyl(A).coreps, peter_weyl(B).coreps))
 
 
-def drinfeld_double_s3():
-    """D(S3) = F(S3) x| S3, S3 acting by conjugation."""
-    S3 = FiniteGroup.symmetric(3)
-    F = function_algebra(S3)
-    one = F.field.one
-    conj = [
-        [(j, S3.mul(S3.mul(t, j), S3.inv(t)), one) for j in range(S3.order)]
-        for t in range(S3.order)
-    ]
-    return crossed_product(F, GroupAction(S3, F, conj))
-
-
 @pytest.mark.parametrize("name", ["F(S3)xZ2", "D(S3)"])
-def test_crossed_corepresentations_are_inner_ones_times_group_likes(name, s3_crossed):
-    X = s3_crossed() if name == "F(S3)xZ2" else drinfeld_double_s3()
+def test_crossed_corepresentations_are_inner_ones_times_group_likes(name, s3_crossed, drinfeld_s3):
+    X = s3_crossed() if name == "F(S3)xZ2" else drinfeld_s3()
     assert_peter_weyl_spanned_by(X, crossed_coreps(X, peter_weyl(X.meta["inner"]).coreps))
 
 

@@ -275,11 +275,13 @@ def test_corrupted_entry_fails_the_comultiplication_law(algebras):
     H = algebras["f_s3"]
     c = next(c for c in peter_weyl(H).coreps if c.dim == 2)
     entries = [list(row) for row in c.entries]
-    # u_11 first enters the law at entry (0, 1): Delta(u_01) = u_00 (x) u_01 + u_01 (x) u_11
+    # adding the unit to u_11 breaks the law at (0, 1), (1, 0) and (1, 1); the
+    # check meets (s, t) = (e, e) first, where rho(e^e) = diag(1, 2) differs
+    # from its square at entry (1, 1) alone
     entries[1][1] = sparse_vector([a + b for a, b in zip(dense_of(H, entries[1][1]), H.unit)])
     bad = Corepresentation(H, entries)
-    assert bad.verify() == "comultiplication law fails at entry (0, 1)"
-    with pytest.raises(TheoremViolation, match=r"comultiplication law fails at entry \(0, 1\)"):
+    assert bad.verify() == "comultiplication law fails at entry (1, 1)"
+    with pytest.raises(TheoremViolation, match=r"comultiplication law fails at entry \(1, 1\)"):
         hopfcheck.corep._verified(bad)
 
 

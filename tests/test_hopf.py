@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 
 import hopfcheck
-from hopfcheck.catalog import build_algebra
-from hopfcheck.constructions import lift_algebra, tensor_product
+from hopfcheck.catalog import CATALOG_NAMES, build_algebra
+from hopfcheck.constructions import FiniteGroup, group_algebra, lift_algebra, tensor_product
+from hopfcheck.corep import Corepresentation, peter_weyl
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import NotCosemisimple, SchemaError
 from hopfcheck.hopf import (
     HopfStarAlgebra,
+    _dual_generators,
+    _generators,
     check_axioms,
     compute_haar,
     convolve,
@@ -33,8 +36,16 @@ from hopfcheck.linalg import (
 )
 
 from dense_maps import (
+    DenseEchelon,
     columns,
     dense_matrix,
+    dense_of,
+    dense_product,
+    rebased,
+    reference_associativity,
+    reference_coassociativity,
+    reference_comult_multiplicative,
+    reference_corep_failure,
     reference_convolve,
     reference_counit_unit,
     reference_linear_quotient,
@@ -251,6 +262,203 @@ def test_broken_multiplication_is_named(algebras):
     failed = set(c.name for c in rep.checks if not c.ok)
     assert "unit" in failed and "comult_multiplicative" in failed
     assert "associativity" not in failed  # zero products stay associative
+
+
+# --- generator certificates ------------------------------------------------
+
+
+AXIOM_INPUTS = sorted(CATALOG_NAMES) + ["F(S3)xZ2", "D(S3)", "c_s3 rebased"]
+
+
+def axiom_input(name, s3_crossed, drinfeld_s3):
+    if name == "F(S3)xZ2":
+        return s3_crossed()
+    if name == "D(S3)":
+        return drinfeld_s3()
+    if name == "c_s3 rebased":
+        return rebased(build_algebra("c_s3"), random.Random("certificate " + name))
+    return build_algebra(name)
+
+
+def corrupted(H, tensor):
+    """A copy of H with one structure constant of A raised by 1: the
+    coefficient of e_0 in e_i e_j, for A = H (tensor "mult") or A = dual(H)
+    (tensor "comult", the coefficient of e_i (x) e_j in Delta(e_0)).
+    Neither i nor j is a generator of A, and both avoid the support of A's
+    unit where they can, so that the unit law holds and the checks run on
+    the generators."""
+    A = H if tensor == "mult" else dual(H)
+    gens = _generators(A)
+    free = [i for i in range(H.dim) if i not in gens]
+    free = [i for i in free if not A.unit[i]] or free
+    key = (free[0], free[-1], 0) if tensor == "mult" else (0, free[0], free[-1])
+    old = H.mult_entries() if tensor == "mult" else H.comult_entries()
+    entries = {e[:3]: e[3] for e in old}
+    entries[key] = entries.get(key, H.field.zero) + H.field.one
+    new = [k + (c,) for k, c in entries.items()]
+    if tensor == "mult":
+        return rebuilt(H, new, H.comult_entries())
+    return rebuilt(H, H.mult_entries(), new)
+
+
+def spans_by_left_products(A, gens):
+    """Whether the unit and its repeated left products by the e_s, s in
+    gens, span A, by dense products and a dense echelon."""
+    d = A.dim
+    ech = DenseEchelon(A.field, d)
+    todo = [list(A.unit)] if ech.add(list(A.unit)) is not None else []
+    while todo:
+        w = todo.pop()
+        for s in gens:
+            v = dense_product(A, basis_vec(A.field, d, s), w)
+            if ech.add(v) is not None:
+                todo.append(v)
+    return len(ech.rows) == d
+
+
+def full_scan_flags(H):
+    """The 20 ok flags of check_axioms, with the three identities that it
+    checks on generators replaced by the full scans of dense_maps."""
+    flags = {c.name: c.ok for c in check_axioms(H).checks}
+    flags["associativity"] = reference_associativity(H) is None
+    flags["coassociativity"] = reference_coassociativity(H) is None
+    flags["comult_multiplicative"] = reference_comult_multiplicative(H) is None
+    return flags
+
+
+def with_entry_moved(c, t):
+    """c with 3 (e_t - eps(e_t) 1) added to its last entry of row 0, which
+    keeps the counit law and breaks the comultiplication law.  (Adding it
+    once turns the group-like 1 of C(G) into the group-like e_t, and
+    subtracting it twice turns 1 of F(Z2) into the sign character.)"""
+    H = c.algebra
+    three = H.field.from_rational(Fraction(3))
+    entries = [list(row) for row in c.entries]
+    v = dense_of(H, entries[0][-1])
+    v[t] = v[t] + three
+    v = [x - three * H.counit[t] * u for x, u in zip(v, H.unit)]
+    entries[0][-1] = sparse_vector(v)
+    return Corepresentation(H, entries)
+
+
+@pytest.mark.parametrize("tensor", [None, "mult", "comult"])
+@pytest.mark.parametrize("name", AXIOM_INPUTS)
+def test_generator_checks_match_the_full_scans(name, tensor, s3_crossed, drinfeld_s3):
+    H = axiom_input(name, s3_crossed, drinfeld_s3)
+    assert spans_by_left_products(H, _generators(H))
+    assert spans_by_left_products(dual(H), _generators(dual(H)))
+    X = H if tensor is None else corrupted(H, tensor)
+    flags = {c.name: c.ok for c in check_axioms(X).checks}
+    assert flags == full_scan_flags(X)
+    assert all(flags.values()) == (tensor is None)
+    # the corepresentation law: H's own corepresentations and copies with a
+    # moved entry, read in H and in the corrupted copy; the entry moves at a
+    # non-generator of the dual where one is not a multiple of the unit
+    gens = _dual_generators(H)
+    one = [i for i, _ in sparse_vector(H.unit)]
+    t = next(t for t in [t for t in range(H.dim) if t not in gens] + list(gens) if one != [t])
+    for c in peter_weyl(H).coreps:
+        moved = with_entry_moved(c, t)
+        assert c.verify() is None and moved.verify() is not None
+        assert reference_corep_failure(moved) is not None
+        for u in (c, moved):
+            u = Corepresentation(X, u.entries)
+            assert (u.verify() is None) == (reference_corep_failure(u) is None)
+
+
+def test_random_structures_match_the_full_scans():
+    # the reductions need their prerequisites: on structures where the unit
+    # or counit laws fail, the flags still equal the full scans
+    rng = random.Random("generator prerequisites")
+
+    def pick():
+        return rng.choice([0, 0, 0, 1, -1])
+
+    for _ in range(400):
+        d = rng.choice([2, 3])
+        cube = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
+        ident = [(i, i, 1) for i in range(d)]
+        H = HopfStarAlgebra(
+            1, [key + (pick(),) for key in cube], [rng.choice([0, 1]) for _ in range(d)],
+            [key + (pick(),) for key in cube], [rng.choice([0, 1]) for _ in range(d)], ident, ident,
+        )
+        assert {c.name: c.ok for c in check_axioms(H).checks} == full_scan_flags(H)
+
+
+def test_associativity_on_generators_needs_the_unit_law():
+    # 1 = e_0 + e_1 with e_0 e_0 = -e_0 and e_1 e_0 = e_1: the products of 1
+    # by e_0 span, and (e_0 y) z = e_0 (y z) for all y, z, but 1 is no unit
+    # (1 e_0 = e_1 - e_0), so the left nucleus need not hold it, and
+    # (e_1 e_0) e_0 = e_1 while e_1 (e_0 e_0) = -e_1
+    ident = [(0, 0, 1), (1, 1, 1)]
+    H = HopfStarAlgebra(1, [(0, 0, 0, -1), (1, 0, 1, 1)], [1, 1], [], [0, 0], ident, ident)
+    assert _generators(H) == (0,)
+    rep = check_axioms(H)
+    assert not rep["unit"].ok and rep["associativity"].witness == (1, 0, 0)
+
+
+def test_comultiplicativity_on_generators_needs_a_unital_coproduct():
+    # e_0, e_1 orthogonal idempotents with Delta(e_0) = 0 and
+    # Delta(e_1) = -e_1 (x) e_0: Delta(e_0 y) = 0 = Delta(e_0) Delta(y) for
+    # all y, but Delta(1) != 1 (x) 1, and Delta(e_1 e_1) = -e_1 (x) e_0
+    # while Delta(e_1) Delta(e_1) = e_1 (x) e_0
+    ident = [(0, 0, 1), (1, 1, 1)]
+    H = HopfStarAlgebra(1, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1], [(1, 1, 0, -1)], [0, 0], ident, ident)
+    assert _generators(H) == (0,)
+    rep = check_axioms(H)
+    assert rep["unit"].ok and rep["associativity"].ok and not rep["comult_unital"].ok
+    assert rep["comult_multiplicative"].witness == (1, 1)
+
+
+def test_dual_side_needs_a_multiplicative_counit():
+    # e_0, e_1 group-like with e_0 e_0 = 2 e_1: the dual is F({0, 1}),
+    # generated by e^0, but Delta(e_0 e_0) = 2 e_1 (x) e_1 and
+    # Delta(e_0) Delta(e_0) = 4 e_1 (x) e_1 differ only at the component
+    # (1, 1), which the dual side would not look at; eps(e_0 e_0) = 2 rules
+    # that side out
+    ident = [(0, 0, 1), (1, 1, 1)]
+    H = HopfStarAlgebra(1, [(0, 0, 1, 2)], [0, 0], [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1], ident, ident)
+    assert _generators(dual(H)) == (0,)
+    rep = check_axioms(H)
+    assert rep["counit"].ok and rep["coassociativity"].ok
+    assert not rep["counit_multiplicative"].ok
+    assert rep["comult_multiplicative"].witness == (0, 0)
+
+
+def test_corepresentation_law_needs_the_counit_law():
+    # u = 2g in C(Z2): rho(e^e) = 0 and rho(e^g) = 2, so the law holds for
+    # s = e, the generator of the dual, and fails at s = t = g; the counit
+    # law fails too, so every s is checked and the law is reported first
+    H = group_algebra(FiniteGroup.cyclic(2))
+    assert _dual_generators(H) == (0,)
+    u = Corepresentation(H, [[((1, H.field.from_rational(Fraction(2))),)]])
+    assert u.verify() == "comultiplication law fails at entry (0, 0)"
+
+
+def test_corrupted_constants_are_caught_under_optimize(s3_crossed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import random\n"
+        "from hopfcheck.hopf import check_axioms\n"
+        "from conftest import build_s3_crossed\n"
+        "import test_hopf\n"
+        "assert False, 'asserts are live'\n"
+        "H = build_s3_crossed()\n"
+        "for tensor in ('mult', 'comult'):\n"
+        "    X = test_hopf.corrupted(H, tensor)\n"
+        "    print(tensor, sorted(c.name for c in check_axioms(X).checks if not c.ok))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    H = s3_crossed()
+    want = [
+        "%s %s" % (tensor, sorted(k for k, ok in full_scan_flags(corrupted(H, tensor)).items() if not ok))
+        for tensor in ("mult", "comult")
+    ]
+    assert proc.stdout.splitlines() == want
+    assert all("multiplicative" in line for line in want)
 
 
 # --- Haar functional ------------------------------------------------------

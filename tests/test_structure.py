@@ -641,12 +641,17 @@ def _dims_and_rows(subgroups):
     return [(S.quotient.dim, S.ideal.rows) for S in ordered]
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_NAMES) + ["F(S3)xZ2"])
-def test_lattice_reads_match_recomputation(name, s3_crossed):
+@pytest.mark.parametrize("name", sorted(CATALOG_NAMES) + ["F(S3)xZ2", "D(S3)"])
+def test_lattice_reads_match_recomputation(name, s3_crossed, drinfeld_s3):
     # the suite's three lattice reads against the recomputations they replace
-    G = s3_crossed() if name == "F(S3)xZ2" else build_algebra(name)
+    builders = {"F(S3)xZ2": s3_crossed, "D(S3)": drinfeld_s3}
+    G = builders[name]() if name in builders else build_algebra(name)
     pairs = 0
-    for Q in enumerate_quantum_subgroups(G):
+    lattice = enumerate_quantum_subgroups(G)
+    if name == "D(S3)":
+        # neither commutative nor cocommutative
+        assert (len(lattice), sum(map(is_normal_coset, lattice))) == (8, 6)
+    for Q in lattice:
         # the up-set over I is the lattice of G/I
         own = enumerate_quantum_subgroups(Q.quotient)
         assert _dims_and_rows(_up_set(Q)) == _dims_and_rows(own)
