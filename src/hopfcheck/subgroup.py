@@ -14,9 +14,9 @@ Every criterion is computed from the sparse structure constants of the
 parent (`comult`, `mult`, `antipode`) and the sparse projection columns,
 without forming a dense tensor of length d^2.  The projection, the
 conditional expectations, the comodule splitting and phi are all maps in
-sparse columns (see linalg).  The coset algebras are still computed two
-ways, as invariance kernels and as conditional expectation images, and the
-two are cross-checked exactly.
+sparse columns (see linalg).  Each coset algebra is computed one way, as
+the image of a conditional expectation, and certified to be the invariance
+kernel by a proof and two exact checks (see coset_algebras).
 """
 
 from __future__ import annotations
@@ -190,70 +190,65 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
     return coproduct_slice(Q.parent, sparse_vector(Q.haar_pi_covector), side)
 
 
+def _coaction(Q: QuantumSubgroup, a, side: str):
+    """(id (x) pi) Delta(a) as {(j, b): the coefficient of e_j (x) f_b} for
+    side "right", or (pi (x) id) Delta(a) as {(j, b): that of f_b (x) e_j}
+    for side "left", summed over G.coproduct(a) and the projection columns."""
+    zero = Q.parent.field.zero
+    out = {}
+    for (j, k), c in Q.parent.coproduct(a).items():
+        kept, projected = (j, k) if side == "right" else (k, j)
+        for b, p in Q.proj_columns[projected]:
+            out[kept, b] = out.get((kept, b), zero) + c * p
+    return out
+
+
 def _coaction_table(Q: QuantumSubgroup, side: str):
-    """{(j, b): {i: the coefficient of e_j (x) f_b in (id (x) pi) Delta(e_i)}}
-    for side "right", or of f_b (x) e_j in (pi (x) id) Delta(e_i) for side
-    "left", summed over the sparse coproduct terms and projection columns."""
-    G = Q.parent
-    zero = G.field.zero
-    P = Q.proj_columns
+    """{(j, b): {i: the (j, b) coefficient of _coaction(Q, e_i, side)}}."""
+    one = Q.parent.field.one
     table = {}
-    for i in range(G.dim):
-        for j, k, c in G.comult[i]:
-            kept, projected = (j, k) if side == "right" else (k, j)
-            for b, p in P[projected]:
-                row = table.setdefault((kept, b), {})
-                row[i] = row.get(i, zero) + c * p
+    for i in range(Q.parent.dim):
+        for key, c in _coaction(Q, ((i, one),), side).items():
+            table.setdefault(key, {})[i] = c
     return table
 
 
-def _invariance_kernel(Q: QuantumSubgroup, side: str) -> Subspace:
-    """The a with (id (x) pi) Delta(a) = a (x) 1_N (side "right"), or
-    (pi (x) id) Delta(a) = 1_N (x) a (side "left").
-
-    Each equation is the (j, b) coefficient of e_j (x) f_b (right; f_b (x)
-    e_j on the left): a row of _coaction_table, minus the a (x) 1_N term.
-    Repeated rows (after scaling to a leading 1) are dropped: the kernel is
-    canonical, so they cannot change it.
-    """
-    field, d = Q.parent.field, Q.parent.dim
-    zero = field.zero
-    neg_unit = [(b, -u) for b, u in enumerate(Q.quotient.unit) if u]
-    rows = _coaction_table(Q, side)
-    for i in range(d):
-        for b, u in neg_unit:
-            row = rows.setdefault((i, b), {})
-            row[i] = row.get(i, zero) + u
-    unique = {}
-    for row in rows.values():
-        key = sparse_column(row)
-        if key and not key[0][1].is_one():
-            inv = key[0][1].inverse()
-            key = tuple((i, x * inv) for i, x in key)
-        unique[key] = None
-    return sparse_null_space(field, d, unique)
+def _coinvariant(Q: QuantumSubgroup, a, side: str) -> bool:
+    """(id (x) pi) Delta(a) = a (x) 1_N (side "right"), or (pi (x) id)
+    Delta(a) = 1_N (x) a (side "left"), for a sparse vector a."""
+    want = {(i, b): x * u for i, x in a for b, u in sparse_vector(Q.quotient.unit)}
+    return {key: c for key, c in _coaction(Q, a, side).items() if c} == want
 
 
 def coset_algebras(Q: QuantumSubgroup):
-    """The two coset algebras (A_GN, A_NG), each computed two ways.
+    """The two coset algebras (A_GN, A_NG): the images of the right and left
+    conditional expectations E, certified equal to the invariance kernels K,
+    the a with (id (x) pi) Delta(a) = a (x) 1_N (mirrored on the left).
 
-    A_GN is the kernel of a |-> (id (x) pi) Delta(a) - a (x) 1_N and must
-    equal the image of the right conditional expectation; likewise on the
-    left.  Both routes work from the sparse structure constants and the
-    sparse projection; a disagreement raises TheoremViolation.
+    Proof on the right, for E = (id (x) h_N pi) Delta.  K in E(G): for a in
+    K, E(a) = a h_N(1_N) = a.  E(G) in K for a verified G: coassociativity
+    and Delta_N pi = (pi (x) pi) Delta give (id (x) pi) Delta E(x) =
+    x_(1) (x) (id (x) h_N) Delta_N(pi(x_(2))) = E(x) (x) 1_N, by the
+    invariance of h_N.  The certificate checks E(G) in K on each echelon
+    row of E(G), whatever E computed, and dim E(G) * dim N = dim G: G is
+    free of rank dim N over K (H.-J. Schneider, J. Algebra 152 (1992); (c)
+    of exact_sequence_check), so the dimensions then force E(G) = K.  Either
+    failure raises TheoremViolation.
     """
 
     def compute():
-        field, d = Q.parent.field, Q.parent.dim
-        A_GN = _invariance_kernel(Q, "right")
-        A_NG = _invariance_kernel(Q, "left")
-        img_r = sparse_image(field, d, conditional_expectation(Q, "right"))
-        img_l = sparse_image(field, d, conditional_expectation(Q, "left"))
-        if A_GN != img_r:
-            raise TheoremViolation("invariance kernel and expectation image disagree (right)")
-        if A_NG != img_l:
-            raise TheoremViolation("invariance kernel and expectation image disagree (left)")
-        return A_GN, A_NG
+        G, dn = Q.parent, Q.quotient.dim
+        out = []
+        for side in ("right", "left"):
+            image = sparse_image(G.field, G.dim, conditional_expectation(Q, side))
+            if image.dim * dn != G.dim:
+                raise TheoremViolation(
+                    "%s coset algebra has dimension %d, not %d / %d" % (side, image.dim, G.dim, dn)
+                )
+            if not all(_coinvariant(Q, a, side) for a in image.rows):
+                raise TheoremViolation("%s expectation image is not coinvariant" % side)
+            out.append(image)
+        return tuple(out)
 
     return Q.memo("cosets", compute)
 
@@ -540,7 +535,7 @@ def exact_sequence_check(Q: QuantumSubgroup) -> bool:
 
     (a) A_GN is a Hopf *-subalgebra (sub_hopf_algebra accepts it); (b)
     ker pi = A . A+ where A+ is the augmentation part of A_GN; (c) dim G =
-    dim A_GN * dim N.
+    dim A_GN * dim N, which coset_algebras certifies (or raises).
     """
     G = Q.parent
     A_GN, _ = coset_algebras(Q)
@@ -549,6 +544,4 @@ def exact_sequence_check(Q: QuantumSubgroup) -> bool:
     except SchemaError:
         return False
     aplus = augmentation_part(G, A_GN)
-    if _product_span(G, sparse_identity(G.field, G.dim), aplus.rows) != Q.ideal:
-        return False
-    return G.dim == A_GN.dim * Q.quotient.dim
+    return _product_span(G, sparse_identity(G.field, G.dim), aplus.rows) == Q.ideal

@@ -13,6 +13,7 @@ from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra
 from hopfcheck.corep import Corepresentation, conjugate, fusion, peter_weyl
 from hopfcheck.errors import SchemaError, TheoremViolation
+from hopfcheck.hopf import HopfStarAlgebra, check_axioms
 from hopfcheck.linalg import Subspace, sparse_vector, tensor_vec, zero_vec
 
 from dense_maps import dense_comult, dense_of
@@ -291,6 +292,44 @@ def test_zero_matrix_fails_the_counit_law(algebras):
     assert bad.verify() == "counit law fails at entry (0, 0)"
     with pytest.raises(TheoremViolation, match=r"counit law fails at entry \(0, 0\)"):
         hopfcheck.corep._verified(bad)
+
+
+def test_identity_antipode_fails_the_inverse_law():
+    H = function_algebra(FiniteGroup.symmetric(3))
+    assert check_axioms(H).ok
+    c = next(c for c in peter_weyl(H).coreps if c.dim == 2)
+    one = H.field.one
+    # an unverified copy of F(S3) whose antipode is the identity: u still
+    # satisfies the comultiplication and counit laws there, but S(u) = u is
+    # not the inverse of the 2-dimensional u
+    broken = HopfStarAlgebra(
+        H.field,
+        H.mult_entries(),
+        H.unit,
+        H.comult_entries(),
+        H.counit,
+        [(i, i, one) for i in range(H.dim)],
+        H.star_entries(),
+        labels=H.labels,
+    )
+    assert H.verified and not broken.verified
+    assert c.verify() is None
+    bad = Corepresentation(broken, c.entries)
+    assert bad.verify() == "antipode is not a matrix inverse at entry (0, 0)"
+    with pytest.raises(TheoremViolation, match=r"antipode is not a matrix inverse"):
+        hopfcheck.corep._verified(bad)
+
+
+def test_verified_algebra_skips_the_inverse_law(monkeypatch):
+    H = function_algebra(FiniteGroup.symmetric(3))
+    coreps = peter_weyl(H).coreps
+    assert check_axioms(H).ok
+
+    def forbidden(self, x):
+        raise AssertionError("the inverse law is implied on a verified algebra")
+
+    monkeypatch.setattr(HopfStarAlgebra, "antipode_vec", forbidden)
+    assert all(c.verify() is None for c in coreps)
 
 
 # --- pinned output ----------------------------------------------------------------

@@ -505,6 +505,10 @@ def test_augmentation_part(algebras):
 
 
 def test_coset_disagreement_raises_under_optimize(monkeypatch):
+    # each fault breaks one check of the coset certificate: a zero
+    # expectation has an image of the wrong dimension; on the non-normal t12,
+    # the left expectation passed off as the right one has the right
+    # dimension but is not coinvariant
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
     code = (
         "import hopfcheck.subgroup as subgroup\n"
@@ -512,19 +516,26 @@ def test_coset_disagreement_raises_under_optimize(monkeypatch):
         "from hopfcheck.errors import TheoremViolation\n"
         "assert False, 'asserts are live'\n"
         "H = function_algebra(FiniteGroup.symmetric(3))\n"
-        "Q = subgroup.make_subgroup(H, subgroup_ideal(H, ('e', '(123)', '(132)')))\n"
-        "subgroup.conditional_expectation = lambda Q, side='right': [()] * H.dim\n"
-        "try:\n"
-        "    subgroup.coset_algebras(Q)\n"
-        "except TheoremViolation:\n"
-        "    print('TheoremViolation')\n"
+        "real = subgroup.conditional_expectation\n"
+        "faults = [\n"
+        "    (('e', '(123)', '(132)'), lambda Q, side='right': [()] * H.dim),\n"
+        "    (('e', '(12)'), lambda Q, side='right': real(Q, 'left')),\n"
+        "]\n"
+        "for subset, fault in faults:\n"
+        "    Q = subgroup.make_subgroup(H, subgroup_ideal(H, subset))\n"
+        "    subgroup.conditional_expectation = fault\n"
+        "    try:\n"
+        "        subgroup.coset_algebras(Q)\n"
+        "    except TheoremViolation as exc:\n"
+        "        print(exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "TheoremViolation"
+    zero, swapped = proc.stdout.splitlines()
+    assert "dimension" in zero and "not coinvariant" in swapped
     H = function_algebra(FiniteGroup.symmetric(3))
     Q = make_subgroup(H, subgroup_ideal(H, A3))
     monkeypatch.setattr(
@@ -532,7 +543,15 @@ def test_coset_disagreement_raises_under_optimize(monkeypatch):
         "conditional_expectation",
         lambda Q, side="right": [()] * H.dim,
     )
-    with pytest.raises(TheoremViolation):
+    with pytest.raises(TheoremViolation, match="dimension"):
+        coset_algebras(Q)
+    Q = make_subgroup(H, subgroup_ideal(H, T12))
+    monkeypatch.setattr(
+        hopfcheck.subgroup,
+        "conditional_expectation",
+        lambda Q, side="right": conditional_expectation(Q, "left"),
+    )
+    with pytest.raises(TheoremViolation, match="not coinvariant"):
         coset_algebras(Q)
 
 
