@@ -20,15 +20,17 @@ be nonzero; see Corepresentation.verify.
 Every entry u_ij, character and idempotent is a sparse vector (see linalg).
 The coefficient block of each corepresentation (the span of its entries)
 is found once, while it is extracted, and kept in the PeterWeylData next
-to it.
+to it.  Each block has one size source, the trace of left multiplication
+by its central idempotent (splitting.left_trace), and the blocks' span of
+the whole algebra is proved rather than spanned again (see peter_weyl).
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from .errors import SchemaError, SplittingFailed, TheoremViolation
-from .hopf import HopfStarAlgebra, _dual_generators, coproduct_slice, dual
+from .errors import AxiomsFailed, SchemaError, SplittingFailed, TheoremViolation
+from .hopf import HopfStarAlgebra, _dual_generators, _unit_failures, coproduct_slice, dual
 from .linalg import (
     Subspace,
     add_terms,
@@ -37,7 +39,7 @@ from .linalg import (
     sparse_transpose,
     sparse_vector,
 )
-from .splitting import find_primitive_idempotent, split_center
+from .splitting import find_primitive_idempotent, left_trace, split_center
 
 
 class Corepresentation:
@@ -189,38 +191,33 @@ def _verified(corep):
     return corep
 
 
-def _verify_complete(H, coreps, blocks):
-    """The count and span checks; each corepresentation is verified already
-    and blocks[i] is the span of the entries of coreps[i]."""
-    total = sum(c.dim * c.dim for c in coreps)
-    if total != H.dim:
-        raise TheoremViolation(
-            "matrix entries count %d does not match the dimension %d" % (total, H.dim)
-        )
-    span = sparse_image(H.field, H.dim, [row for b in blocks for row in b.rows])
-    if span.dim != H.dim:
-        raise TheoremViolation("matrix entries do not span the whole algebra")
-
-
 def _extract_block(H, p, gauge):
     """One verified irreducible corepresentation from a minimal central
-    idempotent p (a sparse vector of the dual), with its coefficient block."""
+    idempotent p (a sparse vector of the dual), with its coefficient block.
+
+    The block p D of D = dual(H) is M_n(K), and its size is read off a
+    trace: left multiplication L_p by the idempotent p is an idempotent map
+    of D onto p D, so dim p D = rank L_p = tr(L_p) = n^2 (left_trace).
+    The trace only decides which work is done.  What is returned rests on
+    exact checks: the coefficient block C_block, the image of
+    (id (x) p) Delta, has dimension n^2; for n > 1 the column space cut
+    out by a primitive idempotent has dimension n, the corepresentation
+    verifies, and its n^2 entries span C_block, so they are linearly
+    independent.  p D itself is spanned only for n > 1, where the corner
+    search needs its rows.
+    """
     field = H.field
     d = H.dim
-
-    # the matrix block p * dual, as a subspace of the dual, spanned by the
-    # p * e_t: row t of the matrix of (p (x) id) Delta
-    block_D = sparse_image(field, d, sparse_transpose(d, coproduct_slice(H, p, "left")))
-    dlam = isqrt(block_D.dim)
-    if dlam * dlam != block_D.dim:
+    size = left_trace(H, p)
+    n = isqrt(max(int(size.coeffs[0]), 0))
+    if n < 1 or size != n * n:
         raise SplittingFailed(field.n, "a dual block is not of square dimension")
 
-    # the coefficient space inside the algebra: image of (id (x) p) Delta
     C_block = sparse_image(field, d, coproduct_slice(H, p, "right"))
-    if C_block.dim != block_D.dim:
+    if C_block.dim != n * n:
         raise TheoremViolation("coefficient space does not match the dual block")
 
-    if dlam == 1:
+    if n == 1:
         # the one entry spans C_block, so C_block is its block
         v = C_block.rows[0]
         eps = H.counit_of(v)
@@ -229,9 +226,11 @@ def _extract_block(H, p, gauge):
         inv = eps.inverse()
         return _verified(Corepresentation(H, [[tuple((j, inv * c) for j, c in v)]])), C_block
 
+    # p D, spanned by the p e_t: row t of the matrix of (p (x) id) Delta
+    block_D = sparse_image(field, d, sparse_transpose(d, coproduct_slice(H, p, "left")))
     q = find_primitive_idempotent(H, block_D.rows, p, gauge)
     V = C_block.map_by(coproduct_slice(H, q, "right"), d)
-    if V.dim != dlam:
+    if V.dim != n:
         raise SplittingFailed(field.n, "primitive idempotent produced a wrong column dimension")
 
     # the dual functionals of V's echelon rows r_l read the pivots p_l, so
@@ -258,6 +257,15 @@ def peter_weyl(H: HopfStarAlgebra, gauge: int = 0) -> PeterWeylData:
     The central idempotents of the dual are split into verified blocks and
     the result is kept in the algebra's memo.  A nonzero gauge reruns the
     splitting with other heuristic choices and leaves the memo as it is.
+
+    Completeness is proved, not spanned.  split_center certifies that the
+    minimal central idempotents p_l sum to eps, the unit of the dual, so
+    sum_l (id (x) p_l) Delta = (id (x) eps) Delta = id by the counit law,
+    and the coefficient blocks C_l, the images of (id (x) p_l) Delta, span
+    the algebra.  Each dim C_l = n_l^2 is checked (_extract_block) and the
+    n_l^2 are checked to sum to dim H, so the sum is direct.  The counit
+    law holds on a verified algebra; on any other it is certified here,
+    before any splitting, and its failure raises AxiomsFailed.
     """
     if gauge:
         return _split(H, gauge)
@@ -267,14 +275,19 @@ def peter_weyl(H: HopfStarAlgebra, gauge: int = 0) -> PeterWeylData:
 def _split(H, gauge):
     """PeterWeylData from the blocks of the dual's central idempotents, in
     the canonical order: by dimension, then by the echelon key of the block."""
+    if not H.verified and next(_unit_failures(dual(H)), None) is not None:
+        raise AxiomsFailed("not a Hopf *-algebra: counit")
     pairs = sorted(
         (_extract_block(H, p, gauge) for p in split_center(H)),
         key=lambda cb: (cb[0].dim, cb[1].sort_key()),
     )
     coreps = [c for c, _ in pairs]
-    blocks = [b for _, b in pairs]
-    _verify_complete(H, coreps, blocks)
-    return PeterWeylData(H, coreps, blocks, _trivial_index(H, coreps))
+    total = sum(c.dim * c.dim for c in coreps)
+    if total != H.dim:
+        raise TheoremViolation(
+            "matrix entries count %d does not match the dimension %d" % (total, H.dim)
+        )
+    return PeterWeylData(H, coreps, [b for _, b in pairs], _trivial_index(H, coreps))
 
 
 def fusion(P: PeterWeylData):

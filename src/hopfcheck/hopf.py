@@ -28,9 +28,11 @@ Algebras are immutable by convention, so data derived from one (the Haar
 state, the Peter-Weyl list, the dual, the subalgebra and subgroup lattices)
 is computed once and kept in the algebra's memo: `H.memo(key, compute)`
 returns the stored value for `key`, calling `compute()` only the first time.
-The keys are "haar", "peter_weyl", "dual", "hopf_subalgebras",
-"quantum_subgroups", "property_F", "property_FD", "generators",
-"dual_generators" and "verified".
+The keys are "haar", "peter_weyl", "dual", "dual_trace",
+"hopf_subalgebras", "quantum_subgroups", "property_F", "property_FD",
+"generators", "dual_generators" and "verified"; "dual_trace" holds the
+covector of the traces of left multiplication on the dual
+(splitting.left_trace), which sizes each Peter-Weyl block.
 "verified" is set when the algebra passes check_axioms, or when
 make_subgroup or sub_hopf_algebra certifies it as a quotient or a
 subalgebra of a verified algebra; `H.verified` reads it and never runs a

@@ -9,7 +9,9 @@ split_center starts from the unit and refines each central idempotent p by
 each element z of the centre's basis in turn: p is kept when p z is a
 multiple of p, and replaced by its spectral idempotents otherwise.
 find_primitive_idempotent splits the unit of one matrix block the same way,
-by candidate elements of the block, until its corner is a line.
+by candidate elements of the block, until its corner is a line.  Both the
+size of a block and the rank of an idempotent in it are read off
+left_trace, one trace covector per algebra.
 
 The roots come from exact_poly_roots, in integers alone (Cohen, GTM 138,
 2.6 and 3.5): roots mod a prime p = 1 (mod n) are Newton-lifted, recognised
@@ -370,6 +372,27 @@ def split_center(H):
     return idems
 
 
+def left_trace(H, x):
+    """The trace of left multiplication by x on D = dual(H).
+
+    It is linear in x, so it is read off the covector trace[j] = tr(L_(e^j)),
+    built once per algebra and kept in its memo under "dual_trace": e^j e^i
+    has coefficient Delta(e_i)[e_j (x) e_i] on e^i.  For an idempotent p of
+    an associative D, L_p is idempotent, so tr(L_p) is its rank, dim p D.
+    """
+
+    def build():
+        trace = [H.field.zero] * H.dim
+        for i, terms in enumerate(H.comult):
+            for j, k, c in terms:
+                if k == i:
+                    trace[j] = trace[j] + c
+        return trace
+
+    trace = H.memo("dual_trace", build)
+    return sum((c * trace[k] for k, c in x), H.field.zero)
+
+
 def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
     """A primitive idempotent of the matrix block p*D, exactly verified.
 
@@ -379,21 +402,12 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
     same way.  Each round takes the first spectral idempotent q of the first
     candidate whose spectrum splits, and stops when the corner q D q is a
     line, that is when q has rank 1 in the block M_n(K).  That rank is read
-    off a trace instead of a rebuilt corner: D acts on itself by left
-    multiplication, and the block p D is n copies of the column space K^n,
-    so the trace of left multiplication by q is n times its rank.
+    off left_trace instead of a rebuilt corner: the block p D is n copies
+    of the column space K^n, so tr(L_q) is n times the rank of q.
     """
     field = H.field
     D = dual(H)
     n = isqrt(len(block_basis))
-    # trace[k] = the trace of left multiplication by e_k on D
-    trace = [field.zero] * H.dim
-    for k, row in enumerate(D.mult):
-        for t, terms in enumerate(row):
-            for m, c in terms:
-                if m == t:
-                    trace[k] = trace[k] + c
-    rank_one = field.from_rational(Fraction(n))
     corner_basis = block_basis
     unit = block_unit
     rng = random.Random(gauge * 7919 + 17)
@@ -417,7 +431,7 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
         else:
             raise SplittingFailed(field.n, "no splitting element found in a matrix block")
         unit = parts[0]
-        if sum((c * trace[k] for k, c in unit), field.zero) == rank_one:
+        if left_trace(H, unit) == n:
             return unit
         new_basis = [D.product(D.product(unit, b), unit) for b in corner_basis]
         corner_basis = sparse_image(field, H.dim, new_basis).rows

@@ -67,18 +67,25 @@ def enumerate_hopf_subalgebras(H: HopfStarAlgebra):
     as soon as more than MAX_CLOSED_SETS closed index sets are found, rather
     than silently truncating.
     """
-    return list(H.memo("hopf_subalgebras", lambda: _hopf_subalgebras(H)))
+    return [B for B, _members in _block_sums(H)]
+
+
+def _block_sums(H):
+    """(B, members) for each Hopf *-subalgebra B, in the canonical order,
+    with members the indices of the coefficient blocks that B is the sum
+    of; enumerated once per algebra and kept in its memo."""
+    return H.memo("hopf_subalgebras", lambda: _hopf_subalgebras(H))
 
 
 def _hopf_subalgebras(H):
     P = peter_weyl(H)
-    r = len(P.coreps)
     blocks = P.blocks()
     out = []
     for mask in _closed_index_sets(P):
-        rows = [row for i in range(r) if (mask >> i) & 1 for row in blocks[i].rows]
-        out.append(sparse_image(H.field, H.dim, rows))
-    out.sort(key=lambda B: (B.dim, B.sort_key()))
+        members = tuple(i for i in range(len(blocks)) if (mask >> i) & 1)
+        rows = [row for i in members for row in blocks[i].rows]
+        out.append((sparse_image(H.field, H.dim, rows), members))
+    out.sort(key=lambda pair: (pair[0].dim, pair[0].sort_key()))
     return tuple(out)
 
 
@@ -172,13 +179,14 @@ class SubgroupLattice:
 
 
 def subgroup_lattice(H: HopfStarAlgebra) -> SubgroupLattice:
+    """Both lattices with the normal flags, and for each Hopf *-subalgebra
+    the blocks it contains, read off its closed index set: the coefficient
+    blocks form a direct sum (see corep.peter_weyl), so block i lies in a
+    sum of blocks exactly when i is one of its members."""
     qsubs = enumerate_quantum_subgroups(H)
-    P = peter_weyl(H)
-    subs = enumerate_hopf_subalgebras(H)
+    sums = _block_sums(H)
     flags = [is_normal_coset(Q) for Q in qsubs]
-    blocks = P.blocks()
-    sets = [tuple(i for i, blk in enumerate(blocks) if blk <= B) for B in subs]
-    return SubgroupLattice(H, subs, qsubs, flags, sets)
+    return SubgroupLattice(H, [B for B, _ in sums], qsubs, flags, [S for _, S in sums])
 
 
 def property_F_check(H: HopfStarAlgebra):

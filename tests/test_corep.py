@@ -12,11 +12,20 @@ import hopfcheck.corep
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra
 from hopfcheck.corep import Corepresentation, conjugate, fusion, peter_weyl
-from hopfcheck.errors import SchemaError, TheoremViolation
-from hopfcheck.hopf import HopfStarAlgebra, check_axioms
-from hopfcheck.linalg import Subspace, sparse_vector, tensor_vec, zero_vec
+from hopfcheck.errors import AxiomsFailed, HopfcheckError, SchemaError, TheoremViolation
+from hopfcheck.hopf import HopfStarAlgebra, check_axioms, coproduct_slice
+from hopfcheck.linalg import (
+    Subspace,
+    sparse_image,
+    sparse_transpose,
+    sparse_vector,
+    tensor_vec,
+    zero_vec,
+)
+from hopfcheck.splitting import left_trace, split_center
 
 from dense_maps import dense_comult, dense_of
+from test_hopf import AXIOM_INPUTS, axiom_input
 
 
 def comult_apply(H, u):
@@ -412,3 +421,116 @@ def test_mismatched_coefficient_space_raises_under_optimize(monkeypatch):
     )
     with pytest.raises(TheoremViolation, match="coefficient space does not match the dual block"):
         peter_weyl(function_algebra(FiniteGroup.symmetric(3)))
+
+
+# --- one size source, completeness by proof -----------------------------------
+
+
+@pytest.mark.parametrize("name", AXIOM_INPUTS)
+def test_block_size_is_the_trace(name, s3_crossed, drinfeld_s3):
+    # the reference is the span of p D that _extract_block no longer forms
+    # for n = 1: the rows p e_t of the matrix of (p (x) id) Delta
+    H = axiom_input(name, s3_crossed, drinfeld_s3)
+    d = H.dim
+    for p in split_center(H):
+        block_D = sparse_image(H.field, d, sparse_transpose(d, coproduct_slice(H, p, "left")))
+        assert left_trace(H, p) == block_D.dim
+    trace = H._memo["dual_trace"]
+    assert sorted(c.dim ** 2 for c in peter_weyl(H).coreps) == sorted(b.dim for b in peter_weyl(H).blocks())
+    assert H._memo["dual_trace"] is trace
+
+
+def with_constant_changed(H, comult=None, counit=None):
+    """An unverified copy of H with the given coproduct entries or counit."""
+    return HopfStarAlgebra(
+        H.field,
+        H.mult_entries(),
+        H.unit,
+        H.comult_entries() if comult is None else comult,
+        H.counit if counit is None else counit,
+        H.antipode_entries(),
+        H.star_entries(),
+        labels=H.labels,
+    )
+
+
+def single_faults(H):
+    """(label, copy) for each coproduct entry of H raised by 1 and each
+    counit entry c flipped to 1 - c, one at a time."""
+    one = H.field.one
+    entries = H.comult_entries()
+    for n, (i, j, k, c) in enumerate(entries):
+        changed = entries[:n] + [(i, j, k, c + one)] + entries[n + 1:]
+        yield "comult%r" % ((i, j, k),), with_constant_changed(H, comult=changed)
+    for i, c in enumerate(H.counit):
+        counit = H.counit[:i] + [one - c] + H.counit[i + 1:]
+        yield "counit%d" % i, with_constant_changed(H, counit=counit)
+
+
+def fault_outcome(H, label):
+    X = dict(single_faults(H))[label]
+    try:
+        peter_weyl(X)
+    except HopfcheckError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("build", [function_algebra, group_algebra])
+def test_every_single_fault_raises(build):
+    H = build(FiniteGroup.symmetric(3))
+    faults = list(single_faults(H))
+    assert len(faults) == len(H.comult_entries()) + H.dim
+    for label, X in faults:
+        assert not X.verified
+        with pytest.raises(HopfcheckError) as info:
+            peter_weyl(X)
+        if label.startswith("counit"):
+            assert isinstance(info.value, AxiomsFailed), label
+        assert X._pw_cache is None
+
+
+def test_single_fault_raises_under_optimize():
+    # Delta(e_1) of F(S3) raised at e_2 (x) e_3: the trace of a central
+    # idempotent is no square
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "from hopfcheck.constructions import FiniteGroup, function_algebra\n"
+        "import test_corep\n"
+        "assert False, 'asserts are live'\n"
+        "H = function_algebra(FiniteGroup.symmetric(3))\n"
+        "print(test_corep.fault_outcome(H, 'comult(1, 2, 3)'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    want = fault_outcome(function_algebra(FiniteGroup.symmetric(3)), "comult(1, 2, 3)")
+    assert want.startswith("SplittingFailed: ") and "not of square dimension" in want
+    assert proc.stdout.strip() == want
+
+
+def test_counit_failure_raises_before_splitting(monkeypatch):
+    def forbidden(H):
+        raise AssertionError("split before the counit law was certified")
+
+    monkeypatch.setattr(hopfcheck.corep, "split_center", forbidden)
+    H = function_algebra(FiniteGroup.symmetric(3))
+    # a zero counit breaks (id (x) eps) Delta = id
+    X = with_constant_changed(H, counit=[H.field.zero] * H.dim)
+    with pytest.raises(AxiomsFailed, match="counit"):
+        peter_weyl(X)
+    with pytest.raises(AxiomsFailed, match="counit"):
+        peter_weyl(X, gauge=2)
+    assert X._pw_cache is None and "dual_trace" not in X._memo
+
+
+def test_verified_algebra_skips_the_counit_gate(monkeypatch):
+    H = function_algebra(FiniteGroup.symmetric(3))
+    assert check_axioms(H).ok
+
+    def forbidden(A):
+        raise AssertionError("the counit law is an axiom of a verified algebra")
+
+    monkeypatch.setattr(hopfcheck.corep, "_unit_failures", forbidden)
+    assert peter_weyl(H).dims == [1, 1, 2]
