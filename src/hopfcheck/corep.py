@@ -115,8 +115,8 @@ class Corepresentation:
             for (i, j), c in entries.items():
                 rows.setdefault(i, []).append((j, c))
         D = dual(H)
-        gens = _dual_generators(H) if counit_bad is None else range(H.dim)
-        for s in gens:
+        gens = _dual_generators(H) if counit_bad is None else None
+        for s in range(H.dim) if gens is None else gens:
             row = D.mult[s]
             left = rho.get(s, {})
             for t in sorted(rho.keys() | {t for t, terms in enumerate(row) if terms}):
@@ -264,8 +264,11 @@ def peter_weyl(H: HopfStarAlgebra, gauge: int = 0) -> PeterWeylData:
     and the coefficient blocks C_l, the images of (id (x) p_l) Delta, span
     the algebra.  Each dim C_l = n_l^2 is checked (_extract_block) and the
     n_l^2 are checked to sum to dim H, so the sum is direct.  The counit
-    law holds on a verified algebra; on any other it is certified here,
-    before any splitting, and its failure raises AxiomsFailed.
+    law and coassociativity hold on a verified algebra; on any other they
+    are certified here, before any splitting, and a failure raises
+    AxiomsFailed naming the law.  Coassociativity is the associativity of
+    the dual on its generators that hopf._dual_generators certifies and
+    keeps, so Corepresentation.verify reads the same pass.
     """
     if gauge:
         return _split(H, gauge)
@@ -277,6 +280,8 @@ def _split(H, gauge):
     the canonical order: by dimension, then by the echelon key of the block."""
     if not H.verified and next(_unit_failures(dual(H)), None) is not None:
         raise AxiomsFailed("not a Hopf *-algebra: counit")
+    if not H.verified and _dual_generators(H) is None:
+        raise AxiomsFailed("not a Hopf *-algebra: coassociativity")
     pairs = sorted(
         (_extract_block(H, p, gauge) for p in split_center(H)),
         key=lambda cb: (cb[0].dim, cb[1].sort_key()),

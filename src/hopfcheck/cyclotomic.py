@@ -8,9 +8,11 @@ scalars therefore have equal (num, den), and the zero test and equality are
 plain integer comparisons.  Phi_n is monic with integer coefficients, so
 reduction and field conjugation (z -> z^(n-1)) are integer row operations
 and every product or sum costs at most one gcd normalisation (a product by
-exactly 1 or -1 costs none).  Everything is exact; the sign of a real scalar
-is decided by interval refinement of the standard complex embedding, with
-the exact zero test run first so the refinement always terminates.
+exactly 1 or -1 costs none).  Everything is exact; the sign of a real
+irrational scalar is read off a fixed-point value of the standard complex
+embedding, in integers, at a precision fixed in advance by the bound
+|y| >= A^-(phi-1) on a nonzero algebraic integer y of coefficient sum A
+(see CycScalar.sign).
 """
 
 from __future__ import annotations
@@ -409,34 +411,36 @@ class CycScalar:
         return tuple(out)
 
     def sign(self):
-        """Certified sign (-1, 0, 1) of a real scalar."""
+        """Certified sign (-1, 0, 1) of a real scalar, with integers only.
+
+        den > 0, so y = sum a_k z^k, the numerator, carries the sign.  Let
+        A = sum |a_k|.  y is a nonzero algebraic integer, so |N(y)| >= 1,
+        and each of its phi conjugates has absolute value at most A; hence
+        |y| >= A^-(phi-1).  y is real, so y = sum a_k cos(2 pi k / n), which
+        is evaluated in fixed point with w fractional bits: pi by Machin's
+        formula pi/4 = 4 arctan(1/5) - arctan(1/239), to within 4w + 40
+        units of 2^-w (each floored series term is off by less than one
+        unit, the truncated tail by less than one), and each cosine by its
+        Taylor series on the angle folded into [0, pi], to within 8w + 64
+        units (the angle's error, which cos does not enlarge, plus at most
+        3 units per floored term over at most w + 5 terms, and the tail).
+        With p = phi * bitlength(A) and w = p + bitlength(p) + 10,
+        2^w >= 1024 (p + 1) 2^p > 2 (8w + 64) A^phi, so the sum is off by
+        less than A (8w + 64) 2^-w < A^-(phi-1) / 2 <= |y| / 2 and has the
+        sign of y.  w is fixed before evaluating: no loop, no failure.
+        """
         if not self.is_real():
             raise ValueError("sign of a non-real scalar %r" % (self,))
         if self.is_zero():
             return 0
         if self.is_rational():
             return 1 if self.num[0] > 0 else -1
-        from mpmath import iv
-
         n = self.field.n
-        prec = 64
-        while prec <= 1 << 14:
-            old = iv.prec
-            try:
-                iv.prec = prec
-                # den > 0, so the numerators alone carry the sign
-                total = iv.mpf(0)
-                for k, a in enumerate(self.num):
-                    if a:
-                        total += iv.mpf(a) * iv.cos(2 * iv.pi * k / n)
-                if total.a > 0:
-                    return 1
-                if total.b < 0:
-                    return -1
-            finally:
-                iv.prec = old
-            prec *= 2
-        raise ArithmeticError("sign certification did not converge for %r" % (self,))
+        p = self.field.phi * sum(abs(a) for a in self.num).bit_length()
+        w = p + p.bit_length() + 10
+        pi = 16 * _arctan_inv(5, w) - 4 * _arctan_inv(239, w)
+        total = sum(a * _cos_turn(min(k, n - k), n, pi, w) for k, a in enumerate(self.num) if a)
+        return 1 if total > 0 else -1
 
     def embed(self):
         """Standard complex embedding z -> exp(2*pi*i/n), as a float."""
@@ -455,6 +459,28 @@ class CycScalar:
                 mono = "z%d" % self.field.n + ("^%d" % k if k > 1 else "")
                 terms.append(mono if c == 1 else "-" + mono if c == -1 else "%s*%s" % (c, mono))
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def _arctan_inv(x, w):
+    """2^w arctan(1/x) by its alternating series, each term floored."""
+    total, t, m = 0, (1 << w) // x, 1
+    while t:
+        total += t // m if m % 4 == 1 else -(t // m)
+        t //= x * x
+        m += 2
+    return total
+
+
+def _cos_turn(k, n, pi, w):
+    """2^w cos(2 pi k / n) for 2k <= n, by Taylor, from pi as 2^w pi."""
+    x2 = (2 * k * pi // n) ** 2 >> w
+    total = term = 1 << w
+    m = 0
+    while term:
+        m += 2
+        term = term * x2 // ((m - 1) * m << w)
+        total += term if m % 4 == 0 else -term
+    return total
 
 
 def _trim(p):

@@ -52,17 +52,20 @@ S suffices.  That needs prerequisites:
   associativity        the unit law: the left nucleus {x : (xy)z = x(yz)}
                        is closed under products in any algebra;
   Delta(xy) = Delta(x) Delta(y)
-                       associativity, the unit law and Delta(1) = 1 (x) 1.
-The proofs are in the docstrings of _assoc_failures and
-_comult_mult_failures.  Coassociativity is the associativity of the dual,
-whose unit law is the counit law.  Delta(xy) = Delta(x) Delta(y) is the
-same identity of structure constants in the dual, with prerequisites
-coassociativity, the counit law and eps(xy) = eps(x) eps(y); check_axioms
-runs it on the side with fewer generators.  A reduction runs only when its prerequisites have passed;
+                       associativity, the unit law and Delta(1) = 1 (x) 1;
+  (xy)* = y* x*        associativity, the unit law and 1* = 1.
+The proofs are in the docstrings of _assoc_failures,
+_comult_mult_failures and _star_antimult_failures.  Coassociativity is the
+associativity of the dual, whose unit law is the counit law.
+Delta(xy) = Delta(x) Delta(y) is the same identity of structure constants
+in the dual, with prerequisites coassociativity, the counit law and
+eps(xy) = eps(x) eps(y); check_axioms runs it on the side with fewer
+generators.  A reduction runs only when its prerequisites have passed;
 otherwise S is every index, the full scan, so each ok flag is what the full
 scans give and only a failure's witness may name other indices.
 "dual_generators" holds the dual's generators when the dual is unital and
-associative, and every index otherwise, for Corepresentation.verify.
+associative, and None otherwise, for Corepresentation.verify and the
+coassociativity gate of corep.peter_weyl.
 
 Vectors are sparse, the form of a column of H.antipode: H.product,
 H.antipode_vec and H.star_vec take and return sorted (index, scalar) tuples,
@@ -377,9 +380,10 @@ def check_axioms(H):
     Each check reports a witness (basis indices) on failure.  An algebra is
     only fit for downstream use when all checks pass; a passing run is
     recorded in its memo under "verified".  Associativity,
-    coassociativity and Delta(xy) = Delta(x) Delta(y) run on generators
-    (see the module doc); a failure of the last two names the basis
-    element or pair of H at which the identity fails.
+    coassociativity, Delta(xy) = Delta(x) Delta(y) and (xy)* = y* x* run
+    on generators (see the module doc); a failure of Delta(xy) =
+    Delta(x) Delta(y) or coassociativity names the basis element or pair
+    of H at which the identity fails.
     """
     d = H.dim
     field = H.field
@@ -484,19 +488,9 @@ def check_axioms(H):
 
     run("star_involution", twice_fails(H.star, True))
 
-    def star_antimult_fails():
-        for i in range(d):
-            for j in range(d):
-                acc = {}
-                for k, c in H.mult[i][j]:
-                    add_terms(acc, c.conjugate(), H.star[k])
-                for a, x in H.star[j]:
-                    for b, y in H.star[i]:
-                        add_terms(acc, -(x * y), H.mult[a][b])
-                if any(acc.values()):
-                    yield (i, j)
-
-    run("star_antimultiplicative", star_antimult_fails())
+    # gens is every index unless the unit law holds
+    star_gens = gens if assoc_ok and H.star_vec(one) == one else range(d)
+    run("star_antimultiplicative", _star_antimult_failures(H, star_gens))
 
     def star_comult_fails():
         for i in range(d):
@@ -689,6 +683,28 @@ def _assoc_failures(A, gens):
                 yield (i, j) + min(bad)
 
 
+def _star_antimult_failures(A, gens):
+    """(i, j) for each i in gens and each j with (e_i e_j)* != e_j* e_i*.
+
+    Over all i this is the star law.  When A satisfies the unit law, is
+    associative and 1* = 1, it suffices that none is found for i in
+    _generators(A): M = {x : (xy)* = y* x* for all y} is a subspace (* is
+    antilinear on both sides), contains 1, since (1y)* = y* = y* 1*, and for
+    a, b in M, (ab)* = b* a* and ((ab)y)* = (a(by))* = (by)* a* =
+    y* b* a* = y* (ab)*.  So M holds the generators' products, which span A.
+    """
+    for i in gens:
+        for j in range(A.dim):
+            acc = {}
+            for k, c in A.mult[i][j]:
+                add_terms(acc, c.conjugate(), A.star[k])
+            for a, x in A.star[j]:
+                for b, y in A.star[i]:
+                    add_terms(acc, -(x * y), A.mult[a][b])
+            if any(acc.values()):
+                yield (i, j)
+
+
 def _comult_mult_failures(A, gens):
     """(i, j, a, b) for each i in gens and each j at which
     Delta(e_i e_j) - Delta(e_i) Delta(e_j) is nonzero, with (a, b) the
@@ -739,22 +755,23 @@ def _comult_mult_failures(A, gens):
 
 def _dual_generators(H):
     """_generators(dual(H)) when dual(H) is unital and associative, else
-    range(d); memoised under "dual_generators".
+    None; memoised under "dual_generators".
 
     The dual's unit law is the counit law of H and its associativity the
     coassociativity of H, so a verified H needs no check; otherwise both
     are checked here, the associativity on the dual's generators as in
-    _assoc_failures.
+    _assoc_failures.  So None on an unverified H whose counit law holds
+    certifies that H is not coassociative.
     """
 
     def compute():
         D = dual(H)
         if not H.verified and next(_unit_failures(D), None) is not None:
-            return range(D.dim)
+            return None
         gens = _generators(D)
         if H.verified or next(_assoc_failures(D, gens), None) is None:
             return gens
-        return range(D.dim)
+        return None
 
     return H.memo("dual_generators", compute)
 

@@ -1,7 +1,16 @@
 import pytest
 
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
-from hopfcheck.constructions import FiniteGroup, GroupAction, crossed_product, function_algebra
+from hopfcheck.constructions import (
+    FiniteGroup,
+    GroupAction,
+    crossed_product,
+    function_algebra,
+    lift_algebra,
+)
+from hopfcheck.linalg import Matrix
+
+from dense_maps import rebase_by
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +60,20 @@ def build_drinfeld_double_s3():
 def drinfeld_s3():
     """A builder of D(S3); each call is a fresh algebra."""
     return build_drinfeld_double_s3
+
+
+def build_irrational_gram():
+    """F(Z2) over Q(zeta_8) in the basis f_0 = t d_0 + d_1, f_1 = d_1, with
+    t = 1 + sqrt 2 and d_g the point masses.
+
+    The Haar state is h(d_g) = 1/2, so the Gram matrix h(f_i* f_j) is
+    [[2 + sqrt 2, 1/2], [1/2, 1/2]]: both of its LDL pivots are irrational,
+    and haar_positive certifies their signs in Q(zeta_8).
+    """
+    F = lift_algebra(function_algebra(FiniteGroup.cyclic(2)), 8)
+    field = F.field
+    t = field.one + field.zeta() + field.zeta(7)
+    return rebase_by(F, Matrix(field, [[t, field.zero], [field.one, field.one]]))
 
 
 def pytest_configure(config):

@@ -13,9 +13,10 @@ over dense columns.  DenseEchelon is the row echelon form kept as dense
 rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
 
 The reference_* scans at the end check associativity, coassociativity,
-Delta(xy) = Delta(x) Delta(y) and the laws of a corepresentation on every
-basis element, pair or triple, where hopfcheck checks the identities that
-are multiplicative in one argument on a certified generating set only.
+Delta(xy) = Delta(x) Delta(y), (xy)* = y* x* and the laws of a
+corepresentation on every basis element, pair or triple, where hopfcheck
+checks the identities that are multiplicative in one argument on a
+certified generating set only.
 """
 
 from bisect import bisect_left
@@ -314,7 +315,8 @@ def rebased(H, rng):
 
 
 def rebase_by(H, T):
-    """H in the basis f_i = T e_i, for an invertible rational Matrix T."""
+    """H in the basis f_i = T e_i, for an invertible Matrix T with real
+    entries."""
     field, d = H.field, H.dim
     Tinv = solve_linear(T, Matrix.identity(field, d))
     cols = columns(T)
@@ -329,7 +331,7 @@ def rebase_by(H, T):
         w = kron_apply(Tinv, Tinv, dense_comult(H, cols[i]))
         comult += [(i, jk // d, jk % d, c) for jk, c in enumerate(w)]
     counit = [dense_value(field, H.counit, c) for c in cols]
-    # T is rational, so conjugation commutes with it and * rebases like S
+    # T is real, so conjugation commutes with it and * rebases like S
 
     def rebase(cols):
         M = matmul(matmul(Tinv, dense_matrix(field, d, cols)), T)
@@ -404,6 +406,19 @@ def reference_comult_multiplicative(H):
                         for s, m2 in H.mult[b][q]:
                             _add(rhs, (r, s), c1 * c2 * m1 * m2)
             if _nonzero(lhs) != _nonzero(rhs):
+                return (i, j)
+    return None
+
+
+def reference_star_antimultiplicative(H):
+    """The first (i, j) with (e_i e_j)* != e_j* e_i*, or None, over every
+    pair."""
+    d = H.dim
+    basis = [basis_vec(H.field, d, i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            lhs = dense_star(H, dense_product(H, basis[i], basis[j]))
+            if lhs != dense_product(H, dense_star(H, basis[j]), dense_star(H, basis[i])):
                 return (i, j)
     return None
 

@@ -481,18 +481,26 @@ def test_every_single_fault_raises(build):
     H = build(FiniteGroup.symmetric(3))
     faults = list(single_faults(H))
     assert len(faults) == len(H.comult_entries()) + H.dim
+    gated = 0
     for label, X in faults:
         assert not X.verified
+        failed = {c.name for c in check_axioms(with_constant_changed(X)).failures()}
         with pytest.raises(HopfcheckError) as info:
             peter_weyl(X)
         if label.startswith("counit"):
             assert isinstance(info.value, AxiomsFailed), label
+        if "coassociativity" in failed and "counit" not in failed:
+            assert isinstance(info.value, AxiomsFailed), label
+            assert str(info.value) == "not a Hopf *-algebra: coassociativity", label
+            gated += 1
         assert X._pw_cache is None
+    assert gated == {function_algebra: 25, group_algebra: 0}[build]
 
 
 def test_single_fault_raises_under_optimize():
-    # Delta(e_1) of F(S3) raised at e_2 (x) e_3: the trace of a central
-    # idempotent is no square
+    # Delta(e_1) of F(S3) raised at e_2 (x) e_3 breaks coassociativity, and
+    # the gate stops it before the splitting (whose trace of a central
+    # idempotent would be no square)
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     code = (
@@ -506,7 +514,7 @@ def test_single_fault_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     want = fault_outcome(function_algebra(FiniteGroup.symmetric(3)), "comult(1, 2, 3)")
-    assert want.startswith("SplittingFailed: ") and "not of square dimension" in want
+    assert want == "AxiomsFailed: not a Hopf *-algebra: coassociativity"
     assert proc.stdout.strip() == want
 
 
@@ -523,6 +531,22 @@ def test_counit_failure_raises_before_splitting(monkeypatch):
     with pytest.raises(AxiomsFailed, match="counit"):
         peter_weyl(X, gauge=2)
     assert X._pw_cache is None and "dual_trace" not in X._memo
+
+
+def test_coassociativity_gate_reuses_the_dual_generators_pass(monkeypatch):
+    # the gate and Corepresentation.verify read one certified associativity
+    # pass of the dual, kept under "dual_generators"
+    calls = []
+    assoc_failures = hopfcheck.hopf._assoc_failures
+
+    def counted(A, gens):
+        calls.append(A)
+        return assoc_failures(A, gens)
+
+    monkeypatch.setattr(hopfcheck.hopf, "_assoc_failures", counted)
+    H = function_algebra(FiniteGroup.symmetric(3))
+    assert not H.verified and peter_weyl(H).dims == [1, 1, 2]
+    assert len(calls) == 1 and H._memo["dual_generators"] is not None
 
 
 def test_verified_algebra_skips_the_counit_gate(monkeypatch):

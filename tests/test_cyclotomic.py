@@ -6,13 +6,17 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcheck
-from hopfcheck.cyclotomic import CycField, cyclotomic_polynomial
+from hopfcheck.cyclotomic import CycField, CycScalar, cyclotomic_polynomial
 from hopfcheck.errors import FieldOrderMismatch, TheoremViolation
+from hopfcheck.hopf import check_axioms
+
+from conftest import build_irrational_gram
 
 ORDERS = (1, 2, 3, 4, 6, 8, 12)
 
@@ -186,6 +190,77 @@ def test_sign_agrees_with_numeric_oracle():
         val = numeric(x).real
         if abs(val) > 1e-8:
             assert x.sign() == (1 if val > 0 else -1)
+
+
+SIGN_ORDERS = (5, 7, 8, 12, 15, 24, 30)
+
+
+def interval_sign(x):
+    """The sign of a real scalar's numerator sum a_k cos(2 pi k / n) by
+    mpmath's interval arithmetic at 1024 bits; the interval must exclude 0."""
+    old = mpmath.iv.prec
+    mpmath.iv.prec = 1024
+    try:
+        total = mpmath.iv.mpf(0)
+        for k, a in enumerate(x.num):
+            if a:
+                total += a * mpmath.iv.cos(2 * mpmath.iv.pi * k / x.field.n)
+    finally:
+        mpmath.iv.prec = old
+    assert total.a > 0 or total.b < 0
+    return 1 if total.a > 0 else -1
+
+
+def real_scalar(field, rng):
+    a = field.from_integers([rng.randint(-9, 9) for _ in range(field.phi)], rng.randint(1, 6))
+    return a + a.conjugate()
+
+
+@pytest.mark.parametrize("n", SIGN_ORDERS)
+def test_sign_agrees_with_interval_arithmetic(n):
+    rng = random.Random("sign %d" % n)
+    field = CycField(n)
+    xs = [real_scalar(field, rng) for _ in range(40)]
+    xs += [x * real_scalar(field, rng) for x in xs[:20]]
+    irrational = [x for x in xs if not x.is_rational()]
+    assert len(irrational) > 50
+    assert [x.sign() for x in irrational] == [interval_sign(x) for x in irrational]
+    assert all((-x).sign() == -x.sign() for x in irrational)
+
+
+@pytest.mark.parametrize("n", SIGN_ORDERS)
+def test_sign_of_near_cancellations(n):
+    # b (z + z^-1) - r with r the integer nearest 2 b cos(2 pi / n): |x| < 1
+    # while the coefficients grow like b, up to 3^40
+    field = CycField(n)
+    c = field.zeta() + field.zeta(n - 1)
+    for e in range(4, 44, 4):
+        b = 3**e
+        with mpmath.workprec(256):
+            r = int(mpmath.nint(2 * b * mpmath.cos(2 * mpmath.pi / n)))
+        x = b * c - r
+        assert not x.is_rational()
+        assert interval_sign(x - 1) == -1 and interval_sign(x + 1) == 1
+        assert x.sign() == interval_sign(x)
+
+
+def test_haar_positive_certifies_irrational_pivots(monkeypatch):
+    seen = []
+    sign = CycScalar.sign
+
+    def spy(x):
+        if not x.is_rational():
+            seen.append(x)
+        return sign(x)
+
+    monkeypatch.setattr(CycScalar, "sign", spy)
+    H = build_irrational_gram()
+    report = check_axioms(H)
+    assert report.ok and report["haar_positive"].ok
+    field = H.field
+    root2 = field.zeta() - field.zeta(3)
+    assert seen == [2 + root2, Fraction(1, 4) + root2 / 8]
+    assert [interval_sign(x) for x in seen] == [1, 1]
 
 
 def test_sort_key_total_order():

@@ -16,6 +16,7 @@ from hopfcheck.hopf import (
     HopfStarAlgebra,
     _dual_generators,
     _generators,
+    _star_antimult_failures,
     check_axioms,
     compute_haar,
     convolve,
@@ -46,6 +47,7 @@ from dense_maps import (
     reference_coassociativity,
     reference_comult_multiplicative,
     reference_corep_failure,
+    reference_star_antimultiplicative,
     reference_convolve,
     reference_counit_unit,
     reference_linear_quotient,
@@ -102,10 +104,12 @@ def sweedler_four_dim():
 # --- sparse structure constants --------------------------------------------
 
 
-def rebuilt(H, mult, comult):
-    """H with its product and coproduct replaced by the given entries."""
+def rebuilt(H, mult, comult, star=None):
+    """H with its product, coproduct and (when given) star replaced by the
+    given entries."""
+    star = H.star_entries() if star is None else star
     return HopfStarAlgebra(
-        H.field, mult, H.unit, comult, H.counit, H.antipode_entries(), H.star_entries(), labels=H.labels
+        H.field, mult, H.unit, comult, H.counit, H.antipode_entries(), star, labels=H.labels
     )
 
 
@@ -286,11 +290,15 @@ def corrupted(H, tensor):
     (tensor "comult", the coefficient of e_i (x) e_j in Delta(e_0)).
     Neither i nor j is a generator of A, and both avoid the support of A's
     unit where they can, so that the unit law holds and the checks run on
-    the generators."""
-    A = H if tensor == "mult" else dual(H)
+    the generators.  Tensor "star" doubles (e_i)* instead, which keeps
+    1* = 1 when i is outside the unit's support."""
+    A = dual(H) if tensor == "comult" else H
     gens = _generators(A)
     free = [i for i in range(H.dim) if i not in gens]
     free = [i for i in free if not A.unit[i]] or free
+    if tensor == "star":
+        star = [(i, j, c + c if i == free[0] else c) for i, j, c in H.star_entries()]
+        return rebuilt(H, H.mult_entries(), H.comult_entries(), star)
     key = (free[0], free[-1], 0) if tensor == "mult" else (0, free[0], free[-1])
     old = H.mult_entries() if tensor == "mult" else H.comult_entries()
     entries = {e[:3]: e[3] for e in old}
@@ -317,12 +325,13 @@ def spans_by_left_products(A, gens):
 
 
 def full_scan_flags(H):
-    """The 20 ok flags of check_axioms, with the three identities that it
+    """The 20 ok flags of check_axioms, with the four identities that it
     checks on generators replaced by the full scans of dense_maps."""
     flags = {c.name: c.ok for c in check_axioms(H).checks}
     flags["associativity"] = reference_associativity(H) is None
     flags["coassociativity"] = reference_coassociativity(H) is None
     flags["comult_multiplicative"] = reference_comult_multiplicative(H) is None
+    flags["star_antimultiplicative"] = reference_star_antimultiplicative(H) is None
     return flags
 
 
@@ -341,7 +350,7 @@ def with_entry_moved(c, t):
     return Corepresentation(H, entries)
 
 
-@pytest.mark.parametrize("tensor", [None, "mult", "comult"])
+@pytest.mark.parametrize("tensor", [None, "mult", "comult", "star"])
 @pytest.mark.parametrize("name", AXIOM_INPUTS)
 def test_generator_checks_match_the_full_scans(name, tensor, s3_crossed, drinfeld_s3):
     H = axiom_input(name, s3_crossed, drinfeld_s3)
@@ -425,6 +434,19 @@ def test_dual_side_needs_a_multiplicative_counit():
     assert rep["comult_multiplicative"].witness == (0, 0)
 
 
+def test_star_law_on_generators_needs_a_self_adjoint_unit():
+    # orthogonal idempotents e_0, e_1 with e_0* = e_0 and e_1* = 2 e_1:
+    # (e_0 y)* = y* e_0* for all y, and e_0 generates, but 1* = e_0 + 2 e_1
+    # is not 1, and (e_1 e_1)* = 2 e_1 while e_1* e_1* = 4 e_1
+    ident = [(0, 0, 1), (1, 1, 1)]
+    H = HopfStarAlgebra(1, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1], [], [0, 0], ident, [(0, 0, 1), (1, 1, 2)])
+    assert _generators(H) == (0,)
+    assert next(_star_antimult_failures(H, (0,)), None) is None
+    rep = check_axioms(H)
+    assert rep["unit"].ok and rep["associativity"].ok
+    assert rep["star_antimultiplicative"].witness == (1, 1)
+
+
 def test_corepresentation_law_needs_the_counit_law():
     # u = 2g in C(Z2): rho(e^e) = 0 and rho(e^g) = 2, so the law holds for
     # s = e, the generator of the dual, and fails at s = t = g; the counit
@@ -445,7 +467,7 @@ def test_corrupted_constants_are_caught_under_optimize(s3_crossed):
         "import test_hopf\n"
         "assert False, 'asserts are live'\n"
         "H = build_s3_crossed()\n"
-        "for tensor in ('mult', 'comult'):\n"
+        "for tensor in ('mult', 'comult', 'star'):\n"
         "    X = test_hopf.corrupted(H, tensor)\n"
         "    print(tensor, sorted(c.name for c in check_axioms(X).checks if not c.ok))\n"
     )
@@ -455,7 +477,7 @@ def test_corrupted_constants_are_caught_under_optimize(s3_crossed):
     H = s3_crossed()
     want = [
         "%s %s" % (tensor, sorted(k for k, ok in full_scan_flags(corrupted(H, tensor)).items() if not ok))
-        for tensor in ("mult", "comult")
+        for tensor in ("mult", "comult", "star")
     ]
     assert proc.stdout.splitlines() == want
     assert all("multiplicative" in line for line in want)
