@@ -26,8 +26,8 @@ from .errors import (
     SchemaError,
     TheoremViolation,
 )
-from .hopf import check_axioms, compute_haar, coproduct_slice, ensure_verified
-from .linalg import Subspace, basis_vec, sparse_column, sparse_vector, zero_vec
+from .hopf import _invariance, check_axioms, compute_haar, ensure_verified
+from .linalg import Subspace, basis_vec, zero_vec
 from .serialize import (
     dump_json,
     load_action,
@@ -153,10 +153,7 @@ def _cmd_axioms(args):
 def _cmd_haar(args):
     H = load_algebra(args.file)
     h = compute_haar(H)
-    # (id (x) h) Delta(e_i) = h(e_i) 1 (left) and (h (x) id) Delta(e_i) = h(e_i) 1
-    want = [sparse_column({t: hi * u for t, u in enumerate(H.unit)}) for hi in h]
-    left_ok = coproduct_slice(H, sparse_vector(h), "right") == want
-    right_ok = coproduct_slice(H, sparse_vector(h), "left") == want
+    left_ok, right_ok = _invariance(H, h)
     unit_val = sum((h[t] * H.unit[t] for t in range(H.dim)), H.field.zero)
     ok = left_ok and right_ok and unit_val == H.field.scalar(1)
     results = {

@@ -146,10 +146,11 @@ class CycField:
         return _canonical(self, num, den)
 
     def from_rational(self, q):
-        if type(q) is not int:
+        if type(q) is int:
+            return CycScalar(self, (q,) + (0,) * (self.phi - 1), 1)
+        if type(q) is not Fraction:
             q = Fraction(q)
-            return CycScalar(self, (q.numerator,) + (0,) * (self.phi - 1), q.denominator)
-        return CycScalar(self, (q,) + (0,) * (self.phi - 1), 1)
+        return CycScalar(self, (q.numerator,) + (0,) * (self.phi - 1), q.denominator)
 
     def zeta(self, k=1):
         """The root of unity zeta_n^k as an exact scalar."""

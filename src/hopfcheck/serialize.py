@@ -8,7 +8,14 @@ byte-deterministic; dense tensors are accepted on input.  A sparse tensor
 that lists the same [i, j, k] twice is rejected.  The antipode and star,
 and the maps of a group action, are written and read as dense d x d
 matrices, row j and column i holding the coefficient of e_j in S(e_i)
-(resp. (e_i)*, alpha_t(e_i)); this is the one place where they are dense.
+(resp. (e_i)*, alpha_t(e_i)); this is the one place where they are dense,
+and their zero entries are dropped as they are read.
+
+Each loader call keeps one dict from scalar string to parsed scalar, passed
+through _parse_vector, _parse_matrix and _parse_tensor, so a string that
+recurs (every "0" of a dense matrix) is parsed once per load.  Only strings
+that parsed are stored, and the dict dies with the call, so memory stays
+bounded by the file.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ def scalar_from_json(field: CycField, obj):
     if isinstance(obj, bool):
         raise SchemaError("boolean is not a scalar")
     if isinstance(obj, int):
-        return field.from_rational(Fraction(obj))
+        return field.from_rational(obj)
     if isinstance(obj, str):
         try:
             return field.from_rational(Fraction(obj))
@@ -59,19 +66,29 @@ def _require(data, key):
     return data[key]
 
 
-def _parse_vector(field, obj, d, what):
+def _scalar(field, obj, parsed):
+    """scalar_from_json, looking strings up in and adding them to parsed."""
+    if type(obj) is not str:
+        return scalar_from_json(field, obj)
+    x = parsed.get(obj)
+    if x is None:
+        x = parsed[obj] = scalar_from_json(field, obj)
+    return x
+
+
+def _parse_vector(field, obj, d, what, parsed):
     if not isinstance(obj, list) or len(obj) != d:
         raise SchemaError("%s must be a list of %d scalars" % (what, d))
-    return [scalar_from_json(field, x) for x in obj]
+    return [_scalar(field, x, parsed) for x in obj]
 
 
-def _parse_matrix(field, obj, d, what):
+def _parse_matrix(field, obj, d, what, parsed):
     if not isinstance(obj, list) or len(obj) != d:
         raise SchemaError("%s must be a %d x %d matrix" % (what, d, d))
-    return [_parse_vector(field, row, d, what + " row") for row in obj]
+    return [_parse_vector(field, row, d, what + " row", parsed) for row in obj]
 
 
-def _parse_tensor(field, obj, d, name):
+def _parse_tensor(field, obj, d, name, parsed):
     """The (i, j, k, scalar) entries of a dense or sparse mult/comult; the
     algebra constructor checks their indices and rejects repeats."""
     if not isinstance(obj, list):
@@ -83,14 +100,16 @@ def _parse_tensor(field, obj, d, name):
         return [
             (i, j, k, c)
             for i in range(d)
-            for j, row in enumerate(_parse_matrix(field, obj[i], d, "%s[%d]" % (name, i)))
+            for j, row in enumerate(
+                _parse_matrix(field, obj[i], d, "%s[%d]" % (name, i), parsed)
+            )
             for k, c in enumerate(row)
             if c
         ]
     for entry in obj:
         if not isinstance(entry, list) or len(entry) != 4:
             raise SchemaError("sparse %s entries are [i, j, k, scalar]" % name)
-    return [(i, j, k, scalar_from_json(field, c)) for i, j, k, c in obj]
+    return [(i, j, k, _scalar(field, c, parsed)) for i, j, k, c in obj]
 
 
 def _dense_rows(cols, d):
@@ -103,8 +122,9 @@ def _dense_rows(cols, d):
 
 
 def _column_entries(matrix):
-    """The (i, j, c) entries of a dense matrix, c at row j and column i."""
-    return [(i, j, c) for j, row in enumerate(matrix) for i, c in enumerate(row)]
+    """The (i, j, c) entries with c != 0 of a dense matrix, c at row j and
+    column i."""
+    return [(i, j, c) for j, row in enumerate(matrix) for i, c in enumerate(row) if c]
 
 
 def algebra_to_dict(H: HopfStarAlgebra) -> dict:
@@ -134,12 +154,15 @@ def algebra_from_dict(data: dict) -> HopfStarAlgebra:
     labels = _require(data, "basis_labels")
     if not isinstance(labels, list) or len(labels) != d:
         raise SchemaError("basis_labels must list %d strings" % d)
-    mult = _parse_tensor(field, _require(data, "mult"), d, "mult")
-    unit = _parse_vector(field, _require(data, "unit"), d, "unit")
-    comult = _parse_tensor(field, _require(data, "comult"), d, "comult")
-    counit = _parse_vector(field, _require(data, "counit"), d, "counit")
-    antipode = _column_entries(_parse_matrix(field, _require(data, "antipode"), d, "antipode"))
-    star = _column_entries(_parse_matrix(field, _require(data, "star"), d, "star"))
+    parsed = {}
+    mult = _parse_tensor(field, _require(data, "mult"), d, "mult", parsed)
+    unit = _parse_vector(field, _require(data, "unit"), d, "unit", parsed)
+    comult = _parse_tensor(field, _require(data, "comult"), d, "comult", parsed)
+    counit = _parse_vector(field, _require(data, "counit"), d, "counit", parsed)
+    antipode, star = (
+        _column_entries(_parse_matrix(field, _require(data, key), d, key, parsed))
+        for key in ("antipode", "star")
+    )
     return HopfStarAlgebra(
         field, mult, unit, comult, counit, antipode, star, labels=[str(x) for x in labels]
     )
@@ -204,8 +227,9 @@ def action_from_dict(data, target: HopfStarAlgebra) -> GroupAction:
     maps_raw = _require(data, "maps")
     if not isinstance(maps_raw, list) or len(maps_raw) != group.order:
         raise SchemaError("maps must list one matrix per group element")
+    parsed = {}
     maps = [
-        _column_entries(_parse_matrix(target.field, m, target.dim, "action map %d" % t))
+        _column_entries(_parse_matrix(target.field, m, target.dim, "action map %d" % t, parsed))
         for t, m in enumerate(maps_raw)
     ]
     return GroupAction(group, target, maps)
@@ -228,7 +252,8 @@ def ideal_from_dict(data, H: HopfStarAlgebra) -> Subspace:
     basis = _require(data, "ideal_basis")
     if not isinstance(basis, list):
         raise SchemaError("ideal_basis must be a list of coefficient vectors")
-    vecs = [_parse_vector(H.field, v, H.dim, "ideal vector") for v in basis]
+    parsed = {}
+    vecs = [_parse_vector(H.field, v, H.dim, "ideal vector", parsed) for v in basis]
     return Subspace.from_vectors(H.field, H.dim, vecs)
 
 

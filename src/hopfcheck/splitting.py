@@ -11,7 +11,7 @@ multiple of p, and replaced by its spectral idempotents otherwise.
 find_primitive_idempotent splits the unit of one matrix block the same way,
 by candidate elements of the block, until its corner is a line.  Both the
 size of a block and the rank of an idempotent in it are read off
-left_trace, one trace covector per algebra.
+left_trace, the regular trace covector of the dual.
 
 The roots come from exact_poly_roots, in integers alone (Cohen, GTM 138,
 2.6 and 3.5): roots mod a prime p = 1 (mod n) are Newton-lifted, recognised
@@ -34,7 +34,7 @@ from math import comb, gcd, isqrt, lcm
 
 from .cyclotomic import _trim
 from .errors import SplittingFailed, TheoremViolation
-from .hopf import dual
+from .hopf import _regular_trace, dual
 from .linalg import (
     Echelon,
     add_terms,
@@ -375,21 +375,11 @@ def split_center(H):
 def left_trace(H, x):
     """The trace of left multiplication by x on D = dual(H).
 
-    It is linear in x, so it is read off the covector trace[j] = tr(L_(e^j)),
-    built once per algebra and kept in its memo under "dual_trace": e^j e^i
-    has coefficient Delta(e_i)[e_j (x) e_i] on e^i.  For an idempotent p of
+    It is linear in x, so it is read off the regular trace covector of D
+    (hopf._regular_trace), built once per algebra.  For an idempotent p of
     an associative D, L_p is idempotent, so tr(L_p) is its rank, dim p D.
     """
-
-    def build():
-        trace = [H.field.zero] * H.dim
-        for i, terms in enumerate(H.comult):
-            for j, k, c in terms:
-                if k == i:
-                    trace[j] = trace[j] + c
-        return trace
-
-    trace = H.memo("dual_trace", build)
+    trace = _regular_trace(dual(H))
     return sum((c * trace[k] for k, c in x), H.field.zero)
 
 

@@ -131,14 +131,15 @@ def make_subgroup(G: HopfStarAlgebra, I: Subspace) -> QuantumSubgroup:
 
     If G is already verified (`G.verified`; this function never starts a
     check of G), the quotient inherits every axiom and only its Haar state
-    is solved here.  Otherwise the quotient runs the full check_axioms.
-    Either way it is recorded as verified, so its own quotients skip that.
+    is computed here, from its regular trace (compute_haar).  Otherwise the
+    quotient runs the full check_axioms.  Either way it is recorded as
+    verified, so its own quotients skip that.
     """
     proj, reps, quotient, failed = _certified_quotient(G, I)
     if failed:
         raise NotHopfIdeal("the %s condition fails" % failed)
     if G.verified:
-        quotient.haar  # solved here, since every normality criterion reads it
+        quotient.haar  # computed here, since every normality criterion reads it
         quotient.memo("verified", lambda: True)
     else:
         report = check_axioms(quotient)

@@ -13,7 +13,7 @@ from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra
 from hopfcheck.corep import Corepresentation, conjugate, fusion, peter_weyl
 from hopfcheck.errors import AxiomsFailed, HopfcheckError, SchemaError, TheoremViolation
-from hopfcheck.hopf import HopfStarAlgebra, check_axioms, coproduct_slice
+from hopfcheck.hopf import HopfStarAlgebra, check_axioms, coproduct_slice, dual
 from hopfcheck.linalg import (
     Subspace,
     sparse_image,
@@ -435,9 +435,9 @@ def test_block_size_is_the_trace(name, s3_crossed, drinfeld_s3):
     for p in split_center(H):
         block_D = sparse_image(H.field, d, sparse_transpose(d, coproduct_slice(H, p, "left")))
         assert left_trace(H, p) == block_D.dim
-    trace = H._memo["dual_trace"]
+    trace = dual(H)._memo["trace"]
     assert sorted(c.dim ** 2 for c in peter_weyl(H).coreps) == sorted(b.dim for b in peter_weyl(H).blocks())
-    assert H._memo["dual_trace"] is trace
+    assert dual(H)._memo["trace"] is trace
 
 
 def with_constant_changed(H, comult=None, counit=None):
@@ -530,7 +530,7 @@ def test_counit_failure_raises_before_splitting(monkeypatch):
         peter_weyl(X)
     with pytest.raises(AxiomsFailed, match="counit"):
         peter_weyl(X, gauge=2)
-    assert X._pw_cache is None and "dual_trace" not in X._memo
+    assert X._pw_cache is None and "trace" not in dual(X)._memo
 
 
 def test_coassociativity_gate_reuses_the_dual_generators_pass(monkeypatch):

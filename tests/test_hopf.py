@@ -8,14 +8,23 @@ import pytest
 
 import hopfcheck
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
-from hopfcheck.constructions import FiniteGroup, group_algebra, lift_algebra, tensor_product
+from hopfcheck.constructions import (
+    FiniteGroup,
+    function_algebra,
+    group_algebra,
+    lift_algebra,
+    tensor_product,
+)
 from hopfcheck.corep import Corepresentation, peter_weyl
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import NotCosemisimple, SchemaError
+from hopfcheck.structure import enumerate_quantum_subgroups
 from hopfcheck.hopf import (
     HopfStarAlgebra,
     _dual_generators,
     _generators,
+    _invariance,
+    _solve_haar,
     _star_antimult_failures,
     check_axioms,
     compute_haar,
@@ -559,6 +568,104 @@ def test_sweedler_has_no_haar():
     assert "antipode_involutive" in failed
     with pytest.raises(NotCosemisimple):
         compute_haar(H4)
+
+
+# --- Haar state from the regular trace -------------------------------------
+
+HAAR_INPUTS = (
+    AXIOM_INPUTS
+    + [name + " dual" for name in sorted(CATALOG_NAMES)]
+    + ["f_s3 rebased", "D(S3) rebased", "F(S4) zeta12", "C(S4) zeta12"]
+)
+
+
+def haar_input(name, s3_crossed, drinfeld_s3):
+    """A fresh semisimple cosemisimple Hopf *-algebra named in HAAR_INPUTS."""
+    if name.endswith(" dual"):
+        return dual(build_algebra(name[: -len(" dual")]))
+    if name == "f_s3 rebased":
+        return rebased(build_algebra("f_s3"), random.Random("certificate " + name))
+    if name == "D(S3) rebased":
+        return rebased(drinfeld_s3(), random.Random("certificate " + name))
+    if name.endswith("zeta12"):
+        build = function_algebra if name.startswith("F") else group_algebra
+        return lift_algebra(build(FiniteGroup.symmetric(4)), 12)
+    return axiom_input(name, s3_crossed, drinfeld_s3)
+
+
+def trace_candidate(H):
+    """Tr(L_x) / Tr(L_1) on the basis, each trace summed over the products
+    e_x e_k."""
+    zero = H.field.zero
+    basis = sparse_identity(H.field, H.dim)
+    t = [
+        sum((c for k, e in enumerate(basis) for j, c in H.product(x, e) if j == k), zero)
+        for x in basis
+    ]
+    inv = sum((u * tu for u, tu in zip(H.unit, t)), zero).inverse()
+    return [c * inv for c in t]
+
+
+def never_solve(H):
+    raise AssertionError("the Haar state of a valid input was solved")
+
+
+def product_corrupted_f_s3():
+    """An unverified copy of F(S3) with e_0 e_1 = e_1.  Its regular trace is
+    2 on e_0 and 1 elsewhere, which is not invariant; the invariance
+    equations read only the coproduct and the unit, so h is still 1/6."""
+    F = build_algebra("f_s3")
+    return rebuilt(F, F.mult_entries() + [(0, 1, 1, 1)], F.comult_entries())
+
+
+@pytest.mark.parametrize("name", HAAR_INPUTS)
+def test_valid_inputs_take_the_trace(name, monkeypatch, s3_crossed, drinfeld_s3):
+    H = haar_input(name, s3_crossed, drinfeld_s3)
+    monkeypatch.setattr(hopfcheck.hopf, "_solve_haar", never_solve)
+    h = compute_haar(H)
+    # check_axioms of rebased D(S3), whose coproduct is dense, takes minutes
+    if name != "D(S3) rebased":
+        assert check_axioms(H).ok
+    monkeypatch.undo()
+    assert h == trace_candidate(H) == _solve_haar(H)
+
+
+def test_quotients_never_reach_the_solve(monkeypatch):
+    monkeypatch.setattr(hopfcheck.hopf, "_solve_haar", never_solve)
+    subgroups = enumerate_quantum_subgroups(build_algebra("f_d4"))
+    haars = [Q.quotient.haar for Q in subgroups]
+    monkeypatch.undo()
+    assert len(subgroups) == 10
+    assert haars == [_solve_haar(Q.quotient) for Q in subgroups]
+
+
+def test_corrupted_product_falls_back_to_the_solve(monkeypatch):
+    X = product_corrupted_f_s3()
+    assert not all(_invariance(X, trace_candidate(X)))
+    calls = []
+    real = hopfcheck.hopf._solve_haar
+    monkeypatch.setattr(hopfcheck.hopf, "_solve_haar", lambda H: calls.append(H) or real(H))
+    assert compute_haar(X) == [X.field.from_rational(Fraction(1, 6))] * 6
+    assert len(calls) == 1 and calls[0] is X
+
+
+def test_corrupted_product_falls_back_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import hopfcheck.hopf as hopf\n"
+        "import test_hopf\n"
+        "assert False, 'asserts are live'\n"
+        "calls = []\n"
+        "real = hopf._solve_haar\n"
+        "hopf._solve_haar = lambda H: calls.append(H) or real(H)\n"
+        "h = hopf.compute_haar(test_hopf.product_corrupted_f_s3())\n"
+        "print(len(calls), ' '.join(str(c.as_fraction()) for c in h))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 " + " ".join(["1/6"] * 6)
 
 
 # --- convolution algebra of endomorphisms ---------------------------------

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import random
 
 import pytest
 
@@ -12,15 +13,24 @@ from hopfcheck.catalog import (
     repo_catalog_dir,
     write_catalog,
 )
-from hopfcheck.constructions import FiniteGroup, inversion_action
+from hopfcheck.constructions import (
+    FiniteGroup,
+    GroupAction,
+    function_algebra,
+    group_algebra,
+    inversion_action,
+    lift_algebra,
+)
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import SchemaError
-from hopfcheck.hopf import check_axioms
+from hopfcheck.hopf import HopfStarAlgebra, check_axioms
 from hopfcheck.linalg import Subspace
 from hopfcheck.serialize import (
+    action_from_dict,
     algebra_from_dict,
     algebra_to_dict,
     dump_json,
+    group_from_dict,
     load_action,
     load_algebra,
     load_group,
@@ -136,6 +146,7 @@ def test_dense_and_sparse_files_load_equal(name):
     assert len(sparse.mult_entries()) == len(data["mult"])
     assert len(sparse.comult_entries()) == len(data["comult"])
     assert algebra_to_dict(dense) == data
+    assert same_constants(sparse, reference_algebra(data))
 
 
 def test_repeated_sparse_entry_rejected(algebras):
@@ -174,6 +185,93 @@ def test_triple_indices_validated(algebras):
     bad["mult"] = [[0, 0, 7, "1"]]
     with pytest.raises(SchemaError):
         algebra_from_dict(bad)
+
+
+def reference_algebra(data):
+    """The algebra of a file's data with every scalar parsed on its own and
+    the dense antipode and star passed with their zero entries."""
+    field = CycField(data["field_order"])
+
+    def sc(x):
+        return scalar_from_json(field, x)
+
+    def dense(rows):
+        return [(i, j, sc(c)) for j, row in enumerate(rows) for i, c in enumerate(row)]
+
+    return HopfStarAlgebra(
+        field,
+        [(i, j, k, sc(c)) for i, j, k, c in data["mult"]],
+        [sc(x) for x in data["unit"]],
+        [(i, j, k, sc(c)) for i, j, k, c in data["comult"]],
+        [sc(x) for x in data["counit"]],
+        dense(data["antipode"]),
+        dense(data["star"]),
+        labels=data["basis_labels"],
+    )
+
+
+def same_constants(A, B):
+    return (A.field, A.labels, A.unit, A.counit, A.mult, A.comult, A.antipode, A.star) == (
+        B.field, B.labels, B.unit, B.counit, B.mult, B.comult, B.antipode, B.star
+    )
+
+
+def test_recurring_strings_load_like_a_per_entry_parse():
+    # strings that share prefixes or spell one value twice, with integers
+    # and scalar objects between them; the result need not be an algebra
+    rng = random.Random(20261019)
+    pool = ["0", "1", "-1", "1/2", "2/4", "12", "-1/2", "3/7", 2, {"order": 1, "coeffs": ["5"]}]
+    with open(os.path.join(repo_catalog_dir(), "f_d4.hopf.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    for key in ("mult", "comult"):
+        data[key] = [entry[:3] + [rng.choice(pool)] for entry in data[key]]
+    for key in ("unit", "counit"):
+        data[key] = [rng.choice(pool) for _ in data[key]]
+    for key in ("antipode", "star"):
+        data[key] = [[rng.choice(pool) for _ in row] for row in data[key]]
+    assert same_constants(algebra_from_dict(data), reference_algebra(data))
+
+
+@pytest.mark.parametrize("build", [function_algebra, group_algebra])
+def test_s4_over_zeta12_loads_like_a_per_entry_parse(build):
+    # the file form that perfbench generates: sparse mult and comult, dense
+    # antipode and star, every scalar a "0" or "1" string
+    data = algebra_to_dict(lift_algebra(build(FiniteGroup.symmetric(4)), 12))
+    assert {c for row in data["antipode"] + data["star"] for c in row} == {"0", "1"}
+    assert same_constants(algebra_from_dict(data), reference_algebra(data))
+
+
+@pytest.mark.parametrize("key", ["antipode", "star"])
+@pytest.mark.parametrize("bad", ["one half", "1/0"])
+def test_bad_scalar_in_a_dense_matrix_rejected(algebras, key, bad):
+    data = algebra_to_dict(algebras["f_s3"])
+    data[key] = [list(row) for row in data[key]]
+    data[key][4][2] = bad
+    with pytest.raises(SchemaError, match="^bad rational %r$" % bad):
+        algebra_from_dict(data)
+
+
+def inversion_action_data():
+    with open(os.path.join(repo_catalog_dir(), "f_z3.inversion.action.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_catalog_action_loads_like_a_per_entry_parse():
+    F = build_algebra("f_z3")
+    data = inversion_action_data()
+    maps = [
+        [(i, j, scalar_from_json(F.field, c)) for j, row in enumerate(m) for i, c in enumerate(row)]
+        for m in data["maps"]
+    ]
+    want = GroupAction(group_from_dict(data["group"]), F, maps).maps
+    assert action_from_dict(data, F).maps == want == inversion_action(F).maps
+
+
+def test_bad_scalar_in_an_action_map_rejected():
+    data = inversion_action_data()
+    data["maps"][1][0][0] = "one half"
+    with pytest.raises(SchemaError, match="^bad rational 'one half'$"):
+        action_from_dict(data, build_algebra("f_z3"))
 
 
 # --- groups, ideals, actions -------------------------------------------------
