@@ -26,8 +26,8 @@ from .errors import (
     SchemaError,
     TheoremViolation,
 )
-from .hopf import _invariance, check_axioms, compute_haar, ensure_verified
-from .linalg import Subspace, basis_vec, zero_vec
+from .hopf import _invariance, _pair, check_axioms, compute_haar, ensure_verified
+from .linalg import Subspace, basis_vec, sparse_vector, zero_vec
 from .serialize import (
     dump_json,
     load_action,
@@ -154,7 +154,7 @@ def _cmd_haar(args):
     H = load_algebra(args.file)
     h = compute_haar(H)
     left_ok, right_ok = _invariance(H, h)
-    unit_val = sum((h[t] * H.unit[t] for t in range(H.dim)), H.field.zero)
+    unit_val = _pair(sparse_vector(H.unit), h, H.field.zero)
     ok = left_ok and right_ok and unit_val == H.field.scalar(1)
     results = {
         "haar": [repr(x) for x in h],

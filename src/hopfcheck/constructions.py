@@ -47,7 +47,7 @@ class FiniteGroup:
 
     __slots__ = ("order", "table", "labels", "identity", "inverses")
 
-    def __init__(self, table, labels=None, validate=True):
+    def __init__(self, table, labels=None):
         self.order = len(table)
         self.table = [list(row) for row in table]
         n = self.order
@@ -58,29 +58,22 @@ class FiniteGroup:
         if len(labels) != n or len(set(labels)) != n:
             raise SchemaError("a group of order %d needs %d distinct labels" % (n, n))
         self.labels = list(labels)
-        if validate:
-            for row in self.table:
-                if sorted(row) != list(range(n)):
-                    raise SchemaError("invalid group table: row is not a permutation")
-            for j in range(n):
-                col = [self.table[i][j] for i in range(n)]
-                if sorted(col) != list(range(n)):
-                    raise SchemaError("invalid group table: column is not a permutation")
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                            raise SchemaError("multiplication table is not associative")
-        idn = [e for e in range(n) if all(self.table[e][j] == j == self.table[j][e] for j in range(n))]
-        if len(idn) != 1:
-            raise SchemaError("invalid group table: no two-sided identity")
-        self.identity = idn[0]
-        self.inverses = [0] * n
+        for row in self.table:
+            if sorted(row) != list(range(n)):
+                raise SchemaError("invalid group table: row is not a permutation")
+        for j in range(n):
+            col = [self.table[i][j] for i in range(n)]
+            if sorted(col) != list(range(n)):
+                raise SchemaError("invalid group table: column is not a permutation")
         for a in range(n):
-            inv = [b for b in range(n) if self.table[a][b] == self.identity]
-            if len(inv) != 1:
-                raise SchemaError("invalid group table: %s has no unique inverse" % self.labels[a])
-            self.inverses[a] = inv[0]
+            for b in range(n):
+                for c in range(n):
+                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
+                        raise SchemaError("multiplication table is not associative")
+        # a nonempty associative quasigroup is a group: the e with g_0 e = g_0
+        # is its identity (cancel g_0), and each row holds the identity once
+        self.identity = self.table[0].index(0)
+        self.inverses = [row.index(self.identity) for row in self.table]
 
     def mul(self, a, b):
         return self.table[a][b]

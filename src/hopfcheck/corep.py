@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import AxiomsFailed, SchemaError, SplittingFailed, TheoremViolation
-from .hopf import HopfStarAlgebra, _dual_generators, _unit_failures, coproduct_slice, dual
+from .hopf import HopfStarAlgebra, _dual_generators, _pair, _unit_failures, coproduct_slice, dual
 from .linalg import (
     Subspace,
     add_terms,
@@ -328,10 +328,7 @@ def fusion(P: PeterWeylData):
 def _multiplicity(field, nz, w):
     """The dot product of a sparse vector with a covector, checked to be a
     nonnegative integer."""
-    val = field.zero
-    for a, x in nz:
-        if w[a]:
-            val = val + x * w[a]
+    val = _pair(nz, w, field.zero)
     if not val.is_rational():
         raise TheoremViolation("fusion multiplicity is not rational")
     q = val.as_fraction()

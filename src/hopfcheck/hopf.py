@@ -30,9 +30,10 @@ is computed once and kept in the algebra's memo: `H.memo(key, compute)`
 returns the stored value for `key`, calling `compute()` only the first time.
 The keys are "haar", "peter_weyl", "dual", "trace",
 "hopf_subalgebras", "quantum_subgroups", "property_F", "property_FD",
-"generators", "dual_generators" and "verified"; "trace" holds the regular
-trace x -> Tr(L_x) (_regular_trace), the Haar candidate of compute_haar,
-and on the dual it sizes each Peter-Weyl block (splitting.left_trace).
+"generators", "dual_generators" and "verified"; "trace" is kept on a dual
+only: there it holds the regular trace x -> Tr(L_x) (_regular_trace), which
+sizes each Peter-Weyl block (splitting.left_trace).  compute_haar reads the
+regular trace of H as its Haar candidate without keeping it.
 "verified" is set when the algebra passes check_axioms, or when
 make_subgroup or sub_hopf_algebra certifies it as a quotient or a
 subalgebra of a verified algebra; `H.verified` reads it and never runs a
@@ -40,6 +41,29 @@ check, and ensure_verified runs check_axioms only when it is unset.  The
 memo is the only store of derived data: a constructor sets `meta`, the
 record of how the algebra was built, and nothing else, so the Peter-Weyl
 list of every algebra comes from splitting its dual (see corep).
+
+Each law is stated once, and a law of the coproduct is checked as the
+matching law of the product of the dual.  On the dual basis e^i of
+D = dual(H), with Delta(e_t) = sum c_t^(jk) e_j (x) e_k and
+e_a e_b = sum m_ab^t e_t, the product of D is e^j e^k = sum_t c_t^(jk) e^t,
+its unit is eps, its coproduct has the constants m_ab^t and its counit is
+the unit u of H.  So
+  (eps e^i)(e_t) = sum_j eps(e_j) c_t^(ji), the coefficient of e_i in
+      (eps (x) id) Delta(e_t), and likewise on the right: the unit law of D
+      at e^i, component t, is the counit law of H at e_t, component i;
+  ((e^a e^b) e^c)(e_t) and (e^a (e^b e^c))(e_t) are the coefficients of
+      e_a (x) e_b (x) e_c in (Delta (x) id) Delta(e_t) and
+      (id (x) Delta) Delta(e_t): associativity of D is coassociativity of H;
+  eps_D(e^j e^k) = sum_t c_t^(jk) u_t, the coefficient of e_j (x) e_k in
+      Delta(1), and eps_D(e^j) eps_D(e^k) = u_j u_k, its coefficient in
+      1 (x) 1: eps(xy) = eps(x) eps(y) in D is Delta(1) = 1 (x) 1 in H.
+check_axioms runs these three laws of H as _unit_failures, _assoc_failures
+and _counit_mult_failures of D, the functions that run the unit law,
+associativity and eps(xy) = eps(x) eps(y) on H, and reads each witness back
+at the transposed indices.  The other laws go through the maps that hopf
+already has: convolve and counit_unit for the antipode, star_vec and
+sparse_compose for the involutions, counit_of and haar_of for the
+functionals.
 
 Identities that are multiplicative in one argument are checked on a
 certified generating set.  "generators" holds basis indices S such that the
@@ -55,8 +79,8 @@ S suffices.  That needs prerequisites:
                        associativity, the unit law and Delta(1) = 1 (x) 1;
   (xy)* = y* x*        associativity, the unit law and 1* = 1.
 The proofs are in the docstrings of _assoc_failures,
-_comult_mult_failures and _star_antimult_failures.  Coassociativity is the
-associativity of the dual, whose unit law is the counit law.
+_comult_mult_failures and _star_antimult_failures.  Coassociativity runs
+on the dual's generators once the dual's unit law, the counit law, holds.
 Delta(xy) = Delta(x) Delta(y) is the same identity of structure constants
 in the dual, with prerequisites coassociativity, the counit law and
 eps(xy) = eps(x) eps(y); check_axioms runs it on the side with fewer
@@ -268,10 +292,6 @@ def _pair(x, covector, zero):
     return acc
 
 
-def _nonzero(acc):
-    return {k: v for k, v in acc.items() if v}
-
-
 def convolve(H, f, g):
     """Convolution f * g = m (f (x) g) Delta of two maps of H given by sparse
     columns, as sparse columns."""
@@ -327,16 +347,12 @@ def compute_haar(H):
 
 def _regular_trace(A):
     """The covector t[x] = Tr(L_(e_x)), the sum over k of the coefficient
-    of e_k in e_x e_k, read off A.mult; memoised under "trace"."""
-
-    def build():
-        zero = A.field.zero
-        return [
-            sum((c for k, terms in enumerate(row) for m, c in terms if m == k), zero)
-            for row in A.mult
-        ]
-
-    return A.memo("trace", build)
+    of e_k in e_x e_k, read off A.mult."""
+    zero = A.field.zero
+    return [
+        sum((c for k, terms in enumerate(row) for m, c in terms if m == k), zero)
+        for row in A.mult
+    ]
 
 
 def _invariance(H, h):
@@ -375,10 +391,7 @@ def _solve_haar(H):
             "bi-invariance system has a %d-dimensional solution space" % sol.dim
         )
     h = sol.basis()[0]
-    h_one = field.zero
-    for u, hv in zip(H.unit, h):
-        if u and hv:
-            h_one = h_one + u * hv
+    h_one = _pair(sparse_vector(H.unit), h, zero)
     if not h_one:
         raise NotCosemisimple("the bi-invariance system forces h(1) = 0")
     inv = h_one.inverse()
@@ -390,17 +403,6 @@ class AxiomCheck:
     name: str
     ok: bool
     witness: object = None
-
-    def as_dict(self):
-        return {"name": self.name, "ok": self.ok, "witness": _json_witness(self.witness)}
-
-
-def _json_witness(w):
-    if w is None or isinstance(w, (str, int)):
-        return w
-    if isinstance(w, (tuple, list)):
-        return [_json_witness(x) for x in w]
-    return repr(w)
 
 
 @dataclass
@@ -414,9 +416,6 @@ class AxiomReport:
     def failures(self):
         return [c for c in self.checks if not c.ok]
 
-    def as_dict(self):
-        return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
-
     def __getitem__(self, name):
         for c in self.checks:
             if c.name == name:
@@ -429,77 +428,53 @@ def check_axioms(H):
 
     Each check reports a witness (basis indices) on failure.  An algebra is
     only fit for downstream use when all checks pass; a passing run is
-    recorded in its memo under "verified".  Associativity,
-    coassociativity, Delta(xy) = Delta(x) Delta(y) and (xy)* = y* x* run
-    on generators (see the module doc); a failure of Delta(xy) =
-    Delta(x) Delta(y) or coassociativity names the basis element or pair
-    of H at which the identity fails.
+    recorded in its memo under "verified".
+
+    Three laws of H run on D = dual(H), as the algebra laws of D that they
+    are (the proof is in the module doc): "counit" is the unit law of D, and
+    its witness (t,) names the e_t of H where the counit law fails;
+    "coassociativity" is the associativity of D, with witness (t,) the same
+    way; "comult_unital" is eps(xy) = eps(x) eps(y) of D, and its witness
+    (i, j) names a nonzero component e_i (x) e_j of Delta(1) - 1 (x) 1.
+    Delta(xy) = Delta(x) Delta(y) runs on H or on D, whichever has fewer
+    generators.  The antipode laws compare convolve(H, S, id) and
+    convolve(H, id, S) with counit_unit(H), the involutions compare ** and
+    S S with the identity, and star_counit, haar_tracial and haar_star read
+    counit_of and haar_of; these compare column by column, with witness
+    (i,) at the first column that differs.  Associativity, coassociativity,
+    Delta(xy) = Delta(x) Delta(y) and (xy)* = y* x* run on generators (see
+    the module doc).
     """
     d = H.dim
     field = H.field
     checks = []
-    ebasis = sparse_identity(field, d)
+    ident = sparse_identity(field, d)
     one = sparse_vector(H.unit)
+    D = dual(H)
 
     def run(name, witness_iter):
         w = next(witness_iter, None)
         checks.append(AxiomCheck(name, w is None, w))
         return w is None
 
-    unit_ok = run("unit", _unit_failures(H))
+    def differ(got, want):
+        return ((i,) for i, (x, y) in enumerate(zip(got, want)) if x != y)
+
+    unit_ok = run("unit", (w[:1] for w in _unit_failures(H)))
     gens = _generators(H) if unit_ok else range(d)
     assoc_ok = run("associativity", (w[:3] for w in _assoc_failures(H, gens)))
-
-    def counit_fails():
-        for i in range(d):
-            lhs = {}
-            rhs = {}
-            for j, k, c in H.comult[i]:
-                if H.counit[k]:
-                    lhs[j] = lhs.get(j, field.zero) + c * H.counit[k]
-                if H.counit[j]:
-                    rhs[k] = rhs.get(k, field.zero) + c * H.counit[j]
-            if sparse_column(lhs) != ebasis[i] or sparse_column(rhs) != ebasis[i]:
-                yield (i,)
-
-    counit_ok = run("counit", counit_fails())
-    # coassociativity of H is associativity of its dual, whose unit law is
-    # the counit law of H; a failure at e^t of the dual is one at e_t of H
-    D = dual(H)
+    # the unit law of D at e^i, component e^t, is the counit law at e_t
+    counit_ok = run("counit", (w[1:] for w in _unit_failures(D)))
     dual_gens = _generators(D) if counit_ok else range(d)
     coassoc_ok = run("coassociativity", (w[3:] for w in _assoc_failures(D, dual_gens)))
-
-    def comult_unital_fails():
-        acc = {(a, b): -(x * y) for a, x in one for b, y in one}
-        for i, u in one:
-            for j, k, c in H.comult[i]:
-                acc[j, k] = acc[j, k] + u * c if (j, k) in acc else u * c
-        if any(acc.values()):
-            yield ()
-
-    comult_unital_ok = run("comult_unital", comult_unital_fails())
-
-    def eps_one_fails():
-        if H.counit_of(one) != field.one:
-            yield ()
-
-    run("counit_unital", eps_one_fails())
-
-    def counit_mult_fails():
-        for i in range(d):
-            for j in range(d):
-                lhs = field.zero
-                for k, c in H.mult[i][j]:
-                    if H.counit[k]:
-                        lhs = lhs + c * H.counit[k]
-                if lhs != H.counit[i] * H.counit[j]:
-                    yield (i, j)
+    comult_unital_ok = run("comult_unital", _counit_mult_failures(D))
+    run("counit_unital", iter([()] if H.counit_of(one) != field.one else []))
 
     # Delta(xy) = Delta(x) Delta(y) runs on the side with fewer generators
     # among those whose prerequisites hold, else on every index of H.  The
     # dual side needs eps(xy) = eps(x) eps(y), so that check runs first; the
     # report keeps its order.
-    counit_mult_w = next(counit_mult_fails(), None)
+    counit_mult_w = next(_counit_mult_failures(H), None)
     h_side = unit_ok and assoc_ok and comult_unital_ok
     dual_side = counit_ok and coassoc_ok and counit_mult_w is None
     on_dual = dual_side and not (h_side and len(gens) <= len(dual_gens))
@@ -510,33 +485,10 @@ def check_axioms(H):
         (w[2:] if on_dual else w[:2] for w in _comult_mult_failures(A, A_gens)))
     checks.append(AxiomCheck("counit_multiplicative", counit_mult_w is None, counit_mult_w))
 
-    def antipode_fails(side):
-        for i in range(d):
-            acc = {}
-            for j, k, c in H.comult[i]:
-                if side == "left":
-                    for w, s in H.antipode[j]:
-                        add_terms(acc, c * s, H.mult[w][k])
-                else:
-                    for w, s in H.antipode[k]:
-                        add_terms(acc, c * s, H.mult[j][w])
-            target = {t: H.counit[i] * u for t, u in one if H.counit[i]}
-            if _nonzero(acc) != target:
-                yield (i,)
-
-    run("antipode_left", antipode_fails("left"))
-    run("antipode_right", antipode_fails("right"))
-
-    def twice_fails(cols, antilinear):
-        """The map with sparse columns cols is not an involution."""
-        for i in range(d):
-            acc = {}
-            for j, c in cols[i]:
-                add_terms(acc, c.conjugate() if antilinear else c, cols[j])
-            if _nonzero(acc) != {i: field.one}:
-                yield ()
-
-    run("star_involution", twice_fails(H.star, True))
+    eps_one = counit_unit(H)
+    run("antipode_left", differ(convolve(H, H.antipode, ident), eps_one))
+    run("antipode_right", differ(convolve(H, ident, H.antipode), eps_one))
+    run("star_involution", differ([H.star_vec(c) for c in H.star], ident))
 
     # gens is every index unless the unit law holds
     star_gens = gens if assoc_ok and H.star_vec(one) == one else range(d)
@@ -558,23 +510,17 @@ def check_axioms(H):
                 yield (i,)
 
     run("star_comultiplicative", star_comult_fails())
-
-    def star_counit_fails():
-        for i in range(d):
-            if sum((x * H.counit[a] for a, x in H.star[i]), field.zero) != H.counit[i].conjugate():
-                yield (i,)
-
-    run("star_counit", star_counit_fails())
+    run("star_counit", differ(
+        [H.counit_of(c) for c in H.star], [e.conjugate() for e in H.counit]))
 
     def antipode_star_fails():
         for i in range(d):
-            v = H.star_vec(H.antipode_vec(H.star_vec(H.antipode_vec(ebasis[i]))))
-            if v != ebasis[i]:
+            v = H.star_vec(H.antipode_vec(H.star_vec(H.antipode_vec(ident[i]))))
+            if v != ident[i]:
                 yield (i,)
 
     run("antipode_star_involution", antipode_star_fails())
-
-    run("antipode_involutive", twice_fails(H.antipode, False))
+    run("antipode_involutive", differ(sparse_compose(H.antipode, H.antipode), ident))
 
     haar = None
     try:
@@ -584,28 +530,16 @@ def check_axioms(H):
         checks.append(AxiomCheck("haar_exists", False, str(exc)))
 
     if haar is not None:
-
-        def h(terms):
-            return sum((c * haar[k] for k, c in terms), field.zero)
-
-        def tracial_fails():
-            for i in range(d):
-                for j in range(i + 1, d):
-                    if h(H.mult[i][j]) != h(H.mult[j][i]):
-                        yield (i, j)
-
-        run("haar_tracial", tracial_fails())
-
-        def haar_star_fails():
-            for i in range(d):
-                if h(H.star[i]) != haar[i].conjugate():
-                    yield (i,)
-
-        run("haar_star", haar_star_fails())
+        run("haar_tracial", (
+            (i, j) for i in range(d) for j in range(i + 1, d)
+            if H.haar_of(H.mult[i][j]) != H.haar_of(H.mult[j][i])
+        ))
+        run("haar_star", differ(
+            [H.haar_of(c) for c in H.star], [x.conjugate() for x in haar]))
 
         def haar_positive_fails():
             # gram[i][j] = h(e_i* e_j)
-            h_mult = [[h(terms) for terms in row] for row in H.mult]
+            h_mult = [[H.haar_of(terms) for terms in row] for row in H.mult]
             gram = [
                 [sum((x * h_mult[a][j] for a, x in H.star[i]), field.zero) for j in range(d)]
                 for i in range(d)
@@ -694,11 +628,27 @@ def _find_generators(A):
 
 
 def _unit_failures(A):
-    """(i,) for each e_i with 1 e_i != e_i or e_i 1 != e_i."""
+    """(i, t) for each e_i with 1 e_i != e_i or e_i 1 != e_i, with t the
+    least index of a coefficient where one of them differs from e_i."""
     one = sparse_vector(A.unit)
     for i, e in enumerate(sparse_identity(A.field, A.dim)):
-        if A.product(one, e) != e or A.product(e, one) != e:
-            yield (i,)
+        left, right = A.product(one, e), A.product(e, one)
+        if left != e or right != e:
+            bad = (set(left) ^ set(e)) | (set(right) ^ set(e))
+            yield (i, min(t for t, _ in bad))
+
+
+def _counit_mult_failures(A):
+    """(i, j) for each pair with eps(e_i e_j) != eps(e_i) eps(e_j).
+
+    On D = dual(H) this is Delta(1) = 1 (x) 1 of H: eps_D is the unit of H
+    and e^i e^j is the coefficient of e_i (x) e_j in Delta, so the pair
+    (i, j) names a nonzero component of Delta(1) - 1 (x) 1.
+    """
+    for i, row in enumerate(A.mult):
+        for j, terms in enumerate(row):
+            if A.counit_of(terms) != A.counit[i] * A.counit[j]:
+                yield (i, j)
 
 
 def _assoc_failures(A, gens):
@@ -904,7 +854,7 @@ def morphism_failure(G, P, N):
         if any(acc.values()):
             return "coproduct"
     for a in range(d):
-        if sum((x * N.counit[i] for i, x in P[a]), zero) != G.counit[a]:
+        if N.counit_of(P[a]) != G.counit[a]:
             return "counit"
     for a in range(d):
         acc = {}
@@ -969,7 +919,7 @@ def induced_algebra(G, section, retraction, labels):
                     for v, q in retraction[k]:
                         w[u, v] = w.get((u, v), zero) + xcp * q
         comult += [(a, u, v, c) for (u, v), c in w.items()]
-    counit = [sum((x * G.counit[i] for i, x in col), zero) for col in section]
+    counit = [G.counit_of(col) for col in section]
     return HopfStarAlgebra(
         G.field, mult, unit, comult, counit,
         mapped(G.antipode, False), mapped(G.star, True), labels=labels,

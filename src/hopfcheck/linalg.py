@@ -389,6 +389,8 @@ class Subspace:
         return hash((self.ambient, self.rows))
 
     def __le__(self, other):
+        if self.ambient != other.ambient:
+            raise SchemaError("ambient mismatch in subspace containment")
         return self.dim <= other.dim and all(map(other.echelon().contains, self.rows))
 
     def sum_with(self, other):

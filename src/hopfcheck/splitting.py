@@ -34,7 +34,7 @@ from math import comb, gcd, isqrt, lcm
 
 from .cyclotomic import _trim
 from .errors import SplittingFailed, TheoremViolation
-from .hopf import _regular_trace, dual
+from .hopf import _pair, _regular_trace, dual
 from .linalg import (
     Echelon,
     add_terms,
@@ -376,11 +376,13 @@ def left_trace(H, x):
     """The trace of left multiplication by x on D = dual(H).
 
     It is linear in x, so it is read off the regular trace covector of D
-    (hopf._regular_trace), built once per algebra.  For an idempotent p of
-    an associative D, L_p is idempotent, so tr(L_p) is its rank, dim p D.
+    (hopf._regular_trace), kept in D's memo under "trace".  For an
+    idempotent p of an associative D, L_p is idempotent, so tr(L_p) is its
+    rank, dim p D.
     """
-    trace = _regular_trace(dual(H))
-    return sum((c * trace[k] for k, c in x), H.field.zero)
+    D = dual(H)
+    trace = D.memo("trace", lambda: _regular_trace(D))
+    return _pair(x, trace, H.field.zero)
 
 
 def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):

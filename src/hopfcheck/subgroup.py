@@ -79,13 +79,8 @@ class QuantumSubgroup:
     @property
     def haar_pi_covector(self):
         """The functional h_N o pi on the parent basis, computed once."""
-
-        def compute():
-            h = self.quotient.haar
-            zero = self.parent.field.zero
-            return [sum((p * h[i] for i, p in col), zero) for col in self.proj_columns]
-
-        return self.memo("haar_pi", compute)
+        N = self.quotient
+        return self.memo("haar_pi", lambda: [N.haar_of(col) for col in self.proj_columns])
 
     def haar_pi(self, vec):
         """The composite functional h_N(pi(a)) on a sparse vector of the parent."""
@@ -521,7 +516,7 @@ def phi_map(Q: QuantumSubgroup, s=None):
     if not sparse_image(field, d, phi) <= A_GN:
         raise TheoremViolation("phi image leaves the coset algebra")
     for i, col in enumerate(phi):
-        if sum((G.counit[t] * p for t, p in col), field.zero) != G.counit[i]:
+        if G.counit_of(col) != G.counit[i]:
             raise TheoremViolation("eps phi differs from eps")
     ident = sparse_identity(field, d)
     lhs = _difference(field, ident, SP)

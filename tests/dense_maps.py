@@ -16,7 +16,11 @@ The reference_* scans at the end check associativity, coassociativity,
 Delta(xy) = Delta(x) Delta(y), (xy)* = y* x* and the laws of a
 corepresentation on every basis element, pair or triple, where hopfcheck
 checks the identities that are multiplicative in one argument on a
-certified generating set only.
+certified generating set only.  They also check the counit law,
+Delta(1) = 1 (x) 1, eps(xy) = eps(x) eps(y), the antipode laws, the two
+involutions and eps(x*) = conj eps(x) on dense vectors, each straight from
+its definition in H, where hopfcheck runs the first three on the dual and
+the rest through its sparse maps.
 """
 
 from bisect import bisect_left
@@ -407,6 +411,80 @@ def reference_comult_multiplicative(H):
                             _add(rhs, (r, s), c1 * c2 * m1 * m2)
             if _nonzero(lhs) != _nonzero(rhs):
                 return (i, j)
+    return None
+
+
+def reference_counit(H, indices=None):
+    """The first (i,), i in indices (default every index), with
+    (eps (x) id) Delta(e_i) != e_i or (id (x) eps) Delta(e_i) != e_i, or
+    None."""
+    field, d = H.field, H.dim
+    for i in range(d) if indices is None else indices:
+        e = basis_vec(field, d, i)
+        flat = dense_comult(H, e)  # the coefficient of e_j (x) e_k at j * d + k
+        left = [dense_value(field, H.counit, flat[k::d]) for k in range(d)]
+        right = [dense_value(field, H.counit, flat[j * d:(j + 1) * d]) for j in range(d)]
+        if left != e or right != e:
+            return (i,)
+    return None
+
+
+def reference_comult_unital(H):
+    """The first (i, j) at which Delta(1) and 1 (x) 1 differ, or None."""
+    d = H.dim
+    flat = dense_comult(H, list(H.unit))
+    for i in range(d):
+        for j in range(d):
+            if flat[i * d + j] != H.unit[i] * H.unit[j]:
+                return (i, j)
+    return None
+
+
+def reference_counit_multiplicative(H):
+    """The first (i, j) with eps(e_i e_j) != eps(e_i) eps(e_j), or None."""
+    field, d = H.field, H.dim
+    basis = [basis_vec(field, d, i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if dense_value(field, H.counit, dense_product(H, basis[i], basis[j])) != H.counit[i] * H.counit[j]:
+                return (i, j)
+    return None
+
+
+def reference_antipode(H, side):
+    """The first (i,) with m (S (x) id) Delta(e_i) (side "left"), resp.
+    m (id (x) S) Delta(e_i) (side "right"), different from eps(e_i) 1, or
+    None."""
+    field, d = H.field, H.dim
+    basis = [basis_vec(field, d, i) for i in range(d)]
+    for i in range(d):
+        acc = zero_vec(field, d)
+        for jk, c in enumerate(dense_comult(H, basis[i])):
+            if c:
+                x, y = basis[jk // d], basis[jk % d]
+                x, y = (dense_antipode(H, x), y) if side == "left" else (x, dense_antipode(H, y))
+                acc = [a + c * p for a, p in zip(acc, dense_product(H, x, y))]
+        if acc != [H.counit[i] * u for u in H.unit]:
+            return (i,)
+    return None
+
+
+def reference_involution(H, apply):
+    """The first (i,) with apply(H, apply(H, e_i)) != e_i, or None, for
+    apply dense_star or dense_antipode."""
+    for i in range(H.dim):
+        e = basis_vec(H.field, H.dim, i)
+        if apply(H, apply(H, e)) != e:
+            return (i,)
+    return None
+
+
+def reference_star_counit(H):
+    """The first (i,) with eps(e_i*) != conj eps(e_i), or None."""
+    for i in range(H.dim):
+        star = dense_star(H, basis_vec(H.field, H.dim, i))
+        if dense_value(H.field, H.counit, star) != H.counit[i].conjugate():
+            return (i,)
     return None
 
 

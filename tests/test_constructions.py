@@ -122,8 +122,6 @@ def test_malformed_groups_raise_typed_errors_under_optimize():
         "    lambda: cons.FiniteGroup([[0, 1], [0, 1]]),\n"
         "    lambda: cons.FiniteGroup([]),\n"
         "    lambda: cons.FiniteGroup([[0, 1], [1, 0]], ['a', 'a']),\n"
-        "    lambda: cons.FiniteGroup([[0, 0], [0, 0]], validate=False),\n"
-        "    lambda: cons.FiniteGroup([[0, 1], [1, 1]], validate=False),\n"
         "    lambda: cons.FiniteGroup.dihedral(0),\n"
         "    lambda: cons.GroupAction(Z2, F, [[[1, 0], [0, 1]]]),\n"
         "    lambda: shrunk(lambda: cons.tensor_subgroup(Q, Q)),\n"
@@ -145,8 +143,6 @@ def test_malformed_groups_raise_typed_errors_under_optimize():
         "SchemaError invalid group table: column is not a permutation",
         "SchemaError a group table needs at least one row",
         "SchemaError a group of order 2 needs 2 distinct labels",
-        "SchemaError invalid group table: no two-sided identity",
-        "SchemaError invalid group table: g1 has no unique inverse",
         "SchemaError the dihedral group needs n >= 1",
         "SchemaError an action needs one map per group element",
         "TheoremViolation quotient dimension does not match N1 x N2",

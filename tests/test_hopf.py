@@ -48,15 +48,23 @@ from hopfcheck.linalg import (
 from dense_maps import (
     DenseEchelon,
     columns,
+    dense_antipode,
     dense_matrix,
     dense_of,
     dense_product,
+    dense_star,
     rebased,
+    reference_antipode,
     reference_associativity,
     reference_coassociativity,
     reference_comult_multiplicative,
+    reference_comult_unital,
     reference_corep_failure,
+    reference_counit,
+    reference_counit_multiplicative,
+    reference_involution,
     reference_star_antimultiplicative,
+    reference_star_counit,
     reference_convolve,
     reference_counit_unit,
     reference_linear_quotient,
@@ -300,14 +308,29 @@ def corrupted(H, tensor):
     Neither i nor j is a generator of A, and both avoid the support of A's
     unit where they can, so that the unit law holds and the checks run on
     the generators.  Tensor "star" doubles (e_i)* instead, which keeps
-    1* = 1 when i is outside the unit's support."""
-    A = dual(H) if tensor == "comult" else H
+    1* = 1 when i is outside the unit's support.  Tensors "unit" and
+    "counit" raise the i-th coefficient of the unit of A (A = H, resp.
+    dual(H), whose unit is eps), and "antipode" the coefficient of e_0 in
+    S(e_i), with i = free[0] of A = H."""
+    A = dual(H) if tensor in ("comult", "counit") else H
     gens = _generators(A)
     free = [i for i in range(H.dim) if i not in gens]
     free = [i for i in free if not A.unit[i]] or free
     if tensor == "star":
         star = [(i, j, c + c if i == free[0] else c) for i, j, c in H.star_entries()]
         return rebuilt(H, H.mult_entries(), H.comult_entries(), star)
+    if tensor in ("unit", "counit", "antipode"):
+        unit, counit = list(H.unit), list(H.counit)
+        anti = {(i, j): c for i, j, c in H.antipode_entries()}
+        if tensor == "antipode":
+            anti[free[0], 0] = anti.get((free[0], 0), H.field.zero) + H.field.one
+        else:
+            vec = unit if tensor == "unit" else counit
+            vec[free[0]] = vec[free[0]] + H.field.one
+        return HopfStarAlgebra(
+            H.field, H.mult_entries(), unit, H.comult_entries(), counit,
+            [k + (c,) for k, c in anti.items()], H.star_entries(), labels=H.labels,
+        )
     key = (free[0], free[-1], 0) if tensor == "mult" else (0, free[0], free[-1])
     old = H.mult_entries() if tensor == "mult" else H.comult_entries()
     entries = {e[:3]: e[3] for e in old}
@@ -333,14 +356,29 @@ def spans_by_left_products(A, gens):
     return len(ech.rows) == d
 
 
+# the dense reference of each law that check_axioms runs on generators, on
+# the dual or through the sparse maps of hopf
+REFERENCES = {
+    "associativity": reference_associativity,
+    "coassociativity": reference_coassociativity,
+    "comult_multiplicative": reference_comult_multiplicative,
+    "star_antimultiplicative": reference_star_antimultiplicative,
+    "counit": reference_counit,
+    "comult_unital": reference_comult_unital,
+    "counit_multiplicative": reference_counit_multiplicative,
+    "antipode_left": lambda H: reference_antipode(H, "left"),
+    "antipode_right": lambda H: reference_antipode(H, "right"),
+    "star_involution": lambda H: reference_involution(H, dense_star),
+    "antipode_involutive": lambda H: reference_involution(H, dense_antipode),
+    "star_counit": reference_star_counit,
+}
+
+
 def full_scan_flags(H):
-    """The 20 ok flags of check_axioms, with the four identities that it
-    checks on generators replaced by the full scans of dense_maps."""
+    """The 20 ok flags of check_axioms, with the twelve laws of REFERENCES
+    replaced by their dense references."""
     flags = {c.name: c.ok for c in check_axioms(H).checks}
-    flags["associativity"] = reference_associativity(H) is None
-    flags["coassociativity"] = reference_coassociativity(H) is None
-    flags["comult_multiplicative"] = reference_comult_multiplicative(H) is None
-    flags["star_antimultiplicative"] = reference_star_antimultiplicative(H) is None
+    flags.update((name, ref(H) is None) for name, ref in REFERENCES.items())
     return flags
 
 
@@ -359,7 +397,7 @@ def with_entry_moved(c, t):
     return Corepresentation(H, entries)
 
 
-@pytest.mark.parametrize("tensor", [None, "mult", "comult", "star"])
+@pytest.mark.parametrize("tensor", [None, "mult", "comult", "star", "unit", "counit", "antipode"])
 @pytest.mark.parametrize("name", AXIOM_INPUTS)
 def test_generator_checks_match_the_full_scans(name, tensor, s3_crossed, drinfeld_s3):
     H = axiom_input(name, s3_crossed, drinfeld_s3)
@@ -386,7 +424,8 @@ def test_generator_checks_match_the_full_scans(name, tensor, s3_crossed, drinfel
 
 def test_random_structures_match_the_full_scans():
     # the reductions need their prerequisites: on structures where the unit
-    # or counit laws fail, the flags still equal the full scans
+    # or counit laws fail, the flags still equal the full scans; the
+    # antipode and the star are the identity or random
     rng = random.Random("generator prerequisites")
 
     def pick():
@@ -395,10 +434,15 @@ def test_random_structures_match_the_full_scans():
     for _ in range(400):
         d = rng.choice([2, 3])
         cube = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
-        ident = [(i, i, 1) for i in range(d)]
+        square = [(i, j) for i in range(d) for j in range(d)]
+
+        def linear_map():
+            return rng.choice([[(i, i, 1) for i in range(d)], [key + (pick(),) for key in square]])
+
         H = HopfStarAlgebra(
             1, [key + (pick(),) for key in cube], [rng.choice([0, 1]) for _ in range(d)],
-            [key + (pick(),) for key in cube], [rng.choice([0, 1]) for _ in range(d)], ident, ident,
+            [key + (pick(),) for key in cube], [rng.choice([0, 1]) for _ in range(d)],
+            linear_map(), linear_map(),
         )
         assert {c.name: c.ok for c in check_axioms(H).checks} == full_scan_flags(H)
 
@@ -466,30 +510,62 @@ def test_corepresentation_law_needs_the_counit_law():
     assert u.verify() == "comultiplication law fails at entry (0, 0)"
 
 
-def test_corrupted_constants_are_caught_under_optimize(s3_crossed):
+CORRUPTED_LAW = {
+    "mult": "multiplicative",
+    "comult": "multiplicative",
+    "star": "star_antimultiplicative",
+    "unit": "'unit'",
+    "counit": "'counit'",
+    "antipode": "antipode_left",
+}
+
+
+def test_corrupted_constants_are_caught_under_optimize(s3_crossed, drinfeld_s3):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     code = (
         "import random\n"
         "from hopfcheck.hopf import check_axioms\n"
-        "from conftest import build_s3_crossed\n"
+        "from conftest import build_drinfeld_double_s3, build_s3_crossed\n"
         "import test_hopf\n"
         "assert False, 'asserts are live'\n"
-        "H = build_s3_crossed()\n"
-        "for tensor in ('mult', 'comult', 'star'):\n"
-        "    X = test_hopf.corrupted(H, tensor)\n"
-        "    print(tensor, sorted(c.name for c in check_axioms(X).checks if not c.ok))\n"
+        "for H in (build_s3_crossed(), build_drinfeld_double_s3()):\n"
+        "    for tensor in test_hopf.CORRUPTED_LAW:\n"
+        "        X = test_hopf.corrupted(H, tensor)\n"
+        "        print(tensor, sorted(c.name for c in check_axioms(X).checks if not c.ok))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    H = s3_crossed()
     want = [
         "%s %s" % (tensor, sorted(k for k, ok in full_scan_flags(corrupted(H, tensor)).items() if not ok))
-        for tensor in ("mult", "comult", "star")
+        for H in (s3_crossed(), drinfeld_s3())
+        for tensor in CORRUPTED_LAW
     ]
     assert proc.stdout.splitlines() == want
-    assert all("multiplicative" in line for line in want)
+    assert all(CORRUPTED_LAW[line.split()[0]] in line for line in want)
+
+
+# (t, (i, j)): the e_t at which a raised counit constant breaks the counit
+# law, and the component e_i (x) e_j of Delta(1) - 1 (x) 1 after a raised unit
+# constant
+DUAL_SIDE_WITNESSES = {"F(S3)xZ2": (4, (0, 0)), "D(S3)": (12, (0, 2))}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_SIDE_WITNESSES))
+def test_dual_side_witnesses_name_h(name, s3_crossed, drinfeld_s3):
+    # the counit law runs as the unit law of the dual, and its witness names
+    # the e_t of H where the law fails; Delta(1) = 1 (x) 1 runs as
+    # eps(xy) = eps(x) eps(y) of the dual, and its witness names the
+    # component e_i (x) e_j of Delta(1) - 1 (x) 1
+    counit_at, component = DUAL_SIDE_WITNESSES[name]
+    H = axiom_input(name, s3_crossed, drinfeld_s3)
+    X = corrupted(H, "counit")
+    rep = check_axioms(X)
+    assert rep["counit"].witness == (counit_at,) == reference_counit(X, [counit_at])
+    Y = corrupted(H, "unit")
+    rep = check_axioms(Y)
+    assert rep["comult_unital"].witness == component == reference_comult_unital(Y)
 
 
 # --- Haar functional ------------------------------------------------------

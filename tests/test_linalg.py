@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from hopfcheck.cyclotomic import CycField
+from hopfcheck.errors import SchemaError
 from hopfcheck.linalg import (
     Matrix,
     Subspace,
@@ -224,6 +225,17 @@ def test_zero_and_full_subspace():
     F = Subspace.full(Q, 4)
     assert F.dim == 4
     assert Z <= F and not F <= Z
+
+
+def test_subspaces_of_different_ambients_do_not_compare():
+    # a line of Q^3 is not a subspace of Q^6, whatever its coordinates say
+    line = Subspace.from_vectors(Q, 3, [rational_vec(Q, [1, 0, 0])])
+    F = Subspace.full(Q, 6)
+    for op in (line.__le__, line.sum_with, line.intersect):
+        with pytest.raises(SchemaError, match="ambient mismatch"):
+            op(F)
+    with pytest.raises(SchemaError, match="ambient mismatch"):
+        F <= line
 
 
 def test_dimension_formula_for_sum_and_intersection():

@@ -521,6 +521,19 @@ def test_pullback_validates_inputs(algebras):
         pullback_check(C, A0, not_ideal)
 
 
+@pytest.mark.parametrize("mode", ["plain-ideal", "hopf-ideal"])
+def test_pullback_rejects_an_ideal_of_another_ambient(algebras, mode):
+    # a line of Q^3 whose coordinates read as a vector of A0: a shape error,
+    # not a failed ideal condition
+    C = algebras["c_s3"]
+    A0 = rotation_span(C)
+    e = C.labels.index("e")
+    assert e < 3 and basis_vec(C.field, 6, e) in A0.basis()
+    I0 = Subspace.from_vectors(C.field, 3, [basis_vec(C.field, 3, e)])
+    with pytest.raises(SchemaError, match="ambient mismatch"):
+        pullback_check(C, A0, I0, mode)
+
+
 def test_pullback_names_a_failed_hopf_subalgebra_condition():
     # span{1, delta_e} is a unital *-subalgebra of F(S3) but Delta(delta_e)
     # leaves it: a typed NotHopfIdeal, not a schema (usage) error
