@@ -62,8 +62,9 @@ and _counit_mult_failures of D, the functions that run the unit law,
 associativity and eps(xy) = eps(x) eps(y) on H, and reads each witness back
 at the transposed indices.  The other laws go through the maps that hopf
 already has: convolve and counit_unit for the antipode, star_vec and
-sparse_compose for the involutions, counit_of and haar_of for the
-functionals.
+sparse_compose for the involutions, star_vec and product for
+(xy)* = y* x*, coproduct and tensor_apply for Delta(x*) = (* (x) *)
+Delta(x), counit_of and haar_of for the functionals.
 
 Identities that are multiplicative in one argument are checked on a
 certified generating set.  "generators" holds basis indices S such that the
@@ -93,16 +94,20 @@ coassociativity gate of corep.peter_weyl.
 
 Vectors are sparse, the form of a column of H.antipode: H.product,
 H.antipode_vec and H.star_vec take and return sorted (index, scalar) tuples,
-H.coproduct takes one and returns a dict over index pairs, and H.counit_of
-and H.haar_of evaluate the dense covectors H.counit and H.haar on them.
+H.coproduct takes one and returns a dict {(j, k): c} over index pairs with
+no zero entries, so two coproducts compare as dicts, and H.counit_of and
+H.haar_of evaluate the dense covectors H.counit and H.haar on them.
 H.unit and H.counit stay dense lists, as in the file.
 Every linear map between algebras (a quotient projection, a subalgebra
 inclusion, a coproduct slice, a convolution) is a list of sparse columns
-(see linalg).  morphism_failure is the one test of
-whether such a map preserves product, star, coproduct, counit and
-antipode; quotient maps, subalgebra inclusions and group actions are all
-checked by it.  induced_algebra is the one builder of quotient and
-subalgebra structure.
+(see linalg), and tensor_apply(f, g, terms) is the one kernel of f (x) g,
+on (j, k, c) terms, the form of H.comult[i], returning a zero-free dict
+like H.coproduct.  Structure is pushed through such a map by these vector
+maps and tensor_apply alone.  morphism_failure is the one test of whether
+a map preserves unit, product, star, coproduct, counit and antipode;
+quotient maps, subalgebra inclusions and group actions are all checked by
+it, and none of them checks the unit separately.  induced_algebra is the
+one builder of quotient and subalgebra structure.
 """
 
 from __future__ import annotations
@@ -209,13 +214,17 @@ class HopfStarAlgebra:
 
     def coproduct(self, x):
         """Delta of a sparse vector, as a dict {(a, b): the coefficient of
-        e_a (x) e_b}; terms that cancel stay as zeros."""
+        e_a (x) e_b} with no zero entries."""
         out = {}
+        terms = 0
         for i, xi in x:
-            for a, b, c in self.comult[i]:
+            comult = self.comult[i]
+            terms += len(comult)
+            for a, b, c in comult:
                 v = xi * c
                 out[a, b] = out[a, b] + v if (a, b) in out else v
-        return out
+        # a coefficient can vanish only where two nonzero terms share a key
+        return out if len(out) == terms else {key: c for key, c in out.items() if c}
 
     def counit_of(self, x):
         return _pair(x, self.counit, self.field.zero)
@@ -439,9 +448,12 @@ def check_axioms(H):
     Delta(xy) = Delta(x) Delta(y) runs on H or on D, whichever has fewer
     generators.  The antipode laws compare convolve(H, S, id) and
     convolve(H, id, S) with counit_unit(H), the involutions compare ** and
-    S S with the identity, and star_counit, haar_tracial and haar_star read
-    counit_of and haar_of; these compare column by column, with witness
-    (i,) at the first column that differs.  Associativity, coassociativity,
+    S S with the identity, star_comultiplicative compares Delta(e_i*) with
+    tensor_apply(*, *, conj Delta(e_i)), and star_counit and haar_star
+    read counit_of and haar_of; these compare column by column, with
+    witness (i,) at the first column that differs.  haar_tracial reads
+    haar_of too, with witness the first pair (i, j), i < j, where
+    h(e_i e_j) != h(e_j e_i).  Associativity, coassociativity,
     Delta(xy) = Delta(x) Delta(y) and (xy)* = y* x* run on generators (see
     the module doc).
     """
@@ -494,22 +506,11 @@ def check_axioms(H):
     star_gens = gens if assoc_ok and H.star_vec(one) == one else range(d)
     run("star_antimultiplicative", _star_antimult_failures(H, star_gens))
 
-    def star_comult_fails():
-        for i in range(d):
-            acc = {}
-            for a, x in H.star[i]:
-                for u, v, m in H.comult[a]:
-                    acc[u, v] = acc.get((u, v), field.zero) + x * m
-            for j, k, c in H.comult[i]:
-                cc = c.conjugate()
-                for a, sa in H.star[j]:
-                    coeff = cc * sa
-                    for b, sb in H.star[k]:
-                        acc[a, b] = acc.get((a, b), field.zero) - coeff * sb
-            if any(acc.values()):
-                yield (i,)
-
-    run("star_comultiplicative", star_comult_fails())
+    # Delta(e_i*) against (* (x) *) Delta(e_i), antilinear in Delta(e_i)
+    run("star_comultiplicative", differ([H.coproduct(col) for col in H.star], [
+        tensor_apply(H.star, H.star, [(j, k, c.conjugate()) for j, k, c in terms])
+        for terms in H.comult
+    ]))
     run("star_counit", differ(
         [H.counit_of(c) for c in H.star], [e.conjugate() for e in H.counit]))
 
@@ -695,13 +696,7 @@ def _star_antimult_failures(A, gens):
     """
     for i in gens:
         for j in range(A.dim):
-            acc = {}
-            for k, c in A.mult[i][j]:
-                add_terms(acc, c.conjugate(), A.star[k])
-            for a, x in A.star[j]:
-                for b, y in A.star[i]:
-                    add_terms(acc, -(x * y), A.mult[a][b])
-            if any(acc.values()):
+            if A.star_vec(A.mult[i][j]) != A.product(A.star[j], A.star[i]):
                 yield (i, j)
 
 
@@ -804,65 +799,57 @@ def _build_dual(H):
     )
 
 
+def tensor_apply(f, g, terms):
+    """(f (x) g) of sum c e_j (x) e_k over the (j, k, c) in terms (the form
+    of H.comult[i]), for maps f and g given by sparse columns, as a dict
+    {(u, v): the coefficient of e_u (x) e_v} with no zero entries."""
+    acc = {}
+    for j, k, c in terms:
+        gk = g[k]
+        for u, p in f[j]:
+            cp = c * p
+            for v, q in gk:
+                w = cp * q
+                acc[u, v] = acc[u, v] + w if (u, v) in acc else w
+    return {key: c for key, c in acc.items() if c}
+
+
 def morphism_failure(G, P, N):
     """The first structure map that the linear map G -> N fails to
     intertwine, or None; P[a] is the image of e_a as sparse (index, entry)
     pairs.
 
-    Each map is compared on every basis element (or pair) of G, as one
-    difference accumulated over sparse terms, in the order "product",
-    "star" (antilinear), "coproduct", "counit", "antipode".  Units are left
-    to the caller.  Nothing is assumed of either algebra, so the answer
-    decides a property of the map alone: a projection onto the structure it
-    induces passes exactly when its kernel is a Hopf *-ideal, and an
-    endomorphism exactly when it is a Hopf *-algebra map.
+    The maps are compared in the order "unit" (P(1) = 1), "product",
+    "star" (antilinear), "coproduct", "counit", "antipode".  The product is
+    compared on every pair of basis elements, as one difference accumulated
+    over sparse terms; each other map once per basis element of G, through
+    the vector maps of N and tensor_apply.  Nothing is assumed of either
+    algebra, so the answer decides a property of the map alone: a
+    projection onto the structure it induces passes exactly when its kernel
+    is a Hopf *-ideal, and an endomorphism exactly when it is a Hopf
+    *-algebra map.
     """
+    if sparse_apply(N.field, N.dim, P, G.unit) != N.unit:
+        return "unit"
     d = G.dim
-    zero = G.field.zero
-
-    def push(acc, terms):
-        """acc += the image of sum c e_k over the (k, c) in terms."""
-        for k, c in terms:
-            add_terms(acc, c, P[k])
-
     for a in range(d):
         for b in range(d):
             acc = {}
-            push(acc, G.mult[a][b])
+            for k, c in G.mult[a][b]:
+                add_terms(acc, c, P[k])
             for i, x in P[a]:
                 for j, y in P[b]:
                     add_terms(acc, -(x * y), N.mult[i][j])
             if any(acc.values()):
                 return "product"
-    for a in range(d):
-        acc = {}
-        push(acc, G.star[a])
-        for i, x in P[a]:
-            add_terms(acc, -x.conjugate(), N.star[i])
-        if any(acc.values()):
-            return "star"
-    for a in range(d):
-        acc = {}
-        for j, k, c in G.comult[a]:
-            for x, p in P[j]:
-                cp = c * p
-                for y, q in P[k]:
-                    acc[x, y] = acc.get((x, y), zero) + cp * q
-        for i, x in P[a]:
-            for u, v, m in N.comult[i]:
-                acc[u, v] = acc.get((u, v), zero) - x * m
-        if any(acc.values()):
-            return "coproduct"
-    for a in range(d):
-        if N.counit_of(P[a]) != G.counit[a]:
-            return "counit"
-    for a in range(d):
-        acc = {}
-        push(acc, G.antipode[a])
-        for i, x in P[a]:
-            add_terms(acc, -x, N.antipode[i])
-        if any(acc.values()):
-            return "antipode"
+    if sparse_compose(P, G.star) != [N.star_vec(col) for col in P]:
+        return "star"
+    if [tensor_apply(P, P, terms) for terms in G.comult] != [N.coproduct(col) for col in P]:
+        return "coproduct"
+    if [N.counit_of(col) for col in P] != G.counit:
+        return "counit"
+    if sparse_compose(P, G.antipode) != sparse_compose(N.antipode, P):
+        return "antipode"
     return None
 
 
@@ -879,68 +866,44 @@ def induced_algebra(G, section, retraction, labels):
     checked here: morphism_failure on rho or sigma decides whether the
     result is a quotient or a subalgebra.
     """
-    zero = G.field.zero
 
-    def image(terms):
-        """rho of sum c e_k over the (k, c) in terms, as {index: entry}."""
-        acc = {}
-        for k, c in terms:
-            add_terms(acc, c, retraction[k])
-        return acc
+    def rho(vecs):
+        return sparse_compose(retraction, vecs)
 
-    def mapped(cols, antilinear):
-        return [
-            (a, j, c)
-            for a, col in enumerate(section)
-            for j, c in image(
-                (k, (x.conjugate() if antilinear else x) * s) for i, x in col for k, s in cols[i]
-            ).items()
-        ]
+    def entries(cols):
+        return [(a, j, c) for a, col in enumerate(cols) for j, c in col]
 
     mult = [
         (a, b, k, c)
         for a, sa in enumerate(section)
-        for b, sb in enumerate(section)
-        for k, c in image(
-            (m, x * y * z) for i, x in sa for j, y in sb for m, z in G.mult[i][j]
+        for b, col in enumerate(rho([G.product(sa, sb) for sb in section]))
+        for k, c in col
+    ]
+    comult = [
+        (a, u, v, c)
+        for a, col in enumerate(section)
+        for (u, v), c in tensor_apply(
+            retraction, retraction, [(j, k, c) for (j, k), c in G.coproduct(col).items()]
         ).items()
     ]
-    unit = [zero] * len(section)
-    for a, c in image((k, u) for k, u in enumerate(G.unit) if u).items():
-        unit[a] = c
-    comult = []
-    for a, col in enumerate(section):
-        w = {}
-        for i, x in col:
-            for j, k, c in G.comult[i]:
-                xc = x * c
-                for u, p in retraction[j]:
-                    xcp = xc * p
-                    for v, q in retraction[k]:
-                        w[u, v] = w.get((u, v), zero) + xcp * q
-        comult += [(a, u, v, c) for (u, v), c in w.items()]
-    counit = [G.counit_of(col) for col in section]
     return HopfStarAlgebra(
-        G.field, mult, unit, comult, counit,
-        mapped(G.antipode, False), mapped(G.star, True), labels=labels,
+        G.field, mult, sparse_apply(G.field, len(section), retraction, G.unit), comult,
+        [G.counit_of(col) for col in section],
+        entries(rho([G.antipode_vec(col) for col in section])),
+        entries(rho([G.star_vec(col) for col in section])),
+        labels=labels,
     )
 
 
 def certified_subalgebra(H, B):
     """(algebra, inclusion, failed): the structure of H read on a subspace B
     (see sub_hopf_algebra), the sparse columns of its inclusion, and the
-    first closure condition that B fails, "unit" or one named by
-    morphism_failure, or None."""
-    d = H.dim
-    if B.ambient != d:
-        raise SchemaError("subspace ambient %d != algebra dim %d" % (B.ambient, d))
-    one = H.field.one
-    at = {p: a for a, p in enumerate(B.pivots)}
+    first closure condition that B fails, as named by morphism_failure, or
+    None."""
+    if B.ambient != H.dim:
+        raise SchemaError("subspace ambient %d != algebra dim %d" % (B.ambient, H.dim))
     inclusion = list(B.rows)
-    retraction = [((at[k], one),) if k in at else () for k in range(d)]
-    sub = induced_algebra(H, inclusion, retraction, ["b%d" % a for a in range(B.dim)])
-    if sparse_apply(H.field, d, inclusion, sub.unit) != H.unit:
-        return sub, inclusion, "unit"
+    sub = induced_algebra(H, inclusion, B.pivot_retraction(), ["b%d" % a for a in range(B.dim)])
     return sub, inclusion, morphism_failure(sub, inclusion, H)
 
 
@@ -953,9 +916,10 @@ def sub_hopf_algebra(H, B):
     pivots, so a vector of B is sum v[p_a] b_a: induced_algebra reads every
     structure constant of the subalgebra at the pivots (the coproduct at
     pivot pairs).  Read that way, the inclusion intertwines a structure map
-    exactly when B is closed under it, which morphism_failure decides; the
-    unit is compared through the inclusion too.  Raises SchemaError when B
-    is not closed under the operations or does not contain the unit.
+    exactly when B is closed under it, and maps the unit to the unit
+    exactly when B contains it, which morphism_failure decides.  Raises
+    SchemaError when B is not closed under the operations or does not
+    contain the unit.
 
     A subalgebra of a verified H is recorded as verified: the inclusion is
     an injective Hopf *-morphism, so every axiom, the Kac conditions and

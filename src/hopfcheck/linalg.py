@@ -415,6 +415,14 @@ class Subspace:
         sparse columns cols."""
         return sparse_image(self.field, n, sparse_compose(cols, self.rows))
 
+    def pivot_retraction(self):
+        """The sparse columns of the map field^ambient -> field^dim that
+        reads a vector at the pivots: e_(p_a) -> f_a, every other e_k -> 0.
+        On the subspace it gives the coordinates in the rows."""
+        at = {p: a for a, p in enumerate(self.pivots)}
+        one = self.field.one
+        return [((at[k], one),) if k in at else () for k in range(self.ambient)]
+
     def complement_indices(self):
         """Coordinates not used as pivots: the canonical complement."""
         pivset = set(self.pivots)

@@ -224,8 +224,7 @@ def property_FD_check(H: HopfStarAlgebra):
 
 def _at_pivots(B: Subspace, S: Subspace):
     """S inside B, in the coordinates of sub_hopf_algebra(H, B): B's pivots."""
-    at = {p: a for a, p in enumerate(B.pivots)}
-    return sparse_image(S.field, B.dim, [[(at[j], c) for j, c in v if j in at] for v in S.rows])
+    return S.map_by(B.pivot_retraction(), B.dim)
 
 
 def _down_set(G, B):

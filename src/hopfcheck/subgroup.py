@@ -122,7 +122,9 @@ def make_subgroup(G: HopfStarAlgebra, I: Subspace) -> QuantumSubgroup:
     a two-sided ideal, *-closed, a coideal (Delta(I) in I (x) G + G (x) I,
     eps(I) = 0) and antipode-stable, whatever the axioms of G.  A failure
     raises NotHopfIdeal naming the first failed condition: two_sided_ideal,
-    star_closed, comultiplication, counit or antipode.
+    star_closed, comultiplication, counit or antipode.  The induced unit is
+    the projection of the unit, so a unit failure is a fault of the
+    construction and raises TheoremViolation.
 
     If G is already verified (`G.verified`; this function never starts a
     check of G), the quotient inherits every axiom and only its Haar state
@@ -149,7 +151,8 @@ def _certified_quotient(G: HopfStarAlgebra, I: Subspace):
     """(proj, reps, quotient, failed): the sparse columns of the projection
     G -> G/I (see linear_quotient), the structure induced through it, and
     the Hopf *-ideal condition that I fails, or None.  SchemaError when I
-    is not a subspace of G."""
+    is not a subspace of G, TheoremViolation when the projection does not
+    map the unit to the induced unit."""
     if not isinstance(I, Subspace):
         raise SchemaError("an ideal is a Subspace, not %s" % type(I).__name__)
     if I.field.n != G.field.n:
@@ -162,7 +165,10 @@ def _certified_quotient(G: HopfStarAlgebra, I: Subspace):
     proj, reps = linear_quotient(I)
     section = [((r, G.field.one),) for r in reps]
     quotient = induced_algebra(G, section, proj, [G.labels[r] for r in reps])
-    return proj, reps, quotient, _IDEAL_CONDITION.get(morphism_failure(G, proj, quotient))
+    failed = morphism_failure(G, proj, quotient)
+    if failed == "unit":
+        raise TheoremViolation("the projection does not map the unit to the quotient's unit")
+    return proj, reps, quotient, None if failed is None else _IDEAL_CONDITION[failed]
 
 
 def trivial_subgroup(G: HopfStarAlgebra) -> QuantumSubgroup:
@@ -260,8 +266,6 @@ def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
     zero = G.field.zero
     out = {}
     for (x, r), c in G.coproduct(a).items():
-        if not c:
-            continue
         for y, z, c2 in G.comult[r]:
             prod = products.get((x, z))
             if prod is None:
@@ -278,14 +282,10 @@ def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
 
 def _adjoint_product(G, x, z, side):
     """e_x S(e_z) (side "left") or S(e_x) e_z (side "right") as sparse pairs."""
-    acc = {}
+    one = G.field.one
     if side == "left":
-        for w, s in G.antipode[z]:
-            add_terms(acc, s, G.mult[x][w])
-    else:
-        for w, s in G.antipode[x]:
-            add_terms(acc, s, G.mult[w][z])
-    return [(k, v) for k, v in acc.items() if v]
+        return G.product(((x, one),), G.antipode[z])
+    return G.product(G.antipode[x], ((z, one),))
 
 
 def is_left_a_normal(Q: QuantumSubgroup) -> bool:

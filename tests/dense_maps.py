@@ -18,9 +18,9 @@ corepresentation on every basis element, pair or triple, where hopfcheck
 checks the identities that are multiplicative in one argument on a
 certified generating set only.  They also check the counit law,
 Delta(1) = 1 (x) 1, eps(xy) = eps(x) eps(y), the antipode laws, the two
-involutions and eps(x*) = conj eps(x) on dense vectors, each straight from
-its definition in H, where hopfcheck runs the first three on the dual and
-the rest through its sparse maps.
+involutions, Delta(x*) = (* (x) *) Delta(x) and eps(x*) = conj eps(x) on
+dense vectors, each straight from its definition in H, where hopfcheck runs
+the first three on the dual and the rest through its sparse maps.
 """
 
 from bisect import bisect_left
@@ -484,6 +484,19 @@ def reference_star_counit(H):
     for i in range(H.dim):
         star = dense_star(H, basis_vec(H.field, H.dim, i))
         if dense_value(H.field, H.counit, star) != H.counit[i].conjugate():
+            return (i,)
+    return None
+
+
+def reference_star_comultiplicative(H):
+    """The first (i,) with Delta(e_i*) != (* (x) *) Delta(e_i), or None; * is
+    the star matrix after conjugation, so (* (x) *) is the Kronecker square
+    of that matrix after conjugation."""
+    star = dense_matrix(H.field, H.dim, H.star)
+    for i in range(H.dim):
+        e = basis_vec(H.field, H.dim, i)
+        twisted = kron_apply(star, star, [c.conjugate() for c in dense_comult(H, e)])
+        if dense_comult(H, dense_star(H, e)) != twisted:
             return (i,)
     return None
 

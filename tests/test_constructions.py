@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from hopfcheck.errors import (
     NotNormalInner,
     SchemaError,
 )
-from hopfcheck.hopf import check_axioms, compute_haar
+from hopfcheck.hopf import HopfStarAlgebra, check_axioms, compute_haar, morphism_failure
 from hopfcheck.linalg import Matrix, Subspace, basis_vec, sparse_identity, tensor_vec
 from hopfcheck.subgroup import coset_algebras, make_subgroup, normality_report
 
@@ -332,6 +333,61 @@ def test_action_must_preserve_the_coproduct():
         GroupAction(
             FiniteGroup.cyclic(2), F, [dense_entries(Matrix.identity(F.field, 5).rows), dense_entries(swap)]
         )
+
+
+def two_point(counit, antipode, star=((0, 0, 1), (1, 1, 1))):
+    """The product and unit of F(Z2) on delta_0, delta_1 with a zero
+    coproduct and the given counit, antipode and star entries."""
+    return HopfStarAlgebra(1, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1], [], counit, antipode, star)
+
+
+IDENT2 = [(0, 0, 1), (1, 1, 1)]
+SWAP2 = [(0, 1, 1), (1, 0, 1)]
+
+# (target, the second map of a Z2 action, its message): each map passes the
+# checks before the one it fails.  On a Hopf algebra a bijective map that
+# preserves unit, product and coproduct also preserves counit and antipode,
+# so those two cases act on a two-point algebra with a zero coproduct and a
+# counit or antipode that the swap does not fix.
+ACTION_FAILURES = {
+    # delta_1 -> -delta_1 sends 1 = delta_0 + delta_1 to delta_0 - delta_1
+    "unit": (
+        lambda: function_algebra(FiniteGroup.cyclic(2)), [(0, 0, 1), (1, 1, -1)],
+        "does not fix the unit",
+    ),
+    # g -> -g on C(Z3) fixes e, but g g2 = e goes to -e
+    "product": (
+        lambda: group_algebra(FiniteGroup.cyclic(3)), [(0, 0, 1), (1, 1, -1), (2, 2, 1)],
+        "is not multiplicative",
+    ),
+    # delta_1* = delta_0, so swap(delta_1*) = delta_1 but swap(delta_1)* = delta_0
+    "star": (
+        lambda: two_point([1, 1], IDENT2, star=[(0, 0, 1), (1, 0, 1)]), SWAP2,
+        "does not commute with *",
+    ),
+    # g -> -g on C(Z2) is a *-automorphism, but Delta(g) = g (x) g
+    "coproduct": (
+        lambda: group_algebra(FiniteGroup.cyclic(2)), [(0, 0, 1), (1, 1, -1)],
+        "does not preserve the coproduct",
+    ),
+    "counit": (lambda: two_point([1, 0], IDENT2), SWAP2, "does not preserve the counit"),
+    # S(delta_1) = delta_0, so S(swap(delta_1)) = delta_0 but swap(S(delta_1)) = delta_1
+    "antipode": (
+        lambda: two_point([1, 1], [(0, 0, 1), (1, 0, 1)]), SWAP2,
+        "does not commute with the antipode",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_FAILURES))
+def test_each_action_failure_is_named(name):
+    build, bad, message = ACTION_FAILURES[name]
+    A = build()
+    ident = [(i, i, 1) for i in range(A.dim)]
+    M = GroupAction(FiniteGroup.cyclic(2), A, [ident, bad], validate=False).maps[1]
+    assert morphism_failure(A, M, A) == name
+    with pytest.raises(SchemaError, match="^action map 1 %s$" % re.escape(message)):
+        GroupAction(FiniteGroup.cyclic(2), A, [ident, bad])
 
 
 def test_inversion_action_needs_abelian(algebras):

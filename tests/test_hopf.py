@@ -33,6 +33,7 @@ from hopfcheck.hopf import (
     dual,
     linear_quotient,
     sub_hopf_algebra,
+    tensor_apply,
 )
 from hopfcheck.linalg import (
     Matrix,
@@ -53,6 +54,7 @@ from dense_maps import (
     dense_of,
     dense_product,
     dense_star,
+    kron_apply,
     rebased,
     reference_antipode,
     reference_associativity,
@@ -64,6 +66,7 @@ from dense_maps import (
     reference_counit_multiplicative,
     reference_involution,
     reference_star_antimultiplicative,
+    reference_star_comultiplicative,
     reference_star_counit,
     reference_convolve,
     reference_counit_unit,
@@ -230,6 +233,41 @@ def test_cocommutativity_from_the_sparse_coproduct(algebras, s3_crossed):
     X = s3_crossed()
     assert not X.is_cocommutative() and not X.is_commutative()
     assert dual(X).is_cocommutative() == X.is_commutative()
+
+
+def test_tensor_apply_matches_kron_apply():
+    # random maps over Q(zeta_3) and random terms, with repeated index pairs
+    # and a term that cancels its negative, against the dense f (x) g
+    rng = random.Random("tensor_apply")
+    field = CycField(3)
+    values = [field.zero, field.zero, field.one, -field.one, field.zeta(), field.zeta(2)]
+
+    def random_map(m, n):
+        return [sparse_vector([rng.choice(values) for _ in range(n)]) for _ in range(m)]
+
+    for _ in range(80):
+        m1, n1, m2, n2 = (rng.randint(1, 4) for _ in range(4))
+        f, g = random_map(m1, n1), random_map(m2, n2)
+        terms = [
+            (rng.randrange(m1), rng.randrange(m2), rng.choice(values[2:]))
+            for _ in range(rng.randint(0, 6))
+        ]
+        terms += [(j, k, -c) for j, k, c in terms[:1]]
+        flat = zero_vec(field, m1 * m2)
+        for j, k, c in terms:
+            flat[j * m2 + k] = flat[j * m2 + k] + c
+        want = kron_apply(dense_matrix(field, n1, f), dense_matrix(field, n2, g), flat)
+        got = tensor_apply(f, g, terms)
+        assert all(got.values())
+        assert {u * n2 + v: c for (u, v), c in got.items()} == dict(sparse_vector(want))
+
+
+def test_coproduct_has_no_zero_entries(algebras):
+    # Delta(e_1 - e_1) cancels term by term
+    H = algebras["c_s3"]
+    one = H.field.one
+    assert H.coproduct(((1, one),)) == {(1, 1): one}
+    assert H.coproduct(((1, one), (1, -one))) == {}
 
 
 # --- axiom report ---------------------------------------------------------
@@ -498,6 +536,43 @@ def test_star_law_on_generators_needs_a_self_adjoint_unit():
     rep = check_axioms(H)
     assert rep["unit"].ok and rep["associativity"].ok
     assert rep["star_antimultiplicative"].witness == (1, 1)
+
+
+@pytest.mark.parametrize("tensor", [None, "comult", "star"])
+@pytest.mark.parametrize("name", AXIOM_INPUTS)
+def test_star_comultiplicativity_matches_the_dense_reference(name, tensor, s3_crossed, drinfeld_s3):
+    H = axiom_input(name, s3_crossed, drinfeld_s3)
+    X = H if tensor is None else corrupted(H, tensor)
+    check = check_axioms(X)["star_comultiplicative"]
+    assert check.witness == reference_star_comultiplicative(X)
+    assert check.ok == (check.witness is None)
+
+
+@pytest.mark.parametrize("law", ["star_counit", "star_comultiplicative"])
+def test_star_laws_conjugate(law):
+    # C(Z3) over Q(zeta_3) has e_1* = e_2.  Scaling eps(e_1) and eps(e_2)
+    # (resp. Delta(e_1) and Delta(e_2)) by z and z^2 keeps the law, although
+    # e_1* and e_1 are scaled differently; scaling both by z breaks it at
+    # e_1, although e_i* and e_i are scaled alike
+    H = build_algebra("c_z3")
+    z = H.field.zeta()
+    reference = {
+        "star_counit": reference_star_counit,
+        "star_comultiplicative": reference_star_comultiplicative,
+    }[law]
+    for scale, witness in (([1, z, z * z], None), ([1, z, z], (1,))):
+        counit, comult = H.counit, H.comult_entries()
+        if law == "star_counit":
+            counit = [e * x for e, x in zip(counit, scale)]
+        else:
+            comult = [(i, j, k, c * scale[i]) for i, j, k, c in comult]
+        X = HopfStarAlgebra(
+            H.field, H.mult_entries(), H.unit, comult, counit,
+            H.antipode_entries(), H.star_entries(), labels=H.labels,
+        )
+        assert reference(X) == witness
+        check = check_axioms(X)[law]
+        assert (check.ok, check.witness) == (witness is None, witness)
 
 
 def test_corepresentation_law_needs_the_counit_law():

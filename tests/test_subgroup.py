@@ -749,6 +749,27 @@ def same_structure(A, B):
     )
 
 
+def test_quotient_unit_failure_is_a_theorem_violation(monkeypatch):
+    # the projection maps 1 to the unit it induces, so a quotient whose unit
+    # differs is a fault of the construction, not a condition on the ideal
+    H = function_algebra(FiniteGroup.symmetric(3))
+    I = subgroup_ideal(H, ("e", "(123)", "(132)"))
+    real = hopfcheck.subgroup.induced_algebra
+
+    def wrong_unit(*args, **kwargs):
+        N = real(*args, **kwargs)
+        unit = [u + N.field.one if t == 0 else u for t, u in enumerate(N.unit)]
+        return HopfStarAlgebra(
+            N.field, N.mult_entries(), unit, N.comult_entries(), N.counit,
+            N.antipode_entries(), N.star_entries(), labels=N.labels,
+        )
+
+    monkeypatch.setattr(hopfcheck.subgroup, "induced_algebra", wrong_unit)
+    for decide in (make_subgroup, check_hopf_ideal):
+        with pytest.raises(TheoremViolation, match="unit"):
+            decide(H, I)
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG_NAMES) + ["F(S3)xZ2", "c_s3 rebased"])
 def test_induced_algebra_matches_dense_reference(name, s3_crossed):
     rng = random.Random("certificate " + name)
