@@ -46,6 +46,10 @@ class FiniteGroup:
     __slots__ = ("order", "table", "labels", "identity", "inverses")
 
     def __init__(self, table, labels=None):
+        if not isinstance(table, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in table
+        ):
+            raise SchemaError("a group table is a list of rows of element indices")
         self.order = len(table)
         self.table = [list(row) for row in table]
         n = self.order
@@ -53,11 +57,13 @@ class FiniteGroup:
             raise SchemaError("a group table needs at least one row")
         if labels is None:
             labels = ["g%d" % i for i in range(n)]
+        if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+            raise SchemaError("group labels are a list of strings")
         if len(labels) != n or len(set(labels)) != n:
             raise SchemaError("a group of order %d needs %d distinct labels" % (n, n))
         self.labels = list(labels)
         for row in self.table:
-            if sorted(row) != list(range(n)):
+            if not all(type(x) is int for x in row) or sorted(row) != list(range(n)):
                 raise SchemaError("invalid group table: row is not a permutation")
         for j in range(n):
             col = [self.table[i][j] for i in range(n)]
@@ -121,11 +127,20 @@ class FiniteGroup:
         return self.labels.index(label)
 
     def subset_indices(self, subset):
-        """Normalize a subset given by labels or indices to sorted indices."""
-        out = []
+        """Normalize a subset given by labels or indices to sorted indices;
+        SchemaError unless it is a collection of labels and indices of the
+        group (a bool is neither)."""
+        if not isinstance(subset, (list, tuple, set, frozenset, range)):
+            raise SchemaError("a subset lists element labels or indices, not %r" % (subset,))
+        out = set()
         for x in subset:
-            out.append(x if isinstance(x, int) else self.index_of(x))
-        return sorted(set(out))
+            if type(x) is int and 0 <= x < self.order:
+                out.add(x)
+            elif isinstance(x, str) and x in self.labels:
+                out.add(self.index_of(x))
+            else:
+                raise SchemaError("%r is not an element label or index of the group" % (x,))
+        return sorted(out)
 
     @classmethod
     def cyclic(cls, n):

@@ -65,10 +65,6 @@ class Corepresentation:
         H = self.algebra
         return sparse_image(H.field, H.dim, [v for row in self.entries for v in row])
 
-    def star_block(self) -> Subspace:
-        H = self.algebra
-        return sparse_image(H.field, H.dim, [H.star_vec(v) for row in self.entries for v in row])
-
     def verify(self):
         """Exact check of the comultiplication, counit and antipode laws.
 
@@ -338,7 +334,18 @@ def _multiplicity(field, nz, w):
 
 
 def conjugate(P: PeterWeylData, index: int, N=None) -> int:
-    """Index of the conjugate corepresentation, cross-checked two ways."""
+    """Index of the conjugate corepresentation, cross-checked two ways.
+
+    The fusion rules name the conj with N[index][conj][trivial] = 1; the
+    star image of the block of u = P.coreps[index] must be the block of
+    conj, which one containment decides: u_00* lies in P.blocks()[conj].
+    Proof that it suffices.  Delta(x*) = (* (x) *) Delta(x) makes (u_ij*)
+    a corepresentation, so * maps the block of u, a simple subcoalgebra,
+    onto a subcoalgebra, simple because * is an antilinear bijection that
+    maps subcoalgebras to subcoalgebras both ways: onto another block.
+    The blocks form a direct sum, so two blocks that share a nonzero
+    vector are equal, and u_00* != 0 since eps(u_00) = 1.
+    """
     if N is None:
         N = fusion(P)
     r = len(P.coreps)
@@ -349,7 +356,7 @@ def conjugate(P: PeterWeylData, index: int, N=None) -> int:
     conj = hits[0]
     if P.coreps[conj].dim != P.coreps[index].dim:
         raise TheoremViolation("conjugate corepresentation has a different dimension")
-    star_block = P.coreps[index].star_block()
-    if star_block != P.blocks()[conj]:
+    u_00 = P.coreps[index].entries[0][0]
+    if not P.blocks()[conj].echelon().contains(P.algebra.star_vec(u_00)):
         raise TheoremViolation("conjugate block does not match the star image")
     return conj

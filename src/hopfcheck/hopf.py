@@ -941,7 +941,9 @@ def coproduct_slice(H, f, side):
     """The sparse columns of a -> (id (x) f) Delta(a) (side "right") or
     (f (x) id) Delta(a) (side "left") for a functional f given as the sparse
     vector of its values on the basis, summed over the sparse coproduct
-    terms."""
+    terms.  Any other side raises SchemaError."""
+    if side not in ("left", "right"):
+        raise SchemaError("side is 'left' or 'right', not %r" % (side,))
     f = dict(f)
     out = []
     for terms in H.comult:

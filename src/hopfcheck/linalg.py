@@ -13,8 +13,7 @@ the image of e_i.  sparse_apply, sparse_compose, sparse_image and
 sparse_kernel apply, compose, span and take kernels of such maps, and
 sparse_null_space solves sparse equation rows.  A Matrix is a dense system
 handed to rref, kernel or solve_linear, or a small matrix that is reported
-or split into eigenspaces; sparse_solve is the echelon core of solve_linear
-and takes sparse augmented rows.
+or split into eigenspaces.
 """
 
 from __future__ import annotations
@@ -293,7 +292,10 @@ def solve_linear(A, b):
     """Echelon-canonical solution of A x = b (free variables zero), or None.
 
     b may be a vector (returns a vector) or a Matrix of stacked right-hand
-    columns (returns a Matrix of solution columns).
+    columns (returns a Matrix of solution columns).  The augmented rows
+    [A | B] go into one Echelon; a pivot in the B block means the system is
+    inconsistent, and otherwise the row with pivot p holds x_p for each
+    right-hand side.
     """
     vector_rhs = not isinstance(b, Matrix)
     if vector_rhs:
@@ -303,33 +305,17 @@ def solve_linear(A, b):
     if B.nrows != A.nrows:
         raise SchemaError("rhs has %d rows, expected %d" % (B.nrows, A.nrows))
     n = A.ncols
-    sol = sparse_solve(A.field, n, [sparse_vector(ra + rb) for ra, rb in zip(A.rows, B.rows)])
-    if sol is None:
-        return None
+    ech = Echelon(A.field)
+    for ra, rb in zip(A.rows, B.rows):
+        ech.add(sparse_vector(ra + rb))
     X = Matrix.zeros(A.field, n, B.ncols)
-    for p, row in enumerate(sol):
-        for r, c in row:
-            X.rows[p][r] = c
-    return [row[0] for row in X.rows] if vector_rhs else X
-
-
-def sparse_solve(field, n, rows):
-    """Echelon-canonical solution of a system given by sparse augmented rows
-    [a | b] of n unknowns, with entry n + r on right-hand side r.
-
-    Returns n sparse rows, row p the (r, x_p) with x_p != 0 in the solution
-    for right-hand side r (free variables zero), or None when the system is
-    inconsistent.
-    """
-    ech = Echelon(field)
-    for row in rows:
-        ech.add(row)
-    sol = [()] * n
     for p, row in ech.row_at.items():
         if p >= n:
-            return None  # pivot in the rhs block: inconsistent
-        sol[p] = tuple((j - n, c) for j, c in row if j >= n)
-    return sol
+            return None
+        for j, c in row:
+            if j >= n:
+                X.rows[p][j - n] = c
+    return [row[0] for row in X.rows] if vector_rhs else X
 
 
 class Subspace:

@@ -16,7 +16,10 @@ without forming a dense tensor of length d^2.  The projection, the
 conditional expectations, the comodule splitting and phi are all maps in
 sparse columns (see linalg).  Each coset algebra is computed one way, as
 the image of a conditional expectation, and certified to be the invariance
-kernel by a proof and two exact checks (see coset_algebras).
+kernel by a proof and two exact checks (see coset_algebras).  The comodule
+splitting that phi is built from is the canonical section averaged with
+the Haar state of N, so no linear system is solved: a proof and two exact
+checks certify it (see comodule_splitting).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .hopf import (
     linear_quotient,
     morphism_failure,
     sub_hopf_algebra,
+    tensor_apply,
 )
 from .linalg import (
     Matrix,
@@ -44,7 +48,6 @@ from .linalg import (
     sparse_identity,
     sparse_image,
     sparse_null_space,
-    sparse_solve,
     sparse_vector,
 )
 
@@ -188,6 +191,7 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
     algebra A_GN; side "left" gives (h_N pi (x) id) Delta with image A_NG.
     The columns are summed over the sparse coproduct terms against the
     covector h_N o pi, which Q computes once from its sparse projection.
+    Any other side raises SchemaError (see coproduct_slice).
     """
     return coproduct_slice(Q.parent, sparse_vector(Q.haar_pi_covector), side)
 
@@ -203,16 +207,6 @@ def _coaction(Q: QuantumSubgroup, a, side: str):
         for b, p in Q.proj_columns[projected]:
             out[kept, b] = out.get((kept, b), zero) + c * p
     return out
-
-
-def _coaction_table(Q: QuantumSubgroup, side: str):
-    """{(j, b): {i: the (j, b) coefficient of _coaction(Q, e_i, side)}}."""
-    one = Q.parent.field.one
-    table = {}
-    for i in range(Q.parent.dim):
-        for key, c in _coaction(Q, ((i, one),), side).items():
-            table.setdefault(key, {})[i] = c
-    return table
 
 
 def _coinvariant(Q: QuantumSubgroup, a, side: str) -> bool:
@@ -434,58 +428,70 @@ def ideal_closure(H: HopfStarAlgebra, seed: Subspace) -> Subspace:
 
 
 def reconstruction_check(Q: QuantumSubgroup) -> bool:
-    """ker(pi) equals all three product spans built from the coset algebra.
+    """ker(pi) equals the product spans A+ . G and G . A+, where A+ is the
+    augmentation part of the coset algebra A_GN; equality reconstructs N
+    from the pair (G, A_GN).
 
-    The spans are A+ . A, A . A+ and the two-sided ideal A . A+ . A where
-    A+ is the augmentation part of the coset algebra A_GN; equality with
-    the ideal reconstructs N from the pair (G, A_GN).
+    Then the two-sided ideal G . A+ . G equals ker(pi) too, so it is not
+    spanned again: it contains A+ . G, and it lies in ker(pi), a two-sided
+    ideal (make_subgroup certified it) that contains A+ = A+ . 1.
     """
     G = Q.parent
     A_GN, _ = coset_algebras(Q)
     aplus = augmentation_part(G, A_GN)
     basis = sparse_identity(G.field, G.dim)
     s1 = _product_span(G, aplus.rows, basis)
-    s2 = _product_span(G, basis, aplus.rows)
-    return s1 == Q.ideal and s2 == Q.ideal and ideal_closure(G, aplus) == Q.ideal
+    return s1 == Q.ideal and _product_span(G, basis, aplus.rows) == Q.ideal
 
 
 def comodule_splitting(Q: QuantumSubgroup):
-    """An exactly verified comodule section s of pi, as sparse columns:
-    pi s = id and (id (x) pi) Delta_G s = (s (x) id) Delta_N.
+    """A comodule section s of pi, as sparse columns: pi s = id and
+    (id (x) pi) Delta_G s = (s (x) id) Delta_N, both checked exactly.
 
-    The unknowns are x[k * dn + a] = s[k][a]; each equation is a sparse
-    augmented row with its right-hand side at index d * dn, and sparse_solve
-    returns the echelon-canonical solution.
+    s averages the canonical section sigma(f_a) = e_(reps[a]) with the Haar
+    state h of N (Y. Doi's total integral, Israel J. Math. 72 (1990)):
+      s(n) = sigma(n_(1))_(1) h(S(pi(sigma(n_(1))_(2))) n_(2)),
+    summed over Delta_N(n) and Delta_G(sigma(n_(1))).
+
+    Proof, for a verified G and so a verified N.  Lemma: for b, m in N,
+    b_(1) h(S(b_(2)) m) = h(S(b) m_(1)) m_(2).  The invariance
+    (h (x) id) Delta = h(.) 1 at y = S(b_(2)) m, whose coproduct is
+    S(b_(3)) m_(1) (x) S(b_(2)) m_(2), gives b_(1) h(S(b_(2)) m) =
+    b_(1) S(b_(2)) h(S(b_(3)) m_(1)) m_(2), and b_(1) S(b_(2)) =
+    eps(b_(1)) 1.
+    pi s = id: pi is a coalgebra map with pi sigma = id, so pi s(n) =
+    n_(1) h(S(n_(2)) n_(3)) by the coassociativity of N; the lemma with
+    b (x) m = Delta_N(n) makes it h(S(n_(1)) n_(2)) n_(3), which is
+    h(1) n = n by the antipode axiom.  Colinearity: with x = sigma(n_(1)),
+    the coassociativity of G gives (id (x) pi) Delta_G s(n) = x_(1) (x)
+    pi(x_(2)) h(S(pi(x_(3))) n_(2)), and Delta_N(pi(x_(2))) = pi(x_(2))
+    (x) pi(x_(3)); the lemma with b = pi(x_(2)) and m = n_(2) makes it
+    x_(1) h(S(pi(x_(2))) n_(2)) (x) n_(3) = s(n_(1)) (x) n_(2), by the
+    coassociativity of N.  Both identities are checked exactly, the second
+    through _coaction, whatever G is; a failure raises TheoremViolation.
     """
     G, N = Q.parent, Q.quotient
-    d, dn = G.dim, N.dim
     field = G.field
-    zero = field.zero
     P = Q.proj_columns
-    unknowns = d * dn
-    eqs = [{} for _ in range(dn * dn)]  # (pi s)[b][a] = delta_ab
-    for k, col in enumerate(P):
-        for b, c in col:
-            for a in range(dn):
-                eqs[b * dn + a][k * dn + a] = c
-    for b in range(dn):
-        eqs[b * dn + b][unknowns] = field.one
-    # t1[i, j]: {k: the (i, j) component of (id (x) pi) Delta(e_k)}
-    t1 = _coaction_table(Q, "right")
-    for a in range(dn):
-        for i in range(d):
-            for j in range(dn):
-                row = {k * dn + a: t for k, t in t1.get((i, j), {}).items()}
-                for b, jj, c in N.comult[a]:
-                    if jj == j:
-                        row[i * dn + b] = row.get(i * dn + b, zero) - c
-                eqs.append(row)
-    sol = sparse_solve(field, unknowns, map(sparse_column, eqs))
-    if sol is None:
-        raise TheoremViolation("comodule splitting system is infeasible")
-    s = [tuple((k, sol[k * dn + a][0][1]) for k in range(d) if sol[k * dn + a]) for a in range(dn)]
-    if sparse_compose(P, s) != sparse_identity(field, dn):
+    # h(y f_b) = _pair(y, gram[b], 0) and S_pi[v] = S_N(pi(e_v))
+    gram = [[N.haar_of(N.mult[m][b]) for m in range(N.dim)] for b in range(N.dim)]
+    S_pi = sparse_compose(N.antipode, P)
+    s = []
+    for terms in N.comult:
+        acc = {}
+        for a, b, c in terms:
+            for u, v, c2 in G.comult[Q.reps[a]]:
+                w = _pair(S_pi[v], gram[b], field.zero)
+                if w:
+                    acc[u] = acc.get(u, field.zero) + c * c2 * w
+        s.append(sparse_column(acc))
+    ident = sparse_identity(field, N.dim)
+    if sparse_compose(P, s) != ident:
         raise TheoremViolation("the comodule splitting is not a section of pi")
+    for col, terms in zip(s, N.comult):
+        coaction = {key: c for key, c in _coaction(Q, col, "right").items() if c}
+        if coaction != tensor_apply(s, ident, terms):
+            raise TheoremViolation("the comodule splitting is not colinear")
     return s
 
 

@@ -18,9 +18,10 @@ corepresentation on every basis element, pair or triple, where hopfcheck
 checks the identities that are multiplicative in one argument on a
 certified generating set only.  They also check the counit law,
 Delta(1) = 1 (x) 1, eps(xy) = eps(x) eps(y), the antipode laws, the two
-involutions, Delta(x*) = (* (x) *) Delta(x) and eps(x*) = conj eps(x) on
-dense vectors, each straight from its definition in H, where hopfcheck runs
-the first three on the dual and the rest through its sparse maps.
+involutions, (* S)^2 = id, Delta(x*) = (* (x) *) Delta(x) and
+eps(x*) = conj eps(x) on dense vectors, each straight from its definition
+in H, where hopfcheck runs the first three on the dual and the rest through
+its sparse maps.
 """
 
 from bisect import bisect_left
@@ -477,6 +478,11 @@ def reference_involution(H, apply):
         if apply(H, apply(H, e)) != e:
             return (i,)
     return None
+
+
+def reference_antipode_star_involution(H):
+    """The first (i,) with (* S)(* S)(e_i) != e_i, or None."""
+    return reference_involution(H, lambda H, x: dense_star(H, dense_antipode(H, x)))
 
 
 def reference_star_counit(H):

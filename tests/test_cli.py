@@ -5,6 +5,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 import hopfcheck.structure
 from hopfcheck.catalog import repo_catalog_dir
 from hopfcheck.cli import cli_dispatch, main
@@ -369,6 +371,35 @@ def test_repeated_sparse_entry_exits_2(tmp_path):
         "error": "SchemaError",
         "detail": "repeated mult entry (%d, %d, %d)" % (i, j, k),
     }
+
+
+MALFORMED_GROUPS = {
+    "entry": {"order": 2, "table": [[0, "x"], [1, 0]]},
+    "flat_table": {"order": 2, "table": [5, 6]},
+    "labels": {"order": 2, "table": [[0, 1], [1, 0]], "labels": 7},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GROUPS))
+def test_malformed_group_file_exits_2(case, tmp_path):
+    path = tmp_path / "bad.group.json"
+    path.write_text(json.dumps(MALFORMED_GROUPS[case]))
+    out = tmp_path / "f.hopf.json"
+    code, rep = cli_dispatch(["build", "function-algebra", "--group", str(path), "--out", str(out)])
+    assert code == 2 and rep["results"]["error"] == "SchemaError"
+    assert not out.exists()
+
+
+# a bool is not an index, although Python counts True as the int 1
+MALFORMED_SUBGROUPS = {"label": ["nope"], "scalar": 5, "index": [0, 99], "bool": [True]}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SUBGROUPS))
+def test_malformed_subgroup_file_exits_2(case, tmp_path):
+    path = tmp_path / "bad.ideal.json"
+    path.write_text(json.dumps({"subgroup": MALFORMED_SUBGROUPS[case]}))
+    code, rep = cli_dispatch(["normal", cat("f_s3.hopf.json"), "--ideal", str(path)])
+    assert code == 2 and rep["results"]["error"] == "SchemaError"
 
 
 def test_demo_pullback():

@@ -230,6 +230,20 @@ def test_conjugates_pair_inverse_group_likes(algebras):
         assert elem[conjugate(P, i, N)] == G.inv(elem[i])
 
 
+def test_conjugate_block_must_hold_the_star_image(monkeypatch):
+    # C(Z3) with its blocks rotated by one: fusion still names the conjugate
+    # of each group-like g as g^-1, but g* = g^-1 lies outside the block
+    # now listed for it
+    H = build_algebra("c_z3")
+    P = peter_weyl(H)
+    N = fusion(P)
+    assert [conjugate(P, i, N) for i in range(3)] == [0, 2, 1]
+    monkeypatch.setattr(P, "_blocks", P.blocks()[1:] + P.blocks()[:1])
+    for i in range(3):
+        with pytest.raises(TheoremViolation, match="conjugate block does not match the star image"):
+            conjugate(P, i, N)
+
+
 # --- caching and gauge ------------------------------------------------------------
 
 

@@ -57,6 +57,7 @@ from dense_maps import (
     kron_apply,
     rebased,
     reference_antipode,
+    reference_antipode_star_involution,
     reference_associativity,
     reference_coassociativity,
     reference_comult_multiplicative,
@@ -408,12 +409,13 @@ REFERENCES = {
     "antipode_right": lambda H: reference_antipode(H, "right"),
     "star_involution": lambda H: reference_involution(H, dense_star),
     "antipode_involutive": lambda H: reference_involution(H, dense_antipode),
+    "antipode_star_involution": reference_antipode_star_involution,
     "star_counit": reference_star_counit,
 }
 
 
 def full_scan_flags(H):
-    """The 20 ok flags of check_axioms, with the twelve laws of REFERENCES
+    """The 20 ok flags of check_axioms, with the thirteen laws of REFERENCES
     replaced by their dense references."""
     flags = {c.name: c.ok for c in check_axioms(H).checks}
     flags.update((name, ref(H) is None) for name, ref in REFERENCES.items())
@@ -644,6 +646,24 @@ def test_dual_side_witnesses_name_h(name, s3_crossed, drinfeld_s3):
 
 
 # --- Haar functional ------------------------------------------------------
+
+
+def test_a_star_that_only_the_haar_checks_catch():
+    # C(Z3) with g* = g: the identity star, antilinear on the coefficients,
+    # is an involutive anti-automorphism that commutes with Delta, eps and
+    # S, so every law outside the Haar checks holds; but h(g* g) = h(g^2) = 0,
+    # so the Gram matrix h(e_i* e_j) is not positive.  haar_star cannot fail
+    # alone: once the other laws hold, x -> conj h(x*) is a normalized
+    # invariant functional too, so it is h by uniqueness
+    H = build_algebra("c_z3")
+    X = HopfStarAlgebra(
+        H.field, H.mult_entries(), H.unit, H.comult_entries(), H.counit,
+        H.antipode_entries(), [(i, i, 1) for i in range(H.dim)], labels=H.labels,
+    )
+    report = check_axioms(X)
+    assert [c.name for c in report.failures()] == ["haar_positive"]
+    assert report["haar_positive"].witness == ("pivot", 1)
+    assert {c.name: c.ok for c in report.checks} == full_scan_flags(X)
 
 
 def test_haar_uniform_on_function_algebra(algebras):

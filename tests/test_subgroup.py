@@ -19,6 +19,7 @@ from hopfcheck.hopf import (
     certified_subalgebra,
     check_axioms,
     convolve,
+    coproduct_slice,
     counit_unit,
     dual,
 )
@@ -274,6 +275,18 @@ def test_conditional_expectation_properties(algebras):
                 assert H.haar_of(E[i]) == H.haar[i]
 
 
+def test_unknown_side_is_a_schema_error(algebras):
+    # a misspelt side is refused rather than read as "left"
+    Q = t12_subgroup(algebras)
+    assert conditional_expectation(Q, "right") != conditional_expectation(Q, "left")
+    for call in (
+        lambda: conditional_expectation(Q, "Right"),
+        lambda: coproduct_slice(Q.parent, sparse_vector(Q.parent.haar), "middle"),
+    ):
+        with pytest.raises(SchemaError, match="side"):
+            call()
+
+
 def test_expectation_image_is_coset_algebra(algebras):
     Q = t12_subgroup(algebras)
     A_GN, A_NG = coset_algebras(Q)
@@ -427,15 +440,13 @@ def test_comodule_splitting_sections_projection(algebras):
         assert sparse_compose(Q.proj_columns, s) == sparse_identity(H.field, Q.quotient.dim)
 
 
-def test_comodule_splitting_is_comodule_map(algebras):
-    H = algebras["f_s3"]
-    Q = a3_subgroup(algebras)
-    d, q = H.dim, Q.quotient.dim
-    s = columns(dense_matrix(H.field, d, comodule_splitting(Q)))
-    N = Q.quotient
+def dense_colinear(Q, s):
+    """(id (x) pi) Delta_G s = (s (x) id) Delta_N, on dense vectors."""
+    H, N = Q.parent, Q.quotient
+    d, q = H.dim, N.dim
+    s = columns(dense_matrix(H.field, d, s))
     for col in range(q):
         v = s[col]
-        # (id x pi) Delta_G s  against  (s x id) Delta_N
         lhs = zero_vec(H.field, d * q)
         for i in range(d):
             if v[i].is_zero():
@@ -448,7 +459,66 @@ def test_comodule_splitting_is_comodule_map(algebras):
             sj = s[j]
             for a in range(d):
                 rhs[a * q + k] = rhs[a * q + k] + c * sj[a]
-        assert lhs == rhs
+        if lhs != rhs:
+            return False
+    return True
+
+
+def test_comodule_splitting_is_comodule_map(s3_crossed, drinfeld_s3):
+    # every lattice subgroup of the catalog, F(S3) x| Z2, D(S3) and a
+    # rebased F(S3) x| Z2
+    inputs = [build_algebra(name) for name in sorted(CATALOG_NAMES)]
+    inputs += [s3_crossed(), drinfeld_s3()]
+    inputs.append(rebased(s3_crossed(), random.Random("certificate F(S3)xZ2 rebased")))
+    count = 0
+    for H in inputs:
+        for Q in enumerate_quantum_subgroups(H):
+            s = comodule_splitting(Q)
+            assert sparse_compose(Q.proj_columns, s) == sparse_identity(H.field, Q.quotient.dim)
+            assert dense_colinear(Q, s)
+            count += 1
+    assert count == 36 + 7 + 8 + 7
+
+
+def test_comodule_splitting_needs_an_invariant_haar_state(monkeypatch):
+    # the counit in place of the Haar state of N (normalized, not invariant)
+    # averages the canonical section to itself, which is not colinear on a
+    # rebased F(S3); twice the Haar state (invariant, not normalized)
+    # breaks pi s = id.  Both checks raise under python -O too.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import random\n"
+        "from hopfcheck.catalog import build_algebra\n"
+        "from hopfcheck.errors import TheoremViolation\n"
+        "from hopfcheck.structure import enumerate_quantum_subgroups\n"
+        "from hopfcheck.subgroup import comodule_splitting, make_subgroup\n"
+        "from dense_maps import rebased\n"
+        "assert False, 'asserts are live'\n"
+        "H = rebased(build_algebra('f_s3'), random.Random('splitting'))\n"
+        "Q = next(Q for Q in enumerate_quantum_subgroups(H) if Q.quotient.dim == 3)\n"
+        "N = Q.quotient\n"
+        "for fake in (list(N.counit), [x + x for x in N.haar]):\n"
+        "    Q = make_subgroup(H, Q.ideal)\n"
+        "    Q.quotient._memo['haar'] = fake\n"
+        "    try:\n"
+        "        comodule_splitting(Q)\n"
+        "    except TheoremViolation as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "the comodule splitting is not colinear",
+        "the comodule splitting is not a section of pi",
+    ]
+    H = rebased(build_algebra("f_s3"), random.Random("splitting"))
+    Q = next(Q for Q in enumerate_quantum_subgroups(H) if Q.quotient.dim == 3)
+    assert dense_colinear(Q, comodule_splitting(Q))
+    monkeypatch.setitem(Q.quotient._memo, "haar", list(Q.quotient.counit))
+    with pytest.raises(TheoremViolation, match="not colinear"):
+        comodule_splitting(Q)
 
 
 def test_phi_map_runs_for_all_subgroup_kinds(algebras):
