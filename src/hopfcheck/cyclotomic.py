@@ -8,11 +8,22 @@ scalars therefore have equal (num, den), and the zero test and equality are
 plain integer comparisons.  Phi_n is monic with integer coefficients, so
 reduction and field conjugation (z -> z^(n-1)) are integer row operations
 and every product or sum costs at most one gcd normalisation (a product by
-exactly 1 or -1 costs none).  Everything is exact; the sign of a real
-irrational scalar is read off a fixed-point value of the standard complex
-embedding, in integers, at a precision fixed in advance by the bound
-|y| >= A^-(phi-1) on a nonzero algebraic integer y of coefficient sum A
-(see CycScalar.sign).
+exactly 1 or -1 costs none).
+
+The cheap cases come first.  Each field keeps the singletons zero, one and
+minus_one, and from_rational, from_integers and so scalar() (and the file
+loader) return them for 0, 1 and -1; a product with the singleton one
+returns the other factor by identity, before any other test.  When both
+operands are rational (always, in Q = Q(zeta_1)), a product or sum uses
+only num[0] and den: one integer product or sum, then one gcd.  Identity
+only skips work and never decides a value: a scalar equal to 1 that is not
+the singleton (built directly, or by lift) takes the value-based shortcut,
+and truth, equality and is_one compare values.
+
+Everything is exact; the sign of a real irrational scalar is read off a
+fixed-point value of the standard complex embedding, in integers, at a
+precision fixed in advance by the bound |y| >= A^-(phi-1) on a nonzero
+algebraic integer y of coefficient sum A (see CycScalar.sign).
 """
 
 from __future__ import annotations
@@ -108,8 +119,12 @@ class CycField:
         zpows += pows[: n - phi]
         self._zeta_pows = tuple(zpows)
         self._conj_rows = tuple(_sparse(zpows[(n - k) % n]) for k in range(phi))
-        self.zero = CycScalar(self, (0,) * phi, 1)
-        self.one = CycScalar(self, (1,) + (0,) * (phi - 1), 1)
+        # the zero tail of a rational scalar, and the singletons 0, 1, -1
+        # that every constructor returns for those values
+        self._tail = (0,) * (phi - 1)
+        self.zero = CycScalar(self, (0,) + self._tail, 1)
+        self.one = CycScalar(self, (1,) + self._tail, 1)
+        self.minus_one = CycScalar(self, (-1,) + self._tail, 1)
 
     def __repr__(self):
         return "CycField(%d)" % self.n
@@ -143,14 +158,24 @@ class CycField:
         num = self._reduce(num)
         if den < 0:
             den, num = -den, [-a for a in num]
-        return _canonical(self, num, den)
+        x = _canonical(self, num, den)
+        if x.den == 1 and not any(x.num[1:]):
+            return self._rational(x.num[0], 1)
+        return x
 
     def from_rational(self, q):
+        """The scalar q for an int or a Fraction (or a value Fraction accepts)."""
         if type(q) is int:
-            return CycScalar(self, (q,) + (0,) * (self.phi - 1), 1)
+            return self._rational(q, 1)
         if type(q) is not Fraction:
             q = Fraction(q)
-        return CycScalar(self, (q.numerator,) + (0,) * (self.phi - 1), q.denominator)
+        return self._rational(q.numerator, q.denominator)
+
+    def _rational(self, n, d):
+        """n / d for coprime integers with d > 0: the singleton for 0, 1, -1."""
+        if d == 1 and -1 <= n <= 1:
+            return self.one if n == 1 else self.minus_one if n else self.zero
+        return CycScalar(self, (n,) + self._tail, d)
 
     def zeta(self, k=1):
         """The root of unity zeta_n^k as an exact scalar."""
@@ -198,21 +223,44 @@ def _canonical(field, num, den):
 
 def _add(x, y, sign):
     """x + sign * y for scalars of one field, sign 1 or -1."""
-    if not any(y.num):
+    a, b = x.num, y.num
+    field = x.field
+    if field.phi == 1 or not (any(a[1:]) or any(b[1:])):
+        # both rational: one sum of numerators, then one gcd
+        p, q = a[0], b[0]
+        if not q:
+            return x
+        if not p:
+            return y if sign > 0 else -y
+        d1, d2 = x.den, y.den
+        if d1 == d2:
+            n = p + q if sign > 0 else p - q
+        else:
+            n = p * d2 + q * d1 if sign > 0 else p * d2 - q * d1
+            d1 *= d2
+        if not n:
+            return field.zero
+        if d1 != 1:
+            g = gcd(n, d1)
+            if g != 1:
+                n //= g
+                d1 //= g
+        return CycScalar(field, (n,) + field._tail, d1)
+    if not any(b):
         return x
-    if not any(x.num):
+    if not any(a):
         return y if sign > 0 else -y
     d1, d2 = x.den, y.den
     if d1 == d2:
         if sign > 0:
-            return _canonical(x.field, [a + b for a, b in zip(x.num, y.num)], d1)
-        return _canonical(x.field, [a - b for a, b in zip(x.num, y.num)], d1)
+            return _canonical(field, [s + t for s, t in zip(a, b)], d1)
+        return _canonical(field, [s - t for s, t in zip(a, b)], d1)
     g = gcd(d1, d2)
     s1, s2 = d2 // g, sign * (d1 // g)
-    num = [a * s1 + b * s2 for a, b in zip(x.num, y.num)]
+    num = [s * s1 + t * s2 for s, t in zip(a, b)]
     if g == 1:  # coprime denominators: the result is already canonical
-        return CycScalar(x.field, tuple(num), d1 * d2)
-    return _canonical(x.field, num, d1 * s1)
+        return CycScalar(field, tuple(num), d1 * d2)
+    return _canonical(field, num, d1 * s1)
 
 
 class CycScalar:
@@ -300,21 +348,43 @@ class CycScalar:
             o = self._coerce(o)
             if o is None:
                 return NotImplemented
+        field = self.field
+        if o is field.one:
+            return self
+        if self is field.one:
+            return o
         a, b = self.num, o.num
-        if not any(a) or not any(b):
-            return self.field.zero
+        irr_a = irr_b = False
+        if field.phi > 1:
+            irr_a, irr_b = any(a[1:]), any(b[1:])
+        if not (irr_a or irr_b):
+            # both rational: one product of numerators, then one gcd
+            n = a[0] * b[0]
+            if not n:
+                return field.zero
+            d = self.den * o.den
+            if d != 1:
+                g = gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+            return CycScalar(field, (n,) + field._tail, d)
         # a factor of exactly 1 or -1 gives the other factor or its negation,
         # both canonical already
-        if not any(b[1:]):  # rational right factor
+        if not irr_b:  # rational right factor
             q = b[0]
+            if not q:
+                return field.zero
             if o.den == 1 and (q == 1 or q == -1):
                 return self if q == 1 else -self
-            return _canonical(self.field, [c * q for c in a], self.den * o.den)
-        if not any(a[1:]):
+            return _canonical(field, [c * q for c in a], self.den * o.den)
+        if not irr_a:
             q = a[0]
+            if not q:
+                return field.zero
             if self.den == 1 and (q == 1 or q == -1):
                 return o if q == 1 else -o
-            return _canonical(self.field, [c * q for c in b], self.den * o.den)
+            return _canonical(field, [c * q for c in b], self.den * o.den)
         den = self.den * o.den
         prod = [0] * (2 * len(a) - 1)
         for i, x in enumerate(a):
@@ -322,7 +392,7 @@ class CycScalar:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return _canonical(self.field, self.field._reduce(prod), den)
+        return _canonical(field, field._reduce(prod), den)
 
     __rmul__ = __mul__
 

@@ -415,11 +415,18 @@ class Subspace:
         return tuple(j for j in range(self.ambient) if j not in pivset)
 
     def sort_key(self):
-        return (
-            self.dim,
-            self.pivots,
-            tuple(c.sort_key() for r in self.basis() for c in r),
-        )
+        """(dim, pivots, the sort_key of each entry of the dense rows in
+        order), read off the sparse rows with one key shared by the zeros."""
+        zero = self.field.zero.sort_key()
+        keys = []
+        for row in self.rows:
+            at = 0
+            for j, c in row:
+                keys += [zero] * (j - at)
+                keys.append(c.sort_key())
+                at = j + 1
+            keys += [zero] * (self.ambient - at)
+        return (self.dim, self.pivots, tuple(keys))
 
     def __repr__(self):
         return "Subspace(dim %d of %d over Q(zeta_%d))" % (

@@ -59,7 +59,8 @@ class QuantumSubgroup:
     proj_columns[a] is pi(e_a), read off the echelon rows of the ideal by
     linear_quotient, and the quotient basis vector f_t is the class of the
     parent basis vector e_(reps[t]).  `meta` keeps data derived from the
-    subgroup, each computed once: "haar_pi" and "cosets" (see `memo`);
+    subgroup, each computed once: "haar_pi", "cosets", "aplus" and
+    "g_aplus" (see `memo`);
     constructions also record where a subgroup came from there.
     """
 
@@ -199,21 +200,22 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
 def _coaction(Q: QuantumSubgroup, a, side: str):
     """(id (x) pi) Delta(a) as {(j, b): the coefficient of e_j (x) f_b} for
     side "right", or (pi (x) id) Delta(a) as {(j, b): that of f_b (x) e_j}
-    for side "left", summed over G.coproduct(a) and the projection columns."""
+    for side "left", summed over G.coproduct(a) and the projection columns;
+    the coefficients that cancel to zero are dropped."""
     zero = Q.parent.field.zero
     out = {}
     for (j, k), c in Q.parent.coproduct(a).items():
         kept, projected = (j, k) if side == "right" else (k, j)
         for b, p in Q.proj_columns[projected]:
             out[kept, b] = out.get((kept, b), zero) + c * p
-    return out
+    return {key: c for key, c in out.items() if c}
 
 
 def _coinvariant(Q: QuantumSubgroup, a, side: str) -> bool:
     """(id (x) pi) Delta(a) = a (x) 1_N (side "right"), or (pi (x) id)
     Delta(a) = 1_N (x) a (side "left"), for a sparse vector a."""
     want = {(i, b): x * u for i, x in a for b, u in sparse_vector(Q.quotient.unit)}
-    return {key: c for key, c in _coaction(Q, a, side).items() if c} == want
+    return _coaction(Q, a, side) == want
 
 
 def coset_algebras(Q: QuantumSubgroup):
@@ -414,6 +416,20 @@ def augmentation_part(G, B: Subspace) -> Subspace:
     return B.intersect(_augmentation_ideal(G))
 
 
+def _coset_aplus(Q: QuantumSubgroup) -> Subspace:
+    """A+, the augmentation part of the coset algebra A_GN, computed once."""
+    return Q.memo("aplus", lambda: augmentation_part(Q.parent, coset_algebras(Q)[0]))
+
+
+def _left_aplus_span(Q: QuantumSubgroup) -> Subspace:
+    """The product span G . A+, computed once."""
+    G = Q.parent
+    return Q.memo(
+        "g_aplus",
+        lambda: _product_span(G, sparse_identity(G.field, G.dim), _coset_aplus(Q).rows),
+    )
+
+
 def ideal_closure(H: HopfStarAlgebra, seed: Subspace) -> Subspace:
     """The two-sided ideal generated by a subspace, by span growth."""
     basis = sparse_identity(H.field, H.dim)
@@ -437,11 +453,8 @@ def reconstruction_check(Q: QuantumSubgroup) -> bool:
     ideal (make_subgroup certified it) that contains A+ = A+ . 1.
     """
     G = Q.parent
-    A_GN, _ = coset_algebras(Q)
-    aplus = augmentation_part(G, A_GN)
-    basis = sparse_identity(G.field, G.dim)
-    s1 = _product_span(G, aplus.rows, basis)
-    return s1 == Q.ideal and _product_span(G, basis, aplus.rows) == Q.ideal
+    s1 = _product_span(G, _coset_aplus(Q).rows, sparse_identity(G.field, G.dim))
+    return s1 == Q.ideal and _left_aplus_span(Q) == Q.ideal
 
 
 def comodule_splitting(Q: QuantumSubgroup):
@@ -489,8 +502,7 @@ def comodule_splitting(Q: QuantumSubgroup):
     if sparse_compose(P, s) != ident:
         raise TheoremViolation("the comodule splitting is not a section of pi")
     for col, terms in zip(s, N.comult):
-        coaction = {key: c for key, c in _coaction(Q, col, "right").items() if c}
-        if coaction != tensor_apply(s, ident, terms):
+        if _coaction(Q, col, "right") != tensor_apply(s, ident, terms):
             raise TheoremViolation("the comodule splitting is not colinear")
     return s
 
@@ -545,5 +557,4 @@ def exact_sequence_check(Q: QuantumSubgroup) -> bool:
         sub_hopf_algebra(G, A_GN)
     except SchemaError:
         return False
-    aplus = augmentation_part(G, A_GN)
-    return _product_span(G, sparse_identity(G.field, G.dim), aplus.rows) == Q.ideal
+    return _left_aplus_span(Q) == Q.ideal

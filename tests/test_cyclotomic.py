@@ -15,6 +15,7 @@ import hopfcheck
 from hopfcheck.cyclotomic import CycField, CycScalar, cyclotomic_polynomial
 from hopfcheck.errors import FieldOrderMismatch, TheoremViolation
 from hopfcheck.hopf import check_axioms
+from hopfcheck.serialize import scalar_from_json
 
 from conftest import build_irrational_gram
 
@@ -529,3 +530,109 @@ def test_non_exact_division_raises_under_optimize():
         from hopfcheck.cyclotomic import _poly_div_monic_int
 
         _poly_div_monic_int((1, 0, 1), (-1, 1))
+
+
+# --- the singletons 0, 1, -1 and the rational branch --------------------------
+
+
+@pytest.mark.parametrize("n", DIFF_ORDERS)
+def test_constructors_return_the_singletons(n):
+    F = CycField(n)
+    tail = [0] * (F.phi - 1)
+    for singleton, k in ((F.zero, 0), (F.one, 1), (F.minus_one, -1)):
+        for value in (k, Fraction(k), Fraction(3 * k, 3), Fraction(-2 * k, -2)):
+            assert F.from_rational(value) is singleton
+            assert F.scalar(value) is singleton
+        assert F.scalar(CycField(1).from_rational(Fraction(7 * k, 7))) is singleton
+        for text in (str(k), "%d/3" % (3 * k), " %d/2 " % (2 * k)):
+            assert scalar_from_json(F, text) is singleton
+        assert scalar_from_json(F, k) is singleton
+        assert scalar_from_json(F, {"order": n, "coeffs": [str(k)] + ["0"] * (F.phi - 1)}) is singleton
+        assert F.scalar([Fraction(k)] + tail) is singleton
+        assert F.from_integers([k] + tail) is singleton
+        assert F.from_integers([-5 * k] + tail, -5) is singleton
+    assert scalar_from_json(F, "1") is F.one and scalar_from_json(F, "-1") is F.minus_one
+    assert F.from_rational(Fraction(3, 3)) is F.one
+    # reduction modulo Phi_8: z^4 == -1
+    assert CycField(8).from_integers([0, 0, 0, 0, 1]) is CycField(8).minus_one
+
+
+def samples(F):
+    """Zero, the units, rationals and (for phi > 1) irrational scalars of F."""
+    out = [F.zero, F.one, F.minus_one, F.from_rational(Fraction(-7, 3)), F.from_rational(10 ** 20)]
+    if F.phi > 1:
+        out += [F.zeta() + Fraction(1, 2), F.zeta(F.n - 1) * Fraction(-4, 9), F.zeta(1) * F.zeta(2)]
+    return out
+
+
+@pytest.mark.parametrize("n", DIFF_ORDERS)
+def test_product_with_the_one_singleton_is_the_other_factor(n):
+    F = CycField(n)
+    for x in samples(F):
+        assert x * F.one is x
+        assert F.one * x is x
+
+
+@pytest.mark.parametrize("n", DIFF_ORDERS)
+def test_units_that_are_not_the_singletons_give_the_same_values(n):
+    F = CycField(n)
+    tail = (0,) * (F.phi - 1)
+    built_one, built_minus = CycScalar(F, (1,) + tail, 1), CycScalar(F, (-1,) + tail, 1)
+    assert built_one is not F.one and built_minus is not F.minus_one
+    units = [(built_one, F.one), (built_minus, F.minus_one), (F.zeta(0), F.one)]
+    for divisor in (1, 2):
+        if n % divisor == 0 and divisor < n:
+            Fd = CycField(divisor)
+            units += [(F.lift(Fd.one), F.one), (F.lift(Fd.minus_one), F.minus_one)]
+    for u, singleton in units:
+        assert u == singleton and u.is_one() == singleton.is_one()
+        for x in samples(F):
+            for got, want in (
+                (x * u, x * singleton),
+                (u * x, singleton * x),
+                (x + u, x + singleton),
+                (u - x, singleton - x),
+            ):
+                assert_canonical(got)
+                assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_rational_branch_with_large_numerators():
+    F = CycField(1)
+    rng = random.Random(29)
+    big = 10 ** 20
+    for _ in range(300):
+        p = Fraction(rng.randint(-big, big), rng.randint(1, big))
+        q = Fraction(rng.randint(-big, big), rng.choice((1, 6, rng.randint(1, big))))
+        x, y = F.from_rational(p), F.from_rational(q)
+        for got, want in ((x * y, p * q), (x + y, p + q), (x - y, p - q), (y - x, q - p)):
+            assert_canonical(got)
+            assert (got.num, got.den) == ((want.numerator,), want.denominator)
+        assert x - x is F.zero and x + (-x) is F.zero and x * F.zero is F.zero
+    # cancellation down to an integer, and down to the canonical zero
+    x = F.from_rational(Fraction(big + 1, 6))
+    y = F.from_rational(Fraction(5 * big - 1, 6))
+    assert ((x + y).num, (x + y).den) == ((big,), 1)
+    assert (x - F.from_rational(Fraction(2 * big + 2, 12))) is F.zero
+    unit = x * F.from_rational(Fraction(6, big + 1))
+    assert (unit.num, unit.den) == ((1,), 1) and unit == F.one
+
+
+@pytest.mark.parametrize("n", DIFF_ORDERS)
+def test_rational_with_irrational(n):
+    F = CycField(n)
+    rng = random.Random(n)
+    zeros = (Fraction(0),) * (F.phi - 1)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(60):
+        rq = (draw(),) + zeros
+        ra = tuple(draw() for _ in range(F.phi))
+        q, a = F.scalar(rq), F.scalar(ra)
+        assert_matches(q * a, ref_mul(n, rq, ra))
+        assert_matches(a * q, ref_mul(n, ra, rq))
+        assert_matches(q + a, tuple(x + y for x, y in zip(rq, ra)))
+        assert_matches(a - q, tuple(x - y for x, y in zip(ra, rq)))
+        assert_matches(q - a, tuple(x - y for x, y in zip(rq, ra)))

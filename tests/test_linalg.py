@@ -20,6 +20,7 @@ from hopfcheck.linalg import (
     tensor_vec,
     zero_vec,
 )
+from hopfcheck.structure import enumerate_hopf_subalgebras, enumerate_quantum_subgroups
 
 from dense_maps import (
     columns,
@@ -384,6 +385,26 @@ def test_sparse_echelon_matches_dense_reference(order):
         ker = dense_kernel(field, n, M.rows)
         assert M.kernel().basis() == ker.rows
         assert sparse_kernel(field, m, cols).basis() == ker.rows
+
+
+def test_sort_key_matches_the_dense_rows(algebras):
+    """Subspace.sort_key, read off the sparse rows, is the key of the dense
+    rows entry by entry: on the catalog lattices and on random subspaces."""
+    subspaces = []
+    for H in algebras.values():
+        subspaces += enumerate_hopf_subalgebras(H)
+        subspaces += [Q.ideal for Q in enumerate_quantum_subgroups(H)]
+    for order in (1, 4, 12):
+        field = CycField(order)
+        rng = random.Random(100 + order)
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            vecs = random_vectors(field, rng, n, rng.randint(0, 5))
+            subspaces.append(Subspace.from_vectors(field, n, vecs))
+        subspaces += [Subspace.zero(field, 3), Subspace.full(field, 3)]
+    for S in subspaces:
+        dense = tuple(c.sort_key() for row in S.basis() for c in row)
+        assert S.sort_key() == (S.dim, S.pivots, dense)
 
 
 def test_from_vectors_coerces_int_and_fraction_entries():

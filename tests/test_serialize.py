@@ -378,3 +378,22 @@ def test_catalog_files_load(algebras):
     for gname in ("z2", "z3", "z6", "s3", "d4"):
         G = load_group(os.path.join(golden, gname + ".group.json"))
         assert G.order == build_group(gname).order
+
+
+def test_unit_structure_constants_are_the_field_singletons():
+    """Every structure constant equal to 0, 1 or -1 of a loaded catalog
+    algebra is its field's zero, one or minus_one, so that products with
+    the unit constants of point-mass and group bases reach the identity
+    shortcut of CycScalar.__mul__."""
+    golden = repo_catalog_dir()
+    for name in CATALOG_NAMES:
+        H = load_algebra(os.path.join(golden, name + ".hopf.json"))
+        F = H.field
+        consts = [c for row in H.mult for terms in row for _, c in terms]
+        consts += [c for terms in H.comult for _, _, c in terms]
+        consts += [c for col in H.antipode + H.star for _, c in col]
+        consts += list(H.unit) + list(H.counit)
+        units = [c for c in consts if c == 1 or c == -1 or not c]
+        assert units, name
+        for c in units:
+            assert c is F.one or c is F.minus_one or c is F.zero, (name, c)
