@@ -15,10 +15,13 @@ minus_one, and from_rational, from_integers and so scalar() (and the file
 loader) return them for 0, 1 and -1; a product with the singleton one
 returns the other factor by identity, before any other test.  When both
 operands are rational (always, in Q = Q(zeta_1)), a product or sum uses
-only num[0] and den: one integer product or sum, then one gcd.  Identity
-only skips work and never decides a value: a scalar equal to 1 that is not
-the singleton (built directly, or by lift) takes the value-based shortcut,
-and truth, equality and is_one compare values.
+only num[0] and den: one integer product or sum, then one gcd.  Those
+rational products and sums, negation, the inverse of a rational and zeta
+also return the singletons for the results 1 and -1, so later products
+with them take the identity shortcut.  Identity only skips work and never
+decides a value: a scalar equal to 1 that is not the singleton (built
+directly, or by lift) takes the value-based shortcut, and truth, equality
+and is_one compare values.
 
 Everything is exact; the sign of a real irrational scalar is read off a
 fixed-point value of the standard complex embedding, in integers, at a
@@ -178,8 +181,14 @@ class CycField:
         return CycScalar(self, (n,) + self._tail, d)
 
     def zeta(self, k=1):
-        """The root of unity zeta_n^k as an exact scalar."""
-        return CycScalar(self, self._zeta_pows[k % self.n], 1)
+        """The root of unity zeta_n^k as an exact scalar; the singleton one
+        or minus_one when zeta_n^k is 1 or -1."""
+        k %= self.n
+        if not k:
+            return self.one
+        if 2 * k == self.n:
+            return self.minus_one
+        return CycScalar(self, self._zeta_pows[k], 1)
 
     def _reduce(self, num):
         """Integer coefficients mod Phi_n, as a list of length phi."""
@@ -245,6 +254,8 @@ def _add(x, y, sign):
             if g != 1:
                 n //= g
                 d1 //= g
+        if d1 == 1 and (n == 1 or n == -1):
+            return field.one if n == 1 else field.minus_one
         return CycScalar(field, (n,) + field._tail, d1)
     if not any(b):
         return x
@@ -341,7 +352,11 @@ class CycScalar:
         return o - self
 
     def __neg__(self):
-        return CycScalar(self.field, tuple([-a for a in self.num]), self.den)
+        num = self.num
+        if self.den == 1 and (num[0] == 1 or num[0] == -1) and not any(num[1:]):
+            field = self.field
+            return field.minus_one if num[0] == 1 else field.one
+        return CycScalar(self.field, tuple([-a for a in num]), self.den)
 
     def __mul__(self, o):
         if o.__class__ is not CycScalar or o.field is not self.field:
@@ -368,6 +383,8 @@ class CycScalar:
                 if g != 1:
                     n //= g
                     d //= g
+            if d == 1 and (n == 1 or n == -1):
+                return field.one if n == 1 else field.minus_one
             return CycScalar(field, (n,) + field._tail, d)
         # a factor of exactly 1 or -1 gives the other factor or its negation,
         # both canonical already
@@ -403,8 +420,8 @@ class CycScalar:
         if self.is_rational():
             q = self.num[0]
             if q < 0:
-                return CycScalar(field, (-self.den,) + self.num[1:], -q)
-            return CycScalar(field, (self.den,) + self.num[1:], q)
+                return field._rational(-self.den, -q)
+            return field._rational(self.den, q)
         # extended Euclid over Z[x] by pseudo-division, with the invariant
         # s_i * num == r_i (mod Phi_n); ends at a constant r1 = c, so that
         # self^-1 = den * s1 / c

@@ -101,9 +101,11 @@ def _closed_index_sets(P):
         for l in range(r)
     ]
 
-    def close(mask):
+    def close(mask, closed=0):
+        # pairs inside the closed subset `closed` of mask stay inside it, so
+        # only the members outside it start the work list
         members = [i for i in range(r) if (mask >> i) & 1]
-        work = list(members)
+        work = [i for i in members if not (closed >> i) & 1]
         while work:
             i = work.pop()
             grown = step[i]
@@ -118,7 +120,7 @@ def _closed_index_sets(P):
         return mask
 
     base = close(1 << P.triv_index)
-    atoms = sorted({close(base | 1 << i) for i in range(r)})
+    atoms = sorted({close(base | 1 << i, base) for i in range(r)})
     found = {base}
     frontier = [base]
     while frontier:
@@ -126,7 +128,7 @@ def _closed_index_sets(P):
         for S in frontier:
             for a in atoms:
                 if a & ~S:
-                    J = close(S | a)
+                    J = close(S | a, S)
                     if J not in found:
                         if len(found) == MAX_CLOSED_SETS:
                             raise CapExceeded(

@@ -14,7 +14,12 @@ Every criterion is computed from the sparse structure constants of the
 parent (`comult`, `mult`, `antipode`) and the sparse projection columns,
 without forming a dense tensor of length d^2.  The projection, the
 conditional expectations, the comodule splitting and phi are all maps in
-sparse columns (see linalg).  Each coset algebra is computed one way, as
+sparse columns (see linalg).  The coaction and the adjoint terms work in
+proportion to the terms that the projection keeps: a coproduct term whose
+projected leg has an empty projection column is skipped before any
+multiplication, and the adjoint products e_x S(e_z) and S(e_x) e_z, which
+depend on the parent alone, are computed once per parent algebra and kept
+in its memo (see _a_normal).  Each coset algebra is computed one way, as
 the image of a conditional expectation, and certified to be the invariance
 kernel by a proof and two exact checks (see coset_algebras).  The comodule
 splitting that phi is built from is the canonical section averaged with
@@ -200,21 +205,41 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
 def _coaction(Q: QuantumSubgroup, a, side: str):
     """(id (x) pi) Delta(a) as {(j, b): the coefficient of e_j (x) f_b} for
     side "right", or (pi (x) id) Delta(a) as {(j, b): that of f_b (x) e_j}
-    for side "left", summed over G.coproduct(a) and the projection columns;
-    the coefficients that cancel to zero are dropped."""
-    zero = Q.parent.field.zero
+    for side "left", with no zero entries, for a sparse vector a with no
+    zero coefficients.
+
+    The terms c e_j (x) e_k of Delta(e_i) are walked for each (i, x) in a,
+    without forming Delta(a): a term whose projected leg (e_k on the right,
+    e_j on the left) has an empty projection column is skipped before any
+    multiplication, and x c p is summed over the entries p of the others.
+    On F(G)-type parents most terms are skipped.
+    """
+    P, comult = Q.proj_columns, Q.parent.comult
+    right = side == "right"
     out = {}
-    for (j, k), c in Q.parent.coproduct(a).items():
-        kept, projected = (j, k) if side == "right" else (k, j)
-        for b, p in Q.proj_columns[projected]:
-            out[kept, b] = out.get((kept, b), zero) + c * p
-    return {key: c for key, c in out.items() if c}
+    terms = 0
+    for i, x in a:
+        for j, k, c in comult[i]:
+            if right:
+                kept, col = j, P[k]
+            else:
+                kept, col = k, P[j]
+            if col:
+                xc = x * c
+                terms += len(col)
+                for b, p in col:
+                    v = xc * p
+                    key = kept, b
+                    out[key] = out[key] + v if key in out else v
+    # a coefficient can vanish only where two nonzero terms share a key
+    return out if len(out) == terms else {key: c for key, c in out.items() if c}
 
 
-def _coinvariant(Q: QuantumSubgroup, a, side: str) -> bool:
+def _coinvariant(Q: QuantumSubgroup, a, side: str, unit) -> bool:
     """(id (x) pi) Delta(a) = a (x) 1_N (side "right"), or (pi (x) id)
-    Delta(a) = 1_N (x) a (side "left"), for a sparse vector a."""
-    want = {(i, b): x * u for i, x in a for b, u in sparse_vector(Q.quotient.unit)}
+    Delta(a) = 1_N (x) a (side "left"), for a sparse vector a; unit is
+    1_N as a sparse vector."""
+    want = {(i, b): x * u for i, x in a for b, u in unit}
     return _coaction(Q, a, side) == want
 
 
@@ -236,6 +261,7 @@ def coset_algebras(Q: QuantumSubgroup):
 
     def compute():
         G, dn = Q.parent, Q.quotient.dim
+        unit = sparse_vector(Q.quotient.unit)
         out = []
         for side in ("right", "left"):
             image = sparse_image(G.field, G.dim, conditional_expectation(Q, side))
@@ -243,7 +269,7 @@ def coset_algebras(Q: QuantumSubgroup):
                 raise TheoremViolation(
                     "%s coset algebra has dimension %d, not %d / %d" % (side, image.dim, G.dim, dn)
                 )
-            if not all(_coinvariant(Q, a, side) for a in image.rows):
+            if not all(_coinvariant(Q, a, side, unit) for a in image.rows):
                 raise TheoremViolation("%s expectation image is not coinvariant" % side)
             out.append(image)
         return tuple(out)
@@ -256,20 +282,25 @@ def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
 
     ad is ad_l(a) = sum a_(2) (x) a_(1) S(a_(3)) or ad_r(a) = sum a_(2) (x)
     S(a_(1)) a_(3); f sends e_y to the sparse pairs first_leg[y].  Delta^(2)
-    is expanded through the sparse coproduct twice, and products caches
-    e_x S(e_z) (left) or S(e_x) e_z (right) per pair (x, z) as sparse pairs.
+    is expanded through the sparse coproduct twice.  A term whose leg
+    first_leg[y] is empty is skipped first, before its product is looked
+    up; products caches e_x S(e_z) (left) or S(e_x) e_z (right) per pair
+    (x, z) as sparse pairs, and may be shared by every call on G.
     """
     zero = G.field.zero
     out = {}
     for (x, r), c in G.coproduct(a).items():
         for y, z, c2 in G.comult[r]:
+            leg = first_leg[y]
+            if not leg:
+                continue
             prod = products.get((x, z))
             if prod is None:
                 prod = products[x, z] = _adjoint_product(G, x, z, side)
             if not prod:
                 continue
             coef = c * c2
-            for u, q in first_leg[y]:
+            for u, q in leg:
                 cq = coef * q
                 for t, p in prod:
                     out[u, t] = out.get((u, t), zero) + cq * p
@@ -294,8 +325,14 @@ def is_right_a_normal(Q: QuantumSubgroup) -> bool:
 
 
 def _a_normal(Q, side):
-    """(pi (x) id) ad(b) = 0 for every b in the ideal basis."""
-    products = {}
+    """(pi (x) id) ad(b) = 0 for every b in the ideal basis.
+
+    The products e_x S(e_z) and S(e_x) e_z depend on the parent G alone, so
+    they are cached in its memo under "adjoint_products_left" and
+    "adjoint_products_right", shared by every subgroup of G: each pair is
+    computed at most once per side and algebra.
+    """
+    products = Q.parent.memo("adjoint_products_" + side, dict)
     for b in Q.ideal.rows:
         if any(_adjoint_terms(Q.parent, b, side, Q.proj_columns, products).values()):
             return False

@@ -636,3 +636,61 @@ def test_rational_with_irrational(n):
         assert_matches(q + a, tuple(x + y for x, y in zip(rq, ra)))
         assert_matches(a - q, tuple(x - y for x, y in zip(ra, rq)))
         assert_matches(q - a, tuple(x - y for x, y in zip(rq, ra)))
+
+
+@pytest.mark.parametrize("n", DIFF_ORDERS + (2, 6))
+def test_unit_results_are_the_singletons(n):
+    F = CycField(n)
+    tail = (0,) * (F.phi - 1)
+    built_one, built_minus = CycScalar(F, (1,) + tail, 1), CycScalar(F, (-1,) + tail, 1)
+    two, half = F.from_rational(2), F.from_rational(Fraction(1, 2))
+    third, neg_third = F.from_rational(Fraction(1, 3)), F.from_rational(Fraction(-1, 3))
+    cases = [
+        # rational products, with and without a gcd
+        (two * half, F.one),
+        (half * two, F.one),
+        (F.from_rational(-3) * third, F.minus_one),
+        (built_minus * built_minus, F.one),
+        (built_one * built_minus, F.minus_one),
+        # rational sums and differences, with equal and with unequal denominators
+        (half + half, F.one),
+        (neg_third + F.from_rational(Fraction(-2, 3)), F.minus_one),
+        (two - built_one, F.one),
+        (F.from_rational(Fraction(-5, 2)) + F.from_rational(Fraction(3, 2)), F.minus_one),
+        (half + F.from_rational(Fraction(1, 4)) + F.from_rational(Fraction(1, 4)), F.one),
+        (third - F.from_rational(Fraction(4, 3)), F.minus_one),
+        # negation of the singletons and of units built directly
+        (-F.one, F.minus_one),
+        (-F.minus_one, F.one),
+        (-built_one, F.minus_one),
+        (-built_minus, F.one),
+        # the inverse of a rational
+        (built_one.inverse(), F.one),
+        (built_minus.inverse(), F.minus_one),
+        (F.one.inverse(), F.one),
+        (F.minus_one.inverse(), F.minus_one),
+        (F.one / built_minus, F.minus_one),
+        # zeta_n^k for k = 0 (mod n), and k = n/2 (mod n)
+        (F.zeta(0), F.one),
+        (F.zeta(n), F.one),
+        (F.zeta(-3 * n), F.one),
+    ]
+    if n % 2 == 0:
+        cases += [(F.zeta(n // 2), F.minus_one), (F.zeta(3 * n // 2), F.minus_one)]
+    for got, singleton in cases:
+        assert got is singleton
+        assert (got.num, got.den) == ((1,) + tail, 1) if singleton is F.one else ((-1,) + tail, 1)
+    # values that are not +-1 keep their value
+    assert (-half).num == (-1,) + tail and (-half).den == 2
+    assert (half.inverse().num, half.inverse().den) == ((2,) + tail, 1)
+    assert (neg_third.inverse().num, neg_third.inverse().den) == ((-3,) + tail, 1)
+    for k in range(1, n):
+        if 2 * k != n:
+            z = F.zeta(k)
+            assert z is not F.one and z is not F.minus_one
+            assert not z.is_one() and not (-z).is_one()
+    for k in range(-n, 2 * n):
+        z = F.zeta(k)
+        assert (z.num, z.den) == (F._zeta_pows[k % n], 1)
+        assert_canonical(z)
+        assert_canonical(-z)

@@ -32,6 +32,7 @@ from hopfcheck.hopf import HopfStarAlgebra, check_axioms, sub_hopf_algebra
 from hopfcheck.linalg import Subspace, basis_vec, sparse_vector
 from hopfcheck.serialize import save_algebra
 from hopfcheck.structure import (
+    _closed_index_sets,
     _down_set,
     _generated_ideal,
     _up_set,
@@ -53,6 +54,8 @@ from hopfcheck.subgroup import (
     is_normal_coset,
     make_subgroup,
 )
+
+from conftest import build_drinfeld_double_s3, build_s3_crossed
 
 
 def classical_subgroups(G):
@@ -268,6 +271,66 @@ def test_closure_enumeration_matches_subset_scan(name):
     H = lattice_input(name)
     got = [B.sort_key() for B in enumerate_hopf_subalgebras(H)]
     assert got == [B.sort_key() for B in subset_scan(H)]
+
+
+def _z2_fourth():
+    return FiniteGroup.direct_product(_z2_cubed(), FiniteGroup.cyclic(2))
+
+
+CLOSURE_INPUTS = {name: functools.partial(build_algebra, name) for name in CATALOG_NAMES}
+CLOSURE_INPUTS.update(
+    {
+        "F(S3)xZ2": build_s3_crossed,
+        "D(S3)": build_drinfeld_double_s3,
+        "F(Z2^4)": lambda: function_algebra(_z2_fourth()),
+        "C(Z2^4)": lambda: group_algebra(_z2_fourth()),
+    }
+)
+
+
+def full_closure_index_sets(P):
+    """The closed index sets by the joins of _closed_index_sets, each join
+    closed by the plain fixpoint: every pair of members and every conjugate
+    is added again on each round, until a round adds nothing."""
+    r = len(P.coreps)
+    N = fusion(P)
+    conj = [conjugate(P, i, N) for i in range(r)]
+
+    def close(mask):
+        while True:
+            members = [i for i in range(r) if (mask >> i) & 1]
+            grown = mask
+            for l in members:
+                grown |= 1 << conj[l]
+                for m in members:
+                    grown |= sum(1 << n for n in range(r) if N[l][m][n])
+            if grown == mask:
+                return mask
+            mask = grown
+
+    base = close(1 << P.triv_index)
+    atoms = {close(base | 1 << i) for i in range(r)}
+    found, frontier = {base}, [base]
+    while frontier:
+        fresh = {close(S | a) for S in frontier for a in atoms} - found
+        found |= fresh
+        frontier = list(fresh)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_INPUTS))
+def test_closed_index_sets_match_the_full_closure(name):
+    P = peter_weyl(CLOSURE_INPUTS[name]())
+    got = _closed_index_sets(P)
+    assert got == full_closure_index_sets(P)
+    if name in ("F(Z2^4)", "C(Z2^4)"):
+        assert len(got) == 67
+    # every set found is closed, checked pair by pair
+    N, r = fusion(P), len(P.coreps)
+    for mask in got:
+        members = [i for i in range(r) if (mask >> i) & 1]
+        assert all((mask >> conjugate(P, i, N)) & 1 for i in members)
+        assert all((mask >> n) & 1 for l in members for m in members for n in range(r) if N[l][m][n])
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_INPUTS))

@@ -54,7 +54,7 @@ from hopfcheck.subgroup import (
     reconstruction_check,
     trivial_subgroup,
 )
-from hopfcheck.subgroup import _adjoint_terms, _certified_quotient
+from hopfcheck.subgroup import _adjoint_terms, _certified_quotient, _coaction
 
 from dense_maps import (
     columns,
@@ -62,6 +62,7 @@ from dense_maps import (
     dense_comult,
     dense_echelon,
     dense_matrix,
+    dense_of,
     dense_product,
     dense_star,
     dense_value,
@@ -953,6 +954,63 @@ def test_sparse_criteria_match_dense_reference(name, s3_crossed):
         a = _random_vector(H, rng)
         for side in ("left", "right"):
             adjoint(H, a, side)  # asserts the match with dense_adjoint
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_INPUTS)
+def test_coaction_matches_dense_reference(name, s3_crossed):
+    # on the rebased inputs the projection columns are dense, so few terms
+    # of the coproduct are skipped; on the others most are
+    rng = random.Random("certificate " + name)
+    H = certificate_input(name, s3_crossed, rng)
+    field, d = H.field, H.dim
+    ident = Matrix.identity(field, d)
+    rng = random.Random("coaction " + name)
+    for Q in enumerate_quantum_subgroups(H):
+        dn = Q.quotient.dim
+        proj, _reps = reference_linear_quotient(Q.ideal)
+        # random vectors, and the coinvariant rows of both coset algebras
+        vectors = [sparse_vector(_random_vector(H, rng)) for _ in range(4)]
+        vectors += [row for A in coset_algebras(Q) for row in A.rows]
+        for a in vectors:
+            delta = dense_comult(H, dense_of(H, a))
+            right = _coaction(Q, a, "right")
+            left = _coaction(Q, a, "left")
+            assert all(right.values()) and all(left.values())
+            want = sparse_vector(kron_apply(ident, proj, delta))
+            assert {j * dn + b: c for (j, b), c in right.items()} == dict(want)
+            want = sparse_vector(kron_apply(proj, ident, delta))
+            assert {b * d + j: c for (j, b), c in left.items()} == dict(want)
+
+
+@pytest.mark.parametrize("name", ["f_d4", "F(S3)xZ2"])
+def test_adjoint_products_are_computed_once_per_algebra(name, s3_crossed, monkeypatch):
+    H = s3_crossed() if name == "F(S3)xZ2" else build_algebra(name)
+    real = hopfcheck.subgroup._adjoint_product
+    calls = []
+
+    def counted(G, x, z, side):
+        assert G is H
+        calls.append((side, x, z))
+        return real(G, x, z, side)
+
+    monkeypatch.setattr(hopfcheck.subgroup, "_adjoint_product", counted)
+    subs = enumerate_quantum_subgroups(H)
+    P = peter_weyl(H)
+    first = [normality_report(Q, P).as_dict() for Q in subs]
+    assert calls and len(calls) == len(set(calls)) <= 2 * H.dim ** 2
+    made = len(calls)
+    second = [normality_report(Q, P).as_dict() for Q in reversed(subs)]
+    assert second == first[::-1]
+    assert len(calls) == made
+    # one memo per side, holding exactly the products computed on that side
+    for side in ("left", "right"):
+        products = H.memo("adjoint_products_" + side, dict)
+        assert sorted(products) == sorted((x, z) for s, x, z in calls if s == side)
+        assert all(prod == real(H, x, z, side) for (x, z), prod in products.items())
+        for Q in subs:
+            for b in Q.ideal.rows:
+                shared = _adjoint_terms(H, b, side, Q.proj_columns, products)
+                assert shared == _adjoint_terms(H, b, side, Q.proj_columns, {})
 
 
 # --- sparse maps against their dense recipes ------------------------------------
