@@ -293,10 +293,16 @@ def group_of_function_algebra(F: HopfStarAlgebra) -> FiniteGroup:
     """Recover the group underlying a function algebra from its tensors.
 
     Works on algebras loaded from files: the basis must multiply pointwise
-    and the comultiplication must be a group law on the index set.
+    and the comultiplication must be a group law on the index set.  The
+    group of an algebra built by function_algebra is read off its `meta`;
+    any other is recovered once and kept in its memo under "group".
     """
     if F.meta.get("kind") == "function_algebra" and F.meta.get("group") is not None:
         return F.meta["group"]
+    return F.memo("group", lambda: _recover_group(F))
+
+
+def _recover_group(F):
     n = F.dim
     field = F.field
     one = field.one
@@ -312,9 +318,7 @@ def group_of_function_algebra(F: HopfStarAlgebra) -> FiniteGroup:
             table[j][k] = i
     if any(x is None for row in table for x in row):
         raise SchemaError("not a function algebra: comultiplication is not a group law")
-    G = FiniteGroup(table, list(F.labels))
-    F.meta.update({"kind": "function_algebra", "group": G})
-    return G
+    return FiniteGroup(table, list(F.labels))
 
 
 def subgroup_ideal(F: HopfStarAlgebra, subset) -> Subspace:
@@ -352,34 +356,29 @@ def lift_algebra(H: HopfStarAlgebra, n: int) -> HopfStarAlgebra:
     return out
 
 
+def _kron(entries1, entries2, d2):
+    """The entries of the tensor product of two sparse maps of one arity,
+    given as (index, ..., scalar) entries: each index pair (a, b) becomes
+    a * d2 + b and the scalars multiply."""
+    return [
+        (*(a * d2 + b for a, b in zip(e1[:-1], e2)), e1[-1] * e2[-1])
+        for e1 in entries1
+        for e2 in entries2
+    ]
+
+
 def tensor_product(H1: HopfStarAlgebra, H2: HopfStarAlgebra) -> HopfStarAlgebra:
     """Componentwise tensor product Hopf *-algebra on the d1*d2 basis."""
     n = lcm(H1.field.n, H2.field.n)
     A, B = lift_algebra(H1, n), lift_algebra(H2, n)
     field = A.field
     d2 = B.dim
-    mult = [
-        (i1 * d2 + i2, j1 * d2 + j2, k1 * d2 + k2, c1 * c2)
-        for i1, j1, k1, c1 in A.mult_entries()
-        for i2, j2, k2, c2 in B.mult_entries()
-    ]
+    mult = _kron(A.mult_entries(), B.mult_entries(), d2)
     unit = tensor_vec(A.unit, B.unit)
-    comult = [
-        (i1 * d2 + i2, j1 * d2 + j2, k1 * d2 + k2, c1 * c2)
-        for i1, j1, k1, c1 in A.comult_entries()
-        for i2, j2, k2, c2 in B.comult_entries()
-    ]
+    comult = _kron(A.comult_entries(), B.comult_entries(), d2)
     counit = tensor_vec(A.counit, B.counit)
-
-    def kron(entries1, entries2):
-        return [
-            (i1 * d2 + i2, j1 * d2 + j2, c1 * c2)
-            for i1, j1, c1 in entries1
-            for i2, j2, c2 in entries2
-        ]
-
-    antipode = kron(A.antipode_entries(), B.antipode_entries())
-    star = kron(A.star_entries(), B.star_entries())
+    antipode = _kron(A.antipode_entries(), B.antipode_entries(), d2)
+    star = _kron(A.star_entries(), B.star_entries(), d2)
     labels = [
         "(%s,%s)" % (la, lb) for la in A.labels for lb in B.labels
     ]
@@ -483,10 +482,9 @@ class GroupAction:
 
 
 def inversion_action(F: HopfStarAlgebra) -> GroupAction:
-    """The order-2 action of Z2 on F(G), G abelian, by delta_g -> delta_{g^{-1}}."""
-    G = F.meta.get("group")
-    if F.meta.get("kind") != "function_algebra" or G is None:
-        raise SchemaError("inversion_action needs an algebra built by function_algebra")
+    """The order-2 action of Z2 on F(G), G abelian, by delta_g -> delta_{g^{-1}},
+    with G from group_of_function_algebra, so a loaded F(G) serves too."""
+    G = group_of_function_algebra(F)
     one = F.field.one
     ident = [(i, i, one) for i in range(F.dim)]
     inverse = [(i, G.inverses[i], one) for i in range(F.dim)]

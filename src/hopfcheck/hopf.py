@@ -30,7 +30,9 @@ is computed once and kept in the algebra's memo: `H.memo(key, compute)`
 returns the stored value for `key`, calling `compute()` only the first time.
 The keys are "haar", "peter_weyl", "dual", "trace",
 "hopf_subalgebras", "quantum_subgroups", "property_F", "property_FD",
-"generators", "dual_generators", "verified", and "adjoint_products_left"
+"generators", "dual_generators", "verified", "group" (the group that
+constructions.group_of_function_algebra recovers from a function algebra
+not built by function_algebra), and "adjoint_products_left"
 and "adjoint_products_right" (the products of subgroup._a_normal, shared by
 every subgroup of the algebra); "trace" is kept on a dual
 only: there it holds the regular trace x -> Tr(L_x) (_regular_trace), which

@@ -19,6 +19,14 @@ The inheritance suite and the hopf-ideal pullback read G's lattices:
    products.  As the least ideal over I0, it is the least enumerated one.
 2. pi: G -> G/I is an onto Hopf *-map, so J -> pi(J) maps the Hopf *-ideals
    J >= I of G one to one onto those of G/I, inverse K -> pi^-1(K): the up-set.
+   Its quotients are G's own, (G/I)/pi(J) = G/J.  phi: G/I -> G/J, with
+   columns pi_J(e_r) for r in I's reps, is well defined and a Hopf *-map,
+   since phi pi_I = pi_J (checked exactly) and pi_I is onto.  The pivots of
+   I are pivots of J, so J's reps lie among I's, and the canonical complement
+   of K = ker phi = pi_I(J) in G/I is {t : I's reps[t] is one of J's}.  phi
+   is the identity there, so it is the canonical projection along K, and
+   G/J holds, constant by constant and label by label, the structure that
+   make_subgroup(G/I, K) would induce: no quotient is certified twice.
 3. A_GN includes into G by a Hopf *-morphism, so its Hopf *-subalgebras
    are the down-set {C <= A_GN}, read at A_GN's pivots.
 4. A_GN and each I0 are certified once; the pullback pairs reuse that.
@@ -235,10 +243,30 @@ def _down_set(G, B):
 
 
 def _up_set(Q):
-    """The quantum subgroups of Q.quotient (fact 2)."""
-    N, lattice = Q.quotient, enumerate_quantum_subgroups(Q.parent)
-    ideals = [J.ideal.map_by(Q.proj_columns, N.dim) for J in lattice if Q.ideal <= J.ideal]
-    return [make_subgroup(N, K) for K in ideals]
+    """The quantum subgroups of Q.quotient, as G's own quotients G/J for the
+    lattice members J over Q, each reached through the induced map phi of
+    _induced_map, with no new certificate (fact 2)."""
+    N = Q.quotient
+    at = {r: t for t, r in enumerate(Q.reps)}
+    return [
+        QuantumSubgroup(
+            N, J.ideal.map_by(Q.proj_columns, N.dim), J.quotient, _induced_map(Q, J),
+            tuple(at[r] for r in J.reps),
+        )
+        for J in enumerate_quantum_subgroups(Q.parent)
+        if Q.ideal <= J.ideal
+    ]
+
+
+def _induced_map(I: QuantumSubgroup, J: QuantumSubgroup):
+    """The sparse columns of phi: G/I -> G/J with phi(pi_I(a)) = pi_J(a), for
+    subgroups of one G with I's ideal inside J's: phi(f_t) is pi_J of I's
+    representative e_(reps[t]).  The composite is checked exactly, and a
+    mismatch raises TheoremViolation."""
+    phi = [J.proj_columns[r] for r in I.reps]
+    if sparse_compose(phi, I.proj_columns) != J.proj_columns:
+        raise TheoremViolation("pi1 is not well-defined on the quotient")
+    return phi
 
 
 def _generated_ideal(G, I0):
@@ -304,11 +332,8 @@ def third_isomorphism_check(G: HopfStarAlgebra, N: QuantumSubgroup, H: QuantumSu
         raise ContainmentViolated("ker(theta) is not contained in ker(pi)")
     field = G.field
 
-    # pi1 on A_H defined by pi1(theta(a)) = pi(a), so pi1(f_t) is the image
-    # of H's representative e_(reps[t]); exactness verified
-    pi1 = [N.proj_columns[r] for r in H.reps]
-    if sparse_compose(pi1, H.proj_columns) != N.proj_columns:
-        raise TheoremViolation("pi1 is not well-defined on the quotient")
+    # pi1 on A_H defined by pi1(theta(a)) = pi(a)
+    pi1 = _induced_map(H, N)
 
     # (a) N is normal inside H, i.e. the ideal ker(pi1) is normal in A_H
     QN_in_H = make_subgroup(H.quotient, sparse_kernel(field, N.quotient.dim, pi1))

@@ -8,7 +8,7 @@ import pytest
 
 import hopfcheck
 
-from hopfcheck.catalog import build_algebra
+from hopfcheck.catalog import build_algebra, repo_catalog_dir
 from hopfcheck.constructions import (
     FiniteGroup,
     GroupAction,
@@ -35,6 +35,7 @@ from hopfcheck.errors import (
 )
 from hopfcheck.hopf import HopfStarAlgebra, check_axioms, compute_haar, morphism_failure
 from hopfcheck.linalg import Matrix, Subspace, basis_vec, sparse_identity, tensor_vec
+from hopfcheck.serialize import load_algebra
 from hopfcheck.subgroup import coset_algebras, make_subgroup, normality_report
 
 from dense_maps import dense_entries, map_entries
@@ -222,7 +223,7 @@ def test_group_recovered_from_structure_tensors(algebras):
     F = algebras["f_s3"]
     G = group_of_function_algebra(F)
     assert G.order == 6 and G.labels == list(F.labels)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="product is not pointwise"):
         group_of_function_algebra(algebras["c_s3"])  # not a function algebra
 
 
@@ -391,8 +392,23 @@ def test_each_action_failure_is_named(name):
 
 
 def test_inversion_action_needs_abelian(algebras):
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="does not preserve the coproduct"):
         inversion_action(algebras["f_s3"])
+
+
+def test_inversion_action_needs_a_function_algebra(algebras):
+    with pytest.raises(SchemaError, match="^not a function algebra: product is not pointwise$"):
+        inversion_action(algebras["c_s3"])
+
+
+def test_inversion_action_on_a_loaded_algebra_is_call_history_free():
+    # the group is recovered from the tensors into the memo, never into meta
+    built = function_algebra(FiniteGroup.cyclic(3))
+    F = load_algebra(os.path.join(repo_catalog_dir(), "f_z3.hopf.json"))
+    assert inversion_action(F).maps == inversion_action(built).maps
+    assert F.meta == {}
+    G = group_of_function_algebra(F)
+    assert F.memo("group", lambda: None) is G
 
 
 def test_inversion_action_kernel():

@@ -27,6 +27,7 @@ from hopfcheck.errors import (
     ContainmentViolated,
     NotHopfIdeal,
     SchemaError,
+    TheoremViolation,
 )
 from hopfcheck.hopf import HopfStarAlgebra, check_axioms, sub_hopf_algebra
 from hopfcheck.linalg import Subspace, basis_vec, sparse_vector
@@ -744,6 +745,79 @@ def test_lattice_reads_match_recomputation(name, s3_crossed, drinfeld_s3):
             assert _generated_ideal(G, I0) == ideal_closure(G, I0)
             pairs += 1
     assert pairs
+
+
+# pairs (Q, J) of lattice members with Q's ideal inside J's: 140 in all
+UP_SET_PAIRS = {
+    "c_s3": 6, "c_z3": 3, "f_d4": 34, "f_s3": 15, "f_z2": 3, "f_z2_x_f_z3": 9,
+    "f_z3": 3, "f_z3_rtimes_z2": 6, "f_z6": 9, "F(S3)xZ2": 22, "D(S3)": 30,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UP_SET_PAIRS))
+def test_up_set_members_are_the_quotients_make_subgroup_builds(name, s3_crossed, drinfeld_s3):
+    # each up-set member is G/J reached through phi; make_subgroup(G/I, K)
+    # certifies the same K from scratch
+    builders = {"F(S3)xZ2": s3_crossed, "D(S3)": drinfeld_s3}
+    G = builders[name]() if name in builders else build_algebra(name)
+
+    def constants(H):
+        return (H.mult, H.comult, H.unit, H.counit, H.antipode, H.star, H.labels)
+
+    pairs = 0
+    for Q in enumerate_quantum_subgroups(G):
+        for S in _up_set(Q):
+            ref = make_subgroup(Q.quotient, S.ideal)
+            assert S.parent is Q.quotient
+            assert S.ideal.rows == ref.ideal.rows
+            assert S.proj_columns == ref.proj_columns
+            assert S.reps == ref.reps
+            assert constants(S.quotient) == constants(ref.quotient)
+            assert is_normal_coset(S) == is_normal_coset(ref)
+            pairs += 1
+    assert pairs == UP_SET_PAIRS[name]
+
+
+def _break_a_lattice_projection(G):
+    """Alter one entry of the projection columns of G's smallest quotient
+    at a pivot of a smaller lattice ideal I; returns the subgroup of I."""
+    lattice = enumerate_quantum_subgroups(G)
+    J = lattice[0]
+    Q = next(Q for Q in lattice if 0 < Q.ideal.dim < J.ideal.dim)
+    r = Q.ideal.pivots[0]
+    one = ((0, G.field.one),)
+    J.proj_columns[r] = () if J.proj_columns[r] == one else one
+    return Q
+
+
+def test_up_set_rejects_a_broken_induced_map():
+    Q = _break_a_lattice_projection(build_algebra("f_s3"))
+    with pytest.raises(TheoremViolation, match="pi1 is not well-defined"):
+        _up_set(Q)
+
+
+def test_up_set_rejects_a_broken_induced_map_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "from hopfcheck.catalog import build_algebra\n"
+        "from hopfcheck.errors import TheoremViolation\n"
+        "from hopfcheck.structure import _up_set\n"
+        "from test_structure import _break_a_lattice_projection\n"
+        "assert False, 'asserts are live'\n"
+        "Q = _break_a_lattice_projection(build_algebra('f_s3'))\n"
+        "try:\n"
+        "    _up_set(Q)\n"
+        "    print('accepted')\n"
+        "except TheoremViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["pi1 is not well-defined on the quotient"]
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_NAMES))
