@@ -10,8 +10,8 @@ and diffed byte-for-byte against the repository copies.
 
 from __future__ import annotations
 
+import argparse
 import os
-import sys
 
 from .constructions import (
     FiniteGroup,
@@ -114,9 +114,16 @@ def write_catalog(outdir: str):
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else list(argv)
-    outdir = args[0] if args else repo_catalog_dir()
-    for path in write_catalog(outdir):
+    parser = argparse.ArgumentParser(
+        prog="python3 -m hopfcheck.catalog",
+        description="Regenerate every golden catalog file and print the written paths.",
+    )
+    parser.add_argument(
+        "outdir", nargs="?", default=None,
+        help="output directory (default: the repository's catalog directory)",
+    )
+    args = parser.parse_args(argv)
+    for path in write_catalog(args.outdir or repo_catalog_dir()):
         print(path)
     return 0
 

@@ -30,7 +30,8 @@ is computed once and kept in the algebra's memo: `H.memo(key, compute)`
 returns the stored value for `key`, calling `compute()` only the first time.
 The keys are "haar", "peter_weyl", "dual", "trace",
 "hopf_subalgebras", "quantum_subgroups", "property_F", "property_FD",
-"generators", "dual_generators", "verified", "group" (the group that
+"generators", "dual_generators", "verified", "comult_legs" (the
+coproduct terms grouped by leg, see comult_legs), "group" (the group that
 constructions.group_of_function_algebra recovers from a function algebra
 not built by function_algebra), and "adjoint_products_left"
 and "adjoint_products_right" (the products of subgroup._a_normal, shared by
@@ -207,25 +208,27 @@ class HopfStarAlgebra:
 
     def product(self, x, y):
         """The product of two sparse vectors, a sparse vector."""
+        one = self.field.one
         acc = {}
         for i, xi in x:
             row = self.mult[i]
             for j, yj in y:
                 terms = row[j]
                 if terms:
-                    add_terms(acc, xi * yj, terms)
+                    add_terms(acc, yj if xi is one else xi if yj is one else xi * yj, terms)
         return sparse_column(acc)
 
     def coproduct(self, x):
         """Delta of a sparse vector, as a dict {(a, b): the coefficient of
         e_a (x) e_b} with no zero entries."""
+        one = self.field.one
         out = {}
         terms = 0
         for i, xi in x:
             comult = self.comult[i]
             terms += len(comult)
             for a, b, c in comult:
-                v = xi * c
+                v = c if xi is one else xi if c is one else xi * c
                 out[a, b] = out[a, b] + v if (a, b) in out else v
         # a coefficient can vanish only where two nonzero terms share a key
         return out if len(out) == terms else {key: c for key, c in out.items() if c}
@@ -806,14 +809,16 @@ def _build_dual(H):
 def tensor_apply(f, g, terms):
     """(f (x) g) of sum c e_j (x) e_k over the (j, k, c) in terms (the form
     of H.comult[i]), for maps f and g given by sparse columns, as a dict
-    {(u, v): the coefficient of e_u (x) e_v} with no zero entries."""
+    {(u, v): the coefficient of e_u (x) e_v} with no zero entries; a factor
+    one is not multiplied (see linalg)."""
     acc = {}
     for j, k, c in terms:
+        one = c.field.one
         gk = g[k]
         for u, p in f[j]:
-            cp = c * p
+            cp = p if c is one else c if p is one else c * p
             for v, q in gk:
-                w = cp * q
+                w = q if cp is one else cp if q is one else cp * q
                 acc[u, v] = acc[u, v] + w if (u, v) in acc else w
     return {key: c for key, c in acc.items() if c}
 
@@ -941,25 +946,44 @@ def sub_hopf_algebra(H, B):
     return sub, inclusion
 
 
+def comult_legs(H):
+    """(first, second): the coproduct terms grouped by leg, kept in H's memo
+    under "comult_legs" and built on first use.  first[j] lists the
+    (i, k, c) and second[k] the (i, j, c) of the terms c e_j (x) e_k of
+    each Delta(e_i), in the order of i and then of the other leg."""
+
+    def compute():
+        first = [[] for _ in range(H.dim)]
+        second = [[] for _ in range(H.dim)]
+        for i, terms in enumerate(H.comult):
+            for j, k, c in terms:
+                first[j].append((i, k, c))
+                second[k].append((i, j, c))
+        return tuple(map(tuple, first)), tuple(map(tuple, second))
+
+    return H.memo("comult_legs", compute)
+
+
 def coproduct_slice(H, f, side):
     """The sparse columns of a -> (id (x) f) Delta(a) (side "right") or
     (f (x) id) Delta(a) (side "left") for a functional f given as the sparse
-    vector of its values on the basis, summed over the sparse coproduct
-    terms.  Any other side raises SchemaError."""
+    vector of its values on the basis.  Only the coproduct terms whose
+    sliced leg (e_k on the right, e_j on the left) lies in the support of f
+    are walked, read off comult_legs: on F(G)-type parents, where f = h_N pi
+    lives on |K| legs, that is |K| d terms of the d^2.  Any other side
+    raises SchemaError."""
     if side not in ("left", "right"):
         raise SchemaError("side is 'left' or 'right', not %r" % (side,))
-    f = dict(f)
-    out = []
-    for terms in H.comult:
-        acc = {}
-        for j, k, c in terms:
-            kept, sliced = (j, k) if side == "right" else (k, j)
-            w = f.get(sliced)
-            if w is not None:
-                v = c * w
-                acc[kept] = acc[kept] + v if kept in acc else v
-        out.append(sparse_column(acc))
-    return out
+    first, second = comult_legs(H)
+    legs = second if side == "right" else first
+    one = H.field.one
+    accs = [{} for _ in range(H.dim)]
+    for s, w in f:
+        for i, kept, c in legs[s]:
+            v = w if c is one else c if w is one else c * w
+            acc = accs[i]
+            acc[kept] = acc[kept] + v if kept in acc else v
+    return [sparse_column(acc) for acc in accs]
 
 
 def linear_quotient(B):

@@ -14,6 +14,14 @@ sparse_kernel apply, compose, span and take kernels of such maps, and
 sparse_null_space solves sparse equation rows.  A Matrix is a dense system
 handed to rref, kernel or solve_linear, or a small matrix that is reported
 or split into eigenspaces.
+
+A factor that is the field's singleton one is never multiplied: the sparse
+kernels (add_terms, Echelon.add's tail, and the product, coproduct and
+action kernels of hopf and subgroup) test each factor with `is one` and
+take the other factor as it is.  That is exact, since x * one and one * x
+return x itself (see cyclotomic), and it saves a Python call per term on
+the many structure constants, projection entries and unit coefficients
+that are exactly 1.
 """
 
 from __future__ import annotations
@@ -47,9 +55,11 @@ def tensor_vec(u, v):
 
 
 def add_terms(acc, scale, terms):
-    """acc[k] += scale * c over the (k, c) in terms."""
+    """acc[k] += scale * c over the (k, c) in terms; a factor one is not
+    multiplied (see the module doc)."""
+    one = scale.field.one
     for k, c in terms:
-        v = scale * c
+        v = c if scale is one else scale if c is one else scale * c
         acc[k] = acc[k] + v if k in acc else v
 
 
@@ -187,13 +197,18 @@ class Echelon:
     def add(self, vec):
         """Insert a vector; returns the new pivot column or None.
 
-        Only the rows with an entry at the new pivot are changed."""
-        rest = self.reduce(vec)
-        if not rest:
+        Only the rows with an entry at the new pivot are changed; a
+        dependent vector is rejected before its remainder is sorted."""
+        rest = self._split(vec)[1]
+        if not any(rest.values()):
             return None
+        rest = sparse_column(rest)
         p, lead = rest[0]
+        one = self.field.one
         inv = lead.inverse()
-        tail = tuple((j, c * inv) for j, c in rest[1:])
+        tail = rest[1:] if inv is one else tuple(
+            (j, inv if c is one else c * inv) for j, c in rest[1:]
+        )
         for q, row in self.row_at.items():
             at = bisect_left(row, p, key=_index)
             if at < len(row) and row[at][0] == p:

@@ -15,12 +15,16 @@ parent (`comult`, `mult`, `antipode`) and the sparse projection columns,
 without forming a dense tensor of length d^2.  The projection, the
 conditional expectations, the comodule splitting and phi are all maps in
 sparse columns (see linalg).  The coaction and the adjoint terms work in
-proportion to the terms that the projection keeps: a coproduct term whose
-projected leg has an empty projection column is skipped before any
-multiplication, and the adjoint products e_x S(e_z) and S(e_x) e_z, which
-depend on the parent alone, are computed once per parent algebra and kept
-in its memo (see _a_normal).  Each coset algebra is computed one way, as
-the image of a conditional expectation, and certified to be the invariance
+proportion to the terms that the projection keeps: the coaction skips a
+coproduct term whose projected leg has an empty projection column before
+any multiplication, the adjoint terms walk only the live terms that
+_live_terms reads off the parent's coproduct leg index (hopf.comult_legs),
+and the adjoint products e_x S(e_z) and S(e_x) e_z, which depend on the
+parent alone, are computed once per parent algebra and kept in its memo
+(see _a_normal).  A conditional expectation walks only the coproduct
+terms whose sliced leg lies in the support of h_N pi (see
+hopf.coproduct_slice).  Each coset algebra is computed one way, as the
+image of a conditional expectation, and certified to be the invariance
 kernel by a proof and two exact checks (see coset_algebras).  The comodule
 splitting that phi is built from is the canonical section averaged with
 the Haar state of N, so no linear system is solved: a proof and two exact
@@ -35,6 +39,7 @@ from .hopf import (
     HopfStarAlgebra,
     _pair,
     check_axioms,
+    comult_legs,
     convolve,
     coproduct_slice,
     counit_unit,
@@ -195,8 +200,9 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
 
     side "right" gives (id (x) h_N pi) Delta whose image is the right coset
     algebra A_GN; side "left" gives (h_N pi (x) id) Delta with image A_NG.
-    The columns are summed over the sparse coproduct terms against the
-    covector h_N o pi, which Q computes once from its sparse projection.
+    The columns are summed over the coproduct terms whose sliced leg lies
+    in the support of the covector h_N o pi, which Q computes once from its
+    sparse projection.
     Any other side raises SchemaError (see coproduct_slice).
     """
     return coproduct_slice(Q.parent, sparse_vector(Q.haar_pi_covector), side)
@@ -211,10 +217,12 @@ def _coaction(Q: QuantumSubgroup, a, side: str):
     The terms c e_j (x) e_k of Delta(e_i) are walked for each (i, x) in a,
     without forming Delta(a): a term whose projected leg (e_k on the right,
     e_j on the left) has an empty projection column is skipped before any
-    multiplication, and x c p is summed over the entries p of the others.
-    On F(G)-type parents most terms are skipped.
+    multiplication, and x c p is summed over the entries p of the others,
+    with no factor one multiplied (see linalg).  On F(G)-type parents most
+    terms are skipped.
     """
     P, comult = Q.proj_columns, Q.parent.comult
+    one = Q.parent.field.one
     right = side == "right"
     out = {}
     terms = 0
@@ -225,10 +233,10 @@ def _coaction(Q: QuantumSubgroup, a, side: str):
             else:
                 kept, col = k, P[j]
             if col:
-                xc = x * c
+                xc = c if x is one else x if c is one else x * c
                 terms += len(col)
                 for b, p in col:
-                    v = xc * p
+                    v = p if xc is one else xc if p is one else xc * p
                     key = kept, b
                     out[key] = out[key] + v if key in out else v
     # a coefficient can vanish only where two nonzero terms share a key
@@ -239,7 +247,8 @@ def _coinvariant(Q: QuantumSubgroup, a, side: str, unit) -> bool:
     """(id (x) pi) Delta(a) = a (x) 1_N (side "right"), or (pi (x) id)
     Delta(a) = 1_N (x) a (side "left"), for a sparse vector a; unit is
     1_N as a sparse vector."""
-    want = {(i, b): x * u for i, x in a for b, u in unit}
+    one = Q.parent.field.one
+    want = {(i, b): u if x is one else x if u is one else x * u for i, x in a for b, u in unit}
     return _coaction(Q, a, side) == want
 
 
@@ -277,33 +286,48 @@ def coset_algebras(Q: QuantumSubgroup):
     return Q.memo("cosets", compute)
 
 
-def _adjoint_terms(G: HopfStarAlgebra, a, side, first_leg, products):
+def _live_terms(G: HopfStarAlgebra, first_leg):
+    """For each r, the terms c e_y (x) e_z of Delta(e_r) whose first leg
+    first_leg[y] is not empty, as (first_leg[y], z, c) in the order of
+    G.comult[r].  They are read off hopf.comult_legs one live leg at a
+    time, so a leg with an empty first_leg[y] is never walked."""
+    first, _ = comult_legs(G)
+    live = [[] for _ in range(G.dim)]
+    for y, leg in enumerate(first_leg):
+        if leg:
+            for r, z, c in first[y]:
+                live[r].append((leg, z, c))
+    return live
+
+
+def _adjoint_terms(G: HopfStarAlgebra, a, side, live, products):
     """(f (x) id) ad(a) as a dict {(u, t): coefficient}, for a sparse vector a.
 
     ad is ad_l(a) = sum a_(2) (x) a_(1) S(a_(3)) or ad_r(a) = sum a_(2) (x)
-    S(a_(1)) a_(3); f sends e_y to the sparse pairs first_leg[y].  Delta^(2)
-    is expanded through the sparse coproduct twice.  A term whose leg
-    first_leg[y] is empty is skipped first, before its product is looked
-    up; products caches e_x S(e_z) (left) or S(e_x) e_z (right) per pair
-    (x, z) as sparse pairs, and may be shared by every call on G.
+    S(a_(1)) a_(3); f sends e_y to the sparse pairs first_leg[y], and live
+    is _live_terms(G, first_leg).  Delta^(2) is expanded through the sparse
+    coproduct of a and then the live terms of each Delta(e_r), so a term
+    whose leg first_leg[y] is empty is never reached; products caches
+    e_x S(e_z) (left) or S(e_x) e_z (right) per pair (x, z) as sparse
+    pairs, and may be shared by every call on G.  A factor one is not
+    multiplied (see linalg).
     """
-    zero = G.field.zero
+    one = G.field.one
     out = {}
     for (x, r), c in G.coproduct(a).items():
-        for y, z, c2 in G.comult[r]:
-            leg = first_leg[y]
-            if not leg:
-                continue
+        for leg, z, c2 in live[r]:
             prod = products.get((x, z))
             if prod is None:
                 prod = products[x, z] = _adjoint_product(G, x, z, side)
             if not prod:
                 continue
-            coef = c * c2
+            coef = c2 if c is one else c if c2 is one else c * c2
             for u, q in leg:
-                cq = coef * q
+                cq = q if coef is one else coef if q is one else coef * q
                 for t, p in prod:
-                    out[u, t] = out.get((u, t), zero) + cq * p
+                    v = p if cq is one else cq if p is one else cq * p
+                    key = u, t
+                    out[key] = out[key] + v if key in out else v
     return out
 
 
@@ -333,8 +357,9 @@ def _a_normal(Q, side):
     computed at most once per side and algebra.
     """
     products = Q.parent.memo("adjoint_products_" + side, dict)
+    live = _live_terms(Q.parent, Q.proj_columns)
     for b in Q.ideal.rows:
-        if any(_adjoint_terms(Q.parent, b, side, Q.proj_columns, products).values()):
+        if any(_adjoint_terms(Q.parent, b, side, live, products).values()):
             return False
     return True
 

@@ -8,8 +8,9 @@ antipode and functionals of an algebra on dense vectors, the product of the
 dual algebra and the minimal polynomial of a corner element solved from
 stacked powers, maps as a Matrix whose column i is the image of e_i, dense
 products and application, the projection onto the canonical complement
-obtained by reducing each e_j, and the convolution of two matrices summed
-over dense columns.  DenseEchelon is the row echelon form kept as dense
+obtained by reducing each e_j, the convolution of two matrices summed
+over dense columns, the coproduct slice walked over every entry of the
+dense Delta(e_i), and the adjoint coaction through the dense Delta(a).  DenseEchelon is the row echelon form kept as dense
 rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
 
 The reference_* scans at the end check associativity, coassociativity,
@@ -76,6 +77,44 @@ def dense_value(field, covector, x):
     for c, f in zip(x, covector):
         acc = acc + c * f
     return acc
+
+
+def reference_coproduct_slice(H, f, side):
+    """The d x d Matrix of a -> (id (x) f) Delta(a) (side "right") or
+    (f (x) id) Delta(a) (side "left") for a dense functional f: column i
+    walks all d^2 entries of the dense Delta(e_i)."""
+    field, d = H.field, H.dim
+    M = Matrix.zeros(field, d, d)
+    for i in range(d):
+        for jk, c in enumerate(dense_comult(H, basis_vec(field, d, i))):
+            if c:
+                j, k = divmod(jk, d)
+                kept, sliced = (j, k) if side == "right" else (k, j)
+                M.rows[kept][i] = M.rows[kept][i] + c * f[sliced]
+    return M
+
+
+def dense_adjoint(G, a, side, products=None):
+    """ad(a) through the dense Delta(a), the coproduct entries and dense
+    products with S; products caches them per pair (x, z)."""
+    field, d = G.field, G.dim
+    if products is None:
+        products = {}
+    out = zero_vec(field, d * d)
+    da = dense_comult(G, a)
+    for idx, c in enumerate(da):
+        if not c:
+            continue
+        x, rest = divmod(idx, d)
+        for y, z, c2 in G.comult[rest]:
+            if (x, z) not in products:
+                if side == "left":
+                    products[x, z] = dense_product(G, basis_vec(field, d, x), dense_antipode(G, basis_vec(field, d, z)))
+                else:
+                    products[x, z] = dense_product(G, dense_antipode(G, basis_vec(field, d, x)), basis_vec(field, d, z))
+            for t, p in enumerate(products[x, z]):
+                out[y * d + t] = out[y * d + t] + c * c2 * p
+    return out
 
 
 def dual_product(H, f, g):

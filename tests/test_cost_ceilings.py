@@ -17,7 +17,11 @@ import pytest
 import hopfcheck
 import hopfcheck.subgroup
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
+from hopfcheck.constructions import FiniteGroup, function_algebra
+from hopfcheck.cyclotomic import CycScalar
+from hopfcheck.linalg import Echelon
 from hopfcheck.structure import enumerate_quantum_subgroups, property_inheritance_suite
+from hopfcheck.subgroup import is_normal_coset
 
 # _certified_quotient calls in property_inheritance_suite, once G's lattice
 # is built: each coset subalgebra's own lattice, and no up-set member, since
@@ -33,6 +37,12 @@ SUITE_CERTIFICATES = {
     "f_z3_rtimes_z2": 3,
     "f_z6": 5,
 }
+
+# calls over the 67 is_normal_coset flags of F(Z2^4), once its lattice is
+# built: a product whose factor is the field's one is not made, so the
+# products left are the Haar values of h_N pi and the tails that
+# Echelon.add scales by an inverse other than one
+FLAG_CEILINGS = {"CycScalar.__mul__": 1837, "Echelon.add": 2144}
 
 
 @contextmanager
@@ -60,6 +70,19 @@ def suite_certificates(name):
     return calls[0]
 
 
+def flag_counts():
+    Z2 = FiniteGroup.cyclic(2)
+    G = Z2
+    for _ in range(3):
+        G = FiniteGroup.direct_product(G, Z2)
+    qsubs = enumerate_quantum_subgroups(function_algebra(G))
+    with counting(CycScalar, "__mul__") as mul, counting(Echelon, "add") as add:
+        flags = [is_normal_coset(Q) for Q in qsubs]
+    if len(flags) != 67 or not all(flags):
+        raise AssertionError("F(Z2^4) has 67 quantum subgroups, all normal")
+    return {"CycScalar.__mul__": mul[0], "Echelon.add": add[0]}
+
+
 def test_catalog_is_covered():
     assert sorted(SUITE_CERTIFICATES) == sorted(CATALOG_NAMES)
     assert sum(SUITE_CERTIFICATES.values()) == 34
@@ -70,13 +93,20 @@ def test_inheritance_suite_certificates(name):
     assert suite_certificates(name) <= SUITE_CERTIFICATES[name]
 
 
+def test_normal_coset_flags_of_z2_4():
+    counts = flag_counts()
+    assert all(counts[k] <= FLAG_CEILINGS[k] for k in FLAG_CEILINGS), counts
+
+
 def test_counts_do_not_depend_on_the_hash_seed():
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     code = (
         "import json\n"
-        "from test_cost_ceilings import SUITE_CERTIFICATES, suite_certificates\n"
-        "print(json.dumps({n: suite_certificates(n) for n in sorted(SUITE_CERTIFICATES)}))\n"
+        "from test_cost_ceilings import SUITE_CERTIFICATES, flag_counts, suite_certificates\n"
+        "counts = {n: suite_certificates(n) for n in sorted(SUITE_CERTIFICATES)}\n"
+        "counts.update(flag_counts())\n"
+        "print(json.dumps(counts))\n"
     )
     runs = []
     for seed in ("0", "1"):
@@ -86,3 +116,4 @@ def test_counts_do_not_depend_on_the_hash_seed():
         runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
     assert all(runs[0][n] <= SUITE_CERTIFICATES[n] for n in SUITE_CERTIFICATES)
+    assert all(runs[0][k] <= FLAG_CEILINGS[k] for k in FLAG_CEILINGS)

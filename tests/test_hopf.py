@@ -28,7 +28,9 @@ from hopfcheck.hopf import (
     _star_antimult_failures,
     check_axioms,
     compute_haar,
+    comult_legs,
     convolve,
+    coproduct_slice,
     counit_unit,
     dual,
     linear_quotient,
@@ -70,6 +72,7 @@ from dense_maps import (
     reference_star_comultiplicative,
     reference_star_counit,
     reference_convolve,
+    reference_coproduct_slice,
     reference_counit_unit,
     reference_linear_quotient,
     sparse_of,
@@ -338,6 +341,59 @@ def axiom_input(name, s3_crossed, drinfeld_s3):
     if name == "c_s3 rebased":
         return rebased(build_algebra("c_s3"), random.Random("certificate " + name))
     return build_algebra(name)
+
+
+# --- coproduct slices -------------------------------------------------------
+
+
+def slice_functionals(H, rng):
+    """Sparse functionals of empty, single-leg, |K|-leg and dense support;
+    the |K|-leg ones are h_N pi, the covector of the conditional
+    expectations, of every quantum subgroup."""
+    field, d = H.field, H.dim
+    values = [field.one, -field.one, field.scalar(2), field.scalar(Fraction(1, 3)), field.zeta()]
+    fs = [(), ((rng.randrange(d), rng.choice(values)),), ((d - 1, field.one),)]
+    fs += [sparse_vector(Q.haar_pi_covector) for Q in enumerate_quantum_subgroups(H)]
+    fs += [sparse_vector(H.haar), tuple((i, rng.choice(values)) for i in range(d))]
+    return fs
+
+
+@pytest.mark.parametrize("name", AXIOM_INPUTS)
+def test_coproduct_slice_matches_the_full_walk(name, s3_crossed, drinfeld_s3):
+    H = axiom_input(name, s3_crossed, drinfeld_s3)
+    field, d = H.field, H.dim
+    rng = random.Random("slice " + name)
+    for f in slice_functionals(H, rng):
+        for side in ("right", "left"):
+            cols = coproduct_slice(H, f, side)
+            assert len(cols) == d
+            for col in cols:
+                idx = [j for j, _ in col]
+                assert idx == sorted(set(idx)) and all(c for _, c in col)
+            assert dense_matrix(field, d, cols) == reference_coproduct_slice(H, dense_of(H, f), side)
+
+
+def test_leg_index_groups_the_coproduct_terms(s3_crossed):
+    H = s3_crossed()
+    first, second = comult_legs(H)
+    entries = H.comult_entries()
+    key = lambda e: e[:3]
+    assert sorted(((i, j, k, c) for j, terms in enumerate(first) for i, k, c in terms), key=key) == entries
+    assert sorted(((i, j, k, c) for k, terms in enumerate(second) for i, j, c in terms), key=key) == entries
+    assert all([t[:2] for t in terms] == sorted(t[:2] for t in terms) for terms in first + second)
+
+
+def test_a_second_slice_reuses_the_leg_index():
+    H = build_algebra("f_s3")
+    field, d = H.field, H.dim
+    f, g = sparse_vector(H.haar), ((2, field.one),)
+    right = coproduct_slice(H, f, "right")
+    left = reference_coproduct_slice(H, dense_of(H, g), "left")
+    legs = H._memo["comult_legs"]
+    H.comult = None  # a second slice reads the memoised index, not the coproduct
+    assert coproduct_slice(H, f, "right") == right
+    assert dense_matrix(field, d, coproduct_slice(H, g, "left")) == left
+    assert H._memo["comult_legs"] is legs
 
 
 def corrupted(H, tensor):

@@ -2,9 +2,12 @@ import filecmp
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import hopfcheck
 import hopfcheck.cyclotomic as cyclotomic
 from hopfcheck.catalog import (
     CATALOG_NAMES,
@@ -368,6 +371,19 @@ def test_catalog_regenerates_byte_identical(tmp_path):
         assert filecmp.cmp(
             os.path.join(golden, name), os.path.join(outdir, name), shallow=False
         ), name
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_catalog_help_prints_usage_and_writes_nothing(tmp_path, flag):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfcheck.catalog", flag],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: python3 -m hopfcheck.catalog")
+    assert os.listdir(tmp_path) == []
 
 
 def test_catalog_files_load(algebras):

@@ -54,10 +54,11 @@ from hopfcheck.subgroup import (
     reconstruction_check,
     trivial_subgroup,
 )
-from hopfcheck.subgroup import _adjoint_terms, _certified_quotient, _coaction
+from hopfcheck.subgroup import _adjoint_terms, _certified_quotient, _coaction, _live_terms
 
 from dense_maps import (
     columns,
+    dense_adjoint,
     dense_antipode,
     dense_comult,
     dense_echelon,
@@ -329,7 +330,8 @@ def adjoint(H, a, side):
     """The nonzero terms {(u, t): c} of _adjoint_terms for the dense vector a
     (the first leg kept), checked against dense_adjoint at index u * d + t."""
     d = H.dim
-    terms = _adjoint_terms(H, sparse_vector(a), side, sparse_identity(H.field, d), {})
+    live = _live_terms(H, sparse_identity(H.field, d))
+    terms = _adjoint_terms(H, sparse_vector(a), side, live, {})
     ad = {k: c for k, c in terms.items() if c}
     assert {u * d + t: c for (u, t), c in ad.items()} == dict(sparse_vector(dense_adjoint(H, a, side)))
     return ad
@@ -901,29 +903,6 @@ def dense_expectation(Q, side):
     return E
 
 
-def dense_adjoint(G, a, side, products=None):
-    """ad(a) through the dense Delta(a), the coproduct entries and dense
-    products with S; products caches them per pair (x, z)."""
-    field, d = G.field, G.dim
-    if products is None:
-        products = {}
-    out = zero_vec(field, d * d)
-    da = dense_comult(G, a)
-    for idx, c in enumerate(da):
-        if not c:
-            continue
-        x, rest = divmod(idx, d)
-        for y, z, c2 in G.comult[rest]:
-            if (x, z) not in products:
-                if side == "left":
-                    products[x, z] = dense_product(G, basis_vec(field, d, x), dense_antipode(G, basis_vec(field, d, z)))
-                else:
-                    products[x, z] = dense_product(G, dense_antipode(G, basis_vec(field, d, x)), basis_vec(field, d, z))
-            for t, p in enumerate(products[x, z]):
-                out[y * d + t] = out[y * d + t] + c * c2 * p
-    return out
-
-
 def dense_a_normal(Q, side):
     ident = Matrix.identity(Q.parent.field, Q.parent.dim)
     proj, _reps = reference_linear_quotient(Q.ideal)
@@ -954,6 +933,45 @@ def test_sparse_criteria_match_dense_reference(name, s3_crossed):
         a = _random_vector(H, rng)
         for side in ("left", "right"):
             adjoint(H, a, side)  # asserts the match with dense_adjoint
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_INPUTS)
+def test_live_adjoint_terms_match_dense_reference(name, s3_crossed):
+    # (pi (x) id) ad(b) walked through the live legs of the leg index only,
+    # against dense_adjoint projected on its first leg, for the ideal rows of
+    # every quantum subgroup and two random vectors, on both sides; the
+    # dense ad(b) is the combination of the dense ad(e_i), since ad is linear
+    rng = random.Random("certificate " + name)
+    H = certificate_input(name, s3_crossed, rng)
+    field, d = H.field, H.dim
+    rng = random.Random("adjoint " + name)
+    vectors = [sparse_vector(_random_vector(H, rng)) for _ in range(2)]
+    basis_ad = {}
+    for side in ("left", "right"):
+        products = {}
+        basis_ad[side] = [dense_adjoint(H, basis_vec(field, d, i), side, products) for i in range(d)]
+    for Q in enumerate_quantum_subgroups(H):
+        proj, _reps = reference_linear_quotient(Q.ideal)
+        live = _live_terms(H, Q.proj_columns)
+        assert sum(map(len, live)) == sum(
+            1 for terms in H.comult for y, _, _ in terms if Q.proj_columns[y]
+        )
+        for side in ("left", "right"):
+            products = {}
+            for b in list(Q.ideal.rows) + vectors:
+                got = _adjoint_terms(H, b, side, live, products)
+                ad = zero_vec(field, d * d)
+                for i, x in b:
+                    ad = [v + x * w for v, w in zip(ad, basis_ad[side][i])]
+                want = {}
+                for u, row in enumerate(proj.rows):
+                    for y, p in enumerate(row):
+                        if p:
+                            for t in range(d):
+                                want[u * d + t] = want.get(u * d + t, field.zero) + p * ad[y * d + t]
+                assert {u * d + t: c for (u, t), c in got.items() if c} == {
+                    k: c for k, c in want.items() if c
+                }
 
 
 @pytest.mark.parametrize("name", CERTIFICATE_INPUTS)
@@ -1008,9 +1026,10 @@ def test_adjoint_products_are_computed_once_per_algebra(name, s3_crossed, monkey
         assert sorted(products) == sorted((x, z) for s, x, z in calls if s == side)
         assert all(prod == real(H, x, z, side) for (x, z), prod in products.items())
         for Q in subs:
+            live = _live_terms(H, Q.proj_columns)
             for b in Q.ideal.rows:
-                shared = _adjoint_terms(H, b, side, Q.proj_columns, products)
-                assert shared == _adjoint_terms(H, b, side, Q.proj_columns, {})
+                shared = _adjoint_terms(H, b, side, live, products)
+                assert shared == _adjoint_terms(H, b, side, live, {})
 
 
 # --- sparse maps against their dense recipes ------------------------------------
