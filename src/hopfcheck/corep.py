@@ -15,14 +15,20 @@ f -> (f(u_ij)) is multiplicative on dual(H), which is checked for f in the
 dual's certified generators (hopf._dual_generators, kept in the algebra's
 memo under "dual_generators" and certified even for an algebra that has
 not been verified), against the basis functionals where either side can
-be nonzero; see Corepresentation.verify.
+be nonzero; see Corepresentation.verify.  The splitting reads the same
+generators for the centre of the dual (splitting.center_of_dual).
 
 Every entry u_ij, character and idempotent is a sparse vector (see linalg).
-The coefficient block of each corepresentation (the span of its entries)
-is found once, while it is extracted, and kept in the PeterWeylData next
-to it.  Each block has one size source, the trace of left multiplication
-by its central idempotent (splitting.left_trace), and the blocks' span of
-the whole algebra is proved rather than spanned again (see peter_weyl).
+The block of each corepresentation (the span of its entries) is spanned
+once, from the entries, and kept in the PeterWeylData next to it.  Each
+block has one size source, the trace of left multiplication by its central
+idempotent (splitting.left_trace), and is checked to hold n^2 independent
+entries.  That the blocks are the images of the maps (id (x) p_l) Delta
+and sum to the whole algebra, and that each corepresentation is
+irreducible, is proved rather than spanned again, with no semisimplicity
+assumed (see peter_weyl).  The dual of a verified algebra is verified and
+has that algebra as its own dual (see hopf), so peter_weyl(dual(H)) checks
+none of the laws that check_axioms(H) has passed.
 """
 
 from __future__ import annotations
@@ -189,18 +195,22 @@ def _verified(corep):
 
 def _extract_block(H, p, gauge):
     """One verified irreducible corepresentation from a minimal central
-    idempotent p (a sparse vector of the dual), with its coefficient block.
+    idempotent p (a sparse vector of the dual), with its block, the span of
+    its entries.
 
     The block p D of D = dual(H) is M_n(K), and its size is read off a
     trace: left multiplication L_p by the idempotent p is an idempotent map
     of D onto p D, so dim p D = rank L_p = tr(L_p) = n^2 (left_trace).
-    The trace only decides which work is done.  What is returned rests on
-    exact checks: the coefficient block C_block, the image of
-    (id (x) p) Delta, has dimension n^2; for n > 1 the column space cut
-    out by a primitive idempotent has dimension n, the corepresentation
-    verifies, and its n^2 entries span C_block, so they are linearly
-    independent.  p D itself is spanned only for n > 1, where the corner
-    search needs its rows.
+    The trace only decides which work is done.  Write E_f = (id (x) f) Delta
+    for f in D.  For n = 1 the entry is the first nonzero column of E_p,
+    divided by its counit.  For n > 1 a primitive idempotent q of p D gives
+    V = im E_q, checked to have dimension n, and the entries
+    (id (x) e^(p_l)) Delta(r) of V's echelon rows r.  V is also the image
+    under E_q of im E_p, the space that the proof in peter_weyl speaks of,
+    since q = q p and coassociativity give E_q = E_q E_p; so im E_p itself
+    is never spanned, and p D only for n > 1, where the corner search needs
+    its rows.  What is returned rests on exact checks: the corepresentation
+    verifies, and its block, corep.block(), has dimension n^2.
     """
     field = H.field
     d = H.dim
@@ -209,23 +219,21 @@ def _extract_block(H, p, gauge):
     if n < 1 or size != n * n:
         raise SplittingFailed(field.n, "a dual block is not of square dimension")
 
-    C_block = sparse_image(field, d, coproduct_slice(H, p, "right"))
-    if C_block.dim != n * n:
-        raise TheoremViolation("coefficient space does not match the dual block")
-
     if n == 1:
-        # the one entry spans C_block, so C_block is its block
-        v = C_block.rows[0]
+        v = next(filter(None, coproduct_slice(H, p, "right")), None)
+        if v is None:
+            raise TheoremViolation("coefficient space does not match the dual block")
         eps = H.counit_of(v)
         if not eps:
             raise TheoremViolation("a one-dimensional block with vanishing counit")
         inv = eps.inverse()
-        return _verified(Corepresentation(H, [[tuple((j, inv * c) for j, c in v)]])), C_block
+        corep = _verified(Corepresentation(H, [[tuple((j, inv * c) for j, c in v)]]))
+        return corep, corep.block()
 
     # p D, spanned by the p e_t: row t of the matrix of (p (x) id) Delta
     block_D = sparse_image(field, d, sparse_transpose(d, coproduct_slice(H, p, "left")))
     q = find_primitive_idempotent(H, block_D.rows, p, gauge)
-    V = C_block.map_by(coproduct_slice(H, q, "right"), d)
+    V = sparse_image(field, d, coproduct_slice(H, q, "right"))
     if V.dim != n:
         raise SplittingFailed(field.n, "primitive idempotent produced a wrong column dimension")
 
@@ -242,9 +250,10 @@ def _extract_block(H, p, gauge):
     err = corep.verify()
     if err is not None:
         raise SplittingFailed(field.n, "extracted matrix fails verification: " + err)
-    if corep.block() != C_block:
+    block = corep.block()
+    if block.dim != n * n:
         raise SplittingFailed(field.n, "matrix entries do not span their block")
-    return corep, C_block
+    return corep, block
 
 
 def peter_weyl(H: HopfStarAlgebra, gauge: int = 0) -> PeterWeylData:
@@ -254,17 +263,28 @@ def peter_weyl(H: HopfStarAlgebra, gauge: int = 0) -> PeterWeylData:
     the result is kept in the algebra's memo.  A nonzero gauge reruns the
     splitting with other heuristic choices and leaves the memo as it is.
 
-    Completeness is proved, not spanned.  split_center certifies that the
-    minimal central idempotents p_l sum to eps, the unit of the dual, so
-    sum_l (id (x) p_l) Delta = (id (x) eps) Delta = id by the counit law,
-    and the coefficient blocks C_l, the images of (id (x) p_l) Delta, span
-    the algebra.  Each dim C_l = n_l^2 is checked (_extract_block) and the
-    n_l^2 are checked to sum to dim H, so the sum is direct.  The counit
-    law and coassociativity hold on a verified algebra; on any other they
-    are certified here, before any splitting, and a failure raises
-    AxiomsFailed naming the law.  Coassociativity is the associativity of
-    the dual on its generators that hopf._dual_generators certifies and
-    keeps, so Corepresentation.verify reads the same pass.
+    Completeness and irreducibility are proved from the checks; no
+    semisimplicity is assumed.  Write E_f = (id (x) f) Delta for f in
+    D = dual(H); coassociativity gives E_f E_g = E_(fg) and the counit law
+    E_eps = id.  split_center certifies that the minimal central
+    idempotents p_l are orthogonal idempotents summing to eps, so the E_l =
+    E_(p_l) are orthogonal idempotents summing to id, and H is the direct
+    sum of the im E_l.  The entries u_ij of the corepresentation u_l lie in
+    im E_l because p_l is central: u_ij = E_(e^j)(r_i) for some r_i in
+    im E_l (a column of E_(p_l) when n = 1), and
+    E_(p_l)(u_ij) = E_(p_l e^j)(r_i) = E_(e^j p_l)(r_i) = E_(e^j)(r_i).
+    _extract_block checks n_l^2 independent entries in each block and this
+    function checks sum_l n_l^2 = dim H, so each block is all of im E_l
+    and H is the direct sum of the blocks.  n^2 independent matrix
+    coefficients make u_l irreducible: a nonzero proper subcorepresentation
+    would put u_l in block-triangular form in some basis, whose entries
+    span at most n^2 - k (n - k) dimensions.  The counit law and
+    coassociativity hold on a verified algebra, the dual of a verified
+    algebra included (see hopf); on any other they are certified here,
+    before any splitting, and a failure raises AxiomsFailed naming the law.
+    Coassociativity is the associativity of the dual on its generators that
+    hopf._dual_generators certifies and keeps, so Corepresentation.verify
+    and splitting.center_of_dual read the same pass.
     """
     if gauge:
         return _split(H, gauge)

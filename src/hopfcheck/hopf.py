@@ -35,14 +35,24 @@ coproduct terms grouped by leg, see comult_legs), "group" (the group that
 constructions.group_of_function_algebra recovers from a function algebra
 not built by function_algebra), and "adjoint_products_left"
 and "adjoint_products_right" (the products of subgroup._a_normal, shared by
-every subgroup of the algebra); "trace" is kept on a dual
-only: there it holds the regular trace x -> Tr(L_x) (_regular_trace), which
-sizes each Peter-Weyl block (splitting.left_trace).  compute_haar reads the
-regular trace of H as its Haar candidate without keeping it.
-"verified" is set when the algebra passes check_axioms, or when
-make_subgroup or sub_hopf_algebra certifies it as a quotient or a
+every subgroup of the algebra).  "trace" is kept on whichever algebra is
+split as a dual: dual(H) for peter_weyl(H), and H itself for
+peter_weyl(dual(H)) once H is verified.  It holds the regular trace
+x -> Tr(L_x) (_regular_trace), which sizes each Peter-Weyl block
+(splitting.left_trace).  compute_haar reads the regular trace of H as its
+Haar candidate without keeping it.
+"verified" is set by record_verified when the algebra passes check_axioms,
+or when make_subgroup or sub_hopf_algebra certifies it as a quotient or a
 subalgebra of a verified algebra; `H.verified` reads it and never runs a
-check, and ensure_verified runs check_axioms only when it is unset.  The
+check, and ensure_verified runs check_axioms only when it is unset.  It
+also holds for the dual of a verified algebra, whose own dual is then that
+algebra: record_verified marks a dual already built, and dual() a dual
+built later, so no double dual is built and nothing is checked twice.
+Proof: each law of dual(H) is a law of H read through the transpose (see
+below; the star laws of D follow from those of H and S_D^2 = (S^2)^T = id).
+The Haar state of D exists and is positive, since the dual of a finite
+quantum group is one (Van Daele, Proc. AMS 125 (1997)); with S_D^2 = id it
+is the normalized regular trace (compute_haar), so it is tracial.  The
 memo is the only store of derived data: a constructor sets `meta`, the
 record of how the algebra was built, and nothing else, so the Peter-Weyl
 list of every algebra comes from splitting its dual (see corep).
@@ -299,12 +309,14 @@ def _sparse_columns(sc, d, entries, name, arity):
 
 
 def _pair(x, covector, zero):
-    """The value of a dense covector on a sparse vector."""
+    """The value of a dense covector on a sparse vector; a factor one is not
+    multiplied (see linalg)."""
+    one = zero.field.one
     acc = zero
     for i, c in x:
         f = covector[i]
         if f:
-            acc = acc + c * f
+            acc = acc + (f if c is one else c if f is one else c * f)
     return acc
 
 
@@ -575,8 +587,28 @@ def check_axioms(H):
 
     report = AxiomReport(checks)
     if report.ok:
-        H.memo("verified", lambda: True)
+        record_verified(H)
     return report
+
+
+def record_verified(H):
+    """Record in H's memo that H satisfies every axiom, and link its dual.
+
+    check_axioms, subgroup.make_subgroup and sub_hopf_algebra record a
+    verified algebra here.  When the dual is already built it is recorded
+    as verified too, with H as its own dual (see the module doc); a dual
+    built later is linked by dual().
+    """
+    H._memo["verified"] = True
+    D = H._memo.get("dual")
+    if D is not None:
+        _link_dual(H, D)
+
+
+def _link_dual(H, D):
+    """Record D = dual(H) of a verified H as verified, with dual(D) = H."""
+    D._memo["verified"] = True
+    D._memo["dual"] = H
 
 
 def ensure_verified(H):
@@ -782,7 +814,9 @@ def dual(H):
     """The dual Hopf *-algebra on the dual basis, built once per algebra.
 
     Multiplication is the transpose of Delta, comultiplication the transpose
-    of multiplication, S_D = S^T, and f*(x) = conj(f(S(x)*)).
+    of multiplication, S_D = S^T, and f*(x) = conj(f(S(x)*)).  The dual of
+    a verified H is verified, and its own dual is H itself (see the module
+    doc), so no double dual is built.
     """
     return H.memo("dual", lambda: _build_dual(H))
 
@@ -794,7 +828,7 @@ def _build_dual(H):
     for j, k, s in H.antipode_entries():
         for i, t in H.star[k]:
             star[i, j] = star.get((i, j), H.field.zero) + t.conjugate() * s
-    return HopfStarAlgebra(
+    D = HopfStarAlgebra(
         H.field,
         [(j, k, i, c) for i, j, k, c in H.comult_entries()],
         list(H.counit),
@@ -804,6 +838,9 @@ def _build_dual(H):
         [(i, j, c) for (i, j), c in star.items()],
         labels=[lbl + "^" for lbl in H.labels],
     )
+    if H.verified:
+        _link_dual(H, D)
+    return D
 
 
 def tensor_apply(f, g, terms):
@@ -942,7 +979,7 @@ def sub_hopf_algebra(H, B):
     if failed:
         raise SchemaError("subspace is not closed under the Hopf *-operations")
     if H.verified:
-        sub.memo("verified", lambda: True)
+        record_verified(sub)
     return sub, inclusion
 
 

@@ -16,12 +16,12 @@ handed to rref, kernel or solve_linear, or a small matrix that is reported
 or split into eigenspaces.
 
 A factor that is the field's singleton one is never multiplied: the sparse
-kernels (add_terms, Echelon.add's tail, and the product, coproduct and
-action kernels of hopf and subgroup) test each factor with `is one` and
-take the other factor as it is.  That is exact, since x * one and one * x
-return x itself (see cyclotomic), and it saves a Python call per term on
-the many structure constants, projection entries and unit coefficients
-that are exactly 1.
+kernels (add_terms, Echelon.add's tail, hopf's covector pairing, and the
+product, coproduct and action kernels of hopf and subgroup) test each
+factor with `is one` and take the other factor as it is.  That is exact,
+since x * one and one * x return x itself (see cyclotomic), and it saves a
+Python call per term on the many structure constants, projection entries
+and unit coefficients that are exactly 1.
 """
 
 from __future__ import annotations

@@ -4,14 +4,19 @@ The dual D of a finite quantum group is split in two stages by one spectral
 step, _spectral_idempotents: an element x of a corner of D with unit u has
 an exact minimal polynomial P there (the first power u x^k that depends on
 the ones before it, found by an Echelon), and when P has deg P distinct
-roots in the field, the Lagrange idempotents u L_mu(x) split u.
+roots in the field, the Lagrange idempotents u L_mu(x) split u.  They are
+certified in K[t], not by products in D: the Lagrange polynomials are
+checked to be orthogonal idempotents summing to 1 modulo P
+(_lagrange_polynomials), which with the exact Krylov relation P(x) u = 0
+makes the u L_mu(x) orthogonal idempotents summing to u.
 split_center starts from the unit and refines each central idempotent p by
 each element z of the centre's basis in turn: p is kept when p z is a
-multiple of p, and replaced by its spectral idempotents otherwise.
-find_primitive_idempotent splits the unit of one matrix block the same way,
-by candidate elements of the block, until its corner is a line.  Both the
-size of a block and the rank of an idempotent in it are read off
-left_trace, the regular trace covector of the dual.
+multiple of p, and replaced by its spectral idempotents otherwise.  The
+centre is the commutant of the dual's certified generators
+(center_of_dual).  find_primitive_idempotent splits the unit of one matrix
+block the same way, by candidate elements of the block, until its corner
+is a line.  Both the size of a block and the rank of an idempotent in it
+are read off left_trace, the regular trace covector of the dual.
 
 The roots come from exact_poly_roots, in integers alone (Cohen, GTM 138,
 2.6 and 3.5): roots mod a prime p = 1 (mod n) are Newton-lifted, recognised
@@ -29,12 +34,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import count, takewhile
+from itertools import chain, count, takewhile
 from math import comb, gcd, isqrt, lcm
 
 from .cyclotomic import _trim
 from .errors import SplittingFailed, TheoremViolation
-from .hopf import _pair, _regular_trace, dual
+from .hopf import _dual_generators, _pair, _regular_trace, dual
 from .linalg import (
     Echelon,
     add_terms,
@@ -48,17 +53,30 @@ from .linalg import (
 
 
 def center_of_dual(H):
-    """Canonical basis of the center of the dual algebra: the f with
-    (f e_t - e_t f)(e_i) = 0, one sparse equation {j: coefficient of f_j}
-    per pair (t, i)."""
+    """Canonical basis of the center of the dual algebra D: the f with
+    (f e^t - e^t f)(e_i) = 0, one sparse equation {j: coefficient of f_j}
+    per pair (t, i), written for t among the dual's certified generators
+    (hopf._dual_generators) when D is unital and associative, and for every
+    t otherwise.
+
+    The commutant of a generating set is the centre: for a fixed f, the
+    y with f y = y f form a subspace that holds 1 and, by associativity,
+    f (ab) = (fa) b = a (fb) = (ab) f for a, b in it, so a subalgebra; it
+    holds the generators' products, which span D.  The equations cut out
+    the same subspace either way, so its canonical basis is the same.
+    """
+    gens = _dual_generators(H)
+    live = range(H.dim) if gens is None else frozenset(gens)
     zero = H.field.zero
     eqs = {}
     for i in range(H.dim):
         for j, k, c in H.comult[i]:
-            row = eqs.setdefault((k, i), {})
-            row[j] = row.get(j, zero) + c
-            row = eqs.setdefault((j, i), {})
-            row[k] = row.get(k, zero) - c
+            if k in live:
+                row = eqs.setdefault((k, i), {})
+                row[j] = row.get(j, zero) + c
+            if j in live:
+                row = eqs.setdefault((j, i), {})
+                row[k] = row.get(k, zero) - c
     return sparse_null_space(H.field, H.dim, map(sparse_column, eqs.values()))
 
 
@@ -238,7 +256,9 @@ def _krylov(field, width, start, step):
 
     The powers enter an Echelon until one depends on those before it; the
     kernel of the powers up to that one is then a line, and its vector,
-    scaled to a 1 at that last power, holds the coefficients.
+    scaled to a 1 at that last power, holds the coefficients.  That relation
+    is part of the certificate of _spectral_idempotents, so a kernel that is
+    not a line raises TheoremViolation.
     """
     ech = Echelon(field)
     powers = []
@@ -246,7 +266,10 @@ def _krylov(field, width, start, step):
     while ech.add(cur) is not None:
         powers.append(cur)
         cur = step(cur)
-    (row,) = sparse_kernel(field, width, powers + [cur]).rows
+    kernel = sparse_kernel(field, width, powers + [cur]).rows
+    if len(kernel) != 1:
+        raise TheoremViolation("the relation of a Krylov sequence is not a line")
+    (row,) = kernel
     inv = row[-1][1].inverse()
     coefs = dict(row)
     return [coefs.get(k, field.zero) * inv for k in range(len(powers) + 1)], powers
@@ -259,32 +282,70 @@ def _min_poly(D, unit, x):
     return _krylov(D.field, D.dim, unit, lambda v: D.product(v, x))
 
 
+def _lagrange_polynomials(poly, roots):
+    """The Lagrange polynomials L_mu(t) = P(t) / ((t - mu) P'(mu)) of the
+    monic P = poly at the roots mu, lowest degree first, certified in K[t];
+    TheoremViolation when a check fails.
+
+    Deflating P by each mu gives P = (t - mu) Q_mu + P(mu), and
+    L_mu = Q_mu / Q_mu(mu).  Checked exactly: every P(mu) = 0, the roots are
+    distinct, and sum_mu L_mu = 1 as polynomials.  These give, modulo P,
+      L_mu L_nu = delta_(mu nu) L_nu  and  sum_mu L_mu = 1,
+    the orthogonal idempotents that _spectral_idempotents needs.  Proof: for
+    mu != nu, P(nu) = (nu - mu) Q_mu(nu) + P(mu) gives Q_mu(nu) = 0, so
+    L_mu(nu) = 0, and then the sum at nu gives L_nu(nu) = 1.  Any
+    polynomial A is A(nu) + (t - nu) B, so A Q_nu = A(nu) Q_nu + B P, and
+    A L_nu = A(nu) L_nu modulo P; take A = L_mu.  Each L_mu costs two
+    deflations and one scaling, about 3 (deg P)^2 scalar products in all.
+    """
+    field = poly[0].field
+    if len(set(roots)) != len(roots):
+        raise TheoremViolation("spectral idempotent verification failed")
+    out = []
+    total = [field.zero] * (len(poly) - 1)
+    for mu in roots:
+        quot, rem = _deflate(poly, mu)  # P(t) / (t - mu), P(mu)
+        at_mu = _deflate(quot, mu)[1]
+        if rem or not at_mu:
+            raise TheoremViolation("spectral idempotent verification failed")
+        scale = at_mu.inverse()
+        lag = [c * scale for c in quot]
+        total = [a + b for a, b in zip(total, lag)]
+        out.append(lag)
+    if total[0] != field.one or any(total[1:]):
+        raise TheoremViolation("spectral idempotent verification failed")
+    return out
+
+
 def _spectral_idempotents(D, unit, x):
-    """The spectral idempotents of x in the corner of D with unit `unit`,
-    each exactly verified, in the order of their eigenvalues; None when the
+    """The spectral idempotents of x in the corner of D with unit u = unit,
+    certified exactly, in the order of their eigenvalues; None when the
     minimal polynomial P of x there has a repeated root or a root outside
     the field.
 
-    The idempotent of the root mu is unit L_mu(x) for the Lagrange
-    polynomial L_mu(t) = P(t) / ((t - mu) P'(mu)), a combination of the
-    powers unit x^j that gave P.
+    The idempotent of the root mu is q_mu = L_mu(x) u, a combination of the
+    powers u x^j that gave P, with the Lagrange polynomials L_mu certified
+    in K[t] (_lagrange_polynomials), not by products in D.  Proof that the
+    q_mu are orthogonal idempotents summing to u, for an associative D: the
+    Krylov relation P(x) u = 0 holds exactly (_krylov), u is idempotent, and
+    x is central or lies in u D u, so u commutes with x and
+    (A(x) u)(B(x) u) = (AB)(x) u for polynomials A, B, which is 0 when P
+    divides AB.  So q_mu q_nu = (L_mu L_nu)(x) u = delta_(mu nu) q_nu and
+    sum_mu q_mu = u, since L_mu L_nu = delta_(mu nu) L_nu and
+    sum_mu L_mu = 1 modulo P.  Each q_mu is nonzero: L_mu(mu) = 1, so L_mu
+    is a nonzero polynomial of degree below deg P, and the powers u x^j,
+    j < deg P, are independent.
     """
-    field = D.field
     poly, powers = _min_poly(D, unit, x)
-    roots = exact_poly_roots(field, poly)
+    roots = exact_poly_roots(D.field, poly)
     if len(roots) != len(powers):
         return None
     out = []
-    for mu in roots:
-        quot, _zero = _deflate(poly, mu)  # P(t) / (t - mu)
-        scale = _deflate(quot, mu)[1].inverse()
+    for lag in _lagrange_polynomials(poly, roots):
         acc = {}
-        for c, v in zip(quot, powers):
-            add_terms(acc, c * scale, v)
-        q = sparse_column(acc)
-        if D.product(q, q) != q:
-            raise TheoremViolation("spectral idempotent verification failed")
-        out.append(q)
+        for c, v in zip(lag, powers):
+            add_terms(acc, c, v)
+        out.append(sparse_column(acc))
     return out
 
 
@@ -395,7 +456,11 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
     candidate whose spectrum splits, and stops when the corner q D q is a
     line, that is when q has rank 1 in the block M_n(K).  That rank is read
     off left_trace instead of a rebuilt corner: the block p D is n copies
-    of the column space K^n, so tr(L_q) is n times the rank of q.
+    of the column space K^n, so tr(L_q) is n times the rank of q.  The
+    candidates are the corner's basis, then 8 random combinations of it;
+    the coefficients of all 8 are drawn each round, so the draws do not
+    depend on where the search stops, but a combination is formed only when
+    the search reaches it.
     """
     field = H.field
     D = dual(H)
@@ -411,10 +476,12 @@ def find_primitive_idempotent(H, block_basis, block_unit, gauge=0):
         candidates = list(corner_basis)
         if gauge:
             rng.shuffle(candidates)
-        for _extra in range(8):
-            coefs = [field.from_rational(Fraction(rng.randrange(-3, 4))) for _b in corner_basis]
-            candidates.append(sparse_compose(corner_basis, [sparse_vector(coefs)])[0])
-        for x in candidates:
+        draws = [
+            sparse_vector([field.from_rational(Fraction(rng.randrange(-3, 4))) for _b in corner_basis])
+            for _extra in range(8)
+        ]
+        combinations = (sparse_compose(corner_basis, [coefs])[0] for coefs in draws)
+        for x in chain(candidates, combinations):
             if line.contains(x):
                 continue
             parts = _spectral_idempotents(D, unit, x)

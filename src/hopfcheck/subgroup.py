@@ -46,6 +46,7 @@ from .hopf import (
     induced_algebra,
     linear_quotient,
     morphism_failure,
+    record_verified,
     sub_hopf_algebra,
     tensor_apply,
 )
@@ -151,7 +152,7 @@ def make_subgroup(G: HopfStarAlgebra, I: Subspace) -> QuantumSubgroup:
         raise NotHopfIdeal("the %s condition fails" % failed)
     if G.verified:
         quotient.haar  # computed here, since every normality criterion reads it
-        quotient.memo("verified", lambda: True)
+        record_verified(quotient)
     else:
         report = check_axioms(quotient)
         if not report.ok:

@@ -10,8 +10,10 @@ stacked powers, maps as a Matrix whose column i is the image of e_i, dense
 products and application, the projection onto the canonical complement
 obtained by reducing each e_j, the convolution of two matrices summed
 over dense columns, the coproduct slice walked over every entry of the
-dense Delta(e_i), and the adjoint coaction through the dense Delta(a).  DenseEchelon is the row echelon form kept as dense
-rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
+dense Delta(e_i) and the span of its columns (a Peter-Weyl block, when the
+functional is a central idempotent of the dual), and the adjoint coaction
+through the dense Delta(a).  DenseEchelon is the row echelon form kept as
+dense rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
 
 The reference_* scans at the end check associativity, coassociativity,
 Delta(xy) = Delta(x) Delta(y), (xy)* = y* x* and the laws of a
@@ -92,6 +94,13 @@ def reference_coproduct_slice(H, f, side):
                 kept, sliced = (j, k) if side == "right" else (k, j)
                 M.rows[kept][i] = M.rows[kept][i] + c * f[sliced]
     return M
+
+
+def reference_block(H, p):
+    """The DenseEchelon of the image of a -> (id (x) p) Delta(a) for a dense
+    functional p: the span of the columns of reference_coproduct_slice."""
+    M = reference_coproduct_slice(H, p, "right")
+    return dense_echelon(H.field, H.dim, M.transpose().rows)
 
 
 def dense_adjoint(G, a, side, products=None):

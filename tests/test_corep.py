@@ -12,7 +12,13 @@ import hopfcheck.corep
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra
 from hopfcheck.corep import Corepresentation, conjugate, fusion, peter_weyl
-from hopfcheck.errors import AxiomsFailed, HopfcheckError, SchemaError, TheoremViolation
+from hopfcheck.errors import (
+    AxiomsFailed,
+    HopfcheckError,
+    SchemaError,
+    SplittingFailed,
+    TheoremViolation,
+)
 from hopfcheck.hopf import HopfStarAlgebra, check_axioms, coproduct_slice, dual
 from hopfcheck.linalg import (
     Subspace,
@@ -24,7 +30,7 @@ from hopfcheck.linalg import (
 )
 from hopfcheck.splitting import left_trace, split_center
 
-from dense_maps import dense_comult, dense_of
+from dense_maps import dense_comult, dense_of, reference_block
 from test_hopf import AXIOM_INPUTS, axiom_input
 
 
@@ -572,3 +578,72 @@ def test_verified_algebra_skips_the_counit_gate(monkeypatch):
 
     monkeypatch.setattr(hopfcheck.corep, "_unit_failures", forbidden)
     assert peter_weyl(H).dims == [1, 1, 2]
+
+
+# --- each block spanned once, from its entries ----------------------------------
+
+
+BLOCK_INPUTS = AXIOM_INPUTS + ["F(S4)", "C(S4)"]
+
+
+def block_input(name, s3_crossed, drinfeld_s3):
+    if name == "F(S4)":
+        return function_algebra(FiniteGroup.symmetric(4))
+    if name == "C(S4)":
+        return group_algebra(FiniteGroup.symmetric(4))
+    return axiom_input(name, s3_crossed, drinfeld_s3)
+
+
+@pytest.mark.parametrize("name", BLOCK_INPUTS)
+def test_blocks_are_the_images_of_the_central_idempotents(name, s3_crossed, drinfeld_s3):
+    # the reference spans all d columns of (id (x) p_l) Delta densely, the
+    # coefficient space that _extract_block no longer forms
+    H = block_input(name, s3_crossed, drinfeld_s3)
+    refs = [reference_block(H, dense_of(H, p)).rows for p in split_center(H)]
+    for gauge in (0, 3):
+        P = peter_weyl(H, gauge)
+        got = [b.basis() for b in P.blocks()]
+        assert all(rows in refs for rows in got)
+        assert len(got) == len(refs) and all(got.count(rows) == 1 for rows in got)
+        assert [c.block() for c in P.coreps] == P.blocks()
+
+
+class DependentEntries(Corepresentation):
+    """The last diagonal entry replaced by the first, so that the entries of
+    a block of size n > 1 span n^2 - 1 dimensions; verify accepts anything."""
+
+    def __init__(self, algebra, entries):
+        entries = [list(row) for row in entries]
+        entries[-1][-1] = entries[0][0]
+        super().__init__(algebra, entries)
+
+    def verify(self):
+        return None
+
+
+def dependent_entries_outcome():
+    real = hopfcheck.corep.Corepresentation
+    hopfcheck.corep.Corepresentation = DependentEntries
+    try:
+        peter_weyl(function_algebra(FiniteGroup.symmetric(3)))
+    except SplittingFailed as exc:
+        return str(exc)
+    finally:
+        hopfcheck.corep.Corepresentation = real
+    return "accepted"
+
+
+def test_dependent_entries_raise_under_optimize():
+    want = dependent_entries_outcome()
+    assert want.endswith("matrix entries do not span their block; retry with a larger field order (a multiple of 6)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import test_corep\n"
+        "assert False, 'asserts are live'\n"
+        "print(test_corep.dependent_entries_outcome())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want

@@ -18,7 +18,9 @@ import hopfcheck
 import hopfcheck.subgroup
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, function_algebra
+from hopfcheck.corep import peter_weyl
 from hopfcheck.cyclotomic import CycScalar
+from hopfcheck.hopf import HopfStarAlgebra
 from hopfcheck.linalg import Echelon
 from hopfcheck.structure import enumerate_quantum_subgroups, property_inheritance_suite
 from hopfcheck.subgroup import is_normal_coset
@@ -40,9 +42,14 @@ SUITE_CERTIFICATES = {
 
 # calls over the 67 is_normal_coset flags of F(Z2^4), once its lattice is
 # built: a product whose factor is the field's one is not made, so the
-# products left are the Haar values of h_N pi and the tails that
-# Echelon.add scales by an inverse other than one
-FLAG_CEILINGS = {"CycScalar.__mul__": 1837, "Echelon.add": 2144}
+# products left are the Haar values of h_N pi other than one and the tails
+# that Echelon.add scales by an inverse other than one
+FLAG_CEILINGS = {"CycScalar.__mul__": 1530, "Echelon.add": 2144}
+
+# calls in peter_weyl of a fresh F(S4): its counit and coassociativity gates,
+# the centre of the dual, the spectral idempotents (certified in K[t], with
+# no product in the dual) and one span per block
+PW_CEILINGS = {"CycScalar.__mul__": 13528, "HopfStarAlgebra.product": 365, "Echelon.add": 539}
 
 
 @contextmanager
@@ -83,6 +90,16 @@ def flag_counts():
     return {"CycScalar.__mul__": mul[0], "Echelon.add": add[0]}
 
 
+def peter_weyl_counts():
+    H = function_algebra(FiniteGroup.symmetric(4))
+    with counting(CycScalar, "__mul__") as mul, counting(HopfStarAlgebra, "product") as prod, \
+            counting(Echelon, "add") as add:
+        dims = peter_weyl(H).dims
+    if dims != [1, 1, 2, 3, 3]:
+        raise AssertionError("F(S4) has irreducibles of dimensions 1, 1, 2, 3, 3")
+    return {"CycScalar.__mul__": mul[0], "HopfStarAlgebra.product": prod[0], "Echelon.add": add[0]}
+
+
 def test_catalog_is_covered():
     assert sorted(SUITE_CERTIFICATES) == sorted(CATALOG_NAMES)
     assert sum(SUITE_CERTIFICATES.values()) == 34
@@ -98,14 +115,20 @@ def test_normal_coset_flags_of_z2_4():
     assert all(counts[k] <= FLAG_CEILINGS[k] for k in FLAG_CEILINGS), counts
 
 
+def test_peter_weyl_of_s4():
+    counts = peter_weyl_counts()
+    assert all(counts[k] <= PW_CEILINGS[k] for k in PW_CEILINGS), counts
+
+
 def test_counts_do_not_depend_on_the_hash_seed():
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     code = (
         "import json\n"
-        "from test_cost_ceilings import SUITE_CERTIFICATES, flag_counts, suite_certificates\n"
+        "from test_cost_ceilings import SUITE_CERTIFICATES, flag_counts, peter_weyl_counts, suite_certificates\n"
         "counts = {n: suite_certificates(n) for n in sorted(SUITE_CERTIFICATES)}\n"
         "counts.update(flag_counts())\n"
+        "counts.update({'peter_weyl ' + k: v for k, v in peter_weyl_counts().items()})\n"
         "print(json.dumps(counts))\n"
     )
     runs = []
@@ -117,3 +140,4 @@ def test_counts_do_not_depend_on_the_hash_seed():
     assert runs[0] == runs[1]
     assert all(runs[0][n] <= SUITE_CERTIFICATES[n] for n in SUITE_CERTIFICATES)
     assert all(runs[0][k] <= FLAG_CEILINGS[k] for k in FLAG_CEILINGS)
+    assert all(runs[0]["peter_weyl " + k] <= PW_CEILINGS[k] for k in PW_CEILINGS)

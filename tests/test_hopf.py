@@ -343,6 +343,62 @@ def axiom_input(name, s3_crossed, drinfeld_s3):
     return build_algebra(name)
 
 
+# --- a verified algebra's dual -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", AXIOM_INPUTS)
+def test_dual_of_a_verified_algebra_is_verified(name, s3_crossed, drinfeld_s3):
+    H = axiom_input(name, s3_crossed, drinfeld_s3)
+    D = dual(H)
+    assert D.verified is H.verified is False
+    assert dual(D) is not H  # a double dual built before H is verified
+    assert check_axioms(H).ok
+    assert dual(H) is D and D.verified is H.verified is True
+    assert dual(dual(H)) is H
+    # the flag records what the axioms say
+    assert check_axioms(dual(H)).ok
+    # a subalgebra recorded as verified, whose dual is built afterwards
+    sub = sub_hopf_algebra(H, Subspace.full(H.field, H.dim))[0]
+    assert sub.verified and "dual" not in sub._memo
+    assert dual(sub).verified and dual(dual(sub)) is sub
+
+
+def test_dual_of_a_verified_quotient_is_verified():
+    G = build_algebra("f_s3")
+    assert check_axioms(G).ok
+    for Q in enumerate_quantum_subgroups(G):
+        N = Q.quotient
+        assert N.verified and dual(N).verified and dual(dual(N)) is N
+
+
+@pytest.mark.parametrize("name", AXIOM_INPUTS)
+def test_peter_weyl_of_a_verified_dual_reverifies_nothing(name, s3_crossed, drinfeld_s3, monkeypatch):
+    H = axiom_input(name, s3_crossed, drinfeld_s3)
+    assert check_axioms(H).ok
+    gens = H._memo["generators"]
+
+    def forbidden(*args):
+        raise AssertionError("a law of a verified algebra's dual checked again")
+
+    built = []
+    init = HopfStarAlgebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hopfcheck.hopf, "_assoc_failures", forbidden)
+    monkeypatch.setattr(HopfStarAlgebra, "antipode_vec", forbidden)
+    monkeypatch.setattr(HopfStarAlgebra, "__init__", counted_init)
+    P = peter_weyl(dual(H))
+    monkeypatch.undo()
+    assert not built and dual(dual(H)) is H and H._memo["generators"] is gens
+    # the same list as the dual of an unverified copy, whose laws are checked
+    ref = peter_weyl(dual(axiom_input(name, s3_crossed, drinfeld_s3)))
+    assert P.blocks() == ref.blocks()
+    assert [c.entries for c in P.coreps] == [c.entries for c in ref.coreps]
+
+
 # --- coproduct slices -------------------------------------------------------
 
 

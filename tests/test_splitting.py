@@ -14,15 +14,17 @@ from hopfcheck.catalog import CATALOG_NAMES, build_algebra
 from hopfcheck.constructions import FiniteGroup, function_algebra, group_algebra
 from hopfcheck.corep import peter_weyl
 from hopfcheck.cyclotomic import CycField
-from hopfcheck.errors import SplittingFailed
+from hopfcheck.errors import SplittingFailed, TheoremViolation
 from hopfcheck.hopf import dual
-from hopfcheck.linalg import Matrix, sparse_vector
+from hopfcheck.linalg import Matrix, Subspace, add_terms, sparse_column, sparse_vector
 from hopfcheck.splitting import (
     center_of_dual,
     exact_eigen_split,
     exact_poly_roots,
     split_center,
 )
+
+from test_hopf import AXIOM_INPUTS, axiom_input
 
 from dense_maps import (
     dense_of,
@@ -396,18 +398,17 @@ def test_failed_verifications_raise_under_optimize():
         "dual(H).unit = zero_vec(H.field, H.dim)\n"
         "run('unit', lambda: splitting.split_center(H))\n"
         "real_find = corep.find_primitive_idempotent\n"
-        "def squared_wrong(H, *args):\n"
-        "    D = dual(H)\n"
-        "    real_product = D.product\n"
-        "    def product(x, y):\n"
-        "        out = real_product(x, y)\n"
-        "        return tuple((j, c + c) for j, c in out) if x is y else out\n"
-        "    D.product = product\n"
+        "real_roots = splitting.exact_poly_roots\n"
+        "def root_moved(field, coeffs):\n"
+        "    roots = real_roots(field, coeffs)\n"
+        "    return [roots[0] + field.one] + roots[1:] if roots else roots\n"
+        "def moved_in_corner(H, *args):\n"
+        "    splitting.exact_poly_roots = root_moved\n"
         "    try:\n"
         "        return real_find(H, *args)\n"
         "    finally:\n"
-        "        del D.product\n"
-        "corep.find_primitive_idempotent = squared_wrong\n"
+        "        splitting.exact_poly_roots = real_roots\n"
+        "corep.find_primitive_idempotent = moved_in_corner\n"
         "run('corner', lambda: peter_weyl(fresh()))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
@@ -421,3 +422,87 @@ def test_failed_verifications_raise_under_optimize():
         "unit central idempotents do not sum to the counit",
         "corner spectral idempotent verification failed",
     ]
+
+
+# --- spectral idempotents certified in K[t] ---------------------------------------
+
+
+def product_check(D, unit, powers, poly, roots):
+    """Whether the Lagrange idempotents of roots, formed without a
+    certificate, are orthogonal idempotents of D summing to unit, by
+    products in D."""
+    qs = []
+    for mu in roots:
+        quot = splitting._deflate(poly, mu)[0]
+        at_mu = splitting._deflate(quot, mu)[1]
+        if not at_mu:
+            return False
+        acc = {}
+        for c, v in zip(quot, powers):
+            add_terms(acc, c * at_mu.inverse(), v)
+        qs.append(sparse_column(acc))
+    total = {}
+    for q in qs:
+        add_terms(total, D.field.one, q)
+    return sparse_column(total) == unit and all(
+        D.product(q, r) == (q if a == b else ())
+        for a, q in enumerate(qs) for b, r in enumerate(qs))
+
+
+def certified(poly, roots):
+    try:
+        splitting._lagrange_polynomials(poly, roots)
+    except TheoremViolation:
+        return False
+    return True
+
+
+def spectral_steps(H, monkeypatch):
+    """(D, unit, x) of every spectral step of peter_weyl(H) at gauges 0 and 3."""
+    steps = []
+    real = splitting._spectral_idempotents
+
+    def recorded(D, unit, x):
+        steps.append((D, unit, x))
+        return real(D, unit, x)
+
+    monkeypatch.setattr(splitting, "_spectral_idempotents", recorded)
+    peter_weyl(H)
+    peter_weyl(H, 3)
+    monkeypatch.undo()
+    return steps
+
+
+@pytest.mark.parametrize("name", AXIOM_INPUTS + ["F(S4)", "C(S4)"])
+def test_certificate_agrees_with_products_in_the_dual(name, s3_crossed, drinfeld_s3, monkeypatch):
+    # on the true roots both pass; with any one root moved, both fail
+    H = {"F(S4)": lambda: function_algebra(FiniteGroup.symmetric(4)),
+         "C(S4)": lambda: group_algebra(FiniteGroup.symmetric(4))}.get(
+        name, lambda: axiom_input(name, s3_crossed, drinfeld_s3))()
+    steps = spectral_steps(H, monkeypatch)
+    assert steps
+    split = 0
+    for D, unit, x in steps:
+        poly, powers = splitting._min_poly(D, unit, x)
+        roots = exact_poly_roots(D.field, poly)
+        if len(roots) != len(powers):
+            continue
+        split += 1
+        variants = [roots] + [roots[:i] + [r + D.field.one] + roots[i + 1:] for i, r in enumerate(roots)]
+        for variant in variants:
+            assert certified(poly, variant) == product_check(D, unit, powers, poly, variant)
+        assert certified(poly, roots)
+    assert split
+
+
+def test_krylov_relation_that_is_not_a_line_raises(monkeypatch):
+    H = function_algebra(FiniteGroup.symmetric(3))
+    D = dual(H)
+    unit = sparse_vector(D.unit)
+    z = center_of_dual(H).rows[-1]
+    monkeypatch.setattr(splitting, "sparse_kernel", lambda field, n, cols: Subspace.full(field, len(cols)))
+    with pytest.raises(TheoremViolation, match="Krylov"):
+        splitting._min_poly(D, unit, z)
+    monkeypatch.setattr(splitting, "sparse_kernel", lambda field, n, cols: Subspace.zero(field, len(cols)))
+    with pytest.raises(TheoremViolation, match="Krylov"):
+        splitting._min_poly(D, unit, z)
