@@ -34,6 +34,7 @@ from .linalg import (
 )
 from .subgroup import (
     QuantumSubgroup,
+    _augmentation_ideal,
     coset_algebras,
     make_subgroup,
     normality_report,
@@ -542,26 +543,15 @@ def crossed_product(A: HopfStarAlgebra, action: GroupAction) -> HopfStarAlgebra:
 def crossed_canonical_subgroup(X: HopfStarAlgebra) -> QuantumSubgroup:
     """The copy of the acting group's dual inside a crossed product.
 
-    pi(a gamma) = eps(a) gamma maps onto the group algebra of Gamma; the
-    resulting subgroup is normal (all four criteria) and its coset algebra
-    is the embedded copy of A, both of which are checked.
+    This is crossed_general_subgroup with I = ker(eps), the augmentation
+    ideal of A, and K = {e}: pi(a gamma) = eps(a) gamma up to the basis of
+    A/ker(eps) = C, onto the group algebra of Gamma.  The general builder
+    checks that the subgroup is normal (all four criteria) and that its
+    coset algebra is the embedded copy of A, B x| {e} with B = A.
     """
     info = _crossed_info(X)
-    A, G = info["inner"], info["group"]
-    field = X.field
-    dA, o = A.dim, G.order
-    # pi(e_i gamma_t) = eps(e_i) gamma_t
-    P = [((t, A.counit[i]),) if A.counit[i] else () for i in range(dA) for t in range(o)]
-    Q = make_subgroup(X, sparse_kernel(field, o, P))
-    report = normality_report(Q)
-    if not report.normal:
-        raise TheoremViolation("the canonical crossed-product subgroup is not normal")
-    copy_a = sparse_image(field, X.dim, [((i * o + G.identity, field.one),) for i in range(dA)])
-    A_GN, _ = coset_algebras(Q)
-    if A_GN != copy_a:
-        raise TheoremViolation("coset algebra differs from the embedded copy of A")
-    Q.meta["group"] = G
-    return Q
+    I, e = _augmentation_ideal(info["inner"]), info["group"].identity
+    return crossed_general_subgroup(X, I, [e])
 
 
 def _crossed_info(X):
@@ -579,6 +569,18 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I: Subspace, K) -> QuantumSubgr
     coset algebra is checked to be the span of B x| K for B the coset
     algebra of the inner pair, and the trivial-set size must factor
     accordingly.
+
+    The projection is pi(e_i gamma_t) = pi_I(e_i) gamma_(tK), and no second
+    crossed product is built: the action that (A/I) x| (Gamma/K) would be
+    crossed by is well defined.  I is alpha_t-invariant, so pi_I alpha_t
+    vanishes on I and alpha~_t(pi_I(a)) = pi_I(alpha_t(a)) is a map of A/I.
+    K acts trivially, so alpha_(tk) = alpha_t alpha_k = alpha_t for k in
+    K and alpha~_t depends on tK alone.  Each alpha_t was validated as a
+    Hopf *-automorphism (GroupAction) and pi_I is an onto Hopf *-map, so
+    each alpha~_t is a Hopf *-automorphism of A/I, and tK -> alpha~_t is a
+    homomorphism.  make_subgroup certifies the kernel of pi as a Hopf
+    *-ideal, and the quotient is checked to have dimension dim(A/I)
+    |Gamma/K|, the rank of pi, which is onto since pi_I and t -> tK are.
     """
     info = _crossed_info(X)
     A, G, action = info["inner"], info["group"], info["action"]
@@ -607,25 +609,15 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I: Subspace, K) -> QuantumSubgr
         raise NotNormalInner("A/I is not a normal quantum subgroup of A")
 
     GQ, coset_of = quotient_group(G, K)
-    rep_of = {}
-    for t in range(o):
-        rep_of.setdefault(coset_of[t], t)
-    # the coset c acts on A/I by pi alpha_t on the representatives, t in c
-    induced = []
-    for c in range(GQ.order):
-        cols = sparse_compose(Q_A.proj_columns, action.maps[rep_of[c]])
-        induced.append([(b, j, x) for b, r in enumerate(Q_A.reps) for j, x in cols[r]])
-    act_q = GroupAction(GQ, Q_A.quotient, induced)
-    Y = crossed_product(Q_A.quotient, act_q)
-
     # pi(e_i gamma_t) = pi_A(e_i) gamma_(tK)
     P = [
         tuple((b * GQ.order + coset_of[t], x) for b, x in Q_A.proj_columns[i])
         for i in range(dA)
         for t in range(o)
     ]
-    Q = make_subgroup(X, sparse_kernel(field, Y.dim, P))
-    if Q.quotient.dim != Y.dim:
+    dim = Q_A.quotient.dim * GQ.order
+    Q = make_subgroup(X, sparse_kernel(field, dim, P))
+    if Q.quotient.dim != dim:
         raise TheoremViolation("quotient dimension does not match (A/I) x| (Gamma/K)")
 
     report = normality_report(Q)
@@ -640,5 +632,4 @@ def crossed_general_subgroup(X: HopfStarAlgebra, I: Subspace, K) -> QuantumSubgr
     if len(report.trivial_set) != len(inner_report.trivial_set) * len(K):
         raise TheoremViolation("trivial set size does not factor as |S(N)| * |K|")
     Q.meta["inner"] = Q_A
-    Q.meta["quotient_algebra"] = Y
     return Q

@@ -27,6 +27,9 @@ The inheritance suite and the hopf-ideal pullback read G's lattices:
    is the identity there, so it is the canonical projection along K, and
    G/J holds, constant by constant and label by label, the structure that
    make_subgroup(G/I, K) would induce: no quotient is certified twice.
+   _quotient_of(I, J) builds this J/I; the up-set maps it over the lattice
+   members J >= I, and third_isomorphism_check reads H/N, the kernel of
+   pi1: A_H -> A_N, as _quotient_of(H, N), whose quotient is N's own.
 3. A_GN includes into G by a Hopf *-morphism, so its Hopf *-subalgebras
    are the down-set {C <= A_GN}, read at A_GN's pivots.
 4. A_GN and each I0 are certified once; the pullback pairs reuse that.
@@ -244,18 +247,20 @@ def _down_set(G, B):
 
 def _up_set(Q):
     """The quantum subgroups of Q.quotient, as G's own quotients G/J for the
-    lattice members J over Q, each reached through the induced map phi of
-    _induced_map, with no new certificate (fact 2)."""
-    N = Q.quotient
-    at = {r: t for t, r in enumerate(Q.reps)}
-    return [
-        QuantumSubgroup(
-            N, J.ideal.map_by(Q.proj_columns, N.dim), J.quotient, _induced_map(Q, J),
-            tuple(at[r] for r in J.reps),
-        )
-        for J in enumerate_quantum_subgroups(Q.parent)
-        if Q.ideal <= J.ideal
-    ]
+    lattice members J over Q (fact 2)."""
+    return [_quotient_of(Q, J) for J in enumerate_quantum_subgroups(Q.parent) if Q.ideal <= J.ideal]
+
+
+def _quotient_of(I: QuantumSubgroup, J: QuantumSubgroup) -> QuantumSubgroup:
+    """J/I, the quantum subgroup of G/I with ideal pi_I(J), for subgroups of
+    one G with I's ideal inside J's: its quotient is G/J itself, reached
+    through the induced map phi of _induced_map, with no new certificate
+    (fact 2)."""
+    at = {r: t for t, r in enumerate(I.reps)}
+    return QuantumSubgroup(
+        I.quotient, J.ideal.map_by(I.proj_columns, I.quotient.dim), J.quotient,
+        _induced_map(I, J), tuple(at[r] for r in J.reps),
+    )
 
 
 def _induced_map(I: QuantumSubgroup, J: QuantumSubgroup):
@@ -332,11 +337,9 @@ def third_isomorphism_check(G: HopfStarAlgebra, N: QuantumSubgroup, H: QuantumSu
         raise ContainmentViolated("ker(theta) is not contained in ker(pi)")
     field = G.field
 
-    # pi1 on A_H defined by pi1(theta(a)) = pi(a)
-    pi1 = _induced_map(H, N)
-
-    # (a) N is normal inside H, i.e. the ideal ker(pi1) is normal in A_H
-    QN_in_H = make_subgroup(H.quotient, sparse_kernel(field, N.quotient.dim, pi1))
+    # (a) N is normal inside H, i.e. the ideal ker(pi1) is normal in A_H,
+    # for pi1(theta(a)) = pi(a): its quotient is N's own (fact 2)
+    QN_in_H = _quotient_of(H, N)
     claim_a = normality_report(QN_in_H).normal
 
     # (b) theta maps the coset algebra A_GN onto A_{H/N}

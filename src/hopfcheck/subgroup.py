@@ -366,9 +366,15 @@ def _a_normal(Q, side):
 
 
 def is_normal_rep(Q: QuantumSubgroup, P=None):
-    """Restriction criterion: (ok, matrices) with M_lambda = h_N(pi(u^lambda))."""
+    """Restriction criterion: (ok, matrices) with M_lambda = h_N(pi(u^lambda)).
+
+    P is the Peter-Weyl data of Q's parent; data of another algebra raises
+    SchemaError.
+    """
     if P is None:
         P = peter_weyl(Q.parent)
+    elif P.algebra is not Q.parent:
+        raise SchemaError("the Peter-Weyl data belong to another algebra")
     field = Q.parent.field
     mats = []
     ok = True
@@ -434,7 +440,8 @@ class NormalityReport:
 
 
 def normality_report(Q: QuantumSubgroup, P=None) -> NormalityReport:
-    """Run all four normality criteria; a disagreement raises TheoremViolation."""
+    """Run all four normality criteria; a disagreement raises TheoremViolation.
+    P is checked by is_normal_rep."""
     if P is None:
         P = peter_weyl(Q.parent)
     rep_ok, mats = is_normal_rep(Q, P)

@@ -34,7 +34,7 @@ from hopfcheck.errors import (
     SchemaError,
 )
 from hopfcheck.hopf import HopfStarAlgebra, check_axioms, compute_haar, morphism_failure
-from hopfcheck.linalg import Matrix, Subspace, basis_vec, sparse_identity, tensor_vec
+from hopfcheck.linalg import Matrix, Subspace, basis_vec, sparse_identity, sparse_kernel, tensor_vec
 from hopfcheck.serialize import load_algebra
 from hopfcheck.subgroup import coset_algebras, make_subgroup, normality_report
 
@@ -494,6 +494,48 @@ def test_crossed_canonical_subgroup(algebras):
     assert A_XN == copy_of_A
 
 
+def c_z3_inversion_crossed():
+    """C(Z3) x| Z2, Z2 acting as g -> g^-1, lifted from Q(zeta_3) to Q(zeta_6)."""
+    C = build_algebra("c_z3")
+    one = C.field.one
+    swap = [((0, one),), ((2, one),), ((1, one),)]
+    maps = [map_entries(sparse_identity(C.field, 3)), map_entries(swap)]
+    return C, crossed_product(C, GroupAction(FiniteGroup.cyclic(2), C, maps))
+
+
+def canonical_inputs(name, algebras, s3_crossed, drinfeld_s3):
+    if name == "F(S3)xZ2":
+        return s3_crossed()
+    if name == "D(S3)":
+        return drinfeld_s3()
+    if name == "C(Z3)xZ2":
+        return c_z3_inversion_crossed()[1]
+    if name == "F(S3)x{e}":
+        F = algebras["f_s3"]
+        return crossed_product(F, GroupAction.trivial(FiniteGroup.cyclic(1), F))
+    return algebras[name]
+
+
+@pytest.mark.parametrize("name", ["f_z3_rtimes_z2", "F(S3)xZ2", "D(S3)", "C(Z3)xZ2", "F(S3)x{e}"])
+def test_canonical_subgroup_is_the_counit_projection(name, algebras, s3_crossed, drinfeld_s3):
+    # the reference is make_subgroup(X, ker P) for P(e_i gamma_t) = eps(e_i) gamma_t
+    X = canonical_inputs(name, algebras, s3_crossed, drinfeld_s3)
+    A, G = X.meta["inner"], X.meta["group"]
+    o = G.order
+    P = [((t, A.counit[i]),) if A.counit[i] else () for i in range(A.dim) for t in range(o)]
+    ref = make_subgroup(X, sparse_kernel(X.field, o, P))
+    Q = crossed_canonical_subgroup(X)
+
+    def constants(H):
+        return (H.mult, H.comult, H.unit, H.counit, H.antipode, H.star, H.labels)
+
+    assert Q.parent is X
+    assert Q.ideal.rows == ref.ideal.rows
+    assert Q.proj_columns == ref.proj_columns
+    assert Q.reps == ref.reps
+    assert constants(Q.quotient) == constants(ref.quotient)
+
+
 def test_canonical_is_general_with_full_inner_ideal(algebras):
     X = algebras["f_z3_rtimes_z2"]
     A = X.meta["inner"]
@@ -516,11 +558,7 @@ def test_general_subgroup_lifts_the_inner_ideal():
     # C(Z3) is over Q(zeta_3); crossed by Z2 acting as g -> g^-1 it is lifted
     # to Q(zeta_6).  Its augmentation ideal has the rows e_e - e_g2 and
     # e_g - e_g2, so the lift shows in entries besides the leading ones.
-    C = build_algebra("c_z3")
-    one = C.field.one
-    swap = [((0, one),), ((2, one),), ((1, one),)]
-    maps = [map_entries(sparse_identity(C.field, 3)), map_entries(swap)]
-    X = crossed_product(C, GroupAction(FiniteGroup.cyclic(2), C, maps))
+    C, X = c_z3_inversion_crossed()
     A = X.meta["inner"]
     assert (C.field.n, A.field.n) == (3, 6)
     Q = crossed_general_subgroup(X, augmentation_ideal(C), ["e"])

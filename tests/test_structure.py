@@ -30,12 +30,14 @@ from hopfcheck.errors import (
     TheoremViolation,
 )
 from hopfcheck.hopf import HopfStarAlgebra, check_axioms, sub_hopf_algebra
-from hopfcheck.linalg import Subspace, basis_vec, sparse_vector
+from hopfcheck.linalg import Subspace, basis_vec, sparse_kernel, sparse_vector
 from hopfcheck.serialize import save_algebra
 from hopfcheck.structure import (
     _closed_index_sets,
     _down_set,
     _generated_ideal,
+    _induced_map,
+    _quotient_of,
     _up_set,
     enumerate_hopf_subalgebras,
     enumerate_quantum_subgroups,
@@ -54,6 +56,7 @@ from hopfcheck.subgroup import (
     full_subgroup,
     is_normal_coset,
     make_subgroup,
+    normality_report,
 )
 
 from conftest import build_drinfeld_double_s3, build_s3_crossed
@@ -776,6 +779,43 @@ def test_up_set_members_are_the_quotients_make_subgroup_builds(name, s3_crossed,
             assert is_normal_coset(S) == is_normal_coset(ref)
             pairs += 1
     assert pairs == UP_SET_PAIRS[name]
+
+
+# admissible chains (N, H) of lattice members: N normal, H's ideal inside
+# N's; f_s3 and f_d4 give the 31 of acceptance test 4
+CHAINS = {
+    "c_s3": 6, "c_z3": 3, "f_d4": 22, "f_s3": 9, "f_z2": 3, "f_z2_x_f_z3": 9,
+    "f_z3": 3, "f_z3_rtimes_z2": 6, "f_z6": 9, "F(S3)xZ2": 14, "D(S3)": 24,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_third_iso_reads_h_over_n_off_n(name, s3_crossed, drinfeld_s3):
+    # H/N is _quotient_of(H, N), N's own quotient; make_subgroup certifies
+    # the kernel of pi1 anew
+    builders = {"F(S3)xZ2": s3_crossed, "D(S3)": drinfeld_s3}
+    G = builders[name]() if name in builders else build_algebra(name)
+
+    def constants(H):
+        return (H.mult, H.comult, H.unit, H.counit, H.antipode, H.star, H.labels)
+
+    subs = enumerate_quantum_subgroups(G)
+    chains = 0
+    for N in filter(is_normal_coset, subs):
+        for H in subs:
+            if not H.ideal <= N.ideal:
+                continue
+            S = _quotient_of(H, N)
+            pi1 = _induced_map(H, N)
+            ref = make_subgroup(H.quotient, sparse_kernel(G.field, N.quotient.dim, pi1))
+            assert S.parent is H.quotient and S.quotient is N.quotient
+            assert S.ideal.rows == ref.ideal.rows
+            assert S.proj_columns == ref.proj_columns == pi1
+            assert S.reps == ref.reps
+            assert constants(S.quotient) == constants(ref.quotient)
+            assert normality_report(S).as_dict() == normality_report(ref).as_dict()
+            chains += 1
+    assert chains == CHAINS[name]
 
 
 def _break_a_lattice_projection(G):

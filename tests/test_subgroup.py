@@ -420,6 +420,15 @@ def test_normality_gauge_independent(algebras):
         assert again.trivial_set == base.trivial_set
 
 
+def test_peter_weyl_data_of_another_algebra_is_rejected(algebras):
+    # f_s3 and c_s3 both have dimension 6, so nothing else tells them apart
+    P = peter_weyl(algebras["c_s3"])
+    for Q in (a3_subgroup(algebras), t12_subgroup(algebras)):
+        for check in (is_normal_rep, normality_report):
+            with pytest.raises(SchemaError, match="^the Peter-Weyl data belong to another algebra$"):
+                check(Q, P)
+
+
 def test_fast_path_matches_report(algebras):
     for Q in (a3_subgroup(algebras), t12_subgroup(algebras)):
         assert is_normal_coset(Q) == normality_report(Q).normal
@@ -1054,15 +1063,16 @@ def test_sparse_maps_match_dense_recipes(name, s3_crossed, monkeypatch):
         assert dense_matrix(field, d, convolve(H, sparse_compose(s, Q.proj_columns), H.antipode)) == phi
         assert dense_matrix(field, d, phi_map(Q, s)) == phi
 
-    # pi1 of third-iso, the first kernel it takes, against N.proj * H.section
-    kernels = []
-    real = hopfcheck.structure.sparse_kernel
+    # pi1 of third-iso, the first induced map it builds, against N.proj * H.section
+    maps = []
+    real = hopfcheck.structure._induced_map
 
-    def recording(field, n, cols):
-        kernels.append(dense_matrix(field, n, cols))
-        return real(field, n, cols)
+    def recording(I, J):
+        phi = real(I, J)
+        maps.append(dense_matrix(field, J.quotient.dim, phi))
+        return phi
 
-    monkeypatch.setattr(hopfcheck.structure, "sparse_kernel", recording)
+    monkeypatch.setattr(hopfcheck.structure, "_induced_map", recording)
     chains = 0
     for N in subs:
         if not is_normal_coset(N):
@@ -1071,14 +1081,14 @@ def test_sparse_maps_match_dense_recipes(name, s3_crossed, monkeypatch):
         for K in subs:
             if not K.ideal <= N.ideal:
                 continue
-            kernels.clear()
+            maps.clear()
             third_isomorphism_check(H, N, K)
             section = Matrix.from_rows(
                 field, [[field.one if i == r else field.zero for r in K.reps] for i in range(d)]
             )
             pi1 = matmul(PN, section)
             assert matmul(pi1, reference_linear_quotient(K.ideal)[0]) == PN
-            assert kernels[0] == pi1
+            assert maps[0] == pi1
             chains += 1
     assert chains >= 2
 
