@@ -201,16 +201,28 @@ def _extract_block(H, p, gauge):
     The block p D of D = dual(H) is M_n(K), and its size is read off a
     trace: left multiplication L_p by the idempotent p is an idempotent map
     of D onto p D, so dim p D = rank L_p = tr(L_p) = n^2 (left_trace).
-    The trace only decides which work is done.  Write E_f = (id (x) f) Delta
-    for f in D.  For n = 1 the entry is the first nonzero column of E_p,
-    divided by its counit.  For n > 1 a primitive idempotent q of p D gives
-    V = im E_q, checked to have dimension n, and the entries
+    The trace decides which work is done and where each span stops.  Write
+    E_f = (id (x) f) Delta for f in D.  For n = 1 the entry is the first
+    nonzero column of E_p, divided by its counit.  For n > 1 a primitive
+    idempotent q of p D gives V = im E_q and the entries
     (id (x) e^(p_l)) Delta(r) of V's echelon rows r.  V is also the image
     under E_q of im E_p, the space that the proof in peter_weyl speaks of,
     since q = q p and coassociativity give E_q = E_q E_p; so im E_p itself
     is never spanned, and p D only for n > 1, where the corner search needs
-    its rows.  What is returned rests on exact checks: the corepresentation
-    verifies, and its block, corep.block(), has dimension n^2.
+    its rows.
+
+    Each span stops at its certified rank, so no column past it is reduced.
+    An idempotent map has rank equal to its trace.  p D is spanned until
+    it holds tr(L_p) = n^2 rows.  q is a certified idempotent of D
+    (splitting._spectral_idempotents), and coassociativity, which _split
+    has certified, gives E_q E_q = E_(q q) = E_q; so dim V = tr(E_q) =
+    sum_i [e_i] E_q(e_i), the entry of each column E_q(e_i) at i, summed
+    from the coproduct terms of Delta(e_i) with first leg i.  That trace is
+    checked to be n, and V is spanned until it holds n rows.  The reduced echelon basis of a span is canonical, so
+    the candidates of the corner search and every entry are those of the
+    full spans.  What is returned rests on exact checks: the
+    corepresentation verifies, and its block, corep.block(), has dimension
+    n^2.
     """
     field = H.field
     d = H.dim
@@ -231,11 +243,13 @@ def _extract_block(H, p, gauge):
         return corep, corep.block()
 
     # p D, spanned by the p e_t: row t of the matrix of (p (x) id) Delta
-    block_D = sparse_image(field, d, sparse_transpose(d, coproduct_slice(H, p, "left")))
+    block_D = sparse_image(field, d, sparse_transpose(d, coproduct_slice(H, p, "left")), n * n)
     q = find_primitive_idempotent(H, block_D.rows, p, gauge)
-    V = sparse_image(field, d, coproduct_slice(H, q, "right"))
-    if V.dim != n:
+    cols = coproduct_slice(H, q, "right")
+    trace = sum((c for i, col in enumerate(cols) for j, c in col if j == i), field.zero)
+    if trace != n:
         raise SplittingFailed(field.n, "primitive idempotent produced a wrong column dimension")
+    V = sparse_image(field, d, cols, n)
 
     # the dual functionals of V's echelon rows r_l read the pivots p_l, so
     # entry (i, l) = (id (x) e^(p_l)) Delta(r_i) is the slice of Delta(r_i)

@@ -220,13 +220,15 @@ class HopfStarAlgebra:
         """The product of two sparse vectors, a sparse vector."""
         one = self.field.one
         acc = {}
+        met = False
         for i, xi in x:
             row = self.mult[i]
             for j, yj in y:
                 terms = row[j]
                 if terms:
-                    add_terms(acc, yj if xi is one else xi if yj is one else xi * yj, terms)
-        return sparse_column(acc)
+                    scale = yj if xi is one else xi if yj is one else xi * yj
+                    met = add_terms(acc, scale, terms) or met
+        return sparse_column(acc, met)
 
     def coproduct(self, x):
         """Delta of a sparse vector, as a dict {(a, b): the coefficient of
@@ -1007,7 +1009,8 @@ def coproduct_slice(H, f, side):
     vector of its values on the basis.  Only the coproduct terms whose
     sliced leg (e_k on the right, e_j on the left) lies in the support of f
     are walked, read off comult_legs: on F(G)-type parents, where f = h_N pi
-    lives on |K| legs, that is |K| d terms of the d^2.  Any other side
+    lives on |K| legs, that is |K| d terms of the d^2.  Only the columns in
+    which two terms met are tested for zeros (see linalg).  Any other side
     raises SchemaError."""
     if side not in ("left", "right"):
         raise SchemaError("side is 'left' or 'right', not %r" % (side,))
@@ -1015,12 +1018,17 @@ def coproduct_slice(H, f, side):
     legs = second if side == "right" else first
     one = H.field.one
     accs = [{} for _ in range(H.dim)]
+    met = set()
     for s, w in f:
         for i, kept, c in legs[s]:
             v = w if c is one else c if w is one else c * w
             acc = accs[i]
-            acc[kept] = acc[kept] + v if kept in acc else v
-    return [sparse_column(acc) for acc in accs]
+            if kept in acc:
+                acc[kept] = acc[kept] + v
+                met.add(i)
+            else:
+                acc[kept] = v
+    return [sparse_column(acc, i in met) for i, acc in enumerate(accs)]
 
 
 def linear_quotient(B):

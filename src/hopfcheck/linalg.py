@@ -22,6 +22,18 @@ factor with `is one` and take the other factor as it is.  That is exact,
 since x * one and one * x return x itself (see cyclotomic), and it saves a
 Python call per term on the many structure constants, projection entries
 and unit coefficients that are exactly 1.
+
+An entry is tested for zero only where two terms met.  In a field a
+product of nonzero factors is nonzero, so a sum of nonzero products is zero
+only where two of its terms share a key.  Every sparse vector and column is
+zero-free, so add_terms reports whether it wrote to a key already in the
+accumulator, and sparse_column(acc, met) sorts an accumulator in which no
+key was met with no zero test.  sparse_compose, the Echelon methods (through
+_split, and add's row updates), hopf's HopfStarAlgebra.product and
+coproduct_slice build their columns so; HopfStarAlgebra.coproduct and
+subgroup._coaction count their terms to the same end.  A caller whose
+accumulator may hold zeros from elsewhere calls sparse_column(acc), which
+tests every entry.
 """
 
 from __future__ import annotations
@@ -30,6 +42,8 @@ from bisect import bisect_left
 from operator import itemgetter
 
 from .errors import SchemaError
+
+_index = itemgetter(0)
 
 
 def zero_vec(field, n):
@@ -56,16 +70,27 @@ def tensor_vec(u, v):
 
 def add_terms(acc, scale, terms):
     """acc[k] += scale * c over the (k, c) in terms; a factor one is not
-    multiplied (see the module doc)."""
+    multiplied.  True when some k was already in acc, the only way an
+    entry can become zero (see the module doc)."""
     one = scale.field.one
+    met = False
     for k, c in terms:
         v = c if scale is one else scale if c is one else scale * c
-        acc[k] = acc[k] + v if k in acc else v
+        if k in acc:
+            acc[k] = acc[k] + v
+            met = True
+        else:
+            acc[k] = v
+    return met
 
 
-def sparse_column(acc):
-    """The sparse vector of the nonzero entries of a dict {index: entry}."""
-    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+def sparse_column(acc, met=True):
+    """The sparse vector of the nonzero entries of a dict {index: entry}.
+    The entries are tested for zero only when met; pass the report of
+    add_terms when acc was filled from zero-free terms (see the module doc)."""
+    if met:
+        return tuple(sorted([kv for kv in acc.items() if kv[1]], key=_index))
+    return tuple(sorted(acc.items(), key=_index))
 
 
 def sparse_vector(vec):
@@ -102,16 +127,24 @@ def sparse_compose(f, g):
     out = []
     for col in g:
         acc = {}
+        met = False
         for k, c in col:
-            add_terms(acc, c, f[k])
-        out.append(sparse_column(acc))
+            met = add_terms(acc, c, f[k]) or met
+        out.append(sparse_column(acc, met))
     return out
 
 
-def sparse_image(field, n, cols):
-    """The span of sparse vectors of length n (the columns of a map), a Subspace."""
+def sparse_image(field, n, cols, rank=None):
+    """The span of sparse vectors of length n (the columns of a map), a Subspace.
+
+    Given rank, the dimension of the span as the caller has certified it,
+    the columns are read only until the span holds rank rows: the reduced
+    echelon basis of a subspace is canonical, so the rows are those of the
+    span of every column."""
     ech = Echelon(field)
     for col in cols:
+        if len(ech.row_at) == rank:
+            break
         ech.add(col)
     return Subspace(field, n, tuple(ech.rows), tuple(ech.pivots))
 
@@ -139,9 +172,6 @@ def sparse_kernel(field, n, cols):
     return sparse_null_space(field, len(cols), sparse_transpose(n, cols))
 
 
-_index = itemgetter(0)
-
-
 class Echelon:
     """Incrementally maintained reduced row echelon basis of sparse vectors.
 
@@ -166,43 +196,43 @@ class Echelon:
 
     def _split(self, vec):
         """({pivot: coordinate}, rest): the coordinates of vec on the rows
-        and vec minus their combination, a dict {index: entry} that may hold
-        zeros.  A row has no entry at another pivot, so the coordinate on it
-        is the entry of vec at its pivot."""
+        and vec minus their combination, a sparse vector.  A row has no
+        entry at another pivot, so the coordinate on it is the entry of vec
+        at its pivot.  rest is tested for zeros only where a row met an
+        entry (see the module doc)."""
         rest = dict(vec)
         coords = {}
+        met = False
         for p, c in vec:
             row = self.row_at.get(p)
             if row is not None:
                 coords[p] = c
                 del rest[p]
-                add_terms(rest, -c, row[1:])
-        return coords, rest
+                met = add_terms(rest, -c, row[1:]) or met
+        return coords, sparse_column(rest, met)
 
     def reduce(self, vec):
         """vec minus its combination of the rows, a sparse vector."""
-        return sparse_column(self._split(vec)[1])
+        return self._split(vec)[1]
 
     def coefficients(self, vec):
         """Coordinates of vec in the stored basis, or None if outside."""
         coords, rest = self._split(vec)
-        if any(rest.values()):
+        if rest:
             return None
         zero = self.field.zero
         return [coords.get(p, zero) for p in self.pivots]
 
     def contains(self, vec):
-        return not any(self._split(vec)[1].values())
+        return not self._split(vec)[1]
 
     def add(self, vec):
         """Insert a vector; returns the new pivot column or None.
 
-        Only the rows with an entry at the new pivot are changed; a
-        dependent vector is rejected before its remainder is sorted."""
+        Only the rows with an entry at the new pivot are changed."""
         rest = self._split(vec)[1]
-        if not any(rest.values()):
+        if not rest:
             return None
-        rest = sparse_column(rest)
         p, lead = rest[0]
         one = self.field.one
         inv = lead.inverse()
@@ -213,8 +243,8 @@ class Echelon:
             at = bisect_left(row, p, key=_index)
             if at < len(row) and row[at][0] == p:
                 acc = dict(row)
-                add_terms(acc, -acc.pop(p), tail)
-                self.row_at[q] = sparse_column(acc)
+                met = add_terms(acc, -acc.pop(p), tail)
+                self.row_at[q] = sparse_column(acc, met)
         self.row_at[p] = ((p, self.field.one),) + tail
         return p
 

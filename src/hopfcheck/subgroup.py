@@ -267,6 +267,10 @@ def coset_algebras(Q: QuantumSubgroup):
     free of rank dim N over K (H.-J. Schneider, J. Algebra 152 (1992); (c)
     of exact_sequence_check), so the dimensions then force E(G) = K.  Either
     failure raises TheoremViolation.
+
+    E(G) is spanned from the distinct columns of E only (_distinct): a
+    repeated column adds nothing to a span, and on F(G)-type parents E
+    takes one value on each coset, so most columns repeat.
     """
 
     def compute():
@@ -274,7 +278,7 @@ def coset_algebras(Q: QuantumSubgroup):
         unit = sparse_vector(Q.quotient.unit)
         out = []
         for side in ("right", "left"):
-            image = sparse_image(G.field, G.dim, conditional_expectation(Q, side))
+            image = sparse_image(G.field, G.dim, _distinct(conditional_expectation(Q, side)))
             if image.dim * dn != G.dim:
                 raise TheoremViolation(
                     "%s coset algebra has dimension %d, not %d / %d" % (side, image.dim, G.dim, dn)
@@ -285,6 +289,20 @@ def coset_algebras(Q: QuantumSubgroup):
         return tuple(out)
 
     return Q.memo("cosets", compute)
+
+
+def _distinct(cols):
+    """The sparse columns of cols without repeats, each at its first
+    occurrence: the columns are grouped by their support, a tuple of ints,
+    and compared with == within a group."""
+    groups = {}
+    out = []
+    for col in cols:
+        group = groups.setdefault(tuple([k for k, _ in col]), [])
+        if col not in group:
+            group.append(col)
+            out.append(col)
+    return out
 
 
 def _live_terms(G: HopfStarAlgebra, first_leg):

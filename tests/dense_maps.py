@@ -15,6 +15,12 @@ functional is a central idempotent of the dual), and the adjoint coaction
 through the dense Delta(a).  DenseEchelon is the row echelon form kept as
 dense rows, the reference for the sparse `hopfcheck.linalg.Echelon`.
 
+The filtering_* kernels and FilteringEchelon compute sparse_compose, the
+product, coproduct_slice and the Echelon methods on sparse vectors the
+plain way, testing every accumulated entry for zero, where hopfcheck tests
+an entry only where two terms met (see `hopfcheck.linalg`); random_sparse
+draws inputs for them whose sums cancel often.
+
 The reference_* scans at the end check associativity, coassociativity,
 Delta(xy) = Delta(x) Delta(y), (xy)* = y* x* and the laws of a
 corepresentation on every basis element, pair or triple, where hopfcheck
@@ -393,6 +399,118 @@ def rebase_by(H, T):
     return HopfStarAlgebra(
         field, mult, mat_apply(Tinv, list(H.unit)), comult, counit, rebase(H.antipode), rebase(H.star)
     )
+
+
+# -- always-filtering sparse kernels ----------------------------------------------
+
+
+def assert_sparse(vec):
+    """A sparse vector: indices strictly increasing, no zero entry."""
+    keys = [k for k, _ in vec]
+    assert keys == sorted(set(keys))
+    assert all(c for _, c in vec)
+
+
+def cancelling_scalar(field, rng):
+    """A nonzero scalar, most often +-1, +-2 or +-zeta, so that sums cancel."""
+    if rng.random() < 0.3:
+        num = [rng.randint(-3, 3) for _ in range(field.phi)]
+        return field.from_integers(num, rng.randint(1, 3)) or field.one
+    small = rng.choice([field.one, field.from_integers([2]), field.zeta()])
+    return small if rng.random() < 0.5 else -small
+
+
+def random_sparse(field, rng, n, density=0.4):
+    """A sparse vector of length n with entries that cancel often."""
+    return tuple((j, cancelling_scalar(field, rng)) for j in range(n) if rng.random() < density)
+
+
+def filtering_column(acc):
+    """The sorted entries of a dict {index: entry}, each tested for zero."""
+    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+
+
+def filtering_compose(f, g):
+    """The sparse columns of f o g."""
+    out = []
+    for col in g:
+        acc = {}
+        for k, c in col:
+            for j, x in f[k]:
+                _add(acc, j, c * x)
+        out.append(filtering_column(acc))
+    return out
+
+
+def filtering_product(H, x, y):
+    """The product of two sparse vectors of H."""
+    acc = {}
+    for i, xi in x:
+        for j, yj in y:
+            for k, m in H.mult[i][j]:
+                _add(acc, k, xi * yj * m)
+    return filtering_column(acc)
+
+
+def filtering_coproduct_slice(H, f, side):
+    """The sparse columns of a -> (id (x) f) Delta(a) (side "right") or
+    (f (x) id) Delta(a) (side "left"), walking every term of each Delta(e_i)."""
+    at = dict(f)
+    out = []
+    for terms in H.comult:
+        acc = {}
+        for j, k, c in terms:
+            kept, sliced = (j, k) if side == "right" else (k, j)
+            if sliced in at:
+                _add(acc, kept, c * at[sliced])
+        out.append(filtering_column(acc))
+    return out
+
+
+class FilteringEchelon:
+    """The reduced row echelon form of sparse vectors, row_at[p] the row with
+    pivot p, as hopfcheck.linalg.Echelon keeps it."""
+
+    def __init__(self, field):
+        self.field = field
+        self.row_at = {}
+
+    @property
+    def rows(self):
+        return [self.row_at[p] for p in sorted(self.row_at)]
+
+    def reduce(self, vec):
+        acc = dict(vec)
+        for p, c in vec:
+            for j, x in self.row_at.get(p, ()):
+                _add(acc, j, -(c * x))
+        return filtering_column(acc)
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+    def coefficients(self, vec):
+        if self.reduce(vec):
+            return None
+        at = dict(vec)
+        return [at.get(p, self.field.zero) for p in sorted(self.row_at)]
+
+    def add(self, vec):
+        rest = self.reduce(vec)
+        if not rest:
+            return None
+        p, lead = rest[0]
+        inv = lead.inverse()
+        new = tuple((j, c * inv) for j, c in rest)
+        for q, row in self.row_at.items():
+            at = dict(row)
+            if p in at:
+                e = at[p]
+                for j, c in new:
+                    _add(at, j, -(e * c))
+                self.row_at[q] = filtering_column(at)
+        self.row_at[p] = new
+        return p
 
 
 # -- full scans of the multiplicative identities ---------------------------------

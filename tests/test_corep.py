@@ -608,6 +608,35 @@ def test_blocks_are_the_images_of_the_central_idempotents(name, s3_crossed, drin
         assert [c.block() for c in P.coreps] == P.blocks()
 
 
+@pytest.mark.parametrize("name", BLOCK_INPUTS)
+def test_spans_stopped_at_their_rank_are_the_full_spans(name, s3_crossed, drinfeld_s3, monkeypatch):
+    # the reference reads every column of p D and of im E_q
+    H = block_input(name, s3_crossed, drinfeld_s3)
+    stopped = peter_weyl(H, 3)
+    spans = []
+
+    def full(field, n, cols, rank=None):
+        span = sparse_image(field, n, cols)
+        spans.append((rank, span.dim))
+        return span
+
+    monkeypatch.setattr(hopfcheck.corep, "sparse_image", full)
+    P = peter_weyl(H, 3)
+    ranked = [(rank, dim) for rank, dim in spans if rank is not None]
+    assert all(rank == dim for rank, dim in ranked)
+    assert ranked or set(P.dims) == {1}
+    assert P.dims == stopped.dims and P.blocks() == stopped.blocks()
+    assert [c.entries for c in P.coreps] == [c.entries for c in stopped.coreps]
+
+
+def test_an_idempotent_of_the_wrong_rank_is_rejected(monkeypatch):
+    # the central idempotent p itself in place of a primitive q: tr(E_p) =
+    # n^2, not n, on the block of size 2 of F(S3)
+    monkeypatch.setattr(hopfcheck.corep, "find_primitive_idempotent", lambda H, rows, p, gauge: p)
+    with pytest.raises(SplittingFailed, match="primitive idempotent produced a wrong column dimension"):
+        peter_weyl(function_algebra(FiniteGroup.symmetric(3)))
+
+
 class DependentEntries(Corepresentation):
     """The last diagonal entry replaced by the first, so that the entries of
     a block of size n > 1 span n^2 - 1 dimensions; verify accepts anything."""

@@ -64,13 +64,23 @@ CROSSED_CEILINGS = {"crossed_product": 0, "GroupAction": 0}
 # calls over the 67 is_normal_coset flags of F(Z2^4), once its lattice is
 # built: a product whose factor is the field's one is not made, so the
 # products left are the Haar values of h_N pi other than one and the tails
-# that Echelon.add scales by an inverse other than one
-FLAG_CEILINGS = {"CycScalar.__mul__": 1530, "Echelon.add": 2144}
+# that Echelon.add scales by an inverse other than one; each coset algebra
+# is spanned from the distinct columns of its conditional expectation (2,144
+# Echelon.add calls before), and an entry is tested for zero only where two
+# terms met (21,490 truth tests before)
+FLAG_CEILINGS = {"CycScalar.__mul__": 1530, "Echelon.add": 614, "CycScalar.__bool__": 2758}
 
 # calls in peter_weyl of a fresh F(S4): its counit and coassociativity gates,
 # the centre of the dual, the spectral idempotents (certified in K[t], with
-# no product in the dual) and one span per block
-PW_CEILINGS = {"CycScalar.__mul__": 13528, "HopfStarAlgebra.product": 365, "Echelon.add": 539}
+# no product in the dual) and one span per block, stopped at its certified
+# rank (13,528 products, 539 Echelon.add calls and 16,918 truth tests before
+# the spans stopped there and zero tests were kept to where two terms met)
+PW_CEILINGS = {
+    "CycScalar.__mul__": 11254,
+    "HopfStarAlgebra.product": 365,
+    "Echelon.add": 433,
+    "CycScalar.__bool__": 8919,
+}
 
 
 @contextmanager
@@ -130,21 +140,27 @@ def flag_counts():
     for _ in range(3):
         G = FiniteGroup.direct_product(G, Z2)
     qsubs = enumerate_quantum_subgroups(function_algebra(G))
-    with counting(CycScalar, "__mul__") as mul, counting(Echelon, "add") as add:
+    with counting(CycScalar, "__mul__") as mul, counting(Echelon, "add") as add, \
+            counting(CycScalar, "__bool__") as truth:
         flags = [is_normal_coset(Q) for Q in qsubs]
     if len(flags) != 67 or not all(flags):
         raise AssertionError("F(Z2^4) has 67 quantum subgroups, all normal")
-    return {"CycScalar.__mul__": mul[0], "Echelon.add": add[0]}
+    return {"CycScalar.__mul__": mul[0], "Echelon.add": add[0], "CycScalar.__bool__": truth[0]}
 
 
 def peter_weyl_counts():
     H = function_algebra(FiniteGroup.symmetric(4))
     with counting(CycScalar, "__mul__") as mul, counting(HopfStarAlgebra, "product") as prod, \
-            counting(Echelon, "add") as add:
+            counting(Echelon, "add") as add, counting(CycScalar, "__bool__") as truth:
         dims = peter_weyl(H).dims
     if dims != [1, 1, 2, 3, 3]:
         raise AssertionError("F(S4) has irreducibles of dimensions 1, 1, 2, 3, 3")
-    return {"CycScalar.__mul__": mul[0], "HopfStarAlgebra.product": prod[0], "Echelon.add": add[0]}
+    return {
+        "CycScalar.__mul__": mul[0],
+        "HopfStarAlgebra.product": prod[0],
+        "Echelon.add": add[0],
+        "CycScalar.__bool__": truth[0],
+    }
 
 
 def test_catalog_is_covered():

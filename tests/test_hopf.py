@@ -50,13 +50,17 @@ from hopfcheck.linalg import (
 
 from dense_maps import (
     DenseEchelon,
+    assert_sparse,
     columns,
     dense_antipode,
     dense_matrix,
     dense_of,
     dense_product,
     dense_star,
+    filtering_coproduct_slice,
+    filtering_product,
     kron_apply,
+    random_sparse,
     rebased,
     reference_antipode,
     reference_antipode_star_involution,
@@ -427,6 +431,58 @@ def test_coproduct_slice_matches_the_full_walk(name, s3_crossed, drinfeld_s3):
                 idx = [j for j, _ in col]
                 assert idx == sorted(set(idx)) and all(c for _, c in col)
             assert dense_matrix(field, d, cols) == reference_coproduct_slice(H, dense_of(H, f), side)
+
+
+def collision_inputs(order):
+    """C(S3) and F(S3) over Q(zeta_order), and both rebased, where products
+    and slices meet at shared keys."""
+    S3 = FiniteGroup.symmetric(3)
+    rng = random.Random("collisions %d" % order)
+    plain = [group_algebra(S3, order), function_algebra(S3, order)]
+    return plain + [rebased(H, rng) for H in plain]
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_product_and_slice_match_the_filtering_reference(order):
+    rng = random.Random("filtering %d" % order)
+    zeros = 0
+    for H in collision_inputs(order):
+        for _ in range(25):
+            x = random_sparse(H.field, rng, H.dim, rng.choice([0.3, 1.0]))
+            y = random_sparse(H.field, rng, H.dim, rng.choice([0.3, 1.0]))
+            xy = H.product(x, y)
+            assert xy == filtering_product(H, x, y)
+            assert_sparse(xy)
+            for side in ("right", "left"):
+                cols = coproduct_slice(H, x, side)
+                assert cols == filtering_coproduct_slice(H, x, side)
+                for col in cols:
+                    assert_sparse(col)
+                zeros += sum(not col for col in cols)
+    assert zeros > 0
+
+
+def test_cancelling_terms_leave_no_zero_entry():
+    field = CycField(1)
+    H = group_algebra(FiniteGroup.cyclic(2), 1)
+    e, g = H.labels.index("e"), H.labels.index("g")
+    # (1 + g)(1 - g) = 1 - g^2 = 0 in C(Z2)
+    plus = tuple(sorted([(e, field.one), (g, field.one)]))
+    minus = tuple(sorted([(e, field.one), (g, -field.one)]))
+    assert H.product(plus, minus) == () == filtering_product(H, plus, minus)
+    # a slice in which two terms of one Delta(e_i) meet at the kept leg and
+    # cancel: c1 e_j (x) e_k1 + c2 e_j (x) e_k2 against f = c2 e^k1 - c1 e^k2
+    X = rebased(function_algebra(FiniteGroup.symmetric(3), 1), random.Random("cancel"))
+    i, (j, k1, c1), (_, k2, c2) = next(
+        (i, a, b) for i, terms in enumerate(X.comult) for a in terms for b in terms
+        if a[0] == b[0] and a[1] < b[1]
+    )
+    f = ((k1, c2), (k2, -c1))
+    cols = coproduct_slice(X, f, "right")
+    assert cols == filtering_coproduct_slice(X, f, "right")
+    assert j not in dict(cols[i])
+    for col in cols:
+        assert_sparse(col)
 
 
 def test_leg_index_groups_the_coproduct_terms(s3_crossed):

@@ -7,6 +7,7 @@ import sympy
 from hopfcheck.cyclotomic import CycField
 from hopfcheck.errors import SchemaError
 from hopfcheck.linalg import (
+    Echelon,
     Matrix,
     Subspace,
     basis_vec,
@@ -23,13 +24,18 @@ from hopfcheck.linalg import (
 from hopfcheck.structure import enumerate_hopf_subalgebras, enumerate_quantum_subgroups
 
 from dense_maps import (
+    FilteringEchelon,
+    assert_sparse,
+    cancelling_scalar,
     columns,
     dense_echelon,
     dense_intersection,
     dense_kernel,
     dense_matrix,
+    filtering_compose,
     mat_apply,
     matmul,
+    random_sparse,
     sparse_of,
 )
 
@@ -414,3 +420,60 @@ def test_from_vectors_coerces_int_and_fraction_entries():
     assert S.rows == (((0, field.one), (1, quarter)), ((2, field.one),))
     assert S.basis() == [[field.one, quarter, field.zero], [field.zero, field.zero, field.one]]
     assert S == Subspace.from_vectors(field, 3, [[4, 1, 0], [0, 0, field.one]])
+
+
+# --- zero tests only where two terms met ----------------------------------------
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_sparse_compose_matches_the_filtering_reference(order):
+    field = CycField(order)
+    rng = random.Random("compose %d" % order)
+    cancelled = 0
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        f = [random_sparse(field, rng, n) for _ in range(m)]
+        g = [random_sparse(field, rng, m, rng.choice([0.4, 1.0])) for _ in range(rng.randint(1, 5))]
+        got = sparse_compose(f, g)
+        assert got == filtering_compose(f, g)
+        for col in got:
+            assert_sparse(col)
+        cancelled += sum(not col for col in got)
+    assert cancelled > 0
+    # v + (-v) cancels to the zero column
+    v = random_sparse(field, rng, 5, 1.0)
+    minus_v = tuple((j, -c) for j, c in v)
+    assert sparse_compose([v, minus_v], [((0, field.one), (1, field.one))]) == [()]
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_echelon_matches_the_filtering_reference(order):
+    field = CycField(order)
+    rng = random.Random("echelon %d" % order)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        ech, ref = Echelon(field), FilteringEchelon(field)
+        added = []
+        for _ in range(rng.randint(1, 8)):
+            kind = rng.random()
+            if added and kind < 0.3:
+                # a combination of earlier vectors, or the negative of one
+                coefs = [(a, cancelling_scalar(field, rng)) for a in rng.sample(range(len(added)), min(2, len(added)))]
+                v = sparse_compose(added, [tuple(sorted(coefs))])[0]
+            elif added and kind < 0.4:
+                v = tuple((j, -c) for j, c in rng.choice(added))
+            else:
+                v = random_sparse(field, rng, n, rng.choice([0.4, 1.0]))
+            assert ech.add(v) == ref.add(v)
+            assert ech.rows == ref.rows
+            for row in ech.rows:
+                assert_sparse(row)
+            added.append(v)
+        probes = added + [random_sparse(field, rng, n) for _ in range(3)]
+        probes += [tuple((j, -c) for j, c in v) for v in added]
+        for w in probes:
+            assert ech.contains(w) == ref.contains(w)
+            assert ech.coefficients(w) == ref.coefficients(w)
+            rest = ech.reduce(w)
+            assert rest == ref.reduce(w)
+            assert_sparse(rest)

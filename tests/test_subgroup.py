@@ -54,7 +54,7 @@ from hopfcheck.subgroup import (
     reconstruction_check,
     trivial_subgroup,
 )
-from hopfcheck.subgroup import _adjoint_terms, _certified_quotient, _coaction, _live_terms
+from hopfcheck.subgroup import _adjoint_terms, _certified_quotient, _coaction, _distinct, _live_terms
 
 from dense_maps import (
     columns,
@@ -75,6 +75,7 @@ from dense_maps import (
     reference_linear_quotient,
     rebased,
 )
+from test_hopf import AXIOM_INPUTS, axiom_input
 
 A3 = ("e", "(123)", "(132)")
 T12 = ("e", "(12)")
@@ -1039,6 +1040,23 @@ def test_adjoint_products_are_computed_once_per_algebra(name, s3_crossed, monkey
             for b in Q.ideal.rows:
                 shared = _adjoint_terms(H, b, side, live, products)
                 assert shared == _adjoint_terms(H, b, side, live, {})
+
+
+# --- coset algebras from the distinct columns -------------------------------------
+
+
+@pytest.mark.parametrize("name", AXIOM_INPUTS)
+def test_coset_algebras_are_the_span_of_every_column(name, s3_crossed, drinfeld_s3):
+    H = axiom_input(name, s3_crossed, drinfeld_s3)
+    repeats = 0
+    for Q in enumerate_quantum_subgroups(H):
+        for side, image in zip(("right", "left"), coset_algebras(Q)):
+            cols = conditional_expectation(Q, side)
+            assert image == sparse_image(H.field, H.dim, cols)
+            distinct = _distinct(cols)
+            assert distinct == list(dict.fromkeys(cols))
+            repeats += len(cols) - len(distinct)
+    assert repeats > 0
 
 
 # --- sparse maps against their dense recipes ------------------------------------
