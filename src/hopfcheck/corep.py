@@ -41,6 +41,7 @@ from .linalg import (
     Subspace,
     add_terms,
     sparse_column,
+    sparse_entry,
     sparse_image,
     sparse_transpose,
     sparse_vector,
@@ -216,13 +217,12 @@ def _extract_block(H, p, gauge):
     it holds tr(L_p) = n^2 rows.  q is a certified idempotent of D
     (splitting._spectral_idempotents), and coassociativity, which _split
     has certified, gives E_q E_q = E_(q q) = E_q; so dim V = tr(E_q) =
-    sum_i [e_i] E_q(e_i), the entry of each column E_q(e_i) at i, summed
-    from the coproduct terms of Delta(e_i) with first leg i.  That trace is
-    checked to be n, and V is spanned until it holds n rows.  The reduced echelon basis of a span is canonical, so
-    the candidates of the corner search and every entry are those of the
-    full spans.  What is returned rests on exact checks: the
-    corepresentation verifies, and its block, corep.block(), has dimension
-    n^2.
+    sum_i [e_i] E_q(e_i), the entry of each column E_q(e_i) at i.  That
+    trace is checked to be n, and V is spanned until it holds n rows.  The
+    reduced echelon basis of a span is canonical, so the candidates of the
+    corner search and every entry are those of the full spans.  What is
+    returned rests on exact checks: the corepresentation verifies, and its
+    block, corep.block(), has dimension n^2.
     """
     field = H.field
     d = H.dim
@@ -246,7 +246,7 @@ def _extract_block(H, p, gauge):
     block_D = sparse_image(field, d, sparse_transpose(d, coproduct_slice(H, p, "left")), n * n)
     q = find_primitive_idempotent(H, block_D.rows, p, gauge)
     cols = coproduct_slice(H, q, "right")
-    trace = sum((c for i, col in enumerate(cols) for j, c in col if j == i), field.zero)
+    trace = sum((sparse_entry(col, i, field.zero) for i, col in enumerate(cols)), field.zero)
     if trace != n:
         raise SplittingFailed(field.n, "primitive idempotent produced a wrong column dimension")
     V = sparse_image(field, d, cols, n)

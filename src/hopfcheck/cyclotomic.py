@@ -32,13 +32,10 @@ algebraic integer y of coefficient sum A (see CycScalar.sign).
 from __future__ import annotations
 
 import cmath
-import sys
 from fractions import Fraction
 from math import gcd
 
 from .errors import FieldOrderMismatch, SchemaError, TheoremViolation
-
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 def _poly_mul(a, b):
@@ -489,21 +486,9 @@ class CycScalar:
         return NotImplemented
 
     def __hash__(self):
-        """A rational hashes as the equal int or Fraction does, by Fraction's
-        own formula, with no Fraction built; an irrational hashes its
-        canonical (n, num, den)."""
-        num, den = self.num, self.den
-        if any(num[1:]):
-            return hash((self.field.n, num, den))
-        a = num[0]
-        if den == 1:
-            return hash(a)
-        if den % _HASH_MODULUS:
-            h = hash(hash(abs(a)) * pow(den, -1, _HASH_MODULUS))
-        else:
-            h = sys.hash_info.inf
-        h = h if a >= 0 else -h
-        return -2 if h == -1 else h
+        if self.is_rational():
+            return hash(self.num[0]) if self.den == 1 else hash(self.as_fraction())
+        return hash((self.field.n, self.coeffs))
 
     def sort_key(self):
         den = self.den

@@ -134,6 +134,7 @@ from .errors import AxiomsFailed, NotCosemisimple, SchemaError
 from .linalg import (
     Echelon,
     add_terms,
+    nonzero_entries,
     sparse_apply,
     sparse_column,
     sparse_compose,
@@ -220,15 +221,15 @@ class HopfStarAlgebra:
         """The product of two sparse vectors, a sparse vector."""
         one = self.field.one
         acc = {}
-        met = False
+        count = 0
         for i, xi in x:
             row = self.mult[i]
             for j, yj in y:
                 terms = row[j]
                 if terms:
-                    scale = yj if xi is one else xi if yj is one else xi * yj
-                    met = add_terms(acc, scale, terms) or met
-        return sparse_column(acc, met)
+                    count += len(terms)
+                    add_terms(acc, yj if xi is one else xi if yj is one else xi * yj, terms)
+        return sparse_column(acc, count)
 
     def coproduct(self, x):
         """Delta of a sparse vector, as a dict {(a, b): the coefficient of
@@ -242,8 +243,7 @@ class HopfStarAlgebra:
             for a, b, c in comult:
                 v = c if xi is one else xi if c is one else xi * c
                 out[a, b] = out[a, b] + v if (a, b) in out else v
-        # a coefficient can vanish only where two nonzero terms share a key
-        return out if len(out) == terms else {key: c for key, c in out.items() if c}
+        return nonzero_entries(out, terms)
 
     def counit_of(self, x):
         return _pair(x, self.counit, self.field.zero)
@@ -1018,17 +1018,14 @@ def coproduct_slice(H, f, side):
     legs = second if side == "right" else first
     one = H.field.one
     accs = [{} for _ in range(H.dim)]
-    met = set()
+    terms = [0] * H.dim
     for s, w in f:
         for i, kept, c in legs[s]:
             v = w if c is one else c if w is one else c * w
             acc = accs[i]
-            if kept in acc:
-                acc[kept] = acc[kept] + v
-                met.add(i)
-            else:
-                acc[kept] = v
-    return [sparse_column(acc, i in met) for i, acc in enumerate(accs)]
+            acc[kept] = acc[kept] + v if kept in acc else v
+            terms[i] += 1
+    return [sparse_column(acc, n) for acc, n in zip(accs, terms)]
 
 
 def linear_quotient(B):

@@ -26,14 +26,14 @@ and unit coefficients that are exactly 1.
 An entry is tested for zero only where two terms met.  In a field a
 product of nonzero factors is nonzero, so a sum of nonzero products is zero
 only where two of its terms share a key.  Every sparse vector and column is
-zero-free, so add_terms reports whether it wrote to a key already in the
-accumulator, and sparse_column(acc, met) sorts an accumulator in which no
-key was met with no zero test.  sparse_compose, the Echelon methods (through
-_split, and add's row updates), hopf's HopfStarAlgebra.product and
-coproduct_slice build their columns so; HopfStarAlgebra.coproduct and
-subgroup._coaction count their terms to the same end.  A caller whose
-accumulator may hold zeros from elsewhere calls sparse_column(acc), which
-tests every entry.
+zero-free, so a kernel counts the terms it sums into a dict, and
+nonzero_entries(acc, terms) tests the entries only when acc holds fewer
+keys than terms, that is, when two terms met; sparse_column(acc, terms)
+sorts what it returns.  sparse_compose, the Echelon methods (through
+_split, and add's row updates), hopf's HopfStarAlgebra.product, coproduct
+and coproduct_slice, and subgroup._coaction build their results so.  A
+caller whose accumulator may hold zeros from elsewhere gives no count, and
+every entry is tested.
 """
 
 from __future__ import annotations
@@ -70,27 +70,30 @@ def tensor_vec(u, v):
 
 def add_terms(acc, scale, terms):
     """acc[k] += scale * c over the (k, c) in terms; a factor one is not
-    multiplied.  True when some k was already in acc, the only way an
-    entry can become zero (see the module doc)."""
+    multiplied (see the module doc)."""
     one = scale.field.one
-    met = False
     for k, c in terms:
         v = c if scale is one else scale if c is one else scale * c
-        if k in acc:
-            acc[k] = acc[k] + v
-            met = True
-        else:
-            acc[k] = v
-    return met
+        acc[k] = acc[k] + v if k in acc else v
 
 
-def sparse_column(acc, met=True):
-    """The sparse vector of the nonzero entries of a dict {index: entry}.
-    The entries are tested for zero only when met; pass the report of
-    add_terms when acc was filled from zero-free terms (see the module doc)."""
-    if met:
-        return tuple(sorted([kv for kv in acc.items() if kv[1]], key=_index))
-    return tuple(sorted(acc.items(), key=_index))
+def nonzero_entries(acc, terms=None):
+    """The dict acc without its zero entries.  Given terms, the number of
+    nonzero products summed into acc, acc itself is returned when it has
+    that many keys, since then no two terms met (see the module doc)."""
+    return acc if len(acc) == terms else {k: c for k, c in acc.items() if c}
+
+
+def sparse_column(acc, terms=None):
+    """The sparse vector of the nonzero entries of a dict {index: entry};
+    terms as in nonzero_entries."""
+    return tuple(sorted(nonzero_entries(acc, terms).items(), key=_index))
+
+
+def sparse_entry(vec, k, zero):
+    """The entry of the sparse vector vec at index k, found by bisection."""
+    at = bisect_left(vec, k, key=_index)
+    return vec[at][1] if at < len(vec) and vec[at][0] == k else zero
 
 
 def sparse_vector(vec):
@@ -127,10 +130,12 @@ def sparse_compose(f, g):
     out = []
     for col in g:
         acc = {}
-        met = False
+        terms = 0
         for k, c in col:
-            met = add_terms(acc, c, f[k]) or met
-        out.append(sparse_column(acc, met))
+            fk = f[k]
+            terms += len(fk)
+            add_terms(acc, c, fk)
+        out.append(sparse_column(acc, terms))
     return out
 
 
@@ -202,14 +207,16 @@ class Echelon:
         entry (see the module doc)."""
         rest = dict(vec)
         coords = {}
-        met = False
+        terms = len(vec)
         for p, c in vec:
             row = self.row_at.get(p)
             if row is not None:
                 coords[p] = c
                 del rest[p]
-                met = add_terms(rest, -c, row[1:]) or met
-        return coords, sparse_column(rest, met)
+                # p leaves rest, and the len(row) - 1 terms of the row enter it
+                terms += len(row) - 2
+                add_terms(rest, -c, row[1:])
+        return coords, sparse_column(rest, terms)
 
     def reduce(self, vec):
         """vec minus its combination of the rows, a sparse vector."""
@@ -243,8 +250,8 @@ class Echelon:
             at = bisect_left(row, p, key=_index)
             if at < len(row) and row[at][0] == p:
                 acc = dict(row)
-                met = add_terms(acc, -acc.pop(p), tail)
-                self.row_at[q] = sparse_column(acc, met)
+                add_terms(acc, -acc.pop(p), tail)
+                self.row_at[q] = sparse_column(acc, len(row) - 1 + len(tail))
         self.row_at[p] = ((p, self.field.one),) + tail
         return p
 

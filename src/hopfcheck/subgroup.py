@@ -54,6 +54,7 @@ from .linalg import (
     Matrix,
     Subspace,
     add_terms,
+    nonzero_entries,
     sparse_column,
     sparse_compose,
     sparse_identity,
@@ -240,8 +241,7 @@ def _coaction(Q: QuantumSubgroup, a, side: str):
                     v = p if xc is one else xc if p is one else xc * p
                     key = kept, b
                     out[key] = out[key] + v if key in out else v
-    # a coefficient can vanish only where two nonzero terms share a key
-    return out if len(out) == terms else {key: c for key, c in out.items() if c}
+    return nonzero_entries(out, terms)
 
 
 def _coinvariant(Q: QuantumSubgroup, a, side: str, unit) -> bool:
@@ -294,7 +294,8 @@ def coset_algebras(Q: QuantumSubgroup):
 def _distinct(cols):
     """The sparse columns of cols without repeats, each at its first
     occurrence: the columns are grouped by their support, a tuple of ints,
-    and compared with == within a group."""
+    and compared with == within a group.  No scalar is hashed, which would
+    cost a Python call for each entry of each column."""
     groups = {}
     out = []
     for col in cols:

@@ -11,9 +11,12 @@ from hopfcheck.linalg import (
     Matrix,
     Subspace,
     basis_vec,
+    nonzero_entries,
     solve_linear,
     sparse_apply,
+    sparse_column,
     sparse_compose,
+    sparse_entry,
     sparse_identity,
     sparse_image,
     sparse_kernel,
@@ -423,6 +426,28 @@ def test_from_vectors_coerces_int_and_fraction_entries():
 
 
 # --- zero tests only where two terms met ----------------------------------------
+
+
+def test_entries_are_tested_for_zero_only_when_terms_met():
+    field = CycField(4)
+    i = field.zeta(1)
+    acc = {3: i, 0: field.one}
+    # as many keys as terms: no two met, and acc is returned untested
+    assert nonzero_entries(acc, 2) is acc
+    assert sparse_column(acc, 2) == ((0, field.one), (3, i))
+    # three terms on two keys met, and the zero they left is dropped
+    acc = {3: i, 0: field.one + field.minus_one}
+    assert nonzero_entries(acc, 3) == {3: i}
+    assert sparse_column(acc, 3) == sparse_column(acc) == ((3, i),)
+
+
+def test_sparse_entry_reads_one_index():
+    field = CycField(4)
+    v = ((1, field.one), (4, field.zeta(1)), (7, field.minus_one))
+    assert [sparse_entry(v, k, None) for k in range(9)] == [
+        None, field.one, None, None, field.zeta(1), None, None, field.minus_one, None,
+    ]
+    assert sparse_entry((), 0, field.zero) is field.zero
 
 
 @pytest.mark.parametrize("order", [1, 4, 12])
