@@ -23,12 +23,37 @@ and the adjoint products e_x S(e_z) and S(e_x) e_z, which depend on the
 parent alone, are computed once per parent algebra and kept in its memo
 (see _a_normal).  A conditional expectation walks only the coproduct
 terms whose sliced leg lies in the support of h_N pi (see
-hopf.coproduct_slice).  Each coset algebra is computed one way, as the
-image of a conditional expectation, and certified to be the invariance
-kernel by a proof and two exact checks (see coset_algebras).  The comodule
-splitting that phi is built from is the canonical section averaged with
-the Haar state of N, so no linear system is solved: a proof and two exact
-checks certify it (see comodule_splitting).
+hopf.coproduct_slice), and both are computed once per subgroup (see
+_expectations).  Each coset algebra is computed one way, as the image of a
+conditional expectation, and certified to be the invariance kernel by a
+proof and two exact checks (see coset_algebras).  The comodule splitting
+that phi is built from is the canonical section averaged with the Haar
+state of N, so no linear system is solved: a proof and two exact checks
+certify it (see comodule_splitting).
+
+Normality on a verified parent is read off the two conditional
+expectations, E_R = (id (x) phi) Delta and E_L = (phi (x) id) Delta with
+phi = h_N pi, whose images are the coset algebras A_GN and A_NG: N is
+normal, A_GN = A_NG, exactly when E_L = E_R.  If E_L = E_R their images
+are equal; this needs no hypothesis.  Conversely let A_GN = A_NG = B.
+  - Module maps: for b in B, (id (x) pi) Delta(b) = b (x) 1_N, and Delta
+    and pi are multiplicative, so E_R(bx) = b E_R(x); in the same way
+    (pi (x) id) Delta(b) = 1_N (x) b gives E_L(xb) = E_L(x) b.
+  - Invariance: (h (x) id) Delta = h(.) 1 gives h E_R = h, since phi(1) =
+    h_N(1_N) = 1, and (id (x) h) Delta = h(.) 1 gives h E_L = h.  So for
+    y in B, h(y E_R(x)) = h(E_R(yx)) = h(yx) and h(E_L(x) y) = h(xy).
+  - h is tracial (the haar_tracial axiom), so h(y E_L(x)) = h(E_L(x) y)
+    = h(xy) = h(yx), and h(y (E_R(x) - E_L(x))) = 0 for every y in B.
+  - B is a *-subalgebra (pi is a *-map), and z = E_R(x) - E_L(x) lies in
+    B.  With y = z*, h(z* z) = 0, and h is faithful (the haar_positive
+    axiom: the Gram matrix h(e_i* e_j) is positive definite), so z = 0.
+So the equality E_L = E_R of two lists of sparse columns decides normality
+with no span and no coaction; equivalently h_N pi is central in the
+convolution algebra of G (U. Franz and A. Skalski, J. Algebra 322 (2009),
+on idempotent states).  is_normal_coset takes that route when the parent
+is verified (`G.verified`, which this module never starts) and spans the
+two coset algebras otherwise; normality_report reads its coset criterion
+off the spans and checks E_L = E_R against it too.
 """
 
 from __future__ import annotations
@@ -71,8 +96,9 @@ class QuantumSubgroup:
     proj_columns[a] is pi(e_a), read off the echelon rows of the ideal by
     linear_quotient, and the quotient basis vector f_t is the class of the
     parent basis vector e_(reps[t]).  `meta` keeps data derived from the
-    subgroup, each computed once: "haar_pi", "cosets", "aplus" and
-    "g_aplus" (see `memo`);
+    subgroup, each computed once: "haar_pi", "expectations" (the columns
+    of both conditional expectations), "cosets", "aplus" and "g_aplus"
+    (see `memo`);
     constructions also record where a subgroup came from there.
     """
 
@@ -210,6 +236,15 @@ def conditional_expectation(Q: QuantumSubgroup, side: str = "right"):
     return coproduct_slice(Q.parent, sparse_vector(Q.haar_pi_covector), side)
 
 
+def _expectations(Q: QuantumSubgroup):
+    """(E_R, E_L), the columns of the right and left conditional
+    expectations, computed once through conditional_expectation and kept in
+    Q.meta under "expectations"."""
+    return Q.memo(
+        "expectations", lambda: tuple(conditional_expectation(Q, s) for s in ("right", "left"))
+    )
+
+
 def _coaction(Q: QuantumSubgroup, a, side: str):
     """(id (x) pi) Delta(a) as {(j, b): the coefficient of e_j (x) f_b} for
     side "right", or (pi (x) id) Delta(a) as {(j, b): that of f_b (x) e_j}
@@ -268,17 +303,19 @@ def coset_algebras(Q: QuantumSubgroup):
     of exact_sequence_check), so the dimensions then force E(G) = K.  Either
     failure raises TheoremViolation.
 
-    E(G) is spanned from the distinct columns of E only (_distinct): a
-    repeated column adds nothing to a span, and on F(G)-type parents E
-    takes one value on each coset, so most columns repeat.
+    The columns of E are those kept by _expectations, so a flag decided
+    before reuses them.  E(G) is spanned from the distinct columns of E
+    only (_distinct): a repeated column adds nothing to a span, and on
+    F(G)-type parents E takes one value on each coset, so most columns
+    repeat.
     """
 
     def compute():
         G, dn = Q.parent, Q.quotient.dim
         unit = sparse_vector(Q.quotient.unit)
         out = []
-        for side in ("right", "left"):
-            image = sparse_image(G.field, G.dim, _distinct(conditional_expectation(Q, side)))
+        for side, E in zip(("right", "left"), _expectations(Q)):
+            image = sparse_image(G.field, G.dim, _distinct(E))
             if image.dim * dn != G.dim:
                 raise TheoremViolation(
                     "%s coset algebra has dimension %d, not %d / %d" % (side, image.dim, G.dim, dn)
@@ -407,6 +444,24 @@ def is_normal_rep(Q: QuantumSubgroup, P=None):
 
 
 def is_normal_coset(Q: QuantumSubgroup) -> bool:
+    """N is normal: the coset algebras A_GN and A_NG are equal.
+
+    On a verified parent (`Q.parent.verified`) this is decided as E_L = E_R,
+    the equality of the columns of the two conditional expectations (see
+    _expectations), with no span and no coaction.  Proof: if E_L = E_R
+    their images A_NG and A_GN are equal.  Conversely let both be B.  For b
+    in B, E_R(bx) = b E_R(x) and E_L(xb) = E_L(x) b, since b is coinvariant
+    on both sides and Delta and pi are multiplicative; h E_R = h E_L = h by
+    the invariance of the Haar state h.  So for y in B, h(y E_R(x)) = h(yx),
+    and h(y E_L(x)) = h(E_L(x) y) = h(xy) = h(yx) as h is tracial
+    (haar_tracial).  B is a *-subalgebra holding z = E_R(x) - E_L(x), so
+    y = z* gives h(z* z) = 0, and h is faithful (haar_positive): z = 0.
+    Those axioms are known only on a verified parent, so any other parent
+    takes the spans, coset_algebras(Q), kept in Q.meta under "cosets".
+    """
+    if Q.parent.verified:
+        right, left = _expectations(Q)
+        return right == left
     A_GN, A_NG = coset_algebras(Q)
     return A_GN == A_NG
 
@@ -460,7 +515,11 @@ class NormalityReport:
 
 def normality_report(Q: QuantumSubgroup, P=None) -> NormalityReport:
     """Run all four normality criteria; a disagreement raises TheoremViolation.
-    P is checked by is_normal_rep."""
+    P is checked by is_normal_rep.
+
+    The coset criterion is A_GN == A_NG, read off the spans of
+    coset_algebras; is_normal_coset (E_L = E_R on a verified parent) must
+    agree with it too, though it is not reported."""
     if P is None:
         P = peter_weyl(Q.parent)
     rep_ok, mats = is_normal_rep(Q, P)
@@ -470,14 +529,15 @@ def normality_report(Q: QuantumSubgroup, P=None) -> NormalityReport:
     }
     left = is_left_a_normal(Q)
     right = is_right_a_normal(Q)
-    coset = is_normal_coset(Q)
-    report = NormalityReport(rep_ok, mats, left, right, coset, trivial)
-    if not report.agree:
+    A_GN, A_NG = coset_algebras(Q)
+    report = NormalityReport(rep_ok, mats, left, right, A_GN == A_NG, trivial)
+    flag = is_normal_coset(Q)
+    if not report.agree or flag != report.coset_equality:
         raise TheoremViolation(
-            "normality criteria disagree: %r (trivial set %r)" % (report, report.trivial_set)
+            "normality criteria disagree: %r, is_normal_coset %s (trivial set %r)"
+            % (report, flag, report.trivial_set)
         )
     if report.normal:
-        A_GN, _ = coset_algebras(Q)
         blocks = P.blocks()
         total = sparse_image(
             field, Q.parent.dim, [row for idx in report.trivial_set for row in blocks[idx].rows]

@@ -62,13 +62,19 @@ THIRD_ISO_CERTIFICATES = 31
 CROSSED_CEILINGS = {"crossed_product": 0, "GroupAction": 0}
 
 # calls over the 67 is_normal_coset flags of F(Z2^4), once its lattice is
-# built: a product whose factor is the field's one is not made, so the
-# products left are the Haar values of h_N pi other than one and the tails
-# that Echelon.add scales by an inverse other than one; each coset algebra
-# is spanned from the distinct columns of its conditional expectation (2,144
-# Echelon.add calls before), and an entry is tested for zero only where two
-# terms met (21,490 truth tests before)
-FLAG_CEILINGS = {"CycScalar.__mul__": 1530, "Echelon.add": 614, "CycScalar.__bool__": 2758}
+# built: the lattice verifies F(Z2^4), so each flag compares the columns of
+# its two conditional expectations and spans no coset algebra and takes no
+# coaction (1,530 products, 614 Echelon.add calls and 2,758 truth tests
+# when each flag spanned and certified both coset algebras); no product is
+# left, since every coproduct coefficient of F(G) is the field's one, and
+# the truth tests left read h_N pi off the projection columns and make it
+# a sparse vector
+FLAG_CEILINGS = {
+    "CycScalar.__mul__": 0,
+    "Echelon.add": 0,
+    "CycScalar.__bool__": 2451,
+    "_coaction": 0,
+}
 
 # calls in peter_weyl of a fresh F(S4): its counit and coassociativity gates,
 # the centre of the dual, the spectral idempotents (certified in K[t], with
@@ -141,11 +147,17 @@ def flag_counts():
         G = FiniteGroup.direct_product(G, Z2)
     qsubs = enumerate_quantum_subgroups(function_algebra(G))
     with counting(CycScalar, "__mul__") as mul, counting(Echelon, "add") as add, \
-            counting(CycScalar, "__bool__") as truth:
+            counting(CycScalar, "__bool__") as truth, \
+            counting(hopfcheck.subgroup, "_coaction") as coaction:
         flags = [is_normal_coset(Q) for Q in qsubs]
     if len(flags) != 67 or not all(flags):
         raise AssertionError("F(Z2^4) has 67 quantum subgroups, all normal")
-    return {"CycScalar.__mul__": mul[0], "Echelon.add": add[0], "CycScalar.__bool__": truth[0]}
+    return {
+        "CycScalar.__mul__": mul[0],
+        "Echelon.add": add[0],
+        "CycScalar.__bool__": truth[0],
+        "_coaction": coaction[0],
+    }
 
 
 def peter_weyl_counts():

@@ -11,7 +11,14 @@ import hopfcheck
 import hopfcheck.structure
 import hopfcheck.subgroup
 from hopfcheck.catalog import CATALOG_NAMES, build_algebra, build_group
-from hopfcheck.constructions import FiniteGroup, lift_algebra, function_algebra, subgroup_ideal
+from hopfcheck.constructions import (
+    FiniteGroup,
+    function_algebra,
+    group_algebra,
+    lift_algebra,
+    subgroup_ideal,
+    tensor_product,
+)
 from hopfcheck.corep import peter_weyl
 from hopfcheck.errors import NotHopfIdeal, SchemaError, TheoremViolation
 from hopfcheck.hopf import (
@@ -54,7 +61,14 @@ from hopfcheck.subgroup import (
     reconstruction_check,
     trivial_subgroup,
 )
-from hopfcheck.subgroup import _adjoint_terms, _certified_quotient, _coaction, _distinct, _live_terms
+from hopfcheck.subgroup import (
+    _adjoint_terms,
+    _certified_quotient,
+    _coaction,
+    _distinct,
+    _expectations,
+    _live_terms,
+)
 
 from dense_maps import (
     columns,
@@ -1057,6 +1071,118 @@ def test_coset_algebras_are_the_span_of_every_column(name, s3_crossed, drinfeld_
             assert distinct == list(dict.fromkeys(cols))
             repeats += len(cols) - len(distinct)
     assert repeats > 0
+
+
+# --- normality as E_L = E_R on a verified parent ----------------------------------
+
+
+def quaternion_group():
+    """Q8 = {+-1, +-i, +-j, +-k} from the products of its units."""
+    units = {("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+             ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+             ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j")}
+    for u in "1ijk":
+        units["1", u] = units[u, "1"] = (1, u)
+    elements = [(sign, u) for u in "1ijk" for sign in (1, -1)]
+
+    def mul(a, b):
+        sign, u = units[a[1], b[1]]
+        return a[0] * b[0] * sign, u
+
+    table = [[elements.index(mul(a, b)) for b in elements] for a in elements]
+    return FiniteGroup(table, [("" if sign == 1 else "-") + u for sign, u in elements])
+
+
+ROUTE_INPUTS = sorted(CATALOG_NAMES) + [
+    "F(S4)", "C(S4)", "F(S3)xZ2", "D(S3)", "F(Q8)xC(S3)",
+    "c_s3 rebased", "f_d4 rebased", "F(S3)xZ2 rebased",
+]
+
+
+def route_input(name, s3_crossed, drinfeld_s3):
+    """F(S4), C(S4), D(S3) or F(Q8) (x) C(S3), else a certificate input."""
+    build = {
+        "F(S4)": lambda: function_algebra(FiniteGroup.symmetric(4)),
+        "C(S4)": lambda: group_algebra(FiniteGroup.symmetric(4)),
+        "D(S3)": drinfeld_s3,
+        "F(Q8)xC(S3)": lambda: tensor_product(
+            function_algebra(quaternion_group()), group_algebra(FiniteGroup.symmetric(3))
+        ),
+    }.get(name)
+    return build() if build else certificate_input(name, s3_crossed, random.Random("route " + name))
+
+
+@pytest.mark.parametrize("name", ROUTE_INPUTS)
+def test_equal_expectations_decide_coset_equality(name, s3_crossed, drinfeld_s3):
+    # the lattice verifies its algebra, so is_normal_coset compares the two
+    # expectations; the spans of coset_algebras are the reference
+    H = route_input(name, s3_crossed, drinfeld_s3)
+    subs = enumerate_quantum_subgroups(H)
+    assert H.verified
+    normal = 0
+    for Q in subs:
+        right, left = _expectations(Q)
+        A_GN, A_NG = coset_algebras(Q)
+        assert (right == left) == (A_GN == A_NG) == is_normal_coset(Q)
+        normal += A_GN == A_NG
+    if name == "F(Q8)xC(S3)":
+        assert (len(subs), normal) == (25, 25)
+    elif name == "F(S4)":
+        assert (len(subs), normal) == (30, 4)
+
+
+def test_normal_coset_route_follows_the_verified_flag():
+    H = function_algebra(FiniteGroup.symmetric(3))
+    flags = []
+    for subset in (A3, T12):
+        Q = make_subgroup(H, subgroup_ideal(H, subset))
+        flags.append(is_normal_coset(Q))
+        A_GN, A_NG = Q.meta["cosets"]
+        assert flags[-1] == (A_GN == A_NG)
+    assert flags == [True, False] and not H.verified
+    assert check_axioms(H).ok and H.verified
+    for subset, flag in zip((A3, T12), flags):
+        Q = make_subgroup(H, subgroup_ideal(H, subset))
+        assert is_normal_coset(Q) is flag
+        assert "cosets" not in Q.meta
+        assert Q.meta["expectations"] == tuple(
+            conditional_expectation(Q, side) for side in ("right", "left")
+        )
+
+
+def test_unequal_expectations_raise_under_optimize():
+    # on the normal A3 of a verified F(S3), the column of E_L at e is
+    # replaced by a column of the other coset: the spans, and so the four
+    # reported criteria, are unchanged, and only E_L = E_R disagrees
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+    code = (
+        "import hopfcheck.subgroup as subgroup\n"
+        "from hopfcheck.constructions import FiniteGroup, function_algebra, subgroup_ideal\n"
+        "from hopfcheck.errors import TheoremViolation\n"
+        "from hopfcheck.hopf import ensure_verified\n"
+        "assert False, 'asserts are live'\n"
+        "H = function_algebra(FiniteGroup.symmetric(3))\n"
+        "ensure_verified(H)\n"
+        "Q = subgroup.make_subgroup(H, subgroup_ideal(H, ('e', '(123)', '(132)')))\n"
+        "real = subgroup.conditional_expectation\n"
+        "def fault(Q, side='right'):\n"
+        "    cols = real(Q, side)\n"
+        "    if side == 'left':\n"
+        "        cols[0] = next(col for col in cols if col != cols[0])\n"
+        "    return cols\n"
+        "subgroup.conditional_expectation = fault\n"
+        "try:\n"
+        "    subgroup.normality_report(Q)\n"
+        "except TheoremViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("normality criteria disagree")
+    assert "coset=True" in proc.stdout and "is_normal_coset False" in proc.stdout
 
 
 # --- sparse maps against their dense recipes ------------------------------------
